@@ -2,455 +2,15 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	"graphhd/internal/centrality"
 	"graphhd/internal/graph"
-	"graphhd/internal/hdc"
 )
 
 // encodeBatchChunk is the batch size the parallel adopters (Fit,
-// PredictAll) hand to one BatchScratch call: large enough that cross-graph
-// operand dedup amortizes basis-table traffic, small enough that the plan
-// slab stays cache-resident for typical Table-I graph sizes.
+// PredictAll) hand to one scratch call: each chunk checks one pooled
+// scratch out and back, and its graphs share one basis-table snapshot.
 const encodeBatchChunk = 32
-
-// BatchScratch is the cross-graph batch encoding tier: it plans one
-// gather-free operand schedule (hdc.OperandPlan) across every graph in a
-// micro-batch and encodes each graph by streaming its planned operand
-// indices through hdc.BitCounter.AddPlanned.
-//
-// Planning exploits the same structure as the per-graph rank-pair
-// grouping, one level up: an edge's bind vector depends only on the
-// unordered (rank_u, rank_v) pair of its endpoint centrality ranks, and
-// graphs in a batch draw those pairs from the same small space (ranks are
-// bounded by vertex counts), so the batch frequently repeats pairs across
-// graphs. The plan therefore materializes each *distinct* pair's XNOR
-// exactly once per batch — basis-table words are loaded once per batch,
-// not once per graph — and every graph's accumulation pass reads the
-// compact contiguous slab instead of chasing basis-table pointers.
-//
-// Bundling counts are exact integer sums and the majority sign is a pure
-// function of the counts, so batch encodings are bit-for-bit identical to
-// the per-graph EncodeGraphPacked path (see
-// TestBatchEncodeMatchesSingleAllDatasets).
-//
-// Once its buffers have grown to the largest batch seen, a BatchScratch
-// plans and encodes with zero heap allocations. It is bound to its
-// encoder and not safe for concurrent use; obtain one from
-// Encoder.NewBatchScratch and keep it for the caller's lifetime (the
-// serving workers do), or rely on the pooled instances behind
-// Encoder.EncodeBatch.
-type BatchScratch struct {
-	enc     *Encoder
-	cent    centrality.Scratch
-	ranks   []int
-	counter *hdc.BitCounter
-	plan    hdc.OperandPlan
-	packed  *hdc.Binary // sign buffer for classify-immediately paths
-
-	// Batch plan state, all graph-major with off-style index tables:
-	// keys[keyOff[i]:keyOff[i+1]] are graph i's sorted packed rank-pair
-	// keys; unit/wIdx/wMult hold each graph's planned operand indices
-	// (multiplicity 1 through the blocked kernel, >1 through the weighted
-	// one); distinct is the batch-wide sorted deduplicated key set, index-
-	// aligned with the plan's operands.
-	keys     []uint64
-	keyOff   []int
-	distinct []uint64
-	unit     []int32
-	unitOff  []int
-	wIdx     []int32
-	wMult    []int32
-	wOff     []int
-
-	// direct records planBatch's cost decision: when the deduplicated
-	// operand slab would not stay cache-resident (large or high-entropy
-	// batches), materializing it costs more than it saves, so encoding
-	// reads the basis table directly instead — same bits, different
-	// memory layout. basis is the packed basis-table snapshot either mode
-	// reads; dpairs is the direct mode's reusable pair buffer.
-	direct bool
-	basis  []*hdc.Binary
-	dpairs []hdc.XorPair
-	dwIdx  []hdc.XorPair
-	dwMult []int32
-	// planD is the width the current plan state was built for (the full
-	// encoder dimension for PredictBatchWith/EncodeBatch, the cascade
-	// prefix for PredictBatchCascadeWith).
-	planD int
-	// stickyDirect remembers the smallest operand bound the exact gate
-	// ever routed to direct mode, so a homogeneous stream of borderline
-	// batches (one Fit's chunks, one serving worker's traffic) pays the
-	// deciding sort once instead of per batch.
-	stickyDirect int
-
-	outs []*hdc.Binary // scratch-owned outputs for EncodeBatch
-
-	// Phase worklists for the phased batch predict primitives: per-graph
-	// prefix-width sign buffers (rebuilt only when the stage-1 width
-	// changes), the indices the classify phase marked for full-width
-	// escalation, and the indices outside the packed fast path.
-	pouts  []*hdc.Binary
-	poutsD int
-	escIdx []int32
-	fbIdx  []int32
-}
-
-// maxPlanSlabBytes bounds the materialized operand slab. Beyond ~L2 size
-// the slab's streaming reads fall out to shared cache while the basis
-// table (bounded by max vertex count, not distinct pair count) typically
-// stays resident, inverting the plan's advantage.
-const maxPlanSlabBytes = 256 << 10
-
-// NewBatchScratch returns a fresh batch scratch bound to e, for callers
-// that manage per-goroutine reuse themselves (serving workers, the
-// parallel batch adopters). One-shot callers can use Encoder.EncodeBatch,
-// which pools instances.
-func (e *Encoder) NewBatchScratch() *BatchScratch {
-	d := e.cfg.Dimension
-	return &BatchScratch{
-		enc:     e,
-		counter: hdc.NewBitCounter(d),
-		packed:  hdc.NewBinary(d),
-	}
-}
-
-// getBatchScratch vends a pooled batch scratch; return it with
-// putBatchScratch.
-func (e *Encoder) getBatchScratch() *BatchScratch {
-	return e.batchScratch.Get().(*BatchScratch)
-}
-
-func (e *Encoder) putBatchScratch(s *BatchScratch) { e.batchScratch.Put(s) }
-
-// fastPath mirrors EncoderScratch.fillCounter's gate: the planned batch
-// path covers unlabeled-encoding graphs with at least one edge.
-func (s *BatchScratch) fastPath(g *graph.Graph) bool {
-	if s.enc.cfg.UseVertexLabels && g.Labeled() {
-		return false
-	}
-	return g.NumEdges() > 0
-}
-
-// planBatch builds the batch-wide operand schedule: per-graph sorted
-// rank-pair keys, the deduplicated key set, one materialized XNOR operand
-// per distinct key, and per-graph operand index/multiplicity lists.
-func (s *BatchScratch) planBatch(graphs []*graph.Graph) {
-	s.planBatchWidth(graphs, s.enc.cfg.Dimension)
-}
-
-// prefixOuts returns n reusable d-dimensional sign buffers, one per
-// batch graph — the stage-1 outputs of the phased cascade. Buffers are
-// rebuilt only when the stage-1 width changes (a hot swap to a model
-// with a different cascade prefix).
-func (s *BatchScratch) prefixOuts(d, n int) []*hdc.Binary {
-	if s.poutsD != d {
-		s.pouts = s.pouts[:0]
-		s.poutsD = d
-	}
-	for len(s.pouts) < n {
-		s.pouts = append(s.pouts, hdc.NewBinary(d))
-	}
-	return s.pouts[:n]
-}
-
-// planBatchWidth is planBatch at an explicit operand width d ≤ the
-// encoder dimension: rank-pair keys and the cost gate are width-
-// independent computations, but the plan slab materializes ⌈d/64⌉-word
-// operands — the prefix slices of the same full-width basis vectors,
-// tail-masked (hdc.OperandPlan.AppendXnor accepts wider operands). One
-// scratch therefore serves any mix of widths without reallocation: the
-// plan slab and counter re-target per call, and only the sticky direct
-// heuristic resets when the width changes (its operand-count bound is
-// calibrated against a width-dependent slab size).
-func (s *BatchScratch) planBatchWidth(graphs []*graph.Graph, d int) {
-	e := s.enc
-	if d != s.planD {
-		s.stickyDirect = 0
-		s.planD = d
-	}
-	opts := centrality.Options{
-		Iterations: e.prOpts.Iterations,
-		Damping:    e.prOpts.Damping,
-	}
-	s.keys = s.keys[:0]
-	s.keyOff = append(s.keyOff[:0], 0)
-	maxN := 0
-	for _, g := range graphs {
-		if s.fastPath(g) {
-			if g.NumVertices() > maxN {
-				maxN = g.NumVertices()
-			}
-			s.ranks = centrality.RanksInto(g, e.cfg.Centrality, opts, s.ranks, &s.cent)
-			lo := len(s.keys)
-			for _, ed := range g.Edges() {
-				ru, rv := s.ranks[ed.U], s.ranks[ed.V]
-				if ru > rv {
-					ru, rv = rv, ru
-				}
-				s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
-			}
-			slices.Sort(s.keys[lo:])
-		}
-		s.keyOff = append(s.keyOff, len(s.keys))
-	}
-
-	s.basis = nil
-	s.distinct = s.distinct[:0]
-	s.plan.Reset(d)
-	s.direct = false
-	if len(s.keys) == 0 {
-		return
-	}
-	// packedSlice is one lock round for the whole batch, either mode.
-	s.basis = e.packedSlice(maxN)
-
-	// Cost gate. The distinct-operand count is bounded by both the key
-	// count and the batch's rank-pair space C(maxN, 2); that bound routes
-	// the clear cases without paying for batch-wide deduplication — small
-	// batches are planned, large ones (big graphs, high-entropy batches)
-	// go direct and skip the global sort entirely. Only the borderline
-	// band pays the sort to decide on the exact distinct count.
-	nw := (d + 63) / 64
-	bound := len(s.keys)
-	if space := maxN * (maxN - 1) / 2; space < bound {
-		bound = space
-	}
-	if bound*nw*8 > 8*maxPlanSlabBytes ||
-		(s.stickyDirect > 0 && bound >= s.stickyDirect-s.stickyDirect/8) {
-		s.direct = true
-		return
-	}
-
-	// Deduplicate across the whole batch; the distinct list's order (and
-	// therefore each operand's index) is the sorted key order.
-	s.distinct = append(s.distinct[:0], s.keys...)
-	slices.Sort(s.distinct)
-	s.distinct = slices.Compact(s.distinct)
-	if len(s.distinct)*nw*8 > maxPlanSlabBytes {
-		s.direct = true
-		if s.stickyDirect == 0 || bound < s.stickyDirect {
-			s.stickyDirect = bound
-		}
-		return
-	}
-
-	// Materialize each distinct pair's XNOR once.
-	for _, k := range s.distinct {
-		ru, rv := int(k>>32), int(uint32(k))
-		s.plan.AppendXnor(s.basis[ru], s.basis[rv])
-	}
-
-	// Per-graph operand lists: merge each graph's sorted key segment
-	// against the sorted distinct list (a superset), run-length-encoding
-	// multiplicities exactly as the per-graph path does.
-	s.unit = s.unit[:0]
-	s.wIdx = s.wIdx[:0]
-	s.wMult = s.wMult[:0]
-	s.unitOff = append(s.unitOff[:0], 0)
-	s.wOff = append(s.wOff[:0], 0)
-	for gi := range graphs {
-		seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-		di := 0
-		for j := 0; j < len(seg); {
-			k := seg[j]
-			j2 := j + 1
-			for j2 < len(seg) && seg[j2] == k {
-				j2++
-			}
-			for s.distinct[di] < k {
-				di++
-			}
-			if j2-j == 1 {
-				s.unit = append(s.unit, int32(di))
-			} else {
-				s.wIdx = append(s.wIdx, int32(di))
-				s.wMult = append(s.wMult, int32(j2-j))
-			}
-			j = j2
-		}
-		s.unitOff = append(s.unitOff, len(s.unit))
-		s.wOff = append(s.wOff, len(s.wIdx))
-	}
-}
-
-// PlanStats reports the last planned batch's operand totals: pairs is the
-// number of edge rank-pair instances across all fast-path graphs, and
-// distinct is the number of deduplicated operands actually materialized.
-// pairs/distinct is the batch's basis-table traffic amortization factor;
-// the serving metrics export both. A batch the cost gate routed to direct
-// mode performed no dedup, so it reports distinct == pairs.
-func (s *BatchScratch) PlanStats() (pairs, distinct int) {
-	if s.direct {
-		return len(s.keys), len(s.keys)
-	}
-	return len(s.keys), len(s.distinct)
-}
-
-// collectDirect run-length-walks graph gi's sorted key segment once
-// (direct mode), filling s.dpairs with the multiplicity-1 pairs and
-// s.dwIdx/s.dwMult with the rare multiplicity-grouped ones, all read
-// straight from the basis table. Reports whether any grouped pair exists.
-func (s *BatchScratch) collectDirect(gi int) (weighted bool) {
-	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-	pairs := s.dpairs[:0]
-	wp := s.dwIdx[:0]
-	wm := s.dwMult[:0]
-	for j := 0; j < len(seg); {
-		k := seg[j]
-		j2 := j + 1
-		for j2 < len(seg) && seg[j2] == k {
-			j2++
-		}
-		ru, rv := int(k>>32), int(uint32(k))
-		p := hdc.XorPair{A: s.basis[ru], B: s.basis[rv], Invert: true}
-		if j2-j == 1 {
-			pairs = append(pairs, p)
-		} else {
-			wp = append(wp, p)
-			wm = append(wm, int32(j2-j))
-		}
-		j = j2
-	}
-	s.dpairs, s.dwIdx, s.dwMult = pairs, wp, wm
-	return len(wp) > 0
-}
-
-// feedDirectWeighted streams the grouped pairs collectDirect gathered
-// into the counter.
-func (s *BatchScratch) feedDirectWeighted() {
-	for i, p := range s.dwIdx {
-		s.counter.AddXorWeighted(p.A, p.B, p.Invert, int(s.dwMult[i]))
-	}
-}
-
-// fillCounterPlanned accumulates graph gi's operands into the scratch
-// counter — from the plan slab or, in direct mode, the basis table —
-// reporting whether the fast path applies (an empty key segment means the
-// graph was excluded from the plan: labeled-extension or edgeless).
-func (s *BatchScratch) fillCounterPlanned(gi int) bool {
-	if s.keyOff[gi] == s.keyOff[gi+1] {
-		return false
-	}
-	c := s.counter
-	c.Reset()
-	if s.direct {
-		weighted := s.collectDirect(gi)
-		c.AddXorPairs(s.dpairs)
-		if weighted {
-			s.feedDirectWeighted()
-		}
-		return true
-	}
-	c.AddPlanned(&s.plan, s.unit[s.unitOff[gi]:s.unitOff[gi+1]])
-	for j := s.wOff[gi]; j < s.wOff[gi+1]; j++ {
-		c.AddWordsWeighted(s.plan.Operand(int(s.wIdx[j])), int(s.wMult[j]))
-	}
-	return true
-}
-
-// signDirectInto encodes graph gi into dst straight off the basis table —
-// the planless accumulation path: collectDirect's pairs through the
-// one-shot small-sign kernel or the counter tiers at the counter's
-// *current* width. Every input it touches (sorted key segments, basis
-// snapshot) is width-independent, so cascade escalation re-signs a graph
-// at full width from a prefix-width plan by just re-targeting the counter
-// first. Reports false for graphs outside the fast path (empty key
-// segment: labeled extension or edgeless).
-func (s *BatchScratch) signDirectInto(gi int, dst *hdc.Binary) bool {
-	if s.keyOff[gi] == s.keyOff[gi+1] {
-		return false
-	}
-	weighted := s.collectDirect(gi)
-	if !weighted && len(s.dpairs) > 0 && len(s.dpairs) <= hdc.MaxSmallSign {
-		s.counter.SignXorPairsSmallInto(s.dpairs, s.enc.packedTie, dst)
-		return true
-	}
-	c := s.counter
-	c.Reset()
-	c.AddXorPairs(s.dpairs)
-	if weighted {
-		s.feedDirectWeighted()
-	}
-	c.SignBinaryInto(s.enc.packedTie, dst)
-	return true
-}
-
-// signPackedInto encodes graph gi into dst, reporting whether the fast
-// path applied. Bundles of up to hdc.MaxSmallSign unit-multiplicity
-// operands — the common case — take the one-shot bit-sliced majority
-// kernel, off the plan slab or directly off the basis table depending on
-// the batch's cost mode; larger or multiplicity-weighted graphs go
-// through the counter tiers.
-func (s *BatchScratch) signPackedInto(gi int, dst *hdc.Binary) bool {
-	if s.keyOff[gi] == s.keyOff[gi+1] {
-		return false
-	}
-	if s.direct {
-		return s.signDirectInto(gi, dst)
-	}
-	unit := s.unit[s.unitOff[gi]:s.unitOff[gi+1]]
-	if s.wOff[gi] == s.wOff[gi+1] && len(unit) > 0 && len(unit) <= hdc.MaxSmallSign {
-		s.counter.SignPlannedSmallInto(&s.plan, unit, s.enc.packedTie, dst)
-		return true
-	}
-	s.fillCounterPlanned(gi)
-	s.counter.SignBinaryInto(s.enc.packedTie, dst)
-	return true
-}
-
-// EncodeBatch encodes every graph through one shared operand plan,
-// returning one packed hypervector per graph, bit-identical to calling
-// EncodeGraphPacked on each. The returned slice and its vectors live in
-// the scratch's buffers and are valid until the next call on s. Graphs
-// outside the packed fast path (labeled extension, edgeless) fall back to
-// the reference encoder per graph.
-func (s *BatchScratch) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
-	s.planBatch(graphs)
-	e := s.enc
-	for len(s.outs) < len(graphs) {
-		s.outs = append(s.outs, hdc.NewBinary(e.cfg.Dimension))
-	}
-	outs := s.outs[:len(graphs)]
-	for gi, g := range graphs {
-		if !s.signPackedInto(gi, outs[gi]) {
-			outs[gi].CopyFrom(e.EncodeGraphPacked(g))
-		}
-	}
-	return outs
-}
-
-// encodeBipolarNew is EncodeBatch for callers that retain bipolar
-// encodings (batch training): the plan and counters live in the scratch,
-// but each signed output is freshly allocated into dst, which must have
-// len(graphs).
-func (s *BatchScratch) encodeBipolarNew(graphs []*graph.Graph, dst []*hdc.Bipolar) {
-	s.planBatch(graphs)
-	for gi, g := range graphs {
-		if s.fillCounterPlanned(gi) {
-			dst[gi] = s.counter.SignBipolar(s.enc.tie)
-		} else {
-			dst[gi] = s.enc.encodeGraphSlow(g)
-		}
-	}
-}
-
-// EncodeBatch encodes graphs through one shared cross-graph operand plan
-// (see BatchScratch) on a pooled scratch, returning freshly allocated
-// packed hypervectors that the caller may retain. Results are
-// bit-identical to EncodeGraphPacked per graph.
-func (e *Encoder) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
-	s := e.getBatchScratch()
-	defer e.putBatchScratch(s)
-	outs := s.EncodeBatch(graphs)
-	res := make([]*hdc.Binary, len(outs))
-	for i, o := range outs {
-		res[i] = o.Clone()
-	}
-	return res
-}
 
 // BatchTrace receives the stage clock of one batch predict call: the
 // wall time each phase of the pipeline consumed, in monotonic
@@ -461,8 +21,8 @@ func (e *Encoder) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
 // boundary per batch — never per graph — so tracing stays inside the
 // serve path's overhead budget.
 type BatchTrace struct {
-	// PlanNanos covers operand-plan construction: centrality ranking,
-	// rank-pair grouping and sort, batch-wide dedup, slab materialization.
+	// PlanNanos covers centrality ranking and rank-pair grouping: each
+	// graph's edges become packed rank-pair keys, sorted per graph.
 	PlanNanos int64
 	// EncodeNanos covers accumulate + majority sign for every fast-path
 	// graph (at stage-1 width when a cascade is active).
@@ -484,27 +44,26 @@ func (tr *BatchTrace) stamp(dst *int64, prev time.Time) time.Time {
 	return now
 }
 
-// PredictBatchWith classifies graphs through a caller-owned batch
-// scratch, writing one class per graph into out (len(out) must equal
-// len(graphs)) — the serving batch primitive: the whole micro-batch is
-// encoded through one shared operand plan with zero per-request heap
+// PredictBatchWith classifies graphs through a caller-owned scratch,
+// writing one class per graph into out (len(out) must equal
+// len(graphs)) — the serving batch primitive, with zero per-request heap
 // allocations in steady state. s must have been vended by
-// p.Encoder().NewBatchScratch(). Classes are identical to calling
-// Predict on each graph.
-func (p *Predictor) PredictBatchWith(s *BatchScratch, graphs []*graph.Graph, out []int) {
+// p.Encoder().NewScratch(). Classes are identical to calling Predict on
+// each graph.
+func (p *Predictor) PredictBatchWith(s *EncoderScratch, graphs []*graph.Graph, out []int) {
 	p.PredictBatchTraced(s, graphs, out, nil)
 }
 
 // PredictBatchTraced is PredictBatchWith with an optional stage clock:
 // when tr is non-nil, the plan/encode/classify phase wall times land in
-// it. The pipeline runs in three phases — plan the batch, sign every
-// graph into the scratch's per-graph output buffers, classify every
-// output — so each phase boundary is a real instant and stamping costs
-// one clock read per phase, not per graph. Results are identical to
-// PredictBatchWith.
-func (p *Predictor) PredictBatchTraced(s *BatchScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) {
+// it. The pipeline runs in three phases — rank and group every graph,
+// sign every graph into the scratch's per-graph output buffers, classify
+// every output — so each phase boundary is a real instant and stamping
+// costs one clock read per phase, not per graph. Results are identical
+// to PredictBatchWith.
+func (p *Predictor) PredictBatchTraced(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) {
 	if s.enc != p.enc {
-		panic("core: batch scratch bound to a different encoder")
+		panic("core: scratch bound to a different encoder")
 	}
 	if len(out) != len(graphs) {
 		panic(fmt.Sprintf("core: %d results for %d graphs", len(out), len(graphs)))
@@ -513,55 +72,18 @@ func (p *Predictor) PredictBatchTraced(s *BatchScratch, graphs []*graph.Graph, o
 	if tr != nil {
 		t = time.Now()
 	}
-	s.planBatch(graphs)
+	s.group(graphs)
 	if tr != nil {
 		t = tr.stamp(&tr.PlanNanos, t)
 	}
-	e := s.enc
-	for len(s.outs) < len(graphs) {
-		s.outs = append(s.outs, hdc.NewBinary(e.cfg.Dimension))
-	}
-	outs := s.outs[:len(graphs)]
-	for gi, g := range graphs {
-		if !s.signPackedInto(gi, outs[gi]) {
-			outs[gi].CopyFrom(e.EncodeGraphPacked(g))
-		}
-	}
+	outs := s.signAll(graphs)
 	if tr != nil {
 		t = tr.stamp(&tr.EncodeNanos, t)
 	}
-	for gi := range graphs {
-		out[gi] = p.pm.Classify(outs[gi])
+	for gi, hv := range outs {
+		out[gi] = p.pm.Classify(hv)
 	}
 	if tr != nil {
 		tr.stamp(&tr.ClassifyNanos, t)
-	}
-}
-
-// batchScratchSet lazily vends one pooled batch scratch per worker for
-// the chunked batch adopters. Workers initialize their slot on first use
-// — safe because ForEachWorker serves each worker index from a single
-// goroutine — and release returns all scratches to the encoder's pool.
-type batchScratchSet struct {
-	enc *Encoder
-	s   []*BatchScratch
-}
-
-func (e *Encoder) newBatchScratchSet(workers int) *batchScratchSet {
-	return &batchScratchSet{enc: e, s: make([]*BatchScratch, workers)}
-}
-
-func (b *batchScratchSet) get(w int) *BatchScratch {
-	if b.s[w] == nil {
-		b.s[w] = b.enc.getBatchScratch()
-	}
-	return b.s[w]
-}
-
-func (b *batchScratchSet) release() {
-	for _, s := range b.s {
-		if s != nil {
-			b.enc.putBatchScratch(s)
-		}
 	}
 }

@@ -5,15 +5,17 @@ import (
 
 	"graphhd/internal/dataset"
 	"graphhd/internal/graph"
+	"graphhd/internal/hdc"
 )
 
-// TestBatchEncodeMatchesSingleAllDatasets pins the tentpole acceptance
-// criterion for the cross-graph batch pipeline: on every synthetic
-// Table-I dataset, EncodeBatch — one shared, deduplicated operand plan
-// per batch — produces encodings bit-for-bit identical to the per-graph
-// EncodeGraphPacked path, for batch sizes that exercise a lone graph,
-// partial carry-save blocks, full micro-batches, and ragged tails, and
-// PredictBatchWith classifies identically to per-graph Predict.
+// TestBatchEncodeMatchesSingleAllDatasets pins the batch pipeline
+// against the int8 reference encoder: on every synthetic Table-I
+// dataset, EncodeBatch produces encodings bit-for-bit identical to
+// encodeGraphSlow(g).PackBinary(), for batch sizes that exercise a lone
+// graph, partial carry-save blocks, full micro-batches, and ragged tails;
+// the pooled per-graph API returns retained copies of the same bits; and
+// PredictBatchWith, Predict and PredictAll all classify exactly as the
+// reference encodings do.
 func TestBatchEncodeMatchesSingleAllDatasets(t *testing.T) {
 	for _, name := range dataset.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -29,8 +31,11 @@ func TestBatchEncodeMatchesSingleAllDatasets(t *testing.T) {
 			cfg := testConfig()
 			cfg.Dimension = 1024
 			enc := MustNewEncoder(cfg)
-			single := enc.NewScratch()
-			bs := enc.NewBatchScratch()
+			want := make([]*hdc.Binary, len(ds.Graphs))
+			for i, g := range ds.Graphs {
+				want[i] = enc.encodeGraphSlow(g).PackBinary()
+			}
+			bs := enc.NewScratch()
 			for _, size := range []int{1, 7, 32} {
 				for lo := 0; lo < len(ds.Graphs); lo += size {
 					hi := min(lo+size, len(ds.Graphs))
@@ -39,34 +44,41 @@ func TestBatchEncodeMatchesSingleAllDatasets(t *testing.T) {
 					if len(outs) != len(batch) {
 						t.Fatalf("size %d: %d outputs for %d graphs", size, len(outs), len(batch))
 					}
-					for i, g := range batch {
-						if want := single.EncodeGraphPacked(g); !outs[i].Equal(want) {
-							t.Fatalf("size %d: graph %d batch encoding differs from per-graph path", size, lo+i)
+					for i := range batch {
+						if !outs[i].Equal(want[lo+i]) {
+							t.Fatalf("size %d: graph %d batch encoding differs from the reference", size, lo+i)
 						}
 					}
 				}
 			}
 
-			// The pooled public API returns retained clones with the same bits.
-			outs := enc.EncodeBatch(ds.Graphs[:min(7, len(ds.Graphs))])
-			for i, o := range outs {
-				if want := single.EncodeGraphPacked(ds.Graphs[i]); !o.Equal(want) {
-					t.Fatalf("Encoder.EncodeBatch graph %d differs from per-graph path", i)
+			// The pooled public API returns retained copies with the same bits.
+			kept := make([]*hdc.Binary, min(7, len(ds.Graphs)))
+			for i := range kept {
+				kept[i] = enc.EncodeGraphPacked(ds.Graphs[i])
+			}
+			for i, o := range kept {
+				if !o.Equal(want[i]) {
+					t.Fatalf("Encoder.EncodeGraphPacked graph %d differs from the reference", i)
 				}
 			}
 
-			// Batch classification matches per-graph prediction exactly.
+			// Batch, per-graph and chunked classification all decide as the
+			// reference encodings do.
 			m, err := Train(cfg, ds.Graphs, ds.Labels)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pred := m.Snapshot()
-			pbs := pred.Encoder().NewBatchScratch()
 			got := make([]int, len(ds.Graphs))
-			pred.PredictBatchWith(pbs, ds.Graphs, got)
+			pred.PredictBatchWith(pred.Encoder().NewScratch(), ds.Graphs, got)
 			for i, g := range ds.Graphs {
-				if want := pred.Predict(g); got[i] != want {
-					t.Fatalf("PredictBatchWith[%d] = %d, want %d", i, got[i], want)
+				ref := pred.PredictEncoded(want[i])
+				if got[i] != ref {
+					t.Fatalf("PredictBatchWith[%d] = %d, reference %d", i, got[i], ref)
+				}
+				if c := pred.Predict(g); c != ref {
+					t.Fatalf("Predict[%d] = %d, reference %d", i, c, ref)
 				}
 			}
 			if all := pred.PredictAll(ds.Graphs); !equalInts(all, got) {
@@ -88,10 +100,10 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestBatchEncodeMixedFallbacks checks the plan's exclusion path: a batch
-// mixing fast-path graphs with edgeless graphs (and, under the labeled
-// extension, labeled graphs) still matches the per-graph encoder on every
-// slot.
+// TestBatchEncodeMixedFallbacks checks the fast path's exclusions: a
+// batch mixing fast-path graphs with edgeless graphs (and, under the
+// labeled extension, labeled graphs) still matches the int8 reference on
+// every slot.
 func TestBatchEncodeMixedFallbacks(t *testing.T) {
 	edgeless, err := graph.FromEdges(5, nil)
 	if err != nil {
@@ -116,17 +128,17 @@ func TestBatchEncodeMixedFallbacks(t *testing.T) {
 		cfg.UseVertexLabels = useLabels
 		enc := MustNewEncoder(cfg)
 		batch := []*graph.Graph{ring, edgeless, labeled, ring, edgeless}
-		outs := enc.NewBatchScratch().EncodeBatch(batch)
+		outs := enc.NewScratch().EncodeBatch(batch)
 		for i, g := range batch {
-			if want := enc.EncodeGraphPacked(g); !outs[i].Equal(want) {
-				t.Fatalf("useLabels=%v: batch slot %d differs from per-graph path", useLabels, i)
+			if want := enc.encodeGraphSlow(g).PackBinary(); !outs[i].Equal(want) {
+				t.Fatalf("useLabels=%v: batch slot %d differs from the reference", useLabels, i)
 			}
 		}
 	}
 }
 
-// TestBatchEncodeAllocationFree asserts the batch scratch tier's
-// steady-state property: once plan, key and output buffers have grown,
+// TestBatchEncodeAllocationFree asserts the scratch's steady-state
+// batch property: once key, operand and output buffers have grown,
 // EncodeBatch and PredictBatchWith perform zero heap allocations per
 // batch — including under the race detector (the scratch is caller-owned,
 // no pool involved).
@@ -138,7 +150,7 @@ func TestBatchEncodeAllocationFree(t *testing.T) {
 	}
 	pred := m.Snapshot()
 	enc := pred.Encoder()
-	bs := enc.NewBatchScratch()
+	bs := enc.NewScratch()
 	out := make([]int, len(gs))
 	bs.EncodeBatch(gs) // grow scratch buffers and the basis table
 	pred.PredictBatchWith(bs, gs, out)
@@ -155,21 +167,20 @@ func TestBatchEncodeAllocationFree(t *testing.T) {
 }
 
 // TestBatchScratchReuseAcrossBatchSizes guards buffer-reset bugs: a
-// scratch that has planned a large batch must still encode smaller and
-// differently shaped batches correctly (stale offsets or slab contents
-// would surface as wrong encodings).
+// scratch that has grouped a large batch must still encode smaller and
+// differently shaped batches correctly (stale offsets or keys would
+// surface as wrong encodings).
 func TestBatchScratchReuseAcrossBatchSizes(t *testing.T) {
 	gs, _ := twoClassDataset(20, 5)
 	cfg := testConfig()
 	cfg.Dimension = 768
 	enc := MustNewEncoder(cfg)
-	single := enc.NewScratch()
-	bs := enc.NewBatchScratch()
+	bs := enc.NewScratch()
 	for _, batch := range [][]*graph.Graph{gs, gs[:3], gs[7:9], gs, gs[:1]} {
 		outs := bs.EncodeBatch(batch)
 		for i, g := range batch {
-			if want := single.EncodeGraphPacked(g); !outs[i].Equal(want) {
-				t.Fatalf("reused scratch: slot %d differs from per-graph path", i)
+			if want := encodePackedScalarReference(enc, g); !outs[i].Equal(want) {
+				t.Fatalf("reused scratch: slot %d differs from the per-edge reference", i)
 			}
 		}
 	}
@@ -194,10 +205,10 @@ func TestPredictBatchWithPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("length mismatch", func() {
-		pred.PredictBatchWith(pred.Encoder().NewBatchScratch(), gs, make([]int, 1))
+		pred.PredictBatchWith(pred.Encoder().NewScratch(), gs, make([]int, 1))
 	})
 	other := MustNewEncoder(testConfig())
 	expectPanic("foreign scratch", func() {
-		pred.PredictBatchWith(other.NewBatchScratch(), gs, make([]int, len(gs)))
+		pred.PredictBatchWith(other.NewScratch(), gs, make([]int, len(gs)))
 	})
 }

@@ -103,101 +103,71 @@ func (p *Predictor) PrefixSnapshot(d int) (*hdc.PackedMemory, error) {
 
 // PredictCascadeWith classifies g through the two-stage cascade using a
 // caller-owned scratch, reporting whether the decision escalated to full
-// dimension. Without an active cascade it behaves as PredictWith (never
-// escalated). The stage-1 winner is returned directly when its margin
-// clears the band; otherwise the decision is re-made at full width
-// against the full class vectors — identical to PredictWith. The
-// centrality ranking and rank-pair grouping are width-independent, so an
-// escalation reuses stage 1's prepared groups and pays only the second
-// accumulate + sign, not a second ranking pass.
+// dimension. It is PredictBatchCascadeWith on a batch of one: without an
+// active cascade it behaves as PredictWith (never escalated); otherwise
+// the stage-1 winner is returned when its margin clears the band, and
+// the decision is re-made at full width — identical to PredictWith —
+// when it does not.
 func (p *Predictor) PredictCascadeWith(s *EncoderScratch, g *graph.Graph) (class int, escalated bool) {
-	cs := p.cascade.Load()
-	if cs == nil {
-		return p.PredictWith(s, g), false
-	}
-	if !s.prepareGroups(g) {
-		// Labeled-extension and edgeless graphs sit outside the packed
-		// fast path; decide them at full width, counted as escalations.
-		return p.PredictWith(s, g), true
-	}
-	e := p.enc
-	out := s.prefixOut(cs.cfg.DPrefix)
-	s.counter.SetDim(cs.cfg.DPrefix)
-	if s.smallSignReady() {
-		s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, out)
-	} else {
-		s.feedCounter()
-		s.counter.SignBinaryInto(e.packedTie, out)
-	}
-	s.counter.SetDim(e.cfg.Dimension)
-	best, _, bestH, secondH := cs.pm.ClassifyTop2(out)
-	if secondH-bestH > cs.cfg.Margin {
-		return best, false
-	}
-	var hv *hdc.Binary
-	if s.smallSignReady() {
-		hv = s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, s.packed)
-	} else {
-		s.feedCounter()
-		hv = s.counter.SignBinaryInto(e.packedTie, s.packed)
-	}
-	return p.pm.Classify(hv), true
+	gs := [1]*graph.Graph{g}
+	var out [1]int
+	_, esc := p.PredictBatchCascadeTraced(s, gs[:], out[:], nil)
+	return out[0], esc > 0
 }
 
 // PredictBatchCascadeWith is the serving cascade primitive: it encodes
-// the whole micro-batch ONCE at stage-1 width through the shared operand
-// plan, returns every unambiguous stage-1 answer, and escalates only the
-// ambiguous graphs to full width — reusing the batch's already-computed
-// centrality ranks and rank-pair grouping, so an escalation pays one
-// extra full-width sign, not a second ranking pass. Classes land in out
-// (len(out) must equal len(graphs)); the counts of stage-1 decisions and
-// escalations feed the serve metrics. Graphs outside the packed fast
-// path (labeled extension, edgeless) are decided at full dimension and
-// counted as escalations. Without an active cascade it falls back to
-// PredictBatchWith and reports zero for both counters.
-func (p *Predictor) PredictBatchCascadeWith(s *BatchScratch, graphs []*graph.Graph, out []int) (stage1, escalated int) {
+// the whole micro-batch ONCE at stage-1 width, returns every unambiguous
+// stage-1 answer, and escalates only the ambiguous graphs to full width —
+// reusing the batch's centrality ranks and rank-pair grouping, so an
+// escalation pays one extra full-width sign, not a second ranking pass.
+// Classes land in out (len(out) must equal len(graphs)); the counts of
+// stage-1 decisions and escalations feed the serve metrics. Graphs
+// outside the packed fast path (labeled extension, edgeless) are decided
+// at full dimension and counted as escalations. Without an active
+// cascade it falls back to PredictBatchWith and reports zero for both
+// counters.
+func (p *Predictor) PredictBatchCascadeWith(s *EncoderScratch, graphs []*graph.Graph, out []int) (stage1, escalated int) {
 	return p.PredictBatchCascadeTraced(s, graphs, out, nil)
 }
 
 // PredictBatchCascadeTraced is PredictBatchCascadeWith with an optional
 // stage clock: when tr is non-nil, the plan/encode/classify/escalate
-// phase wall times land in it. The cascade runs in four phases — plan at
-// stage-1 width, sign every graph into per-graph prefix buffers, run the
-// stage-1 margin test over all of them collecting the ambiguous indices,
-// then escalate that worklist at full width — so each stamp is one clock
-// read per phase, never per graph. Classes and counters are identical to
-// PredictBatchCascadeWith.
-func (p *Predictor) PredictBatchCascadeTraced(s *BatchScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) (stage1, escalated int) {
+// phase wall times land in it. The cascade runs in four phases — rank
+// and group every graph, sign every graph into per-graph prefix buffers,
+// run the stage-1 margin test over all of them collecting the ambiguous
+// indices, then escalate that worklist at full width — so each stamp is
+// one clock read per phase, never per graph. Classes and counters are
+// identical to PredictBatchCascadeWith.
+func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) (stage1, escalated int) {
 	cs := p.cascade.Load()
 	if cs == nil {
 		p.PredictBatchTraced(s, graphs, out, tr)
 		return 0, 0
 	}
 	if s.enc != p.enc {
-		panic("core: batch scratch bound to a different encoder")
+		panic("core: scratch bound to a different encoder")
 	}
 	if len(out) != len(graphs) {
 		panic(fmt.Sprintf("core: %d results for %d graphs", len(out), len(graphs)))
 	}
 	dp := cs.cfg.DPrefix
-	full := p.enc.cfg.Dimension
 	var t time.Time
 	if tr != nil {
 		t = time.Now()
 	}
-	s.planBatchWidth(graphs, dp)
+	s.group(graphs)
 	if tr != nil {
 		t = tr.stamp(&tr.PlanNanos, t)
 	}
 	// Encode phase: sign every fast-path graph at stage-1 width into its
 	// own prefix buffer; graphs outside the packed fast path join the
-	// escalation worklist (decided at full dimension below, counted as
-	// escalations, exactly as the per-graph path does).
+	// fallback worklist (decided at full dimension below, counted as
+	// escalations).
 	pouts := s.prefixOuts(dp, len(graphs))
 	s.counter.SetDim(dp)
 	s.fbIdx = s.fbIdx[:0]
 	for gi := range graphs {
-		if !s.signPackedInto(gi, pouts[gi]) {
+		if !s.signInto(gi, pouts[gi]) {
 			s.fbIdx = append(s.fbIdx, int32(gi))
 		}
 	}
@@ -222,20 +192,17 @@ func (p *Predictor) PredictBatchCascadeTraced(s *BatchScratch, graphs []*graph.G
 	if tr != nil {
 		t = tr.stamp(&tr.ClassifyNanos, t)
 	}
-	// Escalate phase: re-sign the ambiguous graphs at full width straight
-	// off the basis table (the plan slab is prefix-width, but the sorted
-	// key segments and basis snapshot are width-independent), then decide
-	// the fallback graphs through the reference encoder (pooled scratch;
-	// the batch counter's width is untouched). Restores the counter's
-	// full-width invariant for PredictBatchWith.
-	s.counter.SetDim(full)
+	// Escalate phase: re-sign the ambiguous graphs at full width from
+	// their retained keys, then decide the fallback graphs through the
+	// reference encoder. Restores the counter's full-width invariant.
+	s.counter.SetDim(p.enc.cfg.Dimension)
 	for _, gi := range s.escIdx {
-		s.signDirectInto(int(gi), s.packed)
+		s.signInto(int(gi), s.packed)
 		out[gi] = p.pm.Classify(s.packed)
 		escalated++
 	}
 	for _, gi := range s.fbIdx {
-		out[gi] = p.pm.Classify(p.enc.EncodeGraphPacked(graphs[gi]))
+		out[gi] = p.pm.Classify(p.enc.encodeGraphSlow(graphs[gi]).PackBinary())
 		escalated++
 	}
 	if tr != nil {

@@ -20,7 +20,7 @@ func BenchmarkPredictBatchCascade(b *testing.B) {
 	if err := pred.SetCascade(Cascade{DPrefix: 1024, Margin: 12}); err != nil {
 		b.Fatal(err)
 	}
-	s := pred.Encoder().NewBatchScratch()
+	s := pred.Encoder().NewScratch()
 	graphs := ds.Graphs[:32]
 	out := make([]int, len(graphs))
 	pred.PredictBatchCascadeWith(s, graphs, out)
@@ -41,7 +41,7 @@ func BenchmarkPredictBatchFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	s := pred.Encoder().NewBatchScratch()
+	s := pred.Encoder().NewScratch()
 	graphs := ds.Graphs[:32]
 	out := make([]int, len(graphs))
 	pred.PredictBatchWith(s, graphs, out)

@@ -80,11 +80,11 @@ func TestPrefixEncodeMatchesSlicedAllDatasets(t *testing.T) {
 			forEachTier(t, func(t *testing.T) {
 				s := enc.NewScratch()
 				for gi, g := range ds.Graphs {
-					full := s.EncodeGraphPacked(g).Clone()
+					full := enc.encodeGraphSlow(g).PackBinary()
 					for _, dp := range prefixes {
 						want := full.PrefixCopy(dp)
 						if got := s.EncodeGraphPackedPrefix(g, dp); !got.Equal(want) {
-							t.Fatalf("graph %d: prefix-%d encode differs from sliced full encode", gi, dp)
+							t.Fatalf("graph %d: prefix-%d encode differs from the sliced reference encode", gi, dp)
 						}
 					}
 					// Interleaving widths must not corrupt the full-width path.
@@ -97,10 +97,62 @@ func TestPrefixEncodeMatchesSlicedAllDatasets(t *testing.T) {
 	}
 }
 
-// TestCascadeBatchMatchesSingleAllDatasets checks the batch cascade
-// primitive against the per-graph one on every dataset: identical
-// classes, consistent stage-1/escalation accounting, and a clean
-// restore of the scratch's full-width invariant afterwards.
+// cascadeReference decides every graph the way the cascade must, from
+// parts independent of the scratch pipeline: the int8 reference
+// encodings refs, their PrefixCopy queried with ClassifyTop2 against the
+// predictor's prefix memory, and the full-width packed query. Without a
+// cascade every graph is decided at full width, never escalated.
+func cascadeReference(t *testing.T, p *Predictor, graphs []*graph.Graph, refs []*hdc.Binary) (classes []int, escalated []bool) {
+	t.Helper()
+	c, on := p.Cascade()
+	var ppm *hdc.PackedMemory
+	if on {
+		var err error
+		if ppm, err = p.PrefixSnapshot(c.DPrefix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classes, escalated = make([]int, len(graphs)), make([]bool, len(graphs))
+	for i, g := range graphs {
+		classes[i] = p.PredictEncoded(refs[i])
+		if !on {
+			continue
+		}
+		escalated[i] = true
+		if g.NumEdges() == 0 || p.enc.cfg.UseVertexLabels && g.Labeled() {
+			continue // outside the packed fast path: decided at full width
+		}
+		best, _, bestH, secondH := ppm.ClassifyTop2(refs[i].PrefixCopy(c.DPrefix))
+		if secondH-bestH > c.Margin {
+			classes[i], escalated[i] = best, false
+		}
+	}
+	return classes, escalated
+}
+
+// referenceEncodings returns encodeGraphSlow(g).PackBinary() per graph.
+func referenceEncodings(enc *Encoder, graphs []*graph.Graph) []*hdc.Binary {
+	refs := make([]*hdc.Binary, len(graphs))
+	for i, g := range graphs {
+		refs[i] = enc.encodeGraphSlow(g).PackBinary()
+	}
+	return refs
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCascadeBatchMatchesSingleAllDatasets checks the batch and
+// per-graph cascade primitives against cascadeReference on every
+// dataset: identical classes, identical stage-1/escalation accounting,
+// and a clean restore of the scratch's full-width invariant afterwards.
 func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 	for _, name := range dataset.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -119,50 +171,43 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 				t.Fatal(err)
 			}
 			pred := m.Snapshot()
+			refs := referenceEncodings(pred.Encoder(), ds.Graphs)
+			full, _ := cascadeReference(t, pred, ds.Graphs, refs)
 			// A mid-band margin so both stage-1 exits and escalations occur.
 			if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 8}); err != nil {
 				t.Fatal(err)
 			}
+			want, wantEsc := cascadeReference(t, pred, ds.Graphs, refs)
 			es := pred.Encoder().NewScratch()
-			bs := pred.Encoder().NewBatchScratch()
+			bs := pred.Encoder().NewScratch()
 			for _, size := range []int{1, 7, 24} {
 				for lo := 0; lo < len(ds.Graphs); lo += size {
 					hi := min(lo+size, len(ds.Graphs))
 					batch := ds.Graphs[lo:hi]
 					out := make([]int, len(batch))
 					s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
-					if s1+esc != len(batch) {
-						t.Fatalf("size %d: stage1 %d + escalated %d != %d graphs", size, s1, esc, len(batch))
+					if n := countTrue(wantEsc[lo:hi]); esc != n || s1 != len(batch)-n {
+						t.Fatalf("size %d: stage1 %d, escalated %d; reference escalates %d of %d", size, s1, esc, n, len(batch))
 					}
-					for i, g := range batch {
-						want, wantEsc := pred.PredictCascadeWith(es, g)
-						if out[i] != want {
-							t.Fatalf("size %d: graph %d cascade batch class %d, single %d", size, lo+i, out[i], want)
+					for i := range batch {
+						if out[i] != want[lo+i] {
+							t.Fatalf("size %d: graph %d cascade batch class %d, reference %d", size, lo+i, out[i], want[lo+i])
 						}
-						_ = wantEsc
 					}
 				}
 			}
-
-			// Escalation accounting agrees between the two primitives.
-			out := make([]int, len(ds.Graphs))
-			_, esc := pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-			singleEsc := 0
-			for _, g := range ds.Graphs {
-				if _, e := pred.PredictCascadeWith(es, g); e {
-					singleEsc++
+			for i, g := range ds.Graphs {
+				if c, e := pred.PredictCascadeWith(es, g); c != want[i] || e != wantEsc[i] {
+					t.Fatalf("graph %d: PredictCascadeWith (%d,%v), reference (%d,%v)", i, c, e, want[i], wantEsc[i])
 				}
-			}
-			if esc != singleEsc {
-				t.Fatalf("batch escalated %d graphs, single path %d", esc, singleEsc)
 			}
 
 			// The scratch serves full-width batches correctly afterwards.
-			full := make([]int, len(ds.Graphs))
-			pred.PredictBatchWith(bs, ds.Graphs, full)
-			for i, g := range ds.Graphs {
-				if want := pred.Predict(g); full[i] != want {
-					t.Fatalf("post-cascade full-width batch class %d, want %d", full[i], want)
+			out := make([]int, len(ds.Graphs))
+			pred.PredictBatchWith(bs, ds.Graphs, out)
+			for i := range out {
+				if out[i] != full[i] {
+					t.Fatalf("post-cascade full-width batch class %d, reference %d", out[i], full[i])
 				}
 			}
 
@@ -180,7 +225,7 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 			}
 			for i := range out {
 				if out[i] != full[i] {
-					t.Fatalf("graph %d: escalated class %d differs from full-width %d", i, out[i], full[i])
+					t.Fatalf("graph %d: escalated class %d differs from full-width reference %d", i, out[i], full[i])
 				}
 			}
 
@@ -195,17 +240,17 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 			}
 			for i := range out {
 				if out[i] != full[i] {
-					t.Fatalf("graph %d: cleared-cascade class %d differs from full-width %d", i, out[i], full[i])
+					t.Fatalf("graph %d: cleared-cascade class %d differs from full-width reference %d", i, out[i], full[i])
 				}
 			}
 		})
 	}
 }
 
-// TestCascadeMixedWidthScratch drives one batch scratch through an
-// alternating sequence of cascade and full-width batches at two different
-// prefix widths — the serving reload scenario — checking every answer
-// against fresh single-graph predictions.
+// TestCascadeMixedWidthScratch drives one scratch through an alternating
+// sequence of cascade and full-width batches at two different prefix
+// widths — the serving reload scenario — checking every answer against
+// cascadeReference.
 func TestCascadeMixedWidthScratch(t *testing.T) {
 	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 31, GraphCount: 18})
 	if err != nil {
@@ -217,24 +262,26 @@ func TestCascadeMixedWidthScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := m.Snapshot()
-	bs := pred.Encoder().NewBatchScratch()
-	es := pred.Encoder().NewScratch()
+	refs := referenceEncodings(pred.Encoder(), ds.Graphs)
+	full, _ := cascadeReference(t, pred, ds.Graphs, refs)
+	bs := pred.Encoder().NewScratch()
 	out := make([]int, len(ds.Graphs))
 	widths := []Cascade{{DPrefix: 128, Margin: 6}, {DPrefix: 1000, Margin: 40}, {DPrefix: 128, Margin: 6}}
 	for round, c := range widths {
 		if err := pred.SetCascade(c); err != nil {
 			t.Fatal(err)
 		}
+		want, _ := cascadeReference(t, pred, ds.Graphs, refs)
 		pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-		for i, g := range ds.Graphs {
-			if want, _ := pred.PredictCascadeWith(es, g); out[i] != want {
-				t.Fatalf("round %d (dp=%d): graph %d class %d, want %d", round, c.DPrefix, i, out[i], want)
+		for i := range ds.Graphs {
+			if out[i] != want[i] {
+				t.Fatalf("round %d (dp=%d): graph %d class %d, reference %d", round, c.DPrefix, i, out[i], want[i])
 			}
 		}
 		pred.PredictBatchWith(bs, ds.Graphs, out)
-		for i, g := range ds.Graphs {
-			if want := pred.Predict(g); out[i] != want {
-				t.Fatalf("round %d: full-width graph %d class %d, want %d", round, i, out[i], want)
+		for i := range ds.Graphs {
+			if out[i] != full[i] {
+				t.Fatalf("round %d: full-width graph %d class %d, reference %d", round, i, out[i], full[i])
 			}
 		}
 	}
@@ -330,7 +377,7 @@ func TestPredictCascadeEdgeless(t *testing.T) {
 	}
 	edgeless := graph.NewBuilder(3).Build()
 	batch := []*graph.Graph{gs[0], edgeless, gs[1]}
-	bs := pred.Encoder().NewBatchScratch()
+	bs := pred.Encoder().NewScratch()
 	out := make([]int, len(batch))
 	s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
 	if s1+esc != len(batch) || esc < 1 {

@@ -94,7 +94,7 @@ func (p *Predictor) MemoryBytes() int { return p.pm.MemoryBytes() }
 func (p *Predictor) Predict(g *graph.Graph) int {
 	s := p.enc.getScratch()
 	defer p.enc.putScratch(s)
-	return p.pm.Classify(s.EncodeGraphPacked(g))
+	return p.PredictWith(s, g)
 }
 
 // PredictEncoded classifies an already packed graph-hypervector.
@@ -102,21 +102,21 @@ func (p *Predictor) PredictEncoded(hv *hdc.Binary) int {
 	return p.pm.Classify(hv)
 }
 
-// PredictWith classifies g through a caller-owned scratch, the serving
-// primitive: a long-lived worker holds one scratch for its lifetime and
-// predicts with zero per-request heap allocations and zero pool traffic.
-// Encoding runs the blocked carry-save edge accumulation (rank-pair
-// grouping + hdc.BitCounter.AddXorPairs), so the scratch's grouping
-// buffers amortize across the worker's whole request stream. s must have
-// been vended by p.Encoder().NewScratch(); the result is written into s's
-// buffers, so s must not be shared across goroutines.
+// PredictWith classifies g through a caller-owned scratch with zero heap
+// allocations and zero pool traffic: it is PredictBatchWith on a batch of
+// one. s must have been vended by p.Encoder().NewScratch() and must not
+// be shared across goroutines.
 func (p *Predictor) PredictWith(s *EncoderScratch, g *graph.Graph) int {
-	return p.pm.Classify(s.EncodeGraphPacked(g))
+	gs := [1]*graph.Graph{g}
+	var out [1]int
+	p.PredictBatchTraced(s, gs[:], out[:], nil)
+	return out[0]
 }
 
 // PredictAll classifies a batch of graphs across the shared worker pool,
-// preserving order. Each worker owns one pooled EncoderScratch, so the
-// whole batch encodes and classifies without per-graph heap allocations.
+// preserving order. Each 32-graph chunk runs through one pooled
+// EncoderScratch, so the whole batch encodes and classifies without
+// per-graph heap allocations.
 func (p *Predictor) PredictAll(graphs []*graph.Graph) []int {
 	return p.PredictAllWorkers(graphs, 0)
 }
@@ -131,10 +131,10 @@ func (p *Predictor) PredictAllWorkers(graphs []*graph.Graph, workers int) []int 
 	out := make([]int, len(graphs))
 	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
 	w := parallel.Workers(workers, chunks)
-	scratches := p.enc.newBatchScratchSet(w)
-	defer scratches.release()
-	parallel.ForEachChunk(w, len(graphs), encodeBatchChunk, func(w, lo, hi int) {
-		p.PredictBatchWith(scratches.get(w), graphs[lo:hi], out[lo:hi])
+	parallel.ForEachChunk(w, len(graphs), encodeBatchChunk, func(_, lo, hi int) {
+		s := p.enc.getScratch()
+		p.PredictBatchWith(s, graphs[lo:hi], out[lo:hi])
+		p.enc.putScratch(s)
 	})
 	return out
 }

@@ -11,47 +11,73 @@ import (
 
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
-// sort order), the rank slice, the SWAR majority counter, and the output
-// hypervectors. Once its buffers have grown to the largest graph seen,
-// encoding an unlabeled graph with edges performs zero heap allocations —
-// the property that makes the encode pipeline, now ~90% of end-to-end
-// predict latency, allocation-free in steady state.
+// sort order), the rank slice, the rank-pair grouping buffers, the SWAR
+// majority counter, and the output hypervectors. Once its buffers have
+// grown to the largest batch seen, encoding unlabeled graphs with edges
+// performs zero heap allocations.
 //
-// Obtain one from Encoder.NewScratch (or implicitly through the Encoder
-// and Predictor APIs, which vend pooled scratches per call or per batch
-// worker). A scratch is bound to its encoder and is not safe for
-// concurrent use; each goroutine owns its own. Results returned by the
-// scratch's Encode/Ranks methods live in its buffers and are only valid
-// until the next call on the same scratch.
+// Every encode path runs the same two steps over a batch of graphs; the
+// per-graph calls are batches of one:
+//
+//  1. group ranks each graph by centrality and turns its edges into
+//     packed (minRank, maxRank) keys, sorted per graph. An edge's bind
+//     vector depends only on the unordered rank pair of its endpoints
+//     (XNOR is commutative), so equal keys are one operand with a
+//     multiplicity.
+//  2. signInto (or accumulate, for bipolar outputs) walks one graph's
+//     sorted keys into XNOR operand pairs read straight off the packed
+//     basis table — multiplicity-1 pairs for the blocked carry-save
+//     kernels, the rare grouped pairs with their multiplicities — and
+//     takes the majority at the counter's current width.
+//
+// Bundling counts are exact integer sums, so regrouping and reordering
+// leave every encoding bit-for-bit identical to the per-edge int8
+// reference (Encoder.encodeGraphSlow). The keys and the basis snapshot do
+// not depend on the width, which is what lets the cascade re-sign a
+// graph at full width after a prefix-width pass without ranking it again.
+//
+// Obtain one from Encoder.NewScratch, or rely on the Encoder and
+// Predictor APIs, which vend pooled scratches per call or per batch
+// chunk. A scratch is bound to its encoder and is not safe for concurrent
+// use; each goroutine owns its own. Results returned by the scratch's
+// methods live in its buffers and are only valid until the next call on
+// the same scratch.
 type EncoderScratch struct {
 	enc     *Encoder
 	cent    centrality.Scratch
 	ranks   []int
 	counter *hdc.BitCounter
-	packed  *hdc.Binary
+	packed  *hdc.Binary // full-width sign buffer for cascade escalations
 	bipolar *hdc.Bipolar
-	// Rank-pair grouping buffers for the blocked edge accumulation:
-	// edgeKeys holds one packed (minRank, maxRank) key per edge, pairs
-	// holds the multiplicity-1 XNOR operand list handed to
-	// BitCounter.AddXorPairs, and wPairs/wMults hold the rare
-	// multiplicity-grouped operands. All grow to the largest edge count
-	// seen and are then reused, keeping the blocked path at zero
-	// allocations.
-	edgeKeys []uint64
-	pairs    []hdc.XorPair
-	wPairs   []hdc.XorPair
-	wMults   []int32
 
-	// pout is the reusable output vector for prefix-width encodes
-	// (EncodeGraphPackedPrefix); it re-allocates only when the requested
-	// width changes, so one cascade configuration encodes allocation-free.
-	pout *hdc.Binary
+	// Grouping state of the last grouped batch: graph i's sorted keys are
+	// keys[keyOff[i]:keyOff[i+1]], empty for graphs outside the packed
+	// fast path; basis is the packed basis-table snapshot the keys index.
+	keys   []uint64
+	keyOff []int
+	basis  []*hdc.Binary
+	// The operands of one graph at a time: pairs holds the
+	// multiplicity-1 XNOR pairs for the blocked kernels, wPairs/wMults
+	// the multiplicity-grouped ones.
+	pairs  []hdc.XorPair
+	wPairs []hdc.XorPair
+	wMults []int32
+
+	// Per-graph outputs of the batch calls, full-width (outs) and
+	// prefix-width (pouts, rebuilt only when the width changes), and the
+	// cascade's worklists: the graphs the classify phase marked for
+	// full-width escalation and those outside the packed fast path.
+	outs   []*hdc.Binary
+	pouts  []*hdc.Binary
+	poutsD int
+	escIdx []int32
+	fbIdx  []int32
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
-// per-goroutine reuse themselves (the batch APIs and the benchmark
-// harness). Everything else can rely on the pooled scratches behind
-// EncodeGraph / EncodeGraphPacked / Ranks.
+// per-goroutine reuse themselves (serving workers, the benchmark
+// harness). Everything else can rely on the pooled scratches behind the
+// Encoder and Predictor APIs.
 func (e *Encoder) NewScratch() *EncoderScratch {
 	d := e.cfg.Dimension
 	return &EncoderScratch{
@@ -61,6 +87,10 @@ func (e *Encoder) NewScratch() *EncoderScratch {
 		bipolar: hdc.NewBipolar(d),
 	}
 }
+
+// NewBatchScratch is NewScratch. It remains because the perfbench
+// harness calls it by this name.
+func (e *Encoder) NewBatchScratch() *EncoderScratch { return e.NewScratch() }
 
 // getScratch vends a pooled scratch; return it with putScratch. The pool
 // keeps per-P free lists, so steady-state Get/Put allocates nothing.
@@ -81,67 +111,78 @@ func (s *EncoderScratch) Ranks(g *graph.Graph) []int {
 	return s.ranks
 }
 
-// prepareGroups runs the rank-pair grouping of Enc_G's edge loop without
-// touching the counter, reporting whether the packed fast path applies
-// (it does not for the labeled extension or edgeless graphs — see
-// Encoder.EncodeGraph).
-//
-// The grouping exploits the paper's structure instead of walking edges
-// one by one: an edge's bind vector depends only on the unordered
-// (rank_u, rank_v) pair of its endpoints (XNOR is commutative), so edges
-// are grouped by rank pair in sorted rank order. Multiplicity-1 pairs —
-// all of them, for simple graphs under bijective centrality ranks — land
-// in s.pairs for the blocked carry-save kernels; the rare
-// multiplicity-grouped pairs land in s.wPairs/s.wMults. Bundling counts
-// are exact integer sums, so regrouping and reordering leave the
-// encoding bit-for-bit identical to the per-edge scalar path.
-func (s *EncoderScratch) prepareGroups(g *graph.Graph) bool {
+// group ranks every graph and builds its sorted rank-pair key segment —
+// the "plan" stage of BatchTrace. Graphs outside the packed fast path
+// (the labeled extension, edgeless graphs; see Encoder.EncodeGraph) get
+// an empty segment.
+func (s *EncoderScratch) group(graphs []*graph.Graph) {
 	e := s.enc
-	if e.cfg.UseVertexLabels && g.Labeled() {
-		return false
-	}
-	edges := g.Edges()
-	if len(edges) == 0 {
-		return false
-	}
-	ranks := s.Ranks(g)
-	packed := e.packedSlice(g.NumVertices())
-	keys := s.edgeKeys[:0]
-	for _, ed := range edges {
-		ru, rv := ranks[ed.U], ranks[ed.V]
-		if ru > rv {
-			ru, rv = rv, ru
+	s.keys = s.keys[:0]
+	s.keyOff = append(s.keyOff[:0], 0)
+	maxN := 0
+	for _, g := range graphs {
+		if !(e.cfg.UseVertexLabels && g.Labeled()) && g.NumEdges() > 0 {
+			maxN = max(maxN, g.NumVertices())
+			ranks := s.Ranks(g)
+			lo := len(s.keys)
+			for _, ed := range g.Edges() {
+				ru, rv := ranks[ed.U], ranks[ed.V]
+				if ru > rv {
+					ru, rv = rv, ru
+				}
+				s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
+			}
+			slices.Sort(s.keys[lo:])
 		}
-		keys = append(keys, uint64(ru)<<32|uint64(uint32(rv)))
+		s.keyOff = append(s.keyOff, len(s.keys))
 	}
-	slices.Sort(keys)
-	pairs := s.pairs[:0]
-	wPairs := s.wPairs[:0]
-	wMults := s.wMults[:0]
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
+	s.basis = nil
+	if maxN > 0 {
+		s.basis = e.packedSlice(maxN) // one lock round per batch
+	}
+}
+
+// collect walks graph gi's sorted key segment into operand pairs,
+// reporting whether the graph is on the packed fast path (a non-empty
+// segment).
+func (s *EncoderScratch) collect(gi int) bool {
+	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
+	pairs, wPairs, wMults := s.pairs[:0], s.wPairs[:0], s.wMults[:0]
+	for j := 0; j < len(seg); {
+		k := seg[j]
+		j2 := j + 1
+		for j2 < len(seg) && seg[j2] == k {
+			j2++
 		}
 		// XNOR of the packed endpoints is exactly the bipolar product
 		// under the bit 1 ↔ +1 mapping.
-		ru, rv := int(keys[i]>>32), int(uint32(keys[i]))
-		if j-i == 1 {
-			pairs = append(pairs, hdc.XorPair{A: packed[ru], B: packed[rv], Invert: true})
+		p := hdc.XorPair{A: s.basis[k>>32], B: s.basis[uint32(k)], Invert: true}
+		if j2-j == 1 {
+			pairs = append(pairs, p)
 		} else {
-			wPairs = append(wPairs, hdc.XorPair{A: packed[ru], B: packed[rv], Invert: true})
-			wMults = append(wMults, int32(j-i))
+			wPairs = append(wPairs, p)
+			wMults = append(wMults, int32(j2-j))
 		}
-		i = j
+		j = j2
 	}
-	s.edgeKeys, s.pairs, s.wPairs, s.wMults = keys, pairs, wPairs, wMults
+	s.pairs, s.wPairs, s.wMults = pairs, wPairs, wMults
+	return len(seg) > 0
+}
+
+// accumulate fills the counter with graph gi's operands at its current
+// width, reporting whether the graph is on the packed fast path.
+func (s *EncoderScratch) accumulate(gi int) bool {
+	if !s.collect(gi) {
+		return false
+	}
+	s.fill()
 	return true
 }
 
-// feedCounter streams the prepared groups into the scratch counter: the
+// fill streams the collected operands into the counter: the
 // multiplicity-1 pairs through the blocked carry-save front end, the
 // grouped ones with their multiplicities.
-func (s *EncoderScratch) feedCounter() {
+func (s *EncoderScratch) fill() {
 	c := s.counter
 	c.Reset()
 	c.AddXorPairs(s.pairs)
@@ -150,57 +191,101 @@ func (s *EncoderScratch) feedCounter() {
 	}
 }
 
-// fillCounter is prepareGroups + feedCounter, the general accumulation
-// path for callers that need the counter filled (bipolar outputs).
-func (s *EncoderScratch) fillCounter(g *graph.Graph) bool {
-	if !s.prepareGroups(g) {
+// signInto encodes graph gi into dst at the counter's current width,
+// reporting whether the graph is on the packed fast path. Bundles of up
+// to hdc.MaxSmallSign unit-multiplicity pairs — the common serving case —
+// take the one-shot bit-sliced majority kernel and skip the counter
+// tiers; the rest accumulate and sign through the counter.
+func (s *EncoderScratch) signInto(gi int, dst *hdc.Binary) bool {
+	if !s.collect(gi) {
 		return false
 	}
-	s.feedCounter()
+	tie := s.enc.packedTie
+	if len(s.wPairs) == 0 && len(s.pairs) <= hdc.MaxSmallSign {
+		s.counter.SignXorPairsSmallInto(s.pairs, tie, dst)
+		return true
+	}
+	s.fill()
+	s.counter.SignBinaryInto(tie, dst)
 	return true
 }
 
-// smallSignReady reports whether the prepared groups qualify for the
-// one-shot bit-sliced majority kernel: unit multiplicities only (always
-// true for simple graphs under bijective ranks) and a bundle small
-// enough to count in six planes.
-func (s *EncoderScratch) smallSignReady() bool {
-	return len(s.wPairs) == 0 && len(s.pairs) > 0 && len(s.pairs) <= hdc.MaxSmallSign
+// PlanStats reports the last grouped batch's edge rank-pair instances
+// and the rank-pair groups the encode accumulated for them. The two are
+// equal unless a graph repeats a rank pair (multigraph inputs or rank
+// collisions), whose edges then share one weighted operand.
+func (s *EncoderScratch) PlanStats() (pairs, groups int) {
+	for gi := 0; gi+1 < len(s.keyOff); gi++ {
+		seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
+		for j := range seg {
+			if j == 0 || seg[j] != seg[j-1] {
+				groups++
+			}
+		}
+	}
+	return len(s.keys), groups
+}
+
+// EncodeBatch encodes every graph at full width, returning one packed
+// hypervector per graph, bit-identical to Encoder.EncodeGraphPacked. The
+// returned slice and its vectors live in the scratch's buffers and are
+// valid until the next call on s.
+func (s *EncoderScratch) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
+	s.group(graphs)
+	return s.signAll(graphs)
+}
+
+// signAll signs every graph of the last grouped batch at full width into
+// the scratch's per-graph output buffers. Graphs outside the packed fast
+// path take the reference encoder.
+func (s *EncoderScratch) signAll(graphs []*graph.Graph) []*hdc.Binary {
+	e := s.enc
+	for len(s.outs) < len(graphs) {
+		s.outs = append(s.outs, hdc.NewBinary(e.cfg.Dimension))
+	}
+	outs := s.outs[:len(graphs)]
+	for gi, g := range graphs {
+		if !s.signInto(gi, outs[gi]) {
+			outs[gi].CopyFrom(e.encodeGraphSlow(g).PackBinary())
+		}
+	}
+	return outs
+}
+
+// prefixOuts returns n reusable d-dimensional sign buffers, one per
+// batch graph. Buffers are rebuilt only when the width changes (a hot
+// swap to a model with a different cascade prefix).
+func (s *EncoderScratch) prefixOuts(d, n int) []*hdc.Binary {
+	if s.poutsD != d {
+		s.pouts = s.pouts[:0]
+		s.poutsD = d
+	}
+	for len(s.pouts) < n {
+		s.pouts = append(s.pouts, hdc.NewBinary(d))
+	}
+	return s.pouts[:n]
 }
 
 // EncodeGraph is Encoder.EncodeGraph writing into the scratch's reusable
-// bipolar hypervector on the fast path; the result is valid until the next
-// call on s. (The labeled-extension and edgeless fallbacks still return a
-// freshly allocated vector — they are off the hot path by construction.)
+// bipolar hypervector on the fast path; the result is valid until the
+// next call on s. (The labeled-extension and edgeless fallbacks still
+// return a freshly allocated vector — they are off the hot path by
+// construction.)
 func (s *EncoderScratch) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
-	if s.fillCounter(g) {
+	gs := [1]*graph.Graph{g}
+	s.group(gs[:])
+	if s.accumulate(0) {
 		return s.counter.SignBipolarInto(s.enc.tie, s.bipolar)
 	}
 	return s.enc.encodeGraphSlow(g)
 }
 
-// EncodeGraphPacked is Encoder.EncodeGraphPacked writing into the
-// scratch's reusable packed hypervector on the fast path; the result is
-// valid until the next call on s. Bundles of up to hdc.MaxSmallSign
-// unit-multiplicity edges — the common serving case — skip the counter
-// tiers entirely via the one-shot bit-sliced majority kernel.
+// EncodeGraphPacked is Encoder.EncodeGraphPacked writing into a reusable
+// packed hypervector of the scratch; the result is valid until the next
+// call on s.
 func (s *EncoderScratch) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
-	if s.prepareGroups(g) {
-		if s.smallSignReady() {
-			return s.counter.SignXorPairsSmallInto(s.pairs, s.enc.packedTie, s.packed)
-		}
-		s.feedCounter()
-		return s.counter.SignBinaryInto(s.enc.packedTie, s.packed)
-	}
-	return s.enc.encodeGraphSlow(g).PackBinary()
-}
-
-// prefixOut returns the scratch's reusable d-dimensional output buffer.
-func (s *EncoderScratch) prefixOut(d int) *hdc.Binary {
-	if s.pout == nil || s.pout.Dim() != d {
-		s.pout = hdc.NewBinary(d)
-	}
-	return s.pout
+	gs := [1]*graph.Graph{g}
+	return s.EncodeBatch(gs[:])[0]
 }
 
 // EncodeGraphPackedPrefix encodes the first d components of Enc_G(g) —
@@ -211,7 +296,7 @@ func (s *EncoderScratch) prefixOut(d int) *hdc.Binary {
 // ⌈d/64⌉ words of the full-width basis vectors, tail-masked, through the
 // same kernel tiers. This is the stage-1 encode of cascade
 // classification. The result lives in the scratch's prefix buffer, valid
-// until the next prefix-width call on s; d must lie in [1, Dimension].
+// until the next call on s; d must lie in [1, Dimension].
 func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Binary {
 	e := s.enc
 	if d == e.cfg.Dimension {
@@ -220,16 +305,13 @@ func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Bin
 	if d < 1 || d > e.cfg.Dimension {
 		panic(fmt.Sprintf("core: prefix dimension %d outside [1,%d]", d, e.cfg.Dimension))
 	}
-	if s.prepareGroups(g) {
-		out := s.prefixOut(d)
-		s.counter.SetDim(d)
-		if s.smallSignReady() {
-			s.counter.SignXorPairsSmallInto(s.pairs, e.packedTie, out)
-		} else {
-			s.feedCounter()
-			s.counter.SignBinaryInto(e.packedTie, out)
-		}
-		s.counter.SetDim(e.cfg.Dimension)
+	gs := [1]*graph.Graph{g}
+	s.group(gs[:])
+	out := s.prefixOuts(d, 1)[0]
+	s.counter.SetDim(d)
+	ok := s.signInto(0, out)
+	s.counter.SetDim(e.cfg.Dimension)
+	if ok {
 		return out
 	}
 	// Reference fallback (labeled extension, edgeless): encode at full
@@ -237,25 +319,17 @@ func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Bin
 	return e.encodeGraphSlow(g).PackBinary().PrefixCopy(d)
 }
 
-// encodeGraphNew is EncodeGraph for callers that retain the result (batch
-// training): ranks and counts accumulate in the scratch, but the signed
-// output is freshly allocated.
-func (s *EncoderScratch) encodeGraphNew(g *graph.Graph) *hdc.Bipolar {
-	if s.fillCounter(g) {
-		return s.counter.SignBipolar(s.enc.tie)
-	}
-	return s.enc.encodeGraphSlow(g)
-}
-
-// encodeGraphPackedNew is EncodeGraphPacked with a freshly allocated
-// output, for callers that retain the packed vector.
-func (s *EncoderScratch) encodeGraphPackedNew(g *graph.Graph) *hdc.Binary {
-	if s.prepareGroups(g) {
-		if s.smallSignReady() {
-			return s.counter.SignXorPairsSmallInto(s.pairs, s.enc.packedTie, hdc.NewBinary(s.enc.cfg.Dimension))
+// encodeBipolarNew encodes graphs into freshly allocated bipolar
+// hypervectors, dst[i] for graphs[i] (len(dst) must equal len(graphs)),
+// for callers that retain them (training). Ranks and counts live in the
+// scratch.
+func (s *EncoderScratch) encodeBipolarNew(graphs []*graph.Graph, dst []*hdc.Bipolar) {
+	s.group(graphs)
+	for gi, g := range graphs {
+		if s.accumulate(gi) {
+			dst[gi] = s.counter.SignBipolar(s.enc.tie)
+		} else {
+			dst[gi] = s.enc.encodeGraphSlow(g)
 		}
-		s.feedCounter()
-		return s.counter.SignBinary(s.enc.packedTie)
 	}
-	return s.enc.encodeGraphSlow(g).PackBinary()
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -162,22 +164,42 @@ func (m *Model) SaveFile(path string) error {
 // ReadModel deserializes a model written by WriteTo.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
-	read := func(v any) error {
-		return binary.Read(br, binary.LittleEndian, v)
-	}
 	var magic [8]byte
-	if err := read(&magic); err != nil {
+	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("core: read model magic: %w", err)
 	}
 	if magic != modelMagic {
 		return nil, fmt.Errorf("core: bad model magic %q", magic)
 	}
-	return readModelBody(read)
+	return readModelBody(br)
+}
+
+// readPayload reads the n-byte class payload that follows a record's
+// header, before anything is allocated from the header's claims. The
+// buffer grows only with the bytes the stream actually holds, so a short
+// record claiming dimension 2^24 and 2^16 classes fails once its bytes
+// run out instead of allocating terabytes of accumulators first.
+func readPayload(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("core: read class records: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // readModelBody deserializes a GRAPHHD1 record after the magic bytes.
-func readModelBody(read func(any) error) (*Model, error) {
-	cfg, k, err := readHeaderBody(read)
+func readModelBody(r io.Reader) (*Model, error) {
+	cfg, k, err := readHeaderBody(func(v any) error {
+		return binary.Read(r, binary.LittleEndian, v)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rec := 8 + 4*cfg.Dimension // count int64 + dim × sum int32
+	body, err := readPayload(r, int64(k)*int64(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -191,12 +213,10 @@ func readModelBody(read func(any) error) (*Model, error) {
 	}
 	sums := make([]int32, cfg.Dimension)
 	for c := 0; c < k; c++ {
-		var count int64
-		if err := read(&count); err != nil {
-			return nil, fmt.Errorf("core: read class %d count: %w", c, err)
-		}
-		if err := read(sums); err != nil {
-			return nil, fmt.Errorf("core: read class %d sums: %w", c, err)
+		b := body[c*rec : (c+1)*rec]
+		count := int64(binary.LittleEndian.Uint64(b))
+		for i := range sums {
+			sums[i] = int32(binary.LittleEndian.Uint32(b[8+4*i:]))
 		}
 		if err := m.am.LoadClass(c, sums, int(count)); err != nil {
 			return nil, err
@@ -301,7 +321,7 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 	}
 	switch magic {
 	case modelMagic:
-		m, err := readModelBody(read)
+		m, err := readModelBody(br)
 		if err != nil {
 			return nil, err
 		}
@@ -338,15 +358,21 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 			hasCasc = true
 		}
 	}
+	nw := (cfg.Dimension + 63) / 64
+	body, err := readPayload(br, int64(k)*int64(nw)*8)
+	if err != nil {
+		return nil, err
+	}
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	words := make([]uint64, (cfg.Dimension+63)/64)
+	words := make([]uint64, nw)
 	classes := make([]*hdc.Binary, k)
-	for c := 0; c < k; c++ {
-		if err := read(words); err != nil {
-			return nil, fmt.Errorf("core: read packed class %d: %w", c, err)
+	for c := range classes {
+		b := body[c*nw*8:]
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
 		if classes[c], err = hdc.BinaryFromWords(cfg.Dimension, words); err != nil {
 			return nil, fmt.Errorf("core: packed class %d: %w", c, err)

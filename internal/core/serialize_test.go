@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"graphhd/internal/centrality"
@@ -162,5 +164,47 @@ func TestModelRoundTripSupportsOnlineContinuation(t *testing.T) {
 	}
 	if float64(c)/float64(len(gs)) < 0.8 {
 		t.Fatal("continued model degraded")
+	}
+}
+
+// TestReadRejectsOversizedHeaderCheaply pins the allocation bound of the
+// artifact readers: a 44-byte record whose header claims dimension 2^24
+// and 2^16 classes (4 TiB of int32 accumulators) must fail once its bytes
+// run out, having allocated memory in proportion to what it read rather
+// than to what it claimed.
+func TestReadRejectsOversizedHeaderCheaply(t *testing.T) {
+	header := func(magic string) []byte {
+		var b bytes.Buffer
+		b.WriteString(magic)
+		for _, v := range []any{uint32(1 << 24), uint32(10), 0.85, uint64(1), uint32(0), uint32(0), uint32(1 << 16)} {
+			if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b.Len() != 44 {
+			t.Fatalf("header is %d bytes, want 44", b.Len())
+		}
+		return b.Bytes()
+	}
+	const limit = 64 << 20
+	for _, c := range []struct {
+		name string
+		read func([]byte) error
+		rec  []byte
+	}{
+		{"ReadModel/GRAPHHD1", func(b []byte) error { _, err := ReadModel(bytes.NewReader(b)); return err }, header("GRAPHHD1")},
+		{"ReadPredictor/GRAPHHD1", func(b []byte) error { _, err := ReadPredictor(bytes.NewReader(b)); return err }, header("GRAPHHD1")},
+		{"ReadPredictor/GRAPHHD2", func(b []byte) error { _, err := ReadPredictor(bytes.NewReader(b)); return err }, header("GRAPHHD2")},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(c.rec)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: oversized header loaded", c.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > limit {
+			t.Fatalf("%s: allocated %d bytes before failing, want under %d", c.name, d, limit)
+		}
 	}
 }

@@ -16,7 +16,7 @@ func TestPredictBatchTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := m.Snapshot()
-	bs := pred.Encoder().NewBatchScratch()
+	bs := pred.Encoder().NewScratch()
 
 	want := make([]int, len(gs))
 	pred.PredictBatchWith(bs, gs, want)
@@ -58,7 +58,7 @@ func TestPredictBatchCascadeTraced(t *testing.T) {
 	if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 8}); err != nil {
 		t.Fatal(err)
 	}
-	bs := pred.Encoder().NewBatchScratch()
+	bs := pred.Encoder().NewScratch()
 
 	want := make([]int, len(gs))
 	wantS1, wantEsc := pred.PredictBatchCascadeWith(bs, gs, want)

@@ -17,10 +17,10 @@ import (
 // their weight can exceed 255, keeping the per-component work amortized
 // far below one operation per add.
 //
-// The batch entry points (AddXorPairs, AddWordsBlock) put a Harley–Seal
-// carry-save front end ahead of the lanes: groups of eight vectors are
-// reduced per 64-bit word through a cascade of carry-save adders into
-// persistent bit-sliced partial sums of weight 1/2/4/8, and only the
+// The batch entry point AddXorPairs puts a Harley–Seal carry-save front
+// end ahead of the lanes: groups of eight vectors are reduced per 64-bit
+// word through a cascade of carry-save adders into persistent
+// bit-sliced partial sums of weight 1/2/4/8, and only the
 // weight-16 overflow of the top slice reaches a counter lane (the byte
 // lanes, which absorb it directly) — one lane update per ~16 vectors
 // instead of one per vector, with no nibble folding on the blocked path
@@ -61,9 +61,9 @@ type BitCounter struct {
 	// single base pointer.
 	csaOnes, csaTwos, csaFours, csaEights []uint64
 	// csaSixteens/csaThirtyTwos extend the plane stack for the small-n
-	// sign kernels (SignXorPairsSmallInto, SignPlannedSmallInto), which
-	// keep counts of up to 63 vectors entirely bit-sliced and never touch
-	// the nibble/byte/int32 tiers. Zero between calls, like the others.
+	// sign kernel (SignXorPairsSmallInto), which keeps counts of up to 63
+	// vectors entirely bit-sliced and never touches the nibble/byte/int32
+	// tiers. Zero between calls, like the others.
 	csaSixteens, csaThirtyTwos []uint64
 	// csaParked is set while the carry-save planes hold weight that has
 	// not yet reached a counter tier (mid batch call, or between a
@@ -80,10 +80,8 @@ type BitCounter struct {
 	// zeroWords is an all-zero operand used to pad the final partial block
 	// of the carry-save kernels: feeding zeros through the CSA cascade
 	// contributes nothing to any count, so a short tail costs one extra
-	// block sweep instead of per-vector scalar lane updates. zeroPair is
-	// the same padding in XorPair form (zero XOR zero, uninverted).
+	// block sweep instead of per-vector scalar lane updates.
 	zeroWords   []uint64
-	zeroPair    XorPair
 	pendingNib  int // weight added to nibble lanes since the last fold, <= 15
 	pendingByte int // weight folded into byte lanes since the last flush, <= 255
 	// countsDirty records whether the int32 counters hold any weight; when
@@ -133,8 +131,6 @@ func NewBitCounter(d int) *BitCounter {
 	c.csaSixteens = csaSlab[4*w : 5*w : 5*w]
 	c.csaThirtyTwos = csaSlab[5*w : 6*w : 6*w]
 	c.zeroWords = make([]uint64, w)
-	zero := &Binary{d: d, words: c.zeroWords}
-	c.zeroPair = XorPair{A: zero, B: zero}
 	c.kargs.ones = &c.csaOnes[0]
 	c.kargs.twos = &c.csaTwos[0]
 	c.kargs.fours = &c.csaFours[0]
@@ -460,101 +456,6 @@ func invMask(invert bool) uint64 {
 		return ^uint64(0)
 	}
 	return 0
-}
-
-// AddWordsBlock accumulates a block of raw packed word vectors through the
-// same carry-save front end as AddXorPairs — equivalent to adding each
-// vector in order. Every vector must have the counter's word length and,
-// as with Binary.Words, zero bits beyond dimension d. As in AddXorPairs,
-// a short final block is padded with the zero operand.
-func (c *BitCounter) AddWordsBlock(vecs [][]uint64) {
-	for _, v := range vecs {
-		if len(v) != c.words {
-			panic(fmt.Sprintf("hdc: word vector length %d, want %d", len(v), c.words))
-		}
-	}
-	c.checkAdds(len(vecs))
-	c.n += len(vecs)
-	if len(vecs) == 0 {
-		return
-	}
-	kern := loadKernels()
-	nw := c.words
-	var ops [8][]uint64
-	for i := 0; i < len(vecs); i += 8 {
-		n := len(vecs) - i
-		if n > 8 {
-			n = 8
-		}
-		for k := 0; k < n; k++ {
-			ops[k] = vecs[i+k][:nw]
-		}
-		for k := n; k < 8; k++ {
-			ops[k] = c.zeroWords
-		}
-		c.addBlock8(kern, &ops)
-	}
-	c.drainCarrySave()
-}
-
-// addBlock8 feeds one Harley–Seal block of exactly eight word streams
-// (zero-padded by the caller if fewer are live) through the carry-save
-// cascade. Streams must be tail-masked; count accounting is the caller's.
-// The vector kernel, when one is installed, sweeps the lane-aligned word
-// prefix and the portable loop finishes the remainder.
-func (c *BitCounter) addBlock8(kern *kernelTable, ops *[8][]uint64) {
-	if c.pendingByte+16 > 255 {
-		c.flushBytes()
-	}
-	c.pendingByte += 16
-	c.csaParked = true
-	lo := 0
-	if kern.csaBlock != nil {
-		if vn := c.vecWords(kern, false); vn > 0 {
-			a := &c.kargs
-			for k := 0; k < 8; k++ {
-				a.x[k] = &ops[k][0]
-			}
-			a.n = int64(vn)
-			kern.csaBlock(a)
-			lo = vn
-		}
-	}
-	c.csaBlock8Range(ops, lo)
-}
-
-// csaBlock8Range is the portable CSA cascade for one block of eight raw
-// word streams over words [lo, words) — the semantic source of truth the
-// vector tiers must match bit for bit.
-func (c *BitCounter) csaBlock8Range(ops *[8][]uint64, lo int) {
-	nw := c.words
-	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
-	x0s, x1s, x2s, x3s := ops[0], ops[1], ops[2], ops[3]
-	x4s, x5s, x6s, x7s := ops[4], ops[5], ops[6], ops[7]
-	l0, l1, l2, l3 := c.byteLo[0], c.byteLo[1], c.byteLo[2], c.byteLo[3]
-	h0, h1, h2, h3 := c.byteHi[0], c.byteHi[1], c.byteHi[2], c.byteHi[3]
-	for w := lo; w < nw; w++ {
-		o, twosA := csa(ones[w], x0s[w], x1s[w])
-		o, twosB := csa(o, x2s[w], x3s[w])
-		t, foursA := csa(twos[w], twosA, twosB)
-		o, twosA = csa(o, x4s[w], x5s[w])
-		o, twosB = csa(o, x6s[w], x7s[w])
-		t, foursB := csa(t, twosA, twosB)
-		f, e8 := csa(fours[w], foursA, foursB)
-		e := eights[w]
-		s16 := e & e8
-		ones[w], twos[w], fours[w], eights[w] = o, t, f, e^e8
-		if s16 != 0 {
-			l0[w] += (s16 & byteStride) << 4
-			l1[w] += ((s16 >> 1) & byteStride) << 4
-			l2[w] += ((s16 >> 2) & byteStride) << 4
-			l3[w] += ((s16 >> 3) & byteStride) << 4
-			h0[w] += ((s16 >> 4) & byteStride) << 4
-			h1[w] += ((s16 >> 5) & byteStride) << 4
-			h2[w] += ((s16 >> 6) & byteStride) << 4
-			h3[w] += ((s16 >> 7) & byteStride) << 4
-		}
-	}
 }
 
 // drainCarrySave feeds the parked weight-1/2/4/8 carry-save slices into

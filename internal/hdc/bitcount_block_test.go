@@ -84,33 +84,6 @@ func TestAddXorPairsInterleaved(t *testing.T) {
 	assertSameCounts(t, "interleaved", got, want)
 }
 
-// TestAddWordsBlockMatchesAdd checks the raw-word batch entry against
-// sequential Add, under every supported kernel tier.
-func TestAddWordsBlockMatchesAdd(t *testing.T) {
-	forEachKernelTier(t, testAddWordsBlockMatchesAdd)
-}
-
-func testAddWordsBlockMatchesAdd(t *testing.T) {
-	for _, d := range []int{64, 100, 517} {
-		for n := 0; n <= 30; n++ {
-			rng := NewRNG(uint64(d)*31 + uint64(n))
-			vecs := make([]*Binary, n)
-			words := make([][]uint64, n)
-			for i := range vecs {
-				vecs[i] = RandomBinary(d, rng)
-				words[i] = vecs[i].Words()
-			}
-			blocked := NewBitCounter(d)
-			blocked.AddWordsBlock(words)
-			scalar := NewBitCounter(d)
-			for _, v := range vecs {
-				scalar.Add(v)
-			}
-			assertSameCounts(t, "AddWordsBlock", blocked, scalar)
-		}
-	}
-}
-
 // TestAddXorWeightedMatchesRepeated covers both weighted implementations:
 // the chunked nibble path (weight <= 64) and the direct int32 path.
 func TestAddXorWeightedMatchesRepeated(t *testing.T) {
@@ -200,15 +173,12 @@ func testBitCounterDifferential(t *testing.T) {
 						addNaive(xorBit(p.A, p.B, p.Invert), 1)
 					}
 				case 3:
-					vecs := make([][]uint64, rng.Intn(12))
-					bins := make([]*Binary, len(vecs))
-					for i := range vecs {
-						bins[i] = RandomBinary(d, rng)
-						vecs[i] = bins[i].Words()
-					}
-					c.AddWordsBlock(vecs)
-					for _, v := range bins {
-						addNaive(v.Bit, 1)
+					// Several full blocks in one call, so the weight-16
+					// overflow fires inside the call.
+					pairs := randomPairs(d, 16+rng.Intn(24), rng)
+					c.AddXorPairs(pairs)
+					for _, p := range pairs {
+						addNaive(xorBit(p.A, p.B, p.Invert), 1)
 					}
 				case 4:
 					a, b := RandomBinary(d, rng), RandomBinary(d, rng)

@@ -186,29 +186,16 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		counts []int32
 		sign   *Binary
 		smallX *Binary
-		smallP *Binary
 		hams   []int
 	}
 	run := func(d int) result {
 		rng := NewRNG(uint64(d) * 7919)
 		c := NewBitCounter(d)
-		// 24 pairs: three full blocks through the CSA front end; with the
-		// 16 raw vectors below the total crosses the weight-16 overflow
-		// (s16) boundary in many components.
-		pairs := randomPairs(d, 24, rng)
-		c.AddXorPairs(pairs)
-		vecs := make([][]uint64, 16)
-		for i := range vecs {
-			vecs[i] = RandomBinary(d, rng).Words()
-		}
-		c.AddWordsBlock(vecs)
-		var plan OperandPlan
-		plan.Reset(d)
-		for i := 0; i < 6; i++ {
-			plan.AppendXnor(RandomBinary(d, rng), RandomBinary(d, rng))
-		}
-		idxs := []int32{0, 1, 2, 3, 4, 5, 0, 1, 2, 5, 5, 5, 3}
-		c.AddPlanned(&plan, idxs)
+		// 24 + 29 pairs: full and zero-padded blocks through the CSA
+		// front end, crossing the weight-16 overflow (s16) boundary in
+		// many components.
+		c.AddXorPairs(randomPairs(d, 24, rng))
+		c.AddXorPairs(randomPairs(d, 29, rng))
 		counts := c.CountsInto(make([]int32, d))
 		tie := RandomBinary(d, rng)
 		sign := c.SignBinary(tie)
@@ -216,7 +203,6 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		// weight-16/32 plane spills.
 		sc := NewBitCounter(d)
 		smallX := sc.SignXorPairsSmallInto(randomPairs(d, 33, rng), tie, NewBinary(d))
-		smallP := sc.SignPlannedSmallInto(&plan, append(idxs, idxs...), tie, NewBinary(d))
 		// Hamming over packed vectors.
 		q := RandomBinary(d, rng)
 		classes := make([]*Binary, 4)
@@ -227,7 +213,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		return result{counts, sign, smallX, smallP, pm.Hammings(q)}
+		return result{counts, sign, smallX, pm.Hammings(q)}
 	}
 	for _, d := range dims {
 		if err := SetKernel(KernelPortable); err != nil {
@@ -252,9 +238,6 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 			}
 			if !got.smallX.Equal(want.smallX) {
 				t.Fatalf("d=%d tier=%s: SignXorPairsSmallInto differs from portable", d, tier)
-			}
-			if !got.smallP.Equal(want.smallP) {
-				t.Fatalf("d=%d tier=%s: SignPlannedSmallInto differs from portable", d, tier)
 			}
 			for i := range want.hams {
 				if got.hams[i] != want.hams[i] {
@@ -352,36 +335,6 @@ func BenchmarkAddXorPairs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.Reset()
 				c.AddXorPairs(pairs)
-			}
-		})
-	}
-}
-
-// BenchmarkSignPlannedSmall measures the full small-sign path (cascade +
-// plane compare) per kernel tier on the batch-encoder shape.
-func BenchmarkSignPlannedSmall(b *testing.B) {
-	rng := NewRNG(2)
-	const d, edges = 10000, 48
-	var plan OperandPlan
-	plan.Reset(d)
-	idxs := make([]int32, edges)
-	for i := range idxs {
-		idxs[i] = int32(plan.AppendXnor(RandomBinary(d, rng), RandomBinary(d, rng)))
-	}
-	tie := RandomBinary(d, rng)
-	dst := NewBinary(d)
-	prev := ActiveKernel()
-	defer SetKernel(prev)
-	for _, tier := range SupportedKernels() {
-		b.Run(tier.String(), func(b *testing.B) {
-			if err := SetKernel(tier); err != nil {
-				b.Fatal(err)
-			}
-			c := NewBitCounter(d)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.SignPlannedSmallInto(&plan, idxs, tie, dst)
 			}
 		})
 	}

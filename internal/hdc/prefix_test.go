@@ -158,56 +158,6 @@ func TestPrefixSignEquivalence(t *testing.T) {
 	})
 }
 
-// TestPrefixPlanEquivalence: an OperandPlan built at prefix width from
-// FULL-width operands matches one built from PrefixCopy'd operands, and
-// both planned accumulation and the planned small-sign kernel agree.
-func TestPrefixPlanEquivalence(t *testing.T) {
-	forEachKernelTier(t, func(t *testing.T) {
-		rng := NewRNG(41)
-		pairs := prefixPairs(rng, 30)
-		tie := RandomBinary(prefixFullD, rng)
-		var wplan, nplan OperandPlan
-		wide := NewBitCounter(prefixFullD)
-		for _, d := range prefixWidths {
-			wide.SetDim(d)
-			narrow := NewBitCounter(d)
-			np := prefixCopyPairs(pairs, d)
-			wplan.Reset(d)
-			nplan.Reset(d)
-			idxs := make([]int32, len(pairs))
-			for i := range pairs {
-				wi := wplan.AppendXnor(pairs[i].A, pairs[i].B)
-				ni := nplan.AppendXnor(np[i].A, np[i].B)
-				if wi != ni {
-					t.Fatalf("d=%d: operand index %d vs %d", d, wi, ni)
-				}
-				idxs[i] = int32(wi)
-				wo, no := wplan.Operand(wi), nplan.Operand(ni)
-				for w := range wo {
-					if wo[w] != no[w] {
-						t.Fatalf("d=%d: operand %d word %d = %#x, want %#x", d, wi, w, wo[w], no[w])
-					}
-				}
-			}
-			wide.Reset()
-			wide.AddPlanned(&wplan, idxs)
-			narrow.Reset()
-			narrow.AddPlanned(&nplan, idxs)
-			got := wide.SignBinaryInto(tie, NewBinary(d))
-			want := narrow.SignBinaryInto(tie.PrefixCopy(d), NewBinary(d))
-			if !got.Equal(want) {
-				t.Fatalf("d=%d: planned SignBinaryInto diverged", d)
-			}
-			small := idxs[:21] // odd count, within small-sign range
-			gs := wide.SignPlannedSmallInto(&wplan, small, tie, NewBinary(d))
-			ws := narrow.SignPlannedSmallInto(&nplan, small, tie.PrefixCopy(d), NewBinary(d))
-			if !gs.Equal(ws) {
-				t.Fatalf("d=%d: SignPlannedSmallInto diverged", d)
-			}
-		}
-	})
-}
-
 // TestSetDimInterleave: one counter hopping between widths behaves, at
 // every hop, exactly like a fresh counter of that width — narrowing then
 // widening never resurrects stale weight.

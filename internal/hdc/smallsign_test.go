@@ -2,7 +2,7 @@ package hdc
 
 import "testing"
 
-// TestSignSmallMatchesCounter pins the small-n kernels' contract: for
+// TestSignSmallMatchesCounter pins the small-n kernel's contract: for
 // every count in [1, MaxSmallSign] (covering odd/even tie handling and
 // every block-padding shape), the one-shot bit-sliced majority equals the
 // full Reset + Add* + SignBinaryInto pipeline bit for bit.
@@ -15,8 +15,6 @@ func testSignSmallMatchesCounter(t *testing.T) {
 	for _, d := range []int{1, 63, 64, 65, 130, 512} {
 		c := NewBitCounter(d)
 		ref := NewBitCounter(d)
-		var plan OperandPlan
-		plan.Reset(d)
 		vecs := make([]*Binary, 10)
 		for i := range vecs {
 			vecs[i] = RandomBinary(d, rng)
@@ -25,15 +23,12 @@ func testSignSmallMatchesCounter(t *testing.T) {
 		prs := make([]pr, 8)
 		for i := range prs {
 			prs[i] = pr{rng.Intn(len(vecs)), rng.Intn(len(vecs))}
-			plan.AppendXnor(vecs[prs[i].a], vecs[prs[i].b])
 		}
 		for n := 1; n <= MaxSmallSign; n++ {
 			pairs := make([]XorPair, n)
-			idxs := make([]int32, n)
 			for i := range pairs {
 				p := rng.Intn(len(prs))
 				pairs[i] = XorPair{A: vecs[prs[p].a], B: vecs[prs[p].b], Invert: true}
-				idxs[i] = int32(p)
 			}
 			tie := RandomBinary(d, rng)
 			ref.Reset()
@@ -41,9 +36,6 @@ func testSignSmallMatchesCounter(t *testing.T) {
 			want := ref.SignBinary(tie)
 			if got := c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)); !got.Equal(want) {
 				t.Fatalf("d=%d n=%d: SignXorPairsSmallInto differs from counter pipeline", d, n)
-			}
-			if got := c.SignPlannedSmallInto(&plan, idxs, tie, NewBinary(d)); !got.Equal(want) {
-				t.Fatalf("d=%d n=%d: SignPlannedSmallInto differs from counter pipeline", d, n)
 			}
 		}
 	}
@@ -111,9 +103,6 @@ func TestSignSmallPanics(t *testing.T) {
 	rng := NewRNG(4)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 	tie, dst := RandomBinary(d, rng), NewBinary(d)
-	var plan OperandPlan
-	plan.Reset(d)
-	plan.AppendXnor(a, b)
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -127,8 +116,6 @@ func TestSignSmallPanics(t *testing.T) {
 	expectPanic("too many pairs", func() {
 		c.SignXorPairsSmallInto(make([]XorPair, MaxSmallSign+1), tie, dst)
 	})
-	expectPanic("zero idxs", func() { c.SignPlannedSmallInto(&plan, nil, tie, dst) })
-	expectPanic("idx out of range", func() { c.SignPlannedSmallInto(&plan, []int32{1}, tie, dst) })
 	// Operands narrower than the counter must panic; wider operands are
 	// the prefix-slicing contract (see BitCounter.SetDim) and must not.
 	expectPanic("pair dim below counter", func() {

@@ -80,9 +80,9 @@ func ForEachWorker(workers, n int, fn func(w, i int)) {
 // [lo, hi) of size up to chunk covering [0, n), ranges are handed out
 // dynamically across up to workers goroutines, and all calls sharing one
 // worker index w run sequentially on a single goroutine. This is the
-// distribution primitive behind the cross-graph batch encoder, whose
-// operand-plan dedup only pays off when each call sees many graphs at
-// once. A non-positive chunk selects a single range per call.
+// distribution primitive behind the chunked batch encoders (Model.Fit,
+// Predictor.PredictAll), which check one pooled encoder scratch out per
+// chunk. A non-positive chunk selects a single range per call.
 func ForEachChunk(workers, n, chunk int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return

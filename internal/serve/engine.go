@@ -16,8 +16,8 @@
 //   - Hot model swap. The predictor sits behind an atomic pointer; Swap
 //     installs a new one with zero downtime and zero failed in-flight
 //     requests. Workers notice the swap between dispatched batches and
-//     re-bind their encoder scratch, so every response — and every batch,
-//     which is encoded through one shared operand plan — is computed
+//     re-bind their encoder scratch, so every response — and every
+//     batch, which one worker encodes in one call — is computed
 //     coherently under exactly one model.
 //   - Admission control. The queue is bounded; when it is full, Predict
 //     and PredictBatch fail fast with ErrOverloaded instead of letting
@@ -298,9 +298,8 @@ func (e *Engine) PredictBatchInto(ctx context.Context, graphs []*graph.Graph, ou
 	}
 	t0 := time.Now()
 	// The batch is enqueued as MaxBatch-sized contiguous segments, one
-	// task each: workers encode a whole segment through one shared
-	// cross-graph operand plan, and the queue is touched once per segment
-	// instead of once per graph.
+	// task each: a worker encodes a whole segment in one batch call, and
+	// the queue is touched once per segment instead of once per graph.
 	segs := (n + e.opts.MaxBatch - 1) / e.opts.MaxBatch
 	c := callPool.Get().(*call)
 	c.pending.Store(int32(segs))
@@ -455,21 +454,20 @@ func (e *Engine) fill(b *batch, timer *time.Timer) bool {
 	}
 }
 
-// worker is one inference goroutine. It owns a single core.BatchScratch,
-// re-vended only when a hot swap installs a model with a different
-// encoder, and encodes every dispatched batch — singles and batch-call
-// segments alike — through one shared cross-graph operand plan
-// (Predictor.PredictBatchWith): distinct rank pairs are materialized once
-// per dispatched batch, not once per graph. The predictor is loaded once
-// per dispatched batch, so all of a batch's responses are computed
+// worker is one inference goroutine. It owns a single
+// core.EncoderScratch, re-vended only when a hot swap installs a model
+// with a different encoder, and encodes every dispatched batch — singles
+// and batch-call segments alike — in one batch call
+// (Predictor.PredictBatchTraced). The predictor is loaded once per
+// dispatched batch, so all of a batch's responses are computed
 // coherently under exactly one model; a concurrent Swap takes effect at
 // the next batch boundary. Steady state allocates nothing: the scratch's
-// plan and grouping buffers plus the worker's gather/result buffers
+// grouping and output buffers plus the worker's gather/result buffers
 // amortize across the worker's lifetime.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	var enc *core.Encoder
-	var scratch *core.BatchScratch
+	var scratch *core.EncoderScratch
 	var gbuf []*graph.Graph
 	var rbuf []int
 	var rec TraceRecord // reused carrier; the recorder copies it out
@@ -479,7 +477,7 @@ func (e *Engine) worker() {
 		p := e.pred.Load()
 		if pe := p.Encoder(); pe != enc {
 			enc = pe
-			scratch = enc.NewBatchScratch()
+			scratch = enc.NewScratch()
 		}
 		gbuf = gbuf[:0]
 		for _, t := range b.tasks {
@@ -505,8 +503,6 @@ func (e *Engine) worker() {
 			p.PredictBatchTraced(scratch, gbuf, rbuf, &tr)
 		}
 		e.m.observeStages(&tr, cascading)
-		pairs, distinct := scratch.PlanStats()
-		e.m.observePlan(pairs, distinct)
 		rec = TraceRecord{
 			Time:           e.epoch.Add(time.Duration(start)),
 			Model:          e.opts.ModelName,
@@ -520,8 +516,6 @@ func (e *Engine) worker() {
 			ClassifyNanos:  tr.ClassifyNanos,
 			EscalateNanos:  tr.EscalateNanos,
 			TotalNanos:     e.nanos() - start,
-			PlanPairs:      pairs,
-			PlanDistinct:   distinct,
 			Cascade:        cascading,
 			Stage1:         stage1,
 			Escalated:      escalated,

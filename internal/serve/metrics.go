@@ -17,20 +17,13 @@ import (
 // metrics is the engine's internal instrumentation: plain atomics and
 // fixed-bucket histograms, observed lock-free and allocation-free on the
 // hot path. Snapshot them with Engine.Metrics; the HTTP front end renders
-// them as Prometheus text exposition via WriteMetrics.
+// them as Prometheus text exposition via WriteRouterMetrics.
 type metrics struct {
 	requests  atomic.Uint64 // completed Predict/PredictBatch calls
 	rejected  atomic.Uint64 // calls refused by admission control
 	accepted  atomic.Uint64 // graphs admitted past admission control
 	processed atomic.Uint64 // graphs classified
 	reloads   atomic.Uint64 // successful model swaps
-
-	// Cross-graph operand-plan effectiveness: planPairs counts edge
-	// rank-pair instances encoded, planDistinct the deduplicated operands
-	// actually materialized; their ratio is the basis-table traffic
-	// amortization the batch pipeline achieved.
-	planPairs    atomic.Uint64
-	planDistinct atomic.Uint64
 
 	// Cascade effectiveness: graphs decided at prefix width (stage 1)
 	// versus escalated to full dimension. Both stay zero while the
@@ -90,11 +83,6 @@ func (m *metrics) observeRequest(d time.Duration) {
 
 func (m *metrics) observeBatch(n int) {
 	m.batchSize.observe(float64(n))
-}
-
-func (m *metrics) observePlan(pairs, distinct int) {
-	m.planPairs.Add(uint64(pairs))
-	m.planDistinct.Add(uint64(distinct))
 }
 
 func (m *metrics) observeCascade(stage1, escalated int) {
@@ -246,10 +234,6 @@ type Metrics struct {
 	// InFlight is the number of graphs admitted but not yet classified
 	// (queued, being batched, or on a worker).
 	InFlight uint64
-	// PlanPairs counts edge rank-pair instances encoded by the batch
-	// pipeline; PlanDistinct counts the deduplicated operands materialized
-	// for them. PlanPairs/PlanDistinct is the cross-graph dedup factor.
-	PlanPairs, PlanDistinct uint64
 	// CascadeStage1 counts graphs decided at cascade prefix width;
 	// CascadeEscalated counts graphs re-decided at full dimension.
 	// CascadeStage1/(CascadeStage1+CascadeEscalated) is the stage-1 hit
@@ -264,7 +248,7 @@ type Metrics struct {
 	// dispatcher pickup), seconds.
 	QueueWait HistogramSnapshot
 	// StagePlan/StageEncode/StageClassify/StageEscalate are the per-batch
-	// stage-clock distributions in seconds: operand-plan construction,
+	// stage-clock distributions in seconds: ranking + rank-pair grouping,
 	// accumulate+sign, Hamming classification, and the cascade's
 	// full-width escalation work (observed only while a cascade is
 	// active). Together with QueueWait they attribute every microsecond
@@ -289,8 +273,6 @@ func (e *Engine) Metrics() Metrics {
 		Reloads:          e.m.reloads.Load(),
 		AcceptedGraphs:   accepted,
 		InFlight:         accepted - processed,
-		PlanPairs:        e.m.planPairs.Load(),
-		PlanDistinct:     e.m.planDistinct.Load(),
 		CascadeStage1:    e.m.cascadeStage1.Load(),
 		CascadeEscalated: e.m.cascadeEscalated.Load(),
 		QueueDepth:       int(e.depth.Load()),
@@ -304,66 +286,9 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// WriteMetrics renders a snapshot in Prometheus text exposition format
-// (version 0.0.4), stdlib only. The model gauges describe the predictor
-// currently installed.
-func WriteMetrics(w io.Writer, m Metrics, pred interface {
-	NumClasses() int
-	MemoryBytes() int
-	Dimension() int
-}) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	counter := func(name, help string, v uint64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("graphhd_requests_total", "Completed predict calls.", m.Requests)
-	counter("graphhd_rejected_total", "Predict calls refused by admission control.", m.Rejected)
-	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", m.AcceptedGraphs)
-	counter("graphhd_graphs_processed_total", "Graphs classified.", m.Processed)
-	counter("graphhd_model_reloads_total", "Successful hot model swaps.", m.Reloads)
-	counter("graphhd_batch_plan_pairs_total", "Edge rank-pair instances encoded through batch operand plans.", m.PlanPairs)
-	counter("graphhd_batch_plan_distinct_total", "Deduplicated operands materialized by batch operand plans.", m.PlanDistinct)
-	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", m.CascadeStage1)
-	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", m.CascadeEscalated)
-	p("# HELP graphhd_inflight_graphs Graphs admitted but not yet classified.\n# TYPE graphhd_inflight_graphs gauge\ngraphhd_inflight_graphs %d\n", m.InFlight)
-	p("# HELP graphhd_queue_depth Graphs admitted but not yet dispatched.\n# TYPE graphhd_queue_depth gauge\ngraphhd_queue_depth %d\n", m.QueueDepth)
-	if pred != nil {
-		p("# HELP graphhd_model_classes Classes in the installed model.\n# TYPE graphhd_model_classes gauge\ngraphhd_model_classes %d\n", pred.NumClasses())
-		p("# HELP graphhd_model_memory_bytes Packed class-vector bytes of the installed model.\n# TYPE graphhd_model_memory_bytes gauge\ngraphhd_model_memory_bytes %d\n", pred.MemoryBytes())
-		p("# HELP graphhd_model_dimension Hypervector dimensionality of the installed model.\n# TYPE graphhd_model_dimension gauge\ngraphhd_model_dimension %d\n", pred.Dimension())
-	}
-	writeProcessGauges(p)
-
-	writeHistogram(p, "graphhd_request_latency_seconds", "Per-call latency from admission to response.", "", m.Latency)
-	writeHistogram(p, "graphhd_batch_size", "Dispatched micro-batch sizes.", "", m.BatchSize)
-	writeHistogram(p, "graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to dispatcher pickup.", "", m.QueueWait)
-
-	// One family, one series per pipeline stage: where a dispatched
-	// batch's wall time goes.
-	p("# HELP graphhd_stage_seconds Per-batch wall time by pipeline stage.\n# TYPE graphhd_stage_seconds histogram\n")
-	for _, st := range []struct {
-		label string
-		h     HistogramSnapshot
-	}{
-		{"plan", m.StagePlan},
-		{"encode", m.StageEncode},
-		{"classify", m.StageClassify},
-		{"escalate", m.StageEscalate},
-	} {
-		writeHistogramSeries(p, "graphhd_stage_seconds", `stage="`+st.label+`"`, st.h)
-	}
-	return err
-}
-
 // writeProcessGauges renders the process-wide identity and Go-runtime
-// families shared by the single-engine and router expositions. These are
-// per-process facts, so they stay unlabeled even in multi-model
-// deployments.
+// families. These are per-process facts, so they stay unlabeled even in
+// multi-model deployments.
 func writeProcessGauges(p func(string, ...any)) {
 	ks := hdc.Kernels()
 	p("# HELP graphhd_kernel_info SIMD kernel tier serving the encode/query hot paths (info gauge; the value is always 1).\n# TYPE graphhd_kernel_info gauge\ngraphhd_kernel_info{tier=%q,features=%q} 1\n",
@@ -450,8 +375,6 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", func(m *Metrics) uint64 { return m.AcceptedGraphs })
 	counter("graphhd_graphs_processed_total", "Graphs classified.", func(m *Metrics) uint64 { return m.Processed })
 	counter("graphhd_model_reloads_total", "Successful hot model swaps.", func(m *Metrics) uint64 { return m.Reloads })
-	counter("graphhd_batch_plan_pairs_total", "Edge rank-pair instances encoded through batch operand plans.", func(m *Metrics) uint64 { return m.PlanPairs })
-	counter("graphhd_batch_plan_distinct_total", "Deduplicated operands materialized by batch operand plans.", func(m *Metrics) uint64 { return m.PlanDistinct })
 	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", func(m *Metrics) uint64 { return m.CascadeStage1 })
 	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", func(m *Metrics) uint64 { return m.CascadeEscalated })
 
@@ -577,35 +500,20 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	return err
 }
 
-// writeHistogram renders one single-series histogram family: HELP/TYPE
-// header plus its bucket/sum/count series. labels, when non-empty, is a
-// preformatted `k="v"` list applied to every series.
-func writeHistogram(p func(string, ...any), name, help, labels string, h HistogramSnapshot) {
-	p("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	writeHistogramSeries(p, name, labels, h)
-}
-
 // writeHistogramSeries renders the bucket/sum/count series of one
-// histogram under an already-written family header — the shared tail of
-// plain and labeled (per-stage) families. Buckets are cumulative with a
-// final +Inf bucket equal to the total count, per the text exposition
-// contract.
+// histogram under an already-written family header. labels is a
+// preformatted, non-empty `k="v"` list applied to every series. Buckets
+// are cumulative with a final +Inf bucket equal to the total count, per
+// the text exposition contract.
 func writeHistogramSeries(p func(string, ...any), name, labels string, h HistogramSnapshot) {
-	sep := ""
-	if labels != "" {
-		sep = labels + ","
-	}
 	cum := uint64(0)
 	for i, b := range h.Bounds {
 		cum += h.Counts[i]
-		p("%s_bucket{%sle=%q} %d\n", name, sep, strconv.FormatFloat(b, 'g', -1, 64), cum)
+		p("%s_bucket{%s,le=%q} %d\n", name, labels, strconv.FormatFloat(b, 'g', -1, 64), cum)
 	}
 	if n := len(h.Counts); n > 0 {
 		cum += h.Counts[n-1]
 	}
-	p("%s_bucket{%sle=\"+Inf\"} %d\n", name, sep, cum)
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	p("%s_sum%s %g\n%s_count%s %d\n", name, labels, h.Sum, name, labels, h.Count)
+	p("%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
+	p("%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum, name, labels, h.Count)
 }

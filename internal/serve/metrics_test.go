@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -22,7 +21,7 @@ type promSample struct {
 }
 
 // parsePromText is a strict parser for the Prometheus text exposition
-// format (version 0.0.4) subset WriteMetrics emits. It enforces the
+// format (version 0.0.4) subset WriteRouterMetrics emits. It enforces the
 // format contract a real scraper relies on — any deviation fails the
 // test with a line-numbered error:
 //
@@ -260,46 +259,38 @@ func checkHistogram(t *testing.T, samples []promSample, name string, want map[st
 	}
 }
 
-// TestWriteMetricsExposition round-trips WriteMetrics output through a
-// strict text-exposition parser after real traffic (including a cascade
-// model, so every stage series has observations) and checks the
-// histogram contract on every family plus the presence and labeling of
-// the observability additions: the stage-clock family, the queue-wait
-// histogram, and the build-info gauge.
-func TestWriteMetricsExposition(t *testing.T) {
-	pred, ds := testModel(t, 2048, 1)
-	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs); err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	if err := WriteMetrics(&sb, e.Metrics(), e.Predictor()); err != nil {
-		t.Fatal(err)
-	}
-	samples := parsePromText(t, sb.String())
-
-	byName := map[string][]promSample{}
+// findSample returns the value of the first sample named name whose
+// labels include every pair in labels.
+func findSample(samples []promSample, name string, labels map[string]string) (float64, bool) {
 	for _, s := range samples {
-		byName[s.name] = append(byName[s.name], s)
-	}
-	for _, name := range []string{
-		"graphhd_requests_total", "graphhd_graphs_processed_total",
-		"graphhd_model_dimension", "graphhd_kernel_info",
-	} {
-		if len(byName[name]) == 0 {
-			t.Errorf("missing metric %s", name)
+		if s.name != name {
+			continue
+		}
+		match := true
+		for k, v := range labels {
+			if s.labels[k] != v {
+				match = false
+				break
+			}
+		}
+		if match {
+			return s.value, true
 		}
 	}
+	return 0, false
+}
 
-	bi := byName["graphhd_build_info"]
+// checkBuildInfo asserts the exposition carries exactly one
+// graphhd_build_info sample, valued 1, labeled with the Go toolchain
+// version and a (possibly empty) VCS revision.
+func checkBuildInfo(t *testing.T, samples []promSample) {
+	t.Helper()
+	var bi []promSample
+	for _, s := range samples {
+		if s.name == "graphhd_build_info" {
+			bi = append(bi, s)
+		}
+	}
 	if len(bi) != 1 {
 		t.Fatalf("graphhd_build_info: want 1 sample, got %d", len(bi))
 	}
@@ -312,23 +303,68 @@ func TestWriteMetricsExposition(t *testing.T) {
 	if _, ok := bi[0].labels["vcs_revision"]; !ok {
 		t.Errorf("graphhd_build_info missing vcs_revision label")
 	}
+}
 
-	checkHistogram(t, samples, "graphhd_request_latency_seconds", nil)
-	checkHistogram(t, samples, "graphhd_batch_size", nil)
-	checkHistogram(t, samples, "graphhd_queue_wait_seconds", nil)
+// TestWriteMetricsExposition round-trips the exposition of a
+// single-model, single-replica deployment (the default graphhd-serve
+// shape) through the strict parser after real traffic on a cascade
+// model, so every stage series has observations. It checks the engine
+// counters and model gauges, the histogram contract on every
+// per-engine family (including the batch-size histogram), the stage
+// counts, and the build-info gauge.
+func TestWriteMetricsExposition(t *testing.T) {
+	pred, ds := testModel(t, 2048, 1)
+	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(RegistryOptions{
+		Engine: Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
+	})
+	defer reg.Close()
+	if err := reg.Load("m", pred); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(reg, RouterOptions{DefaultModel: "m"})
+	if _, err := rt.PredictBatch(context.Background(), "", "m", ds.Graphs); err != nil {
+		t.Fatal(err)
+	}
+
+	var sb strings.Builder
+	if err := WriteRouterMetrics(&sb, rt); err != nil {
+		t.Fatal(err)
+	}
+	samples := parsePromText(t, sb.String())
+
+	slot := map[string]string{"model": "m", "replica": "0"}
+	for _, c := range []struct {
+		name   string
+		labels map[string]string
+	}{
+		{"graphhd_requests_total", slot},
+		{"graphhd_graphs_processed_total", slot},
+		{"graphhd_model_dimension", map[string]string{"model": "m"}},
+		{"graphhd_kernel_info", nil},
+	} {
+		if _, ok := findSample(samples, c.name, c.labels); !ok {
+			t.Errorf("missing metric %s%v", c.name, c.labels)
+		}
+	}
+
+	checkBuildInfo(t, samples)
+
+	checkHistogram(t, samples, "graphhd_request_latency_seconds", slot)
+	checkHistogram(t, samples, "graphhd_batch_size", slot)
+	checkHistogram(t, samples, "graphhd_queue_wait_seconds", slot)
 	for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
-		checkHistogram(t, samples, "graphhd_stage_seconds", map[string]string{"stage": stage})
+		checkHistogram(t, samples, "graphhd_stage_seconds",
+			map[string]string{"model": "m", "replica": "0", "stage": stage})
 	}
 
 	// The batch ran through the engine, so the mandatory stage series
 	// must have counted it; queue wait is observed per task.
 	for _, stage := range []string{"plan", "encode", "classify"} {
-		var n float64
-		for _, s := range byName["graphhd_stage_seconds_count"] {
-			if s.labels["stage"] == stage {
-				n = s.value
-			}
-		}
+		n, _ := findSample(samples, "graphhd_stage_seconds_count",
+			map[string]string{"model": "m", "replica": "0", "stage": stage})
 		if n == 0 {
 			t.Errorf("graphhd_stage_seconds_count{stage=%q} = 0 after traffic", stage)
 		}
@@ -336,13 +372,18 @@ func TestWriteMetricsExposition(t *testing.T) {
 }
 
 // TestWriteRouterMetricsExposition round-trips the multi-model exposition
-// through the same strict parser: two models × two replicas plus a quota
+// through a strict text-exposition parser: two models × two replicas
+// (one with a cascade, so every stage series sees traffic) plus a quota
 // rejection, checking the registry/tenant families, the {model,replica}
-// labeling of every engine counter and histogram, the per-model gauges,
-// and the family-major contiguity the parser enforces.
+// labeling of every engine counter and histogram, the stage-clock
+// counts, the per-model gauges, the build-info labels, and the
+// family-major contiguity the parser enforces.
 func TestWriteRouterMetricsExposition(t *testing.T) {
 	predA, ds := testModel(t, 2048, 1)
 	predB, _ := testModel(t, 1024, 2)
+	if err := predB.SetCascade(core.Cascade{DPrefix: 256, Margin: 8}); err != nil {
+		t.Fatal(err)
+	}
 	reg := NewRegistry(RegistryOptions{
 		Replicas: 2,
 		Engine:   Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
@@ -373,22 +414,7 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 	samples := parsePromText(t, sb.String())
 
 	find := func(name string, labels map[string]string) (float64, bool) {
-		for _, s := range samples {
-			if s.name != name {
-				continue
-			}
-			match := true
-			for k, v := range labels {
-				if s.labels[k] != v {
-					match = false
-					break
-				}
-			}
-			if match {
-				return s.value, true
-			}
-		}
-		return 0, false
+		return findSample(samples, name, labels)
 	}
 
 	if v, ok := find("graphhd_models_resident", nil); !ok || v != 2 {
@@ -421,8 +447,10 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 				t.Fatalf("graphhd_graphs_accepted_total missing for %v", labels)
 			}
 			accepted += v
-			if _, ok := find("graphhd_queue_depth", labels); !ok {
-				t.Errorf("graphhd_queue_depth missing for %v", labels)
+			for _, name := range []string{"graphhd_requests_total", "graphhd_graphs_processed_total", "graphhd_queue_depth"} {
+				if _, ok := find(name, labels); !ok {
+					t.Errorf("%s missing for %v", name, labels)
+				}
 			}
 			checkHistogram(t, samples, "graphhd_request_latency_seconds", labels)
 			checkHistogram(t, samples, "graphhd_queue_wait_seconds", labels)
@@ -438,6 +466,23 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 		if accepted != want {
 			t.Errorf("model %s accepted %v graphs across replicas, want %v", model, accepted, want)
 		}
+
+		// The batches ran through the engines, so each stage series must
+		// have counted them; escalate only runs under beta's cascade.
+		stages := []string{"plan", "encode", "classify"}
+		if model == "beta" {
+			stages = append(stages, "escalate")
+		}
+		for _, stage := range stages {
+			var n float64
+			for _, rep := range []string{"0", "1"} {
+				v, _ := find("graphhd_stage_seconds_count", map[string]string{"model": model, "replica": rep, "stage": stage})
+				n += v
+			}
+			if n == 0 {
+				t.Errorf("graphhd_stage_seconds_count{model=%q,stage=%q} = 0 after traffic", model, stage)
+			}
+		}
 	}
 
 	// Per-model gauges carry the model label only.
@@ -450,6 +495,7 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 	if _, ok := find("graphhd_kernel_info", nil); !ok {
 		t.Error("graphhd_kernel_info missing from router exposition")
 	}
+	checkBuildInfo(t, samples)
 }
 
 // TestWriteRouterMetricsTrainerFamilies round-trips the online-learning
@@ -647,19 +693,4 @@ func TestQuantileMatchesObservations(t *testing.T) {
 	if med < 2 || med > 8 {
 		t.Fatalf("median of ramp = %v, want within (2, 8)", med)
 	}
-}
-
-func ExampleWriteMetrics() {
-	var m Metrics
-	m.Latency = HistogramSnapshot{Bounds: []float64{0.001}, Counts: []uint64{1, 0}, Count: 1, Sum: 0.0005}
-	var sb strings.Builder
-	_ = WriteMetrics(&sb, m, nil)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, "graphhd_request_latency_seconds_bucket") {
-			fmt.Println(line)
-		}
-	}
-	// Output:
-	// graphhd_request_latency_seconds_bucket{le="0.001"} 1
-	// graphhd_request_latency_seconds_bucket{le="+Inf"} 1
 }

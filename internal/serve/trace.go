@@ -50,11 +50,6 @@ type TraceRecord struct {
 	EscalateNanos  int64 `json:"escalate_ns"`
 	TotalNanos     int64 `json:"total_ns"` // worker pickup → results posted
 
-	// PlanPairs/PlanDistinct are the batch's operand-plan dedup stats;
-	// their ratio is the basis-table amortization this batch achieved.
-	PlanPairs    int `json:"plan_pairs"`
-	PlanDistinct int `json:"plan_distinct"`
-
 	// Cascade reports whether two-stage classification was active;
 	// Stage1/Escalated split the batch's graphs by where they were
 	// decided.

@@ -135,9 +135,9 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 // TestEngineTraces drives real traffic through an engine (cascade on, so
 // the escalate stage is live) and checks the flight recorder tells a
-// coherent story: every batch accounted, stage nanos and dedup stats
-// populated, cascade outcomes summing to the batch size, and the stage
-// histograms fed from the same clock.
+// coherent story: every batch accounted, stage nanos populated, cascade
+// outcomes summing to the batch size, and the stage histograms fed from
+// the same clock.
 func TestEngineTraces(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
@@ -176,9 +176,6 @@ func TestEngineTraces(t *testing.T) {
 		}
 		if tr.QueueWaitNanos < 0 || tr.DispatchNanos < 0 {
 			t.Fatalf("record %d: negative wait: %+v", tr.Seq, tr)
-		}
-		if tr.PlanPairs <= 0 || tr.PlanDistinct <= 0 || tr.PlanDistinct > tr.PlanPairs {
-			t.Fatalf("record %d: implausible plan stats: %+v", tr.Seq, tr)
 		}
 		if !tr.Cascade {
 			t.Fatalf("record %d: cascade flag off with cascade model", tr.Seq)
