@@ -1,17 +1,17 @@
 // Command graphhd-serve is the online inference server: it loads packed
 // GraphHD model artifacts (GRAPHHD1, GRAPHHD2 or GRAPHHD3, see cmd/graphhd
 // -save / -save-packed) into a multi-tenant model registry and serves
-// classifications over HTTP through a router that fans requests across
-// per-model engine replicas (internal/serve).
+// classifications over HTTP through a router that admits requests onto
+// one micro-batching engine per model (internal/serve).
 //
 // Usage:
 //
 //	graphhd-serve -model model.ghdp                     # one model, listen on :8080
 //	graphhd-serve -models models/                       # every artifact in a directory
 //	graphhd-serve -models alpha=a.ghdp,beta=b.ghdp -default-model alpha
-//	graphhd-serve -model model.ghdp -replicas 4 -tenant-quota 4096
+//	graphhd-serve -model model.ghdp -tenant-quota 4096
 //	graphhd-serve -models models/ -max-resident-bytes 67108864
-//	graphhd-serve -model model.ghdp -workers 4 -max-batch 32 -max-delay 500us
+//	graphhd-serve -model model.ghdp -workers 4 -max-batch 32
 //	graphhd-serve -model model.ghdp -class-names mutagenic,non-mutagenic
 //	graphhd-serve -model model.ghdp -cascade-prefix 1024 -cascade-margin 12
 //	graphhd-serve -model model.ghdp -debug-addr 127.0.0.1:6060 -log-json
@@ -27,24 +27,24 @@
 //	POST /v1/feedback                      labeled feedback → online trainer
 //	POST /v1/models/{name}/feedback
 //	GET  /v1/model          default model card (config, build identity)
-//	GET  /v1/models         registry table: models, replicas, tenants
+//	GET  /v1/models         registry table: models, engine counters, tenants
 //	GET  /healthz           liveness probe (+ resident-model summary)
-//	GET  /metrics           Prometheus text metrics, {model,replica} labeled
-//	GET  /debug/traces      flight recorder, merged across replicas
-//	POST /admin/reload      rolling-reload every file-backed model
+//	GET  /metrics           Prometheus text metrics, {model} labeled
+//	GET  /debug/traces      flight recorder, merged across models
+//	POST /admin/reload      hot-reload every file-backed model
 //	POST /admin/models      load/evict/reload one model by name
 //
 // Tenancy rides on the X-Tenant request header; -tenant-quota bounds each
 // tenant's in-flight graphs, shedding excess with 429 before it can touch
-// a replica queue.
+// an engine queue.
 //
 // -feedback-model attaches the online learning loop: it loads a trainable
 // full-model artifact (GRAPHHD1, cmd/graphhd -save) beside the packed
 // serving predictor, drains POSTed feedback into it as perceptron-style
 // updates, and — on the -snapshot-every / -snapshot-interval triggers —
 // validates a candidate snapshot on held-out feedback, shadow-mirrors
-// -shadow-fraction of live traffic through it, and promotes via the
-// rolling swap or rolls back (reasons surface at GET /v1/models and in
+// -shadow-fraction of live traffic through it, and promotes via a hot
+// swap or rolls back (reasons surface at GET /v1/models and in
 // cmd/inspect -models). A single path attaches to the default model; use
 // name=path,name=path to attach trainers to named models.
 //
@@ -58,8 +58,8 @@
 // per-request access logs carry the X-Request-Id echoed to clients and
 // appear at -log-level debug.
 //
-// SIGHUP rolling-reloads every file-backed model across its replicas;
-// in-flight requests never fail during a swap. SIGINT/SIGTERM shut down
+// SIGHUP hot-reloads every file-backed model; in-flight requests never
+// fail during a swap. SIGINT/SIGTERM shut down
 // gracefully.
 package main
 
@@ -145,16 +145,14 @@ func main() {
 		model       = flag.String("model", "", "single model artifact served as \"default\" (this or -models is required)")
 		models      = flag.String("models", "", "multi-model spec: a directory of *.ghdp/*.ghd artifacts, or name=path,name=path")
 		defModel    = flag.String("default-model", "", "model the unnamed /v1/predict routes serve (default \"default\", else the first -models entry)")
-		replicas    = flag.Int("replicas", 1, "engine replicas per model")
 		maxResident = flag.Int64("max-resident-bytes", 0, "total packed bytes of resident models; loading past it evicts least-recently-used models (0 = unbounded)")
 		tenantQuota = flag.Int("tenant-quota", 0, "per-tenant in-flight graph quota, shed with 429 before queueing (0 = unlimited)")
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		debugAddr   = flag.String("debug-addr", "", "diagnostics listen address (pprof, expvar, runtime stats); keep it loopback/operator-only — empty disables")
-		workers     = flag.Int("workers", 0, "inference workers per replica (0 = all cores)")
-		maxBatch    = flag.Int("max-batch", 0, "micro-batch flush size (0 = default)")
-		maxDelay    = flag.Duration("max-delay", 0, "micro-batch flush deadline (0 = default)")
-		queueSize   = flag.Int("queue", 0, "admission queue bound in graphs per replica (0 = default)")
-		traceDepth  = flag.Int("trace-depth", 0, "flight-recorder capacity per replica in per-batch trace records, rounded up to a power of two (0 = default 256)")
+		workers     = flag.Int("workers", 0, "inference workers per model (0 = all cores)")
+		maxBatch    = flag.Int("max-batch", 0, "most graphs a worker gathers into one micro-batch (0 = default)")
+		queueSize   = flag.Int("queue", 0, "admission queue bound in graphs per model (0 = default)")
+		traceDepth  = flag.Int("trace-depth", 0, "flight-recorder capacity per model in per-batch trace records, rounded up to a power of two (0 = default 256)")
 		classNames  = flag.String("class-names", "", "comma-separated class names echoed in default-model responses")
 		maxVerts    = flag.Int("max-vertices", 0, "per-request vertex cap (0 = default; bounds server-side basis-vector memory)")
 		maxEdges    = flag.Int("max-edges", 0, "per-request edge cap (0 = default)")
@@ -216,11 +214,9 @@ func main() {
 	}
 
 	registry := serve.NewRegistry(serve.RegistryOptions{
-		Replicas: *replicas,
 		Engine: serve.Options{
 			Workers:    *workers,
 			MaxBatch:   *maxBatch,
-			MaxDelay:   *maxDelay,
 			QueueSize:  *queueSize,
 			TraceDepth: *traceDepth,
 		},
@@ -315,8 +311,8 @@ func main() {
 		}()
 	}
 
-	// SIGHUP rolling-reloads every file-backed model; SIGINT/SIGTERM
-	// drain and exit.
+	// SIGHUP hot-reloads every file-backed model; SIGINT/SIGTERM drain
+	// and exit.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
@@ -356,7 +352,6 @@ func main() {
 	log.Info("registry",
 		"addr", *addr,
 		"models", len(st.Models),
-		"replicas_per_model", st.ReplicasPerModel,
 		"resident_bytes", st.TotalBytes,
 		"max_resident_bytes", *maxResident,
 		"default_model", defaultModel,

@@ -169,7 +169,7 @@ func inspectTraces(base string) {
 
 // inspectModels fetches a running server's registry table
 // (GET /v1/models) and prints one row per model — name, version,
-// dimension, classes, packed bytes, cascade config — with per-replica
+// dimension, classes, packed bytes, cascade config — with its engine's
 // in-flight/accepted/processed counts, plus the tenant admission
 // accounts.
 func inspectModels(base string) {
@@ -195,27 +195,23 @@ func inspectModels(base string) {
 	if reg.MaxBytes > 0 {
 		budget = fmt.Sprintf("%d", reg.MaxBytes)
 	}
-	fmt.Printf("registry at %s: %d models, %d bytes resident (budget %s), %d evicted, %d replicas/model, default %q\n",
-		base, len(reg.Models), reg.TotalBytes, budget, reg.Evictions, reg.ReplicasPerModel, mr.DefaultModel)
+	fmt.Printf("registry at %s: %d models, %d bytes resident (budget %s), %d evicted, default %q\n",
+		base, len(reg.Models), reg.TotalBytes, budget, reg.Evictions, mr.DefaultModel)
 	if len(reg.Models) > 0 {
 		fmt.Printf("%-16s %4s %4s %7s %7s %9s %-14s %s\n",
-			"model", "ver", "rev", "dim", "classes", "bytes", "cascade", "replicas (inflight/accepted/processed)")
+			"model", "ver", "rev", "dim", "classes", "bytes", "cascade", "inflight/accepted/processed")
 		for _, m := range reg.Models {
 			casc := "off"
 			if m.CascadePrefix > 0 {
 				casc = fmt.Sprintf("d=%d m=%d", m.CascadePrefix, m.CascadeMargin)
 			}
-			reps := make([]string, 0, len(m.Replicas))
-			for _, r := range m.Replicas {
-				reps = append(reps, fmt.Sprintf("#%d %d/%d/%d", r.Replica, r.InFlight, r.Accepted, r.Processed))
-			}
 			name := m.Name
 			if m.ShadowActive {
 				name += "*" // a candidate is shadow-mirroring live traffic
 			}
-			fmt.Printf("%-16s %4d %4d %7d %7d %9d %-14s %s\n",
+			fmt.Printf("%-16s %4d %4d %7d %7d %9d %-14s %d/%d/%d\n",
 				name, m.Version, m.Revision, m.Dimension, m.Classes, m.PackedBytes, casc,
-				strings.Join(reps, "  "))
+				m.InFlight, m.Accepted, m.Processed)
 		}
 	}
 	if len(mr.Trainers) > 0 {

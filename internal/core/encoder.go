@@ -59,7 +59,7 @@ func (c Config) validate() error {
 	if c.PageRankIterations <= 0 {
 		return fmt.Errorf("core: non-positive PageRank iterations %d", c.PageRankIterations)
 	}
-	if c.PageRankDamping < 0 || c.PageRankDamping >= 1 {
+	if !(c.PageRankDamping >= 0 && c.PageRankDamping < 1) { // rejects NaN too
 		return fmt.Errorf("core: damping %f outside [0,1)", c.PageRankDamping)
 	}
 	return nil

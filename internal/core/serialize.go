@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/hdc"
@@ -63,6 +64,11 @@ const (
 	flagUseLabels
 )
 
+// maxPageRankIterations bounds the iteration count a record may claim:
+// every predict runs that many PageRank sweeps, so a hostile header
+// could otherwise pin a worker for minutes per graph. The paper uses 10.
+const maxPageRankIterations = 1024
+
 // writeHeader serializes the shared record header.
 func writeHeader(write func(any) error, magic [8]byte, cfg Config, k int) error {
 	var flags uint32
@@ -107,6 +113,9 @@ func readHeaderBody(read func(any) error) (Config, int, error) {
 	if k == 0 || k > 1<<16 {
 		return Config{}, 0, fmt.Errorf("core: implausible class count %d", k)
 	}
+	if prIters > maxPageRankIterations {
+		return Config{}, 0, fmt.Errorf("core: implausible PageRank iteration count %d", prIters)
+	}
 	cfg := Config{
 		Dimension:           int(dim),
 		PageRankIterations:  int(prIters),
@@ -148,17 +157,43 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// SaveFile writes the model to path.
+// SaveFile writes the model to path atomically (see writeFileAtomic).
 func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFileAtomic(path, m); err != nil {
 		return fmt.Errorf("core: save model: %w", err)
 	}
-	if _, err := m.WriteTo(f); err != nil {
-		f.Close()
+	return nil
+}
+
+// writeFileAtomic writes w to path so that a reader of path sees either
+// the previous file or the complete new record, never a torn one: the
+// record goes to a temporary file in path's directory, which is synced,
+// closed, and renamed over path. On any error the temporary file is
+// removed and path is left untouched. The file is created mode 0644.
+func writeFileAtomic(path string, w io.WriterTo) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if _, err = w.WriteTo(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // ReadModel deserializes a model written by WriteTo.
@@ -287,17 +322,13 @@ func (p *Predictor) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// SaveFile writes the packed predictor to path.
+// SaveFile writes the packed predictor to path atomically (see
+// writeFileAtomic).
 func (p *Predictor) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFileAtomic(path, p); err != nil {
 		return fmt.Errorf("core: save predictor: %w", err)
 	}
-	if _, err := p.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // ReadPredictor deserializes a packed query predictor. It accepts all

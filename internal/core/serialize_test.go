@@ -3,8 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"graphhd/internal/centrality"
@@ -206,5 +211,138 @@ func TestReadRejectsOversizedHeaderCheaply(t *testing.T) {
 		if d := after.TotalAlloc - before.TotalAlloc; d > limit {
 			t.Fatalf("%s: allocated %d bytes before failing, want under %d", c.name, d, limit)
 		}
+	}
+}
+
+// TestReadRejectsHostileHeaderFields covers header fields that parse but
+// must not load: a NaN damping factor (which slips past a plain range
+// check) and a PageRank iteration count so large that every predict
+// would pin a worker for minutes. Both readers are checked on a GRAPHHD1
+// and a GRAPHHD2 record, and the iteration cap is checked at its edge.
+func TestReadRejectsHostileHeaderFields(t *testing.T) {
+	gs, ys := twoClassDataset(5, 37)
+	m, err := Train(testConfig(), gs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full, packed bytes.Buffer
+	if _, err := m.WriteTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Snapshot().WriteTo(&packed); err != nil {
+		t.Fatal(err)
+	}
+	// Header offsets: magic 0, dim 8, prIters 12, damping 16.
+	patch := func(rec []byte, off int, v any) []byte {
+		out := bytes.Clone(rec)
+		var b bytes.Buffer
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+		copy(out[off:], b.Bytes())
+		return out
+	}
+	readModel := func(b []byte) error { _, err := ReadModel(bytes.NewReader(b)); return err }
+	readPredictor := func(b []byte) error { _, err := ReadPredictor(bytes.NewReader(b)); return err }
+	for _, c := range []struct {
+		name string
+		read func([]byte) error
+		rec  []byte
+	}{
+		{"ReadModel/GRAPHHD1", readModel, full.Bytes()},
+		{"ReadPredictor/GRAPHHD1", readPredictor, full.Bytes()},
+		{"ReadPredictor/GRAPHHD2", readPredictor, packed.Bytes()},
+	} {
+		if err := c.read(patch(c.rec, 16, math.NaN())); err == nil || !strings.Contains(err.Error(), "damping") {
+			t.Errorf("%s: NaN damping: err = %v, want a damping error", c.name, err)
+		}
+		if err := c.read(patch(c.rec, 12, uint32(math.MaxUint32))); err == nil || !strings.Contains(err.Error(), "iteration") {
+			t.Errorf("%s: 2^32-1 iterations: err = %v, want an iteration-count error", c.name, err)
+		}
+		if err := c.read(patch(c.rec, 12, uint32(maxPageRankIterations+1))); err == nil {
+			t.Errorf("%s: %d iterations loaded", c.name, maxPageRankIterations+1)
+		}
+		if err := c.read(patch(c.rec, 12, uint32(maxPageRankIterations))); err != nil {
+			t.Errorf("%s: %d iterations (the cap) refused: %v", c.name, maxPageRankIterations, err)
+		}
+	}
+}
+
+// failingWriterTo writes the first half of data, then fails — a save
+// interrupted part-way through.
+type failingWriterTo struct{ data []byte }
+
+func (f failingWriterTo) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(f.data[:len(f.data)/2])
+	if err == nil {
+		err = errors.New("injected write failure")
+	}
+	return int64(n), err
+}
+
+// TestSaveFileIsAtomic checks that a save which fails part-way leaves the
+// previous artifact byte-identical and no temporary file behind, and that
+// a successful save replaces the artifact the same way.
+func TestSaveFileIsAtomic(t *testing.T) {
+	gs, ys := twoClassDataset(5, 38)
+	m, err := Train(testConfig(), gs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.ghdp")
+	if err := m.Snapshot().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onlyArtifact := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "m.ghdp" {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Fatalf("%s: directory holds %v, want only m.ghdp", when, names)
+		}
+	}
+
+	if err := writeFileAtomic(path, failingWriterTo{old}); err == nil {
+		t.Fatal("failing save reported success")
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now, old) {
+		t.Fatal("failed save changed the previous artifact")
+	}
+	onlyArtifact("after a failed save")
+
+	// A successful save replaces the record (here with a GRAPHHD1 model).
+	if err := m.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	onlyArtifact("after a successful save")
+	if _, err := LoadModelFile(path); err != nil {
+		t.Fatalf("replaced artifact does not load: %v", err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("artifact mode %v, want 0644", fi.Mode().Perm())
+	}
+
+	// A save into a missing directory fails cleanly.
+	if err := m.SaveFile(filepath.Join(dir, "missing", "m.ghd")); err == nil {
+		t.Fatal("save into a missing directory succeeded")
 	}
 }

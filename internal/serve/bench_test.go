@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"graphhd/internal/core"
 	"graphhd/internal/dataset"
@@ -24,7 +23,7 @@ func BenchmarkServePredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 16, MaxDelay: 50 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,8 +43,8 @@ func BenchmarkServePredict(b *testing.B) {
 }
 
 // BenchmarkServePredictParallel is the throughput shape: many client
-// goroutines keep the queue busy, so the dispatcher forms real batches
-// and all workers stay hot.
+// goroutines keep the queue busy, so workers pull real batches and all
+// stay hot.
 func BenchmarkServePredictParallel(b *testing.B) {
 	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
 	cfg := core.DefaultConfig()
@@ -54,7 +53,7 @@ func BenchmarkServePredictParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond})
+	e, err := NewEngine(pred, Options{MaxBatch: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond})
+	e, err := NewEngine(pred, Options{MaxBatch: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,8 +121,8 @@ func reportStageMedians(b *testing.B, m Metrics, cascading bool) {
 }
 
 // BenchmarkRouterPredictBatch is BenchmarkServePredictBatch through the
-// full registry→router path (model lookup, tenant admission, replica
-// placement) with one model and one replica — the same 32-graph workload,
+// full registry→router path (model lookup, tenant admission) with one
+// model — the same 32-graph workload,
 // so the delta between the two benchmarks in one run is the router's
 // added overhead. The acceptance bound is ≤10% over the direct engine
 // path.
@@ -135,7 +134,7 @@ func BenchmarkRouterPredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond}})
+	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64}})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		b.Fatal(err)
@@ -173,7 +172,7 @@ func BenchmarkRouterPredictBatchShadow(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond}})
+	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64}})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		b.Fatal(err)
@@ -188,7 +187,7 @@ func BenchmarkRouterPredictBatchShadow(b *testing.B) {
 	tr := &Trainer{reg: reg, name: "default", model: m, opts: TrainerOptions{}.withDefaults(),
 		buf: make(chan feedbackSample, 1), stop: make(chan struct{})}
 	tr.shadowLatency.init(powerBounds(16e-6, 16))
-	cand, err := NewEngine(m.Snapshot(), Options{Workers: 1, MaxBatch: 64, MaxDelay: 200 * time.Microsecond, ModelName: "default#shadow"})
+	cand, err := NewEngine(m.Snapshot(), Options{Workers: 1, MaxBatch: 64, ModelName: "default#shadow"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +257,7 @@ func BenchmarkServePredictCascade(b *testing.B) {
 	if err := pred.SetCascade(core.Cascade{DPrefix: 1024, Margin: 12}); err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(pred, Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond})
+	e, err := NewEngine(pred, Options{MaxBatch: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // and, when the build had VCS stamping (module builds from a git
 // checkout), the revision it was built from. Surfaced as the
 // graphhd_build_info gauge on /metrics and in GET /v1/model, so a fleet
-// operator can tell exactly which build every replica runs.
+// operator can tell exactly which build every server runs.
 type BuildInfo struct {
 	GoVersion   string `json:"go_version"`
 	VCSRevision string `json:"vcs_revision,omitempty"`

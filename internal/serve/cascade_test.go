@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"graphhd/internal/core"
 )
@@ -29,7 +28,7 @@ func TestEngineCascadeMatchesOffline(t *testing.T) {
 		want[i], _ = pred.PredictCascadeWith(s, g)
 	}
 
-	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +103,8 @@ func TestHTTPCascadeSurfaces(t *testing.T) {
 	body := string(raw)
 	m := e.Metrics()
 	for _, line := range []string{
-		fmt.Sprintf(`graphhd_cascade_stage1_total{model="default",replica="0"} %d`, m.CascadeStage1),
-		fmt.Sprintf(`graphhd_cascade_escalated_total{model="default",replica="0"} %d`, m.CascadeEscalated),
+		fmt.Sprintf(`graphhd_cascade_stage1_total{model="default"} %d`, m.CascadeStage1),
+		fmt.Sprintf(`graphhd_cascade_escalated_total{model="default"} %d`, m.CascadeEscalated),
 		`graphhd_model_dimension{model="default"} 2048`,
 	} {
 		if !strings.Contains(body, line) {
@@ -186,11 +185,11 @@ func TestRegistryPrepareModel(t *testing.T) {
 }
 
 // serveRegistryPredictor returns the predictor currently serving the
-// named model's first replica.
+// named model's engine.
 func serveRegistryPredictor(reg *Registry, name string) (*core.Predictor, error) {
 	m, ok := reg.model(name)
 	if !ok {
 		return nil, fmt.Errorf("model %q not resident", name)
 	}
-	return m.replicas[0].eng.Predictor(), nil
+	return m.eng.Predictor(), nil
 }

@@ -1,33 +1,33 @@
 // Package serve is the online-inference subsystem. It is layered:
 //
-//	Registry (named models, LRU by packed bytes, rolling hot-swap)
-//	  └─ Router (per-tenant quotas, least-in-flight replica placement)
-//	       └─ N replica Engines per model (micro-batching, admission)
+//	Registry (named models, LRU by packed bytes, atomic hot swap)
+//	  └─ Router (model lookup, per-tenant quotas, shadow mirror)
+//	       └─ one Engine per model (micro-batching, admission)
 //
 // The transport-agnostic Engine turns an immutable core.Predictor into a
 // long-running, hot-swappable service. The Engine owns the three serving
 // concerns the batch pipeline has no notion of:
 //
-//   - Micro-batching. Requests land in a bounded queue; a dispatcher
-//     groups them into batches, flushing on MaxBatch, on MaxDelay, or
-//     immediately when the queue drains while a worker is free — so a
-//     fixed pool of workers stays hot under load while a lone request
-//     pays no batching delay at all.
+//   - Micro-batching. Requests land in a bounded queue that a fixed pool
+//     of workers pulls from directly: each worker blocks for one task,
+//     then takes whatever else is already queued, up to MaxBatch graphs.
+//     A lone request is picked up at once and pays no batching delay; a
+//     partial batch grows exactly while every worker is busy.
 //   - Hot model swap. The predictor sits behind an atomic pointer; Swap
 //     installs a new one with zero downtime and zero failed in-flight
-//     requests. Workers notice the swap between dispatched batches and
-//     re-bind their encoder scratch, so every response — and every
-//     batch, which one worker encodes in one call — is computed
-//     coherently under exactly one model.
+//     requests. Workers notice the swap between batches and re-bind
+//     their encoder scratch, so every response — and every batch, which
+//     one worker encodes in one call — is computed coherently under
+//     exactly one model.
 //   - Admission control. The queue is bounded; when it is full, Predict
 //     and PredictBatch fail fast with ErrOverloaded instead of letting
 //     latency collapse (the HTTP front end maps this to 429).
 //
-// The hot path is allocation-free in steady state: request and batch
-// carriers are pooled, each worker owns one core.EncoderScratch for the
-// lifetime of the current model, and results travel through pre-sized
-// buffers. The only per-request allocations a front end pays are its own
-// (e.g. JSON decode). cmd/graphhd-serve is the HTTP front end.
+// The hot path is allocation-free in steady state: request carriers are
+// pooled, each worker owns one batch carrier and one core.EncoderScratch
+// for the lifetime of the current model, and results travel through
+// pre-sized buffers. The only per-request allocations a front end pays
+// are its own (e.g. JSON decode). cmd/graphhd-serve is the HTTP front end.
 package serve
 
 import (
@@ -60,22 +60,17 @@ type Options struct {
 	// EncoderScratch for the lifetime of the current model. Non-positive
 	// means GOMAXPROCS.
 	Workers int
-	// MaxBatch is the micro-batch flush size. Default 64.
+	// MaxBatch bounds how many graphs a worker gathers into one batch.
+	// Default 64.
 	MaxBatch int
-	// MaxDelay bounds how long the dispatcher lets a partial batch grow
-	// when every worker is busy (with a worker free, partial batches flush
-	// immediately). Default 200µs.
-	MaxDelay time.Duration
 	// QueueSize bounds the admission queue (in graphs, across single and
 	// batch requests). Requests beyond it fail with ErrOverloaded.
 	// Default 4096.
 	QueueSize int
-	// ModelName and Replica identify this engine's slot in a multi-model
-	// deployment: the Registry stamps them so metrics and trace records
-	// name the model and replica that served each batch. A standalone
-	// engine defaults to model "default", replica 0.
+	// ModelName names this engine's model in a multi-model deployment:
+	// the Registry stamps it so trace records name the model that served
+	// each batch. A standalone engine defaults to "default".
 	ModelName string
-	Replica   int
 	// TraceDepth is the flight-recorder capacity in per-batch trace
 	// records, rounded up to a power of two. Non-positive selects
 	// DefaultTraceDepth. Memory is fixed at roughly 160 bytes per record.
@@ -89,9 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
 	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 200 * time.Microsecond
-	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 4096
 	}
@@ -104,7 +96,7 @@ func (o Options) withDefaults() Options {
 // task is one unit of queued work: a single graph (g) or a whole
 // contiguous segment of a batch call (graphs, with out aligned index for
 // index). Batch calls enqueue one task per MaxBatch-sized segment instead
-// of one per graph, so admission and dispatch touch the queue O(n/MaxBatch)
+// of one per graph, so admission and pickup touch the queue O(n/MaxBatch)
 // times per call. Tasks are pooled; a worker recycles the task as soon as
 // its results are written, then signals the owning call.
 type task struct {
@@ -138,18 +130,17 @@ var (
 	callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 )
 
-// batch is the dispatcher→worker unit of work. size counts graphs across
-// all tasks (batch-segment tasks carry several). open and qmax feed the
-// stage clock: when the dispatcher opened the batch, and the longest
-// queue wait among its tasks. Pooled.
+// batch is the tasks one worker gathered for one encode call; each
+// worker owns one and reuses it. size counts graphs across all tasks
+// (batch-segment tasks carry several). open and qmax feed the stage
+// clock: when the worker picked up the batch's first task, and the
+// longest queue wait among its tasks.
 type batch struct {
 	tasks []*task
 	size  int
 	open  int64
 	qmax  int64
 }
-
-var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // Engine serves predictions from a hot-swappable packed predictor. Create
 // one with NewEngine; it is safe for concurrent use by any number of
@@ -158,9 +149,8 @@ type Engine struct {
 	opts Options
 	pred atomic.Pointer[core.Predictor]
 
-	queue   chan *task
-	batches chan *batch
-	depth   atomic.Int64 // graphs admitted but not yet picked up by the dispatcher
+	queue chan *task
+	depth atomic.Int64 // graphs admitted but not yet picked up by a worker
 
 	mu     sync.RWMutex // guards queue sends against Close
 	closed bool
@@ -199,14 +189,8 @@ func newEngine(pred *core.Predictor, opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:  opts,
 		queue: make(chan *task, opts.QueueSize),
-		// batches is deliberately unbuffered: a non-blocking send succeeds
-		// exactly when a worker is parked on the receive, which is what
-		// lets the dispatcher flush partial batches the moment a worker is
-		// genuinely free (buffering would dispatch singleton batches into
-		// the buffer while every worker is busy, defeating MaxDelay).
-		batches: make(chan *batch),
-		epoch:   time.Now(),
-		rec:     newFlightRecorder(opts.TraceDepth),
+		epoch: time.Now(),
+		rec:   newFlightRecorder(opts.TraceDepth),
 	}
 	e.pred.Store(pred)
 	e.m.init(opts.MaxBatch)
@@ -214,8 +198,7 @@ func newEngine(pred *core.Predictor, opts Options) (*Engine, error) {
 }
 
 func (e *Engine) start() {
-	e.wg.Add(1 + e.opts.Workers)
-	go e.dispatch()
+	e.wg.Add(e.opts.Workers)
 	for i := 0; i < e.opts.Workers; i++ {
 		go e.worker()
 	}
@@ -229,7 +212,7 @@ func (e *Engine) Options() Options { return e.opts }
 
 // Swap atomically installs a new predictor. In-flight requests finish
 // under whichever model their worker loads; none fail. Workers re-bind
-// their encoder scratch on the next batch they dispatch, so a swap to a
+// their encoder scratch on the next batch they gather, so a swap to a
 // model with a different dimension or configuration is safe.
 func (e *Engine) Swap(pred *core.Predictor) error {
 	if pred == nil {
@@ -244,7 +227,7 @@ func (e *Engine) Swap(pred *core.Predictor) error {
 // returns its class under the model current at processing time. It fails
 // fast with ErrOverloaded when the queue is full; once admitted, the
 // request always completes (ctx governs admission, not processing, which
-// is bounded by MaxDelay plus one batch of work).
+// is bounded by the work queued ahead of it).
 func (e *Engine) Predict(ctx context.Context, g *graph.Graph) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -367,14 +350,9 @@ func (e *Engine) admit(n int64) bool {
 	}
 }
 
-// dispatch is the micro-batcher: it pulls tasks off the queue and groups
-// them into batches, flushing when a batch reaches MaxBatch, when the
-// queue drains while a worker slot is free (a lone request pays no
-// batching delay), or — with every worker busy — when MaxDelay has
-// elapsed, the saturation regime where letting the batch grow is free.
-// pickup moves a task from the queue into a forming batch, observing its
-// queue wait (queue-enter to this instant) on the stage clock and
-// tracking the batch's worst wait for the flight recorder.
+// pickup moves a task from the queue into the worker's forming batch,
+// observing its queue wait (queue-enter to this instant) on the stage
+// clock and tracking the batch's worst wait for the flight recorder.
 func (e *Engine) pickup(b *batch, t *task) {
 	e.depth.Add(-int64(t.size()))
 	w := e.nanos() - t.enq
@@ -386,83 +364,44 @@ func (e *Engine) pickup(b *batch, t *task) {
 	b.size += t.size()
 }
 
-func (e *Engine) dispatch() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	timer := time.NewTimer(e.opts.MaxDelay)
-	timer.Stop() // Go 1.23+ timers: Stop/Reset need no channel draining
-	for {
-		t, ok := <-e.queue
-		if !ok {
-			return
-		}
-		b := batchPool.Get().(*batch)
-		b.tasks = b.tasks[:0]
-		b.size, b.qmax = 0, 0
-		b.open = e.nanos()
-		e.pickup(b, t)
-		if !e.fill(b, timer) {
-			return
-		}
+// next refills b with a worker's next batch: it blocks for one task, then
+// greedily takes whatever is already queued until the batch holds
+// MaxBatch graphs (a batch-segment task carries up to MaxBatch of them,
+// so a batch can reach 2·MaxBatch−1). With every worker busy the queue
+// backs up and the next batch is larger; with a worker idle a lone
+// request starts at once. next reports false once the queue is closed
+// and drained.
+func (e *Engine) next(b *batch) bool {
+	t, ok := <-e.queue
+	if !ok {
+		return false
 	}
-}
-
-// fill grows b until a flush condition holds, then hands it to a worker.
-// It reports false when the queue has been closed (b is still flushed).
-func (e *Engine) fill(b *batch, timer *time.Timer) bool {
-	for {
-		// Greedily take whatever is already queued, counting graphs (a
-		// batch-segment task carries up to MaxBatch of them).
-		for b.size < e.opts.MaxBatch {
-			select {
-			case t, ok := <-e.queue:
-				if !ok {
-					e.batches <- b
-					return false
-				}
-				e.pickup(b, t)
-				continue
-			default:
-			}
-			break
-		}
-		if b.size >= e.opts.MaxBatch {
-			e.batches <- b
-			return true
-		}
-		// Queue drained below MaxBatch: flush now if a worker can take the
-		// batch — waiting would add latency with nothing left to batch.
-		select {
-		case e.batches <- b:
-			return true
-		default:
-		}
-		// Every worker is busy: let the batch grow for up to MaxDelay.
-		timer.Reset(e.opts.MaxDelay)
+	b.tasks, b.size, b.qmax = b.tasks[:0], 0, 0
+	b.open = e.nanos()
+	e.pickup(b, t)
+	for b.size < e.opts.MaxBatch {
 		select {
 		case t, ok := <-e.queue:
-			timer.Stop()
 			if !ok {
-				e.batches <- b
-				return false
+				return true
 			}
 			e.pickup(b, t)
-		case <-timer.C:
-			e.batches <- b
+		default:
 			return true
 		}
 	}
+	return true
 }
 
-// worker is one inference goroutine. It owns a single
-// core.EncoderScratch, re-vended only when a hot swap installs a model
-// with a different encoder, and encodes every dispatched batch — singles
-// and batch-call segments alike — in one batch call
-// (Predictor.PredictBatchTraced). The predictor is loaded once per
-// dispatched batch, so all of a batch's responses are computed
-// coherently under exactly one model; a concurrent Swap takes effect at
-// the next batch boundary. Steady state allocates nothing: the scratch's
-// grouping and output buffers plus the worker's gather/result buffers
+// worker is one inference goroutine. It pulls its own batches off the
+// queue (see next) and owns a single core.EncoderScratch, re-vended only
+// when a hot swap installs a model with a different encoder. It encodes
+// every batch — singles and batch-call segments alike — in one batch
+// call (Predictor.PredictBatchTraced). The predictor is loaded once per
+// batch, so all of a batch's responses are computed coherently under
+// exactly one model; a concurrent Swap takes effect at the next batch
+// boundary. Steady state allocates nothing: the scratch's grouping and
+// output buffers plus the worker's batch, gather and result buffers
 // amortize across the worker's lifetime.
 func (e *Engine) worker() {
 	defer e.wg.Done()
@@ -471,7 +410,8 @@ func (e *Engine) worker() {
 	var gbuf []*graph.Graph
 	var rbuf []int
 	var rec TraceRecord // reused carrier; the recorder copies it out
-	for b := range e.batches {
+	var b batch
+	for e.next(&b) {
 		start := e.nanos()
 		e.m.observeBatch(b.size)
 		p := e.pred.Load()
@@ -506,7 +446,6 @@ func (e *Engine) worker() {
 		rec = TraceRecord{
 			Time:           e.epoch.Add(time.Duration(start)),
 			Model:          e.opts.ModelName,
-			Replica:        e.opts.Replica,
 			BatchSize:      b.size,
 			Tasks:          len(b.tasks),
 			QueueWaitNanos: b.qmax,
@@ -543,15 +482,12 @@ func (e *Engine) worker() {
 		}
 		clear(gbuf)
 		clear(b.tasks)
-		b.tasks = b.tasks[:0]
-		b.size = 0
-		batchPool.Put(b)
 	}
 }
 
 // Close drains the queue, completes every admitted request, and stops the
-// dispatcher and workers. Requests arriving after Close fail with
-// ErrClosed. Close is idempotent.
+// workers. Requests arriving after Close fail with ErrClosed. Close is
+// idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

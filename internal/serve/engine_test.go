@@ -34,7 +34,7 @@ func TestEnginePredictMatchesOffline(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	want := pred.PredictAll(ds.Graphs)
 
-	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 	wantA := predA.PredictAll(ds.Graphs)
 	wantB := predB.PredictAll(ds.Graphs)
 
-	e, err := NewEngine(predA, Options{Workers: 4, MaxBatch: 4, MaxDelay: 50 * time.Microsecond})
+	e, err := NewEngine(predA, Options{Workers: 4, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestEngineArgumentErrors(t *testing.T) {
 // the snapshot arithmetic and the Prometheus rendering.
 func TestEngineMetrics(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestServePredictAllocationFree(t *testing.T) {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
 	pred, ds := testModel(t, 2048, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

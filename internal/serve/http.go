@@ -28,17 +28,17 @@ import (
 //	POST /v1/feedback                      {"graph": {...}, "label": c}  → online trainer
 //	POST /v1/models/{model}/feedback       same, for a named model; also accepts {"samples": [...]}
 //	GET  /v1/model          default model card (dimension, classes, config, build)
-//	GET  /v1/models         registry table: every resident model and replica
+//	GET  /v1/models         registry table: every resident model
 //	GET  /healthz           liveness probe (+ resident-model summary)
-//	GET  /metrics           Prometheus text exposition, {model,replica} labeled
-//	GET  /debug/traces      flight recorder, merged across replicas
-//	POST /admin/reload      rolling-reload every file-backed model
+//	GET  /metrics           Prometheus text exposition, {model} labeled
+//	GET  /debug/traces      flight recorder, merged across models
+//	POST /admin/reload      hot-reload every file-backed model
 //	POST /admin/models      {"action": "load"|"evict"|"reload", "name": ..., "path": ...}
 //
 // The unnamed predict routes delegate to the router's default model, so a
 // single-model deployment keeps its PR 3 wire protocol unchanged. Tenancy
 // rides on the X-Tenant request header (absent → "default"); a tenant past
-// its in-flight quota gets 429 without its request touching any replica
+// its in-flight quota gets 429 without its request touching any engine
 // queue. Admission-control rejections map to 429, unknown models to 404,
 // malformed or config-incompatible graphs to 400.
 //
@@ -112,12 +112,11 @@ type FeedbackResponse struct {
 }
 
 // ModelInfo is the body of GET /v1/model: the model card of the default
-// model's current predictor, plus the SIMD kernel tier the replica is
+// model's current predictor, plus the SIMD kernel tier the process is
 // actually running and a summary of the registry it lives in.
 type ModelInfo struct {
 	Model              string `json:"model"`
 	Version            uint64 `json:"version"`
-	Replicas           int    `json:"replicas"`
 	Dimension          int    `json:"dimension"`
 	Classes            int    `json:"classes"`
 	MemoryBytes        int    `json:"memory_bytes"`
@@ -125,7 +124,7 @@ type ModelInfo struct {
 	PageRankIterations int    `json:"page_rank_iterations"`
 	Seed               uint64 `json:"seed"`
 	UseVertexLabels    bool   `json:"use_vertex_labels"`
-	// Reloads counts rolling swaps since the model was loaded.
+	// Reloads counts swaps since the model was loaded.
 	Reloads     uint64 `json:"reloads"`
 	KernelTier  string `json:"kernel_tier"`
 	CPUFeatures string `json:"cpu_features,omitempty"`
@@ -214,7 +213,7 @@ func NewHandler(rt *Router, opts HandlerOptions) http.Handler {
 }
 
 // reqBase randomizes the id space per process so ids from different
-// replicas don't collide in aggregated logs; the counter makes each id
+// processes don't collide in aggregated logs; the counter makes each id
 // unique and roughly ordered within a process.
 var (
 	reqBase = rand.Uint64()
@@ -248,7 +247,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 // requestLog assigns every request an id (echoed as X-Request-Id) and,
 // with a logger configured, emits one structured access-log line per
-// request: Debug for the happy path so a saturated replica isn't
+// request: Debug for the happy path so a saturated server isn't
 // throttled by its own logging, Warn for server-side failures and shed
 // load (429).
 func requestLog(log *slog.Logger, next http.Handler) http.Handler {
@@ -291,7 +290,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // writeEngineError maps router/engine admission errors onto HTTP status
-// codes. Both shed-load conditions — a full replica queue and an
+// codes. Both shed-load conditions — a full engine queue and an
 // exhausted tenant quota — map to 429; the distinction is visible in the
 // body and in which counter moved.
 func writeEngineError(w http.ResponseWriter, err error) {
@@ -485,7 +484,6 @@ func (h *handler) model(w http.ResponseWriter, r *http.Request) {
 	info := ModelInfo{
 		Model:              m.name,
 		Version:            m.version.Load(),
-		Replicas:           len(m.replicas),
 		Dimension:          cfg.Dimension,
 		Classes:            p.NumClasses(),
 		MemoryBytes:        p.MemoryBytes(),
@@ -521,8 +519,8 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	// First line stays exactly "ok" for probes that match on it; the
-	// kernel lines surface the dispatch decision per replica, the model
-	// lines the registry's residency.
+	// kernel lines surface the SIMD dispatch decision, the model lines
+	// the registry's residency.
 	ks := hdc.Kernels()
 	reg := h.rt.Registry()
 	fmt.Fprintln(w, "ok")
@@ -540,7 +538,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // TracesResponse is the body of GET /debug/traces: the per-batch trace
-// records retained across every replica's flight recorder, newest first.
+// records retained across every model's flight recorder, newest first.
 type TracesResponse struct {
 	Depth  int           `json:"depth"` // summed ring capacity in records
 	Traces []TraceRecord `json:"traces"`
@@ -623,7 +621,7 @@ func (h *handler) adminModels(w http.ResponseWriter, r *http.Request) {
 }
 
 // RuntimeStats is the body of GET /debug/runtime on the debug listener:
-// a point-in-time Go runtime health summary for a replica.
+// a point-in-time Go runtime health summary for the serving process.
 type RuntimeStats struct {
 	Goroutines     int       `json:"goroutines"`
 	HeapAllocBytes uint64    `json:"heap_alloc_bytes"`

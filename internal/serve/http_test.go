@@ -19,9 +19,9 @@ import (
 	"graphhd/internal/graph"
 )
 
-// testEngineOptions is the per-replica engine shape every HTTP test runs.
+// testEngineOptions is the per-model engine shape every HTTP test runs.
 func testEngineOptions() Options {
-	return Options{Workers: 2, MaxBatch: 8, MaxDelay: 100 * time.Microsecond}
+	return Options{Workers: 2, MaxBatch: 8}
 }
 
 // startTestStack stands up registry → router → HTTP over pred installed
@@ -41,21 +41,21 @@ func startTestStack(t *testing.T, pred *core.Predictor, ropts RouterOptions, opt
 }
 
 // startTestServer is the single-model shorthand, returning the default
-// model's only replica engine for white-box assertions.
+// model's engine for white-box assertions.
 func startTestServer(t *testing.T, pred *core.Predictor, opts HandlerOptions) (*httptest.Server, *Engine) {
 	t.Helper()
 	srv, rt := startTestStack(t, pred, RouterOptions{}, opts)
-	return srv, replicaEngine(t, rt, "default", 0)
+	return srv, modelEngine(t, rt, "default")
 }
 
-// replicaEngine digs one replica's engine out of the registry.
-func replicaEngine(t *testing.T, rt *Router, model string, rep int) *Engine {
+// modelEngine digs a model's engine out of the registry.
+func modelEngine(t *testing.T, rt *Router, model string) *Engine {
 	t.Helper()
 	m, ok := rt.reg.model(model)
 	if !ok {
 		t.Fatalf("model %q not resident", model)
 	}
-	return m.replicas[rep].eng
+	return m.eng
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -266,7 +266,7 @@ func TestHTTPModelRoutes(t *testing.T) {
 // TestHTTPAdminLoadTooLarge maps ErrModelTooLarge to 507.
 func TestHTTPAdminLoadTooLarge(t *testing.T) {
 	small, _ := testModel(t, 1024, 1) // 256 bytes, fits
-	big, _ := testModel(t, 4096, 2)  // 1024 bytes, over budget
+	big, _ := testModel(t, 4096, 2)   // 1024 bytes, over budget
 	path := filepath.Join(t.TempDir(), "big.ghdp")
 	if err := big.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestHTTPAdminLoadTooLarge(t *testing.T) {
 func TestHTTPQuota429(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
 	srv, rt := startTestStack(t, pred, RouterOptions{TenantQuota: 4}, HandlerOptions{})
-	e := replicaEngine(t, rt, "default", 0)
+	e := modelEngine(t, rt, "default")
 
 	wire := make([]*graph.GraphJSON, 5)
 	for i := range wire {
@@ -365,7 +365,7 @@ func TestHTTPModelAndHealth(t *testing.T) {
 	if info.Centrality != "pagerank" {
 		t.Fatalf("model card centrality %q", info.Centrality)
 	}
-	if info.Model != "default" || info.Version != 1 || info.Replicas != 1 {
+	if info.Model != "default" || info.Version != 1 {
 		t.Fatalf("model card registry fields: %+v", info)
 	}
 	if info.ModelsResident != 1 || info.RegistryBytes != int64(pred.MemoryBytes()) {
@@ -391,8 +391,8 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	for _, want := range []string{
-		`graphhd_requests_total{model="default",replica="0"} 1`,
-		`graphhd_request_latency_seconds_count{model="default",replica="0"} 1`,
+		`graphhd_requests_total{model="default"} 1`,
+		`graphhd_request_latency_seconds_count{model="default"} 1`,
 		`graphhd_model_classes{model="default"}`,
 		`graphhd_models_resident 1`,
 		`graphhd_quota_rejected_total{tenant="default"} 0`,
@@ -466,7 +466,7 @@ func TestHTTPHotReload(t *testing.T) {
 	rt := NewRouter(reg, RouterOptions{})
 	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
 	t.Cleanup(func() { srv.Close(); reg.Close() })
-	e := replicaEngine(t, rt, "default", 0)
+	e := modelEngine(t, rt, "default")
 
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -586,7 +586,7 @@ func TestHTTPReloadErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPOverloadMaps429 drives requests at a replica whose queue is
+// TestHTTPOverloadMaps429 drives requests at an engine whose queue is
 // pre-filled (unstarted worker pool) and checks the HTTP mapping.
 func TestHTTPOverloadMaps429(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
@@ -594,7 +594,7 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := registryWithEngines(t, "default", pred, e)
+	reg := registryWithEngine(t, "default", pred, e)
 	rt := NewRouter(reg, RouterOptions{})
 	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
 	defer srv.Close()
@@ -619,24 +619,21 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	<-done
 	e.Close()
 
-	// A closed replica maps to 503 Service Unavailable.
+	// A closed engine maps to 503 Service Unavailable.
 	resp, body = postJSON(t, srv.URL+"/v1/predict", PredictRequest{Graph: graph.ToJSON(ds.Graphs[1])})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("closed engine: status %d, want 503 (%s)", resp.StatusCode, body)
 	}
 }
 
-// registryWithEngines hand-installs pre-built (possibly unstarted)
-// engines as one model — the white-box seam for admission tests.
-func registryWithEngines(t *testing.T, name string, pred *core.Predictor, engines ...*Engine) *Registry {
+// registryWithEngine hand-installs a pre-built (possibly unstarted)
+// engine as one model — the white-box seam for admission tests.
+func registryWithEngine(t *testing.T, name string, pred *core.Predictor, e *Engine) *Registry {
 	t.Helper()
-	reg := NewRegistry(RegistryOptions{Replicas: len(engines)})
-	m := &regModel{name: name, bytes: int64(pred.MemoryBytes()), replicas: make([]*replica, len(engines))}
+	reg := NewRegistry(RegistryOptions{})
+	m := &regModel{name: name, bytes: int64(pred.MemoryBytes()), eng: e}
 	m.pred.Store(pred)
 	m.version.Store(1)
-	for i, e := range engines {
-		m.replicas[i] = &replica{id: i, eng: e}
-	}
 	reg.mu.Lock()
 	reg.publish(func(tbl map[string]*regModel) { tbl[name] = m })
 	reg.bytes.Add(m.bytes)

@@ -32,11 +32,11 @@ type metrics struct {
 	cascadeEscalated atomic.Uint64
 
 	latency   histogram // per-call latency, seconds
-	batchSize histogram // dispatched micro-batch sizes
+	batchSize histogram // micro-batch sizes
 
-	// Stage clock: where a dispatched batch's microseconds go. queueWait
-	// is observed per task at dispatcher pickup; the stage histograms are
-	// observed per batch from the worker's core.BatchTrace readout.
+	// Stage clock: where a batch's microseconds go. queueWait is observed
+	// per task at worker pickup; the stage histograms are observed per
+	// batch from the worker's core.BatchTrace readout.
 	queueWait     histogram
 	stagePlan     histogram
 	stageEncode   histogram
@@ -239,13 +239,14 @@ type Metrics struct {
 	// CascadeStage1/(CascadeStage1+CascadeEscalated) is the stage-1 hit
 	// rate. Both stay zero while no cascade is configured.
 	CascadeStage1, CascadeEscalated uint64
-	// QueueDepth is the number of graphs admitted but not yet dispatched.
+	// QueueDepth is the number of graphs admitted but not yet picked up
+	// by a worker.
 	QueueDepth int
 	// Latency is the per-call latency distribution in seconds; BatchSize
-	// is the dispatched micro-batch size distribution.
+	// is the micro-batch size distribution.
 	Latency, BatchSize HistogramSnapshot
 	// QueueWait is the per-task admission-queue wait (queue-enter to
-	// dispatcher pickup), seconds.
+	// worker pickup), seconds.
 	QueueWait HistogramSnapshot
 	// StagePlan/StageEncode/StageClassify/StageEscalate are the per-batch
 	// stage-clock distributions in seconds: ranking + rank-pair grouping,
@@ -311,8 +312,8 @@ func writeProcessGauges(p func(string, ...any)) {
 
 // WriteRouterMetrics renders the multi-model deployment in Prometheus
 // text exposition format: registry residency and tenant-quota families,
-// every engine counter and histogram labeled {model,replica}, per-model
-// gauges labeled {model}, and the unlabeled process families. Families
+// every engine counter, gauge and histogram and every per-model gauge
+// labeled {model}, and the unlabeled process families. Families
 // are emitted family-major (all series of a family contiguous under one
 // HELP/TYPE header), which is what the text exposition contract — and
 // the strict parser in the tests — requires.
@@ -325,8 +326,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	}
 
 	// Snapshot everything first so each family can be written
-	// contiguously: one Metrics snapshot per replica, in (model name,
-	// replica id) order.
+	// contiguously: one engine Metrics snapshot per model, in name order.
 	type slot struct {
 		labels string
 		m      Metrics
@@ -337,14 +337,9 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var slots []slot
-	for _, name := range names {
-		for _, rep := range table[name].replicas {
-			slots = append(slots, slot{
-				labels: fmt.Sprintf("model=%q,replica=\"%d\"", name, rep.id),
-				m:      rep.eng.Metrics(),
-			})
-		}
+	slots := make([]slot, len(names))
+	for i, name := range names {
+		slots[i] = slot{labels: fmt.Sprintf("model=%q", name), m: table[name].eng.Metrics()}
 	}
 	tenants := rt.Tenants()
 
@@ -363,7 +358,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		p("graphhd_tenant_inflight_graphs{tenant=%q} %d\n", t.Tenant, t.InFlight)
 	}
 
-	// Engine counters, one series per (model, replica).
+	// Engine counters, one series per model.
 	counter := func(name, help string, get func(*Metrics) uint64) {
 		p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		for i := range slots {
@@ -378,12 +373,12 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", func(m *Metrics) uint64 { return m.CascadeStage1 })
 	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", func(m *Metrics) uint64 { return m.CascadeEscalated })
 
-	// Engine gauges, one series per (model, replica).
+	// Engine gauges, one series per model.
 	p("# HELP graphhd_inflight_graphs Graphs admitted but not yet classified.\n# TYPE graphhd_inflight_graphs gauge\n")
 	for i := range slots {
 		p("graphhd_inflight_graphs{%s} %d\n", slots[i].labels, slots[i].m.InFlight)
 	}
-	p("# HELP graphhd_queue_depth Graphs admitted but not yet dispatched.\n# TYPE graphhd_queue_depth gauge\n")
+	p("# HELP graphhd_queue_depth Graphs admitted but not yet picked up by a worker.\n# TYPE graphhd_queue_depth gauge\n")
 	for i := range slots {
 		p("graphhd_queue_depth{%s} %d\n", slots[i].labels, slots[i].m.QueueDepth)
 	}
@@ -401,7 +396,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		func(m *regModel) int64 { return int64(m.pred.Load().MemoryBytes()) })
 	modelGauge("graphhd_model_dimension", "Hypervector dimensionality of the installed model.",
 		func(m *regModel) int64 { return int64(m.pred.Load().Dimension()) })
-	modelGauge("graphhd_model_version", "Registry version of the installed model (bumps on every rolling swap).",
+	modelGauge("graphhd_model_version", "Registry version of the installed model (bumps on every swap).",
 		func(m *regModel) int64 { return int64(m.version.Load()) })
 	modelGauge("graphhd_model_revision", "Online-update revision stamped into the serving predictor.",
 		func(m *regModel) int64 { return int64(m.pred.Load().Revision()) })
@@ -439,7 +434,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		func(t *Trainer) uint64 { return t.updates.Load() })
 	trainerCounter("graphhd_trainer_snapshots_total", "Candidate snapshots taken and validated by the online trainer.",
 		func(t *Trainer) uint64 { return t.snapshots.Load() })
-	trainerCounter("graphhd_trainer_promotions_total", "Validated candidates promoted via rolling swap.",
+	trainerCounter("graphhd_trainer_promotions_total", "Validated candidates promoted via hot swap.",
 		func(t *Trainer) uint64 { return t.promoted.Load() })
 	trainerCounter("graphhd_trainer_rollbacks_total", "Candidates rolled back by holdout or shadow gates.",
 		func(t *Trainer) uint64 { return t.rolledX.Load() })
@@ -464,7 +459,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 
 	writeProcessGauges(p)
 
-	// Histograms, one series set per (model, replica).
+	// Histograms, one series set per model.
 	hist := func(name, help string, get func(*Metrics) HistogramSnapshot) {
 		p("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 		for i := range slots {
@@ -472,8 +467,8 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		}
 	}
 	hist("graphhd_request_latency_seconds", "Per-call latency from admission to response.", func(m *Metrics) HistogramSnapshot { return m.Latency })
-	hist("graphhd_batch_size", "Dispatched micro-batch sizes.", func(m *Metrics) HistogramSnapshot { return m.BatchSize })
-	hist("graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to dispatcher pickup.", func(m *Metrics) HistogramSnapshot { return m.QueueWait })
+	hist("graphhd_batch_size", "Micro-batch sizes.", func(m *Metrics) HistogramSnapshot { return m.BatchSize })
+	hist("graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to worker pickup.", func(m *Metrics) HistogramSnapshot { return m.QueueWait })
 
 	if len(trainers) > 0 {
 		p("# HELP graphhd_shadow_latency_seconds Per-mirror-batch replay latency through shadow candidate engines.\n# TYPE graphhd_shadow_latency_seconds histogram\n")

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"graphhd/internal/core"
 )
@@ -306,8 +305,7 @@ func checkBuildInfo(t *testing.T, samples []promSample) {
 }
 
 // TestWriteMetricsExposition round-trips the exposition of a
-// single-model, single-replica deployment (the default graphhd-serve
-// shape) through the strict parser after real traffic on a cascade
+// single-model deployment (the default graphhd-serve shape) through the strict parser after real traffic on a cascade
 // model, so every stage series has observations. It checks the engine
 // counters and model gauges, the histogram contract on every
 // per-engine family (including the batch-size histogram), the stage
@@ -318,7 +316,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry(RegistryOptions{
-		Engine: Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
+		Engine: Options{Workers: 2, MaxBatch: 8},
 	})
 	defer reg.Close()
 	if err := reg.Load("m", pred); err != nil {
@@ -335,7 +333,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	}
 	samples := parsePromText(t, sb.String())
 
-	slot := map[string]string{"model": "m", "replica": "0"}
+	slot := map[string]string{"model": "m"}
 	for _, c := range []struct {
 		name   string
 		labels map[string]string
@@ -357,14 +355,14 @@ func TestWriteMetricsExposition(t *testing.T) {
 	checkHistogram(t, samples, "graphhd_queue_wait_seconds", slot)
 	for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
 		checkHistogram(t, samples, "graphhd_stage_seconds",
-			map[string]string{"model": "m", "replica": "0", "stage": stage})
+			map[string]string{"model": "m", "stage": stage})
 	}
 
 	// The batch ran through the engine, so the mandatory stage series
 	// must have counted it; queue wait is observed per task.
 	for _, stage := range []string{"plan", "encode", "classify"} {
 		n, _ := findSample(samples, "graphhd_stage_seconds_count",
-			map[string]string{"model": "m", "replica": "0", "stage": stage})
+			map[string]string{"model": "m", "stage": stage})
 		if n == 0 {
 			t.Errorf("graphhd_stage_seconds_count{stage=%q} = 0 after traffic", stage)
 		}
@@ -372,12 +370,12 @@ func TestWriteMetricsExposition(t *testing.T) {
 }
 
 // TestWriteRouterMetricsExposition round-trips the multi-model exposition
-// through a strict text-exposition parser: two models × two replicas
-// (one with a cascade, so every stage series sees traffic) plus a quota
-// rejection, checking the registry/tenant families, the {model,replica}
-// labeling of every engine counter and histogram, the stage-clock
-// counts, the per-model gauges, the build-info labels, and the
-// family-major contiguity the parser enforces.
+// through a strict text-exposition parser: two models (one with a
+// cascade, so every stage series sees traffic) plus a quota rejection,
+// checking the registry/tenant families, the {model} labeling of every
+// engine counter and histogram, the stage-clock counts, the per-model
+// gauges, the build-info labels, and the family-major contiguity the
+// parser enforces.
 func TestWriteRouterMetricsExposition(t *testing.T) {
 	predA, ds := testModel(t, 2048, 1)
 	predB, _ := testModel(t, 1024, 2)
@@ -385,8 +383,7 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry(RegistryOptions{
-		Replicas: 2,
-		Engine:   Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
+		Engine: Options{Workers: 2, MaxBatch: 8},
 	})
 	defer reg.Close()
 	if err := reg.Load("alpha", predA); err != nil {
@@ -436,35 +433,31 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 		t.Errorf(`graphhd_tenant_inflight_graphs{tenant="t1"} = %v (found %v), want 0`, v, ok)
 	}
 
-	// Every (model, replica) slot carries the full engine counter set, and
-	// the per-model accepted totals equal the routed traffic.
+	// Every model carries the full engine counter set, and its accepted
+	// total equals the routed traffic.
 	for _, model := range []string{"alpha", "beta"} {
-		var accepted float64
-		for _, rep := range []string{"0", "1"} {
-			labels := map[string]string{"model": model, "replica": rep}
-			v, ok := find("graphhd_graphs_accepted_total", labels)
-			if !ok {
-				t.Fatalf("graphhd_graphs_accepted_total missing for %v", labels)
+		labels := map[string]string{"model": model}
+		accepted, ok := find("graphhd_graphs_accepted_total", labels)
+		if !ok {
+			t.Fatalf("graphhd_graphs_accepted_total missing for %v", labels)
+		}
+		for _, name := range []string{"graphhd_requests_total", "graphhd_graphs_processed_total", "graphhd_queue_depth"} {
+			if _, ok := find(name, labels); !ok {
+				t.Errorf("%s missing for %v", name, labels)
 			}
-			accepted += v
-			for _, name := range []string{"graphhd_requests_total", "graphhd_graphs_processed_total", "graphhd_queue_depth"} {
-				if _, ok := find(name, labels); !ok {
-					t.Errorf("%s missing for %v", name, labels)
-				}
-			}
-			checkHistogram(t, samples, "graphhd_request_latency_seconds", labels)
-			checkHistogram(t, samples, "graphhd_queue_wait_seconds", labels)
-			for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
-				sl := map[string]string{"model": model, "replica": rep, "stage": stage}
-				checkHistogram(t, samples, "graphhd_stage_seconds", sl)
-			}
+		}
+		checkHistogram(t, samples, "graphhd_request_latency_seconds", labels)
+		checkHistogram(t, samples, "graphhd_queue_wait_seconds", labels)
+		for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
+			sl := map[string]string{"model": model, "stage": stage}
+			checkHistogram(t, samples, "graphhd_stage_seconds", sl)
 		}
 		want := 8.0
 		if model == "beta" {
 			want = 4
 		}
 		if accepted != want {
-			t.Errorf("model %s accepted %v graphs across replicas, want %v", model, accepted, want)
+			t.Errorf("model %s accepted %v graphs, want %v", model, accepted, want)
 		}
 
 		// The batches ran through the engines, so each stage series must
@@ -474,14 +467,17 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 			stages = append(stages, "escalate")
 		}
 		for _, stage := range stages {
-			var n float64
-			for _, rep := range []string{"0", "1"} {
-				v, _ := find("graphhd_stage_seconds_count", map[string]string{"model": model, "replica": rep, "stage": stage})
-				n += v
-			}
+			n, _ := find("graphhd_stage_seconds_count", map[string]string{"model": model, "stage": stage})
 			if n == 0 {
 				t.Errorf("graphhd_stage_seconds_count{model=%q,stage=%q} = 0 after traffic", model, stage)
 			}
+		}
+	}
+
+	// Engine series carry exactly the model label.
+	for _, s := range samples {
+		if s.name == "graphhd_requests_total" && len(s.labels) != 1 {
+			t.Errorf("graphhd_requests_total labels %v, want {model} only", s.labels)
 		}
 	}
 

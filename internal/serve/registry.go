@@ -1,22 +1,20 @@
 package serve
 
 // The Registry is the multi-tenant model store above the Engine: a set of
-// named packed predictors, each served by a fixed group of engine
-// replicas. Packed GraphHD predictors are tiny (k·d/8 bytes — a few KB at
-// d=10k), so the natural deployment keeps *many* models resident in one
-// process; the registry makes that explicit with a total-packed-bytes
-// budget and LRU eviction, and owns everything about a model's lifecycle
-// that the Engine deliberately does not:
+// named packed predictors, each served by one engine. Packed GraphHD
+// predictors are tiny (k·d/8 bytes — a few KB at d=10k), so the natural
+// deployment keeps *many* models resident in one process; the registry
+// makes that explicit with a total-packed-bytes budget and LRU eviction,
+// and owns everything about a model's lifecycle that the Engine
+// deliberately does not:
 //
 //   - Loading artifacts (LoadFile/Reload) and the PrepareModel hook that
 //     re-applies operator cascade config to every predictor read from
 //     disk — an error from the hook aborts the install, leaving the
 //     current model serving.
-//   - Rolling hot-swap. Swap walks a model's replicas in ascending id
-//     order, installing the new predictor one engine at a time through
-//     the Engine's atomic-pointer swap — zero failed in-flight requests,
-//     and a monotone version front: replica i+1 never serves the new
-//     model before replica i has installed it.
+//   - Hot swap. Swap installs the new predictor through the model
+//     engine's atomic-pointer swap — zero failed in-flight requests; the
+//     engine's workers pick it up at their next batch boundary.
 //   - Residency. The request path reads the model table through a
 //     copy-on-write map behind an atomic pointer (no lock, no contention
 //     with loads/evictions); each lookup stamps an atomic last-used
@@ -53,11 +51,8 @@ var (
 // RegistryOptions configures a Registry. The zero value of any field
 // selects its default.
 type RegistryOptions struct {
-	// Replicas is the number of engine replicas serving each model.
-	// Default 1.
-	Replicas int
-	// Engine is the per-replica engine configuration template; ModelName
-	// and Replica are overwritten per slot.
+	// Engine is the per-model engine configuration template; ModelName
+	// is overwritten per model.
 	Engine Options
 	// MaxResidentBytes bounds the summed packed footprint of resident
 	// models. A Load past the bound evicts least-recently-used models
@@ -73,32 +68,17 @@ type RegistryOptions struct {
 	PrepareModel func(name string, p *core.Predictor) error
 }
 
-func (o RegistryOptions) withDefaults() RegistryOptions {
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
-	return o
-}
-
-// replica is one engine slot of a model. inflight is the router's
-// placement signal: graphs routed to this replica and not yet answered.
-type replica struct {
-	id       int
-	eng      *Engine
-	inflight atomic.Int64
-}
-
 // regModel is one resident named model. bytes and path are guarded by
 // Registry.mu; pred, version, and lastUsed are atomics read lock-free on
 // the request path.
 type regModel struct {
 	name     string
 	pred     atomic.Pointer[core.Predictor]
-	version  atomic.Uint64 // 1 on load, +1 per rolling swap
+	version  atomic.Uint64 // 1 on load, +1 per swap
 	lastUsed atomic.Int64  // registry-epoch nanos of the last lookup
 	bytes    int64
 	path     string // artifact path for Reload; "" if loaded in-memory
-	replicas []*replica
+	eng      *Engine
 
 	// trainer is the online learning loop attached to this model, if any.
 	// shadow is non-nil only while that trainer has a candidate in its
@@ -108,15 +88,13 @@ type regModel struct {
 }
 
 func (m *regModel) closeEngines() {
-	// The trainer stops first: its goroutine swaps into these engines and
+	// The trainer stops first: its goroutine swaps into this engine and
 	// owns the shadow engine's lifecycle. Callers never hold Registry.mu
 	// here, so a trainer mid-promotion can finish its Swap call.
 	if tr := m.trainer.Load(); tr != nil {
 		tr.Close()
 	}
-	for _, rep := range m.replicas {
-		rep.eng.Close()
-	}
+	m.eng.Close()
 }
 
 // Registry is the named-model store. Create one with NewRegistry; it is
@@ -138,7 +116,7 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(opts RegistryOptions) *Registry {
-	r := &Registry{opts: opts.withDefaults(), epoch: time.Now()}
+	r := &Registry{opts: opts, epoch: time.Now()}
 	m := map[string]*regModel{}
 	r.models.Store(&m)
 	return r
@@ -182,8 +160,8 @@ func validModelName(name string) error {
 }
 
 // Load installs pred under name, replacing an existing model of the same
-// name via rolling swap. A new model gets Replicas fresh engines; loading
-// past MaxResidentBytes evicts least-recently-used models first.
+// name via Swap. A new model gets a fresh engine; loading past
+// MaxResidentBytes evicts least-recently-used models first.
 func (r *Registry) Load(name string, pred *core.Predictor) error {
 	return r.install(name, pred, "")
 }
@@ -246,32 +224,23 @@ func (r *Registry) install(name string, pred *core.Predictor, path string) error
 	}
 
 	victims = r.evictForLocked(bytes, name)
-	m := &regModel{name: name, bytes: bytes, path: path,
-		replicas: make([]*replica, r.opts.Replicas)}
+	eo := r.opts.Engine
+	eo.ModelName = name
+	eng, err := NewEngine(pred, eo)
+	if err != nil {
+		return err
+	}
+	m := &regModel{name: name, bytes: bytes, path: path, eng: eng}
 	m.pred.Store(pred)
 	m.version.Store(1)
 	m.lastUsed.Store(r.nanos())
-	for i := range m.replicas {
-		eo := r.opts.Engine
-		eo.ModelName, eo.Replica = name, i
-		eng, err := NewEngine(pred, eo)
-		if err != nil {
-			for _, rep := range m.replicas[:i] {
-				rep.eng.Close()
-			}
-			return err
-		}
-		m.replicas[i] = &replica{id: i, eng: eng}
-	}
 	r.publish(func(t map[string]*regModel) { t[name] = m })
 	r.bytes.Add(bytes)
 	return nil
 }
 
-// Swap rolls a new predictor across name's replicas: each engine installs
-// it via the atomic-pointer swap, one at a time in ascending replica
-// order, so in-flight requests never fail and the version front is
-// monotone across replicas.
+// Swap installs a new predictor for name through its engine's
+// atomic-pointer swap, so in-flight requests never fail.
 func (r *Registry) Swap(name string, pred *core.Predictor) error {
 	if pred == nil {
 		return errors.New("serve: swap to nil predictor")
@@ -300,7 +269,7 @@ func (r *Registry) Swap(name string, pred *core.Predictor) error {
 	return nil
 }
 
-// swapLocked is the rolling walk plus byte accounting. Callers hold mu
+// swapLocked is the engine swap plus byte accounting. Callers hold mu
 // and close the returned victims after unlocking.
 func (r *Registry) swapLocked(m *regModel, pred *core.Predictor, path string) []*regModel {
 	bytes := int64(pred.MemoryBytes())
@@ -308,9 +277,7 @@ func (r *Registry) swapLocked(m *regModel, pred *core.Predictor, path string) []
 	if grow := bytes - m.bytes; grow > 0 {
 		victims = r.evictForLocked(grow, m.name)
 	}
-	for _, rep := range m.replicas {
-		rep.eng.Swap(pred)
-	}
+	m.eng.Swap(pred)
 	m.pred.Store(pred)
 	m.version.Add(1)
 	r.bytes.Add(bytes - m.bytes)
@@ -350,7 +317,7 @@ func (r *Registry) evictForLocked(need int64, keep string) []*regModel {
 	return victims
 }
 
-// Evict removes name from the registry and drains its engines. Requests
+// Evict removes name from the registry and drains its engine. Requests
 // already admitted complete; later lookups see ErrModelNotFound.
 func (r *Registry) Evict(name string) error {
 	r.mu.Lock()
@@ -371,7 +338,7 @@ func (r *Registry) Evict(name string) error {
 }
 
 // Reload re-reads name's remembered artifact path, applies PrepareModel,
-// and rolls the result across the replicas. Models loaded in-memory (no
+// and swaps the result in. Models loaded in-memory (no
 // path) return an error.
 func (r *Registry) Reload(name string) error {
 	r.mu.Lock()
@@ -428,15 +395,6 @@ func (r *Registry) Bytes() int64 { return r.bytes.Load() }
 // Evictions reports how many models the resident-bytes bound has evicted.
 func (r *Registry) Evictions() uint64 { return r.evictions.Load() }
 
-// ReplicaStatus is one engine slot's row in a ModelStatus.
-type ReplicaStatus struct {
-	Replica   int    `json:"replica"`
-	InFlight  int64  `json:"in_flight"` // router-placed graphs awaiting answers
-	Accepted  uint64 `json:"accepted"`
-	Processed uint64 `json:"processed"`
-	Reloads   uint64 `json:"reloads"`
-}
-
 // ModelStatus is one resident model's row in a RegistryStatus.
 type ModelStatus struct {
 	Name        string `json:"name"`
@@ -448,22 +406,27 @@ type ModelStatus struct {
 	// predictor when it was snapshotted — 0 for predictors straight from
 	// Fit/Train. Compare against TrainerStatus.Revision to see unpromoted
 	// drift.
-	Revision      uint64          `json:"revision,omitempty"`
-	Path          string          `json:"path,omitempty"`
-	CascadePrefix int             `json:"cascade_prefix,omitempty"`
-	CascadeMargin int             `json:"cascade_margin,omitempty"`
-	ShadowActive  bool            `json:"shadow_active,omitempty"`
-	Replicas      []ReplicaStatus `json:"replicas"`
+	Revision      uint64 `json:"revision,omitempty"`
+	Path          string `json:"path,omitempty"`
+	CascadePrefix int    `json:"cascade_prefix,omitempty"`
+	CascadeMargin int    `json:"cascade_margin,omitempty"`
+	ShadowActive  bool   `json:"shadow_active,omitempty"`
+	// InFlight, Accepted, Processed and Reloads are the model engine's
+	// counters: graphs admitted but not yet classified, graphs admitted,
+	// graphs classified, and swaps.
+	InFlight  uint64 `json:"in_flight"`
+	Accepted  uint64 `json:"accepted"`
+	Processed uint64 `json:"processed"`
+	Reloads   uint64 `json:"reloads"`
 }
 
 // RegistryStatus is the registry table snapshot behind GET /v1/models and
 // cmd/inspect -models.
 type RegistryStatus struct {
-	Models           []ModelStatus `json:"models"` // sorted by name
-	TotalBytes       int64         `json:"total_bytes"`
-	MaxBytes         int64         `json:"max_bytes,omitempty"`
-	Evictions        uint64        `json:"evictions"`
-	ReplicasPerModel int           `json:"replicas_per_model"`
+	Models     []ModelStatus `json:"models"` // sorted by name
+	TotalBytes int64         `json:"total_bytes"`
+	MaxBytes   int64         `json:"max_bytes,omitempty"`
+	Evictions  uint64        `json:"evictions"`
 }
 
 // Status snapshots the registry table, models sorted by name.
@@ -472,14 +435,17 @@ func (r *Registry) Status() RegistryStatus {
 	defer r.mu.Unlock()
 	table := *r.models.Load()
 	st := RegistryStatus{
-		Models:           make([]ModelStatus, 0, len(table)),
-		TotalBytes:       r.bytes.Load(),
-		MaxBytes:         r.opts.MaxResidentBytes,
-		Evictions:        r.evictions.Load(),
-		ReplicasPerModel: r.opts.Replicas,
+		Models:     make([]ModelStatus, 0, len(table)),
+		TotalBytes: r.bytes.Load(),
+		MaxBytes:   r.opts.MaxResidentBytes,
+		Evictions:  r.evictions.Load(),
 	}
 	for _, m := range table {
 		p := m.pred.Load()
+		// processed before accepted, as in Engine.Metrics, so InFlight
+		// cannot go negative.
+		processed := m.eng.m.processed.Load()
+		accepted := m.eng.m.accepted.Load()
 		ms := ModelStatus{
 			Name:         m.name,
 			Version:      m.version.Load(),
@@ -489,19 +455,13 @@ func (r *Registry) Status() RegistryStatus {
 			Revision:     p.Revision(),
 			Path:         m.path,
 			ShadowActive: m.shadow.Load() != nil,
-			Replicas:     make([]ReplicaStatus, 0, len(m.replicas)),
+			InFlight:     accepted - processed,
+			Accepted:     accepted,
+			Processed:    processed,
+			Reloads:      m.eng.Reloads(),
 		}
 		if c, ok := p.Cascade(); ok {
 			ms.CascadePrefix, ms.CascadeMargin = c.DPrefix, c.Margin
-		}
-		for _, rep := range m.replicas {
-			ms.Replicas = append(ms.Replicas, ReplicaStatus{
-				Replica:   rep.id,
-				InFlight:  rep.inflight.Load(),
-				Accepted:  rep.eng.m.accepted.Load(),
-				Processed: rep.eng.m.processed.Load(),
-				Reloads:   rep.eng.m.reloads.Load(),
-			})
 		}
 		st.Models = append(st.Models, ms)
 	}
@@ -509,14 +469,12 @@ func (r *Registry) Status() RegistryStatus {
 	return st
 }
 
-// Traces merges the flight-recorder snapshots of every replica of every
-// resident model, newest first.
+// Traces merges the flight-recorder snapshots of every resident model's
+// engine, newest first.
 func (r *Registry) Traces() []TraceRecord {
 	var out []TraceRecord
 	for _, m := range *r.models.Load() {
-		for _, rep := range m.replicas {
-			out = append(out, rep.eng.Traces()...)
-		}
+		out = append(out, m.eng.Traces()...)
 		// A live shadow engine's batches show up too, under "name#shadow"
 		// — how mirrored candidate traffic becomes debuggable.
 		if sh := m.shadow.Load(); sh != nil {
@@ -527,18 +485,16 @@ func (r *Registry) Traces() []TraceRecord {
 	return out
 }
 
-// TraceDepth sums the flight-recorder capacities across replicas.
+// TraceDepth sums the flight-recorder capacities across models.
 func (r *Registry) TraceDepth() int {
 	n := 0
 	for _, m := range *r.models.Load() {
-		for _, rep := range m.replicas {
-			n += rep.eng.TraceDepth()
-		}
+		n += m.eng.TraceDepth()
 	}
 	return n
 }
 
-// Close evicts every model and drains its engines. The registry rejects
+// Close evicts every model and drains its engine. The registry rejects
 // all mutations afterwards. Close is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()

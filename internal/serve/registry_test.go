@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -45,8 +46,8 @@ func TestRegistryLoadEvictList(t *testing.T) {
 	if st.Models[0].Version != 1 || st.Models[0].Dimension != 1024 {
 		t.Fatalf("alpha status %+v", st.Models[0])
 	}
-	if st.ReplicasPerModel != 1 || len(st.Models[0].Replicas) != 1 {
-		t.Fatalf("replica shape: %d per model, %d on alpha", st.ReplicasPerModel, len(st.Models[0].Replicas))
+	if a := st.Models[0]; a.Accepted != 0 || a.Processed != 0 || a.InFlight != 0 || a.Reloads != 0 {
+		t.Fatalf("alpha engine counters before traffic: %+v", a)
 	}
 
 	if err := reg.Evict("alpha"); err != nil {
@@ -99,13 +100,13 @@ func TestRegistryLoadEvictList(t *testing.T) {
 // a closed registry.
 func TestRegistryErrorSurface(t *testing.T) {
 	small, _ := testModel(t, 1024, 1) // 256 bytes
-	big, _ := testModel(t, 2048, 2)  // 512 bytes
+	big, _ := testModel(t, 2048, 2)   // 512 bytes
 	opts := regOptions()
 	opts.MaxResidentBytes = 300
 	reg := NewRegistry(opts)
 	defer reg.Close()
 
-	if got := reg.Options(); got.MaxResidentBytes != 300 || got.Replicas != 1 {
+	if got := reg.Options(); got.MaxResidentBytes != 300 || got.Engine.Workers != 1 {
 		t.Fatalf("Options round-trip: %+v", got)
 	}
 	if err := reg.Load("m", small); err != nil {
@@ -179,45 +180,51 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 }
 
-// TestRegistryRollingSwap walks a 3-replica model through rolling swaps
-// and checks the version front, the per-replica reload counters, and that
-// every replica serves the new predictor afterwards — including a
-// dimension change, which forces worker scratch re-binding.
+// TestRegistryRollingSwap walks a model through swaps and checks the
+// version, the engine's reload counter and status row, and that the
+// engine serves the new predictor afterwards — including a dimension
+// change, which forces worker scratch re-binding.
 func TestRegistryRollingSwap(t *testing.T) {
-	predA, _ := testModel(t, 1024, 1)
+	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 2)
-	opts := regOptions()
-	opts.Replicas = 3
-	reg := NewRegistry(opts)
+	reg := NewRegistry(regOptions())
 	defer reg.Close()
 
 	if err := reg.Load("m", predA); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := reg.model("m")
-	if len(m.replicas) != 3 {
-		t.Fatalf("replicas = %d, want 3", len(m.replicas))
-	}
 	if err := reg.Swap("m", predB); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.version.Load(); got != 2 {
 		t.Fatalf("version = %d after swap, want 2", got)
 	}
-	for _, rep := range m.replicas {
-		if rep.eng.Predictor() != predB {
-			t.Fatalf("replica %d still serves the old predictor", rep.id)
+	if m.eng.Predictor() != predB {
+		t.Fatal("engine still serves the old predictor")
+	}
+	if got := m.eng.Reloads(); got != 1 {
+		t.Fatalf("engine reloads = %d, want 1", got)
+	}
+	want := predB.PredictAll(ds.Graphs[:8])
+	got, err := m.eng.PredictBatch(context.Background(), ds.Graphs[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("graph %d after swap: class %d, want the new model's %d", i, got[i], want[i])
 		}
-		if got := rep.eng.Reloads(); got != 1 {
-			t.Fatalf("replica %d reloads = %d, want 1", rep.id, got)
-		}
+	}
+	if ms := reg.Status().Models[0]; ms.Reloads != 1 || ms.Accepted != 8 || ms.Processed != 8 || ms.InFlight != 0 {
+		t.Fatalf("status row after swap and traffic: %+v", ms)
 	}
 	// Byte accounting follows the swap (512-bit model is half the size).
 	if want := int64(predB.MemoryBytes()); reg.Bytes() != want {
 		t.Fatalf("Bytes after swap = %d, want %d", reg.Bytes(), want)
 	}
 
-	// Loading under an existing name is the same rolling replace.
+	// Loading under an existing name is the same swap.
 	if err := reg.Load("m", predA); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package serve
 
-// The Router is the placement and admission tier between transports and
-// the registry's engine replicas. Per request it does three cheap things,
-// in an order chosen so that rejected work never touches an engine queue:
+// The Router is the admission tier between transports and the registry's
+// per-model engines. Per request it does two cheap things, in an order
+// chosen so that rejected work never touches an engine queue:
 //
 //  1. Model lookup — lock-free through the registry's COW table
 //     (ErrModelNotFound → 404); the empty model name selects the
@@ -10,23 +10,18 @@ package serve
 //     single-model routes working unchanged.
 //  2. Tenant admission — a CAS on the tenant's in-flight graph counter
 //     against the quota. A rejection (ErrQuotaExceeded → 429) happens
-//     before any replica is chosen, so a noisy tenant cannot consume
-//     queue slots that belong to others.
-//  3. Replica placement — power-of-two-choices on the per-replica
-//     in-flight counters: sample two distinct replicas, route to the
-//     less loaded, and if its bounded queue rejects with ErrOverloaded,
-//     fall through to the second choice before giving up. With one or
-//     two replicas this degenerates to exact least-in-flight.
+//     before the model's engine is touched, so a noisy tenant cannot
+//     consume queue slots that belong to others.
 //
-// The hot path allocates nothing: tenant states live in a sync.Map keyed
-// by name, counters are atomics, and the random choice uses the runtime's
-// per-P generator via math/rand/v2.
+// An answered request is then offered to the model's shadow mirror, if a
+// candidate is in its shadow phase. The hot path allocates nothing:
+// tenant states live in a sync.Map keyed by name and counters are
+// atomics.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,8 +58,8 @@ type tenantState struct {
 	rejected atomic.Uint64
 }
 
-// Router fans requests across the registry's per-model engine replicas.
-// Create one with NewRouter; it is safe for concurrent use.
+// Router admits requests onto the registry's per-model engines. Create
+// one with NewRouter; it is safe for concurrent use.
 type Router struct {
 	reg     *Registry
 	opts    RouterOptions
@@ -83,7 +78,7 @@ func NewRouter(reg *Registry, opts RouterOptions) *Router {
 	return rt
 }
 
-// Registry returns the model store the router places onto.
+// Registry returns the model store the router serves from.
 func (rt *Router) Registry() *Registry { return rt.reg }
 
 // DefaultModel returns the model name the unnamed routes serve.
@@ -145,32 +140,8 @@ func (rt *Router) admit(tenant string, n int64) (*tenantState, error) {
 	}
 }
 
-// pick samples two distinct replicas and orders them by in-flight load —
-// power-of-two-choices. second is nil when only one replica exists.
-func pickReplicas(reps []*replica) (first, second *replica) {
-	switch len(reps) {
-	case 1:
-		return reps[0], nil
-	case 2:
-		first, second = reps[0], reps[1]
-	default:
-		i := rand.IntN(len(reps))
-		j := rand.IntN(len(reps) - 1)
-		if j >= i {
-			j++
-		}
-		first, second = reps[i], reps[j]
-	}
-	if second.inflight.Load() < first.inflight.Load() {
-		first, second = second, first
-	}
-	return first, second
-}
-
-// Predict routes one graph for tenant to a replica of model ("" selects
-// the default model) and returns its class. Overload on the chosen
-// replica falls through to the second choice before surfacing
-// ErrOverloaded.
+// Predict routes one graph for tenant to model ("" selects the default
+// model) and returns its class.
 func (rt *Router) Predict(ctx context.Context, tenant, model string, g *graph.Graph) (int, error) {
 	m, err := rt.target(model)
 	if err != nil {
@@ -181,15 +152,7 @@ func (rt *Router) Predict(ctx context.Context, tenant, model string, g *graph.Gr
 		return 0, err
 	}
 	defer ts.inflight.Add(-1)
-	first, second := pickReplicas(m.replicas)
-	first.inflight.Add(1)
-	class, err := first.eng.Predict(ctx, g)
-	first.inflight.Add(-1)
-	if err != nil && errors.Is(err, ErrOverloaded) && second != nil {
-		second.inflight.Add(1)
-		class, err = second.eng.Predict(ctx, g)
-		second.inflight.Add(-1)
-	}
+	class, err := m.eng.Predict(ctx, g)
 	if err == nil {
 		rt.mirror(m, g, class)
 	}
@@ -206,8 +169,8 @@ func (rt *Router) mirror(m *regModel, g *graph.Graph, class int) {
 	}
 }
 
-// PredictBatch routes a whole batch to one replica, returning one class
-// per graph in order.
+// PredictBatch routes a whole batch to model, returning one class per
+// graph in order.
 func (rt *Router) PredictBatch(ctx context.Context, tenant, model string, graphs []*graph.Graph) ([]int, error) {
 	out := make([]int, len(graphs))
 	if err := rt.PredictBatchInto(ctx, tenant, model, graphs, out); err != nil {
@@ -217,8 +180,8 @@ func (rt *Router) PredictBatch(ctx context.Context, tenant, model string, graphs
 }
 
 // PredictBatchInto is PredictBatch writing into a caller-provided slice.
-// The batch admits atomically against the tenant quota and lands on one
-// replica, whose workers encode it in MaxBatch-sized segments.
+// The batch admits atomically against the tenant quota and lands on the
+// model's engine, whose workers encode it in MaxBatch-sized segments.
 func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, graphs []*graph.Graph, out []int) error {
 	m, err := rt.target(model)
 	if err != nil {
@@ -230,15 +193,7 @@ func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, gr
 		return err
 	}
 	defer ts.inflight.Add(-n)
-	first, second := pickReplicas(m.replicas)
-	first.inflight.Add(n)
-	err = first.eng.PredictBatchInto(ctx, graphs, out)
-	first.inflight.Add(-n)
-	if err != nil && errors.Is(err, ErrOverloaded) && second != nil {
-		second.inflight.Add(n)
-		err = second.eng.PredictBatchInto(ctx, graphs, out)
-		second.inflight.Add(-n)
-	}
+	err = m.eng.PredictBatchInto(ctx, graphs, out)
 	if err == nil {
 		if sh := m.shadow.Load(); sh != nil {
 			sh.offer(graphs, out)

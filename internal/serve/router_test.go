@@ -18,7 +18,7 @@ func TestRouterRoutesByName(t *testing.T) {
 	wantA := predA.PredictAll(ds.Graphs)
 	wantB := predB.PredictAll(ds.Graphs)
 
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond}})
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
 	defer reg.Close()
 	if err := reg.Load("alpha", predA); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRouterQuota(t *testing.T) {
 		t.Fatalf("over-quota batch: %v, want ErrQuotaExceeded", err)
 	}
 	m, _ := reg.model("default")
-	if got := m.replicas[0].eng.Metrics().AcceptedGraphs; got != 0 {
+	if got := m.eng.Metrics().AcceptedGraphs; got != 0 {
 		t.Fatalf("quota rejection reached the engine: %d graphs accepted", got)
 	}
 
@@ -115,47 +115,16 @@ func TestRouterQuota(t *testing.T) {
 	}
 }
 
-// TestRouterPlacementSpreads drives sequential traffic at a 4-replica
-// model and checks power-of-two-choices actually lands work on every
-// replica rather than pinning one.
-func TestRouterPlacementSpreads(t *testing.T) {
-	pred, ds := testModel(t, 1024, 1)
-	reg := NewRegistry(RegistryOptions{Replicas: 4, Engine: Options{Workers: 1}})
-	defer reg.Close()
-	if err := reg.Load("default", pred); err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRouter(reg, RouterOptions{})
-	ctx := context.Background()
-	for i := 0; i < 200; i++ {
-		if _, err := rt.Predict(ctx, "", "", ds.Graphs[i%len(ds.Graphs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, _ := reg.model("default")
-	var total uint64
-	for _, rep := range m.replicas {
-		n := rep.eng.Metrics().AcceptedGraphs
-		if n == 0 {
-			t.Fatalf("replica %d received no traffic over 200 placements", rep.id)
-		}
-		total += n
-	}
-	if total != 200 {
-		t.Fatalf("replicas accepted %d graphs, want 200", total)
-	}
-}
-
-// TestRouterSoakRollingSwap is the multi-replica acceptance soak, run
-// under -race in CI: a 3-replica model takes sustained mixed single/batch
-// traffic from a client fleet (including an always-over-quota tenant and
-// an over-queue batch size) while rolling swaps walk the replicas between
-// two models of different dimensions. At quiesce it asserts the hard
-// invariants the architecture promises:
+// TestRouterSoakRollingSwap is the router acceptance soak, run under
+// -race in CI: a model takes sustained mixed single/batch traffic from a
+// client fleet (including an always-over-quota tenant and an over-queue
+// batch size) while registry swaps flip it between two models of
+// different dimensions. At quiesce it asserts the hard invariants the
+// architecture promises:
 //
-//   - zero failed in-flight requests across every rolling swap;
+//   - zero failed in-flight requests across every swap;
 //   - exact conservation: client-observed answered graphs ==
-//     Σ accepted == Σ processed over the replicas;
+//     accepted == processed on the model's engine;
 //   - quota rejections never touched an engine queue: engine-side
 //     admissions account exactly for the answered graphs, and the quota
 //     tenant's rejection count matches its client-side observations.
@@ -163,11 +132,9 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 99) // dimension change: swaps re-bind scratch
 	reg := NewRegistry(RegistryOptions{
-		Replicas: 3,
 		Engine: Options{
 			Workers:   2,
 			MaxBatch:  8,
-			MaxDelay:  50 * time.Microsecond,
 			QueueSize: 64, // small enough for the 65-graph client to overrun
 		},
 	})
@@ -188,7 +155,7 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 		close(stop)
 	}()
 
-	// Swapper: roll between the two models across all three replicas.
+	// Swapper: flip between the two models through the registry.
 	var swaps atomic.Uint64
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -205,7 +172,7 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 				next = predB
 			}
 			if err := reg.Swap("default", next); err != nil {
-				t.Errorf("rolling swap: %v", err)
+				t.Errorf("registry swap: %v", err)
 				return
 			}
 			swaps.Add(1)
@@ -262,8 +229,8 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 		}
 	}
 
-	// Fleet: singles, mid batches, a segmented batch, one batch that can
-	// overrun a replica queue (65 > QueueSize), and a tenant whose batch
+	// Fleet: singles, mid batches, a segmented batch, one batch that
+	// overruns the engine queue (65 > QueueSize), and a tenant whose batch
 	// always exceeds the quota (128 > 100) so every one of its calls must
 	// shed at admission.
 	for _, c := range []struct {
@@ -285,37 +252,27 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 	reg.Close() // drains every admitted request
 
 	if failures.Load() != 0 {
-		t.Fatalf("%d requests failed in flight across %d rolling swaps", failures.Load(), swaps.Load())
+		t.Fatalf("%d requests failed in flight across %d swaps", failures.Load(), swaps.Load())
 	}
 	if swaps.Load() == 0 {
-		t.Fatal("no rolling swaps happened during the soak")
+		t.Fatal("no swaps happened during the soak")
 	}
 	if quotaRejections.Load() == 0 {
 		t.Fatal("the over-quota tenant was never rejected")
 	}
 
-	var accepted, processed, inflight uint64
-	for _, rep := range m.replicas {
-		em := rep.eng.Metrics()
-		accepted += em.AcceptedGraphs
-		processed += em.Processed
-		inflight += em.InFlight
-		if em.Reloads != swaps.Load() {
-			t.Errorf("replica %d saw %d reloads, want %d (rolling swap skipped it)",
-				rep.id, em.Reloads, swaps.Load())
-		}
-		if rep.inflight.Load() != 0 {
-			t.Errorf("replica %d placement counter %d at quiesce", rep.id, rep.inflight.Load())
-		}
+	em := m.eng.Metrics()
+	if em.Reloads != swaps.Load() {
+		t.Errorf("engine saw %d reloads, want %d (a registry swap skipped it)", em.Reloads, swaps.Load())
 	}
-	if accepted != processed || inflight != 0 {
-		t.Fatalf("fleet did not quiesce clean: accepted %d, processed %d, inflight %d",
-			accepted, processed, inflight)
+	if em.AcceptedGraphs != em.Processed || em.InFlight != 0 {
+		t.Fatalf("engine did not quiesce clean: accepted %d, processed %d, inflight %d",
+			em.AcceptedGraphs, em.Processed, em.InFlight)
 	}
-	if accepted != graphsOK.Load() {
-		t.Fatalf("replicas accepted %d graphs but clients saw %d answered "+
+	if em.AcceptedGraphs != graphsOK.Load() {
+		t.Fatalf("engine accepted %d graphs but clients saw %d answered "+
 			"(quota rejections leaked into a queue, or answers were lost)",
-			accepted, graphsOK.Load())
+			em.AcceptedGraphs, graphsOK.Load())
 	}
 	for _, ts := range rt.Tenants() {
 		if ts.InFlight != 0 {
@@ -325,6 +282,6 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 			t.Errorf("greedy tenant rejected %d, clients counted %d", ts.Rejected, quotaRejections.Load())
 		}
 	}
-	t.Logf("soak: %d graphs answered, %d overload shed, %d quota shed, %d rolling swaps across 3 replicas",
+	t.Logf("soak: %d graphs answered, %d overload shed, %d quota shed, %d swaps",
 		graphsOK.Load(), overloads.Load(), quotaRejections.Load(), swaps.Load())
 }

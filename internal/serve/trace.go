@@ -8,7 +8,7 @@ import (
 
 // The flight recorder is the engine's after-the-fact diagnosis surface:
 // a fixed-size ring of the last N per-batch TraceRecords, written by the
-// inference workers on every dispatched micro-batch and read on demand
+// inference workers on every micro-batch and read on demand
 // by GET /debug/traces and cmd/inspect -traces. A slow escalation-heavy
 // burst (the PROTEINS shape) is diagnosed from the ring without a
 // profiler attached: the records show exactly where each batch's
@@ -23,21 +23,20 @@ import (
 const DefaultTraceDepth = 256
 
 // TraceRecord is one flight-recorder entry: the stage-clock readout and
-// shape of a single dispatched micro-batch. All *Nanos fields are
-// monotonic wall-time slices of the batch's lifecycle; QueueWaitNanos is
-// the longest any of the batch's tasks sat in the admission queue before
-// dispatcher pickup, and DispatchNanos spans batch assembly (first task
-// picked up → worker start).
+// shape of a single micro-batch. All *Nanos fields are monotonic
+// wall-time slices of the batch's lifecycle; QueueWaitNanos is the
+// longest any of the batch's tasks sat in the admission queue before a
+// worker picked it up, and DispatchNanos spans batch assembly (the
+// worker's greedy drain, first task picked up → batch start).
 type TraceRecord struct {
 	// Seq is the record's 1-based ticket in arrival order; the ring
 	// retains the highest-Seq records.
 	Seq  uint64    `json:"seq"`
-	Time time.Time `json:"time"` // wall clock at worker pickup
+	Time time.Time `json:"time"` // wall clock at batch start
 
-	// Model and Replica name the engine slot that served the batch in a
-	// registry/router deployment (model "default", replica 0 standalone).
-	Model   string `json:"model,omitempty"`
-	Replica int    `json:"replica"`
+	// Model names the engine that served the batch in a registry/router
+	// deployment ("default" standalone).
+	Model string `json:"model,omitempty"`
 
 	BatchSize int `json:"batch_size"` // graphs across the batch's tasks
 	Tasks     int `json:"tasks"`      // queued tasks the batch coalesced
@@ -48,7 +47,7 @@ type TraceRecord struct {
 	EncodeNanos    int64 `json:"encode_ns"`
 	ClassifyNanos  int64 `json:"classify_ns"`
 	EscalateNanos  int64 `json:"escalate_ns"`
-	TotalNanos     int64 `json:"total_ns"` // worker pickup → results posted
+	TotalNanos     int64 `json:"total_ns"` // batch start → results posted
 
 	// Cascade reports whether two-stage classification was active;
 	// Stage1/Escalated split the batch's graphs by where they were
@@ -69,7 +68,7 @@ type TraceRecord struct {
 // (depth batches in flight simultaneously — in practice never), and a
 // reader's try-lock skips, rather than stalls, a slot mid-write, so the
 // worker hot path sees an uncontended lock: one atomic ticket, one
-// uncontended Lock/Unlock, one struct copy per dispatched batch.
+// uncontended Lock/Unlock, one struct copy per batch.
 type traceSlot struct {
 	mu  sync.Mutex
 	seq uint64 // ticket published in this slot; 0 = never written

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"graphhd/internal/core"
 	"graphhd/internal/graph"
@@ -144,7 +143,7 @@ func TestEngineTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(pred, Options{
-		Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond, TraceDepth: 64,
+		Workers: 2, MaxBatch: 8, TraceDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestEngineTraces(t *testing.T) {
 // silent, records carry cascade=false.
 func TestEngineTracesNoCascade(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond})
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestHTTPTraces(t *testing.T) {
 // runtime stats, traces and metrics are all mounted and respond.
 func TestDebugHandler(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond}})
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ package serve
 //	     per-stage latency into graphhd_shadow_* metrics and the flight
 //	     recorder (the shadow engine is a real Engine, so its batches
 //	     appear in /debug/traces under "name#shadow")
-//	   → promote via Registry.Swap — the rolling walk, so in-flight
+//	   → promote via Registry.Swap — the engine's atomic swap, so in-flight
 //	     requests never observe a mid-request model change — or roll back
 //	     (agreement below ShadowMinAgreement), with the reason kept in
 //	     TrainerStatus and surfaced at GET /v1/models and
@@ -177,7 +177,7 @@ type Trainer struct {
 	trained   atomic.Uint64 // samples applied as perceptron updates
 	updates   atomic.Uint64 // corrective updates among them
 	snapshots atomic.Uint64 // candidate snapshots validated
-	promoted  atomic.Uint64 // candidates promoted via rolling swap
+	promoted  atomic.Uint64 // candidates promoted via Registry.Swap
 	rolledX   atomic.Uint64 // candidates rolled back
 
 	shadowMirrored  atomic.Uint64 // graphs replayed through shadow engines
@@ -404,7 +404,7 @@ func (tr *Trainer) validateCandidate() {
 
 	// Promote. The candidate passes through the registry's PrepareModel
 	// hook (so operator cascade config is re-applied, same as a file
-	// load) and rolls across the replicas — never mid-flight.
+	// load) and swaps in at a batch boundary — never mid-flight.
 	if prep := tr.reg.opts.PrepareModel; prep != nil {
 		if err := prep(tr.name, candidate); err != nil {
 			tr.rolledX.Add(1)
@@ -428,7 +428,6 @@ func (tr *Trainer) validateCandidate() {
 func (tr *Trainer) shadowPhase(m *regModel, candidate *core.Predictor) (mirrored, agreed, disagreed uint64) {
 	eo := tr.reg.opts.Engine
 	eo.ModelName = tr.name + "#shadow"
-	eo.Replica = 0
 	eo.Workers = 1
 	eng, err := NewEngine(candidate, eo)
 	if err != nil {

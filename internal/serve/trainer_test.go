@@ -62,8 +62,7 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 	}
 
 	reg := NewRegistry(RegistryOptions{
-		Replicas: 2,
-		Engine:   Options{Workers: 2, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
+		Engine: Options{Workers: 2, MaxBatch: 8},
 	})
 	defer reg.Close()
 	if err := reg.Load("default", flipped.Snapshot()); err != nil {
@@ -109,8 +108,8 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 		}
 	}
 
-	// The promotion completed its rolling swap before the counter bumped,
-	// so from here every replica must serve the correct model.
+	// The promotion completed its swap before the counter bumped, so from
+	// here the engine must serve the correct model.
 	for i, g := range ds.Graphs {
 		class, err := rt.Predict(ctx, "", "", g)
 		if err != nil {
@@ -130,7 +129,7 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 	}
 	// Buffered feedback keeps draining after the first promotion, so a
 	// second validation cycle (and shadow phase) may already be live here
-	// — only the monotone version front is asserted.
+	// — only the version lower bound is asserted.
 	ms := reg.Status().Models[0]
 	if ms.Version < 2 {
 		t.Fatalf("registry version = %d after promotion, want >= 2", ms.Version)
@@ -139,7 +138,7 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 
 // TestTrainerRollbackOnHoldoutRegression proves the other gate: a
 // candidate that regresses against held-out feedback never reaches the
-// replicas. The primary is the strong correctly-trained model; the
+// engine. The primary is the strong correctly-trained model; the
 // trainer holds the label-flipped model, so its candidates score near
 // zero on the (correctly labeled) holdout slice and every snapshot rolls
 // back with a surfaced reason, leaving the serving version untouched.
@@ -149,8 +148,7 @@ func TestTrainerRollbackOnHoldoutRegression(t *testing.T) {
 	want := correct.Snapshot().PredictAll(ds.Graphs)
 
 	reg := NewRegistry(RegistryOptions{
-		Replicas: 1,
-		Engine:   Options{Workers: 1, MaxBatch: 8, MaxDelay: 50 * time.Microsecond},
+		Engine: Options{Workers: 1, MaxBatch: 8},
 	})
 	defer reg.Close()
 	if err := reg.Load("default", correct.Snapshot()); err != nil {
@@ -192,7 +190,7 @@ func TestTrainerRollbackOnHoldoutRegression(t *testing.T) {
 	if ms.Version != 1 {
 		t.Fatalf("registry version = %d after rollback, want 1 (swap never ran)", ms.Version)
 	}
-	// The replicas still serve the original model, untouched.
+	// The engine still serves the original model, untouched.
 	ctx := context.Background()
 	for i, g := range ds.Graphs {
 		class, err := rt.Predict(ctx, "", "", g)
@@ -323,25 +321,23 @@ func TestTrainerStatusesSorted(t *testing.T) {
 	}
 }
 
-// TestRouterSoakOnlineLoop extends the rolling-swap soak (run under -race
-// in CI) with the full online learning loop live: two 2-replica models
-// take mixed predict traffic and concurrent labeled feedback while their
+// TestRouterSoakOnlineLoop extends TestRouterSoakRollingSwap (run under -race
+// in CI) with the full online learning loop live: two models take mixed
+// predict traffic and concurrent labeled feedback while their
 // trainers snapshot, shadow-mirror at fraction 1, and promote ("promo":
 // flipped primary, correct trainer) or roll back ("rollb": correct
 // primary, flipped trainer). At quiesce it asserts zero failed in-flight
 // requests across every promote/rollback cycle, at least one of each
 // verdict, and exact accepted==processed conservation on the primary
-// replicas — mirrored shadow traffic must never leak into them.
+// engines — mirrored shadow traffic must never leak into them.
 func TestRouterSoakOnlineLoop(t *testing.T) {
 	correct, ds := trainableModel(t, 1024, false)
 	flipped, _ := trainableModel(t, 1024, true)
 
 	reg := NewRegistry(RegistryOptions{
-		Replicas: 2,
 		Engine: Options{
 			Workers:  2,
 			MaxBatch: 8,
-			MaxDelay: 50 * time.Microsecond,
 		},
 	})
 	if err := reg.Load("promo", flipped.Snapshot()); err != nil {
@@ -477,20 +473,10 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 	}
 
 	for _, m := range []*regModel{promoM, rollbM} {
-		var accepted, processed, inflight uint64
-		for _, rep := range m.replicas {
-			em := rep.eng.Metrics()
-			accepted += em.AcceptedGraphs
-			processed += em.Processed
-			inflight += em.InFlight
-			if rep.inflight.Load() != 0 {
-				t.Errorf("model %q replica %d placement counter %d at quiesce",
-					m.name, rep.id, rep.inflight.Load())
-			}
-		}
-		if accepted != processed || inflight != 0 {
+		em := m.eng.Metrics()
+		if em.AcceptedGraphs != em.Processed || em.InFlight != 0 {
 			t.Fatalf("model %q did not quiesce clean: accepted %d, processed %d, inflight %d",
-				m.name, accepted, processed, inflight)
+				m.name, em.AcceptedGraphs, em.Processed, em.InFlight)
 		}
 	}
 	t.Logf("online loop soak: %d graphs answered; promo %d promotions (%d mirrored, %d agreed); rollb %d rollbacks; outcomes %q / %q",
