@@ -49,3 +49,42 @@ func FuzzReadPredictor(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadModel is the fuzz target for the trainable GRAPHHD1 record that
+// graphhd-serve's -feedback-model loads. Whatever the bytes, ReadModel
+// must never panic; any model it returns must classify a small graph into
+// one of its classes and be a WriteTo fixpoint: writing it, reading that
+// back and writing again reproduces the same bytes.
+//
+// The seed corpus under testdata/fuzz/FuzzReadModel holds one valid
+// record at dimension 128. Run with `go test -fuzz FuzzReadModel
+// ./internal/core` for continuous fuzzing.
+func FuzzReadModel(f *testing.F) {
+	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadModel(bytes.NewReader(data))
+		if err != nil {
+			return // rejected inputs must only ever error, not panic
+		}
+		if c := m.Predict(g); c < 0 || c >= m.NumClasses() {
+			t.Fatalf("predicted class %d of %d", c, m.NumClasses())
+		}
+		var first, second bytes.Buffer
+		if _, err := m.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := ReadModel(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written model does not read back: %v", err)
+		}
+		if _, err := m2.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("WriteTo is not a fixpoint: %d bytes then %d bytes", first.Len(), second.Len())
+		}
+	})
+}

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -84,4 +87,78 @@ func graphsEqual(a, b *Graph) bool {
 		}
 	}
 	return true
+}
+
+// graphJSONMirror is GraphJSON with a plain [][2]int edge field: the
+// reflection decode the EdgeList hook must reproduce.
+type graphJSONMirror struct {
+	NumVertices  int      `json:"num_vertices"`
+	Edges        [][2]int `json:"edges"`
+	VertexLabels []int    `json:"vertex_labels,omitempty"`
+}
+
+// edgesOnlyMirror decodes nothing but the edge field, so its error is the
+// first type error among the body's edge arrays.
+type edgesOnlyMirror struct {
+	Edges [][2]int `json:"edges"`
+}
+
+// FuzzEdgeList is the differential fuzz target for the EdgeList decode
+// hook. For any valid JSON, decoding into GraphJSON and into the hook-free
+// mirror must both succeed with equal values or both fail with the same
+// error text, the mirror's struct name aside. The one allowed difference
+// is the one documented on EdgeList.UnmarshalJSON: when the mirror's
+// first error lies in another field, the hook reports the first error of
+// the edge arrays instead.
+//
+// Run with `go test -fuzz FuzzEdgeList ./internal/graph` for continuous
+// fuzzing.
+func FuzzEdgeList(f *testing.F) {
+	for _, edges := range []string{
+		`[[0,1],[1,2],[2,3]]`,
+		" [ [0 ,1] ,\n\t[ 1, 2 ]\r\n ] ",
+		`[[0,0,0]]`,
+		`[[0]]`,
+		`null`,
+		`[[-0,1]]`,
+		`[[0,1.5]]`,
+		`[[1e3,0]]`,
+		`[[0,12345678901234567890]]`,
+	} {
+		f.Add([]byte(`{"num_vertices":4,"edges":` + edges + `}`))
+	}
+	f.Add([]byte(`{"num_vertices":4,"edges":[[0,1]],"edges":[[2,3],[1,2]]}`))
+	f.Add([]byte(`{"num_vertices":4,"edges":[[0,1]],"edges":null}`))
+	f.Add([]byte(`{"num_vertices":4,"edges":[[0,1],[2,3]],"edges":[null,[1,2],null]}`))
+	f.Add([]byte(`{"num_vertices":4,"EDGES":[[0,1]],"vertex_labels":[1,2,3,4]}`))
+	f.Add([]byte(`{"num_vertices":"4","edges":[[0,1.0]]}`))
+	replacer := strings.NewReplacer("graphJSONMirror", "GraphJSON", "edgesOnlyMirror", "GraphJSON")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var got GraphJSON
+		var want graphJSONMirror
+		gotErr := json.Unmarshal(data, &got)
+		wantErr := json.Unmarshal(data, &want)
+		switch {
+		case gotErr == nil && wantErr == nil:
+			if got.NumVertices != want.NumVertices ||
+				!reflect.DeepEqual([][2]int(got.Edges), want.Edges) ||
+				!reflect.DeepEqual(got.VertexLabels, want.VertexLabels) {
+				t.Fatalf("decoded %+v, reflection decodes %+v", got, want)
+			}
+		case gotErr != nil && wantErr != nil:
+			if gotErr.Error() == replacer.Replace(wantErr.Error()) {
+				return
+			}
+			var edgesOnly edgesOnlyMirror
+			edgesErr := json.Unmarshal(data, &edgesOnly)
+			if edgesErr == nil || gotErr.Error() != replacer.Replace(edgesErr.Error()) {
+				t.Fatalf("error %q, reflection reports %q", gotErr, wantErr)
+			}
+		default:
+			t.Fatalf("error %v, reflection reports %v", gotErr, wantErr)
+		}
+	})
 }

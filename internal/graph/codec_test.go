@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,5 +121,43 @@ func TestDecodeGraphReader(t *testing.T) {
 	}
 	if !g.HasEdge(0, 1) {
 		t.Fatal("edge lost through reader decode")
+	}
+}
+
+// TestEdgeListScanner pins which edge arrays take the reflection-free
+// path: the canonical ones must scan to exactly what encoding/json
+// decodes, and everything else must be left to encoding/json.
+func TestEdgeListScanner(t *testing.T) {
+	canonical := []string{
+		`[]`,
+		` [ ] `,
+		`[[0,1]]`,
+		"\t[ [ 3 ,\n 2 ] , [-0,0],[-7 ,123456789012345678]\r]\n",
+		`[[-123456789012345678,0]]`,
+	}
+	for _, in := range canonical {
+		got, ok := scanEdges([]byte(in))
+		if !ok {
+			t.Errorf("%q: not scanned as canonical", in)
+			continue
+		}
+		var want [][2]int
+		if err := json.Unmarshal([]byte(in), &want); err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if !reflect.DeepEqual([][2]int(got), want) {
+			t.Errorf("%q: scanned %v, encoding/json decodes %v", in, got, want)
+		}
+	}
+	fallback := []string{
+		``, `null`, `{}`, `"[[0,1]]"`, `[0,1]`, `[[0]]`, `[[0,1,2]]`, `[[]]`,
+		`[[0,1.0]]`, `[[0,1e0]]`, `[[0,1E0]]`, `[[0,"1"]]`, `[[0,null]]`,
+		`[[0,1234567890123456789]]`, `[[0,01]]`, `[[0,-]]`, `[[0,+1]]`,
+		`[[0,1],]`, `[[0,1]`, `[[0,1]]x`, `[[0,1][2,3]]`, `[,[0,1]]`,
+	}
+	for _, in := range fallback {
+		if got, ok := scanEdges([]byte(in)); ok {
+			t.Errorf("%q: scanned as canonical to %v", in, got)
+		}
 	}
 }

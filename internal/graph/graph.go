@@ -5,6 +5,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -168,10 +169,17 @@ func (g *Graph) String() string {
 // Builder accumulates vertices and edges and produces an immutable Graph.
 // Duplicate edges and self-loops are silently dropped, matching the
 // "simple undirected graph" model the paper assumes.
+//
+// AddEdge only appends the normalized edge; Build sorts the edges once,
+// drops duplicates and lays out the CSR adjacency in a single pass. No
+// per-edge hashing and no per-vertex sort is needed: walking the edges in
+// (U, V) order appends each vertex's lower neighbours in ascending order
+// before its upper ones, so every adjacency list comes out sorted.
 type Builder struct {
-	n      int
-	seen   map[Edge]struct{}
-	edges  []Edge
+	n int
+	// keys holds one U<<32|V key per added edge (U < V), in insertion
+	// order and possibly with duplicates until sortKeys compacts them.
+	keys   []uint64
 	labels []int
 }
 
@@ -180,7 +188,15 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, seen: make(map[Edge]struct{})}
+	return &Builder{n: n}
+}
+
+// newBuilderCap is NewBuilder with room for m edges, for callers that
+// know the edge count up front.
+func newBuilderCap(n, m int) *Builder {
+	b := NewBuilder(n)
+	b.keys = make([]uint64, 0, m)
+	return b
 }
 
 // AddEdge adds the undirected edge {u, v}. Self-loops and duplicates are
@@ -195,12 +211,7 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u > v {
 		u, v = v, u
 	}
-	e := Edge{int32(u), int32(v)}
-	if _, dup := b.seen[e]; dup {
-		return nil
-	}
-	b.seen[e] = struct{}{}
-	b.edges = append(b.edges, e)
+	b.keys = append(b.keys, uint64(u)<<32|uint64(v))
 	return nil
 }
 
@@ -223,49 +234,52 @@ func (b *Builder) SetVertexLabels(labels []int) error {
 	return nil
 }
 
+// sortKeys sorts the edge keys and drops duplicates, in place.
+func (b *Builder) sortKeys() {
+	slices.Sort(b.keys)
+	b.keys = slices.Compact(b.keys)
+}
+
 // NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int {
+	b.sortKeys()
+	return len(b.keys)
+}
 
 // Build finalizes the graph. The builder may be reused afterwards only by
 // creating a new one; Build is a terminal operation.
 func (b *Builder) Build() *Graph {
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	deg := make([]int32, b.n)
+	b.sortKeys()
+	n, m := b.n, len(b.keys)
+	edges := make([]Edge, m)
+	// off and adj share one allocation. off[v+1] first counts v's degree,
+	// then holds the start of v's list, then serves as v's write cursor,
+	// so after the fill it is the end of v's list — the start of v+1's.
+	csr := make([]int32, n+1+2*m)
+	off, adj := csr[:n+1], csr[n+1:]
+	for i, k := range b.keys {
+		e := Edge{U: int32(k >> 32), V: int32(uint32(k))}
+		edges[i] = e
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	var start int32
+	for v := 1; v <= n; v++ {
+		start, off[v] = start+off[v], start
+	}
 	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
+		adj[off[e.U+1]] = e.V
+		off[e.U+1]++
+		adj[off[e.V+1]] = e.U
+		off[e.V+1]++
 	}
-	off := make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	adj := make([]int32, off[b.n])
-	pos := make([]int32, b.n)
-	copy(pos, off[:b.n])
-	for _, e := range edges {
-		adj[pos[e.U]] = e.V
-		pos[e.U]++
-		adj[pos[e.V]] = e.U
-		pos[e.V]++
-	}
-	for v := 0; v < b.n; v++ {
-		s := adj[off[v]:off[v+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	return &Graph{n: b.n, off: off, adj: adj, edges: edges, vertexLabels: b.labels}
+	return &Graph{n: n, off: off, adj: adj, edges: edges, vertexLabels: b.labels}
 }
 
 // FromEdges is a convenience constructor building a graph directly from an
 // edge list.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	b := NewBuilder(n)
+	b := newBuilderCap(n, len(edges))
 	for _, e := range edges {
 		if err := b.AddEdge(e[0], e[1]); err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,172 @@ func TestBuilderDeduplicatesAndDropsSelfLoops(t *testing.T) {
 	}
 	if g.HasEdge(2, 2) {
 		t.Fatal("self-loop present")
+	}
+}
+
+// oracleBuild is the Builder as it was before Build sorted once: a dedup
+// map on insert, a sort.Slice over the edges and one per adjacency list.
+// It is the reference the sort-once Builder must reproduce. pairs must be
+// in range.
+func oracleBuild(n int, pairs [][2]int, labels []int) *Graph {
+	seen := make(map[Edge]struct{})
+	var edges []Edge
+	for _, p := range pairs {
+		u, v := p[0], p[1]
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		e := Edge{int32(u), int32(v)}
+		if _, dup := seen[e]; dup {
+			continue
+		}
+		seen[e] = struct{}{}
+		edges = append(edges, e)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	deg := make([]int32, n)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	off := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + deg[v]
+	}
+	adj := make([]int32, off[n])
+	pos := make([]int32, n)
+	copy(pos, off[:n])
+	for _, e := range edges {
+		adj[pos[e.U]] = e.V
+		pos[e.U]++
+		adj[pos[e.V]] = e.U
+		pos[e.V]++
+	}
+	for v := 0; v < n; v++ {
+		s := adj[off[v]:off[v+1]]
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	}
+	var vl []int
+	if labels != nil {
+		vl = slices.Clone(labels)
+	}
+	return &Graph{n: n, off: off, adj: adj, edges: edges, vertexLabels: vl}
+}
+
+// OracleBuild exposes oracleBuild to the external graph_test package.
+var OracleBuild = oracleBuild
+
+// sameGraph reports the first difference between got and want in vertex
+// count, edge list, any adjacency list or the labels, or "".
+func sameGraph(got, want *Graph) string {
+	if got.NumVertices() != want.NumVertices() {
+		return "vertex count"
+	}
+	if !slices.Equal(got.Edges(), want.Edges()) {
+		return "edge list"
+	}
+	for v := 0; v < want.NumVertices(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			return "neighbors"
+		}
+		if got.VertexLabel(v) != want.VertexLabel(v) {
+			return "labels"
+		}
+	}
+	if got.Labeled() != want.Labeled() {
+		return "labeledness"
+	}
+	return ""
+}
+
+// SameGraph exposes sameGraph to the external graph_test package.
+var SameGraph = sameGraph
+
+// TestBuildMatchesOracle feeds seeded random edge multisets — duplicates,
+// both orientations, self-loops, edgeless and empty graphs, n up to ~300
+// — through the Builder and the oracle and requires identical graphs.
+// Half the trials call NumEdges part-way, so compaction is followed by
+// more appends.
+func TestBuildMatchesOracle(t *testing.T) {
+	rng := hdc.NewRNG(17)
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(301)
+		var pairs [][2]int
+		if n > 0 && trial%10 != 0 { // every tenth graph is edgeless
+			m := rng.Intn(3*n + 1)
+			for len(pairs) < m {
+				switch r := rng.Intn(10); {
+				case r == 0: // self-loop
+					u := rng.Intn(n)
+					pairs = append(pairs, [2]int{u, u})
+				case r < 4 && len(pairs) > 0: // duplicate, either orientation
+					p := pairs[rng.Intn(len(pairs))]
+					if r%2 == 0 {
+						p[0], p[1] = p[1], p[0]
+					}
+					pairs = append(pairs, p)
+				default:
+					pairs = append(pairs, [2]int{rng.Intn(n), rng.Intn(n)})
+				}
+			}
+		}
+		var labels []int
+		if trial%3 == 0 {
+			labels = make([]int, n)
+			for v := range labels {
+				labels[v] = rng.Intn(5)
+			}
+		}
+		want := oracleBuild(n, pairs, labels)
+		b := NewBuilder(n)
+		for i, p := range pairs {
+			if trial%2 == 1 && i == len(pairs)/2 {
+				b.NumEdges()
+			}
+			b.MustAddEdge(p[0], p[1])
+		}
+		if labels != nil {
+			if err := b.SetVertexLabels(labels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: Builder.NumEdges = %d, oracle has %d edges", trial, b.NumEdges(), want.NumEdges())
+		}
+		if diff := sameGraph(b.Build(), want); diff != "" {
+			t.Fatalf("trial %d (n=%d, %d pairs): %s differs from the oracle", trial, n, len(pairs), diff)
+		}
+	}
+}
+
+func TestBuilderNumEdgesCountsDistinct(t *testing.T) {
+	b := NewBuilder(4)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(2, 3)
+	b.MustAddEdge(1, 2)
+	if got := b.NumEdges(); got != 3 {
+		t.Fatalf("NumEdges = %d, want 3", got)
+	}
+	b.MustAddEdge(1, 0)
+	b.MustAddEdge(2, 3)
+	b.MustAddEdge(3, 3)
+	if got := b.NumEdges(); got != 3 {
+		t.Fatalf("after duplicates and a self-loop NumEdges = %d, want 3", got)
+	}
+	b.MustAddEdge(3, 0)
+	if got := b.NumEdges(); got != 4 {
+		t.Fatalf("after a new edge NumEdges = %d, want 4", got)
+	}
+	if g := b.Build(); g.NumEdges() != 4 {
+		t.Fatalf("built graph has %d edges, want 4", g.NumEdges())
 	}
 }
 

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"graphhd/internal/core"
 	"graphhd/internal/dataset"
+	"graphhd/internal/graph"
 )
 
 // The serving benchmarks run at paper scale (d = 10,000) on a synthetic
@@ -73,6 +78,40 @@ func BenchmarkServePredictParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkHTTPPredict is one POST /v1/predict through NewHandler, with
+// no network in between, over NCI1-shaped bodies: JSON decode, graph
+// build, router, engine and response encode. Its distance from
+// BenchmarkServePredict is what the wire front end costs per request.
+func BenchmarkHTTPPredict(b *testing.B) {
+	ds := dataset.MustGenerate("NCI1", dataset.Options{Seed: 7, GraphCount: 256})
+	m, err := core.Train(core.DefaultConfig(), ds.Graphs, ds.Labels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 16}})
+	if err := reg.Load("default", m.Snapshot()); err != nil {
+		b.Fatal(err)
+	}
+	defer reg.Close()
+	h := NewHandler(NewRouter(reg, RouterOptions{}), HandlerOptions{})
+	bodies := make([][]byte, len(ds.Graphs))
+	for i, g := range ds.Graphs {
+		if bodies[i], err = json.Marshal(PredictRequest{Graph: graph.ToJSON(g)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		i++
+	}
 }
 
 // BenchmarkServePredictBatch measures the amortized per-graph cost of the

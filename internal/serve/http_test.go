@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,16 +408,44 @@ func TestHTTPBadRequests(t *testing.T) {
 	pred, _ := testModel(t, 1024, 1)
 	srv, _ := startTestServer(t, pred, HandlerOptions{Limits: graph.CodecLimits{MaxVertices: 50}})
 
+	// text is the exact error a 400 carries; rows expecting 200 are bodies
+	// the wire has always accepted, kept here so a faster decoder cannot
+	// quietly narrow what is accepted.
 	cases := []struct {
 		name, path, body string
 		status           int
+		text             string
 	}{
-		{"not json", "/v1/predict", "{", http.StatusBadRequest},
-		{"missing graph", "/v1/predict", `{}`, http.StatusBadRequest},
-		{"edge out of range", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,5]]}}`, http.StatusBadRequest},
-		{"over vertex limit", "/v1/predict", `{"graph":{"num_vertices":100,"edges":[]}}`, http.StatusBadRequest},
-		{"labels to unlabeled model", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,1]],"vertex_labels":[1,2]}}`, http.StatusBadRequest},
-		{"bad batch element", "/v1/predict/batch", `{"graphs":[{"num_vertices":2,"edges":[[0,9]]}]}`, http.StatusBadRequest},
+		{"not json", "/v1/predict", "{", http.StatusBadRequest,
+			"serve: decode request: unexpected EOF"},
+		{"missing graph", "/v1/predict", `{}`, http.StatusBadRequest,
+			"serve: missing graph"},
+		{"edge out of range", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,5]]}}`, http.StatusBadRequest,
+			"graph: edges[0]: graph: edge (0,5) out of range [0,2)"},
+		{"over vertex limit", "/v1/predict", `{"graph":{"num_vertices":100,"edges":[]}}`, http.StatusBadRequest,
+			"graph: num_vertices 100 exceeds limit 50"},
+		{"labels to unlabeled model", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,1]],"vertex_labels":[1,2]}}`, http.StatusBadRequest,
+			"serve: vertex_labels supplied but the loaded model does not use vertex labels"},
+		{"bad batch element", "/v1/predict/batch", `{"graphs":[{"num_vertices":2,"edges":[[0,9]]}]}`, http.StatusBadRequest,
+			"graphs[0]: graph: edges[0]: graph: edge (0,9) out of range [0,2)"},
+		{"fractional endpoint", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,1.0]]}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal number 1.0 into Go struct field GraphJSON.graph.edges of type int"},
+		{"exponent endpoint", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,1e0]]}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal number 1e0 into Go struct field GraphJSON.graph.edges of type int"},
+		{"string vertex count", "/v1/predict", `{"graph":{"num_vertices":"2","edges":[[0,1]]}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal string into Go struct field GraphJSON.graph.num_vertices of type int"},
+		{"string endpoint", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,"1"]]}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal string into Go struct field GraphJSON.graph.edges of type int"},
+		{"20-digit endpoint", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[0,12345678901234567890]]}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal number 12345678901234567890 into Go struct field GraphJSON.graph.edges of type int"},
+		{"object edges", "/v1/predict", `{"graph":{"num_vertices":2,"edges":{"0":1}}}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal object into Go struct field GraphJSON.graph.edges of type [][2]int"},
+		{"fractional endpoint in batch", "/v1/predict/batch", `{"graphs":[{"num_vertices":2,"edges":[[0,1.0]]}]}`, http.StatusBadRequest,
+			"serve: decode request: json: cannot unmarshal number 1.0 into Go struct field GraphJSON.graphs.edges of type int"},
+		{"three-element pair", "/v1/predict", `{"graph":{"num_vertices":3,"edges":[[0,1,2]]}}`, http.StatusOK, ""},
+		{"one-element pair", "/v1/predict", `{"graph":{"num_vertices":2,"edges":[[1]]}}`, http.StatusOK, ""},
+		{"null edges", "/v1/predict", `{"graph":{"num_vertices":2,"edges":null}}`, http.StatusOK, ""},
+		{"case-folded key", "/v1/predict", `{"graph":{"num_vertices":2,"EDGES":[[0,1]]}}`, http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -428,9 +457,16 @@ func TestHTTPBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
 		}
+		if tc.status == http.StatusOK {
+			var pr PredictResponse
+			if err := json.Unmarshal(body, &pr); err != nil {
+				t.Errorf("%s: body %q is not a predict response", tc.name, body)
+			}
+			continue
+		}
 		var er errorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-			t.Errorf("%s: error body %q is not an error JSON", tc.name, body)
+		if err := json.Unmarshal(body, &er); err != nil || er.Error != tc.text {
+			t.Errorf("%s: error body %q, want error %q", tc.name, body, tc.text)
 		}
 	}
 
@@ -442,6 +478,43 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/predict: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPOversizedEdgeListAllocation posts canonical edge lists far over
+// MaxEdges. They must be refused with 400 naming the limit, having
+// allocated at most 8× the body on the way: the decoded edge slice is
+// sized exactly, with no reflection growth or per-element garbage.
+func TestHTTPOversizedEdgeListAllocation(t *testing.T) {
+	pred, _ := testModel(t, 1024, 1)
+	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	if err := reg.Load("default", pred); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	h := NewHandler(NewRouter(reg, RouterOptions{}), HandlerOptions{Limits: graph.CodecLimits{MaxEdges: 1000}})
+	for _, mib := range []int{1, 4} {
+		var body bytes.Buffer
+		body.WriteString(`{"graph":{"num_vertices":2,"edges":[[0,1]`)
+		for body.Len() < mib<<20 {
+			body.WriteString(`,[1,0]`)
+		}
+		body.WriteString(`]}}`)
+		size := body.Len()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", &body)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceed limit 1000") {
+			t.Fatalf("%d MiB list: status %d, body %s; want 400 naming the edge limit", mib, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(size) {
+			t.Errorf("%d MiB list: handler allocated %d bytes, %.1f× the %d-byte body (limit 8×)",
+				mib, alloc, float64(alloc)/float64(size), size)
+		}
 	}
 }
 

@@ -380,9 +380,9 @@ func (tr *Trainer) validateCandidate() {
 	primAcc := eval.Accuracy(primary.PredictAll(hg), hy)
 
 	if candAcc+tr.opts.ValidationTolerance < primAcc {
-		tr.rolledX.Add(1)
 		tr.outcome(fmt.Sprintf("rolled back: holdout regression %.3f vs serving %.3f (tolerance %.3f)",
 			candAcc, primAcc, tr.opts.ValidationTolerance), candAcc, primAcc, 0, 0)
+		tr.rolledX.Add(1)
 		return
 	}
 
@@ -396,9 +396,9 @@ func (tr *Trainer) validateCandidate() {
 	if tr.opts.ShadowMinAgreement > 0 &&
 		mirrored >= uint64(tr.opts.ShadowMinSamples) &&
 		agreement < tr.opts.ShadowMinAgreement {
-		tr.rolledX.Add(1)
 		tr.outcome(fmt.Sprintf("rolled back: shadow agreement %.3f below %.3f over %d mirrored",
 			agreement, tr.opts.ShadowMinAgreement, mirrored), candAcc, primAcc, agreement, mirrored)
+		tr.rolledX.Add(1)
 		return
 	}
 
@@ -407,19 +407,19 @@ func (tr *Trainer) validateCandidate() {
 	// load) and swaps in at a batch boundary — never mid-flight.
 	if prep := tr.reg.opts.PrepareModel; prep != nil {
 		if err := prep(tr.name, candidate); err != nil {
-			tr.rolledX.Add(1)
 			tr.outcome("rolled back: prepare hook: "+err.Error(), candAcc, primAcc, agreement, mirrored)
+			tr.rolledX.Add(1)
 			return
 		}
 	}
 	if err := tr.reg.Swap(tr.name, candidate); err != nil {
-		tr.rolledX.Add(1)
 		tr.outcome("rolled back: swap: "+err.Error(), candAcc, primAcc, agreement, mirrored)
+		tr.rolledX.Add(1)
 		return
 	}
-	tr.promoted.Add(1)
 	tr.outcome(fmt.Sprintf("promoted: holdout %.3f vs %.3f, shadow agreement %.3f over %d mirrored (revision %d)",
 		candAcc, primAcc, agreement, mirrored, candidate.Revision()), candAcc, primAcc, agreement, mirrored)
+	tr.promoted.Add(1)
 }
 
 // shadowPhase publishes a mirror for candidate on m, waits for
@@ -463,7 +463,9 @@ func (tr *Trainer) shadowPhase(m *regModel, candidate *core.Predictor) (mirrored
 	}
 }
 
-// outcome records the last validation verdict for status surfaces.
+// outcome records the last validation verdict for status surfaces. Callers
+// record it before bumping the rollback or promotion counter, so a reader
+// who sees a counter move also sees the verdict behind it.
 func (tr *Trainer) outcome(s string, cand, prim, agree float64, mirrored uint64) {
 	tr.mu.Lock()
 	tr.lastOutcome = s
