@@ -5,12 +5,29 @@ import (
 	"time"
 
 	"graphhd/internal/graph"
+	"graphhd/internal/hdc"
+	"graphhd/internal/parallel"
 )
 
 // encodeBatchChunk is the batch size the parallel adopters (Fit,
 // PredictAll) hand to one scratch call: each chunk checks one pooled
 // scratch out and back, and its graphs share one basis-table snapshot.
 const encodeBatchChunk = 32
+
+// encodeChunks encodes graphs across the shared worker pool in contiguous
+// encodeBatchChunk-graph chunks, each as one batch through one pooled
+// scratch, and hands fn the scratch, the chunk's first index and its
+// packed encodings, which are valid until fn returns. fn runs on several
+// goroutines at once.
+func (e *Encoder) encodeChunks(graphs []*graph.Graph, fn func(s *EncoderScratch, lo int, outs []*hdc.Binary)) {
+	e.reserveFor(graphs)
+	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
+	parallel.ForEachChunk(parallel.Workers(0, chunks), len(graphs), encodeBatchChunk, func(_, lo, hi int) {
+		s := e.getScratch()
+		fn(s, lo, s.EncodeBatch(graphs[lo:hi]))
+		e.putScratch(s)
+	})
+}
 
 // BatchTrace receives the stage clock of one batch predict call: the
 // wall time each phase of the pipeline consumed, in monotonic

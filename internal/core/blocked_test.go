@@ -50,7 +50,7 @@ func TestBlockedEncodeMatchesScalarAllDatasets(t *testing.T) {
 				if got := s.EncodeGraphPacked(g); !got.Equal(want) {
 					t.Fatalf("graph %d: blocked packed encode differs from scalar AddXor reference", i)
 				}
-				if got := s.EncodeGraph(g).PackBinary(); !got.Equal(want) {
+				if got := enc.EncodeGraph(g).PackBinary(); !got.Equal(want) {
 					t.Fatalf("graph %d: blocked bipolar encode differs from scalar AddXor reference", i)
 				}
 			}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -409,6 +411,16 @@ func TestRetrainErrors(t *testing.T) {
 	}
 	if _, err := m.Retrain(gs, ys[:1], RetrainOptions{}); err == nil {
 		t.Fatal("expected length mismatch error")
+	}
+	// Out-of-range labels are refused with Fit's error, before encoding.
+	for _, bad := range []int{2, -1} {
+		ys2 := slices.Clone(ys)
+		ys2[3] = bad
+		_, err := m.Retrain(gs, ys2, RetrainOptions{Epochs: 1})
+		want := fmt.Sprintf("core: label %d out of range [0,2)", bad)
+		if err == nil || err.Error() != want {
+			t.Fatalf("label %d: error %v, want %q", bad, err, want)
+		}
 	}
 }
 

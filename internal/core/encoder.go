@@ -85,9 +85,11 @@ type Encoder struct {
 	labelMu   sync.Mutex
 	labelVecs map[rankLabelKey]*hdc.Bipolar
 
-	// Packed copies of the rank basis vectors for the bit-sliced fast
-	// encoding path (see EncodeGraph). packed[r] is ranks.Vector(r) in
-	// bit form; the slice only ever grows, guarded by packedMu.
+	// The packed rank basis of the bit-sliced encoding path (see
+	// EncodeGraph). packed[r] is ranks.Vector(r) in bit form, generated by
+	// index from the item memory's stream, so the int8 table is built only
+	// when the reference encoder asks for it. The slice only ever grows,
+	// guarded by packedMu.
 	packedMu sync.RWMutex
 	packed   []*hdc.Binary
 
@@ -202,27 +204,24 @@ func (e *Encoder) rankLabelVector(rank, label int) *hdc.Bipolar {
 // representation (the paper does not define this case; bundling vertices
 // is the natural fallback and only affects empty-edge-set inputs).
 //
-// Unlabeled graphs — the paper's baseline setting — take a bit-sliced fast
-// path: basis vectors are packed to bits once, each edge bind becomes a
-// d/64-word XNOR, and majority counts accumulate in SWAR nibble/byte lanes
-// (hdc.BitCounter). The result is bit-for-bit identical to the reference
-// int8 pipeline, roughly an order of magnitude faster; encodeGraphSlow
-// keeps the reference implementation alive for the labeled extension and
-// for the equivalence tests.
+// It is EncodeGraphPacked unpacked to int8 components, which is
+// bit-identical because packing is a bijection: unlabeled graphs — the
+// paper's baseline setting — take the bit-sliced pipeline, where each edge
+// bind is a d/64-word XNOR of packed basis vectors and majority counts
+// accumulate in SWAR lanes (hdc.BitCounter). encodeGraphSlow keeps the
+// reference int8 implementation alive for the labeled extension, edgeless
+// graphs and the equivalence tests.
 func (e *Encoder) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	gs := [1]*graph.Graph{g}
-	var out [1]*hdc.Bipolar
-	s.encodeBipolarNew(gs[:], out[:])
-	return out[0]
+	return s.EncodeGraphPacked(g).UnpackBipolar()
 }
 
-// EncodeGraphPacked is EncodeGraph without the int8 detour: the bundle is
-// majority-voted straight into bit-packed Binary form, so the hypervector
-// stays d/64 words from encoding through classification. The result equals
-// EncodeGraph(g).PackBinary() bit for bit on every input (the labeled and
-// edgeless fallbacks pack the reference encoding).
+// EncodeGraphPacked returns Enc_G(g) in bit-packed form: the bundle is
+// majority-voted straight into Binary words, so the hypervector stays d/64
+// words from encoding through training and classification. The result
+// equals encodeGraphSlow(g).PackBinary() bit for bit on every input (the
+// labeled and edgeless fallbacks pack the reference encoding).
 func (e *Encoder) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
 	s := e.getScratch()
 	defer e.putScratch(s)
@@ -266,7 +265,7 @@ func (e *Encoder) packedSlice(n int) []*hdc.Binary {
 	e.packedMu.Lock()
 	defer e.packedMu.Unlock()
 	for len(e.packed) < n {
-		e.packed = append(e.packed, e.ranks.Vector(len(e.packed)).PackBinary())
+		e.packed = append(e.packed, e.ranks.PackedVector(len(e.packed)))
 	}
 	return e.packed
 }
@@ -280,24 +279,25 @@ func (e *Encoder) EncodeEdge(g *graph.Graph, u, v int) *hdc.Bipolar {
 	return e.vertexVector(g, u, ranks[u]).Bind(e.vertexVector(g, v, ranks[v]))
 }
 
-// reserveFor pre-materializes the rank basis vectors (and their packed
-// copies) covering every vertex count in graphs, so parallel encoding
-// workers take the read-lock fast path throughout.
+// reserveFor pre-materializes the rank basis vectors graphs will read, so
+// parallel encoding workers take the read-lock fast path throughout: the
+// packed table for graphs on the packed pipeline, and the int8 table only
+// for the edgeless graphs whose reference encoding bundles from it.
+// Labeled graphs under UseVertexLabels read neither; their vertex vectors
+// come from the (rank, label) table.
 func (e *Encoder) reserveFor(graphs []*graph.Graph) {
-	maxN := 0
-	packedPath := false
+	maxPacked, maxInt8 := 0, 0
 	for _, g := range graphs {
-		if g.NumVertices() > maxN {
-			maxN = g.NumVertices()
-		}
-		// Mirror edgeBitCounter's gate: any graph outside the labeled
-		// extension will take the packed fast path.
-		if !(e.cfg.UseVertexLabels && g.Labeled()) {
-			packedPath = true
+		switch {
+		case e.cfg.UseVertexLabels && g.Labeled():
+		case g.NumEdges() > 0: // the gate of EncoderScratch.group
+			maxPacked = max(maxPacked, g.NumVertices())
+		default:
+			maxInt8 = max(maxInt8, g.NumVertices())
 		}
 	}
-	e.ranks.Reserve(maxN)
-	if packedPath {
-		e.packedSlice(maxN)
+	e.ranks.Reserve(maxInt8)
+	if maxPacked > 0 {
+		e.packedSlice(maxPacked)
 	}
 }

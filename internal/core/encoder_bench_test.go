@@ -128,24 +128,6 @@ func BenchmarkEncodeScratchPackedScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeScratchBipolar is the bipolar-output variant, also
-// 0 allocs/op.
-func BenchmarkEncodeScratchBipolar(b *testing.B) {
-	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 2, GraphCount: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := MustNewEncoder(DefaultConfig())
-	s := enc.NewScratch()
-	g := ds.Graphs[0]
-	s.EncodeGraph(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.EncodeGraph(g)
-	}
-}
-
 // BenchmarkEncodeRanks isolates the centrality-rank step (PageRank power
 // iteration plus the allocation-free index sort) on the scratch path.
 func BenchmarkEncodeRanks(b *testing.B) {

@@ -2,11 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
-	"graphhd/internal/parallel"
 )
 
 // Model is a trained GraphHD classifier: one class vector per class held
@@ -48,18 +49,41 @@ func (m *Model) NumClasses() int { return m.k }
 // ClassVector returns the majority-voted bipolar class vector of class c.
 func (m *Model) ClassVector(c int) *hdc.Bipolar { return m.am.ClassVector(c) }
 
-// Learn encodes one labeled graph and bundles it into its class vector —
-// the HDC online-learning primitive. It returns the graph-hypervector so
-// callers (e.g. retraining loops) can reuse the encoding. Each call bumps
-// the model revision.
-func (m *Model) Learn(g *graph.Graph, label int) (*hdc.Bipolar, error) {
-	if label < 0 || label >= m.k {
-		return nil, fmt.Errorf("core: label %d out of range [0,%d)", label, m.k)
+// checkLabel rejects a label outside [0, k).
+func checkLabel(label, k int) error {
+	if label < 0 || label >= k {
+		return fmt.Errorf("core: label %d out of range [0,%d)", label, k)
 	}
-	hv := m.enc.EncodeGraph(g)
+	return nil
+}
+
+// checkLabels is checkLabel over a training set, with Fit's length check.
+func checkLabels(graphs []*graph.Graph, labels []int, k int) error {
+	if len(graphs) != len(labels) {
+		return fmt.Errorf("core: %d graphs but %d labels", len(graphs), len(labels))
+	}
+	for _, l := range labels {
+		if err := checkLabel(l, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Learn encodes one labeled graph and bundles it into its class vector —
+// the HDC online-learning primitive. It returns a copy of the packed
+// graph-hypervector so callers (e.g. retraining loops) can reuse the
+// encoding. Each call bumps the model revision.
+func (m *Model) Learn(g *graph.Graph, label int) (*hdc.Binary, error) {
+	if err := checkLabel(label, m.k); err != nil {
+		return nil, err
+	}
+	s := m.enc.getScratch()
+	defer m.enc.putScratch(s)
+	hv := s.EncodeGraphPacked(g)
 	m.am.Learn(label, hv)
 	m.rev.Add(1)
-	return hv, nil
+	return hv.Clone(), nil
 }
 
 // Revision returns the number of online updates applied to the model since
@@ -67,66 +91,65 @@ func (m *Model) Learn(g *graph.Graph, label int) (*hdc.Bipolar, error) {
 // snapshot serving pre-update class vectors.
 func (m *Model) Revision() uint64 { return m.rev.Load() }
 
-// Fit trains on the whole set, encoding graphs in parallel across
-// GOMAXPROCS goroutines (HDC operations are dimension-independent, the
-// parallelism the paper highlights). Bundling into class vectors happens
-// in deterministic input order, so the trained model is identical to
-// sequential training.
+// Fit trains on the whole set in the packed domain, across GOMAXPROCS
+// goroutines (HDC operations are dimension-independent, the parallelism
+// the paper highlights). Each 32-graph chunk is encoded as one batch; the
+// chunk's encodings of each class are bundled in the chunk scratch's
+// counter and folded into the int32 class sums as sᵢ += 2·countᵢ − n. No
+// int8 hypervector is built. Integer sums do not depend on the order of
+// the folds, so the trained model is identical to sequential Learn calls.
 func (m *Model) Fit(graphs []*graph.Graph, labels []int) error {
-	if len(graphs) != len(labels) {
-		return fmt.Errorf("core: %d graphs but %d labels", len(graphs), len(labels))
+	if err := checkLabels(graphs, labels, m.k); err != nil {
+		return err
 	}
-	for _, l := range labels {
-		if l < 0 || l >= m.k {
-			return fmt.Errorf("core: label %d out of range [0,%d)", l, m.k)
+	var mu sync.Mutex
+	m.enc.encodeChunks(graphs, func(s *EncoderScratch, lo int, outs []*hdc.Binary) {
+		ls := labels[lo : lo+len(outs)]
+		for i, c := range ls {
+			if slices.Contains(ls[:i], c) {
+				continue // class c of this chunk is already folded in
+			}
+			s.counter.Reset()
+			for j := i; j < len(ls); j++ {
+				if ls[j] == c {
+					s.counter.Add(outs[j])
+				}
+			}
+			mu.Lock()
+			m.am.AddCounter(c, s.counter)
+			mu.Unlock()
 		}
-	}
-	encoded := m.encodeAll(graphs)
-	for i, hv := range encoded {
-		m.am.Learn(labels[i], hv)
-	}
+		s.counter.Reset()
+	})
 	return nil
 }
 
-// encodeAll encodes graphs across the shared worker pool, preserving
-// order. Work is distributed in contiguous chunks of encodeBatchChunk
-// graphs, each encoded through one pooled EncoderScratch; only the
-// retained output hypervectors are allocated.
-func (m *Model) encodeAll(graphs []*graph.Graph) []*hdc.Bipolar {
-	m.enc.reserveFor(graphs)
-	encoded := make([]*hdc.Bipolar, len(graphs))
-	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
-	workers := parallel.Workers(0, chunks)
-	parallel.ForEachChunk(workers, len(graphs), encodeBatchChunk, func(_, lo, hi int) {
-		s := m.enc.getScratch()
-		s.encodeBipolarNew(graphs[lo:hi], encoded[lo:hi])
-		m.enc.putScratch(s)
-	})
-	return encoded
-}
-
 // Predict returns the predicted class of g: the class whose vector is most
-// similar to Enc(g). The encoding runs on a pooled scratch; the query
-// vector is never retained, so steady-state prediction of unlabeled graphs
-// allocates nothing.
+// similar to Enc(g). The packed encoding runs on a pooled scratch and is
+// never retained, so steady-state prediction of unlabeled graphs allocates
+// nothing once the model's query snapshot is built.
 func (m *Model) Predict(g *graph.Graph) int {
 	s := m.enc.getScratch()
 	defer m.enc.putScratch(s)
-	return m.am.Classify(s.EncodeGraph(g))
+	return m.am.Classify(s.EncodeGraphPacked(g))
 }
 
-// PredictEncoded classifies an already encoded graph-hypervector.
+// PredictEncoded classifies an already encoded graph-hypervector, packed
+// first.
 func (m *Model) PredictEncoded(hv *hdc.Bipolar) int {
-	return m.am.Classify(hv)
+	return m.am.Classify(hv.PackBinary())
 }
 
-// PredictAll classifies a batch of graphs in parallel, preserving order.
+// PredictAll classifies a batch of graphs in parallel, preserving order:
+// each chunk is encoded as one batch and classified by the goroutine that
+// encoded it.
 func (m *Model) PredictAll(graphs []*graph.Graph) []int {
-	encoded := m.encodeAll(graphs)
-	out := make([]int, len(encoded))
-	for i, hv := range encoded {
-		out[i] = m.am.Classify(hv)
-	}
+	out := make([]int, len(graphs))
+	m.enc.encodeChunks(graphs, func(_ *EncoderScratch, lo int, outs []*hdc.Binary) {
+		for i, hv := range outs {
+			out[lo+i] = m.am.Classify(hv)
+		}
+	})
 	return out
 }
 
@@ -134,7 +157,7 @@ func (m *Model) PredictAll(graphs []*graph.Graph) []int {
 func (m *Model) Similarities(g *graph.Graph) []float64 {
 	s := m.enc.getScratch()
 	defer m.enc.putScratch(s)
-	return m.am.Similarities(s.EncodeGraph(g))
+	return m.am.Similarities(s.EncodeGraphPacked(g))
 }
 
 // PredictPacked classifies g entirely in the packed domain: bit-packed

@@ -33,7 +33,9 @@ type RetrainOptions struct {
 // Retrain runs perceptron-style HDC retraining on a fitted model: for each
 // training sample, if the model misclassifies it, the encoded hypervector
 // is added to the correct class accumulator and subtracted from the
-// mispredicted one.
+// mispredicted one. Each graph is encoded once, into a packed vector of
+// d/8 bytes kept for every epoch. Labels are validated like Fit's before
+// anything is encoded.
 //
 // Contract: the returned slice holds the number of corrective updates per
 // epoch actually run, in epoch order. Training stops early once an epoch
@@ -42,14 +44,19 @@ type RetrainOptions struct {
 // len(updates) == opts.Epochs. Each corrective update bumps the model's
 // revision counter (see Revision).
 func (m *Model) Retrain(graphs []*graph.Graph, labels []int, opts RetrainOptions) ([]int, error) {
-	if len(graphs) != len(labels) {
-		return nil, fmt.Errorf("core: %d graphs but %d labels", len(graphs), len(labels))
+	if err := checkLabels(graphs, labels, m.k); err != nil {
+		return nil, err
 	}
 	if opts.Epochs <= 0 {
 		return nil, fmt.Errorf("%w (got %d)", ErrNonPositiveEpochs, opts.Epochs)
 	}
 	epochs := opts.Epochs
-	encoded := m.encodeAll(graphs)
+	encoded := make([]*hdc.Binary, len(graphs))
+	m.enc.encodeChunks(graphs, func(_ *EncoderScratch, lo int, outs []*hdc.Binary) {
+		for i, hv := range outs {
+			encoded[lo+i] = hv.Clone()
+		}
+	})
 	order := make([]int, len(graphs))
 	for i := range order {
 		order[i] = i
@@ -68,6 +75,7 @@ func (m *Model) Retrain(graphs []*graph.Graph, labels []int, opts RetrainOptions
 		}
 		n := 0
 		for _, i := range order {
+			m.am.Refresh()
 			pred := m.am.Classify(encoded[i])
 			if pred != labels[i] {
 				m.am.Learn(labels[i], encoded[i])
@@ -92,16 +100,20 @@ func (m *Model) Retrain(graphs []*graph.Graph, labels []int, opts RetrainOptions
 // one, exactly the per-sample step Retrain runs in bulk. It reports
 // whether the model changed; a corrective update bumps the revision
 // counter. This is the streaming-feedback primitive: pair it with
-// PredictPacked for serving-side online learning. Like all training
-// methods, it requires single-writer discipline (one goroutine mutating
-// the model; concurrent readers are fine).
+// PredictPacked for serving-side online learning. The graph is encoded
+// packed on a pooled scratch and the update adds ±1 per component straight
+// into the int32 sums; on unlabeled graphs a warmed call allocates
+// nothing, corrective or not. Like all training methods, it requires
+// single-writer discipline: one goroutine mutates the model, and queries
+// must not overlap it.
 func (m *Model) OnlineUpdate(g *graph.Graph, label int) (bool, error) {
-	if label < 0 || label >= m.k {
-		return false, fmt.Errorf("core: label %d out of range [0,%d)", label, m.k)
+	if err := checkLabel(label, m.k); err != nil {
+		return false, err
 	}
 	s := m.enc.getScratch()
 	defer m.enc.putScratch(s)
-	hv := s.EncodeGraph(g)
+	hv := s.EncodeGraphPacked(g)
+	m.am.Refresh()
 	pred := m.am.Classify(hv)
 	if pred == label {
 		return false, nil
@@ -123,7 +135,6 @@ type MultiPrototypeModel struct {
 	k      int
 	protos int
 	accs   [][]*hdc.Accumulator // accs[class][prototype]
-	tie    *hdc.Bipolar
 }
 
 // NewMultiPrototypeModel returns an untrained multi-prototype model with
@@ -140,7 +151,6 @@ func NewMultiPrototypeModel(enc *Encoder, k, protos int) (*MultiPrototypeModel, 
 		k:      k,
 		protos: protos,
 		accs:   make([][]*hdc.Accumulator, k),
-		tie:    enc.Tie(),
 	}, nil
 }
 
@@ -165,26 +175,29 @@ func (m *MultiPrototypeModel) Fit(graphs []*graph.Graph, labels []int) error {
 }
 
 // Learn bundles one labeled graph into the nearest prototype of its class,
-// creating a new prototype while capacity remains.
+// creating a new prototype while capacity remains. The graph is encoded
+// packed and compared by the packed int32 cosine.
 func (m *MultiPrototypeModel) Learn(g *graph.Graph, label int) error {
-	if label < 0 || label >= m.k {
-		return fmt.Errorf("core: label %d out of range [0,%d)", label, m.k)
+	if err := checkLabel(label, m.k); err != nil {
+		return err
 	}
-	hv := m.enc.EncodeGraph(g)
+	s := m.enc.getScratch()
+	defer m.enc.putScratch(s)
+	hv := s.EncodeGraphPacked(g)
 	ps := m.accs[label]
 	if len(ps) < m.protos {
 		acc := hdc.NewAccumulator(m.enc.Dimension())
-		acc.Add(hv)
+		acc.AddPacked(hv, 1)
 		m.accs[label] = append(ps, acc)
 		return nil
 	}
-	best, bestSim := 0, ps[0].CosineToSums(hv)
+	best, bestSim := 0, ps[0].CosineToSumsPacked(hv)
 	for i := 1; i < len(ps); i++ {
-		if s := ps[i].CosineToSums(hv); s > bestSim {
+		if s := ps[i].CosineToSumsPacked(hv); s > bestSim {
 			best, bestSim = i, s
 		}
 	}
-	ps[best].Add(hv)
+	ps[best].AddPacked(hv, 1)
 	return nil
 }
 
@@ -192,11 +205,13 @@ func (m *MultiPrototypeModel) Learn(g *graph.Graph, label int) error {
 // Enc(g). Classes with no prototypes are skipped; an untrained model
 // predicts class 0.
 func (m *MultiPrototypeModel) Predict(g *graph.Graph) int {
-	hv := m.enc.EncodeGraph(g)
+	s := m.enc.getScratch()
+	defer m.enc.putScratch(s)
+	hv := s.EncodeGraphPacked(g)
 	bestClass, bestSim := 0, -2.0
 	for c, ps := range m.accs {
 		for _, p := range ps {
-			if s := p.CosineToSums(hv); s > bestSim {
+			if s := p.CosineToSumsPacked(hv); s > bestSim {
 				bestClass, bestSim = c, s
 			}
 		}

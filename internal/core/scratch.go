@@ -12,9 +12,9 @@ import (
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
 // sort order), the rank slice, the rank-pair grouping buffers, the SWAR
-// majority counter, and the output hypervectors. Once its buffers have
-// grown to the largest batch seen, encoding unlabeled graphs with edges
-// performs zero heap allocations.
+// majority counter, and the packed output hypervectors. Once its buffers
+// have grown to the largest batch seen, encoding unlabeled graphs with
+// edges performs zero heap allocations.
 //
 // Every encode path runs the same two steps over a batch of graphs; the
 // per-graph calls are batches of one:
@@ -24,11 +24,11 @@ import (
 //     vector depends only on the unordered rank pair of its endpoints
 //     (XNOR is commutative), so equal keys are one operand with a
 //     multiplicity.
-//  2. signInto (or accumulate, for bipolar outputs) walks one graph's
-//     sorted keys into XNOR operand pairs read straight off the packed
-//     basis table — multiplicity-1 pairs for the blocked carry-save
-//     kernels, the rare grouped pairs with their multiplicities — and
-//     takes the majority at the counter's current width.
+//  2. signInto walks one graph's sorted keys into XNOR operand pairs read
+//     straight off the packed basis table — multiplicity-1 pairs for the
+//     blocked carry-save kernels, the rare grouped pairs with their
+//     multiplicities — and takes the majority at the counter's current
+//     width.
 //
 // Bundling counts are exact integer sums, so regrouping and reordering
 // leave every encoding bit-for-bit identical to the per-edge int8
@@ -43,12 +43,13 @@ import (
 // methods live in its buffers and are only valid until the next call on
 // the same scratch.
 type EncoderScratch struct {
-	enc     *Encoder
-	cent    centrality.Scratch
-	ranks   []int
+	enc   *Encoder
+	cent  centrality.Scratch
+	ranks []int
+	// counter is the SWAR majority counter of signInto; between encodes
+	// Model.Fit bundles a chunk's outputs of one class in it.
 	counter *hdc.BitCounter
 	packed  *hdc.Binary // full-width sign buffer for cascade escalations
-	bipolar *hdc.Bipolar
 
 	// Grouping state of the last grouped batch: graph i's sorted keys are
 	// keys[keyOff[i]:keyOff[i+1]], empty for graphs outside the packed
@@ -84,7 +85,6 @@ func (e *Encoder) NewScratch() *EncoderScratch {
 		enc:     e,
 		counter: hdc.NewBitCounter(d),
 		packed:  hdc.NewBinary(d),
-		bipolar: hdc.NewBipolar(d),
 	}
 }
 
@@ -167,16 +167,6 @@ func (s *EncoderScratch) collect(gi int) bool {
 	}
 	s.pairs, s.wPairs, s.wMults = pairs, wPairs, wMults
 	return len(seg) > 0
-}
-
-// accumulate fills the counter with graph gi's operands at its current
-// width, reporting whether the graph is on the packed fast path.
-func (s *EncoderScratch) accumulate(gi int) bool {
-	if !s.collect(gi) {
-		return false
-	}
-	s.fill()
-	return true
 }
 
 // fill streams the collected operands into the counter: the
@@ -266,20 +256,6 @@ func (s *EncoderScratch) prefixOuts(d, n int) []*hdc.Binary {
 	return s.pouts[:n]
 }
 
-// EncodeGraph is Encoder.EncodeGraph writing into the scratch's reusable
-// bipolar hypervector on the fast path; the result is valid until the
-// next call on s. (The labeled-extension and edgeless fallbacks still
-// return a freshly allocated vector — they are off the hot path by
-// construction.)
-func (s *EncoderScratch) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
-	gs := [1]*graph.Graph{g}
-	s.group(gs[:])
-	if s.accumulate(0) {
-		return s.counter.SignBipolarInto(s.enc.tie, s.bipolar)
-	}
-	return s.enc.encodeGraphSlow(g)
-}
-
 // EncodeGraphPacked is Encoder.EncodeGraphPacked writing into a reusable
 // packed hypervector of the scratch; the result is valid until the next
 // call on s.
@@ -317,19 +293,4 @@ func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Bin
 	// Reference fallback (labeled extension, edgeless): encode at full
 	// width and slice — exact, by the componentwise identity.
 	return e.encodeGraphSlow(g).PackBinary().PrefixCopy(d)
-}
-
-// encodeBipolarNew encodes graphs into freshly allocated bipolar
-// hypervectors, dst[i] for graphs[i] (len(dst) must equal len(graphs)),
-// for callers that retain them (training). Ranks and counts live in the
-// scratch.
-func (s *EncoderScratch) encodeBipolarNew(graphs []*graph.Graph, dst []*hdc.Bipolar) {
-	s.group(graphs)
-	for gi, g := range graphs {
-		if s.accumulate(gi) {
-			dst[gi] = s.counter.SignBipolar(s.enc.tie)
-		} else {
-			dst[gi] = s.enc.encodeGraphSlow(g)
-		}
-	}
 }

@@ -197,11 +197,7 @@ func (b *Binary) Cosine(c *Binary) float64 {
 func (b *Binary) UnpackBipolar() *Bipolar {
 	c := make([]int8, b.d)
 	for i := range c {
-		if b.Bit(i) == 1 {
-			c[i] = 1
-		} else {
-			c[i] = -1
-		}
+		c[i] = int8(b.words[i>>6]>>uint(i&63)&1)*2 - 1
 	}
 	return &Bipolar{comps: c}
 }

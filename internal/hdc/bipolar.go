@@ -3,6 +3,7 @@ package hdc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Bipolar is a hypervector with components in {-1, +1}, the representation
@@ -294,6 +295,117 @@ func (a *Accumulator) CosineToSums(v *Bipolar) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(norm) * math.Sqrt(float64(v.Dim())))
+}
+
+// AddPacked bundles the packed vector v with integer weight w:
+// sᵢ += w·(2·bitᵢ − 1) and the count grows by w. Under the bit 1 ↔ +1
+// mapping it is AddWeighted(v.UnpackBipolar(), w) without the int8
+// vector.
+func (a *Accumulator) AddPacked(v *Binary, w int) {
+	mustSameDim(a.Dim(), v.d)
+	w32 := int32(w)
+	for wi, x := range v.words {
+		s := a.sums[wi<<6 : min(wi<<6+64, len(a.sums))]
+		for b := range s {
+			// neg is 0 for a set bit and -1 for a clear one, so
+			// (w ^ neg) - neg is +w or -w without a branch.
+			neg := int32(x>>uint(b)&1) - 1
+			s[b] += (w32 ^ neg) - neg
+		}
+	}
+	a.n += w
+}
+
+// AddCounter bundles every vector c has counted, in one pass:
+// sᵢ += 2·countᵢ − n and the count grows by n, where n = c.Count(). The
+// sums equal those of adding each counted vector one at a time. c's
+// active dimension must match; its counts are read in place after a
+// flush, and c keeps them until its next Reset.
+func (a *Accumulator) AddCounter(c *BitCounter) {
+	mustSameDim(a.Dim(), c.d)
+	c.flush()
+	n := int64(c.n)
+	for i, cnt := range c.counts {
+		a.sums[i] += int32(2*int64(cnt) - n) // in [-n, n], so it fits
+	}
+	a.n += c.n
+}
+
+// SignBinary collapses the accumulator straight into packed words by the
+// rule of Sign: bit i is set when sᵢ > 0, cleared when sᵢ < 0, and copied
+// from tie where sᵢ = 0. It equals Sign(tie.UnpackBipolar()).PackBinary()
+// bit for bit.
+func (a *Accumulator) SignBinary(tie *Binary) *Binary {
+	return a.SignBinaryInto(tie, NewBinary(len(a.sums)))
+}
+
+// SignBinaryInto is SignBinary writing into dst, which must have the
+// accumulator's dimension; every word is overwritten. Returns dst.
+func (a *Accumulator) SignBinaryInto(tie, dst *Binary) *Binary {
+	mustSameDim(a.Dim(), tie.d)
+	mustSameDim(a.Dim(), dst.d)
+	for w := range dst.words {
+		var pos, neg uint64
+		for b, s := range a.sums[w<<6 : min(w<<6+64, len(a.sums))] {
+			pos |= (uint64(-int64(s)) >> 63) << uint(b) // s > 0
+			neg |= (uint64(int64(s)) >> 63) << uint(b)  // s < 0
+		}
+		// Tie bits land only where the sum is zero; the tail beyond d is
+		// zero in tie, so it stays zero in dst.
+		dst.words[w] = pos | tie.words[w]&^(pos|neg)
+	}
+	return dst
+}
+
+// onesSum returns Σ sᵢ over the components where v's bit is set. The
+// bipolar dot of the sums with v is then 2·onesSum − Σᵢ sᵢ, an exact
+// integer.
+func (a *Accumulator) onesSum(v *Binary) int64 {
+	var t int64
+	for w, x := range v.words {
+		s := a.sums[w<<6:]
+		for ; x != 0; x &= x - 1 {
+			t += int64(s[bits.TrailingZeros64(x)])
+		}
+	}
+	return t
+}
+
+// sumStats returns the two query constants of the int32 cosine: Σᵢ sᵢ,
+// and the denominator √(Σᵢ sᵢ²)·√d of CosineToSums, with the norm summed
+// by the same float64 loop so it is bit-identical. The denominator is 0
+// for an all-zero accumulator.
+func (a *Accumulator) sumStats() (total int64, denom float64) {
+	var norm float64
+	for _, s := range a.sums {
+		total += int64(s)
+		fs := float64(s)
+		norm += fs * fs
+	}
+	if norm == 0 {
+		return total, 0
+	}
+	return total, math.Sqrt(norm) * math.Sqrt(float64(len(a.sums)))
+}
+
+// cosinePacked is CosineToSums for a packed query, given the
+// accumulator's sumStats.
+func (a *Accumulator) cosinePacked(v *Binary, total int64, denom float64) float64 {
+	if denom == 0 {
+		return 0
+	}
+	return float64(2*a.onesSum(v)-total) / denom
+}
+
+// CosineToSumsPacked is CosineToSums for a packed query. The dot product
+// is computed as the exact integer 2·Σ_{bitᵢ=1} sᵢ − Σᵢ sᵢ, which equals
+// CosineToSums's float64 dot while Σᵢ |sᵢ| < 2^53 (every partial sum is
+// then exact), so the two return the same float64 under that bound. Since
+// |sᵢ| ≤ 2^31, the bound holds for every dimension below 2^22.
+func (a *Accumulator) CosineToSumsPacked(v *Binary) float64 {
+	mustSameDim(a.Dim(), v.d)
+	total, denom := a.sumStats()
+	return a.cosinePacked(v, total, denom)
 }
 
 // Bundle majority-votes the given hypervectors into a single bipolar

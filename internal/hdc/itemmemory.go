@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -18,6 +17,7 @@ import (
 type ItemMemory struct {
 	mu   sync.RWMutex
 	dim  int
+	seed uint64
 	rng  *RNG
 	vecs []*Bipolar
 }
@@ -28,7 +28,7 @@ func NewItemMemory(dim int, seed uint64) *ItemMemory {
 	if dim <= 0 {
 		panic("hdc: non-positive dimension")
 	}
-	return &ItemMemory{dim: dim, rng: NewRNG(seed)}
+	return &ItemMemory{dim: dim, seed: seed, rng: NewRNG(seed)}
 }
 
 // Dim returns the dimensionality of the stored hypervectors.
@@ -65,6 +65,20 @@ func (m *ItemMemory) Vector(id int) *Bipolar {
 	return m.vecs[id]
 }
 
+// PackedVector returns Vector(id) in bit-packed form, generated straight
+// from the memory's random stream: vector id is drawn from outputs
+// id·W+1 … id·W+W of the stream (W = ⌈dim/64⌉ words, tail masked), so it
+// needs neither the int8 table nor the vectors before it. The result is
+// freshly allocated and not cached; it equals Vector(id).PackBinary() bit
+// for bit.
+func (m *ItemMemory) PackedVector(id int) *Binary {
+	if id < 0 {
+		panic(fmt.Sprintf("hdc: negative symbol id %d", id))
+	}
+	words := uint64((m.dim + 63) / 64)
+	return RandomBinary(m.dim, NewRNG(m.seed+uint64(id)*words*gamma))
+}
+
 // Reserve eagerly materializes basis vectors for ids [0, n). Useful to
 // avoid lock contention before a parallel section.
 func (m *ItemMemory) Reserve(n int) {
@@ -75,27 +89,49 @@ func (m *ItemMemory) Reserve(n int) {
 
 // AssociativeMemory stores one integer-accumulator class vector per class
 // and answers nearest-class queries, the HDC inference primitive
-// pred(y) = argmax_i δ(Enc(y), C_i). Queries measure cosine similarity
-// either against the raw integer sums (the default, more precise) or
-// against the majority-voted bipolar class vectors.
+// pred(y) = argmax_i δ(Enc(y), C_i). Samples and queries are bit-packed
+// hypervectors (bit 1 ↔ +1); the class state is the int32 vote sums.
+// Queries measure cosine similarity either against the raw integer sums
+// (the default, more precise) or against the majority-voted class vectors.
 //
-// Training calls (Learn/Unlearn/Reinforce) require a single writer, but
-// read-only queries are safe to run concurrently with each other: the
-// lazily built query snapshots are published through atomic pointers, so
-// two goroutines racing on a cold cache at worst both build the same
-// deterministic snapshot.
+// In the default mode the cosine of a packed query v with sums s is
+// (2·Σ_{vᵢ=1} sᵢ − Σᵢ sᵢ) / (√(Σᵢ sᵢ²)·√d). Σᵢ sᵢ and the denominator are
+// per-class constants, held in a snapshot that the first query after an
+// update builds; the numerator is an exact integer. The similarities equal
+// Accumulator.CosineToSums of the unpacked query whenever Σᵢ |sᵢ| < 2^53,
+// which int32 sums (|sᵢ| ≤ 2^31) guarantee for every d < 2^22.
+// With majority-voted class vectors, queries take the Hamming distance to
+// the packed class words, which equals the bipolar cosine exactly.
+//
+// Training calls (Learn, Unlearn, AddCounter, Refresh) require a single
+// writer and must not overlap queries; read-only queries are safe to run
+// concurrently with each other. The query snapshots are immutable and
+// published through atomic pointers: concurrent cold-cache readers may
+// each build the same deterministic snapshot, and either store wins.
 type AssociativeMemory struct {
 	dim     int
 	classes []*Accumulator
-	tie     *Bipolar
-	bipolar bool                         // if true, compare against Sign(tie) class vectors
-	signed  atomic.Pointer[[]*Bipolar]   // lazy majority-voted class vectors
-	packed  atomic.Pointer[PackedMemory] // lazy bit-packed query snapshot
+	tie     *Binary
+	bipolar bool                         // if true, compare against majority-voted class vectors
+	stats   atomic.Pointer[sumStats]     // lazy int32-mode query constants
+	packed  atomic.Pointer[PackedMemory] // lazy majority-voted query snapshot
+	// The snapshots the last update dropped, owned by the writer, whose
+	// storage Refresh refills instead of allocating. Neither snapshot ever
+	// leaves the memory, so no caller can hold one being refilled.
+	spareStats  *sumStats
+	sparePacked *PackedMemory
+}
+
+// sumStats holds each class's int32-mode query constants (see
+// Accumulator.sumStats).
+type sumStats struct {
+	total []int64
+	denom []float64
 }
 
 // NewAssociativeMemory returns a memory for k classes of dimension dim.
-// tieSeed seeds the deterministic tie-break vector used when collapsing
-// accumulators to bipolar form. If bipolarClassVectors is true, inference
+// tieSeed seeds the deterministic tie-break vector used when majority
+// voting the accumulators. If bipolarClassVectors is true, inference
 // compares queries against majority-voted class vectors (the strict paper
 // formulation); otherwise against the integer sums.
 func NewAssociativeMemory(k, dim int, tieSeed uint64, bipolarClassVectors bool) *AssociativeMemory {
@@ -105,7 +141,7 @@ func NewAssociativeMemory(k, dim int, tieSeed uint64, bipolarClassVectors bool) 
 	am := &AssociativeMemory{
 		dim:     dim,
 		classes: make([]*Accumulator, k),
-		tie:     RandomBipolar(dim, NewRNG(tieSeed)),
+		tie:     RandomBinary(dim, NewRNG(tieSeed)),
 		bipolar: bipolarClassVectors,
 	}
 	for i := range am.classes {
@@ -120,38 +156,40 @@ func (am *AssociativeMemory) NumClasses() int { return len(am.classes) }
 // Dim returns the hypervector dimensionality.
 func (am *AssociativeMemory) Dim() int { return am.dim }
 
-// Tie returns the deterministic tie-break hypervector shared by all
-// bundling in this memory.
-func (am *AssociativeMemory) Tie() *Bipolar { return am.tie }
-
-// invalidate drops all cached query snapshots after a class update.
+// invalidate drops the query snapshots after a class update, keeping them
+// as the storage the writer's next Refresh refills.
 func (am *AssociativeMemory) invalidate() {
-	am.signed.Store(nil)
-	am.packed.Store(nil)
+	if st := am.stats.Swap(nil); st != nil {
+		am.spareStats = st
+	}
+	if pm := am.packed.Swap(nil); pm != nil {
+		am.sparePacked = pm
+	}
 }
 
 // Learn bundles the encoded sample v into class c's accumulator.
-func (am *AssociativeMemory) Learn(c int, v *Bipolar) {
-	am.classes[c].Add(v)
+func (am *AssociativeMemory) Learn(c int, v *Binary) {
+	am.classes[c].AddPacked(v, 1)
 	am.invalidate()
 }
 
-// Unlearn removes one vote of v from class c, and Reinforce adds weight w
-// votes; both support retraining.
-func (am *AssociativeMemory) Unlearn(c int, v *Bipolar) {
-	am.classes[c].Sub(v)
+// Unlearn removes one vote of v from class c, the "C_wrong -= Enc(x)" step
+// of perceptron-style retraining.
+func (am *AssociativeMemory) Unlearn(c int, v *Binary) {
+	am.classes[c].AddPacked(v, -1)
 	am.invalidate()
 }
 
-// Reinforce adds w (possibly negative) votes of v to class c.
-func (am *AssociativeMemory) Reinforce(c int, v *Bipolar, w int) {
-	am.classes[c].AddWeighted(v, w)
+// AddCounter bundles every vector bc has counted into class c in one pass
+// (see Accumulator.AddCounter): the bulk form of Learn.
+func (am *AssociativeMemory) AddCounter(c int, bc *BitCounter) {
+	am.classes[c].AddCounter(bc)
 	am.invalidate()
 }
 
 // ClassVector returns the majority-voted bipolar class vector for class c.
 func (am *AssociativeMemory) ClassVector(c int) *Bipolar {
-	return am.classes[c].Sign(am.tie)
+	return am.classes[c].SignBinary(am.tie).UnpackBipolar()
 }
 
 // ClassAccumulator exposes the raw accumulator for class c (shared, not a
@@ -160,29 +198,15 @@ func (am *AssociativeMemory) ClassAccumulator(c int) *Accumulator {
 	return am.classes[c]
 }
 
-// refreshSigned returns the cached majority-voted class vectors,
-// rebuilding them after any class update. Concurrent cold-cache callers
-// may build twice; the snapshots are identical, so either store wins.
-func (am *AssociativeMemory) refreshSigned() []*Bipolar {
-	if sv := am.signed.Load(); sv != nil {
-		return *sv
-	}
-	sv := make([]*Bipolar, len(am.classes))
-	for i, acc := range am.classes {
-		sv[i] = acc.Sign(am.tie)
-	}
-	am.signed.Store(&sv)
-	return sv
-}
-
-// Snapshot majority-votes every class accumulator down to a bit-packed
-// Binary vector (the strict paper formulation, equivalent to bipolar class
-// vectors) and returns an immutable packed query memory. The snapshot does
-// not track later Learn/Unlearn calls; take a fresh one after training.
+// Snapshot majority-votes every class accumulator straight into a
+// bit-packed Binary vector (the strict paper formulation, equivalent to
+// bipolar class vectors) and returns an immutable packed query memory.
+// The snapshot does not track later updates; take a fresh one after
+// training.
 func (am *AssociativeMemory) Snapshot() *PackedMemory {
 	classes := make([]*Binary, len(am.classes))
 	for i, acc := range am.classes {
-		classes[i] = acc.Sign(am.tie).PackBinary()
+		classes[i] = acc.SignBinary(am.tie)
 	}
 	pm, err := NewPackedMemory(classes)
 	if err != nil {
@@ -191,9 +215,8 @@ func (am *AssociativeMemory) Snapshot() *PackedMemory {
 	return pm
 }
 
-// refreshPacked returns the cached packed snapshot, rebuilding it after
-// any class update. Concurrent cold-cache callers may build twice; the
-// snapshots are identical, so either store wins.
+// refreshPacked returns the cached packed snapshot, building it after any
+// class update.
 func (am *AssociativeMemory) refreshPacked() *PackedMemory {
 	if pm := am.packed.Load(); pm != nil {
 		return pm
@@ -203,57 +226,97 @@ func (am *AssociativeMemory) refreshPacked() *PackedMemory {
 	return pm
 }
 
+// refreshStats returns the cached int32-mode query constants, building
+// them after any class update.
+func (am *AssociativeMemory) refreshStats() *sumStats {
+	if st := am.stats.Load(); st != nil {
+		return st
+	}
+	k := len(am.classes)
+	st := am.fillStats(&sumStats{total: make([]int64, k), denom: make([]float64, k)})
+	am.stats.Store(st)
+	return st
+}
+
+func (am *AssociativeMemory) fillStats(st *sumStats) *sumStats {
+	for c, acc := range am.classes {
+		st.total[c], st.denom[c] = acc.sumStats()
+	}
+	return st
+}
+
+// Refresh rebuilds, on the writer goroutine, the snapshot the configured
+// mode queries — the int32 query constants or the majority-voted class
+// words — into the storage the last update dropped. A training loop that
+// calls it before classifying allocates nothing per update. It is a no-op
+// while the snapshot is current; like Learn, it must not overlap queries.
+func (am *AssociativeMemory) Refresh() {
+	if am.bipolar {
+		if am.packed.Load() != nil {
+			return
+		}
+		pm := am.sparePacked
+		if pm == nil {
+			am.refreshPacked()
+			return
+		}
+		am.sparePacked = nil
+		for c, acc := range am.classes {
+			acc.SignBinaryInto(am.tie, pm.classes[c])
+		}
+		am.packed.Store(pm)
+		return
+	}
+	if am.stats.Load() != nil {
+		return
+	}
+	st := am.spareStats
+	if st == nil {
+		am.refreshStats()
+		return
+	}
+	am.spareStats = nil
+	am.stats.Store(am.fillStats(st))
+}
+
 // ClassifyPacked classifies a bit-packed query against the (lazily
-// refreshed) majority-voted snapshot via popcount Hamming distance. For a
-// memory configured with bipolar class vectors the result is bit-for-bit
-// identical to Classify on the unpacked query.
+// refreshed) majority-voted snapshot via popcount Hamming distance,
+// whatever the memory's mode. For a memory configured with bipolar class
+// vectors it is exactly Classify.
 func (am *AssociativeMemory) ClassifyPacked(v *Binary) int {
 	return am.refreshPacked().Classify(v)
 }
 
-// SimilaritiesPacked returns δ(v, C_i) for every class i in the packed
-// domain: exactly the cosines Similarities reports in bipolar mode.
-func (am *AssociativeMemory) SimilaritiesPacked(v *Binary) []float64 {
-	return am.refreshPacked().Similarities(v)
-}
-
 // Similarities returns δ(v, C_i) for every class i.
-func (am *AssociativeMemory) Similarities(v *Bipolar) []float64 {
-	sims := make([]float64, len(am.classes))
+func (am *AssociativeMemory) Similarities(v *Binary) []float64 {
 	if am.bipolar {
-		for i, cv := range am.refreshSigned() {
-			sims[i] = v.Cosine(cv)
-		}
-		return sims
+		return am.refreshPacked().Similarities(v)
 	}
-	for i, acc := range am.classes {
-		sims[i] = acc.CosineToSums(v)
+	mustSameDim(am.dim, v.d)
+	st := am.refreshStats()
+	sims := make([]float64, len(am.classes))
+	for c, acc := range am.classes {
+		sims[c] = acc.cosinePacked(v, st.total[c], st.denom[c])
 	}
 	return sims
 }
 
 // Classify returns the class whose vector is most similar to v, breaking
 // exact similarity ties toward the smaller class index for determinism.
-func (am *AssociativeMemory) Classify(v *Bipolar) int {
-	sims := am.Similarities(v)
-	best, bestSim := 0, sims[0]
-	for i := 1; i < len(sims); i++ {
-		if sims[i] > bestSim {
-			best, bestSim = i, sims[i]
+// It allocates nothing once the query snapshot is built.
+func (am *AssociativeMemory) Classify(v *Binary) int {
+	if am.bipolar {
+		return am.refreshPacked().Classify(v)
+	}
+	mustSameDim(am.dim, v.d)
+	st := am.refreshStats()
+	best, bestSim := 0, 0.0
+	for c, acc := range am.classes {
+		if sim := acc.cosinePacked(v, st.total[c], st.denom[c]); c == 0 || sim > bestSim {
+			best, bestSim = c, sim
 		}
 	}
 	return best
-}
-
-// Ranking returns class indices ordered by decreasing similarity to v.
-func (am *AssociativeMemory) Ranking(v *Bipolar) []int {
-	sims := am.Similarities(v)
-	idx := make([]int, len(sims))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sims[idx[a]] > sims[idx[b]] })
-	return idx
 }
 
 // Reset clears all learned class information.

@@ -106,12 +106,12 @@ func TestAssociativeMemoryLearnClassify(t *testing.T) {
 	}
 	for c, p := range protos {
 		for i := 0; i < 10; i++ {
-			am.Learn(c, noisy(p, d/10))
+			am.Learn(c, noisy(p, d/10).PackBinary())
 		}
 	}
 	for c, p := range protos {
 		q := noisy(p, d/5)
-		if got := am.Classify(q); got != c {
+		if got := am.Classify(q.PackBinary()); got != c {
 			t.Fatalf("classified class-%d query as %d", c, got)
 		}
 	}
@@ -123,9 +123,9 @@ func TestAssociativeMemoryBipolarMode(t *testing.T) {
 	am := NewAssociativeMemory(2, d, 100, true)
 	p0 := RandomBipolar(d, rng)
 	p1 := RandomBipolar(d, rng)
-	am.Learn(0, p0)
-	am.Learn(1, p1)
-	if am.Classify(p0) != 0 || am.Classify(p1) != 1 {
+	am.Learn(0, p0.PackBinary())
+	am.Learn(1, p1.PackBinary())
+	if am.Classify(p0.PackBinary()) != 0 || am.Classify(p1.PackBinary()) != 1 {
 		t.Fatal("bipolar-mode classification failed on exact prototypes")
 	}
 	cv := am.ClassVector(0)
@@ -140,9 +140,9 @@ func TestAssociativeMemoryUnlearn(t *testing.T) {
 	am := NewAssociativeMemory(2, d, 101, false)
 	v := RandomBipolar(d, rng)
 	w := RandomBipolar(d, rng)
-	am.Learn(0, v)
-	am.Learn(0, w)
-	am.Unlearn(0, w)
+	am.Learn(0, v.PackBinary())
+	am.Learn(0, w.PackBinary())
+	am.Unlearn(0, w.PackBinary())
 	acc := am.ClassAccumulator(0)
 	for i := 0; i < d; i++ {
 		if acc.Sum(i) != int32(v.At(i)) {
@@ -151,42 +151,33 @@ func TestAssociativeMemoryUnlearn(t *testing.T) {
 	}
 }
 
-func TestAssociativeMemoryRanking(t *testing.T) {
-	const d = 4096
-	rng := NewRNG(8)
-	am := NewAssociativeMemory(3, d, 102, false)
-	protos := make([]*Bipolar, 3)
-	for c := range protos {
-		protos[c] = RandomBipolar(d, rng)
-		am.Learn(c, protos[c])
-	}
-	rank := am.Ranking(protos[1])
-	if rank[0] != 1 {
-		t.Fatalf("best-ranked class = %d, want 1", rank[0])
-	}
-	if len(rank) != 3 {
-		t.Fatalf("ranking length = %d", len(rank))
-	}
-}
-
 func TestAssociativeMemoryReset(t *testing.T) {
 	am := NewAssociativeMemory(2, 64, 103, false)
-	am.Learn(0, RandomBipolar(64, NewRNG(9)))
+	am.Learn(0, RandomBinary(64, NewRNG(9)))
 	am.Reset()
 	if am.ClassAccumulator(0).Count() != 0 {
 		t.Fatal("reset did not clear accumulators")
 	}
 }
 
+// TestAssociativeMemoryReinforce adds w votes of one vector to a class in
+// bulk, through a counter that counted it w times.
 func TestAssociativeMemoryReinforce(t *testing.T) {
 	am := NewAssociativeMemory(2, 128, 104, false)
 	v := RandomBipolar(128, NewRNG(10))
-	am.Reinforce(0, v, 3)
+	bc := NewBitCounter(128)
+	for range 3 {
+		bc.Add(v.PackBinary())
+	}
+	am.AddCounter(0, bc)
 	acc := am.ClassAccumulator(0)
 	for i := 0; i < 128; i++ {
 		if acc.Sum(i) != 3*int32(v.At(i)) {
 			t.Fatal("reinforce weight not applied")
 		}
+	}
+	if acc.Count() != 3 {
+		t.Fatalf("count %d, want 3", acc.Count())
 	}
 }
 

@@ -45,7 +45,7 @@ func packedFixture(t *testing.T, k, d, n int, seed uint64) (*AssociativeMemory, 
 	rng := NewRNG(seed)
 	am := NewAssociativeMemory(k, d, rng.Uint64(), true)
 	for i := 0; i < n; i++ {
-		am.Learn(i%k, RandomBipolar(d, rng))
+		am.Learn(i%k, RandomBinary(d, rng))
 	}
 	queries := make([]*Bipolar, 20)
 	for i := range queries {
@@ -60,16 +60,29 @@ func TestPackedMemoryMatchesBipolarMode(t *testing.T) {
 	if pm.NumClasses() != 3 || pm.Dim() != 500 {
 		t.Fatalf("snapshot shape %d/%d", pm.NumClasses(), pm.Dim())
 	}
+	// The reference is the int8 path: the bipolar cosine against the
+	// majority-voted class vectors, argmax with ties toward class 0.
 	for qi, q := range queries {
 		b := q.PackBinary()
-		if got, want := pm.Classify(b), am.Classify(q); got != want {
+		wantS := make([]float64, am.NumClasses())
+		want := 0
+		for c := range wantS {
+			wantS[c] = q.Cosine(am.ClassVector(c))
+			if wantS[c] > wantS[want] {
+				want = c
+			}
+		}
+		if got := pm.Classify(b); got != want {
 			t.Fatalf("query %d: packed class %d, reference %d", qi, got, want)
 		}
-		gotS, wantS := pm.Similarities(b), am.Similarities(q)
+		if got := am.Classify(b); got != want {
+			t.Fatalf("query %d: memory class %d, reference %d", qi, got, want)
+		}
+		gotS, amS := pm.Similarities(b), am.Similarities(b)
 		for c := range wantS {
-			if gotS[c] != wantS[c] {
-				t.Fatalf("query %d class %d: packed sim %v, reference %v (must be exactly equal)",
-					qi, c, gotS[c], wantS[c])
+			if gotS[c] != wantS[c] || amS[c] != wantS[c] {
+				t.Fatalf("query %d class %d: packed sim %v, memory %v, reference %v (must be exactly equal)",
+					qi, c, gotS[c], amS[c], wantS[c])
 			}
 		}
 	}
@@ -94,27 +107,29 @@ func TestClassifyPackedTracksLearning(t *testing.T) {
 	// class update, staying equal to a fresh Snapshot.
 	rng := NewRNG(3)
 	am := NewAssociativeMemory(2, 256, rng.Uint64(), true)
-	am.Learn(0, RandomBipolar(256, rng))
-	am.Learn(1, RandomBipolar(256, rng))
+	am.Learn(0, RandomBinary(256, rng))
+	am.Learn(1, RandomBinary(256, rng))
 	for i := 0; i < 10; i++ {
-		q := RandomBipolar(256, rng)
-		b := q.PackBinary()
+		b := RandomBinary(256, rng)
 		if am.ClassifyPacked(b) != am.Snapshot().Classify(b) {
 			t.Fatalf("step %d: cached snapshot stale", i)
 		}
-		am.Learn(i%2, q)
+		am.Learn(i%2, b)
 	}
-	// Unlearn and Reinforce must invalidate too.
-	v := RandomBipolar(256, rng)
-	am.ClassifyPacked(v.PackBinary()) // populate cache
+	// Unlearn and AddCounter must invalidate too.
+	v := RandomBinary(256, rng)
+	am.ClassifyPacked(v) // populate cache
 	am.Unlearn(0, v)
 	if am.packed.Load() != nil {
 		t.Fatal("Unlearn did not invalidate the packed snapshot")
 	}
-	am.ClassifyPacked(v.PackBinary())
-	am.Reinforce(1, v, 2)
+	am.ClassifyPacked(v)
+	bc := NewBitCounter(256)
+	bc.Add(v)
+	bc.Add(v)
+	am.AddCounter(1, bc)
 	if am.packed.Load() != nil {
-		t.Fatal("Reinforce did not invalidate the packed snapshot")
+		t.Fatal("AddCounter did not invalidate the packed snapshot")
 	}
 }
 

@@ -23,9 +23,14 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// gamma is splitmix64's state increment: the k-th output of a generator
+// seeded with s is the mix of s + k·gamma, so any position of a stream can
+// be reached without drawing the outputs before it.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
