@@ -16,7 +16,7 @@
 //	graphhd-serve -model model.ghdp -cascade-prefix 1024 -cascade-margin 12
 //	graphhd-serve -model model.ghdp -debug-addr 127.0.0.1:6060 -log-json
 //	graphhd-serve -model model.ghdp -feedback-model model.ghd   # online learning loop
-//	graphhd-serve -model m.ghdp -feedback-model m.ghd -snapshot-every 64 -shadow-fraction 0.25
+//	graphhd-serve -model m.ghdp -feedback-model m.ghd -snapshot-every 64 -holdout-every 4
 //
 // Endpoints:
 //
@@ -42,11 +42,12 @@
 // full-model artifact (GRAPHHD1, cmd/graphhd -save) beside the packed
 // serving predictor, drains POSTed feedback into it as perceptron-style
 // updates, and — on the -snapshot-every / -snapshot-interval triggers —
-// validates a candidate snapshot on held-out feedback, shadow-mirrors
-// -shadow-fraction of live traffic through it, and promotes via a hot
-// swap or rolls back (reasons surface at GET /v1/models and in
-// cmd/inspect -models). A single path attaches to the default model; use
-// name=path,name=path to attach trainers to named models.
+// validates a candidate snapshot on held-out feedback against the serving
+// model, then promotes it via a hot swap or rolls it back (the verdict,
+// both holdout accuracies and the two models' agreement surface at
+// GET /v1/models and in cmd/inspect -models). A single path attaches to
+// the default model; use name=path,name=path to attach trainers to named
+// models.
 //
 // With -debug-addr a second listener serves the diagnostics surface
 // (/debug/pprof/*, /debug/vars, /debug/runtime, plus /debug/traces and
@@ -167,10 +168,6 @@ func main() {
 		snapInterval  = flag.Duration("snapshot-interval", 0, "additionally validate on this timer, catching trickle feedback (0 = off)")
 		holdoutEvery  = flag.Int("holdout-every", 0, "divert every Nth feedback sample to the validation holdout instead of training (0 = default 8)")
 		valTolerance  = flag.Float64("validation-tolerance", 0, "how far candidate holdout accuracy may trail the serving predictor before rollback (0 = default 0.02)")
-		shadowFrac    = flag.Float64("shadow-fraction", 0, "fraction of live predict traffic mirrored to a candidate during its shadow phase (0 = default 0.1)")
-		shadowMinN    = flag.Int("shadow-min-samples", 0, "mirrored graphs the shadow phase waits for before deciding (0 = default 64)")
-		shadowWindow  = flag.Duration("shadow-window", 0, "shadow phase time bound (0 = default 3s)")
-		shadowMinAgr  = flag.Float64("shadow-min-agreement", 0, "roll back when shadow agreement with the primary falls below this over the mirrored sample (0 = observability only)")
 	)
 	flag.Parse()
 
@@ -262,10 +259,6 @@ func main() {
 			SnapshotInterval:    *snapInterval,
 			HoldoutEvery:        *holdoutEvery,
 			ValidationTolerance: *valTolerance,
-			ShadowFraction:      *shadowFrac,
-			ShadowMinSamples:    *shadowMinN,
-			ShadowWindow:        *shadowWindow,
-			ShadowMinAgreement:  *shadowMinAgr,
 		}
 		for _, ent := range parseFeedbackSpec(*feedbackModel, defaultModel) {
 			m, err := core.LoadModelFile(ent[1])
@@ -279,8 +272,7 @@ func main() {
 			// Log the trainer's resolved options, not the zero flags.
 			eff := tr.Options()
 			log.Info("online trainer attached", "model", ent[0], "artifact", ent[1],
-				"buffer", eff.BufferSize, "snapshot_every", eff.SnapshotEvery,
-				"shadow_fraction", eff.ShadowFraction)
+				"buffer", eff.BufferSize, "snapshot_every", eff.SnapshotEvery)
 		}
 	}
 

@@ -205,27 +205,18 @@ func inspectModels(base string) {
 			if m.CascadePrefix > 0 {
 				casc = fmt.Sprintf("d=%d m=%d", m.CascadePrefix, m.CascadeMargin)
 			}
-			name := m.Name
-			if m.ShadowActive {
-				name += "*" // a candidate is shadow-mirroring live traffic
-			}
 			fmt.Printf("%-16s %4d %4d %7d %7d %9d %-14s %d/%d/%d\n",
-				name, m.Version, m.Revision, m.Dimension, m.Classes, m.PackedBytes, casc,
+				m.Name, m.Version, m.Revision, m.Dimension, m.Classes, m.PackedBytes, casc,
 				m.InFlight, m.Accepted, m.Processed)
 		}
 	}
 	if len(mr.Trainers) > 0 {
 		fmt.Println("online trainers:")
 		for _, tr := range mr.Trainers {
-			shadow := ""
-			if tr.ShadowActive {
-				shadow = "   [shadow phase active]"
-			}
-			fmt.Printf("  %-16s buffer %d/%d   ingested %d (dropped %d)   trained %d (updates %d)   holdout %d%s\n",
-				tr.Model, tr.BufferLen, tr.BufferCap, tr.Ingested, tr.Dropped, tr.Trained, tr.Updates, tr.Holdout, shadow)
-			fmt.Printf("  %-16s revision %d (serving %d)   snapshots %d   promotions %d   rollbacks %d   shadow %d mirrored, %d/%d agree/disagree\n",
-				"", tr.Revision, tr.ServingRevision, tr.Snapshots, tr.Promotions, tr.Rollbacks,
-				tr.ShadowMirrored, tr.ShadowAgreed, tr.ShadowDisagreed)
+			fmt.Printf("  %-16s buffer %d/%d   ingested %d (dropped %d)   trained %d (updates %d)   holdout %d\n",
+				tr.Model, tr.BufferLen, tr.BufferCap, tr.Ingested, tr.Dropped, tr.Trained, tr.Updates, tr.Holdout)
+			fmt.Printf("  %-16s revision %d (serving %d)   snapshots %d   promotions %d   rollbacks %d\n",
+				"", tr.Revision, tr.ServingRevision, tr.Snapshots, tr.Promotions, tr.Rollbacks)
 			if tr.LastOutcome != "" {
 				fmt.Printf("  %-16s last: %s (%s)\n", "", tr.LastOutcome, tr.LastOutcomeTime.Format("15:04:05"))
 			}

@@ -194,66 +194,6 @@ func BenchmarkRouterPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterPredictBatchShadow is BenchmarkRouterPredictBatch with
-// a shadow mirror live in its production shape — the default sampling
-// fraction (0.1) and the single-worker candidate engine shadowPhase
-// deploys. The delta against BenchmarkRouterPredictBatch in the same
-// run is the mirroring overhead on the primary path; the acceptance
-// bound is ≤5% on p50. The offer itself is a slice copy plus a
-// non-blocking channel send — the replay runs on the candidate
-// engine's own worker and never blocks the primary, so the residual
-// overhead is CPU contention proportional to the sampled fraction.
-func BenchmarkRouterPredictBatchShadow(b *testing.B) {
-	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
-	cfg := core.DefaultConfig()
-	m, err := core.Train(cfg, ds.Graphs, ds.Labels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred := m.Snapshot()
-	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64}})
-	defer reg.Close()
-	if err := reg.Load("default", pred); err != nil {
-		b.Fatal(err)
-	}
-	rt := NewRouter(reg, RouterOptions{})
-	rm, ok := reg.model("default")
-	if !ok {
-		b.Fatal("default model not resident")
-	}
-	// Goroutine-less trainer shell: the mirror only needs its counters
-	// and latency histogram, not the training loop.
-	tr := &Trainer{reg: reg, name: "default", model: m, opts: TrainerOptions{}.withDefaults(),
-		buf: make(chan feedbackSample, 1), stop: make(chan struct{})}
-	tr.shadowLatency.init(powerBounds(16e-6, 16))
-	cand, err := NewEngine(m.Snapshot(), Options{Workers: 1, MaxBatch: 64, ModelName: "default#shadow"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh := newShadowMirror(tr, cand, tr.opts.ShadowFraction)
-	rm.shadow.Store(sh)
-	ctx := context.Background()
-	graphs := ds.Graphs[:32]
-	out := make([]int, len(graphs))
-	if err := rt.PredictBatchInto(ctx, DefaultTenant, "", graphs, out); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rt.PredictBatchInto(ctx, DefaultTenant, "", graphs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// Tear the mirror down before reading counters: close drains the
-	// replay worker, so mirrored+dropped accounts for every offer.
-	rm.shadow.Store(nil)
-	sh.close()
-	offered := tr.shadowMirrored.Load() + tr.shadowDropped.Load()
-	b.ReportMetric(float64(offered)/float64(b.N*len(graphs)), "mirror-offer-rate")
-}
-
 // BenchmarkTrainerIngest measures the trainer's per-sample drain cost —
 // encode, classify, and the corrective perceptron update when the model
 // disagrees with the label — by calling the goroutine-owned ingest step

@@ -1,7 +1,7 @@
 // Package serve is the online-inference subsystem. It is layered:
 //
 //	Registry (named models, LRU by packed bytes, atomic hot swap)
-//	  └─ Router (model lookup, per-tenant quotas, shadow mirror)
+//	  └─ Router (model lookup, per-tenant quotas)
 //	       └─ one Engine per model (micro-batching, admission)
 //
 // The transport-agnostic Engine turns an immutable core.Predictor into a

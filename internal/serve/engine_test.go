@@ -329,18 +329,41 @@ func TestServePredictAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	g := ds.Graphs[0]
-	ctx := context.Background()
-	for i := 0; i < 50; i++ { // warm pools, scratches, histogram ranges
-		if _, err := e.Predict(ctx, g); err != nil {
-			t.Fatal(err)
-		}
+	// The router must add nothing to the engine's zero, also in front of
+	// a model with an (idle) online trainer attached.
+	m, _ := trainableModel(t, 2048, false)
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
+	defer reg.Close()
+	if err := reg.Load("default", m.Snapshot()); err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.Predict(ctx, g); err != nil {
-			t.Fatal(err)
+	if _, err := reg.AttachTrainer("default", m, TrainerOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(reg, RouterOptions{})
+	g := ds.Graphs[0]
+	batch := ds.Graphs[:8]
+	out := make([]int, len(batch))
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Engine.Predict", func() error { _, err := e.Predict(ctx, g); return err }},
+		{"Router.Predict", func() error { _, err := rt.Predict(ctx, DefaultTenant, "", g); return err }},
+		{"Router.PredictBatchInto", func() error { return rt.PredictBatchInto(ctx, DefaultTenant, "", batch, out) }},
+	} {
+		for i := 0; i < 50; i++ { // warm pools, scratches, histogram ranges
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); allocs > 0 {
-		t.Fatalf("Engine.Predict allocated %v times per run, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Errorf("%s allocated %v times per run, want 0", c.name, allocs)
+		}
 	}
 }

@@ -436,16 +436,8 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		func(t *Trainer) uint64 { return t.snapshots.Load() })
 	trainerCounter("graphhd_trainer_promotions_total", "Validated candidates promoted via hot swap.",
 		func(t *Trainer) uint64 { return t.promoted.Load() })
-	trainerCounter("graphhd_trainer_rollbacks_total", "Candidates rolled back by holdout or shadow gates.",
+	trainerCounter("graphhd_trainer_rollbacks_total", "Candidates rolled back by the holdout gate or a failed swap.",
 		func(t *Trainer) uint64 { return t.rolledX.Load() })
-	trainerCounter("graphhd_shadow_mirrored_total", "Live graphs mirrored through shadow candidate engines.",
-		func(t *Trainer) uint64 { return t.shadowMirrored.Load() })
-	trainerCounter("graphhd_shadow_agreed_total", "Mirrored graphs where the candidate agreed with the primary.",
-		func(t *Trainer) uint64 { return t.shadowAgreed.Load() })
-	trainerCounter("graphhd_shadow_disagreed_total", "Mirrored graphs where the candidate disagreed with the primary.",
-		func(t *Trainer) uint64 { return t.shadowDisagreed.Load() })
-	trainerCounter("graphhd_shadow_dropped_total", "Mirror jobs shed by the full shadow queue or a failed replay.",
-		func(t *Trainer) uint64 { return t.shadowDropped.Load() })
 	if len(trainers) > 0 {
 		p("# HELP graphhd_trainer_buffer_len Feedback samples buffered, awaiting the trainer goroutine.\n# TYPE graphhd_trainer_buffer_len gauge\n")
 		for _, t := range trainers {
@@ -469,14 +461,6 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	hist("graphhd_request_latency_seconds", "Per-call latency from admission to response.", func(m *Metrics) HistogramSnapshot { return m.Latency })
 	hist("graphhd_batch_size", "Micro-batch sizes.", func(m *Metrics) HistogramSnapshot { return m.BatchSize })
 	hist("graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to worker pickup.", func(m *Metrics) HistogramSnapshot { return m.QueueWait })
-
-	if len(trainers) > 0 {
-		p("# HELP graphhd_shadow_latency_seconds Per-mirror-batch replay latency through shadow candidate engines.\n# TYPE graphhd_shadow_latency_seconds histogram\n")
-		for _, t := range trainers {
-			writeHistogramSeries(p, "graphhd_shadow_latency_seconds",
-				fmt.Sprintf("model=%q", t.name), t.tr.shadowLatency.snapshot())
-		}
-	}
 
 	p("# HELP graphhd_stage_seconds Per-batch wall time by pipeline stage.\n# TYPE graphhd_stage_seconds histogram\n")
 	for i := range slots {

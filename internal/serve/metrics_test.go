@@ -496,11 +496,12 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 
 // TestWriteRouterMetricsTrainerFamilies round-trips the online-learning
 // families through the strict parser with a trainer attached: the
-// feedback/trainer/shadow counters, the revision gauges, and the shadow
-// latency histogram must all render family-major with {model} labels —
-// and none of them may appear when no trainer exists (a declared family
-// with zero series violates the exposition contract, which is exactly
-// what the trainer-less TestWriteRouterMetricsExposition above pins).
+// feedback/trainer counters and the revision gauges must all render
+// family-major with {model} labels — and none of them may appear when no
+// trainer exists (a declared family with zero series violates the
+// exposition contract, which is exactly what the trainer-less
+// TestWriteRouterMetricsExposition above pins). The candidate gate is the
+// holdout pass alone, so no graphhd_shadow_ family renders.
 func TestWriteRouterMetricsTrainerFamilies(t *testing.T) {
 	m, ds := trainableModel(t, 1024, false)
 	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
@@ -532,8 +533,6 @@ func TestWriteRouterMetricsTrainerFamilies(t *testing.T) {
 		"graphhd_feedback_ingested_total", "graphhd_feedback_dropped_total",
 		"graphhd_trainer_updates_total", "graphhd_trainer_snapshots_total",
 		"graphhd_trainer_promotions_total", "graphhd_trainer_rollbacks_total",
-		"graphhd_shadow_mirrored_total", "graphhd_shadow_agreed_total",
-		"graphhd_shadow_disagreed_total", "graphhd_shadow_dropped_total",
 		"graphhd_trainer_buffer_len", "graphhd_trainer_model_revision",
 		"graphhd_model_revision",
 	} {
@@ -546,7 +545,9 @@ func TestWriteRouterMetricsTrainerFamilies(t *testing.T) {
 			t.Errorf("%s labels = %v, want model=\"alpha\"", name, ss[0].labels)
 		}
 	}
-	checkHistogram(t, samples, "graphhd_shadow_latency_seconds", map[string]string{"model": "alpha"})
+	if strings.Contains(sb.String(), "graphhd_shadow_") {
+		t.Error("a graphhd_shadow_ family rendered, want none")
+	}
 
 	got := 0.0
 	for _, s := range byName["graphhd_feedback_ingested_total"] {

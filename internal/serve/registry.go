@@ -81,16 +81,13 @@ type regModel struct {
 	eng      *Engine
 
 	// trainer is the online learning loop attached to this model, if any.
-	// shadow is non-nil only while that trainer has a candidate in its
-	// shadow phase; the router samples answered traffic through it.
 	trainer atomic.Pointer[Trainer]
-	shadow  atomic.Pointer[shadowMirror]
 }
 
 func (m *regModel) closeEngines() {
-	// The trainer stops first: its goroutine swaps into this engine and
-	// owns the shadow engine's lifecycle. Callers never hold Registry.mu
-	// here, so a trainer mid-promotion can finish its Swap call.
+	// The trainer stops first: its goroutine swaps into this engine.
+	// Callers never hold Registry.mu here, so a trainer mid-promotion can
+	// finish its Swap call.
 	if tr := m.trainer.Load(); tr != nil {
 		tr.Close()
 	}
@@ -410,7 +407,6 @@ type ModelStatus struct {
 	Path          string `json:"path,omitempty"`
 	CascadePrefix int    `json:"cascade_prefix,omitempty"`
 	CascadeMargin int    `json:"cascade_margin,omitempty"`
-	ShadowActive  bool   `json:"shadow_active,omitempty"`
 	// InFlight, Accepted, Processed and Reloads are the model engine's
 	// counters: graphs admitted but not yet classified, graphs admitted,
 	// graphs classified, and swaps.
@@ -447,18 +443,17 @@ func (r *Registry) Status() RegistryStatus {
 		processed := m.eng.m.processed.Load()
 		accepted := m.eng.m.accepted.Load()
 		ms := ModelStatus{
-			Name:         m.name,
-			Version:      m.version.Load(),
-			Dimension:    p.Dimension(),
-			Classes:      p.NumClasses(),
-			PackedBytes:  m.bytes,
-			Revision:     p.Revision(),
-			Path:         m.path,
-			ShadowActive: m.shadow.Load() != nil,
-			InFlight:     accepted - processed,
-			Accepted:     accepted,
-			Processed:    processed,
-			Reloads:      m.eng.Reloads(),
+			Name:        m.name,
+			Version:     m.version.Load(),
+			Dimension:   p.Dimension(),
+			Classes:     p.NumClasses(),
+			PackedBytes: m.bytes,
+			Revision:    p.Revision(),
+			Path:        m.path,
+			InFlight:    accepted - processed,
+			Accepted:    accepted,
+			Processed:   processed,
+			Reloads:     m.eng.Reloads(),
 		}
 		if c, ok := p.Cascade(); ok {
 			ms.CascadePrefix, ms.CascadeMargin = c.DPrefix, c.Margin
@@ -475,11 +470,6 @@ func (r *Registry) Traces() []TraceRecord {
 	var out []TraceRecord
 	for _, m := range *r.models.Load() {
 		out = append(out, m.eng.Traces()...)
-		// A live shadow engine's batches show up too, under "name#shadow"
-		// — how mirrored candidate traffic becomes debuggable.
-		if sh := m.shadow.Load(); sh != nil {
-			out = append(out, sh.eng.Traces()...)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
 	return out

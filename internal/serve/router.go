@@ -13,10 +13,8 @@ package serve
 //     before the model's engine is touched, so a noisy tenant cannot
 //     consume queue slots that belong to others.
 //
-// An answered request is then offered to the model's shadow mirror, if a
-// candidate is in its shadow phase. The hot path allocates nothing:
-// tenant states live in a sync.Map keyed by name and counters are
-// atomics.
+// The hot path allocates nothing: tenant states live in a sync.Map keyed
+// by name and counters are atomics.
 
 import (
 	"context"
@@ -152,21 +150,7 @@ func (rt *Router) Predict(ctx context.Context, tenant, model string, g *graph.Gr
 		return 0, err
 	}
 	defer ts.inflight.Add(-1)
-	class, err := m.eng.Predict(ctx, g)
-	if err == nil {
-		rt.mirror(m, g, class)
-	}
-	return class, err
-}
-
-// mirror offers one answered request to the model's shadow mirror, if a
-// candidate is in its shadow phase. One atomic load when idle; sampling
-// and the queue hand-off never block the caller — the primary response is
-// already determined.
-func (rt *Router) mirror(m *regModel, g *graph.Graph, class int) {
-	if sh := m.shadow.Load(); sh != nil {
-		sh.offer([]*graph.Graph{g}, []int{class})
-	}
+	return m.eng.Predict(ctx, g)
 }
 
 // PredictBatch routes a whole batch to model, returning one class per
@@ -193,13 +177,7 @@ func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, gr
 		return err
 	}
 	defer ts.inflight.Add(-n)
-	err = m.eng.PredictBatchInto(ctx, graphs, out)
-	if err == nil {
-		if sh := m.shadow.Load(); sh != nil {
-			sh.offer(graphs, out)
-		}
-	}
-	return err
+	return m.eng.PredictBatchInto(ctx, graphs, out)
 }
 
 // TenantStatus is one tenant's admission account snapshot.

@@ -15,20 +15,15 @@ package serve
 //	     mistakes; each corrective update bumps the model revision)
 //	   → snapshot trigger (SnapshotEvery trained samples or
 //	     SnapshotInterval): candidate = Model.Snapshot()
-//	   → holdout validation (eval.Accuracy of candidate vs the serving
-//	     predictor on the held-out slice): a candidate trailing by more
-//	     than ValidationTolerance rolls back
-//	   → shadow deploy: a shadowMirror is published on the regModel and
-//	     the router mirrors a ShadowFraction sample of live predict
-//	     traffic — after the primary answer, never on its critical path —
-//	     through a dedicated candidate engine, recording agreement and
-//	     per-stage latency into graphhd_shadow_* metrics and the flight
-//	     recorder (the shadow engine is a real Engine, so its batches
-//	     appear in /debug/traces under "name#shadow")
+//	   → holdout validation: the candidate and the serving predictor both
+//	     classify the held-out slice; a candidate whose accuracy
+//	     (eval.Accuracy against the labels) trails the serving predictor's
+//	     by more than ValidationTolerance rolls back, and the share of
+//	     graphs on which the two answer alike is reported beside the
+//	     verdict as the candidate's agreement
 //	   → promote via Registry.Swap — the engine's atomic swap, so in-flight
-//	     requests never observe a mid-request model change — or roll back
-//	     (agreement below ShadowMinAgreement), with the reason kept in
-//	     TrainerStatus and surfaced at GET /v1/models and
+//	     requests never observe a mid-request model change — with the
+//	     verdict kept in TrainerStatus and surfaced at GET /v1/models and
 //	     cmd/inspect -models.
 //
 // Single-writer discipline: only the trainer goroutine mutates the model.
@@ -36,10 +31,8 @@ package serve
 // channel; status reads are atomics or mutex-guarded copies.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,23 +89,6 @@ type TrainerOptions struct {
 	// trail the serving predictor's before the snapshot is rolled back.
 	// Default 0.02.
 	ValidationTolerance float64
-	// ShadowFraction is the fraction of live predict traffic mirrored to
-	// the candidate during the shadow phase, sampled per request after
-	// the primary answer. Default 0.1; values outside (0,1] clamp to 1.
-	ShadowFraction float64
-	// ShadowMinSamples is how many mirrored graphs the shadow phase
-	// tries to observe before deciding. Default 64.
-	ShadowMinSamples int
-	// ShadowWindow bounds the shadow phase; on timeout the decision is
-	// made with whatever mirrored (possibly zero, promoting on the
-	// holdout gate alone). Default 3s.
-	ShadowWindow time.Duration
-	// ShadowMinAgreement, when > 0, rolls the candidate back if its
-	// agreement rate with the primary over the mirrored sample falls
-	// below it (only once ShadowMinSamples were observed — a starved
-	// window never fails this gate). Zero disables the gate: shadow
-	// results stay observability-only.
-	ShadowMinAgreement float64
 }
 
 func (o TrainerOptions) withDefaults() TrainerOptions {
@@ -133,19 +109,6 @@ func (o TrainerOptions) withDefaults() TrainerOptions {
 	}
 	if o.ValidationTolerance == 0 {
 		o.ValidationTolerance = 0.02
-	}
-	if o.ShadowFraction <= 0 || o.ShadowFraction > 1 {
-		if o.ShadowFraction != 0 {
-			o.ShadowFraction = 1
-		} else {
-			o.ShadowFraction = 0.1
-		}
-	}
-	if o.ShadowMinSamples <= 0 {
-		o.ShadowMinSamples = 64
-	}
-	if o.ShadowWindow <= 0 {
-		o.ShadowWindow = 3 * time.Second
 	}
 	return o
 }
@@ -171,7 +134,7 @@ type Trainer struct {
 	closed atomic.Bool
 
 	// Counters, all monotone: rendered as graphhd_feedback_* /
-	// graphhd_trainer_* / graphhd_shadow_* families.
+	// graphhd_trainer_* families.
 	ingested  atomic.Uint64 // samples accepted into the buffer
 	dropped   atomic.Uint64 // samples shed by the full buffer
 	trained   atomic.Uint64 // samples applied as perceptron updates
@@ -179,12 +142,6 @@ type Trainer struct {
 	snapshots atomic.Uint64 // candidate snapshots validated
 	promoted  atomic.Uint64 // candidates promoted via Registry.Swap
 	rolledX   atomic.Uint64 // candidates rolled back
-
-	shadowMirrored  atomic.Uint64 // graphs replayed through shadow engines
-	shadowAgreed    atomic.Uint64
-	shadowDisagreed atomic.Uint64
-	shadowDropped   atomic.Uint64 // mirror jobs shed by the full mirror queue
-	shadowLatency   histogram     // per-mirror-batch replay latency, seconds
 
 	holdoutLen atomic.Int64
 
@@ -200,7 +157,6 @@ type Trainer struct {
 	lastCand    float64
 	lastPrim    float64
 	lastAgree   float64
-	lastMirror  uint64
 }
 
 // AttachTrainer wires an online trainer to the named resident model. The
@@ -238,7 +194,6 @@ func (r *Registry) AttachTrainer(name string, model *core.Model, opts TrainerOpt
 	}
 	tr.buf = make(chan feedbackSample, tr.opts.BufferSize)
 	tr.holdout = make([]feedbackSample, 0, tr.opts.HoldoutCap)
-	tr.shadowLatency.init(powerBounds(16e-6, 16))
 	m.trainer.Store(tr)
 	tr.wg.Add(1)
 	go tr.run()
@@ -288,8 +243,8 @@ func (tr *Trainer) Feed(g *graph.Graph, label int) error {
 	}
 }
 
-// Close stops the trainer goroutine and detaches any active shadow
-// mirror. Buffered feedback not yet drained is discarded. Idempotent.
+// Close stops the trainer goroutine. Buffered feedback not yet drained is
+// discarded. Idempotent.
 func (tr *Trainer) Close() {
 	if tr.closed.Swap(true) {
 		return
@@ -353,14 +308,13 @@ func (tr *Trainer) ingest(s feedbackSample) {
 	tr.sinceSnap++
 }
 
-// validateCandidate runs the snapshot → holdout gate → shadow phase →
-// promote/rollback sequence. It blocks the trainer loop for at most the
-// holdout evaluation plus ShadowWindow; feedback keeps buffering
-// meanwhile (awaitShadow drains training samples while it waits).
+// validateCandidate runs the snapshot → holdout gate → promote/rollback
+// sequence. It blocks the trainer loop for the two holdout passes and the
+// swap; feedback keeps buffering meanwhile.
 func (tr *Trainer) validateCandidate() {
 	tr.sinceSnap = 0
 	if len(tr.holdout) < tr.opts.MinHoldout {
-		tr.outcome(fmt.Sprintf("deferred: holdout %d of %d", len(tr.holdout), tr.opts.MinHoldout), 0, 0, 0, 0)
+		tr.outcome(fmt.Sprintf("deferred: holdout %d of %d", len(tr.holdout), tr.opts.MinHoldout), 0, 0, 0)
 		return
 	}
 	m, ok := tr.reg.model(tr.name)
@@ -376,28 +330,15 @@ func (tr *Trainer) validateCandidate() {
 	for i, s := range tr.holdout {
 		hg[i], hy[i] = s.g, s.label
 	}
-	candAcc := eval.Accuracy(candidate.PredictAll(hg), hy)
-	primAcc := eval.Accuracy(primary.PredictAll(hg), hy)
+	candAns := candidate.PredictAll(hg)
+	primAns := primary.PredictAll(hg)
+	candAcc := eval.Accuracy(candAns, hy)
+	primAcc := eval.Accuracy(primAns, hy)
+	agreement := eval.Accuracy(candAns, primAns)
 
 	if candAcc+tr.opts.ValidationTolerance < primAcc {
-		tr.outcome(fmt.Sprintf("rolled back: holdout regression %.3f vs serving %.3f (tolerance %.3f)",
-			candAcc, primAcc, tr.opts.ValidationTolerance), candAcc, primAcc, 0, 0)
-		tr.rolledX.Add(1)
-		return
-	}
-
-	// Shadow phase: publish the mirror, let the router sample live
-	// traffic through the candidate engine, and gather agreement.
-	mirrored, agreed, disagreed := tr.shadowPhase(m, candidate)
-	agreement := 1.0
-	if n := agreed + disagreed; n > 0 {
-		agreement = float64(agreed) / float64(n)
-	}
-	if tr.opts.ShadowMinAgreement > 0 &&
-		mirrored >= uint64(tr.opts.ShadowMinSamples) &&
-		agreement < tr.opts.ShadowMinAgreement {
-		tr.outcome(fmt.Sprintf("rolled back: shadow agreement %.3f below %.3f over %d mirrored",
-			agreement, tr.opts.ShadowMinAgreement, mirrored), candAcc, primAcc, agreement, mirrored)
+		tr.outcome(fmt.Sprintf("rolled back: holdout regression %.3f vs serving %.3f (tolerance %.3f), agreement %.3f",
+			candAcc, primAcc, tr.opts.ValidationTolerance, agreement), candAcc, primAcc, agreement)
 		tr.rolledX.Add(1)
 		return
 	}
@@ -407,71 +348,29 @@ func (tr *Trainer) validateCandidate() {
 	// load) and swaps in at a batch boundary — never mid-flight.
 	if prep := tr.reg.opts.PrepareModel; prep != nil {
 		if err := prep(tr.name, candidate); err != nil {
-			tr.outcome("rolled back: prepare hook: "+err.Error(), candAcc, primAcc, agreement, mirrored)
+			tr.outcome("rolled back: prepare hook: "+err.Error(), candAcc, primAcc, agreement)
 			tr.rolledX.Add(1)
 			return
 		}
 	}
 	if err := tr.reg.Swap(tr.name, candidate); err != nil {
-		tr.outcome("rolled back: swap: "+err.Error(), candAcc, primAcc, agreement, mirrored)
+		tr.outcome("rolled back: swap: "+err.Error(), candAcc, primAcc, agreement)
 		tr.rolledX.Add(1)
 		return
 	}
-	tr.outcome(fmt.Sprintf("promoted: holdout %.3f vs %.3f, shadow agreement %.3f over %d mirrored (revision %d)",
-		candAcc, primAcc, agreement, mirrored, candidate.Revision()), candAcc, primAcc, agreement, mirrored)
+	tr.outcome(fmt.Sprintf("promoted: holdout %.3f vs %.3f, agreement %.3f (revision %d)",
+		candAcc, primAcc, agreement, candidate.Revision()), candAcc, primAcc, agreement)
 	tr.promoted.Add(1)
-}
-
-// shadowPhase publishes a mirror for candidate on m, waits for
-// ShadowMinSamples mirrored graphs (bounded by ShadowWindow), then tears
-// the mirror down and reports the window's counts.
-func (tr *Trainer) shadowPhase(m *regModel, candidate *core.Predictor) (mirrored, agreed, disagreed uint64) {
-	eo := tr.reg.opts.Engine
-	eo.ModelName = tr.name + "#shadow"
-	eo.Workers = 1
-	eng, err := NewEngine(candidate, eo)
-	if err != nil {
-		return 0, 0, 0
-	}
-	sh := newShadowMirror(tr, eng, tr.opts.ShadowFraction)
-	m.shadow.Store(sh)
-	defer func() {
-		m.shadow.Store(nil)
-		sh.close()
-		mirrored, agreed, disagreed = sh.window()
-	}()
-
-	deadline := time.NewTimer(tr.opts.ShadowWindow)
-	defer deadline.Stop()
-	poll := time.NewTicker(time.Millisecond)
-	defer poll.Stop()
-	for {
-		select {
-		case <-tr.stop:
-			return
-		case <-deadline.C:
-			return
-		case s := <-tr.buf:
-			// Keep draining feedback so the buffer doesn't shed while the
-			// window is open; the candidate is already frozen.
-			tr.ingest(s)
-		case <-poll.C:
-			if n, _, _ := sh.window(); n >= uint64(tr.opts.ShadowMinSamples) {
-				return
-			}
-		}
-	}
 }
 
 // outcome records the last validation verdict for status surfaces. Callers
 // record it before bumping the rollback or promotion counter, so a reader
 // who sees a counter move also sees the verdict behind it.
-func (tr *Trainer) outcome(s string, cand, prim, agree float64, mirrored uint64) {
+func (tr *Trainer) outcome(s string, cand, prim, agree float64) {
 	tr.mu.Lock()
 	tr.lastOutcome = s
 	tr.lastWhen = time.Now()
-	tr.lastCand, tr.lastPrim = cand, prim
-	tr.lastAgree, tr.lastMirror = agree, mirrored
+	tr.lastCand, tr.lastPrim, tr.lastAgree = cand, prim, agree
 	tr.mu.Unlock()
 }
 
@@ -495,52 +394,45 @@ type TrainerStatus struct {
 	Snapshots       uint64 `json:"snapshots"`
 	Promotions      uint64 `json:"promotions"`
 	Rollbacks       uint64 `json:"rollbacks"`
-	ShadowMirrored  uint64 `json:"shadow_mirrored"`
-	ShadowAgreed    uint64 `json:"shadow_agreed"`
-	ShadowDisagreed uint64 `json:"shadow_disagreed"`
-	ShadowDropped   uint64 `json:"shadow_dropped"`
-	ShadowActive    bool   `json:"shadow_active"`
 	// LastOutcome is the verdict of the most recent snapshot validation:
 	// "promoted: ..." or "rolled back: <reason>" or "deferred: ...".
-	LastOutcome         string    `json:"last_outcome,omitempty"`
-	LastOutcomeTime     time.Time `json:"last_outcome_time,omitempty"`
-	LastCandidateAcc    float64   `json:"last_candidate_acc,omitempty"`
-	LastServingAcc      float64   `json:"last_serving_acc,omitempty"`
-	LastShadowAgreement float64   `json:"last_shadow_agreement,omitempty"`
-	LastShadowMirrored  uint64    `json:"last_shadow_mirrored,omitempty"`
+	LastOutcome     string    `json:"last_outcome,omitempty"`
+	LastOutcomeTime time.Time `json:"last_outcome_time,omitempty"`
+	// LastCandidateAcc and LastServingAcc are the candidate's and the
+	// serving predictor's accuracy on the holdout at that validation;
+	// LastAgreement is the share of holdout graphs on which the two gave
+	// the same answer. All three are 0 after a deferral, and a measured 0
+	// is reported, not omitted.
+	LastCandidateAcc float64 `json:"last_candidate_acc"`
+	LastServingAcc   float64 `json:"last_serving_acc"`
+	LastAgreement    float64 `json:"last_agreement"`
 }
 
 // Status snapshots the trainer's observable state.
 func (tr *Trainer) Status() TrainerStatus {
 	st := TrainerStatus{
-		Model:           tr.name,
-		BufferLen:       len(tr.buf),
-		BufferCap:       cap(tr.buf),
-		Ingested:        tr.ingested.Load(),
-		Dropped:         tr.dropped.Load(),
-		Trained:         tr.trained.Load(),
-		Updates:         tr.updates.Load(),
-		Holdout:         int(tr.holdoutLen.Load()),
-		Revision:        tr.model.Revision(),
-		Snapshots:       tr.snapshots.Load(),
-		Promotions:      tr.promoted.Load(),
-		Rollbacks:       tr.rolledX.Load(),
-		ShadowMirrored:  tr.shadowMirrored.Load(),
-		ShadowAgreed:    tr.shadowAgreed.Load(),
-		ShadowDisagreed: tr.shadowDisagreed.Load(),
-		ShadowDropped:   tr.shadowDropped.Load(),
+		Model:      tr.name,
+		BufferLen:  len(tr.buf),
+		BufferCap:  cap(tr.buf),
+		Ingested:   tr.ingested.Load(),
+		Dropped:    tr.dropped.Load(),
+		Trained:    tr.trained.Load(),
+		Updates:    tr.updates.Load(),
+		Holdout:    int(tr.holdoutLen.Load()),
+		Revision:   tr.model.Revision(),
+		Snapshots:  tr.snapshots.Load(),
+		Promotions: tr.promoted.Load(),
+		Rollbacks:  tr.rolledX.Load(),
 	}
 	if m, ok := tr.reg.model(tr.name); ok {
 		st.ServingRevision = m.pred.Load().Revision()
-		st.ShadowActive = m.shadow.Load() != nil
 	}
 	tr.mu.Lock()
 	st.LastOutcome = tr.lastOutcome
 	st.LastOutcomeTime = tr.lastWhen
 	st.LastCandidateAcc = tr.lastCand
 	st.LastServingAcc = tr.lastPrim
-	st.LastShadowAgreement = tr.lastAgree
-	st.LastShadowMirrored = tr.lastMirror
+	st.LastAgreement = tr.lastAgree
 	tr.mu.Unlock()
 	return st
 }
@@ -563,109 +455,4 @@ func sortTrainerStatuses(s []TrainerStatus) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// shadowJob is one mirrored unit of primary traffic: the graphs plus the
-// classes the primary answered, compared against the candidate's answers.
-type shadowJob struct {
-	graphs  []*graph.Graph
-	classes []int
-}
-
-// shadowMirror is the live sampling tap the router reads off the predict
-// path while a candidate is in its shadow phase. offer is designed to be
-// near-free for unsampled requests (one atomic load on the regModel, one
-// random draw) and non-blocking always: a full mirror queue drops the
-// job and counts it.
-type shadowMirror struct {
-	tr       *Trainer
-	eng      *Engine
-	fraction float64
-	jobs     chan shadowJob
-	done     chan struct{} // closed to stop the replay worker; jobs is
-	// never closed — the router may still be offering concurrently with
-	// teardown, and a send on a closed channel would panic. Late offers
-	// land in the buffer and are dropped with it.
-	wg sync.WaitGroup
-
-	// window counts, reset never (one mirror per shadow phase)
-	mirrored  atomic.Uint64
-	agreed    atomic.Uint64
-	disagreed atomic.Uint64
-}
-
-func newShadowMirror(tr *Trainer, eng *Engine, fraction float64) *shadowMirror {
-	sh := &shadowMirror{tr: tr, eng: eng, fraction: fraction,
-		jobs: make(chan shadowJob, 64), done: make(chan struct{})}
-	sh.wg.Add(1)
-	go sh.replay()
-	return sh
-}
-
-// offer samples one answered primary request into the mirror queue.
-// Called on the router's predict path after the primary response is
-// determined; it must never block or fail the caller.
-func (sh *shadowMirror) offer(graphs []*graph.Graph, classes []int) {
-	if sh.fraction < 1 && rand.Float64() >= sh.fraction {
-		return
-	}
-	job := shadowJob{
-		graphs:  append([]*graph.Graph(nil), graphs...),
-		classes: append([]int(nil), classes...),
-	}
-	select {
-	case sh.jobs <- job:
-	default:
-		sh.tr.shadowDropped.Add(uint64(len(graphs)))
-	}
-}
-
-// replay drives mirrored traffic through the candidate engine — the real
-// serving path, so stage clocks tick and the flight recorder keeps
-// records under the "#shadow" model name — and scores agreement against
-// the primary's answers.
-func (sh *shadowMirror) replay() {
-	defer sh.wg.Done()
-	ctx := context.Background()
-	for {
-		var job shadowJob
-		select {
-		case <-sh.done:
-			return
-		case job = <-sh.jobs:
-		}
-		out := make([]int, len(job.graphs))
-		start := time.Now()
-		err := sh.eng.PredictBatchInto(ctx, job.graphs, out)
-		sh.tr.shadowLatency.observe(time.Since(start).Seconds())
-		if err != nil {
-			sh.tr.shadowDropped.Add(uint64(len(job.graphs)))
-			continue
-		}
-		sh.mirrored.Add(uint64(len(job.graphs)))
-		sh.tr.shadowMirrored.Add(uint64(len(job.graphs)))
-		for i, c := range out {
-			if c == job.classes[i] {
-				sh.agreed.Add(1)
-				sh.tr.shadowAgreed.Add(1)
-			} else {
-				sh.disagreed.Add(1)
-				sh.tr.shadowDisagreed.Add(1)
-			}
-		}
-	}
-}
-
-// window reports this mirror's counts.
-func (sh *shadowMirror) window() (mirrored, agreed, disagreed uint64) {
-	return sh.mirrored.Load(), sh.agreed.Load(), sh.disagreed.Load()
-}
-
-// close stops the replay worker and shuts the candidate engine down. The
-// regModel's shadow pointer must already be cleared; offers racing with
-// teardown land in the abandoned buffer.
-func (sh *shadowMirror) close() {
-	close(sh.done)
-	sh.wg.Wait()
-	sh.eng.Close()
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,13 +72,10 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 	}
 	rt := NewRouter(reg, RouterOptions{})
 	tr, err := reg.AttachTrainer("default", correct, TrainerOptions{
-		BufferSize:       256,
-		SnapshotEvery:    8,
-		HoldoutEvery:     2,
-		MinHoldout:       4,
-		ShadowFraction:   1,
-		ShadowMinSamples: 2,
-		ShadowWindow:     500 * time.Millisecond,
+		BufferSize:    256,
+		SnapshotEvery: 8,
+		HoldoutEvery:  2,
+		MinHoldout:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +123,9 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 	if !strings.HasPrefix(st.LastOutcome, "promoted") {
 		t.Fatalf("last outcome = %q, want a promotion verdict", st.LastOutcome)
 	}
-	if st.ShadowMirrored == 0 {
-		t.Error("shadow phase mirrored no live traffic at fraction 1")
-	}
 	// Buffered feedback keeps draining after the first promotion, so a
-	// second validation cycle (and shadow phase) may already be live here
-	// — only the version lower bound is asserted.
+	// second validation cycle may already have run here — only the
+	// version lower bound is asserted.
 	ms := reg.Status().Models[0]
 	if ms.Version < 2 {
 		t.Fatalf("registry version = %d after promotion, want >= 2", ms.Version)
@@ -160,7 +156,6 @@ func TestTrainerRollbackOnHoldoutRegression(t *testing.T) {
 		SnapshotEvery: 8,
 		HoldoutEvery:  2,
 		MinHoldout:    8,
-		ShadowWindow:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +194,88 @@ func TestTrainerRollbackOnHoldoutRegression(t *testing.T) {
 		}
 		if class != want[i] {
 			t.Fatalf("graph %d served class %d after rollback, want %d", i, class, want[i])
+		}
+	}
+}
+
+// TestTrainerValidateReportsAgreement pins the agreement the holdout gate
+// reports: the share of holdout graphs on which the candidate and the
+// serving predictor give the same answer. A goroutine-less trainer shell
+// holds the correctly-trained model over a fixed holdout while a
+// label-flipped model serves, so the candidate promotes. On its own
+// training graphs, or on a basis shared with the correct model, the
+// flipped model answers the exact complement and the agreement is 0,
+// which would pin nothing; so it has its own basis (seed 2) and the
+// holdout is graphs neither model trained on.
+func TestTrainerValidateReportsAgreement(t *testing.T) {
+	correct, ds := trainableModel(t, 1024, false)
+	flippedLabels := make([]int, len(ds.Labels))
+	for i, y := range ds.Labels {
+		flippedLabels[i] = 1 - y
+	}
+	cfg := core.DefaultConfig()
+	cfg.Dimension = 1024
+	cfg.Seed = 2
+	flipped, err := core.Train(cfg, ds.Graphs, flippedLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	defer reg.Close()
+	if err := reg.Load("default", flipped.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trainer{reg: reg, name: "default", model: correct, opts: TrainerOptions{}.withDefaults(),
+		buf: make(chan feedbackSample, 1), stop: make(chan struct{})}
+	tr.holdout = make([]feedbackSample, 0, tr.opts.HoldoutCap)
+	hold := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 8, GraphCount: 48})
+	for i, g := range hold.Graphs {
+		tr.holdout = append(tr.holdout, feedbackSample{g: g, label: hold.Labels[i]})
+	}
+
+	cand := correct.Snapshot().PredictAll(hold.Graphs)
+	prim := flipped.Snapshot().PredictAll(hold.Graphs)
+	same := 0
+	for i := range cand {
+		if cand[i] == prim[i] {
+			same++
+		}
+	}
+	want := float64(same) / float64(len(cand))
+
+	tr.validateCandidate()
+	st := tr.Status()
+	if !strings.HasPrefix(st.LastOutcome, "promoted") {
+		t.Fatalf("last outcome = %q, want a promotion verdict", st.LastOutcome)
+	}
+	if st.LastAgreement <= 0 || st.LastAgreement >= 1 {
+		t.Fatalf("agreement = %v, want strictly between 0 and 1 for this fixture", st.LastAgreement)
+	}
+	if st.LastAgreement != want {
+		t.Fatalf("agreement = %v, want %v (%d of %d holdout answers match)", st.LastAgreement, want, same, len(cand))
+	}
+	if s := fmt.Sprintf("agreement %.3f", want); !strings.Contains(st.LastOutcome, s) {
+		t.Fatalf("last outcome = %q, want it to carry %q", st.LastOutcome, s)
+	}
+}
+
+// TestTrainerStatusJSONKeepsZeros checks that a measured zero survives
+// into GET /v1/models: a candidate that got every holdout graph wrong, or
+// one that flips every answer, must still show its accuracy and
+// agreement keys.
+func TestTrainerStatusJSONKeepsZeros(t *testing.T) {
+	b, err := json.Marshal(TrainerStatus{
+		Model:          "default",
+		Rollbacks:      1,
+		LastOutcome:    "rolled back: holdout regression 0.000 vs serving 1.000 (tolerance 0.020), agreement 0.000",
+		LastServingAcc: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"last_candidate_acc":0`, `"last_agreement":0`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("status JSON %s lacks %s", b, key)
 		}
 	}
 }
@@ -324,12 +401,11 @@ func TestTrainerStatusesSorted(t *testing.T) {
 // TestRouterSoakOnlineLoop extends TestRouterSoakRollingSwap (run under -race
 // in CI) with the full online learning loop live: two models take mixed
 // predict traffic and concurrent labeled feedback while their
-// trainers snapshot, shadow-mirror at fraction 1, and promote ("promo":
+// trainers snapshot, validate on the holdout, and promote ("promo":
 // flipped primary, correct trainer) or roll back ("rollb": correct
 // primary, flipped trainer). At quiesce it asserts zero failed in-flight
 // requests across every promote/rollback cycle, at least one of each
-// verdict, and exact accepted==processed conservation on the primary
-// engines — mirrored shadow traffic must never leak into them.
+// verdict, and exact accepted==processed conservation on the engines.
 func TestRouterSoakOnlineLoop(t *testing.T) {
 	correct, ds := trainableModel(t, 1024, false)
 	flipped, _ := trainableModel(t, 1024, true)
@@ -349,13 +425,10 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 	rt := NewRouter(reg, RouterOptions{DefaultModel: "promo"})
 
 	topts := TrainerOptions{
-		BufferSize:       512,
-		SnapshotEvery:    16,
-		HoldoutEvery:     4,
-		MinHoldout:       8,
-		ShadowFraction:   1,
-		ShadowMinSamples: 4,
-		ShadowWindow:     100 * time.Millisecond,
+		BufferSize:    512,
+		SnapshotEvery: 16,
+		HoldoutEvery:  4,
+		MinHoldout:    8,
 	}
 	// promoTrainer learns from a fresh copy of the correct model; the
 	// soak's feedback agrees with it, so promotion is guaranteed once the
@@ -479,7 +552,6 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 				m.name, em.AcceptedGraphs, em.Processed, em.InFlight)
 		}
 	}
-	t.Logf("online loop soak: %d graphs answered; promo %d promotions (%d mirrored, %d agreed); rollb %d rollbacks; outcomes %q / %q",
-		graphsOK.Load(), promoSt.Promotions, promoSt.ShadowMirrored, promoSt.ShadowAgreed,
-		rollbSt.Rollbacks, promoSt.LastOutcome, rollbSt.LastOutcome)
+	t.Logf("online loop soak: %d graphs answered; promo %d promotions; rollb %d rollbacks; outcomes %q / %q",
+		graphsOK.Load(), promoSt.Promotions, rollbSt.Rollbacks, promoSt.LastOutcome, rollbSt.LastOutcome)
 }
