@@ -10,21 +10,22 @@ import (
 )
 
 // encodeBatchChunk is the batch size the parallel adopters (Fit,
-// PredictAll) hand to one scratch call: each chunk checks one pooled
-// scratch out and back, and its graphs share one basis-table snapshot.
+// PredictAll, Retrain) hand to one scratch call: each chunk checks one
+// pooled scratch out and back, and its graphs share one basis-table
+// snapshot.
 const encodeBatchChunk = 32
 
 // encodeChunks encodes graphs across the shared worker pool in contiguous
 // encodeBatchChunk-graph chunks, each as one batch through one pooled
-// scratch, and hands fn the scratch, the chunk's first index and its
-// packed encodings, which are valid until fn returns. fn runs on several
+// scratch, and hands fn the chunk's first index and its packed
+// encodings, which are valid until fn returns. fn runs on several
 // goroutines at once.
-func (e *Encoder) encodeChunks(graphs []*graph.Graph, fn func(s *EncoderScratch, lo int, outs []*hdc.Binary)) {
+func (e *Encoder) encodeChunks(graphs []*graph.Graph, fn func(lo int, outs []*hdc.Binary)) {
 	e.reserveFor(graphs)
 	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
 	parallel.ForEachChunk(parallel.Workers(0, chunks), len(graphs), encodeBatchChunk, func(_, lo, hi int) {
 		s := e.getScratch()
-		fn(s, lo, s.EncodeBatch(graphs[lo:hi]))
+		fn(lo, s.EncodeBatch(graphs[lo:hi]))
 		e.putScratch(s)
 	})
 }

@@ -91,17 +91,11 @@ func TestBlockedEncodeAllocationFree(t *testing.T) {
 	}
 }
 
-// TestFillCounterGroupsMultiplicity exercises AddXorWeighted through the
-// encoder: with centrality ranks forming a bijection, every rank pair is
-// distinct on simple graphs, so the weighted branch is reached via a
-// crafted rank collision — two edges whose endpoint rank pairs coincide
-// after the unordered normalization (u,v) and (v,u).
-func TestFillCounterGroupsMultiplicity(t *testing.T) {
-	// A 4-cycle: edges (0,1),(1,2),(2,3),(0,3). Whatever the rank
-	// bijection, all four unordered rank pairs are distinct — the grouped
-	// path must reproduce the scalar reference exactly (multiplicities all
-	// 1). This guards the run-length grouping logic itself: off-by-one
-	// grouping would double- or drop-count an edge.
+// TestEncodeFourCycleMatchesScalar: on a 4-cycle, edges (0,1), (1,2),
+// (2,3), (0,3), every unordered rank pair is distinct whatever the rank
+// bijection, and the encode must reproduce the per-edge scalar reference
+// exactly.
+func TestEncodeFourCycleMatchesScalar(t *testing.T) {
 	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +106,50 @@ func TestFillCounterGroupsMultiplicity(t *testing.T) {
 	s := enc.NewScratch()
 	want := encodePackedScalarReference(enc, g)
 	if !s.EncodeGraphPacked(g).Equal(want) {
-		t.Fatal("grouped encode of 4-cycle differs from scalar reference")
+		t.Fatal("encode of 4-cycle differs from scalar reference")
+	}
+}
+
+// TestGroupKeysStrictlyIncreasing pins what lets the encoder treat every
+// rank-pair key as its own operand: graph.Builder drops self-loops and
+// duplicate edges, and ranks are a bijection, so each graph's sorted key
+// segment is strictly increasing and holds one key per edge. Checked on
+// all six datasets and on a Builder graph fed repeated and reversed edges
+// and self-loops.
+func TestGroupKeysStrictlyIncreasing(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {2, 1}, {3, 3}, {3, 4}, {4, 5}, {5, 3}, {5, 5}, {4, 3}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sets := map[string][]*graph.Graph{"builder": {b.Build()}}
+	for _, name := range dataset.Names() {
+		count := 60
+		if name == "DD" { // DD graphs are ~25× larger than the rest
+			count = 15
+		}
+		ds, err := dataset.Generate(name, dataset.Options{Seed: 9, GraphCount: count})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name] = ds.Graphs
+	}
+	cfg := testConfig()
+	cfg.Dimension = 256
+	s := MustNewEncoder(cfg).NewScratch()
+	for name, gs := range sets {
+		s.group(gs)
+		for gi, g := range gs {
+			seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
+			if len(seg) != g.NumEdges() {
+				t.Fatalf("%s graph %d: %d keys for %d edges", name, gi, len(seg), g.NumEdges())
+			}
+			for j := 1; j < len(seg); j++ {
+				if seg[j] <= seg[j-1] {
+					t.Fatalf("%s graph %d: key %d (%#x) does not exceed key %d (%#x)", name, gi, j, seg[j], j-1, seg[j-1])
+				}
+			}
+		}
 	}
 }

@@ -286,24 +286,87 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestFitParallelEqualsSequential pins Fit's int32 class sums and counts
+// to one-at-a-time Learn calls across label orders that stress the
+// one-class chunking: a single class, strictly alternating classes,
+// classes of 1, 31, 32 and 33 graphs (one chunk short of, exactly at and
+// one past the chunk size), and six classes. d = 1000 leaves a partial
+// final word in every fold.
 func TestFitParallelEqualsSequential(t *testing.T) {
-	gs, ys := twoClassDataset(16, 5)
-	cfg := testConfig()
-	enc1 := MustNewEncoder(cfg)
-	m1, _ := NewModel(enc1, 2)
-	if err := m1.Fit(gs, ys); err != nil {
-		t.Fatal(err)
-	}
-	enc2 := MustNewEncoder(cfg)
-	m2, _ := NewModel(enc2, 2)
-	for i, g := range gs {
-		if _, err := m2.Learn(g, ys[i]); err != nil {
-			t.Fatal(err)
+	rng := hdc.NewRNG(5)
+	pool := make([]*graph.Graph, 120)
+	for i := range pool {
+		switch i % 4 {
+		case 0:
+			pool[i] = graph.ErdosRenyi(24, 0.15, rng)
+		case 1:
+			pool[i] = graph.BarabasiAlbert(24, 1, rng)
+		case 2:
+			pool[i] = graph.ErdosRenyi(40, 0.2, rng) // past MaxSmallSign edges
+		default:
+			pool[i] = graph.WattsStrogatz(24, 4, 0.1, rng)
 		}
 	}
-	for c := 0; c < 2; c++ {
-		if !m1.ClassVector(c).Equal(m2.ClassVector(c)) {
-			t.Fatalf("class %d vector differs between Fit and sequential Learn", c)
+	pool[7] = graph.NewBuilder(3).Build() // edgeless: the reference encoder
+
+	repeat := func(runs ...int) []int { // runs: class, count, class, count, ...
+		var ls []int
+		for i := 0; i < len(runs); i += 2 {
+			for j := 0; j < runs[i+1]; j++ {
+				ls = append(ls, runs[i])
+			}
+		}
+		return ls
+	}
+	shuffle := func(ls []int) []int {
+		out := make([]int, len(ls))
+		for i, j := range rng.Perm(len(ls)) {
+			out[i] = ls[j]
+		}
+		return out
+	}
+	alternating := make([]int, 70)
+	six := make([]int, 120)
+	for i := range alternating {
+		alternating[i] = i % 2
+	}
+	for i := range six {
+		six[i] = rng.Intn(6)
+	}
+	cases := []struct {
+		name   string
+		k      int
+		labels []int
+	}{
+		{"one class", 1, repeat(0, 70)},
+		{"one class of two", 2, repeat(1, 64)},
+		{"alternating", 2, alternating},
+		{"classes of 1, 31, 32, 33 sorted", 4, repeat(0, 1, 1, 31, 2, 32, 3, 33)},
+		{"classes of 1, 31, 32, 33 shuffled", 4, shuffle(repeat(0, 1, 1, 31, 2, 32, 3, 33))},
+		{"six classes", 6, six},
+	}
+	cfg := testConfig()
+	cfg.Dimension = 1000
+	for _, tc := range cases {
+		gs := pool[:len(tc.labels)]
+		fit, _ := NewModel(MustNewEncoder(cfg), tc.k)
+		if err := fit.Fit(gs, tc.labels); err != nil {
+			t.Fatal(err)
+		}
+		seq, _ := NewModel(MustNewEncoder(cfg), tc.k)
+		for i, g := range gs {
+			if _, err := seq.Learn(g, tc.labels[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 0; c < tc.k; c++ {
+			got, want := fit.am.ClassAccumulator(c), seq.am.ClassAccumulator(c)
+			if got.Count() != want.Count() {
+				t.Fatalf("%s: class %d count %d after Fit, %d after Learn", tc.name, c, got.Count(), want.Count())
+			}
+			if !slices.Equal(got.Sums(), want.Sums()) {
+				t.Fatalf("%s: class %d sums differ between Fit and sequential Learn", tc.name, c)
+			}
 		}
 	}
 }
@@ -496,6 +559,22 @@ func TestMultiPrototypeErrors(t *testing.T) {
 	// Untrained model predicts class 0.
 	if got := mp.Predict(graph.Ring(4)); got != 0 {
 		t.Fatalf("untrained prediction = %d", got)
+	}
+}
+
+// TestMultiPrototypeFitRejectsBeforeLearning: a set with an
+// out-of-range label is refused before any graph is learned, so no
+// prototype is created for any class.
+func TestMultiPrototypeFitRejectsBeforeLearning(t *testing.T) {
+	mp, _ := NewMultiPrototypeModel(MustNewEncoder(testConfig()), 2, 3)
+	gs := []*graph.Graph{graph.Ring(4), graph.Ring(5), graph.Ring(6)}
+	if err := mp.Fit(gs, []int{0, 1, 7}); err == nil {
+		t.Fatal("expected label range error")
+	}
+	for c := 0; c < mp.NumClasses(); c++ {
+		if n := mp.NumPrototypes(c); n != 0 {
+			t.Fatalf("rejected Fit left %d prototypes in class %d", n, c)
+		}
 	}
 }
 

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
+	"graphhd/internal/parallel"
 )
 
 // Model is a trained GraphHD classifier: one class vector per class held
@@ -93,35 +93,73 @@ func (m *Model) Revision() uint64 { return m.rev.Load() }
 
 // Fit trains on the whole set in the packed domain, across GOMAXPROCS
 // goroutines (HDC operations are dimension-independent, the parallelism
-// the paper highlights). Each 32-graph chunk is encoded as one batch; the
-// chunk's encodings of each class are bundled in the chunk scratch's
-// counter and folded into the int32 class sums as sᵢ += 2·countᵢ − n. No
-// int8 hypervector is built. Integer sums do not depend on the order of
-// the folds, so the trained model is identical to sequential Learn calls.
+// the paper highlights). Its work items are one-class chunks (see
+// classChunks): each gathers up to 32 graphs of one class, encodes them
+// as one batch, bundles the encodings in the chunk scratch's counter
+// through the carry-save front end, and folds them into its class's
+// int32 sums once, as sᵢ += 2·countᵢ − n. No int8 hypervector is built.
+// Integer sums do not depend on the order of the folds, so the trained
+// model is identical to sequential Learn calls.
 func (m *Model) Fit(graphs []*graph.Graph, labels []int) error {
 	if err := checkLabels(graphs, labels, m.k); err != nil {
 		return err
 	}
+	chunks := classChunks(labels, m.k)
+	m.enc.reserveFor(graphs)
 	var mu sync.Mutex
-	m.enc.encodeChunks(graphs, func(s *EncoderScratch, lo int, outs []*hdc.Binary) {
-		ls := labels[lo : lo+len(outs)]
-		for i, c := range ls {
-			if slices.Contains(ls[:i], c) {
-				continue // class c of this chunk is already folded in
+	parallel.ForEach(0, len(chunks), func(i int) {
+		ch := chunks[i]
+		s := m.enc.getScratch()
+		gs := s.chunk[:0]
+		for j := ch.lo; j < ch.hi; j++ {
+			if labels[j] == ch.class {
+				gs = append(gs, graphs[j])
 			}
-			s.counter.Reset()
-			for j := i; j < len(ls); j++ {
-				if ls[j] == c {
-					s.counter.Add(outs[j])
-				}
-			}
-			mu.Lock()
-			m.am.AddCounter(c, s.counter)
-			mu.Unlock()
 		}
+		outs := s.EncodeBatch(gs)
+		clear(gs) // a pooled scratch must not pin the training set
 		s.counter.Reset()
+		s.counter.AddAll(outs)
+		mu.Lock()
+		m.am.AddCounter(ch.class, s.counter)
+		mu.Unlock()
+		m.enc.putScratch(s)
 	})
 	return nil
+}
+
+// fitChunk is one work item of Fit: the graphs of class class whose
+// indices lie in [lo, hi), at most encodeBatchChunk of them.
+type fitChunk struct {
+	lo, hi, class int
+}
+
+// classChunks cuts a label array into Fit's one-class chunks in one pass:
+// each class's graphs, in index order, are dealt into runs of
+// encodeBatchChunk, and a chunk spans the indices from its run's first
+// graph to its last. That makes ⌈n_c/32⌉ chunks for a class of n_c
+// graphs, about len(labels)/32 + k in all. Labels must lie in [0, k).
+func classChunks(labels []int, k int) []fitChunk {
+	open := make([]fitChunk, k) // each class's run being filled
+	fill := make([]int, k)      // and the graphs in it
+	chunks := make([]fitChunk, 0, len(labels)/encodeBatchChunk+k)
+	for i, c := range labels {
+		if fill[c] == 0 {
+			open[c] = fitChunk{lo: i, class: c}
+		}
+		open[c].hi = i + 1
+		fill[c]++
+		if fill[c] == encodeBatchChunk {
+			chunks = append(chunks, open[c])
+			fill[c] = 0
+		}
+	}
+	for c, n := range fill {
+		if n > 0 {
+			chunks = append(chunks, open[c])
+		}
+	}
+	return chunks
 }
 
 // Predict returns the predicted class of g: the class whose vector is most
@@ -145,7 +183,7 @@ func (m *Model) PredictEncoded(hv *hdc.Bipolar) int {
 // encoded it.
 func (m *Model) PredictAll(graphs []*graph.Graph) []int {
 	out := make([]int, len(graphs))
-	m.enc.encodeChunks(graphs, func(_ *EncoderScratch, lo int, outs []*hdc.Binary) {
+	m.enc.encodeChunks(graphs, func(lo int, outs []*hdc.Binary) {
 		for i, hv := range outs {
 			out[lo+i] = m.am.Classify(hv)
 		}

@@ -52,7 +52,7 @@ func (m *Model) Retrain(graphs []*graph.Graph, labels []int, opts RetrainOptions
 	}
 	epochs := opts.Epochs
 	encoded := make([]*hdc.Binary, len(graphs))
-	m.enc.encodeChunks(graphs, func(_ *EncoderScratch, lo int, outs []*hdc.Binary) {
+	m.enc.encodeChunks(graphs, func(lo int, outs []*hdc.Binary) {
 		for i, hv := range outs {
 			encoded[lo+i] = hv.Clone()
 		}
@@ -161,10 +161,12 @@ func (m *MultiPrototypeModel) NumClasses() int { return m.k }
 // class c.
 func (m *MultiPrototypeModel) NumPrototypes(c int) int { return len(m.accs[c]) }
 
-// Fit trains on the whole set in input order.
+// Fit trains on the whole set in input order. Labels are validated like
+// Model.Fit's before any graph is learned, so a rejected set leaves the
+// model untouched.
 func (m *MultiPrototypeModel) Fit(graphs []*graph.Graph, labels []int) error {
-	if len(graphs) != len(labels) {
-		return fmt.Errorf("core: %d graphs but %d labels", len(graphs), len(labels))
+	if err := checkLabels(graphs, labels, m.k); err != nil {
+		return err
 	}
 	for i, g := range graphs {
 		if err := m.Learn(g, labels[i]); err != nil {

@@ -11,7 +11,7 @@ import (
 
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
-// sort order), the rank slice, the rank-pair grouping buffers, the SWAR
+// sort order), the rank slice, the rank-pair keys and operand pairs, the SWAR
 // majority counter, and the packed output hypervectors. Once its buffers
 // have grown to the largest batch seen, encoding unlabeled graphs with
 // edges performs zero heap allocations.
@@ -22,17 +22,16 @@ import (
 //  1. group ranks each graph by centrality and turns its edges into
 //     packed (minRank, maxRank) keys, sorted per graph. An edge's bind
 //     vector depends only on the unordered rank pair of its endpoints
-//     (XNOR is commutative), so equal keys are one operand with a
-//     multiplicity.
+//     (XNOR is commutative). graph.Builder drops self-loops and duplicate
+//     edges and ranks are a bijection, so a graph's keys are distinct.
 //  2. signInto walks one graph's sorted keys into XNOR operand pairs read
-//     straight off the packed basis table — multiplicity-1 pairs for the
-//     blocked carry-save kernels, the rare grouped pairs with their
-//     multiplicities — and takes the majority at the counter's current
+//     straight off the packed basis table, feeds them to the blocked
+//     carry-save kernels and takes the majority at the counter's current
 //     width.
 //
-// Bundling counts are exact integer sums, so regrouping and reordering
-// leave every encoding bit-for-bit identical to the per-edge int8
-// reference (Encoder.encodeGraphSlow). The keys and the basis snapshot do
+// Bundling counts are exact integer sums, so reordering leaves every
+// encoding bit-for-bit identical to the per-edge int8 reference
+// (Encoder.encodeGraphSlow). The keys and the basis snapshot do
 // not depend on the width, which is what lets the cascade re-sign a
 // graph at full width after a prefix-width pass without ranking it again.
 //
@@ -47,8 +46,10 @@ type EncoderScratch struct {
 	cent  centrality.Scratch
 	ranks []int
 	// counter is the SWAR majority counter of signInto; between encodes
-	// Model.Fit bundles a chunk's outputs of one class in it.
+	// Model.Fit bundles a chunk's outputs in it. chunk holds the graphs
+	// of one Fit chunk while they are encoded.
 	counter *hdc.BitCounter
+	chunk   [encodeBatchChunk]*graph.Graph
 	packed  *hdc.Binary // full-width sign buffer for cascade escalations
 
 	// Grouping state of the last grouped batch: graph i's sorted keys are
@@ -57,12 +58,8 @@ type EncoderScratch struct {
 	keys   []uint64
 	keyOff []int
 	basis  []*hdc.Binary
-	// The operands of one graph at a time: pairs holds the
-	// multiplicity-1 XNOR pairs for the blocked kernels, wPairs/wMults
-	// the multiplicity-grouped ones.
-	pairs  []hdc.XorPair
-	wPairs []hdc.XorPair
-	wMults []int32
+	// pairs holds the XNOR operand pairs of one graph at a time.
+	pairs []hdc.XorPair
 
 	// Per-graph outputs of the batch calls, full-width (outs) and
 	// prefix-width (pouts, rebuilt only when the width changes), and the
@@ -147,73 +144,43 @@ func (s *EncoderScratch) group(graphs []*graph.Graph) {
 // segment).
 func (s *EncoderScratch) collect(gi int) bool {
 	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-	pairs, wPairs, wMults := s.pairs[:0], s.wPairs[:0], s.wMults[:0]
-	for j := 0; j < len(seg); {
-		k := seg[j]
-		j2 := j + 1
-		for j2 < len(seg) && seg[j2] == k {
-			j2++
-		}
+	pairs := s.pairs[:0]
+	for _, k := range seg {
 		// XNOR of the packed endpoints is exactly the bipolar product
 		// under the bit 1 ↔ +1 mapping.
-		p := hdc.XorPair{A: s.basis[k>>32], B: s.basis[uint32(k)], Invert: true}
-		if j2-j == 1 {
-			pairs = append(pairs, p)
-		} else {
-			wPairs = append(wPairs, p)
-			wMults = append(wMults, int32(j2-j))
-		}
-		j = j2
+		pairs = append(pairs, hdc.XorPair{A: s.basis[k>>32], B: s.basis[uint32(k)], Invert: true})
 	}
-	s.pairs, s.wPairs, s.wMults = pairs, wPairs, wMults
+	s.pairs = pairs
 	return len(seg) > 0
-}
-
-// fill streams the collected operands into the counter: the
-// multiplicity-1 pairs through the blocked carry-save front end, the
-// grouped ones with their multiplicities.
-func (s *EncoderScratch) fill() {
-	c := s.counter
-	c.Reset()
-	c.AddXorPairs(s.pairs)
-	for i, p := range s.wPairs {
-		c.AddXorWeighted(p.A, p.B, p.Invert, int(s.wMults[i]))
-	}
 }
 
 // signInto encodes graph gi into dst at the counter's current width,
 // reporting whether the graph is on the packed fast path. Bundles of up
-// to hdc.MaxSmallSign unit-multiplicity pairs — the common serving case —
-// take the one-shot bit-sliced majority kernel and skip the counter
-// tiers; the rest accumulate and sign through the counter.
+// to hdc.MaxSmallSign pairs — the common serving case — take the
+// one-shot bit-sliced majority kernel and skip the counter tiers; the
+// rest accumulate through the blocked carry-save front end and sign
+// through the counter.
 func (s *EncoderScratch) signInto(gi int, dst *hdc.Binary) bool {
 	if !s.collect(gi) {
 		return false
 	}
 	tie := s.enc.packedTie
-	if len(s.wPairs) == 0 && len(s.pairs) <= hdc.MaxSmallSign {
+	if len(s.pairs) <= hdc.MaxSmallSign {
 		s.counter.SignXorPairsSmallInto(s.pairs, tie, dst)
 		return true
 	}
-	s.fill()
+	s.counter.Reset()
+	s.counter.AddXorPairs(s.pairs)
 	s.counter.SignBinaryInto(tie, dst)
 	return true
 }
 
 // PlanStats reports the last grouped batch's edge rank-pair instances
-// and the rank-pair groups the encode accumulated for them. The two are
-// equal unless a graph repeats a rank pair (multigraph inputs or rank
-// collisions), whose edges then share one weighted operand.
+// and the operands the encode accumulated for them. The two are equal:
+// a graph's keys are distinct (see EncoderScratch), so every pair is its
+// own operand.
 func (s *EncoderScratch) PlanStats() (pairs, groups int) {
-	for gi := 0; gi+1 < len(s.keyOff); gi++ {
-		seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-		for j := range seg {
-			if j == 0 || seg[j] != seg[j-1] {
-				groups++
-			}
-		}
-	}
-	return len(s.keys), groups
+	return len(s.keys), len(s.keys)
 }
 
 // EncodeBatch encodes every graph at full width, returning one packed

@@ -8,8 +8,8 @@ import (
 	"graphhd/internal/graph"
 )
 
-// The training benchmarks run at the paper's scale: NCI1 (4,110 graphs),
-// d = 10,000, DefaultConfig.
+// The training benchmarks run at the paper's scale: NCI1 (4,110 graphs)
+// and, for Train, ENZYMES (600 graphs); d = 10,000, DefaultConfig.
 
 var (
 	nci1Once sync.Once
@@ -28,10 +28,23 @@ func benchNCI1(b *testing.B) *graph.Dataset {
 	return nci1
 }
 
-// BenchmarkTrain times core.Train on the whole of NCI1 — encoder, basis,
-// model and Fit — and reports it per graph.
+// BenchmarkTrain times core.Train on the whole of NCI1 (two classes) —
+// encoder, basis, model and Fit — and reports it per graph.
 func BenchmarkTrain(b *testing.B) {
-	ds := benchNCI1(b)
+	benchTrain(b, benchNCI1(b))
+}
+
+// BenchmarkTrainENZYMES is BenchmarkTrain on ENZYMES (600 graphs, six
+// classes), where each class's graphs are bundled and folded apart.
+func BenchmarkTrainENZYMES(b *testing.B) {
+	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTrain(b, ds)
+}
+
+func benchTrain(b *testing.B, ds *graph.Dataset) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -46,7 +47,8 @@ func TestAccumulatorSignBinaryTies(t *testing.T) {
 }
 
 func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
-	// 300 adds push the counter through its nibble, byte and int32 tiers.
+	// 300 adds push the counter through its nibble, byte and int32 tiers;
+	// past the byte lanes' 255 units AddCounter must take the flush path.
 	for _, d := range []int{65, 1000} {
 		rng := NewRNG(uint64(d) + 7)
 		ref, got := NewAccumulator(d), NewAccumulator(d)
@@ -58,10 +60,75 @@ func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
 				ref.Add(v)
 				bc.Add(v.PackBinary())
 			}
+			if bc.inBytes() {
+				t.Fatalf("d=%d round %d: 300 units reported in the byte lanes", d, round)
+			}
 			got.AddCounter(bc)
 			if !equalSums(ref, got) || ref.Count() != got.Count() {
 				t.Fatalf("d=%d round %d: AddCounter differs from sequential Add", d, round)
 			}
+		}
+	}
+}
+
+// TestAccumulatorAddCounterByteLaneFold pins AddCounter's byte-lane fold,
+// taken while every count is still in the byte lanes, against the int32
+// fold of the same counter forced through a flush, and both against
+// per-vector AddPacked, on top of nonzero sums. Up to 32 vectors enter
+// through AddAll, as in Model.Fit; 255, the byte lanes' capacity, through
+// Add.
+func TestAccumulatorAddCounterByteLaneFold(t *testing.T) {
+	forEachKernelTier(t, testAccumulatorAddCounterByteLaneFold)
+}
+
+func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
+	for _, d := range []int{64, 100, 1000, 10000, 10007} {
+		for _, n := range []int{1, 7, 8, 9, 32, 255} {
+			rng := NewRNG(uint64(d)<<8 | uint64(n))
+			start := make([]int32, d)
+			for i := range start {
+				start[i] = int32(rng.Intn(2001)) - 1000
+			}
+			vs := make([]*Binary, n)
+			for i := range vs {
+				vs[i] = RandomBinary(d, rng)
+			}
+			lanes, flushed := NewBitCounter(d), NewBitCounter(d)
+			for _, c := range []*BitCounter{lanes, flushed} {
+				if n <= 32 {
+					c.AddAll(vs)
+				} else {
+					for _, v := range vs {
+						c.Add(v)
+					}
+				}
+			}
+			flushed.CountAt(0) // moves every count to the int32 tier
+			if !lanes.inBytes() || flushed.inBytes() {
+				t.Fatalf("d=%d n=%d: counters not in the tiers under test", d, n)
+			}
+			ref, byLanes, byCounts := NewAccumulator(d), NewAccumulator(d), NewAccumulator(d)
+			for _, a := range []*Accumulator{ref, byLanes, byCounts} {
+				if err := a.LoadSums(start, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, v := range vs {
+				ref.AddPacked(v, 1)
+			}
+			byLanes.AddCounter(lanes)
+			byCounts.AddCounter(flushed)
+			if lanes.countsDirty {
+				t.Fatalf("d=%d n=%d: AddCounter flushed a counter whose counts fit the byte lanes", d, n)
+			}
+			if !equalSums(byLanes, byCounts) || byLanes.Count() != byCounts.Count() {
+				t.Fatalf("d=%d n=%d: byte-lane fold differs from the int32 fold", d, n)
+			}
+			if !equalSums(byLanes, ref) || byLanes.Count() != ref.Count() {
+				t.Fatalf("d=%d n=%d: byte-lane fold differs from per-vector AddPacked", d, n)
+			}
+			// The fold leaves the counts in place until Reset.
+			assertSameCounts(t, fmt.Sprintf("d=%d n=%d after fold", d, n), lanes, flushed)
 		}
 	}
 }

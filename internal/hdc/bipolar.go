@@ -319,14 +319,22 @@ func (a *Accumulator) AddPacked(v *Binary, w int) {
 // AddCounter bundles every vector c has counted, in one pass:
 // sᵢ += 2·countᵢ − n and the count grows by n, where n = c.Count(). The
 // sums equal those of adding each counted vector one at a time. c's
-// active dimension must match; its counts are read in place after a
-// flush, and c keeps them until its next Reset.
+// active dimension must match. The counts are read in place from the
+// tier that holds them: straight off the byte lanes while nothing has
+// reached the int32 tier (at most 255 units, which covers a Fit chunk),
+// so the lanes are neither flushed nor the int32 counts walked;
+// otherwise from the int32 counts after a flush. Either way c keeps its
+// counts until its next Reset.
 func (a *Accumulator) AddCounter(c *BitCounter) {
 	mustSameDim(a.Dim(), c.d)
-	c.flush()
-	n := int64(c.n)
-	for i, cnt := range c.counts {
-		a.sums[i] += int32(2*int64(cnt) - n) // in [-n, n], so it fits
+	if c.inBytes() {
+		c.foldBytesInto(a.sums)
+	} else {
+		c.flush()
+		n := int64(c.n)
+		for i, cnt := range c.counts {
+			a.sums[i] += int32(2*int64(cnt) - n) // in [-n, n], so it fits
+		}
 	}
 	a.n += c.n
 }

@@ -24,7 +24,8 @@ import (
 // weight-16 overflow of the top slice reaches a counter lane (the byte
 // lanes, which absorb it directly) — one lane update per ~16 vectors
 // instead of one per vector, with no nibble folding on the blocked path
-// at all. AddXorWeighted accumulates one vector with an integer
+// at all. AddAll runs plain vectors through the same front end.
+// AddXorWeighted accumulates one vector with an integer
 // multiplicity, feeding the lanes the multiplicity directly instead of
 // re-adding the vector.
 //
@@ -364,6 +365,41 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 	c.drainCarrySave()
 }
 
+// AddAll accumulates a block of binary hypervectors — equivalent to
+// calling Add for each vector in order, but routed through the carry-save
+// front end of AddXorPairs: each vector enters the cascade as its XOR with
+// the all-zero stream, so eight vectors cost one block sweep and only the
+// weight-16 overflow reaches the byte lanes. This is how Model.Fit
+// bundles a chunk of one class's encodings.
+func (c *BitCounter) AddAll(vs []*Binary) {
+	for _, v := range vs {
+		c.checkOperand(v.d)
+	}
+	c.checkAdds(len(vs))
+	c.n += len(vs)
+	if len(vs) == 0 {
+		return
+	}
+	kern := loadKernels()
+	nw := c.words
+	var aws, zeros [8][]uint64
+	var noInvert [8]uint64
+	for k := range zeros {
+		zeros[k] = c.zeroWords
+	}
+	for i := 0; i < len(vs); i += 8 {
+		n := min(len(vs)-i, 8)
+		for k := 0; k < n; k++ {
+			aws[k] = vs[i+k].words[:nw]
+		}
+		for k := n; k < 8; k++ {
+			aws[k] = c.zeroWords // zero padding, as in AddXorPairs
+		}
+		c.addXorBlock8(kern, &aws, &zeros, &noInvert)
+	}
+	c.drainCarrySave()
+}
+
 // addXorBlock8 feeds one Harley–Seal block of exactly eight XOR/XNOR
 // operand streams (zero-padded by the caller if fewer are live) through
 // the carry-save cascade, overflowing weight 16 into the byte lanes.
@@ -512,10 +548,8 @@ func (c *BitCounter) drainCarrySave() {
 // AddXorWeighted accumulates the XOR (or, with invert, the XNOR) of a and
 // b with integer multiplicity weight — exactly equivalent to calling
 // AddXor weight times, in O(weight/15) lane sweeps for small weights and
-// one direct pass over the int32 counters for large ones. This is what
-// lets the encoder accumulate each distinct rank-pair bind vector once,
-// however many edges map to it. A zero weight is a no-op; negative
-// weights panic.
+// one direct pass over the int32 counters for large ones. A zero weight
+// is a no-op; negative weights panic.
 func (c *BitCounter) AddXorWeighted(a, b *Binary, invert bool, weight int) {
 	c.checkOperand(a.d)
 	c.checkOperand(b.d)
@@ -658,6 +692,73 @@ func (c *BitCounter) flushBytes() {
 	c.pendingByte = 0
 }
 
+// inBytes moves all accumulated weight into the byte lanes if it can and
+// reports whether it is all there: nothing has reached the int32 tier, so
+// each component's byte is its whole count (≤ 255).
+func (c *BitCounter) inBytes() bool {
+	if c.csaParked {
+		// Same drain pre-condition as flush: weight parked in the
+		// carry-save planes moves to the lane tiers before anything is
+		// judged.
+		c.drainCarrySave()
+	}
+	if c.countsDirty {
+		return false
+	}
+	c.foldNibbles()
+	// The fold's conservative byte-weight accounting can trigger a flush
+	// even though the true per-byte weight fits; if it did, part of the
+	// weight now lives in the int32 tier.
+	return !c.countsDirty
+}
+
+// foldBytesInto adds 2·countᵢ − n to sums[i] for every component, reading
+// each count straight off the byte lanes, which the caller has checked
+// hold all of them (inBytes). Byte k of byteLo[j][w] counts component
+// 64w + 8k + j and byteHi[j][w] component 64w + 8k + 4 + j, as in
+// flushBytes; a partial final word stops at d. The lanes keep their
+// counts.
+func (c *BitCounter) foldBytesInto(sums []int32) {
+	n := int32(c.n)
+	full := c.words
+	if c.d&63 != 0 {
+		full--
+	}
+	for w := 0; w < full; w++ {
+		dst := (*[64]int32)(sums[w<<6:])
+		for j := 0; j < 4; j++ {
+			lo, hi := c.byteLo[j][w], c.byteHi[j][w]
+			dst[j] += 2*int32(lo&0xFF) - n
+			dst[8+j] += 2*int32((lo>>8)&0xFF) - n
+			dst[16+j] += 2*int32((lo>>16)&0xFF) - n
+			dst[24+j] += 2*int32((lo>>24)&0xFF) - n
+			dst[32+j] += 2*int32((lo>>32)&0xFF) - n
+			dst[40+j] += 2*int32((lo>>40)&0xFF) - n
+			dst[48+j] += 2*int32((lo>>48)&0xFF) - n
+			dst[56+j] += 2*int32(lo>>56) - n
+			dst[4+j] += 2*int32(hi&0xFF) - n
+			dst[12+j] += 2*int32((hi>>8)&0xFF) - n
+			dst[20+j] += 2*int32((hi>>16)&0xFF) - n
+			dst[28+j] += 2*int32((hi>>24)&0xFF) - n
+			dst[36+j] += 2*int32((hi>>32)&0xFF) - n
+			dst[44+j] += 2*int32((hi>>40)&0xFF) - n
+			dst[52+j] += 2*int32((hi>>48)&0xFF) - n
+			dst[60+j] += 2*int32(hi>>56) - n
+		}
+	}
+	for w := full; w < c.words; w++ {
+		base := w << 6
+		for dim := base; dim < c.d; dim++ {
+			r := dim - base // component r of the word: byte r>>3 of lane r&7
+			lane := c.byteLo[r&3][w]
+			if r&4 != 0 {
+				lane = c.byteHi[r&3][w]
+			}
+			sums[dim] += 2*int32((lane>>(8*uint(r>>3)))&0xFF) - n
+		}
+	}
+}
+
 // flush drains every intermediate tier into the int32 counters: parked
 // carry-save planes first, then the nibble and byte lanes. All observers
 // — CountsInto, CountAt, Popcount, the sign fallbacks — share this one
@@ -786,20 +887,7 @@ func (c *BitCounter) SignBinaryInto(tie, dst *Binary) *Binary {
 // The byte arithmetic is exact because every byte operand stays ≤ 127:
 // per-byte sums with a bias < 128 cannot carry into the neighboring byte.
 func (c *BitCounter) signBinarySWAR(tie, dst *Binary) bool {
-	if c.csaParked {
-		// Same drain pre-condition as flush: weight parked in the
-		// carry-save planes moves to the lane tiers before any fast-path
-		// eligibility is judged.
-		c.drainCarrySave()
-	}
-	if c.countsDirty || c.n > 127 {
-		return false
-	}
-	c.foldNibbles() // move all remaining weight into the byte lanes
-	if c.countsDirty {
-		// The fold's conservative byte-weight accounting can trigger a
-		// flush even though the true per-byte weight (≤ n ≤ 127) fits; if
-		// it did, part of the weight now lives in the int32 tier.
+	if c.n > 127 || !c.inBytes() {
 		return false
 	}
 	n := uint64(c.n)

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -54,6 +55,56 @@ func testAddXorPairsMatchesScalar(t *testing.T) {
 			if !blocked.SignBinary(tie).Equal(scalar.SignBinary(tie)) {
 				t.Fatalf("d=%d n=%d: blocked sign differs from scalar sign", d, n)
 			}
+		}
+	}
+}
+
+// TestAddAllMatchesAdd pins the bulk carry-save add against n calls of
+// Add — across block remainders, tail dimensions, operands wider than a
+// narrowed counter, weight already pending in the nibble lanes, and every
+// supported kernel tier.
+func TestAddAllMatchesAdd(t *testing.T) {
+	forEachKernelTier(t, testAddAllMatchesAdd)
+}
+
+func testAddAllMatchesAdd(t *testing.T) {
+	for _, d := range []int{1, 63, 64, 65, 100, 1000, 10007} {
+		for _, n := range []int{0, 1, 7, 8, 9, 17, 32, 33, 130, 300} {
+			for _, pending := range []int{0, 3} {
+				rng := NewRNG(uint64(d)<<20 | uint64(n)<<4 | uint64(pending))
+				vs := make([]*Binary, n)
+				for i := range vs {
+					vs[i] = RandomBinary(d, rng)
+				}
+				bulk, scalar := NewBitCounter(d), NewBitCounter(d)
+				for i := 0; i < pending; i++ {
+					v := RandomBinary(d, rng)
+					bulk.Add(v)
+					scalar.Add(v)
+				}
+				bulk.AddAll(vs)
+				for _, v := range vs {
+					scalar.Add(v)
+				}
+				assertSameCounts(t, fmt.Sprintf("d=%d n=%d pending=%d", d, n, pending), bulk, scalar)
+			}
+		}
+		if d > 1 {
+			// Full-width operands into a counter narrowed to d-1: only the
+			// leading d-1 components count.
+			rng := NewRNG(uint64(d))
+			vs := make([]*Binary, 20)
+			for i := range vs {
+				vs[i] = RandomBinary(d, rng)
+			}
+			bulk, scalar := NewBitCounter(d), NewBitCounter(d)
+			bulk.SetDim(d - 1)
+			scalar.SetDim(d - 1)
+			bulk.AddAll(vs)
+			for _, v := range vs {
+				scalar.Add(v)
+			}
+			assertSameCounts(t, fmt.Sprintf("d=%d narrowed", d), bulk, scalar)
 		}
 	}
 }
