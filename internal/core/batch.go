@@ -40,7 +40,7 @@ func (e *Encoder) encodeChunks(graphs []*graph.Graph, fn func(lo int, outs []*hd
 // serve path's overhead budget.
 type BatchTrace struct {
 	// PlanNanos covers centrality ranking and rank-pair grouping: each
-	// graph's edges become packed rank-pair keys, sorted per graph.
+	// graph's edges become packed rank-pair keys, in edge order.
 	PlanNanos int64
 	// EncodeNanos covers accumulate + majority sign for every fast-path
 	// graph (at stage-1 width when a cascade is active).

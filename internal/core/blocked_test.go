@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"graphhd/internal/dataset"
@@ -111,11 +112,14 @@ func TestEncodeFourCycleMatchesScalar(t *testing.T) {
 }
 
 // TestGroupKeysStrictlyIncreasing pins what lets the encoder treat every
-// rank-pair key as its own operand: graph.Builder drops self-loops and
-// duplicate edges, and ranks are a bijection, so each graph's sorted key
-// segment is strictly increasing and holds one key per edge. Checked on
-// all six datasets and on a Builder graph fed repeated and reversed edges
-// and self-loops.
+// rank-pair key as its own operand. group leaves a graph's keys in edge
+// order (majority counts do not depend on operand order), so the test
+// sorts each segment itself and checks two things: the segment holds
+// exactly the graph's edges mapped to (min rank, max rank), and sorted
+// it is strictly increasing — graph.Builder drops self-loops and
+// duplicate edges and ranks are a bijection, so the keys are distinct.
+// Checked on all six datasets and on a Builder graph fed repeated and
+// reversed edges and self-loops.
 func TestGroupKeysStrictlyIncreasing(t *testing.T) {
 	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 2}, {2, 1}, {3, 3}, {3, 4}, {4, 5}, {5, 3}, {5, 5}, {4, 3}} {
@@ -137,17 +141,25 @@ func TestGroupKeysStrictlyIncreasing(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Dimension = 256
-	s := MustNewEncoder(cfg).NewScratch()
+	enc := MustNewEncoder(cfg)
+	s := enc.NewScratch()
 	for name, gs := range sets {
 		s.group(gs)
 		for gi, g := range gs {
-			seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-			if len(seg) != g.NumEdges() {
-				t.Fatalf("%s graph %d: %d keys for %d edges", name, gi, len(seg), g.NumEdges())
+			seg := slices.Sorted(slices.Values(s.keys[s.keyOff[gi]:s.keyOff[gi+1]]))
+			ranks := enc.Ranks(g)
+			var want []uint64
+			for _, ed := range g.Edges() {
+				lo, hi := min(ranks[ed.U], ranks[ed.V]), max(ranks[ed.U], ranks[ed.V])
+				want = append(want, uint64(lo)<<32|uint64(hi))
+			}
+			slices.Sort(want)
+			if !slices.Equal(seg, want) {
+				t.Fatalf("%s graph %d: keys %#x, want the edges' rank pairs %#x", name, gi, seg, want)
 			}
 			for j := 1; j < len(seg); j++ {
 				if seg[j] <= seg[j-1] {
-					t.Fatalf("%s graph %d: key %d (%#x) does not exceed key %d (%#x)", name, gi, j, seg[j], j-1, seg[j-1])
+					t.Fatalf("%s graph %d: sorted key %d (%#x) does not exceed key %d (%#x)", name, gi, j, seg[j], j-1, seg[j-1])
 				}
 			}
 		}

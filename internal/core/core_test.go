@@ -26,6 +26,7 @@ func TestConfigValidate(t *testing.T) {
 		{Dimension: 100, PageRankIterations: 0, PageRankDamping: 0.85},
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 1.0},
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: -0.1},
+		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 0}, // would rank at DefaultDamping
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: math.NaN()},
 	}
 	for i, cfg := range bad {

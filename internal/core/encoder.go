@@ -23,7 +23,8 @@ type Config struct {
 	// PageRankIterations is the fixed number of power-iteration steps.
 	// The paper uses 10 ("the accuracy of GraphHD has then plateaued").
 	PageRankIterations int
-	// PageRankDamping is the damping factor (paper-standard 0.85).
+	// PageRankDamping is the damping factor, in (0, 1) (paper-standard
+	// 0.85).
 	PageRankDamping float64
 	// Seed determines the basis hypervectors and tie-break vector.
 	Seed uint64
@@ -59,8 +60,11 @@ func (c Config) validate() error {
 	if c.PageRankIterations <= 0 {
 		return fmt.Errorf("core: non-positive PageRank iterations %d", c.PageRankIterations)
 	}
-	if !(c.PageRankDamping >= 0 && c.PageRankDamping < 1) { // rejects NaN too
-		return fmt.Errorf("core: damping %f outside [0,1)", c.PageRankDamping)
+	// 0 is refused, not defaulted: pagerank.Options reads a zero damping
+	// as DefaultDamping, so a model configured (or loaded) at 0 would
+	// rank at 0.85 while its header said 0.
+	if !(c.PageRankDamping > 0 && c.PageRankDamping < 1) { // rejects NaN too
+		return fmt.Errorf("core: damping %f outside (0,1)", c.PageRankDamping)
 	}
 	return nil
 }

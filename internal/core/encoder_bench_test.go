@@ -166,6 +166,47 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.Graphs)), "ns/graph")
 }
 
+// BenchmarkEncodeRanksNCI1 is BenchmarkEncodeRanks over all 4,110 NCI1
+// graphs (the paper-cv workload's dataset) through one scratch, reported
+// per graph: the ranking floor of Train and PredictAll.
+func BenchmarkEncodeRanksNCI1(b *testing.B) {
+	gs := benchNCI1(b).Graphs
+	s := MustNewEncoder(DefaultConfig()).NewScratch()
+	for _, g := range gs {
+		s.Ranks(g)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			s.Ranks(g)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gs)), "ns/graph")
+}
+
+// BenchmarkEncodeBatchNCI1 encodes all 4,110 NCI1 graphs through one
+// scratch in 32-graph EncodeBatch calls — rank, key and sign, the encode
+// half of Train and PredictAll — reported per graph.
+func BenchmarkEncodeBatchNCI1(b *testing.B) {
+	gs := benchNCI1(b).Graphs
+	s := MustNewEncoder(DefaultConfig()).NewScratch()
+	encodeAll := func() {
+		for lo := 0; lo < len(gs); lo += 32 {
+			s.EncodeBatch(gs[lo:min(lo+32, len(gs))])
+		}
+	}
+	encodeAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeAll()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gs)), "ns/graph")
+}
+
 // BenchmarkEncodeScratchPackedDim sweeps the encode hot path across query
 // widths on ONE full-dimension encoder: EncodeGraphPackedPrefix narrows
 // the carry-save counter to the leading ⌈d/64⌉ words at call time, so the

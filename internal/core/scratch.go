@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/graph"
@@ -20,20 +19,21 @@ import (
 // per-graph calls are batches of one:
 //
 //  1. group ranks each graph by centrality and turns its edges into
-//     packed (minRank, maxRank) keys, sorted per graph. An edge's bind
+//     packed (minRank, maxRank) keys, in edge order. An edge's bind
 //     vector depends only on the unordered rank pair of its endpoints
 //     (XNOR is commutative). graph.Builder drops self-loops and duplicate
 //     edges and ranks are a bijection, so a graph's keys are distinct.
-//  2. signInto walks one graph's sorted keys into XNOR operand pairs read
+//  2. signInto walks one graph's keys into XNOR operand pairs read
 //     straight off the packed basis table, feeds them to the blocked
 //     carry-save kernels and takes the majority at the counter's current
 //     width.
 //
-// Bundling counts are exact integer sums, so reordering leaves every
-// encoding bit-for-bit identical to the per-edge int8 reference
-// (Encoder.encodeGraphSlow). The keys and the basis snapshot do
-// not depend on the width, which is what lets the cascade re-sign a
-// graph at full width after a prefix-width pass without ranking it again.
+// Bundling counts are exact integer sums, so operand order cannot
+// matter — the keys are never sorted — and every encoding is bit-for-bit
+// identical to the per-edge int8 reference (Encoder.encodeGraphSlow).
+// The keys and the basis snapshot do not depend on the width, which is
+// what lets the cascade re-sign a graph at full width after a
+// prefix-width pass without ranking it again.
 //
 // Obtain one from Encoder.NewScratch, or rely on the Encoder and
 // Predictor APIs, which vend pooled scratches per call or per batch
@@ -52,9 +52,10 @@ type EncoderScratch struct {
 	chunk   [encodeBatchChunk]*graph.Graph
 	packed  *hdc.Binary // full-width sign buffer for cascade escalations
 
-	// Grouping state of the last grouped batch: graph i's sorted keys are
-	// keys[keyOff[i]:keyOff[i+1]], empty for graphs outside the packed
-	// fast path; basis is the packed basis-table snapshot the keys index.
+	// Grouping state of the last grouped batch: graph i's keys, in edge
+	// order, are keys[keyOff[i]:keyOff[i+1]], empty for graphs outside
+	// the packed fast path; basis is the packed basis-table snapshot the
+	// keys index.
 	keys   []uint64
 	keyOff []int
 	basis  []*hdc.Binary
@@ -108,10 +109,10 @@ func (s *EncoderScratch) Ranks(g *graph.Graph) []int {
 	return s.ranks
 }
 
-// group ranks every graph and builds its sorted rank-pair key segment —
-// the "plan" stage of BatchTrace. Graphs outside the packed fast path
-// (the labeled extension, edgeless graphs; see Encoder.EncodeGraph) get
-// an empty segment.
+// group ranks every graph and builds its rank-pair key segment, one key
+// per edge in edge order — the "plan" stage of BatchTrace. Graphs
+// outside the packed fast path (the labeled extension, edgeless graphs;
+// see Encoder.EncodeGraph) get an empty segment.
 func (s *EncoderScratch) group(graphs []*graph.Graph) {
 	e := s.enc
 	s.keys = s.keys[:0]
@@ -121,7 +122,6 @@ func (s *EncoderScratch) group(graphs []*graph.Graph) {
 		if !(e.cfg.UseVertexLabels && g.Labeled()) && g.NumEdges() > 0 {
 			maxN = max(maxN, g.NumVertices())
 			ranks := s.Ranks(g)
-			lo := len(s.keys)
 			for _, ed := range g.Edges() {
 				ru, rv := ranks[ed.U], ranks[ed.V]
 				if ru > rv {
@@ -129,7 +129,6 @@ func (s *EncoderScratch) group(graphs []*graph.Graph) {
 				}
 				s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
 			}
-			slices.Sort(s.keys[lo:])
 		}
 		s.keyOff = append(s.keyOff, len(s.keys))
 	}
@@ -139,7 +138,7 @@ func (s *EncoderScratch) group(graphs []*graph.Graph) {
 	}
 }
 
-// collect walks graph gi's sorted key segment into operand pairs,
+// collect walks graph gi's key segment into operand pairs,
 // reporting whether the graph is on the packed fast path (a non-empty
 // segment).
 func (s *EncoderScratch) collect(gi int) bool {

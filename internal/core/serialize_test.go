@@ -216,7 +216,8 @@ func TestReadRejectsOversizedHeaderCheaply(t *testing.T) {
 
 // TestReadRejectsHostileHeaderFields covers header fields that parse but
 // must not load: a NaN damping factor (which slips past a plain range
-// check) and a PageRank iteration count so large that every predict
+// check), a damping of 0 (which PageRank would read as 0.85) and a
+// PageRank iteration count so large that every predict
 // would pin a worker for minutes. Both readers are checked on a GRAPHHD1
 // and a GRAPHHD2 record, and the iteration cap is checked at its edge.
 func TestReadRejectsHostileHeaderFields(t *testing.T) {
@@ -255,6 +256,9 @@ func TestReadRejectsHostileHeaderFields(t *testing.T) {
 	} {
 		if err := c.read(patch(c.rec, 16, math.NaN())); err == nil || !strings.Contains(err.Error(), "damping") {
 			t.Errorf("%s: NaN damping: err = %v, want a damping error", c.name, err)
+		}
+		if err := c.read(patch(c.rec, 16, 0.0)); err == nil || !strings.Contains(err.Error(), "damping") {
+			t.Errorf("%s: damping 0: err = %v, want a damping error", c.name, err)
 		}
 		if err := c.read(patch(c.rec, 12, uint32(math.MaxUint32))); err == nil || !strings.Contains(err.Error(), "iteration") {
 			t.Errorf("%s: 2^32-1 iterations: err = %v, want an iteration-count error", c.name, err)

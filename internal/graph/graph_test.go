@@ -242,11 +242,30 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
+// TestEdgesCanonical checks that Edges() lists each edge once with
+// U < V, strictly increasing in (U, V) whatever order the edges were
+// added in — the order pagerank.ScoresInto's float64 sums rely on.
 func TestEdgesCanonical(t *testing.T) {
-	g := mustGraph(t, 4, [][2]int{{3, 1}, {2, 0}})
-	for _, e := range g.Edges() {
-		if e.U >= e.V {
-			t.Fatalf("edge %v not canonical", e)
+	rng := hdc.NewRNG(23)
+	gs := []*Graph{
+		mustGraph(t, 4, [][2]int{{3, 1}, {2, 0}}),
+		mustGraph(t, 5, [][2]int{{4, 0}, {3, 1}, {1, 0}, {4, 2}, {0, 4}, {2, 1}, {3, 3}}),
+		Relabel(BarabasiAlbert(40, 3, rng), rng.Perm(40)),
+		Relabel(ErdosRenyi(60, 0.1, rng), rng.Perm(60)),
+		Disjoint(Grid(3, 4), Ring(5)),
+	}
+	for gi, g := range gs {
+		es := g.Edges()
+		for i, e := range es {
+			if e.U >= e.V {
+				t.Fatalf("graph %d: edge %v not canonical", gi, e)
+			}
+			if i == 0 {
+				continue
+			}
+			if p := es[i-1]; p.U > e.U || (p.U == e.U && p.V >= e.V) {
+				t.Fatalf("graph %d: edge %v does not follow %v in (U, V) order", gi, e, p)
+			}
 		}
 	}
 }

@@ -76,7 +76,8 @@ type BitCounter struct {
 	csaParked bool
 	// kargs is the pre-resolved argument block handed to the vector
 	// kernels; the plane and lane pointers are filled once at
-	// construction, the stream pointers per block.
+	// construction, the tail mask there and by SetDim, the stream
+	// pointers per block.
 	kargs csaArgs
 	// zeroWords is an all-zero operand used to pad the final partial block
 	// of the carry-save kernels: feeding zeros through the CSA cascade
@@ -140,20 +141,22 @@ func NewBitCounter(d int) *BitCounter {
 	c.kargs.thirtytwos = &c.csaThirtyTwos[0]
 	c.kargs.l0, c.kargs.l1, c.kargs.l2, c.kargs.l3 = &c.byteLo[0][0], &c.byteLo[1][0], &c.byteLo[2][0], &c.byteLo[3][0]
 	c.kargs.h0, c.kargs.h1, c.kargs.h2, c.kargs.h3 = &c.byteHi[0][0], &c.byteHi[1][0], &c.byteHi[2][0], &c.byteHi[3][0]
+	c.kargs.tail = c.tailMask()
 	return c
 }
 
 // vecWords returns how many leading words of this counter's planes a
-// vector kernel of the given tier should process: the largest
+// vector kernel of the given tier should process: every word on AVX-512,
+// whose kernels mask the tail word themselves; otherwise the largest
 // lane-aligned prefix, excluding the tail word when masked operand
 // streams require per-word masking there (d not a multiple of 64). The
 // caller finishes words [vecWords, words) on the portable path.
 func (c *BitCounter) vecWords(k *kernelTable, masked bool) int {
 	full := c.words
-	if masked && c.d&63 != 0 {
+	if masked && c.d&63 != 0 && !k.wholeRange {
 		full--
 	}
-	return full &^ (k.lanes - 1)
+	return k.vecLen(full)
 }
 
 // Dim returns the active dimensionality.
@@ -185,6 +188,7 @@ func (c *BitCounter) SetDim(d int) {
 	c.d = d
 	c.words = (d + 63) / 64
 	c.counts = c.countsAll[:d]
+	c.kargs.tail = c.tailMask()
 }
 
 // Count returns the total weight added so far (the number of hypervectors
@@ -403,8 +407,8 @@ func (c *BitCounter) AddAll(vs []*Binary) {
 // addXorBlock8 feeds one Harley–Seal block of exactly eight XOR/XNOR
 // operand streams (zero-padded by the caller if fewer are live) through
 // the carry-save cascade, overflowing weight 16 into the byte lanes.
-// The vector kernel, when one is installed, sweeps the lane-aligned
-// word prefix; the portable loop finishes the rest, including the
+// The vector kernel, when one is installed, sweeps the words vecWords
+// gives it; the portable loop finishes the rest, if any, including the
 // masked tail word. Count accounting is the caller's.
 func (c *BitCounter) addXorBlock8(kern *kernelTable, aws, bws *[8][]uint64, vs *[8]uint64) {
 	// The sixteens overflow carries up to 16 units per component
@@ -428,7 +432,9 @@ func (c *BitCounter) addXorBlock8(kern *kernelTable, aws, bws *[8][]uint64, vs *
 			lo = vn
 		}
 	}
-	c.csaXorBlock8Range(aws, bws, vs, lo)
+	if lo < c.words {
+		c.csaXorBlock8Range(aws, bws, vs, lo)
+	}
 }
 
 // csaXorBlock8Range is the portable CSA cascade for one block of eight

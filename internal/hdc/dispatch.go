@@ -20,12 +20,18 @@ import (
 // (portable|avx2|avx512) caps the choice for A/B benchmarking and
 // forced-fallback testing.
 //
-// Every vector kernel processes only a lane-aligned prefix of the word
-// range; the caller finishes the remaining words — including the masked
-// tail word — with the portable loop. A word column's results never
-// depend on any other column, so the split is exact and the vector tiers
-// are bit-identical to the portable path by construction, a property the
-// differential tests and FuzzBitCounter enforce per tier.
+// The AVX2 kernels process a lane-aligned prefix of the word range and
+// the caller finishes the remaining words — including the masked tail
+// word — with the portable loop; a word column's results never depend on
+// any other column, so that split is exact. The AVX-512 kernels cover
+// every word themselves: an opmask final iteration takes the last
+// n mod 8 words (or the last full group when it holds the masked tail
+// word) and folds the tail-word AND into the operand load, so on
+// AVX-512 no portable word loop runs. Bit-identity with the portable
+// loops is therefore tested rather than structural: the differential
+// matrix compares every tier against portable at every remainder from 1
+// to 7 words, with and without a masked tail word, and FuzzBitCounter
+// runs per tier.
 
 // KernelTier identifies one implementation tier of the hot-loop kernels.
 type KernelTier uint8
@@ -75,8 +81,9 @@ func ParseKernelTier(s string) (KernelTier, error) {
 // them by the byte offsets noted below — and are pinned by a test.
 //
 // One csaArgs lives in each BitCounter with the plane and lane pointers
-// pre-resolved at construction, so filling it per block costs only the
-// per-block stream pointers.
+// and the tail mask pre-resolved (at construction, the tail again by
+// SetDim), so filling it per block costs only the per-block stream
+// pointers.
 type csaArgs struct {
 	x   [8]*uint64 // +0   A streams (xor kernels); x[0] is tie for signPlanes
 	y   [8]*uint64 // +64  B streams (xor kernels); y[0] is dst for signPlanes
@@ -87,23 +94,29 @@ type csaArgs struct {
 	l0, l1, l2, l3            *uint64 // +240,248,256,264 byteLo lanes
 	h0, h1, h2, h3            *uint64 // +272,280,288,296 byteHi lanes
 
-	n int64 // +304 words to process; a multiple of the tier's lane width
+	n    int64  // +304 words to process; a multiple of 4 on AVX2, any count on AVX-512
+	tail uint64 // +312 valid bits of the final word (AVX-512 xor kernels AND word n-1 with it)
 }
 
 // kernelTable is the capability-dispatched function table. On the
 // portable tier every entry is nil and the callers run their word loops
-// over the full range; on a vector tier each entry covers words
-// [0, args.n) and the caller finishes the tail with the portable loop.
+// over the full range. On a vector tier each entry covers words
+// [0, args.n): AVX2 takes the lane-aligned prefix and the caller
+// finishes the rest with the portable loop; AVX-512 (wholeRange) takes
+// every word, masked tail included, and no portable loop runs.
 type kernelTable struct {
 	tier  KernelTier
 	lanes int // vector width in 64-bit words; 1 on the portable tier
+	// wholeRange marks kernels that finish any word count themselves
+	// with an opmask final iteration.
+	wholeRange bool
 
 	// csaXorBlock accumulates one block of eight XOR/XNOR operand
 	// streams, each computed as A^B^inv on the fly, through the
 	// carry-save cascade into the four planes, overflowing weight 16 into
-	// the byte lanes (AddXorPairs hot loop). Streams are NOT tail-masked
-	// by the kernel; the caller keeps the masked tail word on the portable
-	// path.
+	// the byte lanes (AddXorPairs hot loop). The AVX-512 kernel ANDs word
+	// n-1 of each stream with args.tail; the AVX2 kernel masks nothing,
+	// so its caller keeps the masked tail word on the portable path.
 	csaXorBlock func(*csaArgs)
 	// csaXorSmallBlock is the same cascade overflowing into the
 	// sixteens/thirtytwos planes instead of the byte lanes (the
@@ -121,6 +134,16 @@ type kernelTable struct {
 // portableKernels is the universal fallback tier: no vector entry
 // points, so every caller runs its portable word loop end to end.
 var portableKernels = &kernelTable{tier: KernelPortable, lanes: 1}
+
+// vecLen returns how many leading words of an n-word range the tier's
+// vector kernel processes: all of them on a wholeRange tier, else the
+// largest lane-aligned prefix.
+func (k *kernelTable) vecLen(n int) int {
+	if k.wholeRange {
+		return n
+	}
+	return n &^ (k.lanes - 1)
+}
 
 // activeKernels is the installed tier. It is written at init (after CPU
 // detection and the GRAPHHD_KERNEL override) and by SetKernel, and read

@@ -50,6 +50,7 @@ func TestCsaArgsABIOffsets(t *testing.T) {
 		"h2":         unsafe.Offsetof(a.h2),
 		"h3":         unsafe.Offsetof(a.h3),
 		"n":          unsafe.Offsetof(a.n),
+		"tail":       unsafe.Offsetof(a.tail),
 	}
 	want := map[string]uintptr{
 		"x": 0, "y": 64, "inv": 128,
@@ -57,7 +58,7 @@ func TestCsaArgsABIOffsets(t *testing.T) {
 		"sixteens": 224, "thirtytwos": 232,
 		"l0": 240, "l1": 248, "l2": 256, "l3": 264,
 		"h0": 272, "h1": 280, "h2": 288, "h3": 296,
-		"n": 304,
+		"n": 304, "tail": 312,
 	}
 	for name, w := range want {
 		if offsets[name] != w {
@@ -173,15 +174,22 @@ func TestSetKernelUnsupported(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialMatrix is the cross-tier equivalence matrix the
-// tentpole promises: for every supported vector tier, every batch entry
-// point must be bit-identical to the portable oracle on the same inputs —
-// across odd dimensions, tail-mask words, lane-misaligned word counts,
-// and weights crossing the weight-16 overflow boundary.
+// TestKernelDifferentialMatrix is the cross-tier equivalence matrix: for
+// every supported vector tier, every batch entry point must be
+// bit-identical to the portable oracle on the same inputs — across odd
+// dimensions, tail-mask words, lane-misaligned word counts, and weights
+// crossing the weight-16 overflow boundary. The 64·k and 64·k − 1 rows
+// (k = 9…16) give every word count mod 8 after a full group, each with
+// and without a masked tail word, so the AVX-512 opmask final iteration
+// is compared at every remainder; 10,000 and 10,007 are the paper's
+// width and a prime near it.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	prev := ActiveKernel()
 	defer SetKernel(prev)
-	dims := []int{1, 3, 63, 64, 65, 127, 128, 129, 191, 192, 255, 256, 257, 320, 448, 449, 511, 512, 513, 1000}
+	dims := []int{1, 3, 63, 64, 65, 127, 128, 129, 191, 192, 255, 256, 257, 320, 448, 449, 511, 512, 513, 1000, 10000, 10007}
+	for k := 9; k <= 16; k++ {
+		dims = append(dims, 64*k-1, 64*k)
+	}
 	type result struct {
 		counts []int32
 		sign   *Binary

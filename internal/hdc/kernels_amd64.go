@@ -3,9 +3,11 @@
 package hdc
 
 // Assembly kernel entry points (kernels_amd64.s). Each processes words
-// [0, args.n) of its streams — args.n a multiple of the tier's lane
-// width — and leaves every remaining word, including the masked tail, to
-// the portable loops. See DESIGN.md §2b for the kernel contracts.
+// [0, args.n) of its streams. The AVX2 kernels take args.n a multiple of
+// 4 and leave every remaining word, including the masked tail, to the
+// portable loops; the AVX-512 kernels take any args.n and finish the
+// final group, masked tail word included, in an opmask iteration. See
+// DESIGN.md §2b for the kernel contracts.
 
 //go:noescape
 func csaXorBlockAVX2(a *csaArgs)
@@ -43,6 +45,7 @@ var avx2Kernels = &kernelTable{
 var avx512Kernels = &kernelTable{
 	tier:             KernelAVX512,
 	lanes:            8,
+	wholeRange:       true,
 	csaXorBlock:      csaXorBlockAVX512,
 	csaXorSmallBlock: csaXorSmallBlockAVX512,
 	signPlanes:       signPlanesAVX512,

@@ -3,10 +3,19 @@
 //
 // Contracts (see DESIGN.md §2b and dispatch.go):
 //
-//   - Every kernel processes exactly words [0, args.n) of its streams,
-//     args.n a multiple of the tier's lane width (4 for AVX2, 8 for
-//     AVX-512). Tail words — including the masked final word of an
-//     unaligned dimension — are the caller's portable loop's job.
+//   - Every kernel processes exactly words [0, args.n) of its streams.
+//     AVX2: args.n is a multiple of 4, and the remaining words —
+//     including the masked final word of an unaligned dimension — are
+//     the caller's portable loop's job. AVX-512: args.n is any word
+//     count. Full groups of eight words run under an all-lanes opmask;
+//     the group holding word n-1 runs once more round the same loop body
+//     under the mask of its live words, and the XOR kernels AND word n-1
+//     of every operand stream with args.tail (the valid bits of the
+//     final word), so no portable word loop runs after them.
+//   - AVX-512 loads are zero-masked and stores masked, so the final
+//     group never reads or writes a word at or past n: faults on the
+//     masked-off words are suppressed, and the neighbouring planes of a
+//     slab are left alone.
 //   - All loads and stores are unaligned (VMOVDQU/VMOVDQU64): operand
 //     streams come from caller-owned slices with no alignment guarantee;
 //     plane and lane slabs are word-aligned only.
@@ -22,7 +31,9 @@
 //     pin the twelve plane/lane pointers, and the reloads hit the same
 //     hot cache line every iteration). The AVX-512 variants mirror this
 //     allocation onto Z registers and collapse each 3:2 compressor into
-//     a VPTERNLOGQ XOR3/majority pair.
+//     a VPTERNLOGQ XOR3/majority pair; Z11, free there, holds the
+//     operand mask (all ones, or the final group's live words with
+//     args.tail in word n-1), and K2 the load/store opmask.
 //   - All functions end with VZEROUPPER to avoid SSE/AVX transition
 //     stalls in the surrounding Go code.
 
@@ -52,11 +63,13 @@
 	VPBROADCASTQ	VOFF(DI), Y15; \
 	VPXOR	Y15, DST, DST;
 
+// The AVX-512 form loads under K2 and folds the XNOR mask and the
+// operand mask Z11 into one VPTERNLOGQ: 0x48 = (DST ^ v) & Z11.
 #define XORLOAD512(R, BOFF, VOFF, DST) \
-	VMOVDQU64	(R)(CX*1), DST;        \
-	MOVQ	BOFF(DI), BX;                  \
-	VPXORQ	(BX)(CX*1), DST, DST;          \
-	VPXORQ.BCST	VOFF(DI), DST, DST;
+	VMOVDQU64.Z	(R)(CX*1), K2, DST;            \
+	MOVQ	BOFF(DI), BX;                          \
+	VPXORQ.Z	(BX)(CX*1), DST, K2, DST;      \
+	VPTERNLOGQ.BCST	$0x48, VOFF(DI), Z11, DST;
 
 // lane[OFF] += ((s16 >> SHIFT) & byteStride) << 4, with s16 in Y12/Z12
 // and byteStride broadcast in Y14/Z14.
@@ -69,12 +82,12 @@
 	VMOVDQU	Y13, (AX)(CX*1);
 
 #define LANEADD512(SHIFT, OFF) \
-	MOVQ	OFF(DI), AX;           \
-	VPSRLQ	SHIFT, Z12, Z13;       \
-	VPANDQ	Z14, Z13, Z13;         \
-	VPSLLQ	$4, Z13, Z13;          \
-	VPADDQ	(AX)(CX*1), Z13, Z13;  \
-	VMOVDQU64	Z13, (AX)(CX*1);
+	MOVQ	OFF(DI), AX;                   \
+	VPSRLQ	SHIFT, Z12, Z13;               \
+	VPANDQ	Z14, Z13, Z13;                 \
+	VPSLLQ	$4, Z13, Z13;                  \
+	VPADDQ.Z	(AX)(CX*1), Z13, K2, Z13;  \
+	VMOVDQU64	Z13, K2, (AX)(CX*1);
 
 // Weight-16 spill into the eight byte lanes (l0..l3 at +240.., h0..h3 at
 // +272..), used between a VPTEST-guarded branch in the function bodies.
@@ -112,16 +125,16 @@
 
 #define SMALLSPILL512 \
 	MOVQ	224(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z13;       \
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z13;   \
 	MOVQ	232(DI), BX;                   \
 	VPANDQ	Z13, Z12, Z15;                 \
-	VPORQ	(BX)(CX*1), Z15, Z15;          \
-	VMOVDQU64	Z15, (BX)(CX*1);       \
+	VPORQ.Z	(BX)(CX*1), Z15, K2, Z15;      \
+	VMOVDQU64	Z15, K2, (BX)(CX*1);   \
 	VPXORQ	Z13, Z12, Z13;                 \
-	VMOVDQU64	Z13, (AX)(CX*1);
+	VMOVDQU64	Z13, K2, (AX)(CX*1);
 
 // Shared prologue for the CSA kernels: DI = args, R8-R15 = the eight
-// stream pointers, SI = byte limit, CX = byte offset.
+// stream pointers, SI = args.n (words).
 #define CSAPROLOGUE \
 	MOVQ	a+0(FP), DI;   \
 	MOVQ	0(DI), R8;     \
@@ -132,9 +145,33 @@
 	MOVQ	40(DI), R13;   \
 	MOVQ	48(DI), R14;   \
 	MOVQ	56(DI), R15;   \
-	MOVQ	304(DI), SI;   \
+	MOVQ	304(DI), SI;
+
+// AVX2 loop bounds: SI = byte limit, CX = byte offset.
+#define BYTELIMIT256 \
 	SHLQ	$3, SI;        \
 	XORQ	CX, CX;
+
+// AVX-512 loop bounds from SI = n ≥ 1 words. The final group is the
+// eight-word group holding word n-1; it has c = ((n-1) & 7) + 1 live
+// words. Leaves SI = the final group's byte offset, CX = 0, K2 = all
+// lanes (the full groups before it), K4 = its live lanes (1<<c)-1 and
+// K3 = the lane of word n-1, 1<<(c-1). Clobbers AX.
+#define FINALGROUP512 \
+	LEAQ	-1(SI), CX;    \
+	ANDQ	$7, CX;        \
+	MOVL	$2, AX;        \
+	SHLL	CX, AX;        \
+	DECL	AX;            \
+	KMOVW	AX, K4;        \
+	MOVL	$1, AX;        \
+	SHLL	CX, AX;        \
+	KMOVW	AX, K3;        \
+	DECQ	SI;            \
+	ANDQ	$-8, SI;       \
+	SHLQ	$3, SI;        \
+	XORQ	CX, CX;        \
+	KXNORW	K2, K2, K2;
 
 // Load/store the four persistent planes for this word group.
 #define LOADPLANES256 \
@@ -159,23 +196,30 @@
 
 #define LOADPLANES512 \
 	MOVQ	192(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z0;        \
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z0;    \
 	MOVQ	200(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z1;        \
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z1;    \
 	MOVQ	208(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z2;        \
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z2;    \
 	MOVQ	216(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z3;
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z3;
 
 #define STOREPLANES512 \
 	MOVQ	192(DI), AX;                   \
-	VMOVDQU64	Z0, (AX)(CX*1);        \
+	VMOVDQU64	Z0, K2, (AX)(CX*1);    \
 	MOVQ	200(DI), AX;                   \
-	VMOVDQU64	Z1, (AX)(CX*1);        \
+	VMOVDQU64	Z1, K2, (AX)(CX*1);    \
 	MOVQ	208(DI), AX;                   \
-	VMOVDQU64	Z2, (AX)(CX*1);        \
+	VMOVDQU64	Z2, K2, (AX)(CX*1);    \
 	MOVQ	216(DI), AX;                   \
-	VMOVDQU64	Z3, (AX)(CX*1);
+	VMOVDQU64	Z3, K2, (AX)(CX*1);
+
+// Entering the final group: K2 takes its live lanes, Z11 keeps all ones
+// on them but word n-1, which gets args.tail, and zero beyond n.
+#define FINALMASKS512 \
+	KMOVW	K4, K2;                        \
+	VPTERNLOGQ.Z	$0xFF, Z11, Z11, K2, Z11; \
+	VPBROADCASTQ	312(DI), K3, Z11;
 
 // The Harley-Seal cascade over the loaded planes: consumes the eight
 // operand groups via the LOAD macros, leaves new ones/twos/fours in
@@ -234,8 +278,8 @@
 // equals (p&cm)|((p^cm)&carry) — the ripple-carry update.
 #define SIGNPLANE512(OFF, CM) \
 	MOVQ	OFF(DI), AX;                   \
-	VMOVDQU64	(AX)(CX*1), Z2;        \
-	VMOVDQU64	Z15, (AX)(CX*1);       \
+	VMOVDQU64.Z	(AX)(CX*1), K2, Z2;    \
+	VMOVDQU64	Z15, K2, (AX)(CX*1);   \
 	VPXORQ	CM, Z2, Z3;                    \
 	VPTERNLOGQ	$0x60, Z0, Z3, Z1;     \
 	VPTERNLOGQ	$0xE8, CM, Z2, Z0;
@@ -243,6 +287,7 @@
 // func csaXorBlockAVX2(a *csaArgs)
 TEXT ·csaXorBlockAVX2(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
+	BYTELIMIT256
 	MOVQ	$0x0101010101010101, AX
 	MOVQ	AX, X14
 	VPBROADCASTQ	X14, Y14
@@ -266,6 +311,7 @@ done:
 // func csaXorSmallBlockAVX2(a *csaArgs)
 TEXT ·csaXorSmallBlockAVX2(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
+	BYTELIMIT256
 	TESTQ	SI, SI
 	JZ	done
 loop:
@@ -371,6 +417,11 @@ done:
 	MOVQ	AX, ret+24(FP)
 	RET
 
+// The AVX-512 kernels share one loop shape: the full groups run under
+// K2 = all lanes; when CX reaches SI (the final group's offset),
+// FINALMASKS512 narrows the masks and the loop body runs once more, after
+// which CX > SI ends it.
+
 // func csaXorBlockAVX512(a *csaArgs)
 TEXT ·csaXorBlockAVX512(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
@@ -379,6 +430,10 @@ TEXT ·csaXorBlockAVX512(SB), NOSPLIT, $0-8
 	VPBROADCASTQ	X14, Z14
 	TESTQ	SI, SI
 	JZ	done
+	FINALGROUP512
+	VPTERNLOGQ	$0xFF, Z11, Z11, Z11
+	CMPQ	CX, SI
+	JEQ	final
 loop:
 	LOADPLANES512
 	XORLOADS512
@@ -391,6 +446,10 @@ next:
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	loop
+	JA	done
+final:
+	FINALMASKS512
+	JMP	loop
 done:
 	VZEROUPPER
 	RET
@@ -400,6 +459,10 @@ TEXT ·csaXorSmallBlockAVX512(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
 	TESTQ	SI, SI
 	JZ	done
+	FINALGROUP512
+	VPTERNLOGQ	$0xFF, Z11, Z11, Z11
+	CMPQ	CX, SI
+	JEQ	final
 loop:
 	LOADPLANES512
 	XORLOADS512
@@ -412,16 +475,22 @@ next:
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	loop
+	JA	done
+final:
+	FINALMASKS512
+	JMP	loop
 done:
 	VZEROUPPER
 	RET
 
 // func signPlanesAVX512(a *csaArgs)
+//
+// The plane compare needs no operand mask: planes are zero past the
+// dimension, and a zero count never reaches the threshold or (for even
+// n ≥ 2) the tie value, so dst's bits past d come out zero.
 TEXT ·signPlanesAVX512(SB), NOSPLIT, $0-8
 	MOVQ	a+0(FP), DI
 	MOVQ	304(DI), SI
-	SHLQ	$3, SI
-	XORQ	CX, CX
 	VPBROADCASTQ	128(DI), Z8    // cm[0]
 	VPBROADCASTQ	136(DI), Z9    // cm[1]
 	VPBROADCASTQ	144(DI), Z10   // cm[2]
@@ -434,6 +503,9 @@ TEXT ·signPlanesAVX512(SB), NOSPLIT, $0-8
 	MOVQ	64(DI), DX             // dst vector
 	TESTQ	SI, SI
 	JZ	done
+	FINALGROUP512
+	CMPQ	CX, SI
+	JEQ	final
 loop:
 	VPXORQ	Z0, Z0, Z0                     // carry
 	VPTERNLOGQ	$0xFF, Z1, Z1, Z1      // eq (all ones)
@@ -443,35 +515,47 @@ loop:
 	SIGNPLANE512(216, Z11)
 	SIGNPLANE512(224, Z12)
 	SIGNPLANE512(232, Z13)
-	VMOVDQU64	(BX)(CX*1), Z2
+	VMOVDQU64.Z	(BX)(CX*1), K2, Z2
 	VPTERNLOGQ	$0x80, Z14, Z2, Z1     // eq &= tie & tieMask
 	VPORQ	Z1, Z0, Z0
-	VMOVDQU64	Z0, (DX)(CX*1)
+	VMOVDQU64	Z0, K2, (DX)(CX*1)
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	loop
+	JA	done
+final:
+	KMOVW	K4, K2
+	JMP	loop
 done:
 	VZEROUPPER
 	RET
 
 // func hammingAVX512(a, b *uint64, n int64) int64
+//
+// Canonical vectors hold zeros past the dimension, so the final group
+// needs only the load mask.
 TEXT ·hammingAVX512(SB), NOSPLIT, $0-32
 	MOVQ	a+0(FP), R8
 	MOVQ	b+8(FP), R9
 	MOVQ	n+16(FP), SI
-	SHLQ	$3, SI
-	XORQ	CX, CX
 	VPXORQ	Z0, Z0, Z0
 	TESTQ	SI, SI
 	JZ	done
+	FINALGROUP512
+	CMPQ	CX, SI
+	JEQ	final
 loop:
-	VMOVDQU64	(R8)(CX*1), Z1
-	VPXORQ	(R9)(CX*1), Z1, Z1
+	VMOVDQU64.Z	(R8)(CX*1), K2, Z1
+	VPXORQ.Z	(R9)(CX*1), Z1, K2, Z1
 	VPOPCNTQ	Z1, Z1
 	VPADDQ	Z1, Z0, Z0
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	loop
+	JA	done
+final:
+	KMOVW	K4, K2
+	JMP	loop
 done:
 	VEXTRACTI64X4	$1, Z0, Y1
 	VPADDQ	Y1, Y0, Y0

@@ -62,14 +62,15 @@ func (pm *PackedMemory) MemoryBytes() int {
 }
 
 // hammingWords returns the Hamming distance between two equal-length
-// word vectors: the dispatched vector kernel (AVX2 PSHUFB-LUT popcount
-// or AVX-512 VPOPCNTDQ) covers the lane-aligned prefix and the portable
-// POPCNT loop — the semantic source of truth — finishes the tail.
+// word vectors: the dispatched vector kernel covers every word (AVX-512
+// VPOPCNTDQ) or the lane-aligned prefix (AVX2 PSHUFB-LUT popcount), and
+// the portable POPCNT loop — the semantic source of truth — finishes
+// whatever is left.
 func hammingWords(kern *kernelTable, a, b []uint64) int {
 	h := 0
 	lo := 0
 	if kern.hamming != nil {
-		if vn := len(a) &^ (kern.lanes - 1); vn > 0 {
+		if vn := kern.vecLen(len(a)); vn > 0 {
 			h = int(kern.hamming(&a[0], &b[0], int64(vn)))
 			lo = vn
 		}

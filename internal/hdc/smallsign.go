@@ -17,9 +17,10 @@ import "fmt"
 // Reset + Add* + SignBinaryInto sequence: the planes hold exact counts
 // and the compare implements exactly the same majority-with-tie rule.
 // Like the counter's batch entry points, both the accumulation cascade
-// and the plane compare route their lane-aligned word prefix through the
-// dispatched vector kernel when one is installed; the portable loops
-// below remain the semantic source of truth and finish the tails.
+// and the plane compare route their words through the dispatched vector
+// kernel when one is installed — all of them on AVX-512, the
+// lane-aligned prefix on AVX2; the portable loops below remain the
+// semantic source of truth and finish whatever the kernel leaves.
 
 // MaxSmallSign is the largest vector count the small-n sign kernels
 // accept: six bit-sliced planes count to 2⁶-1.
@@ -77,7 +78,9 @@ func (c *BitCounter) SignXorPairsSmallInto(pairs []XorPair, tie, dst *Binary) *B
 				lo = vn
 			}
 		}
-		c.csaXorSmallBlock8Range(&aws, &bws, &vs, lo)
+		if lo < nw {
+			c.csaXorSmallBlock8Range(&aws, &bws, &vs, lo)
+		}
 	}
 	return c.signPlanesInto(kern, len(pairs), tie, dst)
 }
@@ -140,7 +143,7 @@ func (c *BitCounter) csaXorSmallBlock8Range(aws, bws *[8][]uint64, vs *[8]uint64
 // even n a sum of exactly 63 identifies the ties (count == n/2), which
 // copy the tie vector — the same rule as SignBinaryInto. The vector
 // kernel computes the identical compare (with the tie term masked off
-// for odd n) on the lane-aligned prefix.
+// for odd n) on the words vecWords gives it.
 func (c *BitCounter) signPlanesInto(kern *kernelTable, n int, tie, dst *Binary) *Binary {
 	k := uint64(n)/2 + 1
 	add := 64 - k
@@ -167,7 +170,9 @@ func (c *BitCounter) signPlanesInto(kern *kernelTable, n int, tie, dst *Binary) 
 			lo = vn
 		}
 	}
-	c.signPlanesRange(&cm, even, tie, dst, lo)
+	if lo < c.words {
+		c.signPlanesRange(&cm, even, tie, dst, lo)
+	}
 	c.csaParked = false
 	return dst
 }

@@ -103,9 +103,8 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 	// from them out of the power loop: the dangling-vertex list (the
 	// common all-connected case then skips the per-iteration mass scan
 	// entirely) and the damped inverse degree d/deg(v), which turns the
-	// per-vertex division — the dominant cost on the small benchmark
-	// graphs — into a multiply. A dangling vertex gets dinv 0; its
-	// neighbor loop is empty, so the value is never used.
+	// per-vertex division into a multiply. A dangling vertex gets dinv
+	// 0; it has no edges, so its share is never read.
 	dang := s.dangling[:0]
 	dinv := s.dinv[:n]
 	for v := 0; v < n; v++ {
@@ -116,6 +115,7 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 			dinv[v] = d / float64(deg)
 		}
 	}
+	edges := g.Edges()
 	for it := 0; it < opts.Iterations; it++ {
 		// Teleport mass plus dangling-vertex mass, both uniform.
 		dangling := 0.0
@@ -123,14 +123,25 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 			dangling += cur[v]
 		}
 		base := (1-d)*inv + d*dangling*inv
+		// cur becomes each vertex's share of its own score in place;
+		// next starts from the uniform mass. (The re-slices let the
+		// compiler drop the bounds checks.)
+		shares, dinv := cur[:len(next)], dinv[:len(next)]
 		for v := range next {
+			shares[v] *= dinv[v]
 			next[v] = base
 		}
-		for v := 0; v < n; v++ {
-			share := cur[v] * dinv[v]
-			for _, w := range g.Neighbors(v) {
-				next[w] += share
-			}
+		// One pass over the edge list, each edge giving each endpoint
+		// the other's share. Edges are sorted by (U, V) with U < V, so a
+		// vertex hears from its lower neighbours in ascending order (one
+		// per earlier U block) and then from its upper ones (its own
+		// block): ascending neighbour order, the same order — and so the
+		// same float64 sums — as pushing every vertex's share along its
+		// sorted adjacency list, with no short variable-length inner
+		// loop per vertex.
+		for _, e := range edges {
+			next[e.V] += shares[e.U]
+			next[e.U] += shares[e.V]
 		}
 		cur, next = next, cur
 	}

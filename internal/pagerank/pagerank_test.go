@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphhd/internal/dataset"
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
 )
@@ -245,5 +246,108 @@ func TestScoresIntoResultStableAcrossGraphs(t *testing.T) {
 	odd := ScoresInto(g, Options{Iterations: 5}, &s)
 	if &even[0] != &odd[0] {
 		t.Fatal("ScoresInto returned different backing arrays for even and odd iteration counts")
+	}
+}
+
+// pushScores is the power loop as ScoresInto ran it before it walked the
+// edge list: every vertex pushes its share cur[v]·d/deg(v) along its
+// sorted adjacency list. It is the oracle the edge-order loop must match
+// with float64 ==.
+func pushScores(g *graph.Graph, opts Options) []float64 {
+	opts = opts.withDefaults()
+	n := g.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	cur, next := make([]float64, n), make([]float64, n)
+	inv := 1 / float64(n)
+	for i := range cur {
+		cur[i] = inv
+	}
+	d := opts.Damping
+	for it := 0; it < opts.Iterations; it++ {
+		dangling := 0.0
+		for v := 0; v < n; v++ {
+			if g.Degree(v) == 0 {
+				dangling += cur[v]
+			}
+		}
+		base := (1-d)*inv + d*dangling*inv
+		for v := range next {
+			next[v] = base
+		}
+		for v := 0; v < n; v++ {
+			if deg := g.Degree(v); deg > 0 {
+				share := cur[v] * (d / float64(deg))
+				for _, w := range g.Neighbors(v) {
+					next[w] += share
+				}
+			}
+		}
+		cur, next = next, cur
+	}
+	return cur
+}
+
+// TestScoresMatchPushOracle requires the edge-order power loop to give
+// exactly the push loop's float64 scores, and RanksInto the ranks those
+// scores sort to, on all six datasets and on shapes with many ties or
+// dangling vertices, at iteration counts of both parities. It holds
+// because Edges() is sorted by (U, V) with U < V, so every vertex adds
+// its neighbours' shares in ascending order, as the push loop does.
+func TestScoresMatchPushOracle(t *testing.T) {
+	sets := map[string][]*graph.Graph{
+		"shapes": {
+			graph.Star(9),
+			graph.Complete(7),
+			graph.Disjoint(graph.Path(4), graph.NewBuilder(3).Build(), graph.Star(5)),
+			graph.NewBuilder(5).Build(), // all dangling
+			graph.NewBuilder(1).Build(),
+			graph.NewBuilder(0).Build(),
+			graph.BarabasiAlbert(60, 3, hdc.NewRNG(21)),
+		},
+	}
+	for _, name := range dataset.Names() {
+		count := 150
+		if name == "DD" { // DD graphs are ~25× larger than the rest
+			count = 30
+		}
+		ds, err := dataset.Generate(name, dataset.Options{Seed: 9, GraphCount: count})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name] = ds.Graphs
+	}
+	var s Scratch
+	var dst []int
+	for name, gs := range sets {
+		for _, iters := range []int{1, 2, 3, 10} {
+			for _, damping := range []float64{DefaultDamping, 0.5} {
+				opts := Options{Damping: damping, Iterations: iters}
+				for gi, g := range gs {
+					want := pushScores(g, opts)
+					got := ScoresInto(g, opts, &s)
+					if len(got) != len(want) {
+						t.Fatalf("%s graph %d, %+v: %d scores, want %d", name, gi, opts, len(got), len(want))
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s graph %d, %+v: score[%d] = %v, push oracle %v", name, gi, opts, v, got[v], want[v])
+						}
+					}
+					order := make([]int, len(want))
+					for i := range order {
+						order[i] = i
+					}
+					SortByCentrality(g, want, order)
+					dst = RanksInto(g, opts, dst, &s)
+					for r, v := range order {
+						if dst[v] != r {
+							t.Fatalf("%s graph %d, %+v: rank[%d] = %d, push oracle %d", name, gi, opts, v, dst[v], r)
+						}
+					}
+				}
+			}
+		}
 	}
 }
