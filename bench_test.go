@@ -214,43 +214,24 @@ func BenchmarkExtensionLabels(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationBackend times A5 as cmd/ablations -run backend does:
+// RunBackendComparison encodes PROTEINS graphs through the int8 reference
+// and the bit-sliced pipeline, and each leg's encode time per run is
+// reported as "<leg>-ns".
 func BenchmarkAblationBackend(b *testing.B) {
-	ds := dataset.MustGenerate("PROTEINS", dataset.Options{Seed: 1, GraphCount: 20})
-	const dim = 10000
-	b.Run("bipolar", func(b *testing.B) {
-		enc := core.MustNewEncoder(core.Config{Dimension: dim, PageRankIterations: 10, PageRankDamping: 0.85, Seed: 1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, g := range ds.Graphs {
-				enc.EncodeGraph(g)
-			}
+	totals := map[string]time.Duration{}
+	for i := 0; i < b.N; i++ {
+		cells, err := experiments.RunBackendComparison(20, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		rng := hdc.NewRNG(1)
-		var basis []*hdc.Binary
-		basisFor := func(rank int) *hdc.Binary {
-			for rank >= len(basis) {
-				basis = append(basis, hdc.RandomBinary(dim, rng))
-			}
-			return basis[rank]
+		for _, c := range cells {
+			totals[c.Value] += c.TrainTime
 		}
-		ranks := make([][]int, len(ds.Graphs))
-		for i, g := range ds.Graphs {
-			ranks[i] = pagerank.Ranks(g, pagerank.Options{})
-			basisFor(g.NumVertices())
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for gi, g := range ds.Graphs {
-				acc := hdc.NewBinaryAccumulator(dim)
-				for _, e := range g.Edges() {
-					acc.Add(basisFor(ranks[gi][e.U]).Bind(basisFor(ranks[gi][e.V])))
-				}
-				acc.Majority(basisFor(0))
-			}
-		}
-	})
+	}
+	for leg, total := range totals {
+		b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), leg+"-ns")
+	}
 }
 
 // --- substrate micro-benchmarks -------------------------------------------

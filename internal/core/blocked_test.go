@@ -6,27 +6,13 @@ import (
 
 	"graphhd/internal/dataset"
 	"graphhd/internal/graph"
-	"graphhd/internal/hdc"
 )
 
-// encodePackedScalarReference is the pre-blocking edge loop: per-edge
-// AddXor in edge order, no grouping, no carry-save front end. It is the
-// oracle the blocked path must match bit for bit.
-func encodePackedScalarReference(enc *Encoder, g *graph.Graph) *hdc.Binary {
-	ranks := enc.Ranks(g)
-	packed := enc.packedSlice(g.NumVertices())
-	c := hdc.NewBitCounter(enc.Dimension())
-	for _, ed := range g.Edges() {
-		c.AddXor(packed[ranks[ed.U]], packed[ranks[ed.V]], true)
-	}
-	return c.SignBinary(enc.packedTie)
-}
-
-// TestBlockedEncodeMatchesScalarAllDatasets pins the tentpole acceptance
-// criterion: on every synthetic Table-I dataset the rank-pair-grouped,
-// carry-save-blocked edge accumulation produces encodings bit-for-bit
-// identical to the per-edge scalar AddXor path, and the packed output
-// equals the bipolar output packed.
+// TestBlockedEncodeMatchesScalarAllDatasets pins the blocked encoder to
+// the int8 reference: on every synthetic Table-I dataset the rank-pair
+// keyed, carry-save-blocked edge accumulation produces encodings
+// bit-for-bit identical to encodeGraphSlow's per-edge int8 bundle, and
+// the bipolar output packed equals the packed output.
 func TestBlockedEncodeMatchesScalarAllDatasets(t *testing.T) {
 	for _, name := range dataset.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -47,12 +33,12 @@ func TestBlockedEncodeMatchesScalarAllDatasets(t *testing.T) {
 				if g.NumEdges() == 0 {
 					continue // edgeless graphs bypass the counter entirely
 				}
-				want := encodePackedScalarReference(enc, g)
+				want := enc.encodeGraphSlow(g).PackBinary()
 				if got := s.EncodeGraphPacked(g); !got.Equal(want) {
-					t.Fatalf("graph %d: blocked packed encode differs from scalar AddXor reference", i)
+					t.Fatalf("graph %d: blocked packed encode differs from the int8 reference", i)
 				}
 				if got := enc.EncodeGraph(g).PackBinary(); !got.Equal(want) {
-					t.Fatalf("graph %d: blocked bipolar encode differs from scalar AddXor reference", i)
+					t.Fatalf("graph %d: blocked bipolar encode differs from the int8 reference", i)
 				}
 			}
 		})
@@ -94,7 +80,7 @@ func TestBlockedEncodeAllocationFree(t *testing.T) {
 
 // TestEncodeFourCycleMatchesScalar: on a 4-cycle, edges (0,1), (1,2),
 // (2,3), (0,3), every unordered rank pair is distinct whatever the rank
-// bijection, and the encode must reproduce the per-edge scalar reference
+// bijection, and the encode must reproduce the per-edge int8 reference
 // exactly.
 func TestEncodeFourCycleMatchesScalar(t *testing.T) {
 	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
@@ -105,9 +91,9 @@ func TestEncodeFourCycleMatchesScalar(t *testing.T) {
 	cfg.Dimension = 512
 	enc := MustNewEncoder(cfg)
 	s := enc.NewScratch()
-	want := encodePackedScalarReference(enc, g)
+	want := enc.encodeGraphSlow(g).PackBinary()
 	if !s.EncodeGraphPacked(g).Equal(want) {
-		t.Fatal("encode of 4-cycle differs from scalar reference")
+		t.Fatal("encode of 4-cycle differs from the int8 reference")
 	}
 }
 

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-
 	"testing"
 
 	"graphhd/internal/dataset"
-	"graphhd/internal/hdc"
 )
 
 // BenchmarkFig4Encode980 isolates the encoder on the largest Figure 4
@@ -97,34 +95,6 @@ func BenchmarkEncodeScratchPacked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.EncodeGraphPacked(g)
-	}
-}
-
-// BenchmarkEncodeScratchPackedScalar re-times the same workload through
-// the pre-blocking per-edge AddXor loop (reused counter, no grouping, no
-// carry-save front end) — the PR 2 baseline kept alive so the blocked
-// path's speedup stays measurable in one run.
-func BenchmarkEncodeScratchPackedScalar(b *testing.B) {
-	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 2, GraphCount: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := MustNewEncoder(DefaultConfig())
-	s := enc.NewScratch()
-	g := ds.Graphs[0]
-	s.EncodeGraphPacked(g) // warm buffers and the packed basis table
-	counter := hdc.NewBitCounter(enc.Dimension())
-	out := hdc.NewBinary(enc.Dimension())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ranks := s.Ranks(g)
-		packed := enc.packedSlice(g.NumVertices())
-		counter.Reset()
-		for _, ed := range g.Edges() {
-			counter.AddXor(packed[ranks[ed.U]], packed[ranks[ed.V]], true)
-		}
-		counter.SignBinaryInto(enc.packedTie, out)
 	}
 }
 

@@ -282,8 +282,9 @@ func RunCentralityAblation(graphCount int, seed uint64) ([]AblationCell, error) 
 
 // RunBackendComparison times graph encoding under the two equivalent
 // pipelines (A5): the reference int8 bipolar path (materialized binds
-// accumulated in int32 sums) and the bit-sliced packed path the production
-// encoder uses (XNOR word binds counted in SWAR lanes — see
+// accumulated in int32 sums, a fresh accumulator per graph as in
+// core's encodeGraphSlow) and the bit-sliced packed path the production
+// encoder uses (XNOR word binds through the carry-save counter — see
 // hdc.BitCounter). Both produce bit-identical hypervectors; the cell's
 // TrainTime is the wall time to encode the whole dataset.
 func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
@@ -323,11 +324,13 @@ func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
 
 	// Bit-sliced packed path (what core.Encoder runs in production): edge
 	// binds batched through the blocked carry-save front end, as the
-	// encoder's grouped edge loop does.
+	// encoder's grouped edge loop does, into one counter Reset per graph,
+	// as core.EncoderScratch keeps it.
 	t1 := time.Now()
 	var pairs []hdc.XorPair
+	counter := hdc.NewBitCounter(dim)
 	for i, g := range ds.Graphs {
-		counter := hdc.NewBitCounter(dim)
+		counter.Reset()
 		pairs = pairs[:0]
 		for _, e := range g.Edges() {
 			pairs = append(pairs, hdc.XorPair{

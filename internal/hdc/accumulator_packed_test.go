@@ -47,19 +47,21 @@ func TestAccumulatorSignBinaryTies(t *testing.T) {
 }
 
 func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
-	// 300 adds push the counter through its nibble, byte and int32 tiers;
-	// past the byte lanes' 255 units AddCounter must take the flush path.
+	// 300 vectors push the counter through its byte and int32 tiers; past
+	// the byte lanes' 255 units AddCounter must take the flush path.
 	for _, d := range []int{65, 1000} {
 		rng := NewRNG(uint64(d) + 7)
 		ref, got := NewAccumulator(d), NewAccumulator(d)
 		bc := NewBitCounter(d)
+		vs := make([]*Binary, 300)
 		for round := 0; round < 2; round++ {
 			bc.Reset()
-			for i := 0; i < 300; i++ {
+			for i := range vs {
 				v := RandomBipolar(d, rng)
 				ref.Add(v)
-				bc.Add(v.PackBinary())
+				vs[i] = v.PackBinary()
 			}
+			bc.AddAll(vs)
 			if bc.inBytes() {
 				t.Fatalf("d=%d round %d: 300 units reported in the byte lanes", d, round)
 			}
@@ -74,16 +76,17 @@ func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
 // TestAccumulatorAddCounterByteLaneFold pins AddCounter's byte-lane fold,
 // taken while every count is still in the byte lanes, against the int32
 // fold of the same counter forced through a flush, and both against
-// per-vector AddPacked, on top of nonzero sums. Up to 32 vectors enter
-// through AddAll, as in Model.Fit; 255, the byte lanes' capacity, through
-// Add.
+// per-vector AddPacked, on top of nonzero sums. The vectors enter
+// through one AddAll call, as in Model.Fit; 120 is the most one call
+// keeps in the byte lanes (fifteen blocks of weight-16 overflow and the
+// drain's 15 fill the 255 the lanes' accounting allows).
 func TestAccumulatorAddCounterByteLaneFold(t *testing.T) {
 	forEachKernelTier(t, testAccumulatorAddCounterByteLaneFold)
 }
 
 func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
 	for _, d := range []int{64, 100, 1000, 10000, 10007} {
-		for _, n := range []int{1, 7, 8, 9, 32, 255} {
+		for _, n := range []int{1, 7, 8, 9, 32, 120} {
 			rng := NewRNG(uint64(d)<<8 | uint64(n))
 			start := make([]int32, d)
 			for i := range start {
@@ -94,15 +97,8 @@ func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
 				vs[i] = RandomBinary(d, rng)
 			}
 			lanes, flushed := NewBitCounter(d), NewBitCounter(d)
-			for _, c := range []*BitCounter{lanes, flushed} {
-				if n <= 32 {
-					c.AddAll(vs)
-				} else {
-					for _, v := range vs {
-						c.Add(v)
-					}
-				}
-			}
+			lanes.AddAll(vs)
+			flushed.AddAll(vs)
 			flushed.CountAt(0) // moves every count to the int32 tier
 			if !lanes.inBytes() || flushed.inBytes() {
 				t.Fatalf("d=%d n=%d: counters not in the tiers under test", d, n)
@@ -128,7 +124,10 @@ func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
 				t.Fatalf("d=%d n=%d: byte-lane fold differs from per-vector AddPacked", d, n)
 			}
 			// The fold leaves the counts in place until Reset.
-			assertSameCounts(t, fmt.Sprintf("d=%d n=%d after fold", d, n), lanes, flushed)
+			counts := newNaiveCounter(d)
+			counts.addAll(vs)
+			counts.check(t, fmt.Sprintf("d=%d n=%d lanes after fold", d, n), lanes)
+			counts.check(t, fmt.Sprintf("d=%d n=%d flushed after fold", d, n), flushed)
 		}
 	}
 }

@@ -219,80 +219,3 @@ func (b *Binary) String() string {
 	}
 	return fmt.Sprintf("Binary(d=%d, %s%s)", n, buf, suffix)
 }
-
-// BinaryAccumulator is the bit-majority counterpart of Accumulator: it
-// counts, per component, how many bundled vectors had that bit set.
-type BinaryAccumulator struct {
-	d     int
-	ones  []int32
-	total int
-}
-
-// NewBinaryAccumulator returns an empty accumulator of dimension d.
-func NewBinaryAccumulator(d int) *BinaryAccumulator {
-	if d <= 0 {
-		panic("hdc: non-positive dimension")
-	}
-	return &BinaryAccumulator{d: d, ones: make([]int32, d)}
-}
-
-// Dim returns the dimensionality of the accumulator.
-func (a *BinaryAccumulator) Dim() int { return a.d }
-
-// Count returns the number of vectors bundled so far.
-func (a *BinaryAccumulator) Count() int { return a.total }
-
-// Add bundles b into the accumulator.
-func (a *BinaryAccumulator) Add(b *Binary) {
-	if a.d != b.d {
-		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", a.d, b.d))
-	}
-	for i := 0; i < a.d; i++ {
-		a.ones[i] += int32(b.Bit(i))
-	}
-	a.total++
-}
-
-// Sub removes one vote of b from the accumulator.
-func (a *BinaryAccumulator) Sub(b *Binary) {
-	if a.d != b.d {
-		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", a.d, b.d))
-	}
-	for i := 0; i < a.d; i++ {
-		a.ones[i] -= int32(b.Bit(i))
-	}
-	a.total--
-}
-
-// Reset clears all votes.
-func (a *BinaryAccumulator) Reset() {
-	for i := range a.ones {
-		a.ones[i] = 0
-	}
-	a.total = 0
-}
-
-// Majority collapses the accumulator to a binary hypervector: bit i is set
-// when strictly more than half of the bundled vectors had it set, cleared
-// when fewer, and copied from tie on an exact tie.
-func (a *BinaryAccumulator) Majority(tie *Binary) *Binary {
-	if a.d != tie.d {
-		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", a.d, tie.d))
-	}
-	out := NewBinary(a.d)
-	half2 := int32(a.total) // compare 2*ones against total
-	for i := 0; i < a.d; i++ {
-		twice := 2 * a.ones[i]
-		switch {
-		case twice > half2:
-			out.words[i>>6] |= 1 << uint(i&63)
-		case twice < half2:
-			// bit stays 0
-		default:
-			if tie.Bit(i) == 1 {
-				out.words[i>>6] |= 1 << uint(i&63)
-			}
-		}
-	}
-	return out
-}

@@ -118,70 +118,15 @@ func TestBinaryString(t *testing.T) {
 	}
 }
 
-func TestBinaryAccumulatorMajority(t *testing.T) {
-	acc := NewBinaryAccumulator(4)
-	mk := func(bits ...int) *Binary {
-		b := NewBinary(4)
-		for i, v := range bits {
-			if v == 1 {
-				b.words[0] |= 1 << uint(i)
-			}
-		}
-		return b
-	}
-	acc.Add(mk(1, 1, 0, 0))
-	acc.Add(mk(1, 0, 0, 1))
-	acc.Add(mk(1, 0, 0, 0))
-	maj := acc.Majority(NewBinary(4))
-	want := []int{1, 0, 0, 0}
-	for i, w := range want {
-		if maj.Bit(i) != w {
-			t.Fatalf("majority bit %d = %d, want %d", i, maj.Bit(i), w)
-		}
-	}
-}
-
-func TestBinaryAccumulatorTie(t *testing.T) {
-	acc := NewBinaryAccumulator(2)
-	one := NewBinary(2)
-	one.words[0] = 0b01
-	two := NewBinary(2)
-	two.words[0] = 0b10
-	acc.Add(one)
-	acc.Add(two)
-	tie := NewBinary(2)
-	tie.words[0] = 0b11
-	maj := acc.Majority(tie)
-	if maj.Bit(0) != 1 || maj.Bit(1) != 1 {
-		t.Fatalf("tie not taken from tie vector: %v", maj)
-	}
-}
-
-func TestBinaryAccumulatorAddSub(t *testing.T) {
-	r := NewRNG(7)
-	acc := NewBinaryAccumulator(64)
-	v := RandomBinary(64, r)
-	w := RandomBinary(64, r)
-	acc.Add(v)
-	acc.Add(w)
-	acc.Sub(w)
-	if acc.Count() != 1 {
-		t.Fatalf("count = %d", acc.Count())
-	}
-	if !acc.Majority(NewBinary(64)).Equal(v) {
-		t.Fatal("add/sub did not cancel")
-	}
-}
-
 func TestBinaryBundlePreservesSimilarity(t *testing.T) {
 	r := NewRNG(8)
-	acc := NewBinaryAccumulator(10000)
 	vs := make([]*Binary, 5)
 	for i := range vs {
 		vs[i] = RandomBinary(10000, r)
-		acc.Add(vs[i])
 	}
-	maj := acc.Majority(RandomBinary(10000, r))
+	bc := NewBitCounter(10000)
+	bc.AddAll(vs)
+	maj := bc.SignBinaryInto(RandomBinary(10000, r), NewBinary(10000))
 	for i, v := range vs {
 		if c := maj.Cosine(v); c < 0.2 {
 			t.Fatalf("cos(majority, v%d) = %f", i, c)

@@ -3,31 +3,26 @@ package hdc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // BitCounter counts, per component, how many of the added binary
 // hypervectors had that bit set — the quantity majority bundling needs —
-// without unpacking bits to integers. Components are accumulated in
-// nibble-packed SWAR lanes: lane j of word w holds 4-bit counters for the
-// 16 components {64w + 4k + j}, so one Add costs a handful of branchless
-// word operations per 64 components instead of 64 integer additions.
-// Nibble lanes fold into byte lanes whenever their accumulated weight
-// would exceed 15 and byte lanes flush into full int32 counters before
-// their weight can exceed 255, keeping the per-component work amortized
-// far below one operation per add.
+// without unpacking bits to integers. Weight moves through three tiers:
 //
-// The batch entry point AddXorPairs puts a Harley–Seal carry-save front
-// end ahead of the lanes: groups of eight vectors are reduced per 64-bit
-// word through a cascade of carry-save adders into persistent
-// bit-sliced partial sums of weight 1/2/4/8, and only the
-// weight-16 overflow of the top slice reaches a counter lane (the byte
-// lanes, which absorb it directly) — one lane update per ~16 vectors
-// instead of one per vector, with no nibble folding on the blocked path
-// at all. AddAll runs plain vectors through the same front end.
-// AddXorWeighted accumulates one vector with an integer
-// multiplicity, feeding the lanes the multiplicity directly instead of
-// re-adding the vector.
+//   - Carry-save planes. AddXorPairs and AddAll reduce groups of eight
+//     vectors per 64-bit word through a Harley–Seal cascade of carry-save
+//     adders into persistent bit-sliced partial sums of weight 1/2/4/8.
+//     Only the weight-16 overflow of the top plane leaves it, so a block
+//     costs one lane update per ~16 vectors instead of one per vector.
+//     Each call drains the planes before it returns.
+//   - Byte lanes. The overflow and the drain land in byte-wide SWAR
+//     counters, eight components per word.
+//   - int32 counts. The byte lanes flush into them before any byte can
+//     pass 255.
+//
+// While every count is still in the byte lanes, majority signs and the
+// fold into class sums read them there (SignBinaryInto's SWAR path,
+// Accumulator.AddCounter), so most bundles never touch the int32 tier.
 //
 // This is the software analogue of the "binarized bundling" hardware
 // optimization of Schmuck et al. (JETC 2019) and is what makes GraphHD's
@@ -48,31 +43,30 @@ type BitCounter struct {
 	// re-slices into at the active width.
 	dcap      int
 	countsAll []int32
-	// nib[j][w]: 16 nibble counters for components 64w + 4k + j.
-	nib [4][]uint64
-	// byteLo[j]/byteHi[j]: byte counters absorbing the even/odd nibbles of
-	// lane j, so the expensive per-component flush runs every ~255 units
-	// of weight instead of every 15.
+	// byteLo[j]/byteHi[j]: byte counters. Byte k of byteLo[j][w] counts
+	// component 64w + 8k + j and byte k of byteHi[j][w] component
+	// 64w + 8k + 4 + j, so the per-component flush runs every ~255 units
+	// of weight instead of once per vector.
 	byteLo, byteHi [4][]uint64
 	// csaOnes/csaTwos/csaFours/csaEights: bit-sliced carry-save partial
 	// sums of weight 1, 2, 4 and 8 used by the blocked front end. They are
 	// nonzero only while a batch call is running; the call drains them
-	// into the nibble lanes before returning. All six planes are views
+	// into the byte lanes before returning. All six planes are views
 	// into one contiguous slab so the vector kernels stream them with a
 	// single base pointer.
 	csaOnes, csaTwos, csaFours, csaEights []uint64
 	// csaSixteens/csaThirtyTwos extend the plane stack for the small-n
 	// sign kernel (SignXorPairsSmallInto), which keeps counts of up to 63
-	// vectors entirely bit-sliced and never touches the nibble/byte/int32
-	// tiers. Zero between calls, like the others.
+	// vectors entirely bit-sliced and never touches the byte/int32 tiers.
+	// Zero between calls, like the others.
 	csaSixteens, csaThirtyTwos []uint64
 	// csaParked is set while the carry-save planes hold weight that has
 	// not yet reached a counter tier (mid batch call, or between a
 	// small-sign accumulation and its plane compare). Every observer
-	// funnels through flush, which drains parked planes first, so no
-	// accessor — Popcount, CountAt, CountsInto, the sign fallbacks — can
-	// ever see weight parked below the lane tiers, whichever kernel tier
-	// (portable or vector) parked it.
+	// funnels through flush or inBytes, which drain parked planes first,
+	// so neither the sign paths nor AddCounter can ever see weight parked
+	// below the lane tiers, whichever kernel tier (portable or vector)
+	// parked it.
 	csaParked bool
 	// kargs is the pre-resolved argument block handed to the vector
 	// kernels; the plane and lane pointers are filled once at
@@ -82,10 +76,9 @@ type BitCounter struct {
 	// zeroWords is an all-zero operand used to pad the final partial block
 	// of the carry-save kernels: feeding zeros through the CSA cascade
 	// contributes nothing to any count, so a short tail costs one extra
-	// block sweep instead of per-vector scalar lane updates.
+	// block sweep.
 	zeroWords   []uint64
-	pendingNib  int // weight added to nibble lanes since the last fold, <= 15
-	pendingByte int // weight folded into byte lanes since the last flush, <= 255
+	pendingByte int // weight added to byte lanes since the last flush, <= 255
 	// countsDirty records whether the int32 counters hold any weight; when
 	// they do not and n fits a byte, Sign* can run its SWAR fast path
 	// straight off the byte lanes.
@@ -114,9 +107,6 @@ func NewBitCounter(d int) *BitCounter {
 	w := (d + 63) / 64
 	c := &BitCounter{d: d, dcap: d, words: w, counts: make([]int32, d)}
 	c.countsAll = c.counts
-	for j := range c.nib {
-		c.nib[j] = make([]uint64, w)
-	}
 	// The byte lanes and carry-save planes are views into contiguous
 	// slabs: the vector kernels address all of them from the base
 	// pointers below, and one allocation each keeps them cache-adjacent.
@@ -162,14 +152,10 @@ func (c *BitCounter) vecWords(k *kernelTable, masked bool) int {
 // Dim returns the active dimensionality.
 func (c *BitCounter) Dim() int { return c.d }
 
-// Capacity returns the construction-time dimension: the largest value
-// SetDim accepts.
-func (c *BitCounter) Capacity() int { return c.dcap }
-
 // SetDim re-targets the counter at dimension d, reusing the storage
 // allocated at construction — the prefix-slicing hook that lets one
 // counter serve encodes of several widths with zero reallocation. d must
-// lie in [1, Capacity()]. Any accumulated weight is discarded (the
+// lie in [1, NewBitCounter's d]. Any accumulated weight is discarded (the
 // counter is Reset at its current width first, where all dirty state
 // lives, so narrowing then widening never resurrects stale counts).
 //
@@ -191,8 +177,7 @@ func (c *BitCounter) SetDim(d int) {
 	c.kargs.tail = c.tailMask()
 }
 
-// Count returns the total weight added so far (the number of hypervectors
-// for unit-weight adds).
+// Count returns the number of vectors added since the last Reset.
 func (c *BitCounter) Count() int { return c.n }
 
 // checkAdds panics if accepting weight more units would push the counter
@@ -222,94 +207,6 @@ func (c *BitCounter) checkOperand(d int) {
 	}
 }
 
-// Add accumulates the first d components of one binary hypervector
-// (b may be wider than the counter; see SetDim).
-func (c *BitCounter) Add(b *Binary) {
-	c.checkOperand(b.d)
-	c.checkAdds(1)
-	c.n++
-	c.addWordsLanes(b.words)
-}
-
-// AddXor accumulates the XOR (or, with invert, the XNOR) of two binary
-// hypervectors without materializing it — the per-edge scalar path of the
-// packed GraphHD encoder, where an edge hypervector is the XNOR of its
-// endpoint vectors. The tail beyond d bits is masked so complemented
-// garbage never reaches the counters. Batches of edges go faster through
-// AddXorPairs.
-func (c *BitCounter) AddXor(a, b *Binary, invert bool) {
-	c.checkOperand(a.d)
-	c.checkOperand(b.d)
-	c.checkAdds(1)
-	c.n++
-	c.addXorLanes(a.words, b.words, invert)
-}
-
-// addXorLanes feeds one XOR/XNOR vector into the nibble lanes (weight 1,
-// no count accounting).
-func (c *BitCounter) addXorLanes(aw, bw []uint64, invert bool) {
-	// Fold BEFORE feeding: weighted feeds may leave pendingNib at exactly
-	// 15, and a nibble at 15 would wrap to 0 and carry into its neighbor
-	// if one more unit landed first.
-	if c.pendingNib+1 > 15 {
-		c.foldNibbles()
-	}
-	c.pendingNib++
-	n0, n1, n2, n3 := c.nib[0], c.nib[1], c.nib[2], c.nib[3]
-	// Both branches mask the tail word: under inversion the complement
-	// sets the unused high bits, and operands wider than the counter
-	// (prefix slicing) carry live bits there even without inversion.
-	tailMask := c.tailMask()
-	last := c.words - 1
-	if invert {
-		for w := 0; w < c.words; w++ {
-			x := ^(aw[w] ^ bw[w])
-			if w == last {
-				x &= tailMask
-			}
-			n0[w] += x & nibbleLaneMask
-			n1[w] += (x >> 1) & nibbleLaneMask
-			n2[w] += (x >> 2) & nibbleLaneMask
-			n3[w] += (x >> 3) & nibbleLaneMask
-		}
-	} else {
-		for w := 0; w < c.words; w++ {
-			x := aw[w] ^ bw[w]
-			if w == last {
-				x &= tailMask
-			}
-			n0[w] += x & nibbleLaneMask
-			n1[w] += (x >> 1) & nibbleLaneMask
-			n2[w] += (x >> 2) & nibbleLaneMask
-			n3[w] += (x >> 3) & nibbleLaneMask
-		}
-	}
-}
-
-// addWordsLanes feeds one raw word vector into the nibble lanes (weight 1,
-// no count accounting).
-func (c *BitCounter) addWordsLanes(x []uint64) {
-	// Fold before feeding — same capacity argument as addXorLanes.
-	if c.pendingNib+1 > 15 {
-		c.foldNibbles()
-	}
-	c.pendingNib++
-	n0, n1, n2, n3 := c.nib[0], c.nib[1], c.nib[2], c.nib[3]
-	tailMask := c.tailMask()
-	last := c.words - 1
-	for w := 0; w < c.words; w++ {
-		v := x[w]
-		if w == last {
-			// Operands wider than the counter carry live bits past d.
-			v &= tailMask
-		}
-		n0[w] += v & nibbleLaneMask
-		n1[w] += (v >> 1) & nibbleLaneMask
-		n2[w] += (v >> 2) & nibbleLaneMask
-		n3[w] += (v >> 3) & nibbleLaneMask
-	}
-}
-
 // csa is a 3:2 carry-save adder: it compresses three bit-sliced summands
 // of equal weight into a same-weight sum slice and a double-weight carry
 // slice.
@@ -325,16 +222,18 @@ type XorPair struct {
 	Invert bool
 }
 
-// AddXorPairs accumulates a block of XOR/XNOR edge vectors — equivalent to
-// calling AddXor for each pair in order, but routed through the
-// carry-save front end: groups of eight pairs are reduced per word by a
-// Harley–Seal CSA cascade into the persistent weight-1/2/4/8 slices, and
-// only the weight-16 overflow of the top tier touches a counter lane (the
-// byte lanes, which absorb it directly). A full block therefore costs one
-// lane update per ~16 edges instead of one per edge, and the inner loop
-// is a single cache-friendly sweep over the d/64 words of the block's
-// operands. A short final block is padded with zero operands, which flow
-// through the CSA cascade without contributing to any count.
+// AddXorPairs accumulates the XOR (or, with Invert, the XNOR) of each
+// pair without materializing it — the packed GraphHD encoder's edge
+// loop, where an edge hypervector is the XNOR of its endpoint vectors.
+// Groups of eight pairs are reduced per word by a Harley–Seal CSA
+// cascade into the persistent weight-1/2/4/8 planes, and only the
+// weight-16 overflow of the top plane touches the byte lanes. A full
+// block therefore costs one lane update per ~16 edges instead of one per
+// edge, and the inner loop is a single cache-friendly sweep over the
+// d/64 words of the block's operands. A short final block is padded with
+// zero operands, which flow through the CSA cascade without contributing
+// to any count. The tail beyond d bits is masked, so complemented
+// garbage never reaches the counters.
 func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 	for _, p := range pairs {
 		c.checkOperand(p.A.d)
@@ -369,12 +268,11 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 	c.drainCarrySave()
 }
 
-// AddAll accumulates a block of binary hypervectors — equivalent to
-// calling Add for each vector in order, but routed through the carry-save
-// front end of AddXorPairs: each vector enters the cascade as its XOR with
-// the all-zero stream, so eight vectors cost one block sweep and only the
-// weight-16 overflow reaches the byte lanes. This is how Model.Fit
-// bundles a chunk of one class's encodings.
+// AddAll accumulates a block of binary hypervectors through the
+// carry-save front end of AddXorPairs: each vector enters the cascade as
+// its XOR with the all-zero stream, so eight vectors cost one block sweep
+// and only the weight-16 overflow reaches the byte lanes. This is how
+// Model.Fit bundles a chunk of one class's encodings.
 func (c *BitCounter) AddAll(vs []*Binary) {
 	for _, v := range vs {
 		c.checkOperand(v.d)
@@ -501,147 +399,31 @@ func invMask(invert bool) uint64 {
 }
 
 // drainCarrySave feeds the parked weight-1/2/4/8 carry-save slices into
-// the counter lanes and zeroes them, restoring the invariant that all
-// accumulated weight lives in the lane/counter tiers between calls.
+// the byte lanes and zeroes them, restoring the invariant that all
+// accumulated weight lives in the byte/int32 tiers between calls.
 func (c *BitCounter) drainCarrySave() {
 	c.csaParked = false
 	// A bit can be set in all four slices at once, so the drain carries up
 	// to 1+2+4+8 = 15 units of weight per component.
-	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
-	if c.pendingNib == 0 {
-		// Common case on the blocked path: the nibble lanes are empty, so
-		// the assembled 4-bit values can split straight into the byte
-		// lanes — one conversion instead of the CSA→nibble→byte double
-		// round trip (the nibble tier's whole job is batching scalar adds,
-		// and there is nothing to batch with here).
-		if c.pendingByte+15 > 255 {
-			c.flushBytes()
-		}
-		c.pendingByte += 15
-		for w := 0; w < c.words; w++ {
-			o, t, f, e := ones[w], twos[w], fours[w], eights[w]
-			if o|t|f|e == 0 {
-				continue
-			}
-			ones[w], twos[w], fours[w], eights[w] = 0, 0, 0, 0
-			for j := 0; j < 4; j++ {
-				v := ((o >> j) & nibbleLaneMask) + (((t>>j)&nibbleLaneMask)<<1 + (((f>>j)&nibbleLaneMask)<<2 + (((e >> j) & nibbleLaneMask) << 3)))
-				c.byteLo[j][w] += v & byteLaneMask
-				c.byteHi[j][w] += (v >> 4) & byteLaneMask
-			}
-		}
-		return
+	if c.pendingByte+15 > 255 {
+		c.flushBytes()
 	}
-	// Scalar adds are pending in the nibble tier: the drain's up-to-15
-	// units fill a nibble's full capacity, so prior weight folds out
-	// first and the drain lands in the nibble lanes.
-	c.foldNibbles()
-	c.pendingNib = 15
-	n0, n1, n2, n3 := c.nib[0], c.nib[1], c.nib[2], c.nib[3]
+	c.pendingByte += 15
+	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
 	for w := 0; w < c.words; w++ {
 		o, t, f, e := ones[w], twos[w], fours[w], eights[w]
 		if o|t|f|e == 0 {
 			continue
 		}
 		ones[w], twos[w], fours[w], eights[w] = 0, 0, 0, 0
-		n0[w] += (o & nibbleLaneMask) + ((t&nibbleLaneMask)<<1 + ((f&nibbleLaneMask)<<2 + ((e & nibbleLaneMask) << 3)))
-		n1[w] += ((o >> 1) & nibbleLaneMask) + (((t>>1)&nibbleLaneMask)<<1 + (((f>>1)&nibbleLaneMask)<<2 + (((e >> 1) & nibbleLaneMask) << 3)))
-		n2[w] += ((o >> 2) & nibbleLaneMask) + (((t>>2)&nibbleLaneMask)<<1 + (((f>>2)&nibbleLaneMask)<<2 + (((e >> 2) & nibbleLaneMask) << 3)))
-		n3[w] += ((o >> 3) & nibbleLaneMask) + (((t>>3)&nibbleLaneMask)<<1 + (((f>>3)&nibbleLaneMask)<<2 + (((e >> 3) & nibbleLaneMask) << 3)))
-	}
-}
-
-// AddXorWeighted accumulates the XOR (or, with invert, the XNOR) of a and
-// b with integer multiplicity weight — exactly equivalent to calling
-// AddXor weight times, in O(weight/15) lane sweeps for small weights and
-// one direct pass over the int32 counters for large ones. A zero weight
-// is a no-op; negative weights panic.
-func (c *BitCounter) AddXorWeighted(a, b *Binary, invert bool, weight int) {
-	c.checkOperand(a.d)
-	c.checkOperand(b.d)
-	if weight < 0 {
-		panic(fmt.Sprintf("hdc: negative weight %d", weight))
-	}
-	if weight == 0 {
-		return
-	}
-	c.checkAdds(weight)
-	c.n += weight
-	aw, bw := a.words, b.words
-	last := c.words - 1
-	tail := c.tailMask()
-	if weight > 64 {
-		// Large multiplicities skip the SWAR tiers: weight is added
-		// straight to the int32 counters per set bit. The counters and the
-		// lanes are independent addends, so no flush is needed first.
-		c.countsDirty = true
-		for w := 0; w < c.words; w++ {
-			x := aw[w] ^ bw[w]
-			if invert {
-				x = ^x
-			}
-			if w == last {
-				x &= tail
-			}
-			base := w << 6
-			for x != 0 {
-				c.counts[base+bits.TrailingZeros64(x)] += int32(weight)
-				x &= x - 1
-			}
-		}
-		return
-	}
-	n0, n1, n2, n3 := c.nib[0], c.nib[1], c.nib[2], c.nib[3]
-	for weight > 0 {
-		chunk := weight
-		if chunk > 15 {
-			chunk = 15
-		}
-		weight -= chunk
-		if c.pendingNib+chunk > 15 {
-			c.foldNibbles()
-		}
-		c.pendingNib += chunk
-		cw := uint64(chunk)
-		for w := 0; w < c.words; w++ {
-			x := aw[w] ^ bw[w]
-			if invert {
-				x = ^x
-			}
-			if w == last {
-				x &= tail
-			}
-			n0[w] += (x & nibbleLaneMask) * cw
-			n1[w] += ((x >> 1) & nibbleLaneMask) * cw
-			n2[w] += ((x >> 2) & nibbleLaneMask) * cw
-			n3[w] += ((x >> 3) & nibbleLaneMask) * cw
+		for j := 0; j < 4; j++ {
+			// Nibble k of v is the 4-bit count of component 4k + j; the
+			// even nibbles go to byteLo[j], the odd ones to byteHi[j].
+			v := ((o >> j) & nibbleLaneMask) + (((t>>j)&nibbleLaneMask)<<1 + (((f>>j)&nibbleLaneMask)<<2 + (((e >> j) & nibbleLaneMask) << 3)))
+			c.byteLo[j][w] += v & byteLaneMask
+			c.byteHi[j][w] += (v >> 4) & byteLaneMask
 		}
 	}
-}
-
-// foldNibbles drains the nibble lanes into the byte lanes, flushing the
-// byte lanes first if the incoming weight could overflow a byte counter.
-func (c *BitCounter) foldNibbles() {
-	if c.pendingNib == 0 {
-		return
-	}
-	if c.pendingByte+c.pendingNib > 255 {
-		c.flushBytes()
-	}
-	for j := 0; j < 4; j++ {
-		lane, lo, hi := c.nib[j], c.byteLo[j], c.byteHi[j]
-		for w := 0; w < c.words; w++ {
-			v := lane[w]
-			if v == 0 {
-				continue
-			}
-			lane[w] = 0
-			lo[w] += v & byteLaneMask
-			hi[w] += (v >> 4) & byteLaneMask
-		}
-	}
-	c.pendingByte += c.pendingNib
-	c.pendingNib = 0
 }
 
 // flushBytes drains the byte lanes into the int32 counters. Byte k of
@@ -704,17 +486,11 @@ func (c *BitCounter) flushBytes() {
 func (c *BitCounter) inBytes() bool {
 	if c.csaParked {
 		// Same drain pre-condition as flush: weight parked in the
-		// carry-save planes moves to the lane tiers before anything is
-		// judged.
+		// carry-save planes moves to the byte lanes before anything is
+		// judged. The drain's conservative byte-weight accounting can
+		// flush part of the weight into the int32 tier.
 		c.drainCarrySave()
 	}
-	if c.countsDirty {
-		return false
-	}
-	c.foldNibbles()
-	// The fold's conservative byte-weight accounting can trigger a flush
-	// even though the true per-byte weight fits; if it did, part of the
-	// weight now lives in the int32 tier.
 	return !c.countsDirty
 }
 
@@ -766,39 +542,16 @@ func (c *BitCounter) foldBytesInto(sums []int32) {
 }
 
 // flush drains every intermediate tier into the int32 counters: parked
-// carry-save planes first, then the nibble and byte lanes. All observers
-// — CountsInto, CountAt, Popcount, the sign fallbacks — share this one
-// pre-condition path, so none of them can observe weight still parked in
-// the carry-save planes by a batch or vector drain entry point.
+// carry-save planes first, then the byte lanes. Every observer that reads
+// the int32 counts — the sign fallbacks and AddCounter's int32 fold —
+// shares this one pre-condition path, so none of them can observe weight
+// still parked in the carry-save planes by a batch or vector drain entry
+// point.
 func (c *BitCounter) flush() {
 	if c.csaParked {
 		c.drainCarrySave()
 	}
-	c.foldNibbles()
 	c.flushBytes()
-}
-
-// CountAt returns the accumulated count of component i.
-func (c *BitCounter) CountAt(i int) int {
-	if i < 0 || i >= c.d {
-		panic(fmt.Sprintf("hdc: component %d out of range", i))
-	}
-	c.flush()
-	return int(c.counts[i])
-}
-
-// CountsInto flushes the intermediate lanes and copies the per-component
-// counts into dst, which must have length d; returns dst. The copy keeps
-// the counter's carry state private — the former Counts accessor handed
-// out the internal slice, and a caller writing through it would have
-// silently corrupted every later fold.
-func (c *BitCounter) CountsInto(dst []int32) []int32 {
-	if len(dst) != c.d {
-		panic(fmt.Sprintf("hdc: destination length %d, want %d", len(dst), c.d))
-	}
-	c.flush()
-	copy(dst, c.counts)
-	return dst
 }
 
 // SignBipolar collapses the counter to a bipolar hypervector by majority:
@@ -834,21 +587,16 @@ func (c *BitCounter) SignBipolarInto(tie, dst *Bipolar) *Bipolar {
 	return dst
 }
 
-// SignBinary collapses the counter to a bit-packed binary hypervector by
-// the same majority rule as SignBipolar: bit i is set when more than half
-// of the n added vectors had it set, cleared when fewer, and copied from
-// tie on an exact tie. SignBinary(tiePacked) == SignBipolar(tie).PackBinary()
-// bit for bit, which is what lets the packed encoder skip the int8 detour
-// entirely.
-func (c *BitCounter) SignBinary(tie *Binary) *Binary {
-	return c.SignBinaryInto(tie, NewBinary(c.d))
-}
-
-// SignBinaryInto is SignBinary writing the result into dst, which must
-// have the counter's dimension; every word is overwritten. It performs no
-// heap allocations, the property the scratch-reuse encoding path depends
-// on. Each output word is assembled before being stored, so dst may alias
-// tie. Returns dst.
+// SignBinaryInto collapses the counter into dst, a bit-packed binary
+// hypervector, by the same majority rule as SignBipolar: bit i is set
+// when more than half of the n added vectors had it set, cleared when
+// fewer, and copied from tie on an exact tie. For a packed tie it equals
+// SignBipolar(tie).PackBinary() bit for bit, which is what lets the packed
+// encoder skip the int8 detour entirely. dst must have the counter's
+// dimension; every word is overwritten. It performs no heap allocations,
+// the property the scratch-reuse encoding path depends on. Each output
+// word is assembled before being stored, so dst may alias tie. Returns
+// dst.
 func (c *BitCounter) SignBinaryInto(tie, dst *Binary) *Binary {
 	// tie may be wider than the counter (prefix slicing): tie bits land in
 	// the output only on exact ties, which cannot occur past dimension d
@@ -937,19 +685,14 @@ func (c *BitCounter) signBinarySWAR(tie, dst *Binary) bool {
 }
 
 // Reset clears the counter. Each storage tier is cleared only when the
-// counter's own accounting says it can hold weight — pendingNib/
-// pendingByte conservatively over-approximate lane occupancy and
-// countsDirty tracks the int32 tier — so resetting after a small
+// counter's own accounting says it can hold weight — pendingByte
+// conservatively over-approximates byte-lane occupancy and countsDirty
+// tracks the int32 tier — so resetting after a small
 // accumulation signed through the SWAR fast path touches a few KB of
 // lanes instead of memclearing the d-sized count array. This is what
 // keeps per-graph Reset cheap on the batch encoding path, where one
 // counter is reset once per graph.
 func (c *BitCounter) Reset() {
-	if c.pendingNib > 0 {
-		for j := range c.nib {
-			clear(c.nib[j])
-		}
-	}
 	if c.pendingByte > 0 {
 		for j := range c.byteLo {
 			clear(c.byteLo[j])
@@ -972,19 +715,7 @@ func (c *BitCounter) Reset() {
 		clear(c.csaThirtyTwos)
 		c.csaParked = false
 	}
-	c.pendingNib = 0
 	c.pendingByte = 0
 	c.countsDirty = false
 	c.n = 0
-}
-
-// Popcount returns the total number of set bits accumulated (the sum of
-// all per-component counts), useful as a cheap checksum in tests.
-func (c *BitCounter) Popcount() int {
-	c.flush()
-	total := 0
-	for _, v := range c.counts {
-		total += int(v)
-	}
-	return total
 }

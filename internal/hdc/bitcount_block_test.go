@@ -14,27 +14,11 @@ func randomPairs(d, n int, rng *RNG) []XorPair {
 	return pairs
 }
 
-// assertSameCounts compares two counters component by component via
-// CountsInto, the non-aliasing accessor.
-func assertSameCounts(t *testing.T, label string, got, want *BitCounter) {
-	t.Helper()
-	if got.Count() != want.Count() {
-		t.Fatalf("%s: count %d, want %d", label, got.Count(), want.Count())
-	}
-	d := want.Dim()
-	gc := got.CountsInto(make([]int32, d))
-	wc := want.CountsInto(make([]int32, d))
-	for i := range wc {
-		if gc[i] != wc[i] {
-			t.Fatalf("%s: component %d: count %d, want %d", label, i, gc[i], wc[i])
-		}
-	}
-}
-
-// TestAddXorPairsMatchesScalar pins the tentpole guarantee: the blocked
-// carry-save path is bit-for-bit equivalent to per-edge AddXor, across
-// block-remainder boundaries, mixed invert flags, tail dimensions — and,
-// via forEachKernelTier, every vector kernel tier this CPU supports.
+// TestAddXorPairsMatchesScalar pins the blocked carry-save path against
+// the naive per-bit count and majority, across block-remainder
+// boundaries, mixed invert flags, tail dimensions — and, via
+// forEachKernelTier, every vector kernel tier this CPU supports. The
+// sign is read first, off the byte lanes, then the counts.
 func TestAddXorPairsMatchesScalar(t *testing.T) {
 	forEachKernelTier(t, testAddXorPairsMatchesScalar)
 }
@@ -44,25 +28,22 @@ func testAddXorPairsMatchesScalar(t *testing.T) {
 		for n := 0; n <= 40; n++ {
 			rng := NewRNG(uint64(d)<<16 | uint64(n))
 			pairs := randomPairs(d, n, rng)
-			blocked := NewBitCounter(d)
-			blocked.AddXorPairs(pairs)
-			scalar := NewBitCounter(d)
-			for _, p := range pairs {
-				scalar.AddXor(p.A, p.B, p.Invert)
-			}
-			assertSameCounts(t, "AddXorPairs", blocked, scalar)
+			c := NewBitCounter(d)
+			c.AddXorPairs(pairs)
+			ref := newNaiveCounter(d)
+			ref.addPairs(pairs)
+			label := fmt.Sprintf("d=%d n=%d", d, n)
 			tie := RandomBinary(d, rng)
-			if !blocked.SignBinary(tie).Equal(scalar.SignBinary(tie)) {
-				t.Fatalf("d=%d n=%d: blocked sign differs from scalar sign", d, n)
-			}
+			ref.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(d)))
+			ref.check(t, label, c)
 		}
 	}
 }
 
-// TestAddAllMatchesAdd pins the bulk carry-save add against n calls of
-// Add — across block remainders, tail dimensions, operands wider than a
-// narrowed counter, weight already pending in the nibble lanes, and every
-// supported kernel tier.
+// TestAddAllMatchesAdd pins the bulk carry-save add against n single
+// adds of the naive reference — across block remainders, tail
+// dimensions, calls long enough to flush the byte lanes, operands wider
+// than a narrowed counter, and every supported kernel tier.
 func TestAddAllMatchesAdd(t *testing.T) {
 	forEachKernelTier(t, testAddAllMatchesAdd)
 }
@@ -70,116 +51,111 @@ func TestAddAllMatchesAdd(t *testing.T) {
 func testAddAllMatchesAdd(t *testing.T) {
 	for _, d := range []int{1, 63, 64, 65, 100, 1000, 10007} {
 		for _, n := range []int{0, 1, 7, 8, 9, 17, 32, 33, 130, 300} {
-			for _, pending := range []int{0, 3} {
-				rng := NewRNG(uint64(d)<<20 | uint64(n)<<4 | uint64(pending))
-				vs := make([]*Binary, n)
-				for i := range vs {
-					vs[i] = RandomBinary(d, rng)
-				}
-				bulk, scalar := NewBitCounter(d), NewBitCounter(d)
-				for i := 0; i < pending; i++ {
-					v := RandomBinary(d, rng)
-					bulk.Add(v)
-					scalar.Add(v)
-				}
-				bulk.AddAll(vs)
-				for _, v := range vs {
-					scalar.Add(v)
-				}
-				assertSameCounts(t, fmt.Sprintf("d=%d n=%d pending=%d", d, n, pending), bulk, scalar)
-			}
+			rng := NewRNG(uint64(d)<<20 | uint64(n)<<4)
+			vs := randomVectors(d, n, rng)
+			c := NewBitCounter(d)
+			c.AddAll(vs)
+			ref := newNaiveCounter(d)
+			ref.addAll(vs)
+			ref.check(t, fmt.Sprintf("d=%d n=%d", d, n), c)
 		}
 		if d > 1 {
 			// Full-width operands into a counter narrowed to d-1: only the
 			// leading d-1 components count.
-			rng := NewRNG(uint64(d))
-			vs := make([]*Binary, 20)
-			for i := range vs {
-				vs[i] = RandomBinary(d, rng)
-			}
-			bulk, scalar := NewBitCounter(d), NewBitCounter(d)
-			bulk.SetDim(d - 1)
-			scalar.SetDim(d - 1)
-			bulk.AddAll(vs)
-			for _, v := range vs {
-				scalar.Add(v)
-			}
-			assertSameCounts(t, fmt.Sprintf("d=%d narrowed", d), bulk, scalar)
+			vs := randomVectors(d, 20, NewRNG(uint64(d)))
+			c := NewBitCounter(d)
+			c.SetDim(d - 1)
+			c.AddAll(vs)
+			ref := newNaiveCounter(d - 1)
+			ref.addAll(vs)
+			ref.check(t, fmt.Sprintf("d=%d narrowed", d), c)
 		}
 	}
 }
 
-// TestAddXorPairsInterleaved mixes blocked, scalar and weighted adds on
-// one counter — the shape the encoder produces — against a pure scalar
-// reference.
+// TestAddXorPairsInterleaved mixes AddXorPairs and AddAll calls on one
+// counter — the shapes the encoder and Model.Fit produce — with a
+// majority read after each round, against the naive reference. The
+// count passes 127 partway, so the reads take both the SWAR path and
+// the int32 fallback.
 func TestAddXorPairsInterleaved(t *testing.T) {
 	const d = 200
 	rng := NewRNG(99)
-	got := NewBitCounter(d)
-	want := NewBitCounter(d)
+	c := NewBitCounter(d)
+	ref := newNaiveCounter(d)
 	for round := 0; round < 6; round++ {
 		pairs := randomPairs(d, 3+round*5, rng)
-		got.AddXorPairs(pairs)
-		for _, p := range pairs {
-			want.AddXor(p.A, p.B, p.Invert)
-		}
-		a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-		got.AddXor(a, b, true)
-		want.AddXor(a, b, true)
-		wgt := 1 + rng.Intn(20)
-		got.AddXorWeighted(a, b, false, wgt)
-		for k := 0; k < wgt; k++ {
-			want.AddXor(a, b, false)
-		}
+		c.AddXorPairs(pairs)
+		ref.addPairs(pairs)
+		vs := randomVectors(d, 1+rng.Intn(20), rng)
+		c.AddAll(vs)
+		ref.addAll(vs)
+		tie := RandomBinary(d, rng)
+		ref.checkSign(t, fmt.Sprintf("round %d", round), tie, c.SignBinaryInto(tie, NewBinary(d)))
 	}
-	assertSameCounts(t, "interleaved", got, want)
+	ref.check(t, "interleaved", c)
 }
 
-// TestAddXorWeightedMatchesRepeated covers both weighted implementations:
-// the chunked nibble path (weight <= 64) and the direct int32 path.
-func TestAddXorWeightedMatchesRepeated(t *testing.T) {
-	const d = 130
-	rng := NewRNG(7)
-	for _, weight := range []int{0, 1, 2, 14, 15, 16, 30, 63, 64, 65, 100, 300} {
-		for _, invert := range []bool{false, true} {
-			a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-			got := NewBitCounter(d)
-			got.AddXorWeighted(a, b, invert, weight)
-			want := NewBitCounter(d)
-			for k := 0; k < weight; k++ {
-				want.AddXor(a, b, invert)
+// TestBitCounterCountsPast255InOneCall carries components past the byte
+// lanes' 255 inside a single AddAll or AddXorPairs call: every operand
+// equals one vector, so each of its set bits counts n. The byte lanes
+// must flush into the int32 tier in the middle of the call
+// (addXorBlock8's guard) and before the drain. The counts, the majority
+// through SignBinaryInto's int32 fallback (n > 127) and AddCounter's
+// flushed fold must all match the naive reference; 255 is the last
+// count a byte holds.
+func TestBitCounterCountsPast255InOneCall(t *testing.T) {
+	forEachKernelTier(t, testBitCounterCountsPast255InOneCall)
+}
+
+func testBitCounterCountsPast255InOneCall(t *testing.T) {
+	for _, d := range []int{65, 1000} {
+		rng := NewRNG(uint64(d) + 255)
+		a, b, tie := RandomBinary(d, rng), RandomBinary(d, rng), RandomBinary(d, rng)
+		for _, n := range []int{255, 256, 300, 1000} {
+			vs := make([]*Binary, n)
+			pairs := make([]XorPair, n)
+			for i := range vs {
+				vs[i] = a
+				pairs[i] = XorPair{A: a, B: b, Invert: true}
 			}
-			assertSameCounts(t, "AddXorWeighted", got, want)
+			for _, tc := range []struct {
+				name string
+				add  func(*BitCounter)
+				ref  func(*naiveCounter)
+			}{
+				{"AddAll", func(c *BitCounter) { c.AddAll(vs) }, func(r *naiveCounter) { r.addAll(vs) }},
+				{"AddXorPairs", func(c *BitCounter) { c.AddXorPairs(pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
+			} {
+				label := fmt.Sprintf("%s d=%d n=%d", tc.name, d, n)
+				ref := newNaiveCounter(d)
+				tc.ref(ref)
+				c := NewBitCounter(d)
+				tc.add(c)
+				ref.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(d)))
+				ref.check(t, label, c)
+
+				c = NewBitCounter(d)
+				tc.add(c)
+				acc := NewAccumulator(d)
+				acc.AddCounter(c)
+				if acc.Count() != n {
+					t.Fatalf("%s: AddCounter count %d, want %d", label, acc.Count(), n)
+				}
+				for i, cnt := range ref.counts {
+					if want := 2*cnt - int64(n); int64(acc.Sum(i)) != want {
+						t.Fatalf("%s: AddCounter sum %d = %d, want %d", label, i, acc.Sum(i), want)
+					}
+				}
+			}
 		}
 	}
-}
-
-// TestAddXorWeightedAfterwards ensures the direct-to-counts path composes
-// with later lane adds (the two tiers are independent addends).
-func TestAddXorWeightedAfterwards(t *testing.T) {
-	const d = 96
-	rng := NewRNG(8)
-	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-	x, y := RandomBinary(d, rng), RandomBinary(d, rng)
-	got := NewBitCounter(d)
-	got.AddXorWeighted(a, b, true, 100) // direct path
-	got.AddXor(x, y, false)             // lanes on top
-	got.AddXorWeighted(x, y, true, 3)   // chunked path on top
-	want := NewBitCounter(d)
-	for k := 0; k < 100; k++ {
-		want.AddXor(a, b, true)
-	}
-	want.AddXor(x, y, false)
-	for k := 0; k < 3; k++ {
-		want.AddXor(x, y, true)
-	}
-	assertSameCounts(t, "weighted+lanes", got, want)
 }
 
 // TestBitCounterDifferential drives random interleavings of every
-// mutating and observing operation against a naive per-bit reference
-// counter — the audit the three-tier fold/flush logic never had — under
-// every supported kernel tier.
+// mutating and observing operation against the naive per-bit reference
+// — the audit of the carry-save → byte → int32 drain and flush logic —
+// under every supported kernel tier.
 func TestBitCounterDifferential(t *testing.T) {
 	forEachKernelTier(t, testBitCounterDifferential)
 }
@@ -188,122 +164,77 @@ func testBitCounterDifferential(t *testing.T) {
 	for _, d := range []int{5, 64, 100, 130, 192} {
 		for trial := 0; trial < 20; trial++ {
 			rng := NewRNG(uint64(d)*1009 + uint64(trial))
+			label := func(step int) string { return fmt.Sprintf("d=%d trial=%d step=%d", d, trial, step) }
 			c := NewBitCounter(d)
-			naive := make([]int64, d)
-			naiveN := 0
-			addNaive := func(bits func(i int) int, weight int) {
-				for i := 0; i < d; i++ {
-					naive[i] += int64(bits(i)) * int64(weight)
-				}
-				naiveN += weight
-			}
-			xorBit := func(a, b *Binary, invert bool) func(int) int {
-				return func(i int) int {
-					v := a.Bit(i) ^ b.Bit(i)
-					if invert {
-						v = 1 - v
-					}
-					return v
-				}
-			}
+			ref := newNaiveCounter(d)
 			for step := 0; step < 60; step++ {
 				switch rng.Intn(8) {
 				case 0:
-					v := RandomBinary(d, rng)
-					c.Add(v)
-					addNaive(v.Bit, 1)
+					vs := randomVectors(d, rng.Intn(20), rng)
+					c.AddAll(vs)
+					ref.addAll(vs)
 				case 1:
-					a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-					inv := rng.Intn(2) == 0
-					c.AddXor(a, b, inv)
-					addNaive(xorBit(a, b, inv), 1)
-				case 2:
 					pairs := randomPairs(d, rng.Intn(20), rng)
 					c.AddXorPairs(pairs)
-					for _, p := range pairs {
-						addNaive(xorBit(p.A, p.B, p.Invert), 1)
-					}
-				case 3:
+					ref.addPairs(pairs)
+				case 2:
 					// Several full blocks in one call, so the weight-16
 					// overflow fires inside the call.
 					pairs := randomPairs(d, 16+rng.Intn(24), rng)
 					c.AddXorPairs(pairs)
-					for _, p := range pairs {
-						addNaive(xorBit(p.A, p.B, p.Invert), 1)
-					}
+					ref.addPairs(pairs)
+				case 3:
+					// Long enough that the byte lanes flush inside the call.
+					vs := randomVectors(d, 100+rng.Intn(200), rng)
+					c.AddAll(vs)
+					ref.addAll(vs)
 				case 4:
-					a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-					inv := rng.Intn(2) == 0
-					w := rng.Intn(90)
-					c.AddXorWeighted(a, b, inv, w)
-					addNaive(xorBit(a, b, inv), w)
-				case 5:
 					c.Reset()
-					for i := range naive {
-						naive[i] = 0
-					}
-					naiveN = 0
-				case 6:
+					ref.reset()
+				case 5:
 					// Observe mid-stream: flush-then-continue must not lose
 					// or double-count weight.
 					i := rng.Intn(d)
-					if got := c.CountAt(i); int64(got) != naive[i] {
-						t.Fatalf("d=%d trial=%d step=%d: CountAt(%d)=%d, want %d", d, trial, step, i, got, naive[i])
+					if got := c.CountAt(i); int64(got) != ref.counts[i] {
+						t.Fatalf("%s: CountAt(%d)=%d, want %d", label(step), i, got, ref.counts[i])
+					}
+				case 6:
+					tie := RandomBinary(d, rng)
+					sign := c.SignBinaryInto(tie, NewBinary(d))
+					ref.checkSign(t, label(step)+" SignBinaryInto", tie, sign)
+					if !c.SignBipolar(tie.UnpackBipolar()).PackBinary().Equal(sign) {
+						t.Fatalf("%s: SignBipolar differs from SignBinaryInto", label(step))
 					}
 				case 7:
-					tie := RandomBinary(d, rng)
-					sign := c.SignBinary(tie)
-					tieB := tie.UnpackBipolar()
-					signB := c.SignBipolar(tieB)
-					for i := 0; i < d; i++ {
-						twice := 2 * naive[i]
-						var wantBit int
-						switch {
-						case twice > int64(naiveN):
-							wantBit = 1
-						case twice < int64(naiveN):
-							wantBit = 0
-						default:
-							wantBit = tie.Bit(i)
-						}
-						if sign.Bit(i) != wantBit {
-							t.Fatalf("d=%d trial=%d step=%d: SignBinary bit %d = %d, want %d (cnt=%d n=%d)",
-								d, trial, step, i, sign.Bit(i), wantBit, naive[i], naiveN)
-						}
-						if got := int(signB.At(i)); got != 2*wantBit-1 {
-							t.Fatalf("d=%d trial=%d step=%d: SignBipolar comp %d = %d, want %d",
-								d, trial, step, i, got, 2*wantBit-1)
+					// The fold into class sums, off the byte lanes or the
+					// int32 counts; the counter keeps its counts.
+					acc := NewAccumulator(d)
+					acc.AddCounter(c)
+					for i, cnt := range ref.counts {
+						if want := 2*cnt - int64(ref.n); int64(acc.Sum(i)) != want {
+							t.Fatalf("%s: AddCounter sum %d = %d, want %d", label(step), i, acc.Sum(i), want)
 						}
 					}
 				}
 			}
-			if c.Count() != naiveN {
-				t.Fatalf("d=%d trial=%d: count %d, want %d", d, trial, c.Count(), naiveN)
-			}
-			final := c.CountsInto(make([]int32, d))
-			for i := range naive {
-				if int64(final[i]) != naive[i] {
-					t.Fatalf("d=%d trial=%d: final component %d = %d, want %d", d, trial, i, final[i], naive[i])
-				}
-			}
+			ref.check(t, fmt.Sprintf("d=%d trial=%d final", d, trial), c)
 		}
 	}
 }
 
 // TestSignOverflowBoundary pins the 2*cnt overflow fix: with counts at
 // 2³⁰+1 the old int32 comparison wrapped negative and reported the
-// minority sign.
+// minority sign. No test can add 2³⁰ vectors, so the counter is set
+// to the state they would leave.
 func TestSignOverflowBoundary(t *testing.T) {
 	const d = 64
-	a := NewBinary(d)
-	a.Flip(0) // bit 0 set, all others clear
-	zero := NewBinary(d)
 	c := NewBitCounter(d)
-	// counts[0] = 2^30+1 via the direct weighted path; n = 2^30+1.
-	c.AddXorWeighted(a, zero, false, 1<<30+1)
-	// One all-zero vector: n = 2^30+2, counts[0] stays 2^30+1 — a strict
-	// majority whose doubled count exceeds MaxInt32.
-	c.AddXorWeighted(zero, zero, false, 1)
+	// 2³⁰+2 vectors, component 0 set in all but one of them: a strict
+	// majority whose doubled count exceeds MaxInt32. No other component
+	// was ever set.
+	c.counts[0] = 1<<30 + 1
+	c.countsDirty = true
+	c.n = 1<<30 + 2
 	tie := NewBinary(d)
 	sign := c.SignBinaryInto(tie, NewBinary(d))
 	if sign.Bit(0) != 1 {
@@ -325,7 +256,8 @@ func TestSignOverflowBoundary(t *testing.T) {
 }
 
 // TestBitCounterAddCap verifies the documented MaxAdds cap: the counter
-// panics instead of silently overflowing its int32 counts.
+// panics instead of silently overflowing its int32 counts. The counter
+// is set to the state MaxAdds all-zero vectors would leave.
 func TestBitCounterAddCap(t *testing.T) {
 	const d = 64
 	a, b := NewBinary(d), NewBinary(d)
@@ -338,15 +270,18 @@ func TestBitCounterAddCap(t *testing.T) {
 		f()
 	}
 	c := NewBitCounter(d)
-	c.AddXorWeighted(a, b, false, MaxAdds)
-	mustPanic("Add past cap", func() { c.Add(a) })
-	mustPanic("AddXor past cap", func() { c.AddXor(a, b, false) })
+	c.n = MaxAdds
 	mustPanic("AddXorPairs past cap", func() { c.AddXorPairs([]XorPair{{A: a, B: b}}) })
-	mustPanic("AddXorWeighted past cap", func() { c.AddXorWeighted(a, b, false, 1) })
-	mustPanic("negative weight", func() { NewBitCounter(d).AddXorWeighted(a, b, false, -1) })
-	// At the cap exactly, observation still works.
+	mustPanic("AddAll past cap", func() { c.AddAll([]*Binary{a}) })
+	// Empty calls add nothing and stay legal at the cap.
+	c.AddXorPairs(nil)
+	c.AddAll(nil)
 	if got := c.Count(); got != MaxAdds {
 		t.Fatalf("count %d, want %d", got, MaxAdds)
+	}
+	// At the cap exactly, the majority still reads: every count is 0.
+	if got := c.SignBinaryInto(RandomBinary(d, NewRNG(1)), NewBinary(d)); !got.Equal(NewBinary(d)) {
+		t.Fatal("SignBinaryInto at the cap set bits no vector had")
 	}
 }
 
@@ -357,7 +292,8 @@ func TestCountsInto(t *testing.T) {
 	rng := NewRNG(12)
 	c := NewBitCounter(d)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-	c.AddXor(a, b, true)
+	first, second := []XorPair{{A: a, B: b, Invert: true}}, []XorPair{{A: b, B: a}}
+	c.AddXorPairs(first)
 	dst := make([]int32, d)
 	if got := c.CountsInto(dst); &got[0] != &dst[0] {
 		t.Fatal("CountsInto did not return dst")
@@ -367,11 +303,11 @@ func TestCountsInto(t *testing.T) {
 	for i := range dst {
 		dst[i] = 999
 	}
-	c.AddXor(b, a, false)
-	want := NewBitCounter(d)
-	want.AddXor(a, b, true)
-	want.AddXor(b, a, false)
-	assertSameCounts(t, "post-corruption", c, want)
+	c.AddXorPairs(second)
+	ref := newNaiveCounter(d)
+	ref.addPairs(first)
+	ref.addPairs(second)
+	ref.check(t, "post-corruption", c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on short dst")
@@ -417,25 +353,5 @@ func BenchmarkBitCounterAddXorPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Reset()
 		c.AddXorPairs(pairs)
-	}
-}
-
-// BenchmarkBitCounterAddXorScalar is the per-edge baseline for the same
-// workload as BenchmarkBitCounterAddXorPairs.
-func BenchmarkBitCounterAddXorScalar(b *testing.B) {
-	rng := NewRNG(1)
-	const d, edges = 10000, 64
-	pairs := make([]XorPair, edges)
-	for i := range pairs {
-		pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: true}
-	}
-	c := NewBitCounter(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reset()
-		for _, p := range pairs {
-			c.AddXor(p.A, p.B, p.Invert)
-		}
 	}
 }

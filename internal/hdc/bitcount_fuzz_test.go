@@ -5,14 +5,15 @@ import (
 )
 
 // FuzzBitCounter is the differential fuzzer behind the BitCounter
-// correctness audit: a byte stream drives random interleavings of every
-// mutating and observing operation, and after each observation the
-// counter must agree with a naive per-bit reference. The whole op stream
-// replays once per supported kernel tier, so on vector-capable machines
-// the fuzzer doubles as the per-tier differential oracle (the naive
-// reference is tier-independent). Run with
-// `go test -fuzz FuzzBitCounter ./internal/hdc`; the seed corpus keeps a
-// representative slice running under plain `go test`.
+// correctness audit: a byte stream drives random interleavings of the
+// counter's entry points — AddXorPairs, AddAll, Reset, a read of the
+// counts, the one-shot SignXorPairsSmallInto and SignBinaryInto — and
+// after each observation the counter must agree with a naive per-bit
+// reference. The whole op stream replays once per supported kernel tier,
+// so on vector-capable machines the fuzzer doubles as the per-tier
+// differential oracle (the naive reference is tier-independent). Run
+// with `go test -fuzz FuzzBitCounter ./internal/hdc`; the seed corpus
+// keeps a representative slice running under plain `go test`.
 func FuzzBitCounter(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(2), []byte{2, 2, 2, 6, 4, 7, 5, 2, 6})
@@ -34,120 +35,47 @@ func FuzzBitCounter(f *testing.F) {
 }
 
 func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
-	{
-		rng := NewRNG(seed)
-		d := 1 + rng.Intn(200)
-		c := NewBitCounter(d)
-		naive := make([]int64, d)
-		naiveN := 0
-		addNaive := func(bit func(i int) int, weight int) {
-			for i := 0; i < d; i++ {
-				naive[i] += int64(bit(i)) * int64(weight)
-			}
-			naiveN += weight
+	rng := NewRNG(seed)
+	d := 1 + rng.Intn(200)
+	c := NewBitCounter(d)
+	ref := newNaiveCounter(d)
+	// size draws an operand count: mostly up to three blocks, and one
+	// time in four enough blocks that the byte lanes flush inside the
+	// call.
+	size := func() int {
+		if rng.Intn(4) == 0 {
+			return 128 + rng.Intn(256)
 		}
-		xorBit := func(a, b *Binary, invert bool) func(int) int {
-			return func(i int) int {
-				v := a.Bit(i) ^ b.Bit(i)
-				if invert {
-					v = 1 - v
-				}
-				return v
-			}
-		}
-		for _, op := range ops {
-			switch op % 8 {
-			case 0:
-				v := RandomBinary(d, rng)
-				c.Add(v)
-				addNaive(v.Bit, 1)
-			case 1:
-				a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-				inv := rng.Intn(2) == 0
-				c.AddXor(a, b, inv)
-				addNaive(xorBit(a, b, inv), 1)
-			case 2:
-				pairs := make([]XorPair, rng.Intn(24))
-				for i := range pairs {
-					pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: rng.Intn(2) == 0}
-				}
-				c.AddXorPairs(pairs)
-				for _, p := range pairs {
-					addNaive(xorBit(p.A, p.B, p.Invert), 1)
-				}
-			case 3:
-				a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-				inv := rng.Intn(2) == 0
-				w := rng.Intn(100)
-				c.AddXorWeighted(a, b, inv, w)
-				addNaive(xorBit(a, b, inv), w)
-			case 4:
-				c.Reset()
-				for i := range naive {
-					naive[i] = 0
-				}
-				naiveN = 0
-			case 5:
-				got := c.CountsInto(make([]int32, d))
-				for i := range naive {
-					if int64(got[i]) != naive[i] {
-						t.Fatalf("CountsInto[%d] = %d, want %d", i, got[i], naive[i])
-					}
-				}
-			case 6:
-				// The one-shot small-sign kernel: its majority must match
-				// a per-bit count of its own pairs, and it must leave the
-				// accumulated state (checked by later ops) untouched.
-				pairs := make([]XorPair, 1+rng.Intn(MaxSmallSign))
-				for i := range pairs {
-					pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: rng.Intn(2) == 0}
-				}
-				tie := RandomBinary(d, rng)
-				sign := c.SignXorPairsSmallInto(pairs, tie, NewBinary(d))
-				for i := 0; i < d; i++ {
-					cnt := 0
-					for _, p := range pairs {
-						cnt += xorBit(p.A, p.B, p.Invert)(i)
-					}
-					want := 0
-					switch {
-					case 2*cnt > len(pairs):
-						want = 1
-					case 2*cnt == len(pairs):
-						want = tie.Bit(i)
-					}
-					if sign.Bit(i) != want {
-						t.Fatalf("SignXorPairsSmallInto bit %d = %d, want %d (cnt=%d, n=%d)",
-							i, sign.Bit(i), want, cnt, len(pairs))
-					}
-				}
-			case 7:
-				tie := RandomBinary(d, rng)
-				sign := c.SignBinary(tie)
-				for i := 0; i < d; i++ {
-					twice := 2 * naive[i]
-					want := 0
-					switch {
-					case twice > int64(naiveN):
-						want = 1
-					case twice == int64(naiveN):
-						want = tie.Bit(i)
-					}
-					if sign.Bit(i) != want {
-						t.Fatalf("SignBinary bit %d = %d, want %d (cnt=%d, n=%d)",
-							i, sign.Bit(i), want, naive[i], naiveN)
-					}
-				}
-			}
-		}
-		if c.Count() != naiveN {
-			t.Fatalf("count %d, want %d", c.Count(), naiveN)
-		}
-		got := c.CountsInto(make([]int32, d))
-		for i := range naive {
-			if int64(got[i]) != naive[i] {
-				t.Fatalf("final component %d = %d, want %d", i, got[i], naive[i])
-			}
+		return rng.Intn(24)
+	}
+	for _, op := range ops {
+		switch op % 6 {
+		case 0:
+			vs := randomVectors(d, size(), rng)
+			c.AddAll(vs)
+			ref.addAll(vs)
+		case 1:
+			pairs := randomPairs(d, size(), rng)
+			c.AddXorPairs(pairs)
+			ref.addPairs(pairs)
+		case 2:
+			c.Reset()
+			ref.reset()
+		case 3:
+			ref.check(t, "counts", c)
+		case 4:
+			// The one-shot small-sign kernel: its majority must match a
+			// per-bit count of its own pairs, and it must leave the
+			// accumulated state (checked by later ops) untouched.
+			pairs := randomPairs(d, 1+rng.Intn(MaxSmallSign), rng)
+			tie := RandomBinary(d, rng)
+			own := newNaiveCounter(d)
+			own.addPairs(pairs)
+			own.checkSign(t, "SignXorPairsSmallInto", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)))
+		case 5:
+			tie := RandomBinary(d, rng)
+			ref.checkSign(t, "SignBinaryInto", tie, c.SignBinaryInto(tie, NewBinary(d)))
 		}
 	}
+	ref.check(t, "final", c)
 }

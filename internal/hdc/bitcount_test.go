@@ -1,29 +1,166 @@
 package hdc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// Test-only observers. Program code reads a BitCounter only through its
+// sign paths and Accumulator.AddCounter; these read the per-component
+// counts through the same flush the sign fallbacks use.
+
+// CountAt returns the accumulated count of component i.
+func (c *BitCounter) CountAt(i int) int {
+	if i < 0 || i >= c.d {
+		panic(fmt.Sprintf("hdc: component %d out of range", i))
+	}
+	c.flush()
+	return int(c.counts[i])
+}
+
+// CountsInto flushes the counter and copies its per-component counts
+// into dst, which must have length d; returns dst.
+func (c *BitCounter) CountsInto(dst []int32) []int32 {
+	if len(dst) != c.d {
+		panic(fmt.Sprintf("hdc: destination length %d, want %d", len(dst), c.d))
+	}
+	c.flush()
+	copy(dst, c.counts)
+	return dst
+}
+
+// Popcount returns the sum of all per-component counts.
+func (c *BitCounter) Popcount() int {
+	c.flush()
+	total := 0
+	for _, v := range c.counts {
+		total += int(v)
+	}
+	return total
+}
+
+// SignBinary is SignBinaryInto into a fresh vector.
+func (c *BitCounter) SignBinary(tie *Binary) *Binary {
+	return c.SignBinaryInto(tie, NewBinary(c.d))
+}
+
+// Capacity returns the construction-time dimension: the largest value
+// SetDim accepts.
+func (c *BitCounter) Capacity() int { return c.dcap }
+
+// naiveCounter is the per-bit reference the BitCounter tests check
+// against: one int64 count per component, fed one bit at a time.
+type naiveCounter struct {
+	counts []int64
+	n      int
+}
+
+func newNaiveCounter(d int) *naiveCounter {
+	return &naiveCounter{counts: make([]int64, d)}
+}
+
+// add counts one vector, given by its bit function.
+func (r *naiveCounter) add(bit func(i int) int) {
+	for i := range r.counts {
+		r.counts[i] += int64(bit(i))
+	}
+	r.n++
+}
+
+func (r *naiveCounter) addAll(vs []*Binary) {
+	for _, v := range vs {
+		r.add(v.Bit)
+	}
+}
+
+func (r *naiveCounter) addPairs(pairs []XorPair) {
+	for _, p := range pairs {
+		r.add(func(i int) int { return pairBit(p, i) })
+	}
+}
+
+func (r *naiveCounter) reset() {
+	clear(r.counts)
+	r.n = 0
+}
+
+// pairBit returns bit i of p's XOR (or, with Invert, XNOR) vector.
+func pairBit(p XorPair, i int) int {
+	v := p.A.Bit(i) ^ p.B.Bit(i)
+	if p.Invert {
+		v = 1 - v
+	}
+	return v
+}
+
+// sign is the majority rule every sign path implements: bit i is set
+// when 2·countᵢ > n, cleared when it is below, and tie's bit on equality.
+func (r *naiveCounter) sign(tie *Binary) *Binary {
+	out := NewBinary(len(r.counts))
+	n := int64(r.n)
+	for i, cnt := range r.counts {
+		if 2*cnt > n || 2*cnt == n && tie.Bit(i) == 1 {
+			out.words[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return out
+}
+
+// check fails t unless c holds r's vector count and per-component counts.
+func (r *naiveCounter) check(t testing.TB, label string, c *BitCounter) {
+	t.Helper()
+	if c.Count() != r.n {
+		t.Fatalf("%s: count %d, want %d", label, c.Count(), r.n)
+	}
+	got := c.CountsInto(make([]int32, len(r.counts)))
+	for i, want := range r.counts {
+		if int64(got[i]) != want {
+			t.Fatalf("%s: component %d = %d, want %d", label, i, got[i], want)
+		}
+	}
+}
+
+// checkSign fails t unless got is r's majority under tie.
+func (r *naiveCounter) checkSign(t testing.TB, label string, tie, got *Binary) {
+	t.Helper()
+	want := r.sign(tie)
+	for i, cnt := range r.counts {
+		if got.Bit(i) != want.Bit(i) {
+			t.Fatalf("%s: sign bit %d = %d, want %d (count %d of %d)", label, i, got.Bit(i), want.Bit(i), cnt, r.n)
+		}
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%s: sign has bits past dimension %d", label, len(r.counts))
+	}
+}
+
+// randomVectors draws n random binary vectors of dimension d.
+func randomVectors(d, n int, rng *RNG) []*Binary {
+	vs := make([]*Binary, n)
+	for i := range vs {
+		vs[i] = RandomBinary(d, rng)
+	}
+	return vs
+}
 
 func TestBitCounterMatchesNaive(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
 		const d = 130
 		c := NewBitCounter(d)
-		naive := make([]int, d)
-		n := 1 + rng.Intn(40)
-		for k := 0; k < n; k++ {
-			b := RandomBinary(d, rng)
-			c.Add(b)
-			for i := 0; i < d; i++ {
-				naive[i] += b.Bit(i)
-			}
+		ref := newNaiveCounter(d)
+		// Several AddAll calls of random sizes, including single vectors.
+		for k := 0; k < 1+rng.Intn(6); k++ {
+			vs := randomVectors(d, rng.Intn(12), rng)
+			c.AddAll(vs)
+			ref.addAll(vs)
 		}
-		if c.Count() != n {
+		if c.Count() != ref.n {
 			return false
 		}
 		for i := 0; i < d; i++ {
-			if c.CountAt(i) != naive[i] {
+			if int64(c.CountAt(i)) != ref.counts[i] {
 				return false
 			}
 		}
@@ -42,7 +179,7 @@ func TestBitCounterAddXorMatchesExplicit(t *testing.T) {
 		b := RandomBinary(d, rng)
 		// XOR path.
 		cx := NewBitCounter(d)
-		cx.AddXor(a, b, false)
+		cx.AddXorPairs([]XorPair{{A: a, B: b}})
 		x := a.Bind(b)
 		for i := 0; i < d; i++ {
 			if cx.CountAt(i) != x.Bit(i) {
@@ -51,7 +188,7 @@ func TestBitCounterAddXorMatchesExplicit(t *testing.T) {
 		}
 		// XNOR path: complement within dimension.
 		cn := NewBitCounter(d)
-		cn.AddXor(a, b, true)
+		cn.AddXorPairs([]XorPair{{A: a, B: b, Invert: true}})
 		for i := 0; i < d; i++ {
 			if cn.CountAt(i) != 1-x.Bit(i) {
 				return false
@@ -71,7 +208,7 @@ func TestBitCounterXnorTailMasked(t *testing.T) {
 	a := NewBinary(d)
 	b := NewBinary(d)
 	c := NewBitCounter(d)
-	c.AddXor(a, b, true) // XNOR of zeros = all ones within d
+	c.AddXorPairs([]XorPair{{A: a, B: b, Invert: true}}) // XNOR of zeros = all ones within d
 	if got := c.Popcount(); got != d {
 		t.Fatalf("popcount = %d, want %d", got, d)
 	}
@@ -84,14 +221,13 @@ func TestBitCounterSignBipolarMatchesAccumulator(t *testing.T) {
 		rng := NewRNG(seed)
 		const d = 96
 		tie := RandomBipolar(d, rng)
-		bc := NewBitCounter(d)
 		acc := NewAccumulator(d)
-		n := 2 + rng.Intn(10) // even counts happen, exercising ties
-		for k := 0; k < n; k++ {
-			b := RandomBinary(d, rng)
-			bc.Add(b)
-			acc.Add(b.UnpackBipolar())
+		vs := randomVectors(d, 2+rng.Intn(10), rng) // even counts happen, exercising ties
+		for _, v := range vs {
+			acc.Add(v.UnpackBipolar())
 		}
+		bc := NewBitCounter(d)
+		bc.AddAll(vs)
 		return bc.SignBipolar(tie).Equal(acc.Sign(tie))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -101,7 +237,7 @@ func TestBitCounterSignBipolarMatchesAccumulator(t *testing.T) {
 
 func TestBitCounterReset(t *testing.T) {
 	c := NewBitCounter(64)
-	c.Add(RandomBinary(64, NewRNG(1)))
+	c.AddAll([]*Binary{RandomBinary(64, NewRNG(1))})
 	c.Reset()
 	if c.Count() != 0 || c.Popcount() != 0 {
 		t.Fatal("reset incomplete")
@@ -113,9 +249,8 @@ func TestBitCounterPanics(t *testing.T) {
 	for _, fn := range []func(){
 		// Operands narrower than the counter must panic (wider ones are
 		// the prefix-slicing contract and are accepted).
-		func() { c.Add(NewBinary(63)) },
-		func() { c.AddXor(NewBinary(64), NewBinary(63), false) },
-		func() { c.CountAt(64) },
+		func() { c.AddAll([]*Binary{NewBinary(63)}) },
+		func() { c.AddXorPairs([]XorPair{{A: NewBinary(64), B: NewBinary(63)}}) },
 		func() { NewBitCounter(0) },
 		func() { c.SetDim(0) },
 		func() { c.SetDim(65) },
@@ -131,17 +266,6 @@ func TestBitCounterPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkBitCounterAddXor(b *testing.B) {
-	rng := NewRNG(1)
-	x := RandomBinary(10000, rng)
-	y := RandomBinary(10000, rng)
-	c := NewBitCounter(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AddXor(x, y, true)
-	}
-}
-
 func TestSignIntoVariantsMatchAllocatingOnes(t *testing.T) {
 	const d = 517 // odd tail exercises the mask
 	rng := NewRNG(41)
@@ -152,18 +276,16 @@ func TestSignIntoVariantsMatchAllocatingOnes(t *testing.T) {
 	dstBip := NewBipolar(d)
 	for round := 0; round < 3; round++ {
 		c.Reset()
-		// Even count of adds produces exact ties that exercise the tie path.
-		for i := 0; i < 4+2*round; i++ {
-			c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), i%2 == 0)
-		}
-		wantBin := c.SignBinary(tie)
+		// Even pair counts produce exact ties that exercise the tie path.
+		pairs := randomPairs(d, 4+2*round, rng)
+		c.AddXorPairs(pairs)
+		ref := newNaiveCounter(d)
+		ref.addPairs(pairs)
 		gotBin := c.SignBinaryInto(tie, dstBin)
 		if gotBin != dstBin {
 			t.Fatal("SignBinaryInto did not return dst")
 		}
-		if !wantBin.Equal(gotBin) {
-			t.Fatalf("round %d: SignBinaryInto differs from SignBinary", round)
-		}
+		ref.checkSign(t, fmt.Sprintf("round %d: SignBinaryInto", round), tie, gotBin)
 		wantBip := c.SignBipolar(tieB)
 		gotBip := c.SignBipolarInto(tieB, dstBip)
 		if gotBip != dstBip {
@@ -171,6 +293,9 @@ func TestSignIntoVariantsMatchAllocatingOnes(t *testing.T) {
 		}
 		if !wantBip.Equal(gotBip) {
 			t.Fatalf("round %d: SignBipolarInto differs from SignBipolar", round)
+		}
+		if !gotBip.PackBinary().Equal(gotBin) {
+			t.Fatalf("round %d: SignBipolarInto differs from SignBinaryInto", round)
 		}
 	}
 }
@@ -182,12 +307,11 @@ func TestSignBinaryIntoOverwritesStaleBits(t *testing.T) {
 	c := NewBitCounter(d)
 	// Fill dst with garbage; a correct Into must clear every word first.
 	dst := RandomBinary(d, rng)
-	c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), false)
-	c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), false)
-	c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), false)
-	if want := c.SignBinary(tie); !want.Equal(c.SignBinaryInto(tie, dst)) {
-		t.Fatal("stale dst bits leaked into SignBinaryInto result")
-	}
+	pairs := randomPairs(d, 3, rng)
+	c.AddXorPairs(pairs)
+	ref := newNaiveCounter(d)
+	ref.addPairs(pairs)
+	ref.checkSign(t, "stale dst", tie, c.SignBinaryInto(tie, dst))
 }
 
 func TestSignIntoAllocationFree(t *testing.T) {
@@ -196,14 +320,16 @@ func TestSignIntoAllocationFree(t *testing.T) {
 	tieB := RandomBipolar(d, rng)
 	tie := tieB.PackBinary()
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
+	pairs := make([]XorPair, 17)
+	for i := range pairs {
+		pairs[i] = XorPair{A: a, B: b, Invert: true}
+	}
 	c := NewBitCounter(d)
 	dstBin := NewBinary(d)
 	dstBip := NewBipolar(d)
 	allocs := testing.AllocsPerRun(20, func() {
 		c.Reset()
-		for i := 0; i < 17; i++ {
-			c.AddXor(a, b, true)
-		}
+		c.AddXorPairs(pairs)
 		c.SignBinaryInto(tie, dstBin)
 		c.SignBipolarInto(tieB, dstBip)
 	})
@@ -233,13 +359,12 @@ func TestSignBinaryIntoAliasingTie(t *testing.T) {
 	const d = 130
 	rng := NewRNG(44)
 	c := NewBitCounter(d)
-	// Even add count forces exact ties, the only components that read tie.
-	c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), true)
-	c.AddXor(RandomBinary(d, rng), RandomBinary(d, rng), false)
+	// Even pair count forces exact ties, the only components that read tie.
+	pairs := randomPairs(d, 2, rng)
+	c.AddXorPairs(pairs)
+	ref := newNaiveCounter(d)
+	ref.addPairs(pairs)
 	tie := RandomBinary(d, rng)
-	want := c.SignBinary(tie)
 	dst := tie.Clone()
-	if got := c.SignBinaryInto(dst, dst); !want.Equal(got) {
-		t.Fatal("SignBinaryInto with dst aliasing tie lost tie-break bits")
-	}
+	ref.checkSign(t, "dst aliasing tie", tie, c.SignBinaryInto(dst, dst))
 }

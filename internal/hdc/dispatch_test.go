@@ -256,12 +256,15 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestParkedCSAObservers pins the flush pre-condition audit: every
+// TestParkedCSAObservers pins the drain pre-condition audit: every
 // observer must drain carry-save weight parked by a partially completed
 // blocked add before reading, whichever kernel tier parked it. The planes
 // are artificially left parked by calling the block cascade directly
 // (the public entry points drain on exit; a vectorized drain that misses
-// the parked check would observe stale lane state).
+// the parked check would observe stale lane state). The observers are
+// the program's — SignBinaryInto (off the byte lanes, n ≤ 127),
+// SignBipolarInto (through flush), AddCounter (off the byte lanes) and
+// Reset — and the test-only count reads.
 func TestParkedCSAObservers(t *testing.T) {
 	forEachKernelTier(t, func(t *testing.T) {
 		const d = 300
@@ -282,42 +285,37 @@ func TestParkedCSAObservers(t *testing.T) {
 			}
 			return c
 		}
-		ref := NewBitCounter(d)
-		for _, p := range pairs {
-			ref.AddXor(p.A, p.B, p.Invert)
-		}
-		refCounts := ref.CountsInto(make([]int32, d))
+		ref := newNaiveCounter(d)
+		ref.addPairs(pairs)
 
 		c := mk()
 		for i := 0; i < d; i += 37 {
-			if got := c.CountAt(i); got != int(refCounts[i]) {
-				t.Fatalf("CountAt(%d) = %d with parked planes, want %d", i, got, refCounts[i])
+			if got := c.CountAt(i); int64(got) != ref.counts[i] {
+				t.Fatalf("CountAt(%d) = %d with parked planes, want %d", i, got, ref.counts[i])
 			}
 		}
-		c = mk()
-		if got, want := c.Popcount(), ref.Popcount(); got != want {
-			t.Fatalf("Popcount = %d with parked planes, want %d", got, want)
-		}
-		c = mk()
-		got := c.CountsInto(make([]int32, d))
-		for i := range refCounts {
-			if got[i] != refCounts[i] {
-				t.Fatalf("CountsInto[%d] = %d with parked planes, want %d", i, got[i], refCounts[i])
-			}
-		}
-		c = mk()
+		ref.check(t, "CountsInto with parked planes", mk())
 		tie := RandomBinary(d, rng)
-		if !c.SignBinary(tie).Equal(ref.SignBinary(tie)) {
-			t.Fatal("SignBinary differs with parked planes")
+		ref.checkSign(t, "SignBinaryInto with parked planes", tie, mk().SignBinaryInto(tie, NewBinary(d)))
+		tieB := tie.UnpackBipolar()
+		if !mk().SignBipolarInto(tieB, NewBipolar(d)).PackBinary().Equal(ref.sign(tie)) {
+			t.Fatal("SignBipolarInto differs with parked planes")
+		}
+		acc := NewAccumulator(d)
+		acc.AddCounter(mk())
+		for i, cnt := range ref.counts {
+			if want := 2*cnt - int64(ref.n); int64(acc.Sum(i)) != want {
+				t.Fatalf("AddCounter sum %d = %d with parked planes, want %d", i, acc.Sum(i), want)
+			}
 		}
 		// Reset with parked planes must clear them.
 		c = mk()
 		c.Reset()
 		probe := randomPairs(d, 9, rng)
 		c.AddXorPairs(probe)
-		ref2 := NewBitCounter(d)
-		ref2.AddXorPairs(probe)
-		assertSameCounts(t, "post-reset", c, ref2)
+		ref.reset()
+		ref.addPairs(probe)
+		ref.check(t, "post-reset", c)
 	})
 }
 

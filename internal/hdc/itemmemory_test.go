@@ -166,9 +166,8 @@ func TestAssociativeMemoryReinforce(t *testing.T) {
 	am := NewAssociativeMemory(2, 128, 104, false)
 	v := RandomBipolar(128, NewRNG(10))
 	bc := NewBitCounter(128)
-	for range 3 {
-		bc.Add(v.PackBinary())
-	}
+	p := v.PackBinary()
+	bc.AddAll([]*Binary{p, p, p})
 	am.AddCounter(0, bc)
 	acc := am.ClassAccumulator(0)
 	for i := 0; i < 128; i++ {

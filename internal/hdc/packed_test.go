@@ -6,21 +6,18 @@ import (
 )
 
 func TestSignBinaryMatchesSignBipolar(t *testing.T) {
-	// SignBinary(tiePacked) must equal SignBipolar(tie).PackBinary() bit
-	// for bit, including exact ties (even add counts force many).
+	// SignBinaryInto(tiePacked) must equal SignBipolar(tie).PackBinary()
+	// bit for bit, including exact ties (even add counts force many).
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
 		d := 100 + rng.Intn(200) // non-multiple of 64 exercises the tail
 		tie := RandomBipolar(d, rng)
 		a := NewBitCounter(d)
 		b := NewBitCounter(d)
-		n := 2 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			v := RandomBinary(d, rng)
-			a.Add(v)
-			b.Add(v)
-		}
-		return a.SignBinary(tie.PackBinary()).Equal(b.SignBipolar(tie).PackBinary())
+		vs := randomVectors(d, 2+rng.Intn(20), rng)
+		a.AddAll(vs)
+		b.AddAll(vs)
+		return a.SignBinaryInto(tie.PackBinary(), NewBinary(d)).Equal(b.SignBipolar(tie).PackBinary())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -35,7 +32,7 @@ func TestSignBinaryDimensionMismatchPanics(t *testing.T) {
 	}()
 	// A tie vector NARROWER than the counter cannot cover it and must
 	// panic. (Wider ties are legal under prefix slicing — see SetDim.)
-	NewBitCounter(65).SignBinary(NewBinary(64))
+	NewBitCounter(65).SignBinaryInto(NewBinary(64), NewBinary(65))
 }
 
 // packedFixture trains a small bipolar-mode associative memory and returns
@@ -125,8 +122,7 @@ func TestClassifyPackedTracksLearning(t *testing.T) {
 	}
 	am.ClassifyPacked(v)
 	bc := NewBitCounter(256)
-	bc.Add(v)
-	bc.Add(v)
+	bc.AddAll([]*Binary{v, v})
 	am.AddCounter(1, bc)
 	if am.packed.Load() != nil {
 		t.Fatal("AddCounter did not invalidate the packed snapshot")

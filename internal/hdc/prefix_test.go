@@ -71,9 +71,10 @@ func TestPrefixCopyCanonical(t *testing.T) {
 	}
 }
 
-// TestPrefixCountsEquivalence: the scalar, weighted, and blocked
-// accumulation paths through a SetDim-narrowed counter match a fresh
-// prefix-dimension counter over PrefixCopy'd operands, count for count.
+// TestPrefixCountsEquivalence: AddAll and AddXorPairs through a
+// SetDim-narrowed counter match a fresh prefix-dimension counter over
+// PrefixCopy'd operands, count for count — in calls that stay in the
+// byte lanes and in one long enough to flush them into the int32 tier.
 func TestPrefixCountsEquivalence(t *testing.T) {
 	forEachKernelTier(t, func(t *testing.T) {
 		rng := NewRNG(21)
@@ -82,26 +83,29 @@ func TestPrefixCountsEquivalence(t *testing.T) {
 		for i := range singles {
 			singles[i] = RandomBinary(prefixFullD, rng)
 		}
+		many := make([]*Binary, 300)
+		for i := range many {
+			many[i] = singles[i%len(singles)]
+		}
 		wide := NewBitCounter(prefixFullD)
 		for _, d := range prefixWidths {
 			wide.SetDim(d)
 			narrow := NewBitCounter(d)
 			np := prefixCopyPairs(pairs, d)
-			// Scalar adds.
+			ns := make([]*Binary, len(singles))
 			for i, s := range singles {
-				wide.Add(s)
-				narrow.Add(s.PrefixCopy(d))
-				wide.AddXor(pairs[i].A, pairs[i].B, pairs[i].Invert)
-				narrow.AddXor(np[i].A, np[i].B, np[i].Invert)
+				ns[i] = s.PrefixCopy(d)
 			}
-			// Weighted adds, below and above the 64-weight int32 cutover.
-			for i, w := range []int{3, 17, 70} {
-				wide.AddXorWeighted(pairs[i].A, pairs[i].B, pairs[i].Invert, w)
-				narrow.AddXorWeighted(np[i].A, np[i].B, np[i].Invert, w)
+			nmany := make([]*Binary, len(many))
+			for i := range nmany {
+				nmany[i] = ns[i%len(ns)]
 			}
-			// Blocked CSA path.
+			wide.AddAll(singles)
+			narrow.AddAll(ns)
 			wide.AddXorPairs(pairs)
 			narrow.AddXorPairs(np)
+			wide.AddAll(many)
+			narrow.AddAll(nmany)
 			if wide.Count() != narrow.Count() {
 				t.Fatalf("d=%d: count %d vs %d", d, wide.Count(), narrow.Count())
 			}

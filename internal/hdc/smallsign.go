@@ -3,7 +3,7 @@ package hdc
 import "fmt"
 
 // Small-n majority sign kernels. Most graphs in serving workloads bundle
-// a few dozen edge vectors, far below the capacity the nibble/byte/int32
+// a few dozen edge vectors, far below the capacity the byte/int32
 // counter tiers exist to provide. For n ≤ MaxSmallSign the whole count
 // fits in six bit-sliced planes (weights 1/2/4/8/16/32), so the majority
 // can be taken straight off the carry-save stack with a bit-sliced
@@ -14,8 +14,9 @@ import "fmt"
 // so interleaving them with ordinary accumulation is safe.
 //
 // The sign they produce is bit-for-bit the sign of the equivalent
-// Reset + Add* + SignBinaryInto sequence: the planes hold exact counts
-// and the compare implements exactly the same majority-with-tie rule.
+// Reset + AddXorPairs + SignBinaryInto sequence: the planes hold exact
+// counts and the compare implements exactly the same majority-with-tie
+// rule.
 // Like the counter's batch entry points, both the accumulation cascade
 // and the plane compare route their words through the dispatched vector
 // kernel when one is installed — all of them on AVX-512, the

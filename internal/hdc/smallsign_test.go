@@ -5,7 +5,7 @@ import "testing"
 // TestSignSmallMatchesCounter pins the small-n kernel's contract: for
 // every count in [1, MaxSmallSign] (covering odd/even tie handling and
 // every block-padding shape), the one-shot bit-sliced majority equals the
-// full Reset + Add* + SignBinaryInto pipeline bit for bit.
+// full Reset + AddXorPairs + SignBinaryInto pipeline bit for bit.
 func TestSignSmallMatchesCounter(t *testing.T) {
 	forEachKernelTier(t, testSignSmallMatchesCounter)
 }
@@ -54,9 +54,7 @@ func testSignSmallIgnoresCounterState(t *testing.T) {
 	c := NewBitCounter(d)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 	// Pre-load the counter with unrelated weight.
-	for i := 0; i < 40; i++ {
-		c.Add(RandomBinary(d, rng))
-	}
+	c.AddAll(randomVectors(d, 40, rng))
 	beforeCounts := c.CountsInto(make([]int32, d))
 	beforeN := c.Count()
 
