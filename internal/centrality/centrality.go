@@ -55,15 +55,14 @@ type Options struct {
 }
 
 // Scratch holds the reusable buffers of ScoresInto and RanksInto: the
-// PageRank scratch for the PageRank delegation, separate score/order
-// buffers for the other metrics, and the BFS state closeness needs. The
-// zero value is ready to use; buffers grow to the largest graph seen and
-// are then reused. A Scratch is not safe for concurrent use — each
-// encoding goroutine owns its own.
+// PageRank scratch for the PageRank delegation and the rank sort of
+// every metric, separate score buffers for the other metrics, and the BFS
+// state closeness needs. The zero value is ready to use; buffers grow to
+// the largest graph seen and are then reused. A Scratch is not safe for
+// concurrent use — each encoding goroutine owns its own.
 type Scratch struct {
 	pr           pagerank.Scratch
 	scores, next []float64
-	order        []int
 	dist         []int
 	queue        []int32
 }
@@ -75,9 +74,6 @@ func (s *Scratch) ensure(n int) {
 	}
 	if cap(s.next) < n {
 		s.next = make([]float64, n)
-	}
-	if cap(s.order) < n {
-		s.order = make([]int, n)
 	}
 }
 
@@ -138,40 +134,17 @@ func Ranks(g *graph.Graph, metric Metric, opts Options) []int {
 func RanksInto(g *graph.Graph, metric Metric, opts Options, dst []int, s *Scratch) []int {
 	switch metric {
 	case Degree, Eigenvector, Closeness:
-		scores := ScoresInto(g, metric, opts, s)
-		return RanksFromScoresInto(g, scores, dst, s.order[:g.NumVertices()])
+		return s.pr.RanksFromScoresInto(g, ScoresInto(g, metric, opts, s), dst)
 	default:
 		return pagerank.RanksInto(g, pagerank.Options{Iterations: opts.Iterations, Damping: opts.Damping}, dst, &s.pr)
 	}
 }
 
 // RanksFromScores converts a score vector to deterministic ranks with the
-// shared tie-break rule.
+// shared tie-break rule (pagerank.Scratch.RanksFromScoresInto).
 func RanksFromScores(g *graph.Graph, scores []float64) []int {
-	n := g.NumVertices()
-	return RanksFromScoresInto(g, scores, make([]int, n), make([]int, n))
-}
-
-// RanksFromScoresInto is RanksFromScores writing the ranks into dst and
-// using order — a caller-owned slice of length NumVertices — as sort
-// scratch. The sort is pagerank.SortByCentrality, allocation-free and
-// identical to the historical sort.SliceStable result because the
-// tie-break rule is a total order.
-func RanksFromScoresInto(g *graph.Graph, scores []float64, dst, order []int) []int {
-	n := g.NumVertices()
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	order = order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	pagerank.SortByCentrality(g, scores, order)
-	for r, v := range order {
-		dst[v] = r
-	}
-	return dst
+	var s pagerank.Scratch
+	return s.RanksFromScoresInto(g, scores, nil)
 }
 
 func degreeScoresInto(g *graph.Graph, s []float64) []float64 {

@@ -285,8 +285,10 @@ func RunCentralityAblation(graphCount int, seed uint64) ([]AblationCell, error) 
 // accumulated in int32 sums, a fresh accumulator per graph as in
 // core's encodeGraphSlow) and the bit-sliced packed path the production
 // encoder uses (XNOR word binds through the carry-save counter — see
-// hdc.BitCounter). Both produce bit-identical hypervectors; the cell's
-// TrainTime is the wall time to encode the whole dataset.
+// hdc.BitCounter). The cell's TrainTime is the wall time to encode the
+// whole dataset. Both must produce bit-identical hypervectors: after the
+// timed loops every graph's packed encoding is checked against the
+// int8 leg's, and a mismatch is an error.
 func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
 	ds, err := dataset.Generate("PROTEINS", dataset.Options{Seed: seed, GraphCount: graphCount})
 	if err != nil {
@@ -312,36 +314,53 @@ func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
 	}
 
 	// Reference int8 path.
+	refs := make([]*hdc.Bipolar, ds.Len())
 	t0 := time.Now()
 	for i, g := range ds.Graphs {
 		acc := hdc.NewAccumulator(dim)
 		for _, e := range g.Edges() {
 			acc.Add(bipolarBasis[allRanks[i][e.U]].Bind(bipolarBasis[allRanks[i][e.V]]))
 		}
-		acc.Sign(tie)
+		refs[i] = acc.Sign(tie)
 	}
 	referenceTime := time.Since(t0)
 
-	// Bit-sliced packed path (what core.Encoder runs in production): edge
-	// binds batched through the blocked carry-save front end, as the
-	// encoder's grouped edge loop does, into one counter Reset per graph,
-	// as core.EncoderScratch keeps it.
-	t1 := time.Now()
-	var pairs []hdc.XorPair
+	// Bit-sliced packed path, signed as core.EncoderScratch signs: one
+	// counter and one packed output reused across graphs, bundles of up
+	// to hdc.MaxSmallSign edges through the one-sweep small sign, larger
+	// ones through the blocked carry-save front end and the counter's
+	// sign.
+	packedTie := tie.PackBinary()
 	counter := hdc.NewBitCounter(dim)
-	for i, g := range ds.Graphs {
-		counter.Reset()
+	out := hdc.NewBinary(dim)
+	var pairs []hdc.XorPair
+	encode := func(i int) {
 		pairs = pairs[:0]
-		for _, e := range g.Edges() {
+		for _, e := range ds.Graphs[i].Edges() {
 			pairs = append(pairs, hdc.XorPair{
 				A: packedBasis[allRanks[i][e.U]], B: packedBasis[allRanks[i][e.V]], Invert: true,
 			})
 		}
+		if n := len(pairs); n > 0 && n <= hdc.MaxSmallSign {
+			counter.SignXorPairsSmallInto(pairs, packedTie, out)
+			return
+		}
+		counter.Reset()
 		counter.AddXorPairs(pairs)
-		counter.SignBipolar(tie)
+		counter.SignBinaryInto(packedTie, out)
+	}
+	t1 := time.Now()
+	for i := range ds.Graphs {
+		encode(i)
 	}
 	packedTime := time.Since(t1)
 
+	for i := range ds.Graphs {
+		encode(i)
+		if !out.Equal(refs[i].PackBinary()) {
+			return nil, fmt.Errorf("experiments: A5 graph %d: bit-sliced encoding differs from the int8 reference", i)
+		}
+	}
 	return []AblationCell{
 		{Param: "backend", Value: "int8-reference", TrainTime: referenceTime},
 		{Param: "backend", Value: "bit-sliced", TrainTime: packedTime},

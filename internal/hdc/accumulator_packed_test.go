@@ -77,16 +77,16 @@ func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
 // taken while every count is still in the byte lanes, against the int32
 // fold of the same counter forced through a flush, and both against
 // per-vector AddPacked, on top of nonzero sums. The vectors enter
-// through one AddAll call, as in Model.Fit; 120 is the most one call
-// keeps in the byte lanes (fifteen blocks of weight-16 overflow and the
-// drain's 15 fill the 255 the lanes' accounting allows).
+// through one AddAll call, as in Model.Fit; 255 is the most one call
+// keeps in the byte lanes (a block books its live operands, up to the
+// 255 a byte holds).
 func TestAccumulatorAddCounterByteLaneFold(t *testing.T) {
 	forEachKernelTier(t, testAccumulatorAddCounterByteLaneFold)
 }
 
 func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
 	for _, d := range []int{64, 100, 1000, 10000, 10007} {
-		for _, n := range []int{1, 7, 8, 9, 32, 120} {
+		for _, n := range []int{1, 7, 8, 9, 32, 120, 127, 255} {
 			rng := NewRNG(uint64(d)<<8 | uint64(n))
 			start := make([]int32, d)
 			for i := range start {

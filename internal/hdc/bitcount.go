@@ -51,18 +51,12 @@ type BitCounter struct {
 	// csaOnes/csaTwos/csaFours/csaEights: bit-sliced carry-save partial
 	// sums of weight 1, 2, 4 and 8 used by the blocked front end. They are
 	// nonzero only while a batch call is running; the call drains them
-	// into the byte lanes before returning. All six planes are views
+	// into the byte lanes before returning. All four planes are views
 	// into one contiguous slab so the vector kernels stream them with a
 	// single base pointer.
 	csaOnes, csaTwos, csaFours, csaEights []uint64
-	// csaSixteens/csaThirtyTwos extend the plane stack for the small-n
-	// sign kernel (SignXorPairsSmallInto), which keeps counts of up to 63
-	// vectors entirely bit-sliced and never touches the byte/int32 tiers.
-	// Zero between calls, like the others.
-	csaSixteens, csaThirtyTwos []uint64
 	// csaParked is set while the carry-save planes hold weight that has
-	// not yet reached a counter tier (mid batch call, or between a
-	// small-sign accumulation and its plane compare). Every observer
+	// not yet reached a counter tier (mid batch call). Every observer
 	// funnels through flush or inBytes, which drain parked planes first,
 	// so neither the sign paths nor AddCounter can ever see weight parked
 	// below the lane tiers, whichever kernel tier (portable or vector)
@@ -73,12 +67,18 @@ type BitCounter struct {
 	// construction, the tail mask there and by SetDim, the stream
 	// pointers per block.
 	kargs csaArgs
+	// sargs is the small-sign kernels' argument block and operand table,
+	// filled per SignXorPairsSmallInto call.
+	sargs smallArgs
 	// zeroWords is an all-zero operand used to pad the final partial block
 	// of the carry-save kernels: feeding zeros through the CSA cascade
 	// contributes nothing to any count, so a short tail costs one extra
 	// block sweep.
-	zeroWords   []uint64
-	pendingByte int // weight added to byte lanes since the last flush, <= 255
+	zeroWords []uint64
+	// pendingByte bounds, per component, the weight in the byte lanes
+	// plus the weight parked in the carry-save planes since the last
+	// flush: it is at most 255, so no byte lane can overflow.
+	pendingByte int
 	// countsDirty records whether the int32 counters hold any weight; when
 	// they do not and n fits a byte, Sign* can run its SWAR fast path
 	// straight off the byte lanes.
@@ -115,20 +115,16 @@ func NewBitCounter(d int) *BitCounter {
 		c.byteLo[j] = laneSlab[j*w : (j+1)*w : (j+1)*w]
 		c.byteHi[j] = laneSlab[(4+j)*w : (5+j)*w : (5+j)*w]
 	}
-	csaSlab := make([]uint64, 6*w)
+	csaSlab := make([]uint64, 4*w)
 	c.csaOnes = csaSlab[0*w : 1*w : 1*w]
 	c.csaTwos = csaSlab[1*w : 2*w : 2*w]
 	c.csaFours = csaSlab[2*w : 3*w : 3*w]
 	c.csaEights = csaSlab[3*w : 4*w : 4*w]
-	c.csaSixteens = csaSlab[4*w : 5*w : 5*w]
-	c.csaThirtyTwos = csaSlab[5*w : 6*w : 6*w]
 	c.zeroWords = make([]uint64, w)
 	c.kargs.ones = &c.csaOnes[0]
 	c.kargs.twos = &c.csaTwos[0]
 	c.kargs.fours = &c.csaFours[0]
 	c.kargs.eights = &c.csaEights[0]
-	c.kargs.sixteens = &c.csaSixteens[0]
-	c.kargs.thirtytwos = &c.csaThirtyTwos[0]
 	c.kargs.l0, c.kargs.l1, c.kargs.l2, c.kargs.l3 = &c.byteLo[0][0], &c.byteLo[1][0], &c.byteLo[2][0], &c.byteLo[3][0]
 	c.kargs.h0, c.kargs.h1, c.kargs.h2, c.kargs.h3 = &c.byteHi[0][0], &c.byteHi[1][0], &c.byteHi[2][0], &c.byteHi[3][0]
 	c.kargs.tail = c.tailMask()
@@ -263,7 +259,7 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 		for k := n; k < 8; k++ {
 			aws[k], bws[k], vs[k] = c.zeroWords, c.zeroWords, 0
 		}
-		c.addXorBlock8(kern, &aws, &bws, &vs)
+		c.addXorBlock8(kern, n, &aws, &bws, &vs)
 	}
 	c.drainCarrySave()
 }
@@ -297,24 +293,31 @@ func (c *BitCounter) AddAll(vs []*Binary) {
 		for k := n; k < 8; k++ {
 			aws[k] = c.zeroWords // zero padding, as in AddXorPairs
 		}
-		c.addXorBlock8(kern, &aws, &zeros, &noInvert)
+		c.addXorBlock8(kern, n, &aws, &zeros, &noInvert)
 	}
 	c.drainCarrySave()
 }
 
 // addXorBlock8 feeds one Harley–Seal block of exactly eight XOR/XNOR
-// operand streams (zero-padded by the caller if fewer are live) through
-// the carry-save cascade, overflowing weight 16 into the byte lanes.
-// The vector kernel, when one is installed, sweeps the words vecWords
-// gives it; the portable loop finishes the rest, if any, including the
-// masked tail word. Count accounting is the caller's.
-func (c *BitCounter) addXorBlock8(kern *kernelTable, aws, bws *[8][]uint64, vs *[8]uint64) {
-	// The sixteens overflow carries up to 16 units per component
-	// into the byte lanes.
-	if c.pendingByte+16 > 255 {
+// operand streams, of which the first live are real and the rest zero
+// padding, through the carry-save cascade, overflowing weight 16 into the
+// byte lanes. The vector kernel, when one is installed, sweeps the words
+// vecWords gives it; the portable loop finishes the rest, if any,
+// including the masked tail word. Count accounting is the caller's.
+func (c *BitCounter) addXorBlock8(kern *kernelTable, live int, aws, bws *[8][]uint64, vs *[8]uint64) {
+	// The block adds at most live units to any component's byte-lane
+	// plus parked weight. Past 255 the lanes flush first; the planes keep
+	// what they hold — at most 15, and at most what was booked — so that
+	// much stays booked.
+	if c.pendingByte+live > 255 {
+		parked := 0
+		if c.csaParked {
+			parked = min(c.pendingByte, 15)
+		}
 		c.flushBytes()
+		c.pendingByte = parked
 	}
-	c.pendingByte += 16
+	c.pendingByte += live
 	c.csaParked = true
 	lo := 0
 	if kern.csaXorBlock != nil {
@@ -400,15 +403,11 @@ func invMask(invert bool) uint64 {
 
 // drainCarrySave feeds the parked weight-1/2/4/8 carry-save slices into
 // the byte lanes and zeroes them, restoring the invariant that all
-// accumulated weight lives in the byte/int32 tiers between calls.
+// accumulated weight lives in the byte/int32 tiers between calls. The
+// parked weight was booked in pendingByte as it entered the planes, so
+// the drain books nothing and never flushes.
 func (c *BitCounter) drainCarrySave() {
 	c.csaParked = false
-	// A bit can be set in all four slices at once, so the drain carries up
-	// to 1+2+4+8 = 15 units of weight per component.
-	if c.pendingByte+15 > 255 {
-		c.flushBytes()
-	}
-	c.pendingByte += 15
 	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
 	for w := 0; w < c.words; w++ {
 		o, t, f, e := ones[w], twos[w], fours[w], eights[w]
@@ -487,8 +486,7 @@ func (c *BitCounter) inBytes() bool {
 	if c.csaParked {
 		// Same drain pre-condition as flush: weight parked in the
 		// carry-save planes moves to the byte lanes before anything is
-		// judged. The drain's conservative byte-weight accounting can
-		// flush part of the weight into the int32 tier.
+		// judged.
 		c.drainCarrySave()
 	}
 	return !c.countsDirty
@@ -686,7 +684,7 @@ func (c *BitCounter) signBinarySWAR(tie, dst *Binary) bool {
 
 // Reset clears the counter. Each storage tier is cleared only when the
 // counter's own accounting says it can hold weight — pendingByte
-// conservatively over-approximates byte-lane occupancy and countsDirty
+// over-approximates byte-lane occupancy and countsDirty
 // tracks the int32 tier — so resetting after a small
 // accumulation signed through the SWAR fast path touches a few KB of
 // lanes instead of memclearing the d-sized count array. This is what
@@ -703,16 +701,14 @@ func (c *BitCounter) Reset() {
 		clear(c.counts)
 	}
 	// The carry-save planes are zero between calls (every batch entry
-	// point drains them and the small-sign kernels consume them before
-	// returning) and csaParked tracks exactly the windows where they are
-	// not, so they only need clearing when a drain was skipped.
+	// point drains them before returning) and csaParked tracks exactly
+	// the windows where they are not, so they only need clearing when a
+	// drain was skipped.
 	if c.csaParked {
 		clear(c.csaOnes)
 		clear(c.csaTwos)
 		clear(c.csaFours)
 		clear(c.csaEights)
-		clear(c.csaSixteens)
-		clear(c.csaThirtyTwos)
 		c.csaParked = false
 	}
 	c.pendingByte = 0

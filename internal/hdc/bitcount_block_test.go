@@ -152,6 +152,50 @@ func testBitCounterCountsPast255InOneCall(t *testing.T) {
 	}
 }
 
+// TestBitCounterOneCallTo127StaysInBytes pins the byte lanes' booking:
+// a block books the operands it adds, not its worst-case overflow, and
+// the drain books nothing, so a single AddAll or AddXorPairs call of 120
+// to 127 operands keeps every count in the byte lanes (booking 16 per
+// block and 15 per drain flushed every one of them past 120 into the
+// int32 counts), and SignBinaryInto signs them on its SWAR path. Each
+// sign must equal the naive per-bit reference.
+func TestBitCounterOneCallTo127StaysInBytes(t *testing.T) {
+	forEachKernelTier(t, testBitCounterOneCallTo127StaysInBytes)
+}
+
+func testBitCounterOneCallTo127StaysInBytes(t *testing.T) {
+	for _, d := range []int{65, 1000, 10007} {
+		rng := NewRNG(uint64(d) + 127)
+		tie := RandomBinary(d, rng)
+		for n := 120; n <= 127; n++ {
+			vs := randomVectors(d, n, rng)
+			pairs := randomPairs(d, n, rng)
+			for _, tc := range []struct {
+				name string
+				add  func(*BitCounter)
+				ref  func(*naiveCounter)
+			}{
+				{"AddAll", func(c *BitCounter) { c.AddAll(vs) }, func(r *naiveCounter) { r.addAll(vs) }},
+				{"AddXorPairs", func(c *BitCounter) { c.AddXorPairs(pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
+			} {
+				label := fmt.Sprintf("%s d=%d n=%d", tc.name, d, n)
+				ref := newNaiveCounter(d)
+				tc.ref(ref)
+				c := NewBitCounter(d)
+				tc.add(c)
+				if c.countsDirty {
+					t.Fatalf("%s: the call flushed into the int32 counts", label)
+				}
+				ref.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(d)))
+				if c.countsDirty {
+					t.Fatalf("%s: SignBinaryInto left the SWAR path", label)
+				}
+				ref.check(t, label, c)
+			}
+		}
+	}
+}
+
 // TestBitCounterDifferential drives random interleavings of every
 // mutating and observing operation against the naive per-bit reference
 // — the audit of the carry-save → byte → int32 drain and flush logic —

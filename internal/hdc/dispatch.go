@@ -10,8 +10,8 @@ import (
 
 // Kernel dispatch. The straight-line word loops at the heart of the
 // packed encoder — the Harley–Seal carry-save accumulation cascade, the
-// bit-sliced small-sign majority compare, and the XOR+popcount Hamming
-// query — exist in up to three implementations: the portable Go word
+// one-sweep small-sign majority, and the XOR+popcount Hamming query —
+// exist in up to three implementations: the portable Go word
 // loops (the semantic source of truth), AVX2 assembly, and AVX-512
 // assembly (VPTERNLOGQ collapses each 3:2 carry-save step to one
 // instruction; VPOPCNTDQ vectorizes the distance loop). CPU features are
@@ -76,26 +76,26 @@ func ParseKernelTier(s string) (KernelTier, error) {
 	return KernelPortable, fmt.Errorf("hdc: unknown kernel tier %q (want portable, avx2 or avx512)", s)
 }
 
-// csaArgs is the argument block handed to the assembly kernels. The
-// field offsets are part of the assembly ABI — kernels_amd64.s addresses
-// them by the byte offsets noted below — and are pinned by a test.
+// csaArgs is the argument block handed to the csaXorBlock kernels (the
+// small sign has its own, smallArgs). The field offsets are part of the
+// assembly ABI — kernels_amd64.s addresses them by the byte offsets noted
+// below — and are pinned by TestCsaArgsABIOffsets.
 //
 // One csaArgs lives in each BitCounter with the plane and lane pointers
 // and the tail mask pre-resolved (at construction, the tail again by
 // SetDim), so filling it per block costs only the per-block stream
 // pointers.
 type csaArgs struct {
-	x   [8]*uint64 // +0   A streams (xor kernels); x[0] is tie for signPlanes
-	y   [8]*uint64 // +64  B streams (xor kernels); y[0] is dst for signPlanes
-	inv [8]uint64  // +128 XNOR masks per stream (xor kernels); cm[0..5] + tie mask for signPlanes
+	x   [8]*uint64 // +0   A streams
+	y   [8]*uint64 // +64  B streams
+	inv [8]uint64  // +128 XNOR masks per stream
 
 	ones, twos, fours, eights *uint64 // +192,200,208,216 carry-save planes
-	sixteens, thirtytwos      *uint64 // +224,232 small-sign extension planes
-	l0, l1, l2, l3            *uint64 // +240,248,256,264 byteLo lanes
-	h0, h1, h2, h3            *uint64 // +272,280,288,296 byteHi lanes
+	l0, l1, l2, l3            *uint64 // +224,232,240,248 byteLo lanes
+	h0, h1, h2, h3            *uint64 // +256,264,272,280 byteHi lanes
 
-	n    int64  // +304 words to process; a multiple of 4 on AVX2, any count on AVX-512
-	tail uint64 // +312 valid bits of the final word (AVX-512 xor kernels AND word n-1 with it)
+	n    int64  // +288 words to process; a multiple of 4 on AVX2, any count on AVX-512
+	tail uint64 // +296 valid bits of the final word (the AVX-512 kernel ANDs word n-1 with it)
 }
 
 // kernelTable is the capability-dispatched function table. On the
@@ -118,14 +118,14 @@ type kernelTable struct {
 	// n-1 of each stream with args.tail; the AVX2 kernel masks nothing,
 	// so its caller keeps the masked tail word on the portable path.
 	csaXorBlock func(*csaArgs)
-	// csaXorSmallBlock is the same cascade overflowing into the
-	// sixteens/thirtytwos planes instead of the byte lanes (the
-	// ≤63-vector small-sign kernel).
-	csaXorSmallBlock func(*csaArgs)
-	// signPlanes takes the majority of the six carry-save planes by
-	// bit-sliced ripple compare, writes it to y[0], and zeroes the
-	// consumed plane words (signPlanesInto hot loop).
-	signPlanes func(*csaArgs)
+	// signSmall is the one-sweep small sign (SignXorPairsSmallInto): per
+	// word group it runs every block of the operand table through the
+	// same cascade into six register planes, overflowing weight 16 into
+	// the sixteens and thirty-twos, takes the majority by bit-sliced
+	// ripple compare and stores dst once. The AVX-512 kernel ANDs word
+	// n-1 of dst with args.tail; the AVX2 kernel masks nothing, so its
+	// caller keeps the masked tail word on the portable path.
+	signSmall func(*smallArgs)
 	// hamming returns the XOR+popcount Hamming distance over words
 	// [0, n) of two streams (PackedMemory query hot loop).
 	hamming func(a, b *uint64, n int64) int64

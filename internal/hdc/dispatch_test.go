@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -32,38 +33,68 @@ func forEachKernelTier(t *testing.T, fn func(t *testing.T)) {
 func TestCsaArgsABIOffsets(t *testing.T) {
 	var a csaArgs
 	offsets := map[string]uintptr{
-		"x":          unsafe.Offsetof(a.x),
-		"y":          unsafe.Offsetof(a.y),
-		"inv":        unsafe.Offsetof(a.inv),
-		"ones":       unsafe.Offsetof(a.ones),
-		"twos":       unsafe.Offsetof(a.twos),
-		"fours":      unsafe.Offsetof(a.fours),
-		"eights":     unsafe.Offsetof(a.eights),
-		"sixteens":   unsafe.Offsetof(a.sixteens),
-		"thirtytwos": unsafe.Offsetof(a.thirtytwos),
-		"l0":         unsafe.Offsetof(a.l0),
-		"l1":         unsafe.Offsetof(a.l1),
-		"l2":         unsafe.Offsetof(a.l2),
-		"l3":         unsafe.Offsetof(a.l3),
-		"h0":         unsafe.Offsetof(a.h0),
-		"h1":         unsafe.Offsetof(a.h1),
-		"h2":         unsafe.Offsetof(a.h2),
-		"h3":         unsafe.Offsetof(a.h3),
-		"n":          unsafe.Offsetof(a.n),
-		"tail":       unsafe.Offsetof(a.tail),
+		"x":      unsafe.Offsetof(a.x),
+		"y":      unsafe.Offsetof(a.y),
+		"inv":    unsafe.Offsetof(a.inv),
+		"ones":   unsafe.Offsetof(a.ones),
+		"twos":   unsafe.Offsetof(a.twos),
+		"fours":  unsafe.Offsetof(a.fours),
+		"eights": unsafe.Offsetof(a.eights),
+		"l0":     unsafe.Offsetof(a.l0),
+		"l1":     unsafe.Offsetof(a.l1),
+		"l2":     unsafe.Offsetof(a.l2),
+		"l3":     unsafe.Offsetof(a.l3),
+		"h0":     unsafe.Offsetof(a.h0),
+		"h1":     unsafe.Offsetof(a.h1),
+		"h2":     unsafe.Offsetof(a.h2),
+		"h3":     unsafe.Offsetof(a.h3),
+		"n":      unsafe.Offsetof(a.n),
+		"tail":   unsafe.Offsetof(a.tail),
 	}
 	want := map[string]uintptr{
 		"x": 0, "y": 64, "inv": 128,
 		"ones": 192, "twos": 200, "fours": 208, "eights": 216,
-		"sixteens": 224, "thirtytwos": 232,
-		"l0": 240, "l1": 248, "l2": 256, "l3": 264,
-		"h0": 272, "h1": 280, "h2": 288, "h3": 296,
-		"n": 304, "tail": 312,
+		"l0": 224, "l1": 232, "l2": 240, "l3": 248,
+		"h0": 256, "h1": 264, "h2": 272, "h3": 280,
+		"n": 288, "tail": 296,
 	}
 	for name, w := range want {
 		if offsets[name] != w {
 			t.Errorf("csaArgs.%s at offset %d, assembly expects %d", name, offsets[name], w)
 		}
+	}
+}
+
+// TestSmallArgsABIOffsets pins the byte offsets the signSmall kernels in
+// kernels_amd64.s hard-code, operand table included: the kernels step
+// 64 bytes per eight-pair block and reach an operand's B pointer and
+// XNOR mask 512 and 1024 bytes past its A pointer.
+func TestSmallArgsABIOffsets(t *testing.T) {
+	var a smallArgs
+	offsets := map[string]uintptr{
+		"x":      unsafe.Offsetof(a.x),
+		"y":      unsafe.Offsetof(a.y),
+		"inv":    unsafe.Offsetof(a.inv),
+		"tie":    unsafe.Offsetof(a.tie),
+		"dst":    unsafe.Offsetof(a.dst),
+		"cm":     unsafe.Offsetof(a.cm),
+		"even":   unsafe.Offsetof(a.even),
+		"blocks": unsafe.Offsetof(a.blocks),
+		"n":      unsafe.Offsetof(a.n),
+		"tail":   unsafe.Offsetof(a.tail),
+	}
+	want := map[string]uintptr{
+		"x": 0, "y": 512, "inv": 1024,
+		"tie": 1536, "dst": 1544, "cm": 1552, "even": 1600,
+		"blocks": 1608, "n": 1616, "tail": 1624,
+	}
+	for name, w := range want {
+		if offsets[name] != w {
+			t.Errorf("smallArgs.%s at offset %d, assembly expects %d", name, offsets[name], w)
+		}
+	}
+	if len(a.x) != 64 || len(a.y) != 64 || len(a.inv) != 64 || len(a.cm) != 6 {
+		t.Errorf("smallArgs table is %d/%d/%d entries with %d constants, assembly expects 64/64/64 and 6", len(a.x), len(a.y), len(a.inv), len(a.cm))
 	}
 }
 
@@ -183,6 +214,13 @@ func TestSetKernelUnsupported(t *testing.T) {
 // and without a masked tail word, so the AVX-512 opmask final iteration
 // is compared at every remainder; 10,000 and 10,007 are the paper's
 // width and a prime near it.
+//
+// The small sign runs at every bundle size from 1 to MaxSmallSign, so
+// every padded final block, both tie parities and counts across the
+// weight-16 and weight-32 overflows, with mixed XOR/XNOR binds: once on
+// a counter of width d with dst aliasing tie, and once on a wider counter
+// narrowed to d by SetDim and fed operands and a tie of its full width.
+// The portable results must equal the naive per-bit majority.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	prev := ActiveKernel()
 	defer SetKernel(prev)
@@ -193,10 +231,11 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 	type result struct {
 		counts []int32
 		sign   *Binary
-		smallX *Binary
+		small  []*Binary // small[m-1]: m pairs on a counter of width d, dst aliasing tie
+		prefix []*Binary // prefix[m-1]: m wider pairs on a counter narrowed to d
 		hams   []int
 	}
-	run := func(d int) result {
+	run := func(d int, ref bool) result {
 		rng := NewRNG(uint64(d) * 7919)
 		c := NewBitCounter(d)
 		// 24 + 29 pairs: full and zero-padded blocks through the CSA
@@ -207,10 +246,26 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		counts := c.CountsInto(make([]int32, d))
 		tie := RandomBinary(d, rng)
 		sign := c.SignBinary(tie)
-		// Small-sign kernels at n values straddling odd/even and the
-		// weight-16/32 plane spills.
-		sc := NewBitCounter(d)
-		smallX := sc.SignXorPairsSmallInto(randomPairs(d, 33, rng), tie, NewBinary(d))
+
+		wide := d + 77
+		pairs, widePairs := randomPairs(d, MaxSmallSign, rng), randomPairs(wide, MaxSmallSign, rng)
+		sc, wc := NewBitCounter(d), NewBitCounter(wide)
+		wc.SetDim(d)
+		naive, naiveWide := newNaiveCounter(d), newNaiveCounter(d)
+		var small, prefix []*Binary
+		for m := 1; m <= MaxSmallSign; m++ {
+			tie, wideTie := RandomBinary(d, rng), RandomBinary(wide, rng)
+			out := tie.Clone()
+			small = append(small, sc.SignXorPairsSmallInto(pairs[:m], out, out))
+			prefix = append(prefix, wc.SignXorPairsSmallInto(widePairs[:m], wideTie, NewBinary(d)))
+			if ref {
+				naive.addPairs(pairs[m-1 : m])
+				naive.checkSign(t, fmt.Sprintf("d=%d m=%d portable small sign", d, m), tie, small[m-1])
+				naiveWide.addPairs(widePairs[m-1 : m])
+				naiveWide.checkSign(t, fmt.Sprintf("d=%d m=%d portable prefix small sign", d, m), wideTie, prefix[m-1])
+			}
+		}
+
 		// Hamming over packed vectors.
 		q := RandomBinary(d, rng)
 		classes := make([]*Binary, 4)
@@ -221,13 +276,13 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		return result{counts, sign, smallX, pm.Hammings(q)}
+		return result{counts, sign, small, prefix, pm.Hammings(q)}
 	}
 	for _, d := range dims {
 		if err := SetKernel(KernelPortable); err != nil {
 			t.Fatal(err)
 		}
-		want := run(d)
+		want := run(d, true)
 		for _, tier := range SupportedKernels() {
 			if tier == KernelPortable {
 				continue
@@ -235,7 +290,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 			if err := SetKernel(tier); err != nil {
 				t.Fatal(err)
 			}
-			got := run(d)
+			got := run(d, false)
 			for i := range want.counts {
 				if got.counts[i] != want.counts[i] {
 					t.Fatalf("d=%d tier=%s: count[%d] = %d, portable %d", d, tier, i, got.counts[i], want.counts[i])
@@ -244,8 +299,13 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 			if !got.sign.Equal(want.sign) {
 				t.Fatalf("d=%d tier=%s: SignBinary differs from portable", d, tier)
 			}
-			if !got.smallX.Equal(want.smallX) {
-				t.Fatalf("d=%d tier=%s: SignXorPairsSmallInto differs from portable", d, tier)
+			for i := range want.small {
+				if !got.small[i].Equal(want.small[i]) {
+					t.Fatalf("d=%d tier=%s m=%d: SignXorPairsSmallInto differs from portable", d, tier, i+1)
+				}
+				if !got.prefix[i].Equal(want.prefix[i]) {
+					t.Fatalf("d=%d tier=%s m=%d: SignXorPairsSmallInto on a narrowed counter differs from portable", d, tier, i+1)
+				}
 			}
 			for i := range want.hams {
 				if got.hams[i] != want.hams[i] {
@@ -279,7 +339,7 @@ func TestParkedCSAObservers(t *testing.T) {
 				aws[k], bws[k], vs[k] = pairs[k].A.words, pairs[k].B.words, invMask(pairs[k].Invert)
 			}
 			c.n += 8
-			c.addXorBlock8(kern, &aws, &bws, &vs)
+			c.addXorBlock8(kern, 8, &aws, &bws, &vs)
 			if !c.csaParked {
 				t.Fatal("addXorBlock8 did not park the carry-save planes")
 			}

@@ -13,10 +13,7 @@ package hdc
 func csaXorBlockAVX2(a *csaArgs)
 
 //go:noescape
-func csaXorSmallBlockAVX2(a *csaArgs)
-
-//go:noescape
-func signPlanesAVX2(a *csaArgs)
+func signSmallAVX2(a *smallArgs)
 
 //go:noescape
 func hammingAVX2(a, b *uint64, n int64) int64
@@ -25,31 +22,26 @@ func hammingAVX2(a, b *uint64, n int64) int64
 func csaXorBlockAVX512(a *csaArgs)
 
 //go:noescape
-func csaXorSmallBlockAVX512(a *csaArgs)
-
-//go:noescape
-func signPlanesAVX512(a *csaArgs)
+func signSmallAVX512(a *smallArgs)
 
 //go:noescape
 func hammingAVX512(a, b *uint64, n int64) int64
 
 var avx2Kernels = &kernelTable{
-	tier:             KernelAVX2,
-	lanes:            4,
-	csaXorBlock:      csaXorBlockAVX2,
-	csaXorSmallBlock: csaXorSmallBlockAVX2,
-	signPlanes:       signPlanesAVX2,
-	hamming:          hammingAVX2,
+	tier:        KernelAVX2,
+	lanes:       4,
+	csaXorBlock: csaXorBlockAVX2,
+	signSmall:   signSmallAVX2,
+	hamming:     hammingAVX2,
 }
 
 var avx512Kernels = &kernelTable{
-	tier:             KernelAVX512,
-	lanes:            8,
-	wholeRange:       true,
-	csaXorBlock:      csaXorBlockAVX512,
-	csaXorSmallBlock: csaXorSmallBlockAVX512,
-	signPlanes:       signPlanesAVX512,
-	hamming:          hammingAVX512,
+	tier:        KernelAVX512,
+	lanes:       8,
+	wholeRange:  true,
+	csaXorBlock: csaXorBlockAVX512,
+	signSmall:   signSmallAVX512,
+	hamming:     hammingAVX512,
 }
 
 // supportedKernelTables returns the tiers this process can run,

@@ -1,5 +1,5 @@
 // AVX2 and AVX-512 kernels for the carry-save accumulation cascade, the
-// small-sign plane compare, and the packed Hamming inner loop.
+// one-sweep small sign, and the packed Hamming inner loop.
 //
 // Contracts (see DESIGN.md §2b and dispatch.go):
 //
@@ -20,20 +20,31 @@
 //     streams come from caller-owned slices with no alignment guarantee;
 //     plane and lane slabs are word-aligned only.
 //   - The cascades are bit-identical to csaXorBlock8Range in bitcount.go
-//     and the small/sign variants in smallsign.go: same CSA tree shape,
-//     same weight-16 overflow rule. Any change there must land here too;
-//     the per-tier differential tests and FuzzBitCounter enforce it.
-//   - Register budget (AVX2): Y0-Y3 plane state, Y4-Y5 operand loads,
-//     Y6-Y11 cascade temporaries, Y12 s16, Y13 lane temp, Y14 byteStride,
-//     Y15 xor/overflow temp. GP: DI args block, CX byte offset, SI byte
-//     limit, R8-R15 the eight stream pointers, AX/BX scratch pointers
-//     reloaded from the args block (there are not enough GP registers to
-//     pin the twelve plane/lane pointers, and the reloads hit the same
-//     hot cache line every iteration). The AVX-512 variants mirror this
-//     allocation onto Z registers and collapse each 3:2 compressor into
-//     a VPTERNLOGQ XOR3/majority pair; Z11, free there, holds the
-//     operand mask (all ones, or the final group's live words with
-//     args.tail in word n-1), and K2 the load/store opmask.
+//     and signSmallRange in smallsign.go: same CSA tree shape, same
+//     weight-16 overflow rule, same ripple compare. Any change there must
+//     land here too; the per-tier differential tests and FuzzBitCounter
+//     enforce it.
+//   - Register budget, csaXorBlock (AVX2): Y0-Y3 plane state, Y4-Y5
+//     operand loads, Y6-Y11 cascade temporaries, Y12 s16, Y13 lane temp,
+//     Y14 byteStride, Y15 xor/overflow temp. GP: DI args block, CX byte
+//     offset, SI byte limit, R8-R15 the eight stream pointers, AX/BX
+//     scratch pointers reloaded from the args block (there are not enough
+//     GP registers to pin the twelve plane/lane pointers, and the reloads
+//     hit the same hot cache line every iteration). The AVX-512 variant
+//     mirrors this allocation onto Z registers and collapses each 3:2
+//     compressor into a VPTERNLOGQ XOR3/majority pair; Z11, free there,
+//     holds the operand mask (all ones, or the final group's live words
+//     with args.tail in word n-1), and K2 the load/store opmask.
+//   - Register budget, signSmall: the six planes never leave registers
+//     while a word group runs through every block of the operand table.
+//     AVX2 uses all sixteen: Y0-Y3 and Y13-Y14 the planes of weight 1 to
+//     32, Y4-Y5 operand loads, Y6-Y11 cascade temporaries, Y12 s16, Y15
+//     the broadcast XNOR mask; the compare reuses Y4-Y10 once the blocks
+//     are done and broadcasts its constants per group. AVX-512 keeps the
+//     same planes in Z0-Z3 and Z13-Z14 and pins the compare constants in
+//     Z16-Z22 for the whole call. GP: DI args block, CX word byte offset,
+//     R11 the current block's table entry, R10 the table's end, R8/R9
+//     tie and dst, AX/BX stream pointers loaded from the table.
 //   - All functions end with VZEROUPPER to avoid SSE/AVX transition
 //     stalls in the surrounding Go code.
 
@@ -89,49 +100,27 @@
 	VPADDQ.Z	(AX)(CX*1), Z13, K2, Z13;  \
 	VMOVDQU64	Z13, K2, (AX)(CX*1);
 
-// Weight-16 spill into the eight byte lanes (l0..l3 at +240.., h0..h3 at
-// +272..), used between a VPTEST-guarded branch in the function bodies.
+// Weight-16 spill into the eight byte lanes (l0..l3 at +224.., h0..h3 at
+// +256..), used between a VPTEST-guarded branch in the function bodies.
 #define LANEADDS256 \
-	LANEADD256($0, 240)            \
-	LANEADD256($1, 248)            \
-	LANEADD256($2, 256)            \
-	LANEADD256($3, 264)            \
-	LANEADD256($4, 272)            \
-	LANEADD256($5, 280)            \
-	LANEADD256($6, 288)            \
-	LANEADD256($7, 296)
+	LANEADD256($0, 224)            \
+	LANEADD256($1, 232)            \
+	LANEADD256($2, 240)            \
+	LANEADD256($3, 248)            \
+	LANEADD256($4, 256)            \
+	LANEADD256($5, 264)            \
+	LANEADD256($6, 272)            \
+	LANEADD256($7, 280)
 
 #define LANEADDS512 \
-	LANEADD512($0, 240)            \
-	LANEADD512($1, 248)            \
-	LANEADD512($2, 256)            \
-	LANEADD512($3, 264)            \
-	LANEADD512($4, 272)            \
-	LANEADD512($5, 280)            \
-	LANEADD512($6, 288)            \
-	LANEADD512($7, 296)
-
-// Weight-16 spill into the sixteens/thirtytwos planes (the small-sign
-// kernels): thirtytwos |= sixteens & s16; sixteens ^= s16.
-#define SMALLSPILL256 \
-	MOVQ	224(DI), AX;           \
-	VMOVDQU	(AX)(CX*1), Y13;       \
-	MOVQ	232(DI), BX;           \
-	VPAND	Y13, Y12, Y15;         \
-	VPOR	(BX)(CX*1), Y15, Y15;  \
-	VMOVDQU	Y15, (BX)(CX*1);       \
-	VPXOR	Y13, Y12, Y13;         \
-	VMOVDQU	Y13, (AX)(CX*1);
-
-#define SMALLSPILL512 \
-	MOVQ	224(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z13;   \
-	MOVQ	232(DI), BX;                   \
-	VPANDQ	Z13, Z12, Z15;                 \
-	VPORQ.Z	(BX)(CX*1), Z15, K2, Z15;      \
-	VMOVDQU64	Z15, K2, (BX)(CX*1);   \
-	VPXORQ	Z13, Z12, Z13;                 \
-	VMOVDQU64	Z13, K2, (AX)(CX*1);
+	LANEADD512($0, 224)            \
+	LANEADD512($1, 232)            \
+	LANEADD512($2, 240)            \
+	LANEADD512($3, 248)            \
+	LANEADD512($4, 256)            \
+	LANEADD512($5, 264)            \
+	LANEADD512($6, 272)            \
+	LANEADD512($7, 280)
 
 // Shared prologue for the CSA kernels: DI = args, R8-R15 = the eight
 // stream pointers, SI = args.n (words).
@@ -145,7 +134,7 @@
 	MOVQ	40(DI), R13;   \
 	MOVQ	48(DI), R14;   \
 	MOVQ	56(DI), R15;   \
-	MOVQ	304(DI), SI;
+	MOVQ	288(DI), SI;
 
 // AVX2 loop bounds: SI = byte limit, CX = byte offset.
 #define BYTELIMIT256 \
@@ -215,11 +204,12 @@
 	VMOVDQU64	Z3, K2, (AX)(CX*1);
 
 // Entering the final group: K2 takes its live lanes, Z11 keeps all ones
-// on them but word n-1, which gets args.tail, and zero beyond n.
-#define FINALMASKS512 \
+// on them but word n-1, which gets the args block's tail mask (at
+// TAILOFF), and zero beyond n.
+#define FINALMASKS512(TAILOFF) \
 	KMOVW	K4, K2;                        \
 	VPTERNLOGQ.Z	$0xFF, Z11, Z11, K2, Z11; \
-	VPBROADCASTQ	312(DI), K3, Z11;
+	VPBROADCASTQ	TAILOFF(DI), K3, Z11;
 
 // The Harley-Seal cascade over the loaded planes: consumes the eight
 // operand groups via the LOAD macros, leaves new ones/twos/fours in
@@ -260,29 +250,56 @@
 #define XORLOADS512 \
 	CASCADE512(XORLOAD512(R8, 64, 128, Z4) XORLOAD512(R9, 72, 136, Z5), XORLOAD512(R10, 80, 144, Z4) XORLOAD512(R11, 88, 152, Z5), XORLOAD512(R12, 96, 160, Z4) XORLOAD512(R13, 104, 168, Z5), XORLOAD512(R14, 112, 176, Z4) XORLOAD512(R15, 120, 184, Z5))
 
-// One ripple-compare step of the plane majority: plane word at args+OFF,
-// constant mask broadcast in CM, carry in Y0/Z0, eq in Y1/Z1; zeroes the
-// consumed plane word (Y15/Z15 holds zero).
-#define SIGNPLANE256(OFF, CM) \
-	MOVQ	OFF(DI), AX;           \
-	VMOVDQU	(AX)(CX*1), Y2;        \
-	VMOVDQU	Y15, (AX)(CX*1);       \
-	VPXOR	CM, Y2, Y3;            \
-	VPXOR	Y0, Y3, Y4;            \
-	VPAND	Y4, Y1, Y1;            \
-	VPAND	CM, Y2, Y4;            \
-	VPAND	Y0, Y3, Y5;            \
-	VPOR	Y5, Y4, Y0;
+// The one-sweep small sign (signSmall) reads its operands from the
+// smallArgs table: R11 points at the current block's first x entry, so
+// operand K's A pointer is at 8K(R11), its B pointer 512 bytes further
+// and its XNOR mask 1024 bytes further. Offsets in the args block: tie
+// +1536, dst +1544, cm[0..5] +1552.., even +1600, blocks +1608, n +1616,
+// tail +1624.
+#define SMALLLOAD256(XOFF, YOFF, VOFF, DST) \
+	MOVQ	XOFF(R11), AX;         \
+	VMOVDQU	(AX)(CX*1), DST;       \
+	MOVQ	YOFF(R11), BX;         \
+	VPXOR	(BX)(CX*1), DST, DST;  \
+	VPBROADCASTQ	VOFF(R11), Y15; \
+	VPXOR	Y15, DST, DST;
 
+// The AVX-512 form loads both streams and XORs them with the broadcast
+// XNOR mask in one VPTERNLOGQ (0x96 = XOR3). It does not mask the tail
+// word: garbage in the bit columns past the dimension stays in those
+// columns, and the kernel clears them from dst instead.
+#define SMALLLOAD512(XOFF, YOFF, VOFF, DST) \
+	MOVQ	XOFF(R11), AX;                 \
+	VMOVDQU64.Z	(AX)(CX*1), K2, DST;   \
+	MOVQ	YOFF(R11), BX;                 \
+	VMOVDQU64.Z	(BX)(CX*1), K2, Z15;   \
+	VPTERNLOGQ.BCST	$0x96, VOFF(R11), Z15, DST;
+
+#define SMALLLOADS256 \
+	CASCADE256(SMALLLOAD256(0, 512, 1024, Y4) SMALLLOAD256(8, 520, 1032, Y5), SMALLLOAD256(16, 528, 1040, Y4) SMALLLOAD256(24, 536, 1048, Y5), SMALLLOAD256(32, 544, 1056, Y4) SMALLLOAD256(40, 552, 1064, Y5), SMALLLOAD256(48, 560, 1072, Y4) SMALLLOAD256(56, 568, 1080, Y5))
+
+#define SMALLLOADS512 \
+	CASCADE512(SMALLLOAD512(0, 512, 1024, Z4) SMALLLOAD512(8, 520, 1032, Z5), SMALLLOAD512(16, 528, 1040, Z4) SMALLLOAD512(24, 536, 1048, Z5), SMALLLOAD512(32, 544, 1056, Z4) SMALLLOAD512(40, 552, 1064, Z5), SMALLLOAD512(48, 560, 1072, Z4) SMALLLOAD512(56, 568, 1080, Z5))
+
+// One step of the majority's bit-sliced ripple compare: plane P plus the
+// constant mask (broadcast from args+CMOFF into Y4), carry in Y6, eq —
+// the AND of the sum bits — in Y7.
+#define RIPPLE256(P, CMOFF) \
+	VPBROADCASTQ	CMOFF(DI), Y4; \
+	VPXOR	Y4, P, Y5;             \
+	VPXOR	Y6, Y5, Y8;            \
+	VPAND	Y8, Y7, Y7;            \
+	VPAND	Y4, P, Y9;             \
+	VPAND	Y6, Y5, Y10;           \
+	VPOR	Y10, Y9, Y6;
+
+// The same step with the constant pinned in CM, carry in Z24, eq in Z25.
 // 0x60 = a&(b^c): eq &= u^carry. 0xE8 = majority(p, cm, carry), which
 // equals (p&cm)|((p^cm)&carry) — the ripple-carry update.
-#define SIGNPLANE512(OFF, CM) \
-	MOVQ	OFF(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z2;    \
-	VMOVDQU64	Z15, K2, (AX)(CX*1);   \
-	VPXORQ	CM, Z2, Z3;                    \
-	VPTERNLOGQ	$0x60, Z0, Z3, Z1;     \
-	VPTERNLOGQ	$0xE8, CM, Z2, Z0;
+#define RIPPLE512(P, CM) \
+	VPXORQ	CM, P, Z26;                \
+	VPTERNLOGQ	$0x60, Z24, Z26, Z25; \
+	VPTERNLOGQ	$0xE8, CM, P, Z24;
 
 // func csaXorBlockAVX2(a *csaArgs)
 TEXT ·csaXorBlockAVX2(SB), NOSPLIT, $0-8
@@ -308,61 +325,51 @@ done:
 	VZEROUPPER
 	RET
 
-// func csaXorSmallBlockAVX2(a *csaArgs)
-TEXT ·csaXorSmallBlockAVX2(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
-	BYTELIMIT256
-	TESTQ	SI, SI
-	JZ	done
-loop:
-	LOADPLANES256
-	XORLOADS256
-	STOREPLANES256
-	VPTEST	Y12, Y12
-	JZ	next
-	SMALLSPILL256
-next:
-	ADDQ	$32, CX
-	CMPQ	CX, SI
-	JB	loop
-done:
-	VZEROUPPER
-	RET
-
-// func signPlanesAVX2(a *csaArgs)
-TEXT ·signPlanesAVX2(SB), NOSPLIT, $0-8
+// func signSmallAVX2(a *smallArgs)
+TEXT ·signSmallAVX2(SB), NOSPLIT, $0-8
 	MOVQ	a+0(FP), DI
-	MOVQ	304(DI), SI
-	SHLQ	$3, SI
+	MOVQ	1616(DI), SI
+	SHLQ	$3, SI                 // byte limit
 	XORQ	CX, CX
-	VPBROADCASTQ	128(DI), Y8    // cm[0]
-	VPBROADCASTQ	136(DI), Y9    // cm[1]
-	VPBROADCASTQ	144(DI), Y10   // cm[2]
-	VPBROADCASTQ	152(DI), Y11   // cm[3]
-	VPBROADCASTQ	160(DI), Y12   // cm[4]
-	VPBROADCASTQ	168(DI), Y13   // cm[5]
-	VPBROADCASTQ	176(DI), Y14   // tie mask: ~0 for even n, 0 for odd
-	VPXOR	Y15, Y15, Y15
-	MOVQ	0(DI), BX              // tie vector
-	MOVQ	64(DI), DX             // dst vector
+	MOVQ	1536(DI), R8           // tie
+	MOVQ	1544(DI), R9           // dst
+	MOVQ	1608(DI), R10
+	SHLQ	$6, R10
+	ADDQ	DI, R10                // end of the table's blocks
 	TESTQ	SI, SI
 	JZ	done
-loop:
-	VPXOR	Y0, Y0, Y0             // carry
-	VPCMPEQD	Y1, Y1, Y1     // eq (all ones)
-	SIGNPLANE256(192, Y8)
-	SIGNPLANE256(200, Y9)
-	SIGNPLANE256(208, Y10)
-	SIGNPLANE256(216, Y11)
-	SIGNPLANE256(224, Y12)
-	SIGNPLANE256(232, Y13)
-	VPAND	(BX)(CX*1), Y1, Y1     // eq &= tie
-	VPAND	Y14, Y1, Y1            // ... only for even n
-	VPOR	Y1, Y0, Y0
-	VMOVDQU	Y0, (DX)(CX*1)
+group:
+	VPXOR	Y0, Y0, Y0
+	VPXOR	Y1, Y1, Y1
+	VPXOR	Y2, Y2, Y2
+	VPXOR	Y3, Y3, Y3
+	VPXOR	Y13, Y13, Y13
+	VPXOR	Y14, Y14, Y14
+	MOVQ	DI, R11
+block:
+	SMALLLOADS256
+	VPAND	Y13, Y12, Y15          // thirtytwos |= sixteens & s16
+	VPOR	Y15, Y14, Y14
+	VPXOR	Y12, Y13, Y13          // sixteens ^= s16
+	ADDQ	$64, R11
+	CMPQ	R11, R10
+	JB	block
+	VPBROADCASTQ	1552(DI), Y4   // cm[0]; the first step has no carry in
+	VPXOR	Y4, Y0, Y7
+	VPAND	Y4, Y0, Y6
+	RIPPLE256(Y1, 1560)
+	RIPPLE256(Y2, 1568)
+	RIPPLE256(Y3, 1576)
+	RIPPLE256(Y13, 1584)
+	RIPPLE256(Y14, 1592)
+	VPBROADCASTQ	1600(DI), Y4   // even
+	VPAND	(R8)(CX*1), Y7, Y7     // eq &= tie ...
+	VPAND	Y4, Y7, Y7             // ... only for even n
+	VPOR	Y7, Y6, Y6
+	VMOVDQU	Y6, (R9)(CX*1)
 	ADDQ	$32, CX
 	CMPQ	CX, SI
-	JB	loop
+	JB	group
 done:
 	VZEROUPPER
 	RET
@@ -448,84 +455,67 @@ next:
 	JB	loop
 	JA	done
 final:
-	FINALMASKS512
+	FINALMASKS512(296)
 	JMP	loop
 done:
 	VZEROUPPER
 	RET
 
-// func csaXorSmallBlockAVX512(a *csaArgs)
-TEXT ·csaXorSmallBlockAVX512(SB), NOSPLIT, $0-8
-	CSAPROLOGUE
+// func signSmallAVX512(a *smallArgs)
+TEXT ·signSmallAVX512(SB), NOSPLIT, $0-8
+	MOVQ	a+0(FP), DI
+	MOVQ	1616(DI), SI
+	VPBROADCASTQ	1552(DI), Z16  // cm[0]
+	VPBROADCASTQ	1560(DI), Z17  // cm[1]
+	VPBROADCASTQ	1568(DI), Z18  // cm[2]
+	VPBROADCASTQ	1576(DI), Z19  // cm[3]
+	VPBROADCASTQ	1584(DI), Z20  // cm[4]
+	VPBROADCASTQ	1592(DI), Z21  // cm[5]
+	VPBROADCASTQ	1600(DI), Z22  // even
+	MOVQ	1536(DI), R8           // tie
+	MOVQ	1544(DI), R9           // dst
+	MOVQ	1608(DI), R10
+	SHLQ	$6, R10
+	ADDQ	DI, R10                // end of the table's blocks
 	TESTQ	SI, SI
 	JZ	done
 	FINALGROUP512
 	VPTERNLOGQ	$0xFF, Z11, Z11, Z11
 	CMPQ	CX, SI
 	JEQ	final
-loop:
-	LOADPLANES512
-	XORLOADS512
-	STOREPLANES512
-	VPTESTMQ	Z12, Z12, K1
-	KORTESTB	K1, K1
-	JZ	next
-	SMALLSPILL512
-next:
+group:
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	VPXORQ	Z2, Z2, Z2
+	VPXORQ	Z3, Z3, Z3
+	VPXORQ	Z13, Z13, Z13
+	VPXORQ	Z14, Z14, Z14
+	MOVQ	DI, R11
+block:
+	SMALLLOADS512
+	VPTERNLOGQ	$0xF8, Z12, Z13, Z14   // thirtytwos |= sixteens & s16
+	VPXORQ	Z12, Z13, Z13                  // sixteens ^= s16
+	ADDQ	$64, R11
+	CMPQ	R11, R10
+	JB	block
+	VPXORQ	Z16, Z0, Z25           // the first step has no carry in
+	VPANDQ	Z16, Z0, Z24
+	RIPPLE512(Z1, Z17)
+	RIPPLE512(Z2, Z18)
+	RIPPLE512(Z3, Z19)
+	RIPPLE512(Z13, Z20)
+	RIPPLE512(Z14, Z21)
+	VMOVDQU64.Z	(R8)(CX*1), K2, Z26
+	VPTERNLOGQ	$0x80, Z22, Z26, Z25   // eq &= tie & even
+	VPTERNLOGQ	$0xA8, Z11, Z25, Z24   // dst = (carry | eq) & Z11
+	VMOVDQU64	Z24, K2, (R9)(CX*1)
 	ADDQ	$64, CX
 	CMPQ	CX, SI
-	JB	loop
+	JB	group
 	JA	done
 final:
-	FINALMASKS512
-	JMP	loop
-done:
-	VZEROUPPER
-	RET
-
-// func signPlanesAVX512(a *csaArgs)
-//
-// The plane compare needs no operand mask: planes are zero past the
-// dimension, and a zero count never reaches the threshold or (for even
-// n ≥ 2) the tie value, so dst's bits past d come out zero.
-TEXT ·signPlanesAVX512(SB), NOSPLIT, $0-8
-	MOVQ	a+0(FP), DI
-	MOVQ	304(DI), SI
-	VPBROADCASTQ	128(DI), Z8    // cm[0]
-	VPBROADCASTQ	136(DI), Z9    // cm[1]
-	VPBROADCASTQ	144(DI), Z10   // cm[2]
-	VPBROADCASTQ	152(DI), Z11   // cm[3]
-	VPBROADCASTQ	160(DI), Z12   // cm[4]
-	VPBROADCASTQ	168(DI), Z13   // cm[5]
-	VPBROADCASTQ	176(DI), Z14   // tie mask: ~0 for even n, 0 for odd
-	VPXORQ	Z15, Z15, Z15
-	MOVQ	0(DI), BX              // tie vector
-	MOVQ	64(DI), DX             // dst vector
-	TESTQ	SI, SI
-	JZ	done
-	FINALGROUP512
-	CMPQ	CX, SI
-	JEQ	final
-loop:
-	VPXORQ	Z0, Z0, Z0                     // carry
-	VPTERNLOGQ	$0xFF, Z1, Z1, Z1      // eq (all ones)
-	SIGNPLANE512(192, Z8)
-	SIGNPLANE512(200, Z9)
-	SIGNPLANE512(208, Z10)
-	SIGNPLANE512(216, Z11)
-	SIGNPLANE512(224, Z12)
-	SIGNPLANE512(232, Z13)
-	VMOVDQU64.Z	(BX)(CX*1), K2, Z2
-	VPTERNLOGQ	$0x80, Z14, Z2, Z1     // eq &= tie & tieMask
-	VPORQ	Z1, Z0, Z0
-	VMOVDQU64	Z0, K2, (DX)(CX*1)
-	ADDQ	$64, CX
-	CMPQ	CX, SI
-	JB	loop
-	JA	done
-final:
-	KMOVW	K4, K2
-	JMP	loop
+	FINALMASKS512(1624)
+	JMP	group
 done:
 	VZEROUPPER
 	RET

@@ -1,6 +1,9 @@
 package hdc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestSignSmallMatchesCounter pins the small-n kernel's contract: for
 // every count in [1, MaxSmallSign] (covering odd/even tie handling and
@@ -123,4 +126,29 @@ func TestSignSmallPanics(t *testing.T) {
 		c.SignXorPairsSmallInto([]XorPair{{A: a, B: b}}, tie, NewBinary(65))
 	})
 	c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(65, rng), B: RandomBinary(65, rng)}}, tie, dst)
+}
+
+// BenchmarkSignXorPairsSmall times the one-shot small sign at the paper's
+// d = 10,000 on the active kernel tier (GRAPHHD_KERNEL picks it) for a
+// bundle of one block, about the mean NCI1 edge count, and the maximum.
+func BenchmarkSignXorPairsSmall(b *testing.B) {
+	const d = 10000
+	rng := NewRNG(5)
+	basis := randomVectors(d, 40, rng)
+	tie := RandomBinary(d, rng)
+	for _, m := range []int{8, 29, 63} {
+		pairs := make([]XorPair, m)
+		for i := range pairs {
+			pairs[i] = XorPair{A: basis[rng.Intn(len(basis))], B: basis[rng.Intn(len(basis))], Invert: true}
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			c := NewBitCounter(d)
+			dst := NewBinary(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.SignXorPairsSmallInto(pairs, tie, dst)
+			}
+		})
+	}
 }

@@ -6,6 +6,9 @@
 package pagerank
 
 import (
+	"math"
+	"slices"
+
 	"graphhd/internal/graph"
 )
 
@@ -37,35 +40,34 @@ func (o Options) withDefaults() Options {
 }
 
 // Scratch holds the reusable buffers of ScoresInto and RanksInto: the two
-// power-iteration score vectors and the vertex-order permutation. The zero
-// value is ready to use; buffers grow to the largest graph seen and are
-// then reused, so steady-state rank computation performs no heap
-// allocations. A Scratch is not safe for concurrent use — each goroutine
-// owns its own.
+// power-iteration score vectors, the degree-derived terms and the
+// centrality sort keys. The zero value is ready to use; buffers grow to
+// the largest graph seen and are then reused, so steady-state rank
+// computation performs no heap allocations. A Scratch is not safe for
+// concurrent use — each goroutine owns its own.
 type Scratch struct {
 	scores, next []float64
-	order        []int
 	dangling     []int32
 	dinv         []float64
+	keys         []rankKey
 }
 
-// ensure grows the buffers to cover n vertices.
+// smallGraph is the vertex count up to which RanksFromScoresInto sorts by
+// insertion. It is also the least a scratch buffer grows to, so the small
+// graphs that make up most datasets settle a fresh scratch on its first
+// graph instead of regrowing it at every new largest graph.
+const smallGraph = 64
+
+// ensure grows the power-iteration buffers to cover n vertices.
 func (s *Scratch) ensure(n int) {
-	if cap(s.scores) < n {
-		s.scores = make([]float64, n)
+	if cap(s.scores) >= n {
+		return
 	}
-	if cap(s.next) < n {
-		s.next = make([]float64, n)
-	}
-	if cap(s.order) < n {
-		s.order = make([]int, n)
-	}
-	if cap(s.dangling) < n {
-		s.dangling = make([]int32, n)
-	}
-	if cap(s.dinv) < n {
-		s.dinv = make([]float64, n)
-	}
+	n = max(n, smallGraph)
+	s.scores = make([]float64, n)
+	s.next = make([]float64, n)
+	s.dangling = make([]int32, n)
+	s.dinv = make([]float64, n)
 }
 
 // Scores returns the PageRank score of every vertex of g after the
@@ -148,70 +150,29 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 	return cur
 }
 
-// vertexLess is the shared deterministic centrality ordering: score
-// descending, then degree descending, then vertex id ascending. The final
-// clause makes the order total, so every correct sort produces the same
-// permutation.
-func vertexLess(g *graph.Graph, scores []float64, u, v int) bool {
-	if scores[u] != scores[v] {
-		return scores[u] > scores[v]
-	}
-	if du, dv := g.Degree(u), g.Degree(v); du != dv {
-		return du > dv
-	}
-	return u < v
+// rankKey is one vertex's centrality sort key under the shared
+// deterministic ordering — score descending, then degree descending, then
+// vertex id ascending — with the degree and id packed into one word:
+// (MaxUint32 - degree) << 32 | id, which sorts ascending. The id clause
+// makes the order total, so every correct sort produces the same
+// permutation, and the id comes back out of the low half.
+type rankKey struct {
+	score float64
+	tie   uint64
 }
 
-// SortByCentrality sorts order — a slice of vertex ids of g — in place
-// under the shared tie-break rule (score descending, degree descending, id
-// ascending) without allocating. Because the ordering is total, the result
-// is identical to what any stable sort under the same comparator produces.
-// Exported for package centrality, which ranks non-PageRank score vectors
-// with the same rule.
-func SortByCentrality(g *graph.Graph, scores []float64, order []int) {
-	n := len(order)
-	// Benchmark-dataset graphs are mostly tiny (MUTAG averages 18
-	// vertices), where insertion sort beats heapsort's constants. The
-	// ordering is total, so both produce the identical permutation.
-	if n <= 32 {
-		for i := 1; i < n; i++ {
-			x := order[i]
-			j := i - 1
-			for j >= 0 && vertexLess(g, scores, x, order[j]) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = x
-		}
-		return
-	}
-	// In-place heapsort: O(n log n), zero allocations, no recursion.
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(g, scores, order, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		order[0], order[end] = order[end], order[0]
-		siftDown(g, scores, order, 0, end)
-	}
+func (a rankKey) less(b rankKey) bool {
+	return a.score > b.score || a.score == b.score && a.tie < b.tie
 }
 
-// siftDown restores the max-heap property ("max" under vertexLess's
-// reversed sense, so the heap root is the vertex that sorts last).
-func siftDown(g *graph.Graph, scores []float64, order []int, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && vertexLess(g, scores, order[child], order[child+1]) {
-			child++
-		}
-		if !vertexLess(g, scores, order[root], order[child]) {
-			return
-		}
-		order[root], order[child] = order[child], order[root]
-		root = child
+func compareRankKeys(a, b rankKey) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
 	}
+	return 0
 }
 
 // Ranks returns, for each vertex, its centrality rank: 0 for the vertex
@@ -229,23 +190,47 @@ func Ranks(g *graph.Graph, opts Options) []int {
 }
 
 // RanksInto is Ranks writing into dst, using s for every intermediate
-// buffer (scores and the vertex order). dst is grown when its capacity is
+// buffer (scores and sort keys). dst is grown when its capacity is
 // insufficient, so callers that reuse the returned slice reach a steady
 // state with zero heap allocations per graph.
 func RanksInto(g *graph.Graph, opts Options, dst []int, s *Scratch) []int {
+	return s.RanksFromScoresInto(g, ScoresInto(g, opts, s), dst)
+}
+
+// RanksFromScoresInto writes each vertex's rank under scores — one score
+// per vertex of g, of any centrality metric — into dst with the shared
+// tie-break rule (score descending, degree descending, id ascending), and
+// returns dst, grown when its capacity is insufficient. It builds one key
+// per vertex, reading each degree once, and sorts the keys in s's buffer:
+// by insertion up to 64 vertices (benchmark graphs are mostly far
+// smaller), else by slices.SortFunc. Steady state allocates nothing.
+func (s *Scratch) RanksFromScoresInto(g *graph.Graph, scores []float64, dst []int) []int {
 	n := g.NumVertices()
-	scores := ScoresInto(g, opts, s)
 	if cap(dst) < n {
 		dst = make([]int, n)
 	}
 	dst = dst[:n]
-	order := s.order[:n]
-	for i := range order {
-		order[i] = i
+	if cap(s.keys) < n {
+		s.keys = make([]rankKey, max(n, smallGraph))
 	}
-	SortByCentrality(g, scores, order)
-	for r, v := range order {
-		dst[v] = r
+	keys := s.keys[:n]
+	for v := range keys {
+		keys[v] = rankKey{scores[v], uint64(math.MaxUint32-uint32(g.Degree(v)))<<32 | uint64(v)}
+	}
+	if n <= smallGraph {
+		for i := 1; i < n; i++ {
+			k := keys[i]
+			j := i
+			for ; j > 0 && k.less(keys[j-1]); j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+	} else {
+		slices.SortFunc(keys, compareRankKeys)
+	}
+	for r, k := range keys {
+		dst[uint32(k.tie)] = r
 	}
 	return dst
 }

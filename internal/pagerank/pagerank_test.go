@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -289,6 +290,28 @@ func pushScores(g *graph.Graph, opts Options) []float64 {
 	return cur
 }
 
+// referenceOrder sorts g's vertices by the shared centrality rule — score
+// descending, then degree descending, then vertex id ascending — with a
+// stable sort and a comparator that reads every degree afresh. It is the
+// oracle the key sort in RanksFromScoresInto must match.
+func referenceOrder(g *graph.Graph, scores []float64) []int {
+	order := make([]int, len(scores))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		u, v := order[i], order[j]
+		if scores[u] != scores[v] {
+			return scores[u] > scores[v]
+		}
+		if du, dv := g.Degree(u), g.Degree(v); du != dv {
+			return du > dv
+		}
+		return u < v
+	})
+	return order
+}
+
 // TestScoresMatchPushOracle requires the edge-order power loop to give
 // exactly the push loop's float64 scores, and RanksInto the ranks those
 // scores sort to, on all six datasets and on shapes with many ties or
@@ -335,11 +358,7 @@ func TestScoresMatchPushOracle(t *testing.T) {
 							t.Fatalf("%s graph %d, %+v: score[%d] = %v, push oracle %v", name, gi, opts, v, got[v], want[v])
 						}
 					}
-					order := make([]int, len(want))
-					for i := range order {
-						order[i] = i
-					}
-					SortByCentrality(g, want, order)
+					order := referenceOrder(g, want)
 					dst = RanksInto(g, opts, dst, &s)
 					for r, v := range order {
 						if dst[v] != r {
