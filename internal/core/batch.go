@@ -42,15 +42,14 @@ type BatchTrace struct {
 	// PlanNanos covers centrality ranking and rank-pair grouping: each
 	// graph's edges become packed rank-pair keys, in edge order.
 	PlanNanos int64
-	// EncodeNanos covers accumulate + majority sign for every fast-path
-	// graph (at stage-1 width when a cascade is active).
+	// EncodeNanos covers accumulate + majority sign for every graph (at
+	// stage-1 width when a cascade is active).
 	EncodeNanos int64
 	// ClassifyNanos covers Hamming classification of every signed
 	// encoding (the stage-1 margin test when a cascade is active).
 	ClassifyNanos int64
 	// EscalateNanos covers the cascade's full-width re-sign + re-classify
-	// of margin-ambiguous graphs, plus reference-path fallbacks (labeled
-	// extension, edgeless). Zero when nothing escalated.
+	// of margin-ambiguous graphs. Zero without a cascade.
 	EscalateNanos int64
 }
 

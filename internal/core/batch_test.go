@@ -100,11 +100,11 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestBatchEncodeMixedFallbacks checks the fast path's exclusions: a
-// batch mixing fast-path graphs with edgeless graphs (and, under the
-// labeled extension, labeled graphs) still matches the int8 reference on
-// every slot.
-func TestBatchEncodeMixedFallbacks(t *testing.T) {
+// TestBatchEncodeMixedShapes checks a batch mixing graphs with edges,
+// edgeless graphs and labeled graphs — which under the labeled extension
+// read their own (rank, label) table, not the shared basis — against the
+// int8 reference on every slot.
+func TestBatchEncodeMixedShapes(t *testing.T) {
 	edgeless, err := graph.FromEdges(5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestBatchEncodeMixedFallbacks(t *testing.T) {
 		cfg.Dimension = 512
 		cfg.UseVertexLabels = useLabels
 		enc := MustNewEncoder(cfg)
-		batch := []*graph.Graph{ring, edgeless, labeled, ring, edgeless}
+		batch := []*graph.Graph{ring, edgeless, labeled, ring, edgeless, labeledCopy(t, edgeless, 1), labeled}
 		outs := enc.NewScratch().EncodeBatch(batch)
 		for i, g := range batch {
 			if want := enc.encodeGraphSlow(g).PackBinary(); !outs[i].Equal(want) {
@@ -138,16 +138,20 @@ func TestBatchEncodeMixedFallbacks(t *testing.T) {
 }
 
 // TestBatchEncodeAllocationFree asserts the scratch's steady-state
-// batch property: once key, operand and output buffers have grown,
-// EncodeBatch and PredictBatchWith perform zero heap allocations per
-// batch — including under the race detector (the scratch is caller-owned,
-// no pool involved).
+// batch property: once key, label, operand and output buffers have
+// grown, EncodeBatch and PredictBatchWith perform zero heap allocations
+// per batch — including under the race detector (the scratch is
+// caller-owned, no pool involved) — on a batch that also holds labeled,
+// edgeless and empty graphs under the labeled extension.
 func TestBatchEncodeAllocationFree(t *testing.T) {
 	gs, ys := twoClassDataset(16, 41)
-	m, err := Train(testConfig(), gs, ys)
+	cfg := testConfig()
+	cfg.UseVertexLabels = true
+	m, err := Train(cfg, gs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gs = withOddShapes(t, gs)
 	pred := m.Snapshot()
 	enc := pred.Encoder()
 	bs := enc.NewScratch()

@@ -121,10 +121,8 @@ func (p *Predictor) PredictCascadeWith(s *EncoderScratch, g *graph.Graph) (class
 // reusing the batch's centrality ranks and rank-pair grouping, so an
 // escalation pays one extra full-width sign, not a second ranking pass.
 // Classes land in out (len(out) must equal len(graphs)); the counts of
-// stage-1 decisions and escalations feed the serve metrics. Graphs
-// outside the packed fast path (labeled extension, edgeless) are decided
-// at full dimension and counted as escalations. Without an active
-// cascade it falls back to PredictBatchWith and reports zero for both
+// stage-1 decisions and escalations feed the serve metrics. Without an
+// active cascade it runs PredictBatchWith and reports zero for both
 // counters.
 func (p *Predictor) PredictBatchCascadeWith(s *EncoderScratch, graphs []*graph.Graph, out []int) (stage1, escalated int) {
 	return p.PredictBatchCascadeTraced(s, graphs, out, nil)
@@ -159,17 +157,12 @@ func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph
 	if tr != nil {
 		t = tr.stamp(&tr.PlanNanos, t)
 	}
-	// Encode phase: sign every fast-path graph at stage-1 width into its
-	// own prefix buffer; graphs outside the packed fast path join the
-	// fallback worklist (decided at full dimension below, counted as
-	// escalations).
+	// Encode phase: sign every graph at stage-1 width into its own
+	// prefix buffer.
 	pouts := s.prefixOuts(dp, len(graphs))
 	s.counter.SetDim(dp)
-	s.fbIdx = s.fbIdx[:0]
-	for gi := range graphs {
-		if !s.signInto(gi, pouts[gi]) {
-			s.fbIdx = append(s.fbIdx, int32(gi))
-		}
+	for gi, g := range graphs {
+		s.signInto(gi, g, pouts[gi])
 	}
 	if tr != nil {
 		t = tr.stamp(&tr.EncodeNanos, t)
@@ -178,9 +171,6 @@ func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph
 	// recorded here; the full-width work is batched into the next phase.
 	s.escIdx = s.escIdx[:0]
 	for gi := range graphs {
-		if s.keyOff[gi] == s.keyOff[gi+1] {
-			continue // outside the fast path, already on fbIdx
-		}
 		best, _, bestH, secondH := cs.pm.ClassifyTop2(pouts[gi])
 		if secondH-bestH > cs.cfg.Margin {
 			out[gi] = best
@@ -193,16 +183,11 @@ func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph
 		t = tr.stamp(&tr.ClassifyNanos, t)
 	}
 	// Escalate phase: re-sign the ambiguous graphs at full width from
-	// their retained keys, then decide the fallback graphs through the
-	// reference encoder. Restores the counter's full-width invariant.
+	// their retained keys. Restores the counter's full-width invariant.
 	s.counter.SetDim(p.enc.cfg.Dimension)
 	for _, gi := range s.escIdx {
-		s.signInto(int(gi), s.packed)
+		s.signInto(int(gi), graphs[gi], s.packed)
 		out[gi] = p.pm.Classify(s.packed)
-		escalated++
-	}
-	for _, gi := range s.fbIdx {
-		out[gi] = p.pm.Classify(p.enc.encodeGraphSlow(graphs[gi]).PackBinary())
 		escalated++
 	}
 	if tr != nil {

@@ -57,10 +57,11 @@ func TestCascadeValidate(t *testing.T) {
 }
 
 // TestPrefixEncodeMatchesSlicedAllDatasets pins the tentpole acceptance
-// criterion at the encoder level: on every synthetic Table-I dataset and
-// under every supported kernel tier, the prefix-width encode — counter
-// narrowed with SetDim, reading only the leading words of the full basis
-// — is bit-identical to slicing the full-width encoding, which by the
+// criterion at the encoder level: on every synthetic Table-I dataset,
+// with labeled, edgeless and empty graphs mixed in, and under every
+// supported kernel tier, the prefix-width encode — counter narrowed with
+// SetDim, reading only the leading words of the full basis — is
+// bit-identical to slicing the full-width encoding, which by the
 // componentwise majority/bind identity is exactly what a freshly built
 // small-d model sharing the basis prefix would produce.
 func TestPrefixEncodeMatchesSlicedAllDatasets(t *testing.T) {
@@ -75,11 +76,13 @@ func TestPrefixEncodeMatchesSlicedAllDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			graphs := withOddShapes(t, ds.Graphs)
 			cfg := testConfig()
+			cfg.UseVertexLabels = true
 			enc := MustNewEncoder(cfg)
 			forEachTier(t, func(t *testing.T) {
 				s := enc.NewScratch()
-				for gi, g := range ds.Graphs {
+				for gi, g := range graphs {
 					full := enc.encodeGraphSlow(g).PackBinary()
 					for _, dp := range prefixes {
 						want := full.PrefixCopy(dp)
@@ -113,18 +116,16 @@ func cascadeReference(t *testing.T, p *Predictor, graphs []*graph.Graph, refs []
 		}
 	}
 	classes, escalated = make([]int, len(graphs)), make([]bool, len(graphs))
-	for i, g := range graphs {
+	for i := range graphs {
 		classes[i] = p.PredictEncoded(refs[i])
 		if !on {
 			continue
 		}
-		escalated[i] = true
-		if g.NumEdges() == 0 || p.enc.cfg.UseVertexLabels && g.Labeled() {
-			continue // outside the packed fast path: decided at full width
-		}
 		best, _, bestH, secondH := ppm.ClassifyTop2(refs[i].PrefixCopy(c.DPrefix))
 		if secondH-bestH > c.Margin {
-			classes[i], escalated[i] = best, false
+			classes[i] = best
+		} else {
+			escalated[i] = true
 		}
 	}
 	return classes, escalated
@@ -362,28 +363,38 @@ func TestCascadeSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictCascadeEdgeless checks the reference fallback: graphs outside
-// the packed fast path are decided at full width and counted as
-// escalations in the batch path.
+// TestPredictCascadeEdgeless checks that edgeless, empty and, under the
+// labeled extension, labeled graphs go through the stage-1 margin test
+// like every other graph, in the batch and per-graph cascade paths.
 func TestPredictCascadeEdgeless(t *testing.T) {
 	gs, ys := twoClassDataset(12, 43)
-	m, err := Train(testConfig(), gs, ys)
+	cfg := testConfig()
+	cfg.UseVertexLabels = true
+	m, err := Train(cfg, gs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := m.Snapshot()
-	if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 4}); err != nil {
-		t.Fatal(err)
-	}
-	edgeless := graph.NewBuilder(3).Build()
-	batch := []*graph.Graph{gs[0], edgeless, gs[1]}
+	batch := withOddShapes(t, gs[:2])
+	refs := referenceEncodings(pred.Encoder(), batch)
 	bs := pred.Encoder().NewScratch()
 	out := make([]int, len(batch))
-	s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
-	if s1+esc != len(batch) || esc < 1 {
-		t.Fatalf("edgeless batch accounting: stage1 %d escalated %d", s1, esc)
-	}
-	if want := pred.Predict(edgeless); out[1] != want {
-		t.Fatalf("edgeless graph class %d, want %d", out[1], want)
+	for _, c := range []Cascade{{DPrefix: 256, Margin: 4}, {DPrefix: 321, Margin: 256}} {
+		if err := pred.SetCascade(c); err != nil {
+			t.Fatal(err)
+		}
+		want, wantEsc := cascadeReference(t, pred, batch, refs)
+		s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
+		if n := countTrue(wantEsc); esc != n || s1 != len(batch)-n {
+			t.Fatalf("%+v: stage1 %d, escalated %d; reference escalates %d of %d", c, s1, esc, n, len(batch))
+		}
+		for i, g := range batch {
+			if out[i] != want[i] {
+				t.Fatalf("%+v: graph %d cascade batch class %d, reference %d", c, i, out[i], want[i])
+			}
+			if cl, e := pred.PredictCascadeWith(bs, g); cl != want[i] || e != wantEsc[i] {
+				t.Fatalf("%+v: graph %d PredictCascadeWith (%d,%v), reference (%d,%v)", c, i, cl, e, want[i], wantEsc[i])
+			}
+		}
 	}
 }

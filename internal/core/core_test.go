@@ -28,14 +28,21 @@ func TestConfigValidate(t *testing.T) {
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: -0.1},
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 0}, // would rank at DefaultDamping
 		{Dimension: 100, PageRankIterations: 10, PageRankDamping: math.NaN()},
+		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 0.85, Centrality: centrality.Closeness + 1}, // would rank with PageRank
+		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 0.85, Centrality: 9},
+		{Dimension: 100, PageRankIterations: 10, PageRankDamping: 0.85, Centrality: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEncoder(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewEncoder(DefaultConfig()); err != nil {
-		t.Fatal(err)
+	for _, m := range centrality.AllMetrics() {
+		cfg := DefaultConfig()
+		cfg.Centrality = m
+		if _, err := NewEncoder(cfg); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
 	}
 }
 
@@ -153,35 +160,42 @@ func TestEncodeEmptyGraph(t *testing.T) {
 	enc := MustNewEncoder(testConfig())
 	g := graph.NewBuilder(0).Build()
 	hv := enc.EncodeGraph(g)
-	if !hv.Equal(enc.Tie()) {
+	if !hv.Equal(refTie(enc.Config())) {
 		t.Fatal("empty graph should encode to the tie vector")
 	}
 }
 
+// TestEncodeEdgeBindsEndpoints: a graph of one edge encodes to the bind
+// of its endpoints' basis vectors (a bundle of one is its operand).
 func TestEncodeEdgeBindsEndpoints(t *testing.T) {
 	enc := MustNewEncoder(testConfig())
-	g := graph.Path(3)
-	vv := enc.VertexVectors(g)
-	edge := enc.EncodeEdge(g, 0, 1)
-	if !edge.Equal(vv[0].Bind(vv[1])) {
-		t.Fatal("EncodeEdge is not the bind of endpoint vectors")
+	g := graph.Path(2)
+	basis := refRankVectors(enc.Config(), 2)
+	edge := basis[0].Bind(basis[1])
+	if !enc.EncodeGraph(g).Equal(edge) {
+		t.Fatal("a one-edge graph does not encode to the bind of its endpoint vectors")
 	}
 	// Edge hypervectors are quasi-orthogonal to the endpoints.
-	if c := math.Abs(edge.Cosine(vv[0])); c > 0.1 {
+	if c := math.Abs(edge.Cosine(basis[0])); c > 0.1 {
 		t.Fatalf("edge vs endpoint cosine = %f", c)
 	}
 }
 
+// TestVertexVectorsShareBasisByRank: two star graphs of the same size
+// whose hubs have different vertex ids both rank the hub 0, so they bind
+// the same basis vectors and encode identically.
 func TestVertexVectorsShareBasisByRank(t *testing.T) {
 	enc := MustNewEncoder(testConfig())
-	// Two star graphs of the same size: hubs have rank 0 in both, so they
-	// must share the hub basis hypervector.
 	a := graph.Star(6)
 	b := graph.Relabel(graph.Star(6), []int{5, 0, 1, 2, 3, 4})
-	va := enc.VertexVectors(a)
-	vb := enc.VertexVectors(b)
-	if !va[0].Equal(vb[5]) {
-		t.Fatal("hubs with equal rank got different basis vectors")
+	if ra, rb := enc.Ranks(a), enc.Ranks(b); ra[0] != 0 || rb[5] != 0 {
+		t.Fatalf("hub ranks %d and %d, want 0", ra[0], rb[5])
+	}
+	if !enc.EncodeGraph(a).Equal(enc.EncodeGraph(b)) {
+		t.Fatal("stars with equally ranked hubs encode differently")
+	}
+	if !enc.EncodeGraph(a).Equal(enc.encodeGraphSlow(a)) {
+		t.Fatal("star encoding differs from the int8 reference")
 	}
 }
 
@@ -213,28 +227,35 @@ func TestLabeledExtensionChangesEncoding(t *testing.T) {
 	}
 }
 
+// TestRankLabelVectorsDistinctAndStable checks the scratch's (rank,
+// label) table against the oracle's int8 vectors, and the oracle's
+// vectors for quasi-orthogonality and determinism.
 func TestRankLabelVectorsDistinctAndStable(t *testing.T) {
 	cfg := testConfig()
 	cfg.UseVertexLabels = true
 	enc := MustNewEncoder(cfg)
+	labels := []int{0, 1, 0, -3} // negative labels are valid in TU files
+	tab := enc.NewScratch().labelTable(labels)
+	for r, l := range labels {
+		if !tab[r].Equal(enc.rankLabelVector(r, l).PackBinary()) {
+			t.Fatalf("table entry (%d,%d) differs from the int8 reference", r, l)
+		}
+	}
 	a := enc.rankLabelVector(0, 0)
 	b := enc.rankLabelVector(0, 1)
 	c := enc.rankLabelVector(1, 0)
 	if math.Abs(a.Cosine(b)) > 0.1 || math.Abs(a.Cosine(c)) > 0.1 || math.Abs(b.Cosine(c)) > 0.1 {
 		t.Fatal("(rank,label) basis vectors not quasi-orthogonal")
 	}
-	if !enc.rankLabelVector(0, 0).Equal(a) {
-		t.Fatal("lookup not stable")
-	}
-	// Negative labels (valid in TU files) must work too.
-	neg := enc.rankLabelVector(0, -3)
-	if math.Abs(neg.Cosine(a)) > 0.1 {
+	if neg := enc.rankLabelVector(0, -3); math.Abs(neg.Cosine(a)) > 0.1 {
 		t.Fatal("negative-label vector correlated")
 	}
-	// A second encoder with the same seed produces the same vectors
-	// regardless of access order.
+	// A second encoder with the same seed produces the same vectors, and
+	// refilling a table does not depend on what it held.
 	enc2 := MustNewEncoder(cfg)
-	if !enc2.rankLabelVector(1, 0).Equal(c) {
+	s2 := enc2.NewScratch()
+	s2.labelTable([]int{5, 6, 7})
+	if tab2 := s2.labelTable([]int{1, 0}); !tab2[1].Equal(c.PackBinary()) {
 		t.Fatal("keyed generation not deterministic")
 	}
 }

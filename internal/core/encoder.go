@@ -66,34 +66,35 @@ func (c Config) validate() error {
 	if !(c.PageRankDamping > 0 && c.PageRankDamping < 1) { // rejects NaN too
 		return fmt.Errorf("core: damping %f outside (0,1)", c.PageRankDamping)
 	}
+	// centrality ranks an unknown metric with PageRank, so a model
+	// configured (or loaded) with one would be reported as "unknown".
+	if c.Centrality < centrality.PageRank || c.Centrality > centrality.Closeness {
+		return fmt.Errorf("core: unknown centrality metric %d", c.Centrality)
+	}
 	return nil
 }
 
 // Encoder maps graphs to hypervectors, implementing Enc_G of Section IV.
-// It is safe for concurrent use: the underlying item memories synchronize
+// It is safe for concurrent use: the packed basis table synchronizes
 // internally and encoding is otherwise stateless.
 type Encoder struct {
-	cfg       Config
-	ranks     *hdc.ItemMemory // basis hypervectors indexed by centrality rank
-	tie       *hdc.Bipolar    // deterministic bundling tie-break
-	packedTie *hdc.Binary     // tie in bit form, for the packed pipeline
-	prOpts    pagerank.Options
+	cfg    Config
+	ranks  *hdc.ItemMemory // basis hypervectors indexed by centrality rank
+	tie    *hdc.Binary     // deterministic bundling tie-break
+	prOpts pagerank.Options
 
-	// Labeled-extension state: one basis hypervector per (rank, label)
-	// pair, generated from a keyed seed so that lookups are deterministic
-	// and independent of access order. A plain Bind(rankHV, labelHV) would
-	// NOT work: when both endpoints of an edge carry the same label, the
-	// label hypervector cancels through the edge bind (L ⊙ L = 1), making
-	// the encoding blind to uniform relabelings.
+	// labelSeed keys the labeled extension's basis: one hypervector per
+	// (rank, label) pair, generated from a keyed seed (rankLabelSeed) so
+	// that it is deterministic and independent of access order. A plain
+	// Bind(rankHV, labelHV) would NOT work: when both endpoints of an edge
+	// carry the same label, the label hypervector cancels through the
+	// edge bind (L ⊙ L = 1), making the encoding blind to uniform
+	// relabelings.
 	labelSeed uint64
-	labelMu   sync.Mutex
-	labelVecs map[rankLabelKey]*hdc.Bipolar
 
-	// The packed rank basis of the bit-sliced encoding path (see
-	// EncodeGraph). packed[r] is ranks.Vector(r) in bit form, generated by
-	// index from the item memory's stream, so the int8 table is built only
-	// when the reference encoder asks for it. The slice only ever grows,
-	// guarded by packedMu.
+	// The packed rank basis: packed[r] is ranks.PackedVector(r). The slice
+	// only ever grows, to the largest unlabeled graph encoded, guarded by
+	// packedMu.
 	packedMu sync.RWMutex
 	packed   []*hdc.Binary
 
@@ -101,10 +102,6 @@ type Encoder struct {
 	// APIs run allocation-free in steady state; the chunked batch APIs
 	// check one out per chunk.
 	scratch sync.Pool
-}
-
-type rankLabelKey struct {
-	rank, label int
 }
 
 // NewEncoder builds an encoder from cfg.
@@ -117,14 +114,12 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 		cfg:       cfg,
 		ranks:     hdc.NewItemMemory(cfg.Dimension, seeds.Uint64()),
 		labelSeed: seeds.Uint64(),
-		tie:       hdc.RandomBipolar(cfg.Dimension, hdc.NewRNG(seeds.Uint64())),
-		labelVecs: make(map[rankLabelKey]*hdc.Bipolar),
+		tie:       hdc.RandomBinary(cfg.Dimension, hdc.NewRNG(seeds.Uint64())),
 		prOpts: pagerank.Options{
 			Damping:    cfg.PageRankDamping,
 			Iterations: cfg.PageRankIterations,
 		},
 	}
-	e.packedTie = e.tie.PackBinary()
 	e.scratch.New = func() any { return e.NewScratch() }
 	return e, nil
 }
@@ -145,10 +140,6 @@ func (e *Encoder) Config() Config { return e.cfg }
 // Dimension returns the hypervector dimensionality.
 func (e *Encoder) Dimension() int { return e.cfg.Dimension }
 
-// Tie returns the deterministic tie-break hypervector used for all
-// bundling performed with this encoder.
-func (e *Encoder) Tie() *hdc.Bipolar { return e.tie }
-
 // Ranks returns the centrality ranks the encoder assigns to g's vertices
 // under the configured metric. The returned slice is freshly allocated;
 // intermediate buffers come from a pooled scratch.
@@ -161,60 +152,37 @@ func (e *Encoder) Ranks(g *graph.Graph) []int {
 	}, make([]int, g.NumVertices()), &s.cent)
 }
 
-// VertexVectors returns Enc_v(v) for every vertex of g: the basis
-// hypervector of the vertex's centrality rank, bound with its label
-// hypervector when the labeled extension is active and g is labeled.
-func (e *Encoder) VertexVectors(g *graph.Graph) []*hdc.Bipolar {
-	ranks := e.Ranks(g)
-	out := make([]*hdc.Bipolar, g.NumVertices())
-	for v := range out {
-		out[v] = e.vertexVector(g, v, ranks[v])
-	}
-	return out
+// labeled reports whether g's vertex hypervectors come from the (rank,
+// label) basis rather than the rank basis.
+func (e *Encoder) labeled(g *graph.Graph) bool {
+	return e.cfg.UseVertexLabels && g.Labeled()
 }
 
-// vertexVector returns Enc_v for a single vertex given its precomputed
-// centrality rank, resolving the labeled extension when active.
-func (e *Encoder) vertexVector(g *graph.Graph, v, rank int) *hdc.Bipolar {
-	if e.cfg.UseVertexLabels && g.Labeled() {
-		return e.rankLabelVector(rank, g.VertexLabel(v))
-	}
-	return e.ranks.Vector(rank)
-}
-
-// rankLabelVector returns the basis hypervector for a (rank, label) pair,
-// generating it deterministically from a key-derived seed on first use.
-func (e *Encoder) rankLabelVector(rank, label int) *hdc.Bipolar {
-	key := rankLabelKey{rank, label}
-	e.labelMu.Lock()
-	defer e.labelMu.Unlock()
-	if hv, ok := e.labelVecs[key]; ok {
-		return hv
-	}
-	// Mix the key into the seed with two rounds of a splitmix-style
-	// permutation so nearby (rank, label) pairs decorrelate fully.
+// rankLabelSeed returns the seed of the labeled extension's basis
+// hypervector for a (rank, label) pair: the vector is RandomBipolar(d,
+// NewRNG(seed)), packed. Two rounds of a splitmix-style permutation mix
+// the key into the encoder's label seed so nearby pairs decorrelate
+// fully.
+func (e *Encoder) rankLabelSeed(rank, label int) uint64 {
 	s := e.labelSeed ^ (uint64(uint32(rank)) | uint64(uint32(label))<<32)
 	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-	hv := hdc.RandomBipolar(e.cfg.Dimension, hdc.NewRNG(s))
-	e.labelVecs[key] = hv
-	return hv
+	return (s ^ (s >> 27)) * 0x94d049bb133111eb
 }
 
 // EncodeGraph returns Enc_G(g): the bundle over all edges of the bind of
 // the endpoint vertex hypervectors (Algorithm 1, lines 5-8, plus the
-// bundle in line 8). An edgeless graph encodes to the bundle of its vertex
-// hypervectors instead, so that degenerate graphs still produce a usable
-// representation (the paper does not define this case; bundling vertices
-// is the natural fallback and only affects empty-edge-set inputs).
+// bundle in line 8). A vertex hypervector is the basis hypervector of
+// its centrality rank, or, under the labeled extension on a labeled
+// graph, of its (rank, label) pair. An edgeless graph encodes to the
+// bundle of its vertex hypervectors instead, so that degenerate graphs
+// still produce a usable representation (the paper does not define this
+// case; bundling vertices is the natural fallback and only affects
+// empty-edge-set inputs), and the empty graph to the tie-break vector.
 //
-// It is EncodeGraphPacked unpacked to int8 components, which is
-// bit-identical because packing is a bijection: unlabeled graphs — the
-// paper's baseline setting — take the bit-sliced pipeline, where each edge
-// bind is a d/64-word XNOR of packed basis vectors and majority counts
-// accumulate in SWAR lanes (hdc.BitCounter). encodeGraphSlow keeps the
-// reference int8 implementation alive for the labeled extension, edgeless
-// graphs and the equivalence tests.
+// It is EncodeGraphPacked unpacked to int8 components, which is exact
+// because packing is a bijection: every graph takes the bit-sliced
+// pipeline, where each edge bind is a d/64-word XNOR of packed basis
+// vectors and majority counts accumulate in SWAR lanes (hdc.BitCounter).
 func (e *Encoder) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 	s := e.getScratch()
 	defer e.putScratch(s)
@@ -223,35 +191,12 @@ func (e *Encoder) EncodeGraph(g *graph.Graph) *hdc.Bipolar {
 
 // EncodeGraphPacked returns Enc_G(g) in bit-packed form: the bundle is
 // majority-voted straight into Binary words, so the hypervector stays d/64
-// words from encoding through training and classification. The result
-// equals encodeGraphSlow(g).PackBinary() bit for bit on every input (the
-// labeled and edgeless fallbacks pack the reference encoding).
+// words from encoding through training and classification. It equals the
+// per-edge int8 bundle of the paper's formulation, packed, bit for bit.
 func (e *Encoder) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
 	s := e.getScratch()
 	defer e.putScratch(s)
 	return s.EncodeGraphPacked(g).Clone()
-}
-
-// encodeGraphSlow is the reference int8 implementation of Enc_G.
-func (e *Encoder) encodeGraphSlow(g *graph.Graph) *hdc.Bipolar {
-	vvecs := e.VertexVectors(g)
-	acc := hdc.NewAccumulator(e.cfg.Dimension)
-	edges := g.Edges()
-	if len(edges) == 0 {
-		if len(vvecs) == 0 {
-			// Empty graph: encode as the tie-break vector, a fixed
-			// arbitrary point in hyperspace.
-			return e.tie.Clone()
-		}
-		for _, hv := range vvecs {
-			acc.Add(hv)
-		}
-		return acc.Sign(e.tie)
-	}
-	for _, ed := range edges {
-		acc.Add(vvecs[ed.U].Bind(vvecs[ed.V]))
-	}
-	return acc.Sign(e.tie)
 }
 
 // packedSlice returns a snapshot of the packed basis table covering ranks
@@ -274,34 +219,16 @@ func (e *Encoder) packedSlice(n int) []*hdc.Binary {
 	return e.packed
 }
 
-// EncodeEdge returns Enc_e((u,v)) = Enc_v(u) × Enc_v(v) for one edge of g.
-// Exposed for diagnostics and tests; EncodeGraph is the hot path. Only the
-// two endpoint vectors are materialized (centrality ranks are a whole-graph
-// property and are still computed once).
-func (e *Encoder) EncodeEdge(g *graph.Graph, u, v int) *hdc.Bipolar {
-	ranks := e.Ranks(g)
-	return e.vertexVector(g, u, ranks[u]).Bind(e.vertexVector(g, v, ranks[v]))
-}
-
-// reserveFor pre-materializes the rank basis vectors graphs will read, so
-// parallel encoding workers take the read-lock fast path throughout: the
-// packed table for graphs on the packed pipeline, and the int8 table only
-// for the edgeless graphs whose reference encoding bundles from it.
-// Labeled graphs under UseVertexLabels read neither; their vertex vectors
-// come from the (rank, label) table.
+// reserveFor grows the packed basis table to cover every graph that
+// reads it, so parallel encoding workers take the read-lock fast path
+// throughout. Labeled graphs under UseVertexLabels read their scratch's
+// (rank, label) table instead.
 func (e *Encoder) reserveFor(graphs []*graph.Graph) {
-	maxPacked, maxInt8 := 0, 0
+	n := 0
 	for _, g := range graphs {
-		switch {
-		case e.cfg.UseVertexLabels && g.Labeled():
-		case g.NumEdges() > 0: // the gate of EncoderScratch.group
-			maxPacked = max(maxPacked, g.NumVertices())
-		default:
-			maxInt8 = max(maxInt8, g.NumVertices())
+		if !e.labeled(g) {
+			n = max(n, g.NumVertices())
 		}
 	}
-	e.ranks.Reserve(maxInt8)
-	if maxPacked > 0 {
-		e.packedSlice(maxPacked)
-	}
+	e.packedSlice(n)
 }

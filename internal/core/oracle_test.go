@@ -12,6 +12,103 @@ import (
 	"graphhd/internal/hdc"
 )
 
+// The int8 reference encoder is the oracle every packed encoding is
+// checked against: the paper's Enc_G on bipolar hypervectors, one
+// materialized bind per edge (or, for an edgeless graph, one vertex
+// vector per vertex) bundled in an int32 accumulator and signed against
+// the int8 tie. It rebuilds the encoder's seeds from Config.Seed, and it
+// draws the rank basis as the item memory's sequential stream —
+// RandomBipolar calls in order on one generator — not through
+// ItemMemory.PackedVector's indexing.
+
+// refSeeds returns the rank-basis, label and tie seeds NewEncoder draws
+// from cfg.Seed.
+func refSeeds(cfg Config) (rank, label, tie uint64) {
+	seeds := hdc.NewRNG(cfg.Seed)
+	return seeds.Uint64(), seeds.Uint64(), seeds.Uint64()
+}
+
+// refBasis holds the int8 rank basis per (rank seed, dimension), shared
+// by every test and grown in stream order under mu.
+var refBasis struct {
+	mu     sync.Mutex
+	tables map[[2]uint64]*refTable
+}
+
+type refTable struct {
+	rng  *hdc.RNG
+	vecs []*hdc.Bipolar
+}
+
+// refRankVectors returns the int8 basis vectors of ranks [0, n).
+func refRankVectors(cfg Config, n int) []*hdc.Bipolar {
+	rankSeed, _, _ := refSeeds(cfg)
+	key := [2]uint64{rankSeed, uint64(cfg.Dimension)}
+	refBasis.mu.Lock()
+	defer refBasis.mu.Unlock()
+	if refBasis.tables == nil {
+		refBasis.tables = make(map[[2]uint64]*refTable)
+	}
+	tab := refBasis.tables[key]
+	if tab == nil {
+		tab = &refTable{rng: hdc.NewRNG(rankSeed)}
+		refBasis.tables[key] = tab
+	}
+	for len(tab.vecs) < n {
+		tab.vecs = append(tab.vecs, hdc.RandomBipolar(cfg.Dimension, tab.rng))
+	}
+	return tab.vecs[:n]
+}
+
+// refTie returns the encoder's tie-break vector in int8 form.
+func refTie(cfg Config) *hdc.Bipolar {
+	_, _, tieSeed := refSeeds(cfg)
+	return hdc.RandomBipolar(cfg.Dimension, hdc.NewRNG(tieSeed))
+}
+
+// rankLabelVector returns the int8 basis vector of a (rank, label) pair
+// under the labeled extension.
+func (e *Encoder) rankLabelVector(rank, label int) *hdc.Bipolar {
+	return hdc.RandomBipolar(e.cfg.Dimension, hdc.NewRNG(e.rankLabelSeed(rank, label)))
+}
+
+// vertexVectors returns the int8 Enc_v of every vertex of g: the basis
+// vector of its centrality rank, or, under the labeled extension on a
+// labeled graph, of its (rank, label) pair.
+func (e *Encoder) vertexVectors(g *graph.Graph) []*hdc.Bipolar {
+	ranks := e.Ranks(g)
+	basis := refRankVectors(e.cfg, len(ranks))
+	out := make([]*hdc.Bipolar, len(ranks))
+	for v, r := range ranks {
+		if e.cfg.UseVertexLabels && g.Labeled() {
+			out[v] = e.rankLabelVector(r, g.VertexLabel(v))
+		} else {
+			out[v] = basis[r]
+		}
+	}
+	return out
+}
+
+// encodeGraphSlow is the int8 reference encoding of g.
+func (e *Encoder) encodeGraphSlow(g *graph.Graph) *hdc.Bipolar {
+	vvecs := e.vertexVectors(g)
+	tie := refTie(e.cfg)
+	if len(vvecs) == 0 {
+		return tie
+	}
+	acc := hdc.NewAccumulator(e.cfg.Dimension)
+	if edges := g.Edges(); len(edges) > 0 {
+		for _, ed := range edges {
+			acc.Add(vvecs[ed.U].Bind(vvecs[ed.V]))
+		}
+	} else {
+		for _, hv := range vvecs {
+			acc.Add(hv)
+		}
+	}
+	return acc.Sign(tie)
+}
+
 // refTrainer is the int8 reference trainer the packed training path must
 // reproduce exactly: encodeGraphSlow encodings bundled into int32
 // accumulators with Accumulator.Add/Sub, queried with CosineToSums (or, in
@@ -142,33 +239,48 @@ func oracleGraphs(t *testing.T, name string) ([]*graph.Graph, []int, int) {
 	graphs, labels := slices.Clone(ds.Graphs), slices.Clone(ds.Labels)
 	k := ds.NumClasses()
 	for i, g := range ds.Graphs[:6] {
-		// A labeled copy of the graph, taking the reference encoder under
-		// UseVertexLabels.
-		b := graph.NewBuilder(g.NumVertices())
-		for _, e := range g.Edges() {
-			b.MustAddEdge(int(e.U), int(e.V))
-		}
-		vl := make([]int, g.NumVertices())
-		for v := range vl {
-			vl[v] = (v + i) % 3
-		}
-		if err := b.SetVertexLabels(vl); err != nil {
-			t.Fatal(err)
-		}
-		edgeless, err := graph.FromEdges(i+1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs = append(graphs, b.Build(), edgeless)
+		graphs = append(graphs, labeledCopy(t, g, i), edgelessGraph(t, i+1))
 		labels = append(labels, (ds.Labels[i]+1)%k, i%k)
 	}
-	empty, err := graph.FromEdges(0, nil)
+	graphs = append(graphs, edgelessGraph(t, 0))
+	labels = append(labels, 0)
+	return graphs, labels, k
+}
+
+// labeledCopy returns g with vertex v labeled (v+shift) mod 3, which
+// encodes through the (rank, label) basis under UseVertexLabels.
+func labeledCopy(t testing.TB, g *graph.Graph, shift int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(g.NumVertices())
+	for _, e := range g.Edges() {
+		b.MustAddEdge(int(e.U), int(e.V))
+	}
+	vl := make([]int, g.NumVertices())
+	for v := range vl {
+		vl[v] = (v + shift) % 3
+	}
+	if err := b.SetVertexLabels(vl); err != nil {
+		t.Fatal(err)
+	}
+	return b.Build()
+}
+
+// edgelessGraph returns n isolated vertices; n = 0 is the empty graph.
+func edgelessGraph(t testing.TB, n int) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs = append(graphs, empty)
-	labels = append(labels, 0)
-	return graphs, labels, k
+	return g
+}
+
+// withOddShapes returns graphs followed by a labeled copy of its first
+// graph, a labeled edgeless graph, an edgeless graph and the empty graph.
+func withOddShapes(t testing.TB, graphs []*graph.Graph) []*graph.Graph {
+	t.Helper()
+	return append(slices.Clone(graphs), labeledCopy(t, graphs[0], 1),
+		labeledCopy(t, edgelessGraph(t, 4), 2), edgelessGraph(t, 5), edgelessGraph(t, 0))
 }
 
 // TestPackedTrainingMatchesInt8Oracle pins every training and query entry
@@ -351,22 +463,18 @@ func checkQueries(t *testing.T, mode string, m *Model, ref *refTrainer, graphs [
 }
 
 // TestPackedBasisMatchesInt8Table checks the encoder's packed rank basis,
-// generated by index, against its int8 table word for word, with either
-// table grown first.
+// generated by index and grown in two steps, against the reference's
+// int8 table, drawn in stream order, word for word.
 func TestPackedBasisMatchesInt8Table(t *testing.T) {
 	for _, d := range []int{100, 1000, 10000, 10007} {
-		for _, int8First := range []bool{false, true} {
-			cfg := testConfig()
-			cfg.Dimension = d
-			enc := MustNewEncoder(cfg)
-			if int8First {
-				enc.ranks.Reserve(50)
-			}
-			packed := enc.packedSlice(50)
-			for r := range 50 {
-				if !packed[r].Equal(enc.ranks.Vector(r).PackBinary()) {
-					t.Fatalf("d=%d int8First=%v: rank %d packed basis differs from the int8 table", d, int8First, r)
-				}
+		cfg := testConfig()
+		cfg.Dimension = d
+		enc := MustNewEncoder(cfg)
+		enc.packedSlice(17)
+		packed := enc.packedSlice(50)
+		for r, want := range refRankVectors(cfg, 50) {
+			if !packed[r].Equal(want.PackBinary()) {
+				t.Fatalf("d=%d: rank %d packed basis differs from the int8 table", d, r)
 			}
 		}
 	}
@@ -472,8 +580,8 @@ func TestOnlineUpdateAllocationFree(t *testing.T) {
 }
 
 // TestFitAllocationBound: Fit on NCI1 at paper scale (4,110 graphs,
-// d = 10,000) allocates at most 2 KB per graph, by TotalAlloc, and builds
-// no int8 basis vector the reference encoder does not read.
+// d = 10,000) allocates at most 2 KB per graph, by TotalAlloc, and grows
+// the packed basis only to the largest graph.
 func TestFitAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector, so every chunk allocates a scratch")
@@ -496,16 +604,12 @@ func TestFitAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	// The int8 basis table grows only for edgeless graphs, which the
-	// reference encoder bundles from it.
-	wantInt8 := 0
+	maxN := 0
 	for _, g := range ds.Graphs {
-		if g.NumEdges() == 0 {
-			wantInt8 = max(wantInt8, g.NumVertices())
-		}
+		maxN = max(maxN, g.NumVertices())
 	}
-	if n := enc.ranks.Len(); n != wantInt8 {
-		t.Fatalf("Fit built %d int8 basis vectors, want %d", n, wantInt8)
+	if n := len(enc.packed); n != maxN {
+		t.Fatalf("Fit built %d packed basis vectors, want %d", n, maxN)
 	}
 	perGraph := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ds.Graphs))
 	t.Logf("Fit allocated %.0f B per graph over %d graphs", perGraph, len(ds.Graphs))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphhd/internal/dataset"
+	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
 )
 
@@ -114,5 +115,55 @@ func BenchmarkPredictEndToEndPacked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pred.Predict(g)
+	}
+}
+
+// BenchmarkPredictLabeled times Predictor.Predict per graph at d = 10,000
+// on MUTAG-shaped graphs whose vertices carry one of 7 labels, as MUTAG's
+// atoms do: with the labeled extension, where each graph fills its own
+// (rank, label) operand table, and without it, where the same graphs
+// read the shared rank basis.
+func BenchmarkPredictLabeled(b *testing.B) {
+	ds, err := dataset.Generate("MUTAG", dataset.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := hdc.NewRNG(7)
+	graphs := make([]*graph.Graph, len(ds.Graphs))
+	for i, g := range ds.Graphs {
+		bld := graph.NewBuilder(g.NumVertices())
+		for _, e := range g.Edges() {
+			bld.MustAddEdge(int(e.U), int(e.V))
+		}
+		vl := make([]int, g.NumVertices())
+		for v := range vl {
+			vl[v] = rng.Intn(7)
+		}
+		if err := bld.SetVertexLabels(vl); err != nil {
+			b.Fatal(err)
+		}
+		graphs[i] = bld.Build()
+	}
+	for _, leg := range []struct {
+		name   string
+		labels bool
+	}{{"labeled", true}, {"unlabeled", false}} {
+		b.Run(leg.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.UseVertexLabels = leg.labels
+			m, err := Train(cfg, graphs, ds.Labels)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pred := m.Snapshot()
+			for _, g := range graphs {
+				pred.Predict(g)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pred.Predict(graphs[i%len(graphs)])
+			}
+		})
 	}
 }

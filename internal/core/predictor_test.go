@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"graphhd/internal/dataset"
@@ -18,8 +21,8 @@ func TestEncodeGraphPackedMatchesEncodeGraph(t *testing.T) {
 		graph.BarabasiAlbert(20, 2, rng),
 		graph.Ring(12),
 		graph.Star(9),
-		graph.NewBuilder(5).Build(), // edgeless fallback
-		graph.NewBuilder(0).Build(), // empty fallback
+		graph.NewBuilder(5).Build(), // edgeless
+		graph.NewBuilder(0).Build(), // empty
 	}
 	for i, g := range graphs {
 		if !enc.EncodeGraphPacked(g).Equal(enc.EncodeGraph(g).PackBinary()) {
@@ -28,7 +31,7 @@ func TestEncodeGraphPackedMatchesEncodeGraph(t *testing.T) {
 	}
 }
 
-func TestEncodeGraphPackedLabeledFallback(t *testing.T) {
+func TestEncodeGraphPackedLabeled(t *testing.T) {
 	cfg := testConfig()
 	cfg.UseVertexLabels = true
 	enc := MustNewEncoder(cfg)
@@ -40,8 +43,9 @@ func TestEncodeGraphPackedLabeledFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	if !enc.EncodeGraphPacked(g).Equal(enc.EncodeGraph(g).PackBinary()) {
-		t.Fatal("labeled fallback differs from packed reference")
+	want := enc.encodeGraphSlow(g).PackBinary()
+	if !enc.EncodeGraphPacked(g).Equal(want) || !enc.EncodeGraph(g).PackBinary().Equal(want) {
+		t.Fatal("labeled encoding differs from the int8 reference")
 	}
 }
 
@@ -281,27 +285,80 @@ func TestPredictorMemoryBytes(t *testing.T) {
 	}
 }
 
+// TestEncodeEdgeUsesOnlyEndpointVectors: under the labeled extension a
+// one-edge graph encodes to the bind of its endpoints' (rank, label)
+// vectors, and the label of a vertex on no edge does not reach the
+// encoding.
 func TestEncodeEdgeUsesOnlyEndpointVectors(t *testing.T) {
-	// The labeled path must produce exactly two (rank,label) cache entries
-	// for an edge lookup — the regression guard for EncodeEdge
-	// materializing every vertex vector.
 	cfg := testConfig()
 	cfg.UseVertexLabels = true
 	enc := MustNewEncoder(cfg)
-	b := graph.NewBuilder(6)
-	for v := 1; v < 6; v++ {
-		b.MustAddEdge(0, v)
+	build := func(isolated int) *graph.Graph {
+		b := graph.NewBuilder(3)
+		b.MustAddEdge(0, 1)
+		if err := b.SetVertexLabels([]int{4, 5, isolated}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Build()
 	}
-	if err := b.SetVertexLabels([]int{0, 1, 2, 3, 4, 5}); err != nil {
+	g := build(6)
+	ranks := enc.Ranks(g)
+	edge := enc.rankLabelVector(ranks[0], 4).Bind(enc.rankLabelVector(ranks[1], 5))
+	if !enc.EncodeGraph(g).Equal(edge) {
+		t.Fatal("a one-edge labeled graph does not encode to the bind of its endpoint vectors")
+	}
+	if !enc.EncodeGraphPacked(build(7)).Equal(edge.PackBinary()) {
+		t.Fatal("the label of an isolated vertex changed the encoding")
+	}
+}
+
+// TestLabeledPredictConcurrent runs labeled predicts from four
+// goroutines on one predictor, so one encoder, against answers computed
+// one at a time; run it under -race. Each goroutine fills (rank, label)
+// tables in its own pooled scratches.
+func TestLabeledPredictConcurrent(t *testing.T) {
+	cfg := testConfig()
+	cfg.UseVertexLabels = true
+	gs, ys := twoClassDataset(12, 63)
+	for i := range gs {
+		gs[i] = labeledCopy(t, gs[i], i)
+	}
+	m, err := Train(cfg, gs, ys)
+	if err != nil {
 		t.Fatal(err)
 	}
-	g := b.Build()
-	edge := enc.EncodeEdge(g, 0, 1)
-	if got := len(enc.labelVecs); got > 2 {
-		t.Fatalf("EncodeEdge materialized %d vertex vectors, want ≤ 2", got)
+	pred := m.Snapshot()
+	want := make([]int, len(gs))
+	for i, g := range gs {
+		want[i] = pred.PredictEncoded(m.enc.encodeGraphSlow(g).PackBinary())
 	}
-	vv := enc.VertexVectors(g)
-	if !edge.Equal(vv[0].Bind(vv[1])) {
-		t.Fatal("EncodeEdge no longer binds the endpoint vectors")
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := pred.Encoder().NewScratch()
+			out := make([]int, len(gs))
+			for round := range 3 {
+				for i := range gs {
+					j := (i + w) % len(gs)
+					if c := pred.Predict(gs[j]); c != want[j] {
+						errs <- fmt.Sprintf("worker %d round %d: graph %d class %d, want %d", w, round, j, c, want[j])
+						return
+					}
+				}
+				pred.PredictBatchWith(s, gs, out)
+				if !slices.Equal(out, want) {
+					errs <- fmt.Sprintf("worker %d round %d: batch classes differ", w, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/graph"
@@ -10,30 +11,34 @@ import (
 
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
-// sort order), the rank slice, the rank-pair keys and operand pairs, the SWAR
-// majority counter, and the packed output hypervectors. Once its buffers
-// have grown to the largest batch seen, encoding unlabeled graphs with
-// edges performs zero heap allocations.
+// sort order), the rank slice, the rank-pair keys and operand pairs, the
+// (rank, label) operand table, the SWAR majority counter, and the packed
+// output hypervectors. Once its buffers have grown to the largest batch
+// seen, encoding performs zero heap allocations.
 //
-// Every encode path runs the same two steps over a batch of graphs; the
-// per-graph calls are batches of one:
+// Every graph, and every encode path, runs the same two steps over a
+// batch of graphs; the per-graph calls are batches of one:
 //
 //  1. group ranks each graph by centrality and turns its edges into
 //     packed (minRank, maxRank) keys, in edge order. An edge's bind
 //     vector depends only on the unordered rank pair of its endpoints
 //     (XNOR is commutative). graph.Builder drops self-loops and duplicate
 //     edges and ranks are a bijection, so a graph's keys are distinct.
+//     Under the labeled extension it also records a labeled graph's
+//     vertex labels in rank order.
 //  2. signInto walks one graph's keys into XNOR operand pairs read
-//     straight off the packed basis table, feeds them to the blocked
-//     carry-save kernels and takes the majority at the counter's current
-//     width.
+//     straight off its operand table — the shared packed basis, or, for
+//     a labeled graph, the (rank, label) vectors it fills in place —
+//     feeds them to the blocked carry-save kernels and takes the
+//     majority at the counter's current width. An edgeless graph
+//     bundles the table's first n vectors, its vertex vectors, instead.
 //
 // Bundling counts are exact integer sums, so operand order cannot
 // matter — the keys are never sorted — and every encoding is bit-for-bit
-// identical to the per-edge int8 reference (Encoder.encodeGraphSlow).
-// The keys and the basis snapshot do not depend on the width, which is
-// what lets the cascade re-sign a graph at full width after a
-// prefix-width pass without ranking it again.
+// identical to the per-edge int8 bundle of the paper's formulation (the
+// oracle in the package tests). The keys, labels and basis snapshot do
+// not depend on the width, which is what lets the cascade re-sign a
+// graph at full width after a prefix-width pass without ranking it again.
 //
 // Obtain one from Encoder.NewScratch, or rely on the Encoder and
 // Predictor APIs, which vend pooled scratches per call or per batch
@@ -53,24 +58,29 @@ type EncoderScratch struct {
 	packed  *hdc.Binary // full-width sign buffer for cascade escalations
 
 	// Grouping state of the last grouped batch: graph i's keys, in edge
-	// order, are keys[keyOff[i]:keyOff[i+1]], empty for graphs outside
-	// the packed fast path; basis is the packed basis-table snapshot the
-	// keys index.
-	keys   []uint64
-	keyOff []int
-	basis  []*hdc.Binary
-	// pairs holds the XNOR operand pairs of one graph at a time.
-	pairs []hdc.XorPair
+	// order, are keys[keyOff[i]:keyOff[i+1]], and its vertex labels in
+	// rank order labels[labelOff[i]:labelOff[i+1]], empty unless the
+	// graph is labeled under the labeled extension. basis is the packed
+	// basis-table snapshot the other graphs' keys index.
+	keys     []uint64
+	keyOff   []int
+	labels   []int
+	labelOff []int
+	basis    []*hdc.Binary
+	// labelTab is the (rank, label) operand table of one labeled graph
+	// at a time; it grows to the largest labeled graph encoded. pairs
+	// holds the XNOR operand pairs of one graph at a time.
+	labelTab []*hdc.Binary
+	pairs    []hdc.XorPair
 
 	// Per-graph outputs of the batch calls, full-width (outs) and
 	// prefix-width (pouts, rebuilt only when the width changes), and the
-	// cascade's worklists: the graphs the classify phase marked for
-	// full-width escalation and those outside the packed fast path.
+	// cascade's worklist of graphs the classify phase marked for
+	// full-width escalation.
 	outs   []*hdc.Binary
 	pouts  []*hdc.Binary
 	poutsD int
 	escIdx []int32
-	fbIdx  []int32
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
@@ -110,68 +120,89 @@ func (s *EncoderScratch) Ranks(g *graph.Graph) []int {
 }
 
 // group ranks every graph and builds its rank-pair key segment, one key
-// per edge in edge order — the "plan" stage of BatchTrace. Graphs
-// outside the packed fast path (the labeled extension, edgeless graphs;
-// see Encoder.EncodeGraph) get an empty segment.
+// per edge in edge order, and, for a labeled graph under the labeled
+// extension, its label segment — the "plan" stage of BatchTrace.
 func (s *EncoderScratch) group(graphs []*graph.Graph) {
 	e := s.enc
 	s.keys = s.keys[:0]
 	s.keyOff = append(s.keyOff[:0], 0)
+	s.labels = s.labels[:0]
+	s.labelOff = append(s.labelOff[:0], 0)
 	maxN := 0
 	for _, g := range graphs {
-		if !(e.cfg.UseVertexLabels && g.Labeled()) && g.NumEdges() > 0 {
-			maxN = max(maxN, g.NumVertices())
-			ranks := s.Ranks(g)
-			for _, ed := range g.Edges() {
-				ru, rv := ranks[ed.U], ranks[ed.V]
-				if ru > rv {
-					ru, rv = rv, ru
-				}
-				s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
+		ranks := s.Ranks(g)
+		for _, ed := range g.Edges() {
+			ru, rv := ranks[ed.U], ranks[ed.V]
+			if ru > rv {
+				ru, rv = rv, ru
 			}
+			s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
 		}
 		s.keyOff = append(s.keyOff, len(s.keys))
+		if e.labeled(g) {
+			off := len(s.labels)
+			s.labels = slices.Grow(s.labels, len(ranks))[:off+len(ranks)]
+			for v, r := range ranks {
+				s.labels[off+r] = g.VertexLabel(v)
+			}
+		} else {
+			maxN = max(maxN, g.NumVertices())
+		}
+		s.labelOff = append(s.labelOff, len(s.labels))
 	}
-	s.basis = nil
-	if maxN > 0 {
-		s.basis = e.packedSlice(maxN) // one lock round per batch
-	}
+	s.basis = e.packedSlice(maxN) // one lock round per batch
 }
 
-// collect walks graph gi's key segment into operand pairs,
-// reporting whether the graph is on the packed fast path (a non-empty
-// segment).
-func (s *EncoderScratch) collect(gi int) bool {
+// labelTable fills the scratch's (rank, label) table for one labeled
+// graph, given its vertex labels in rank order, and returns it: entry r
+// is the packed basis hypervector of rank r and that vertex's label.
+func (s *EncoderScratch) labelTable(labels []int) []*hdc.Binary {
+	e := s.enc
+	for len(s.labelTab) < len(labels) {
+		s.labelTab = append(s.labelTab, hdc.NewBinary(e.cfg.Dimension))
+	}
+	tab := s.labelTab[:len(labels)]
+	for r, l := range labels {
+		tab[r].FillRandom(hdc.NewRNG(e.rankLabelSeed(r, l)))
+	}
+	return tab
+}
+
+// signInto encodes graph gi of the last grouped batch, g, into dst at
+// the counter's current width. Bundles of up to hdc.MaxSmallSign pairs —
+// the common serving case — take the one-shot bit-sliced majority kernel
+// and skip the counter tiers; the rest, and the vertex bundles of
+// edgeless graphs, accumulate through the blocked carry-save front end
+// and sign through the counter.
+func (s *EncoderScratch) signInto(gi int, g *graph.Graph, dst *hdc.Binary) {
+	tab := s.basis
+	if lo, hi := s.labelOff[gi], s.labelOff[gi+1]; lo < hi {
+		tab = s.labelTable(s.labels[lo:hi])
+	}
+	tie := s.enc.tie
 	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
+	if len(seg) == 0 {
+		// Ranks are a bijection onto [0, n), so the vertex vectors are
+		// the table's first n entries. The empty graph signs to the tie.
+		s.counter.Reset()
+		s.counter.AddAll(tab[:g.NumVertices()])
+		s.counter.SignBinaryInto(tie, dst)
+		return
+	}
 	pairs := s.pairs[:0]
 	for _, k := range seg {
 		// XNOR of the packed endpoints is exactly the bipolar product
 		// under the bit 1 ↔ +1 mapping.
-		pairs = append(pairs, hdc.XorPair{A: s.basis[k>>32], B: s.basis[uint32(k)], Invert: true})
+		pairs = append(pairs, hdc.XorPair{A: tab[k>>32], B: tab[uint32(k)], Invert: true})
 	}
 	s.pairs = pairs
-	return len(seg) > 0
-}
-
-// signInto encodes graph gi into dst at the counter's current width,
-// reporting whether the graph is on the packed fast path. Bundles of up
-// to hdc.MaxSmallSign pairs — the common serving case — take the
-// one-shot bit-sliced majority kernel and skip the counter tiers; the
-// rest accumulate through the blocked carry-save front end and sign
-// through the counter.
-func (s *EncoderScratch) signInto(gi int, dst *hdc.Binary) bool {
-	if !s.collect(gi) {
-		return false
-	}
-	tie := s.enc.packedTie
-	if len(s.pairs) <= hdc.MaxSmallSign {
-		s.counter.SignXorPairsSmallInto(s.pairs, tie, dst)
-		return true
+	if len(pairs) <= hdc.MaxSmallSign {
+		s.counter.SignXorPairsSmallInto(pairs, tie, dst)
+		return
 	}
 	s.counter.Reset()
-	s.counter.AddXorPairs(s.pairs)
+	s.counter.AddXorPairs(pairs)
 	s.counter.SignBinaryInto(tie, dst)
-	return true
 }
 
 // PlanStats reports the last grouped batch's edge rank-pair instances
@@ -192,18 +223,14 @@ func (s *EncoderScratch) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
 }
 
 // signAll signs every graph of the last grouped batch at full width into
-// the scratch's per-graph output buffers. Graphs outside the packed fast
-// path take the reference encoder.
+// the scratch's per-graph output buffers.
 func (s *EncoderScratch) signAll(graphs []*graph.Graph) []*hdc.Binary {
-	e := s.enc
 	for len(s.outs) < len(graphs) {
-		s.outs = append(s.outs, hdc.NewBinary(e.cfg.Dimension))
+		s.outs = append(s.outs, hdc.NewBinary(s.enc.cfg.Dimension))
 	}
 	outs := s.outs[:len(graphs)]
 	for gi, g := range graphs {
-		if !s.signInto(gi, outs[gi]) {
-			outs[gi].CopyFrom(e.encodeGraphSlow(g).PackBinary())
-		}
+		s.signInto(gi, g, outs[gi])
 	}
 	return outs
 }
@@ -251,12 +278,7 @@ func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Bin
 	s.group(gs[:])
 	out := s.prefixOuts(d, 1)[0]
 	s.counter.SetDim(d)
-	ok := s.signInto(0, out)
+	s.signInto(0, g, out)
 	s.counter.SetDim(e.cfg.Dimension)
-	if ok {
-		return out
-	}
-	// Reference fallback (labeled extension, edgeless): encode at full
-	// width and slice — exact, by the componentwise identity.
-	return e.encodeGraphSlow(g).PackBinary().PrefixCopy(d)
+	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -198,4 +199,78 @@ func TestScratchSharedEncoderConcurrent(t *testing.T) {
 		t.Errorf("concurrent scratch encode mismatch on graph %v", k)
 		return true
 	})
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestEncoderMemoryBounded: an encoder keeps nothing per label value or
+// per graph shape seen. At d = 10,000, 200 labeled predicts with label
+// values no graph had before keep live heap within 1 MB of the heap after
+// the first, and a 2,000-vertex edgeless graph grows the heap as much as
+// a 2,000-vertex path does: by the packed basis of its ranks.
+func TestEncoderMemoryBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseVertexLabels = true
+	gs, ys := twoClassDataset(6, 71)
+	for i := range gs {
+		gs[i] = labeledCopy(t, gs[i], i)
+	}
+	m, err := Train(cfg, gs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := m.Snapshot()
+	// Copies of one graph whose every vertex carries a fresh label.
+	fresh := make([]*graph.Graph, 201)
+	for i := range fresh {
+		b := graph.NewBuilder(gs[0].NumVertices())
+		for _, e := range gs[0].Edges() {
+			b.MustAddEdge(int(e.U), int(e.V))
+		}
+		vl := make([]int, gs[0].NumVertices())
+		for v := range vl {
+			vl[v] = 100 + i*len(vl) + v
+		}
+		if err := b.SetVertexLabels(vl); err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = b.Build()
+	}
+	s := pred.Encoder().NewScratch()
+	pred.PredictWith(s, fresh[0])
+	before := liveHeap()
+	for _, g := range fresh[1:] {
+		pred.PredictWith(s, g)
+	}
+	if grew := liveHeap() - before; grew > 1<<20 {
+		t.Errorf("200 predicts with unseen labels grew live heap by %d B, want at most 1 MiB", grew)
+	}
+	runtime.KeepAlive(fresh)
+	runtime.KeepAlive(s)
+
+	growth := func(g *graph.Graph) (int64, int) {
+		enc := MustNewEncoder(DefaultConfig())
+		s := enc.NewScratch()
+		before := liveHeap()
+		s.EncodeGraphPacked(g)
+		grew := liveHeap() - before
+		runtime.KeepAlive(s)
+		return grew, len(enc.packed)
+	}
+	const n = 2000
+	pathGrew, pathBasis := growth(graph.Path(n))
+	edgelessGrew, edgelessBasis := growth(edgelessGraph(t, n))
+	t.Logf("%d-vertex path grew live heap by %d B, edgeless graph by %d B", n, pathGrew, edgelessGrew)
+	if pathBasis != n || edgelessBasis != n {
+		t.Fatalf("packed basis grew to %d vectors for the path and %d for the edgeless graph, want %d", pathBasis, edgelessBasis, n)
+	}
+	if edgelessGrew > pathGrew+1<<20 {
+		t.Fatalf("edgeless graph grew live heap by %d B, the path by %d B", edgelessGrew, pathGrew)
+	}
 }

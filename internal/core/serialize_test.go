@@ -216,10 +216,12 @@ func TestReadRejectsOversizedHeaderCheaply(t *testing.T) {
 
 // TestReadRejectsHostileHeaderFields covers header fields that parse but
 // must not load: a NaN damping factor (which slips past a plain range
-// check), a damping of 0 (which PageRank would read as 0.85) and a
+// check), a damping of 0 (which PageRank would read as 0.85), a
 // PageRank iteration count so large that every predict
-// would pin a worker for minutes. Both readers are checked on a GRAPHHD1
-// and a GRAPHHD2 record, and the iteration cap is checked at its edge.
+// would pin a worker for minutes, and an unknown centrality metric
+// (which would rank with PageRank and report "unknown"). Both readers
+// are checked on a GRAPHHD1 and a GRAPHHD2 record, and the iteration cap
+// is checked at its edge.
 func TestReadRejectsHostileHeaderFields(t *testing.T) {
 	gs, ys := twoClassDataset(5, 37)
 	m, err := Train(testConfig(), gs, ys)
@@ -233,7 +235,8 @@ func TestReadRejectsHostileHeaderFields(t *testing.T) {
 	if _, err := m.Snapshot().WriteTo(&packed); err != nil {
 		t.Fatal(err)
 	}
-	// Header offsets: magic 0, dim 8, prIters 12, damping 16.
+	// Header offsets: magic 0, dim 8, prIters 12, damping 16, seed 24,
+	// flags 32, metric 36.
 	patch := func(rec []byte, off int, v any) []byte {
 		out := bytes.Clone(rec)
 		var b bytes.Buffer
@@ -268,6 +271,14 @@ func TestReadRejectsHostileHeaderFields(t *testing.T) {
 		}
 		if err := c.read(patch(c.rec, 12, uint32(maxPageRankIterations))); err != nil {
 			t.Errorf("%s: %d iterations (the cap) refused: %v", c.name, maxPageRankIterations, err)
+		}
+		for _, metric := range []uint32{uint32(centrality.Closeness) + 1, 9, math.MaxUint32} {
+			if err := c.read(patch(c.rec, 36, metric)); err == nil || !strings.Contains(err.Error(), "centrality") {
+				t.Errorf("%s: metric %d: err = %v, want a centrality error", c.name, metric, err)
+			}
+		}
+		if err := c.read(patch(c.rec, 36, uint32(centrality.Closeness))); err != nil {
+			t.Errorf("%s: closeness metric refused: %v", c.name, err)
 		}
 	}
 }

@@ -283,7 +283,7 @@ func RunCentralityAblation(graphCount int, seed uint64) ([]AblationCell, error) 
 // RunBackendComparison times graph encoding under the two equivalent
 // pipelines (A5): the reference int8 bipolar path (materialized binds
 // accumulated in int32 sums, a fresh accumulator per graph as in
-// core's encodeGraphSlow) and the bit-sliced packed path the production
+// core's int8 test oracle) and the bit-sliced packed path the production
 // encoder uses (XNOR word binds through the carry-save counter — see
 // hdc.BitCounter). The cell's TrainTime is the wall time to encode the
 // whole dataset. Both must produce bit-identical hypervectors: after the

@@ -162,11 +162,13 @@ func skipSpace(data []byte, i int) int {
 
 // CodecLimits bounds what a decoded graph may look like, protecting a
 // server from hostile or accidental oversized payloads. The zero value
-// applies DefaultCodecLimits. The vertex and label caps matter beyond
-// payload size: an Encoder lazily materializes and permanently caches one
-// basis hypervector per centrality rank (bounded by the largest vertex
-// count ever seen) and per (rank, label) pair, so unbounded wire graphs
-// would translate into unbounded server memory.
+// applies DefaultCodecLimits. The vertex cap matters beyond payload
+// size: an Encoder lazily materializes and permanently keeps one packed
+// basis hypervector per centrality rank, up to the largest vertex count
+// it has encoded, so unbounded wire graphs would translate into
+// unbounded server memory. There is no (rank, label) cache: a labeled
+// graph's vertex hypervectors are generated into its encoding scratch's
+// table, which the same cap bounds, so label values cost no memory.
 type CodecLimits struct {
 	// MaxVertices caps NumVertices; non-positive selects the default.
 	MaxVertices int
@@ -179,9 +181,10 @@ type CodecLimits struct {
 
 // DefaultCodecLimits are generous for graph-classification workloads —
 // Table-I graphs average a few hundred vertices, and the Figure 4 scaling
-// study tops out at ~10^4 — while keeping the worst-case basis-vector
-// cache a server can be forced to populate modest (at d = 10,000,
-// MaxVertices rank vectors cost ~d·9/8 bytes each, ~184 MB total).
+// study tops out at ~10^4 — while keeping the worst-case basis table a
+// server can be forced to populate modest: at d = 10,000 a packed rank
+// vector costs d/8 bytes, so MaxVertices of them take about 20.6 MB, and
+// so does one encoding scratch's (rank, label) table at its largest.
 var DefaultCodecLimits = CodecLimits{MaxVertices: 1 << 14, MaxEdges: 1 << 20, MaxVertexLabel: 1 << 16}
 
 func (l CodecLimits) resolve() CodecLimits {

@@ -160,24 +160,16 @@ func equalSums(a, b *Accumulator) bool {
 }
 
 // TestItemMemoryPackedVectorMatchesTable checks the packed basis, drawn
-// by index from the stream, against the int8 table word for word, with
-// either table grown first.
+// by index from the stream, against the int8 vectors drawn in order from
+// it, word for word.
 func TestItemMemoryPackedVectorMatchesTable(t *testing.T) {
 	for _, d := range []int{100, 1000, 10000, 10007} {
-		for _, int8First := range []bool{false, true} {
-			m := NewItemMemory(d, 0x5eed^uint64(d))
-			var packed []*Binary
-			if int8First {
-				m.Reserve(50)
-			}
-			for r := 49; r >= 0; r-- { // out of order: generation is by index
-				packed = append(packed, m.PackedVector(r))
-			}
-			for i, p := range packed {
-				r := 49 - i
-				if !p.Equal(m.Vector(r).PackBinary()) {
-					t.Fatalf("d=%d int8First=%v: rank %d packed vector differs from the table", d, int8First, r)
-				}
+		seed := 0x5eed ^ uint64(d)
+		m := NewItemMemory(d, seed)
+		want := streamVectors(d, seed, 50)
+		for r := 49; r >= 0; r-- { // out of order: generation is by index
+			if !m.PackedVector(r).Equal(want[r].PackBinary()) {
+				t.Fatalf("d=%d: rank %d packed vector differs from the stream", d, r)
 			}
 		}
 	}

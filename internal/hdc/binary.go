@@ -29,8 +29,16 @@ func NewBinary(d int) *Binary {
 }
 
 // RandomBinary draws a uniform random binary hypervector of dimension d.
+// It equals RandomBipolar(d, rng).PackBinary() for a generator in the
+// same state: both take component i from bit i mod 64 of the generator's
+// ⌊i/64⌋-th output.
 func RandomBinary(d int, rng *RNG) *Binary {
-	b := NewBinary(d)
+	return NewBinary(d).FillRandom(rng)
+}
+
+// FillRandom overwrites b with the next ⌈d/64⌉ outputs of rng, tail
+// masked: RandomBinary in place, with no allocation. Returns b.
+func (b *Binary) FillRandom(rng *RNG) *Binary {
 	for i := range b.words {
 		b.words[i] = rng.Uint64()
 	}

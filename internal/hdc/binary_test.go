@@ -22,6 +22,25 @@ func TestRandomBinaryTailMasked(t *testing.T) {
 	}
 }
 
+// TestFillRandomMatchesRandomBipolar: filling a used vector in place
+// gives RandomBipolar's vector for the same generator state, packed,
+// without allocating.
+func TestFillRandomMatchesRandomBipolar(t *testing.T) {
+	for _, d := range []int{1, 64, 70, 150, 256, 1000, 10000} { // 1, 1, 2, 3, 4, 16 and 157 words
+		b := NewBinary(d)
+		for i := range b.words {
+			b.words[i] = ^uint64(0) // stale contents must not survive
+		}
+		b.FillRandom(NewRNG(uint64(d)))
+		if !b.Equal(RandomBipolar(d, NewRNG(uint64(d))).PackBinary()) {
+			t.Fatalf("d=%d: FillRandom differs from RandomBipolar", d)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { b.FillRandom(NewRNG(3)) }); allocs != 0 {
+			t.Fatalf("d=%d: FillRandom allocated %v times per run, want 0", d, allocs)
+		}
+	}
+}
+
 func TestBinaryBindSelfInverse(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

@@ -598,8 +598,9 @@ func (c *BitCounter) SignBipolarInto(tie, dst *Bipolar) *Bipolar {
 func (c *BitCounter) SignBinaryInto(tie, dst *Binary) *Binary {
 	// tie may be wider than the counter (prefix slicing): tie bits land in
 	// the output only on exact ties, which cannot occur past dimension d
-	// (those components hold zero count, and 0 == n/2 only for n == 0).
-	// dst is canonical output and must match exactly.
+	// (those components hold zero count, and 0 == n/2 only for n == 0, an
+	// empty bundle, whose tail word the SWAR path masks). dst is canonical
+	// output and must match exactly.
 	c.checkOperand(tie.d)
 	if c.d != dst.d {
 		panic(fmt.Sprintf("hdc: destination dimension %d, want %d", dst.d, c.d))
@@ -679,6 +680,9 @@ func (c *BitCounter) signBinarySWAR(tie, dst *Binary) bool {
 		}
 		dst.words[w] = out
 	}
+	// With n == 0 every count ties, the zero counts past dimension d
+	// too, and those took the bits of a wider tie.
+	dst.maskTail()
 	return true
 }
 

@@ -368,3 +368,17 @@ func TestSignBinaryIntoAliasingTie(t *testing.T) {
 	dst := tie.Clone()
 	ref.checkSign(t, "dst aliasing tie", tie, c.SignBinaryInto(dst, dst))
 }
+
+// TestSignBinaryIntoEmptyWideTie: an empty bundle — an empty graph's —
+// signs to the tie, and a tie wider than the narrowed counter leaves no
+// bit set past the counter's dimension.
+func TestSignBinaryIntoEmptyWideTie(t *testing.T) {
+	tie := RandomBinary(256, NewRNG(4))
+	c := NewBitCounter(256)
+	for _, d := range []int{256, 200, 70, 1} {
+		c.SetDim(d)
+		if got := c.SignBinaryInto(tie, NewBinary(d)); !got.Equal(tie.PrefixCopy(d)) {
+			t.Fatalf("d=%d: empty bundle did not sign to the tie's prefix", d)
+		}
+	}
+}

@@ -2,89 +2,46 @@ package hdc
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// ItemMemory is a lazily grown table of basis hypervectors indexed by
-// integer symbol id. GraphHD uses one to map a vertex's PageRank rank to
-// its basis hypervector: rank r in any graph of the dataset retrieves the
-// same random hypervector, which is what makes vertices of different
-// graphs comparable.
+// ItemMemory maps integer symbol ids to basis hypervectors. GraphHD uses
+// one to map a vertex's centrality rank to its basis hypervector: rank r
+// in any graph of the dataset retrieves the same random hypervector,
+// which is what makes vertices of different graphs comparable.
 //
-// The memory is safe for concurrent use; parallel per-fold training shares
-// a single basis set.
+// The memory holds no table: vector id is a fixed stretch of the
+// memory's random stream, generated by index on request. It is immutable
+// and therefore safe for concurrent use.
 type ItemMemory struct {
-	mu   sync.RWMutex
 	dim  int
 	seed uint64
-	rng  *RNG
-	vecs []*Bipolar
 }
 
-// NewItemMemory returns an empty item memory producing hypervectors of
+// NewItemMemory returns an item memory producing hypervectors of
 // dimension dim, seeded deterministically with seed.
 func NewItemMemory(dim int, seed uint64) *ItemMemory {
 	if dim <= 0 {
 		panic("hdc: non-positive dimension")
 	}
-	return &ItemMemory{dim: dim, seed: seed, rng: NewRNG(seed)}
+	return &ItemMemory{dim: dim, seed: seed}
 }
 
 // Dim returns the dimensionality of the stored hypervectors.
 func (m *ItemMemory) Dim() int { return m.dim }
 
-// Len returns the number of symbols materialized so far.
-func (m *ItemMemory) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.vecs)
-}
-
-// Vector returns the basis hypervector for symbol id, generating (and
-// caching) hypervectors for all ids up to and including id on first use.
-// Because generation order is fixed (0, 1, 2, ...), the vector associated
-// with a given id is independent of the access pattern.
-func (m *ItemMemory) Vector(id int) *Bipolar {
-	if id < 0 {
-		panic(fmt.Sprintf("hdc: negative symbol id %d", id))
-	}
-	m.mu.RLock()
-	if id < len(m.vecs) {
-		v := m.vecs[id]
-		m.mu.RUnlock()
-		return v
-	}
-	m.mu.RUnlock()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for id >= len(m.vecs) {
-		m.vecs = append(m.vecs, RandomBipolar(m.dim, m.rng))
-	}
-	return m.vecs[id]
-}
-
-// PackedVector returns Vector(id) in bit-packed form, generated straight
-// from the memory's random stream: vector id is drawn from outputs
-// id·W+1 … id·W+W of the stream (W = ⌈dim/64⌉ words, tail masked), so it
-// needs neither the int8 table nor the vectors before it. The result is
-// freshly allocated and not cached; it equals Vector(id).PackBinary() bit
-// for bit.
+// PackedVector returns the basis hypervector of symbol id in bit-packed
+// form. Vector id is drawn from outputs id·W+1 … id·W+W of the stream
+// seeded with the memory's seed (W = ⌈dim/64⌉ words, tail masked), so it
+// equals the id-th of RandomBipolar calls made in order on NewRNG(seed),
+// packed, and needs none of the vectors before it. The result is freshly
+// allocated and not cached.
 func (m *ItemMemory) PackedVector(id int) *Binary {
 	if id < 0 {
 		panic(fmt.Sprintf("hdc: negative symbol id %d", id))
 	}
 	words := uint64((m.dim + 63) / 64)
 	return RandomBinary(m.dim, NewRNG(m.seed+uint64(id)*words*gamma))
-}
-
-// Reserve eagerly materializes basis vectors for ids [0, n). Useful to
-// avoid lock contention before a parallel section.
-func (m *ItemMemory) Reserve(n int) {
-	if n > 0 {
-		m.Vector(n - 1)
-	}
 }
 
 // AssociativeMemory stores one integer-accumulator class vector per class

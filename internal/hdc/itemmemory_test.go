@@ -6,12 +6,22 @@ import (
 	"testing"
 )
 
+// streamVectors is the reference basis of an item memory: its first n
+// vectors drawn in order from one generator seeded with seed, as the
+// memory's int8 table once drew them.
+func streamVectors(dim int, seed uint64, n int) []*Bipolar {
+	rng := NewRNG(seed)
+	out := make([]*Bipolar, n)
+	for i := range out {
+		out[i] = RandomBipolar(dim, rng)
+	}
+	return out
+}
+
 func TestItemMemoryStable(t *testing.T) {
 	m := NewItemMemory(256, 1)
-	v1 := m.Vector(5)
-	v2 := m.Vector(5)
-	if v1 != v2 {
-		t.Fatal("repeated lookup returned different pointers")
+	if !m.PackedVector(5).Equal(m.PackedVector(5)) {
+		t.Fatal("repeated lookup returned different vectors")
 	}
 }
 
@@ -19,14 +29,12 @@ func TestItemMemoryAccessOrderIndependent(t *testing.T) {
 	a := NewItemMemory(256, 9)
 	b := NewItemMemory(256, 9)
 	// Access in different orders; vectors must agree id-by-id.
-	for _, id := range []int{7, 2, 5} {
-		a.Vector(id)
+	got := map[int]*Binary{}
+	for _, id := range []int{7, 2, 5, 0} {
+		got[id] = a.PackedVector(id)
 	}
 	for _, id := range []int{0, 5, 7, 2} {
-		b.Vector(id)
-	}
-	for id := 0; id <= 7; id++ {
-		if !a.Vector(id).Equal(b.Vector(id)) {
+		if !got[id].Equal(b.PackedVector(id)) {
 			t.Fatalf("vector %d differs across access orders", id)
 		}
 	}
@@ -36,7 +44,7 @@ func TestItemMemoryDistinctSymbolsQuasiOrthogonal(t *testing.T) {
 	m := NewItemMemory(10000, 2)
 	for i := 0; i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			if c := math.Abs(m.Vector(i).Cosine(m.Vector(j))); c > 0.05 {
+			if c := math.Abs(m.PackedVector(i).Cosine(m.PackedVector(j))); c > 0.05 {
 				t.Fatalf("|cos(V%d, V%d)| = %f, want near 0", i, j, c)
 			}
 		}
@@ -49,41 +57,32 @@ func TestItemMemoryNegativePanics(t *testing.T) {
 			t.Fatal("expected panic for negative id")
 		}
 	}()
-	NewItemMemory(16, 1).Vector(-1)
+	NewItemMemory(16, 1).PackedVector(-1)
 }
 
+// TestItemMemoryConcurrent draws vectors from eight goroutines at once;
+// run it under -race. Every draw must equal the reference stream's.
 func TestItemMemoryConcurrent(t *testing.T) {
 	m := NewItemMemory(128, 3)
+	want := streamVectors(128, 3, 64)
 	var wg sync.WaitGroup
-	vecs := make([]*Bipolar, 64)
+	errs := make(chan int, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for id := 0; id < 64; id++ {
-				v := m.Vector(id)
-				_ = v
+			for id := 63; id >= 0; id-- {
+				if !m.PackedVector(id).Equal(want[id].PackBinary()) {
+					errs <- id
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	for id := range vecs {
-		vecs[id] = m.Vector(id)
-	}
-	if m.Len() != 64 {
-		t.Fatalf("len = %d, want 64", m.Len())
-	}
-}
-
-func TestItemMemoryReserve(t *testing.T) {
-	m := NewItemMemory(64, 4)
-	m.Reserve(10)
-	if m.Len() != 10 {
-		t.Fatalf("len after Reserve(10) = %d", m.Len())
-	}
-	m.Reserve(0) // no-op
-	if m.Len() != 10 {
-		t.Fatal("Reserve(0) changed length")
+	close(errs)
+	for id := range errs {
+		t.Errorf("concurrent draw of vector %d differs from the stream", id)
 	}
 }
 
