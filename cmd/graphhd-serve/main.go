@@ -2,7 +2,8 @@
 // GraphHD model artifacts (GRAPHHD1, GRAPHHD2 or GRAPHHD3, see cmd/graphhd
 // -save / -save-packed) into a multi-tenant model registry and serves
 // classifications over HTTP through a router that admits requests onto
-// one micro-batching engine per model (internal/serve).
+// one engine per model (internal/serve). An engine encodes each request on
+// the goroutine that serves it, under one of -workers encode slots.
 //
 // Usage:
 //
@@ -150,9 +151,9 @@ func main() {
 		tenantQuota = flag.Int("tenant-quota", 0, "per-tenant in-flight graph quota, shed with 429 before queueing (0 = unlimited)")
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		debugAddr   = flag.String("debug-addr", "", "diagnostics listen address (pprof, expvar, runtime stats); keep it loopback/operator-only — empty disables")
-		workers     = flag.Int("workers", 0, "inference workers per model (0 = all cores)")
-		maxBatch    = flag.Int("max-batch", 0, "most graphs a worker gathers into one micro-batch (0 = default)")
-		queueSize   = flag.Int("queue", 0, "admission queue bound in graphs per model (0 = default)")
+		workers     = flag.Int("workers", 0, "encode slots per model: how many encode calls run at once (0 = all cores)")
+		maxBatch    = flag.Int("max-batch", 0, "most graphs one encode call takes: batch requests split into segments of this size (0 = default 64)")
+		queueSize   = flag.Int("queue", 0, "graphs per model admitted to wait for an encode slot; past it requests get 429 (0 = default 4096)")
 		traceDepth  = flag.Int("trace-depth", 0, "flight-recorder capacity per model in per-batch trace records, rounded up to a power of two (0 = default 256)")
 		classNames  = flag.String("class-names", "", "comma-separated class names echoed in default-model responses")
 		maxVerts    = flag.Int("max-vertices", 0, "per-request vertex cap (0 = default; bounds server-side basis-vector memory)")

@@ -125,8 +125,8 @@ func inspectModel(path string) {
 // inspectTraces fetches a running server's flight recorder
 // (GET /debug/traces) and prints the retained per-batch records as a
 // table, newest first: where each batch's microseconds went
-// (queue/dispatch/plan/encode/classify/escalate), its shape (graphs,
-// coalesced tasks) and its cascade outcome.
+// (queue/plan/encode/classify/escalate), its size in graphs and its
+// cascade outcome.
 func inspectTraces(base string) {
 	url := strings.TrimRight(base, "/") + "/debug/traces"
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -151,17 +151,17 @@ func inspectTraces(base string) {
 		return
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("%8s %-15s %6s %5s %9s %9s %8s %8s %9s %9s %9s %-14s %s\n",
-		"seq", "time", "graphs", "tasks", "queue_us", "disp_us", "plan_us",
+	fmt.Printf("%8s %-15s %6s %9s %8s %8s %9s %9s %9s %-14s %s\n",
+		"seq", "time", "graphs", "queue_us", "plan_us",
 		"enc_us", "class_us", "esc_us", "total_us", "cascade", "kern")
 	for _, r := range tr.Traces {
 		casc := "off"
 		if r.Cascade {
 			casc = fmt.Sprintf("%d+%d esc", r.Stage1, r.Escalated)
 		}
-		fmt.Printf("%8d %-15s %6d %5d %9.1f %9.1f %8.1f %8.1f %9.1f %9.1f %9.1f %-14s %s\n",
-			r.Seq, r.Time.Format("15:04:05.000"), r.BatchSize, r.Tasks,
-			us(r.QueueWaitNanos), us(r.DispatchNanos), us(r.PlanNanos),
+		fmt.Printf("%8d %-15s %6d %9.1f %8.1f %8.1f %9.1f %9.1f %9.1f %-14s %s\n",
+			r.Seq, r.Time.Format("15:04:05.000"), r.BatchSize,
+			us(r.QueueWaitNanos), us(r.PlanNanos),
 			us(r.EncodeNanos), us(r.ClassifyNanos), us(r.EscalateNanos),
 			us(r.TotalNanos), casc, r.Kernel)
 	}

@@ -103,44 +103,43 @@ func (p *Predictor) PrefixSnapshot(d int) (*hdc.PackedMemory, error) {
 
 // PredictCascadeWith classifies g through the two-stage cascade using a
 // caller-owned scratch, reporting whether the decision escalated to full
-// dimension. It is PredictBatchCascadeWith on a batch of one: without an
-// active cascade it behaves as PredictWith (never escalated); otherwise
-// the stage-1 winner is returned when its margin clears the band, and
-// the decision is re-made at full width — identical to PredictWith —
-// when it does not.
+// dimension. It is PredictBatchCascadeTraced on a batch of one: without
+// an active cascade it behaves as PredictWith (never escalated);
+// otherwise the stage-1 winner is returned when its margin clears the
+// band, and the decision is re-made at full width — identical to
+// PredictWith — when it does not.
 func (p *Predictor) PredictCascadeWith(s *EncoderScratch, g *graph.Graph) (class int, escalated bool) {
 	gs := [1]*graph.Graph{g}
 	var out [1]int
-	_, esc := p.PredictBatchCascadeTraced(s, gs[:], out[:], nil)
+	_, esc, _ := p.PredictBatchCascadeTraced(s, gs[:], out[:], nil)
 	return out[0], esc > 0
 }
 
-// PredictBatchCascadeWith is the serving cascade primitive: it encodes
-// the whole micro-batch ONCE at stage-1 width, returns every unambiguous
+// PredictBatchCascadeTraced is the serving cascade primitive: it encodes
+// the whole batch ONCE at stage-1 width, returns every unambiguous
 // stage-1 answer, and escalates only the ambiguous graphs to full width —
 // reusing the batch's centrality ranks and rank-pair grouping, so an
 // escalation pays one extra full-width sign, not a second ranking pass.
 // Classes land in out (len(out) must equal len(graphs)); the counts of
-// stage-1 decisions and escalations feed the serve metrics. Without an
-// active cascade it runs PredictBatchWith and reports zero for both
+// stage-1 decisions and escalations feed the serve metrics.
+//
+// The cascade configuration is loaded once per call, and cascaded
+// reports whether this call ran it: a concurrent SetCascade or
+// ClearCascade takes effect at the next call, never inside one. Without
+// an active cascade it runs PredictBatchTraced and reports zero for both
 // counters.
-func (p *Predictor) PredictBatchCascadeWith(s *EncoderScratch, graphs []*graph.Graph, out []int) (stage1, escalated int) {
-	return p.PredictBatchCascadeTraced(s, graphs, out, nil)
-}
-
-// PredictBatchCascadeTraced is PredictBatchCascadeWith with an optional
-// stage clock: when tr is non-nil, the plan/encode/classify/escalate
-// phase wall times land in it. The cascade runs in four phases — rank
-// and group every graph, sign every graph into per-graph prefix buffers,
-// run the stage-1 margin test over all of them collecting the ambiguous
+//
+// When tr is non-nil, the plan/encode/classify/escalate phase wall
+// times land in it. The cascade runs in four phases — rank and group
+// every graph, sign every graph into per-graph prefix buffers, run the
+// stage-1 margin test over all of them collecting the ambiguous
 // indices, then escalate that worklist at full width — so each stamp is
-// one clock read per phase, never per graph. Classes and counters are
-// identical to PredictBatchCascadeWith.
-func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) (stage1, escalated int) {
+// one clock read per phase, never per graph.
+func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) (stage1, escalated int, cascaded bool) {
 	cs := p.cascade.Load()
 	if cs == nil {
 		p.PredictBatchTraced(s, graphs, out, tr)
-		return 0, 0
+		return 0, 0, false
 	}
 	if s.enc != p.enc {
 		panic("core: scratch bound to a different encoder")
@@ -193,5 +192,5 @@ func (p *Predictor) PredictBatchCascadeTraced(s *EncoderScratch, graphs []*graph
 	if tr != nil {
 		tr.stamp(&tr.EscalateNanos, t)
 	}
-	return stage1, escalated
+	return stage1, escalated, true
 }

@@ -23,11 +23,11 @@ func BenchmarkPredictBatchCascade(b *testing.B) {
 	s := pred.Encoder().NewScratch()
 	graphs := ds.Graphs[:32]
 	out := make([]int, len(graphs))
-	pred.PredictBatchCascadeWith(s, graphs, out)
+	pred.PredictBatchCascadeTraced(s, graphs, out, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred.PredictBatchCascadeWith(s, graphs, out)
+		pred.PredictBatchCascadeTraced(s, graphs, out, nil)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(graphs)), "ns/graph")

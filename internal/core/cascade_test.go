@@ -186,7 +186,7 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 					hi := min(lo+size, len(ds.Graphs))
 					batch := ds.Graphs[lo:hi]
 					out := make([]int, len(batch))
-					s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
+					s1, esc, _ := pred.PredictBatchCascadeTraced(bs, batch, out, nil)
 					if n := countTrue(wantEsc[lo:hi]); esc != n || s1 != len(batch)-n {
 						t.Fatalf("size %d: stage1 %d, escalated %d; reference escalates %d of %d", size, s1, esc, n, len(batch))
 					}
@@ -217,7 +217,7 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 			if err := pred.SetCascade(Cascade{DPrefix: 256, Margin: 256}); err != nil {
 				t.Fatal(err)
 			}
-			s1, esc := pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
+			s1, esc, _ := pred.PredictBatchCascadeTraced(bs, ds.Graphs, out, nil)
 			if s1 != 0 {
 				t.Fatalf("always-escalate margin left %d stage-1 decisions", s1)
 			}
@@ -235,9 +235,9 @@ func TestCascadeBatchMatchesSingleAllDatasets(t *testing.T) {
 			if _, on := pred.Cascade(); on {
 				t.Fatal("Cascade() reports active after ClearCascade")
 			}
-			s1, esc = pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
-			if s1 != 0 || esc != 0 {
-				t.Fatalf("cleared cascade reported counters %d/%d", s1, esc)
+			s1, esc, on := pred.PredictBatchCascadeTraced(bs, ds.Graphs, out, nil)
+			if on || s1 != 0 || esc != 0 {
+				t.Fatalf("cleared cascade reported cascaded %v, counters %d/%d", on, s1, esc)
 			}
 			for i := range out {
 				if out[i] != full[i] {
@@ -273,7 +273,7 @@ func TestCascadeMixedWidthScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := cascadeReference(t, pred, ds.Graphs, refs)
-		pred.PredictBatchCascadeWith(bs, ds.Graphs, out)
+		pred.PredictBatchCascadeTraced(bs, ds.Graphs, out, nil)
 		for i := range ds.Graphs {
 			if out[i] != want[i] {
 				t.Fatalf("round %d (dp=%d): graph %d class %d, reference %d", round, c.DPrefix, i, out[i], want[i])
@@ -384,7 +384,7 @@ func TestPredictCascadeEdgeless(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, wantEsc := cascadeReference(t, pred, batch, refs)
-		s1, esc := pred.PredictBatchCascadeWith(bs, batch, out)
+		s1, esc, _ := pred.PredictBatchCascadeTraced(bs, batch, out, nil)
 		if n := countTrue(wantEsc); esc != n || s1 != len(batch)-n {
 			t.Fatalf("%+v: stage1 %d, escalated %d; reference escalates %d of %d", c, s1, esc, n, len(batch))
 		}

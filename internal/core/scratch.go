@@ -84,9 +84,9 @@ type EncoderScratch struct {
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
-// per-goroutine reuse themselves (serving workers, the benchmark
-// harness). Everything else can rely on the pooled scratches behind the
-// Encoder and Predictor APIs.
+// reuse themselves (the serving engine's slots, the benchmark harness).
+// Everything else can rely on the pooled scratches behind the Encoder
+// and Predictor APIs.
 func (e *Encoder) NewScratch() *EncoderScratch {
 	d := e.cfg.Dimension
 	return &EncoderScratch{
@@ -95,6 +95,9 @@ func (e *Encoder) NewScratch() *EncoderScratch {
 		packed:  hdc.NewBinary(d),
 	}
 }
+
+// Encoder returns the encoder s is bound to.
+func (s *EncoderScratch) Encoder() *Encoder { return s.enc }
 
 // NewBatchScratch is NewScratch. It remains because the perfbench
 // harness calls it by this name.

@@ -61,11 +61,14 @@ func TestPredictBatchCascadeTraced(t *testing.T) {
 	bs := pred.Encoder().NewScratch()
 
 	want := make([]int, len(gs))
-	wantS1, wantEsc := pred.PredictBatchCascadeWith(bs, gs, want)
+	wantS1, wantEsc, _ := pred.PredictBatchCascadeTraced(bs, gs, want, nil)
 
 	var tr BatchTrace
 	got := make([]int, len(gs))
-	s1, esc := pred.PredictBatchCascadeTraced(bs, gs, got, &tr)
+	s1, esc, on := pred.PredictBatchCascadeTraced(bs, gs, got, &tr)
+	if !on {
+		t.Fatal("cascade configured, but the call reports it did not run")
+	}
 	if s1 != wantS1 || esc != wantEsc {
 		t.Fatalf("traced counters (%d, %d) != untraced (%d, %d)", s1, esc, wantS1, wantEsc)
 	}
@@ -88,9 +91,9 @@ func TestPredictBatchCascadeTraced(t *testing.T) {
 	// batch path, counters zero.
 	pred.ClearCascade()
 	var plain BatchTrace
-	s1, esc = pred.PredictBatchCascadeTraced(bs, gs, got, &plain)
-	if s1 != 0 || esc != 0 {
-		t.Fatalf("no-cascade counters (%d, %d), want (0, 0)", s1, esc)
+	s1, esc, on = pred.PredictBatchCascadeTraced(bs, gs, got, &plain)
+	if on || s1 != 0 || esc != 0 {
+		t.Fatalf("no-cascade call reports cascaded %v, counters (%d, %d), want false, (0, 0)", on, s1, esc)
 	}
 	if plain.PlanNanos <= 0 || plain.EscalateNanos != 0 {
 		t.Fatalf("no-cascade trace: %+v", plain)

@@ -18,7 +18,9 @@ import (
 //   - Byte lanes. The overflow and the drain land in byte-wide SWAR
 //     counters, eight components per word.
 //   - int32 counts. The byte lanes flush into them before any byte can
-//     pass 255.
+//     pass 255. They are allocated at the first flush: a counter that
+//     only ever signs bundles of up to 127 operands, or folds up to 255
+//     units of weight, never holds them.
 //
 // While every count is still in the byte lanes, majority signs and the
 // fold into class sums read them there (SignBinaryInto's SWAR path,
@@ -40,7 +42,8 @@ type BitCounter struct {
 	// dcap is the construction-time dimension: the capacity ceiling for
 	// SetDim. All tier storage is sized for dcap; d ≤ dcap selects the
 	// active prefix. countsAll is the full-capacity int32 slab that counts
-	// re-slices into at the active width.
+	// re-slices into at the active width; both stay nil until the first
+	// flush.
 	dcap      int
 	countsAll []int32
 	// byteLo[j]/byteHi[j]: byte counters. Byte k of byteLo[j][w] counts
@@ -105,8 +108,7 @@ func NewBitCounter(d int) *BitCounter {
 		panic("hdc: non-positive dimension")
 	}
 	w := (d + 63) / 64
-	c := &BitCounter{d: d, dcap: d, words: w, counts: make([]int32, d)}
-	c.countsAll = c.counts
+	c := &BitCounter{d: d, dcap: d, words: w}
 	// The byte lanes and carry-save planes are views into contiguous
 	// slabs: the vector kernels address all of them from the base
 	// pointers below, and one allocation each keeps them cache-adjacent.
@@ -169,7 +171,9 @@ func (c *BitCounter) SetDim(d int) {
 	c.Reset()
 	c.d = d
 	c.words = (d + 63) / 64
-	c.counts = c.countsAll[:d]
+	if c.countsAll != nil {
+		c.counts = c.countsAll[:d]
+	}
 	c.kargs.tail = c.tailMask()
 }
 
@@ -425,12 +429,17 @@ func (c *BitCounter) drainCarrySave() {
 	}
 }
 
-// flushBytes drains the byte lanes into the int32 counters. Byte k of
-// byteLo[j][w] counts component 64w + 8k + j; byteHi[j][w] counts
-// component 64w + 8k + 4 + j. Full words unpack all eight bytes
-// unconditionally (branchless, the lanes are dense by flush time); only a
-// partial final word pays per-component range checks.
+// flushBytes drains the byte lanes into the int32 counters, allocating
+// them on the first call. Byte k of byteLo[j][w] counts component
+// 64w + 8k + j; byteHi[j][w] counts component 64w + 8k + 4 + j. Full
+// words unpack all eight bytes unconditionally (branchless, the lanes are
+// dense by flush time); only a partial final word pays per-component
+// range checks.
 func (c *BitCounter) flushBytes() {
+	if c.countsAll == nil {
+		c.countsAll = make([]int32, c.dcap)
+		c.counts = c.countsAll[:c.d]
+	}
 	if c.pendingByte == 0 {
 		return
 	}

@@ -196,6 +196,81 @@ func testBitCounterOneCallTo127StaysInBytes(t *testing.T) {
 	}
 }
 
+// TestBitCounterInt32CountsOnFirstFlush: the int32 tier is allocated by
+// the first flush, not by NewBitCounter. A counter that signs and folds
+// bundles of at most 127 operands — through AddAll, AddXorPairs and the
+// small sign, across Reset and SetDim — never holds it and matches the
+// naive reference throughout; so does the int8 sign of a counter that
+// never flushed. The first bundle past 255 units of weight allocates it
+// and still matches, at full and at narrowed width.
+func TestBitCounterInt32CountsOnFirstFlush(t *testing.T) {
+	forEachKernelTier(t, testBitCounterInt32CountsOnFirstFlush)
+}
+
+func testBitCounterInt32CountsOnFirstFlush(t *testing.T) {
+	for _, d := range []int{1000, 10007} {
+		rng := NewRNG(uint64(d) + 1)
+		tie := RandomBinary(d, rng)
+		c := NewBitCounter(d)
+		if empty := c.SignBipolarInto(tie.UnpackBipolar(), NewBipolar(d)); !empty.PackBinary().Equal(tie) {
+			t.Fatalf("d=%d: empty counter's bipolar sign is not the tie", d)
+		}
+		c = NewBitCounter(d)
+		acc := NewAccumulator(d)
+		ref := newNaiveCounter(d)
+		for _, dim := range []int{d, 321, d} {
+			c.SetDim(dim)
+			narrow := newNaiveCounter(dim)
+			for _, n := range []int{1, 8, 63, 64, 127} {
+				label := fmt.Sprintf("d=%d dim=%d n=%d", d, dim, n)
+				vs := randomVectors(d, n, rng)
+				pairs := randomPairs(d, n, rng)
+				c.Reset()
+				c.AddAll(vs)
+				narrow.reset()
+				narrow.addAll(vs)
+				narrow.checkSign(t, label+" AddAll", tie, c.SignBinaryInto(tie, NewBinary(dim)))
+				c.Reset()
+				c.AddXorPairs(pairs)
+				narrow.reset()
+				narrow.addPairs(pairs)
+				narrow.checkSign(t, label+" AddXorPairs", tie, c.SignBinaryInto(tie, NewBinary(dim)))
+				if n <= MaxSmallSign {
+					narrow.checkSign(t, label+" small sign", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(dim)))
+				}
+				if dim == d {
+					acc.AddCounter(c)
+					ref.addPairs(pairs)
+				}
+				if c.countsAll != nil || c.counts != nil {
+					t.Fatalf("%s: a bundle of at most 127 operands allocated the int32 counts", label)
+				}
+			}
+		}
+		for i, cnt := range ref.counts {
+			if want := 2*cnt - int64(ref.n); int64(acc.Sum(i)) != want {
+				t.Fatalf("d=%d: folded sum %d = %d, want %d", d, i, acc.Sum(i), want)
+			}
+		}
+
+		for _, dim := range []int{d, 321} {
+			label := fmt.Sprintf("d=%d dim=%d n=256", d, dim)
+			c.SetDim(dim)
+			c.Reset()
+			vs := randomVectors(d, 256, rng)
+			c.AddAll(vs)
+			narrow := newNaiveCounter(dim)
+			narrow.addAll(vs)
+			narrow.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(dim)))
+			if len(c.countsAll) != d || len(c.counts) != dim {
+				t.Fatalf("%s: int32 counts %d of capacity %d after the first flush, want %d of %d",
+					label, len(c.counts), len(c.countsAll), dim, d)
+			}
+			narrow.check(t, label, c)
+		}
+	}
+}
+
 // TestBitCounterDifferential drives random interleavings of every
 // mutating and observing operation against the naive per-bit reference
 // — the audit of the carry-save → byte → int32 drain and flush logic —
@@ -273,6 +348,7 @@ func testBitCounterDifferential(t *testing.T) {
 func TestSignOverflowBoundary(t *testing.T) {
 	const d = 64
 	c := NewBitCounter(d)
+	c.materializeCounts()
 	// 2³⁰+2 vectors, component 0 set in all but one of them: a strict
 	// majority whose doubled count exceeds MaxInt32. No other component
 	// was ever set.

@@ -40,6 +40,10 @@ func (c *BitCounter) Popcount() int {
 	return total
 }
 
+// materializeCounts allocates the int32 tier as the first flush does,
+// for tests that set counts directly.
+func (c *BitCounter) materializeCounts() { c.flush() }
+
 // SignBinary is SignBinaryInto into a fresh vector.
 func (c *BitCounter) SignBinary(tie *Binary) *Binary {
 	return c.SignBinaryInto(tie, NewBinary(c.d))

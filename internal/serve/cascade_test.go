@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphhd/internal/core"
@@ -192,4 +195,109 @@ func serveRegistryPredictor(reg *Registry, name string) (*core.Predictor, error)
 		return nil, fmt.Errorf("model %q not resident", name)
 	}
 	return m.eng.Predictor(), nil
+}
+
+// TestEngineCascadeToggleTraces toggles the serving model's cascade while
+// single and batch predicts run, and checks that every trace record
+// reports the cascade of the call that served it: Cascade is set exactly
+// when Stage1 + Escalated == BatchSize. The escalate histogram and the
+// cascade counters must agree with the records. Run under -race in CI.
+func TestEngineCascadeToggleTraces(t *testing.T) {
+	pred, ds := testModel(t, 2048, 1)
+	casc := core.Cascade{DPrefix: 256, Margin: 10}
+	if err := pred.SetCascade(casc); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 4, TraceDepth: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				pred.ClearCascade()
+			} else if err := pred.SetCascade(casc); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	// Each client yields to the toggler after every call and runs at
+	// least minRounds calls, going on until both cascade and plain calls
+	// have been served, so the run cannot stay in one state even on one
+	// CPU. maxRounds keeps every record in the ring.
+	const minRounds, maxRounds = 200, 1000
+	mixed := func() bool {
+		c := e.m.stageEscalate.count.Load()
+		return c > 0 && c < e.m.stagePlan.count.Load()
+	}
+	var records atomic.Int64
+	ctx := context.Background()
+	var clients sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for r := 0; r < maxRounds && (r < minRounds || !mixed()); r++ {
+				var err error
+				if c%2 == 0 {
+					_, err = e.Predict(ctx, ds.Graphs[(c*maxRounds+r)%len(ds.Graphs)])
+					records.Add(1)
+				} else {
+					_, err = e.PredictBatch(ctx, ds.Graphs[r%8:r%8+6]) // two segments
+					records.Add(2)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}(c)
+	}
+	clients.Wait()
+	close(stop)
+	toggler.Wait()
+
+	traces := e.Traces()
+	if int64(len(traces)) != records.Load() {
+		t.Fatalf("%d trace records, want %d", len(traces), records.Load())
+	}
+	var on, off int
+	var stage1, escalated uint64
+	for _, tr := range traces {
+		if tr.Cascade != (tr.Stage1+tr.Escalated == tr.BatchSize) {
+			t.Fatalf("record %d: cascade %v with stage1 %d + escalated %d of %d graphs",
+				tr.Seq, tr.Cascade, tr.Stage1, tr.Escalated, tr.BatchSize)
+		}
+		if tr.Cascade {
+			on++
+			stage1 += uint64(tr.Stage1)
+			escalated += uint64(tr.Escalated)
+		} else {
+			off++
+		}
+	}
+	if on == 0 || off == 0 {
+		t.Fatalf("toggling left %d cascade and %d plain records, want both kinds", on, off)
+	}
+	m := e.Metrics()
+	if m.StageEscalate.Count != uint64(on) {
+		t.Fatalf("escalate histogram observed %d calls, %d records ran the cascade", m.StageEscalate.Count, on)
+	}
+	if m.CascadeStage1 != stage1 || m.CascadeEscalated != escalated {
+		t.Fatalf("cascade counters %d+%d, records %d+%d", m.CascadeStage1, m.CascadeEscalated, stage1, escalated)
+	}
 }

@@ -28,8 +28,9 @@ func testModel(t testing.TB, dim int, seed uint64) (*core.Predictor, *graph.Data
 }
 
 // TestEnginePredictMatchesOffline is the end-to-end equivalence
-// guarantee: classifications served through the micro-batching engine —
-// one at a time and batched — are bit-identical to Predictor.PredictAll.
+// guarantee: classifications served through the engine — one at a time
+// and batched, across several segments — are bit-identical to
+// Predictor.PredictAll.
 func TestEnginePredictMatchesOffline(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	want := pred.PredictAll(ds.Graphs)
@@ -62,7 +63,7 @@ func TestEnginePredictMatchesOffline(t *testing.T) {
 
 // TestEngineHotReloadUnderLoad hammers one engine from many goroutines
 // while hot swaps alternate between two different models (different seeds
-// AND different dimensions, so workers must re-bind their scratches).
+// AND different dimensions, so slots must re-bind their scratches).
 // Every response must succeed and match what one of the two models would
 // have predicted offline — no torn or failed request is tolerated.
 func TestEngineHotReloadUnderLoad(t *testing.T) {
@@ -141,36 +142,66 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestEngineBackpressure fills the admission queue of an unstarted engine
-// and checks that further requests are rejected with ErrOverloaded, then
-// starts the engine and checks every admitted request completes.
+// holdSlots takes every encode slot of e, so admitted calls wait for
+// one and the graphs behind them count against QueueSize. The returned
+// function gives the slots back; calls after the first do nothing, so a
+// test can defer it and still release early.
+func holdSlots(e *Engine) (release func()) {
+	held := make([]*core.EncoderScratch, e.opts.Workers)
+	for i := range held {
+		held[i] = <-e.slots
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, s := range held {
+				e.slots <- s
+			}
+		})
+	}
+}
+
+// waitDepth waits until want graphs are admitted but not yet holding a
+// slot.
+func waitDepth(t *testing.T, e *Engine, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.depth.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", e.depth.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineBackpressure holds every encode slot, fills the admission
+// bound with requests waiting for one, and checks that further requests
+// are rejected with ErrOverloaded; once the slots come back, every
+// admitted request completes.
 func TestEngineBackpressure(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := newEngine(pred, Options{Workers: 2, MaxBatch: 4, QueueSize: 2})
+	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 4, QueueSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
+	release := holdSlots(e)
+	defer release() // runs before Close if the test fails early
 
 	type res struct {
-		class int
-		err   error
+		i, class int
+		err      error
 	}
 	results := make(chan res, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			c, err := e.Predict(context.Background(), ds.Graphs[i])
-			results <- res{c, err}
+			results <- res{i, c, err}
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.depth.Load() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want 2", e.depth.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if m := e.Metrics(); m.QueueDepth != 2 {
-		t.Fatalf("metrics queue depth %d, want 2", m.QueueDepth)
+	waitDepth(t, e, 2)
+	if m := e.Metrics(); m.QueueDepth != 2 || m.InFlight != 2 {
+		t.Fatalf("metrics queue depth %d, in flight %d, want 2 and 2", m.QueueDepth, m.InFlight)
 	}
 
 	if _, err := e.Predict(context.Background(), ds.Graphs[2]); !errors.Is(err, ErrOverloaded) {
@@ -183,18 +214,20 @@ func TestEngineBackpressure(t *testing.T) {
 		t.Fatalf("rejected %d, want 2", m.Rejected)
 	}
 
-	e.start()
+	release()
 	want := pred.PredictAll(ds.Graphs[:2])
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		if r.class != want[0] && r.class != want[1] {
-			t.Fatalf("drained class %d matches neither expected prediction %v", r.class, want)
+		if r.class != want[r.i] {
+			t.Fatalf("graph %d: drained class %d, want %d", r.i, r.class, want[r.i])
 		}
 	}
-	e.Close()
+	if m := e.Metrics(); m.QueueDepth != 0 || m.InFlight != 0 || m.Processed != 2 {
+		t.Fatalf("after drain: queue depth %d, in flight %d, processed %d", m.QueueDepth, m.InFlight, m.Processed)
+	}
 }
 
 // TestEngineBatchAdmissionIsAtomic: a batch larger than the queue can
@@ -228,7 +261,7 @@ func TestEngineBatchAdmissionIsAtomic(t *testing.T) {
 
 func TestEngineCloseRejectsNewRequests(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 1})
+	e, err := NewEngine(pred, Options{Workers: 1, QueueSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +272,89 @@ func TestEngineCloseRejectsNewRequests(t *testing.T) {
 	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:2]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close (batch): got %v, want ErrClosed", err)
 	}
+	// Closed is checked before size: a batch past QueueSize is refused as
+	// closed (503), not as overload (429), and counts no rejection.
+	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:5]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after close (oversized batch): got %v, want ErrClosed", err)
+	}
+	if m := e.Metrics(); m.Rejected != 0 {
+		t.Fatalf("closed engine counted %d rejections, want 0", m.Rejected)
+	}
 	e.Close() // idempotent
+}
+
+// TestEngineCloseWaitsForInFlight: Close returns only after an admitted
+// call — waiting for, then holding, the engine's only slot — completes;
+// that call succeeds; and calls after Close fail at once with ErrClosed,
+// even with every slot held.
+func TestEngineCloseWaitsForInFlight(t *testing.T) {
+	pred, ds := testModel(t, 1024, 1)
+	want := pred.PredictAll(ds.Graphs[:1])[0]
+	e, err := NewEngine(pred, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := holdSlots(e)
+	defer release()
+
+	type res struct {
+		class int
+		err   error
+	}
+	inflight := make(chan res, 1)
+	go func() {
+		c, err := e.Predict(context.Background(), ds.Graphs[0])
+		inflight <- res{c, err}
+	}()
+	waitDepth(t, e, 1)
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted call was still waiting for its slot")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	r := <-inflight
+	if r.err != nil {
+		t.Fatalf("in-flight call failed across Close: %v", r.err)
+	}
+	if r.class != want {
+		t.Fatalf("in-flight call: class %d, want %d", r.class, want)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the in-flight call completed")
+	}
+	if m := e.Metrics(); m.AcceptedGraphs != 1 || m.Processed != 1 || m.Requests != 1 {
+		t.Fatalf("accepted %d, processed %d, requests %d, want 1 each", m.AcceptedGraphs, m.Processed, m.Requests)
+	}
+
+	// With the slot held again, a call that got past admission would
+	// block; a closed engine must refuse both kinds at once.
+	defer holdSlots(e)()
+	refused := make(chan error, 2)
+	go func() {
+		_, err := e.Predict(context.Background(), ds.Graphs[0])
+		refused <- err
+		refused <- e.PredictBatchInto(context.Background(), ds.Graphs[:3], make([]int, 3))
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-refused:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("call %d after Close: got %v, want ErrClosed", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d after Close blocked instead of failing", i)
+		}
+	}
 }
 
 func TestEngineArgumentErrors(t *testing.T) {

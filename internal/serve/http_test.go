@@ -659,11 +659,12 @@ func TestHTTPReloadErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPOverloadMaps429 drives requests at an engine whose queue is
-// pre-filled (unstarted worker pool) and checks the HTTP mapping.
+// TestHTTPOverloadMaps429 fills the admission bound of an engine whose
+// only encode slot is held and checks the HTTP mapping: 429 while
+// overloaded, 503 once the engine is closed.
 func TestHTTPOverloadMaps429(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := newEngine(pred, Options{Workers: 1, QueueSize: 1})
+	e, err := NewEngine(pred, Options{Workers: 1, QueueSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,23 +673,19 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
 	defer srv.Close()
 
+	release := holdSlots(e)
+	defer release()
 	done := make(chan struct{})
-	go func() { // occupies the single queue slot until the engine starts
+	go func() { // takes the single queue place, waiting for the held slot
 		e.Predict(context.Background(), ds.Graphs[0])
 		close(done)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for e.depth.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDepth(t, e, 1)
 	resp, body := postJSON(t, srv.URL+"/v1/predict", PredictRequest{Graph: graph.ToJSON(ds.Graphs[1])})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded predict: status %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	e.start()
+	release()
 	<-done
 	e.Close()
 
@@ -699,8 +696,8 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	}
 }
 
-// registryWithEngine hand-installs a pre-built (possibly unstarted)
-// engine as one model — the white-box seam for admission tests.
+// registryWithEngine hand-installs a pre-built engine as one model — the
+// white-box seam for admission tests, which hold the engine's slots.
 func registryWithEngine(t *testing.T, name string, pred *core.Predictor, e *Engine) *Registry {
 	t.Helper()
 	reg := NewRegistry(RegistryOptions{})

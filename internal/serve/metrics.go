@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"graphhd/internal/core"
 	"graphhd/internal/hdc"
@@ -32,11 +31,11 @@ type metrics struct {
 	cascadeEscalated atomic.Uint64
 
 	latency   histogram // per-call latency, seconds
-	batchSize histogram // micro-batch sizes
+	batchSize histogram // graphs per encode call (segment)
 
-	// Stage clock: where a batch's microseconds go. queueWait is observed
-	// per task at worker pickup; the stage histograms are observed per
-	// batch from the worker's core.BatchTrace readout.
+	// Stage clock: where a segment's microseconds go, all observed once
+	// per segment: queueWait from admission to holding a slot, the stage
+	// histograms from the segment's core.BatchTrace readout.
 	queueWait     histogram
 	stagePlan     histogram
 	stageEncode   histogram
@@ -76,29 +75,28 @@ func (m *metrics) init(maxBatch int) {
 	}
 }
 
-func (m *metrics) observeRequest(d time.Duration) {
+// observeRequest counts one completed call that took nanos from
+// admission to its last result.
+func (m *metrics) observeRequest(nanos int64) {
 	m.requests.Add(1)
-	m.latency.observe(d.Seconds())
+	m.latency.observe(float64(nanos) * 1e-9)
 }
 
-func (m *metrics) observeBatch(n int) {
+// observeSegment feeds one encode call of n graphs into the histograms:
+// its slot wait, its stage-clock readout and, when the call ran the
+// cascade, its stage-1 and escalation counts. The escalate stage is only
+// meaningful when a cascade ran; recording it unconditionally would drown
+// the signal in zeros.
+func (m *metrics) observeSegment(n int, waitNanos int64, tr *core.BatchTrace, stage1, escalated int, cascaded bool) {
 	m.batchSize.observe(float64(n))
-}
-
-func (m *metrics) observeCascade(stage1, escalated int) {
-	m.cascadeStage1.Add(uint64(stage1))
-	m.cascadeEscalated.Add(uint64(escalated))
-}
-
-// observeStages feeds one batch's stage-clock readout into the per-stage
-// histograms. The escalate stage is only meaningful when a cascade ran;
-// recording it unconditionally would drown the signal in zeros.
-func (m *metrics) observeStages(tr *core.BatchTrace, cascading bool) {
+	m.queueWait.observe(float64(waitNanos) * 1e-9)
 	m.stagePlan.observe(float64(tr.PlanNanos) * 1e-9)
 	m.stageEncode.observe(float64(tr.EncodeNanos) * 1e-9)
 	m.stageClassify.observe(float64(tr.ClassifyNanos) * 1e-9)
-	if cascading {
+	if cascaded {
 		m.stageEscalate.observe(float64(tr.EscalateNanos) * 1e-9)
+		m.cascadeStage1.Add(uint64(stage1))
+		m.cascadeEscalated.Add(uint64(escalated))
 	}
 }
 
@@ -232,28 +230,29 @@ type Metrics struct {
 	// AcceptedGraphs == Processed once the engine quiesces.
 	AcceptedGraphs uint64
 	// InFlight is the number of graphs admitted but not yet classified
-	// (queued, being batched, or on a worker).
+	// (waiting for an encode slot or being encoded).
 	InFlight uint64
 	// CascadeStage1 counts graphs decided at cascade prefix width;
 	// CascadeEscalated counts graphs re-decided at full dimension.
 	// CascadeStage1/(CascadeStage1+CascadeEscalated) is the stage-1 hit
 	// rate. Both stay zero while no cascade is configured.
 	CascadeStage1, CascadeEscalated uint64
-	// QueueDepth is the number of graphs admitted but not yet picked up
-	// by a worker.
+	// QueueDepth is the number of graphs admitted but not yet holding an
+	// encode slot.
 	QueueDepth int
 	// Latency is the per-call latency distribution in seconds; BatchSize
-	// is the micro-batch size distribution.
+	// is the distribution of graphs per encode call: 1 for a single
+	// predict, one MaxBatch-bounded segment of a batch call.
 	Latency, BatchSize HistogramSnapshot
-	// QueueWait is the per-task admission-queue wait (queue-enter to
-	// worker pickup), seconds.
+	// QueueWait is the per-segment wait for an encode slot (admission to
+	// holding a slot), seconds.
 	QueueWait HistogramSnapshot
-	// StagePlan/StageEncode/StageClassify/StageEscalate are the per-batch
-	// stage-clock distributions in seconds: ranking + rank-pair grouping,
-	// accumulate+sign, Hamming classification, and the cascade's
-	// full-width escalation work (observed only while a cascade is
-	// active). Together with QueueWait they attribute every microsecond
-	// of a request's life inside the engine.
+	// StagePlan/StageEncode/StageClassify/StageEscalate are the
+	// per-segment stage-clock distributions in seconds: ranking +
+	// rank-pair grouping, accumulate+sign, Hamming classification, and
+	// the cascade's full-width escalation work (observed only when a
+	// segment ran the cascade). Together with QueueWait they attribute
+	// every microsecond of a request's life inside the engine.
 	StagePlan, StageEncode, StageClassify, StageEscalate HistogramSnapshot
 }
 
@@ -378,7 +377,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	for i := range slots {
 		p("graphhd_inflight_graphs{%s} %d\n", slots[i].labels, slots[i].m.InFlight)
 	}
-	p("# HELP graphhd_queue_depth Graphs admitted but not yet picked up by a worker.\n# TYPE graphhd_queue_depth gauge\n")
+	p("# HELP graphhd_queue_depth Graphs admitted but not yet holding an encode slot.\n# TYPE graphhd_queue_depth gauge\n")
 	for i := range slots {
 		p("graphhd_queue_depth{%s} %d\n", slots[i].labels, slots[i].m.QueueDepth)
 	}
@@ -459,10 +458,10 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		}
 	}
 	hist("graphhd_request_latency_seconds", "Per-call latency from admission to response.", func(m *Metrics) HistogramSnapshot { return m.Latency })
-	hist("graphhd_batch_size", "Micro-batch sizes.", func(m *Metrics) HistogramSnapshot { return m.BatchSize })
-	hist("graphhd_queue_wait_seconds", "Per-task admission-queue wait, queue-enter to worker pickup.", func(m *Metrics) HistogramSnapshot { return m.QueueWait })
+	hist("graphhd_batch_size", "Graphs per encode call: 1 per single predict, one segment per batch call.", func(m *Metrics) HistogramSnapshot { return m.BatchSize })
+	hist("graphhd_queue_wait_seconds", "Per-segment wait for an encode slot, admission to slot.", func(m *Metrics) HistogramSnapshot { return m.QueueWait })
 
-	p("# HELP graphhd_stage_seconds Per-batch wall time by pipeline stage.\n# TYPE graphhd_stage_seconds histogram\n")
+	p("# HELP graphhd_stage_seconds Per-segment wall time by pipeline stage.\n# TYPE graphhd_stage_seconds histogram\n")
 	for i := range slots {
 		for _, st := range []struct {
 			label string

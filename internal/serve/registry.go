@@ -13,8 +13,8 @@ package serve
 //     disk — an error from the hook aborts the install, leaving the
 //     current model serving.
 //   - Hot swap. Swap installs the new predictor through the model
-//     engine's atomic-pointer swap — zero failed in-flight requests; the
-//     engine's workers pick it up at their next batch boundary.
+//     engine's atomic-pointer swap — zero failed in-flight requests;
+//     every encode call that takes a slot afterwards runs the new model.
 //   - Residency. The request path reads the model table through a
 //     copy-on-write map behind an atomic pointer (no lock, no contention
 //     with loads/evictions); each lookup stamps an atomic last-used

@@ -165,7 +165,7 @@ func (rt *Router) PredictBatch(ctx context.Context, tenant, model string, graphs
 
 // PredictBatchInto is PredictBatch writing into a caller-provided slice.
 // The batch admits atomically against the tenant quota and lands on the
-// model's engine, whose workers encode it in MaxBatch-sized segments.
+// model's engine, which encodes it in MaxBatch-sized segments.
 func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, graphs []*graph.Graph, out []int) error {
 	m, err := rt.target(model)
 	if err != nil {

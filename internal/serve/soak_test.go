@@ -15,7 +15,7 @@ import (
 // single/batch load from many clients, concurrent hot swaps between
 // models of different dimensions, and induced overload through a small
 // queue — the regime where admission accounting, batch segmentation, and
-// worker scratch re-binding all interleave. It asserts the accounting the
+// slot scratch re-binding all interleave. It asserts the accounting the
 // metrics promise:
 //
 //	accepted == processed with zero in-flight at quiesce, and
@@ -24,7 +24,7 @@ import (
 // plus client-side bookkeeping (every admitted graph got exactly one
 // valid answer, every refused call got ErrOverloaded, nothing else ever
 // failed across swaps). Run under -race in CI, where it doubles as the
-// concurrency audit of the batch-encoding worker path.
+// concurrency audit of the encode slots and the batch fan-out.
 func TestEngineSoakMixedLoad(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 99) // different dimension: swaps re-bind scratches
@@ -143,19 +143,18 @@ func TestEngineSoakMixedLoad(t *testing.T) {
 				}
 			}
 			i++
-			// Spot-check in-flight occupancy under load against the
-			// engine's physical capacity: the queue holds at most
-			// QueueSize graphs and each worker's batch at most
-			// 2·MaxBatch-1 (one oversized segment task can land on a
-			// batch just under MaxBatch). accepted is loaded before
-			// processed, so the reading can only under-count the true
-			// occupancy; a lost processed-increment or a double-counted
-			// admission still grows it past the bound.
+			// Spot-check in-flight occupancy under load against what
+			// the slots allow: at most QueueSize graphs wait for a slot
+			// and each of the Workers slots encodes at most MaxBatch.
+			// accepted is loaded before processed, so the reading can
+			// only under-count the true occupancy; a lost
+			// processed-increment or a double-counted admission still
+			// grows it past the bound.
 			if i%64 == 0 {
 				accepted := int64(e.m.accepted.Load())
 				processed := int64(e.m.processed.Load())
 				opts := e.Options()
-				limit := int64(opts.QueueSize + opts.Workers*2*opts.MaxBatch)
+				limit := int64(opts.QueueSize + opts.Workers*opts.MaxBatch)
 				if accepted-processed > limit {
 					t.Errorf("in-flight graphs %d exceed engine capacity %d (accepted %d, processed %d)",
 						accepted-processed, limit, accepted, processed)

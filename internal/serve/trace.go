@@ -7,57 +7,56 @@ import (
 )
 
 // The flight recorder is the engine's after-the-fact diagnosis surface:
-// a fixed-size ring of the last N per-batch TraceRecords, written by the
-// inference workers on every micro-batch and read on demand
-// by GET /debug/traces and cmd/inspect -traces. A slow escalation-heavy
-// burst (the PROTEINS shape) is diagnosed from the ring without a
-// profiler attached: the records show exactly where each batch's
-// microseconds went and what the batch looked like.
+// a fixed-size ring of the last N per-batch TraceRecords, written once
+// per encode call (a single predict, or one segment of a batch call) and
+// read on demand by GET /debug/traces and cmd/inspect -traces. A slow
+// escalation-heavy burst (the PROTEINS shape) is diagnosed from the ring
+// without a profiler attached: the records show exactly where each
+// batch's microseconds went and what the batch looked like.
 //
-// Memory is strictly bounded: depth × sizeof(TraceRecord) (~160 B per
-// slot, 40 KiB at the default depth of 256), allocated once at engine
-// construction and never grown. Writers never allocate.
+// Memory is strictly bounded: depth ring slots of 168 B (a TraceRecord
+// with its lock and ticket), 42 KiB at the default depth of 256,
+// allocated once at engine construction and never grown. Writers never
+// allocate.
 
 // DefaultTraceDepth is the flight-recorder capacity when
 // Options.TraceDepth is zero.
 const DefaultTraceDepth = 256
 
 // TraceRecord is one flight-recorder entry: the stage-clock readout and
-// shape of a single micro-batch. All *Nanos fields are monotonic
-// wall-time slices of the batch's lifecycle; QueueWaitNanos is the
-// longest any of the batch's tasks sat in the admission queue before a
-// worker picked it up, and DispatchNanos spans batch assembly (the
-// worker's greedy drain, first task picked up → batch start).
+// shape of a single encode call, which serves one single predict or one
+// MaxBatch-bounded segment of a batch call. All *Nanos fields are
+// monotonic wall-time slices of the call's lifecycle; QueueWaitNanos is
+// how long it waited for an encode slot after admission.
 type TraceRecord struct {
 	// Seq is the record's 1-based ticket in arrival order; the ring
 	// retains the highest-Seq records.
 	Seq  uint64    `json:"seq"`
-	Time time.Time `json:"time"` // wall clock at batch start
+	Time time.Time `json:"time"` // wall clock when the call took its slot
 
 	// Model names the engine that served the batch in a registry/router
 	// deployment ("default" standalone).
 	Model string `json:"model,omitempty"`
 
-	BatchSize int `json:"batch_size"` // graphs across the batch's tasks
-	Tasks     int `json:"tasks"`      // queued tasks the batch coalesced
+	BatchSize int `json:"batch_size"` // graphs in the encode call
 
 	QueueWaitNanos int64 `json:"queue_wait_ns"`
-	DispatchNanos  int64 `json:"dispatch_ns"`
 	PlanNanos      int64 `json:"plan_ns"`
 	EncodeNanos    int64 `json:"encode_ns"`
 	ClassifyNanos  int64 `json:"classify_ns"`
 	EscalateNanos  int64 `json:"escalate_ns"`
-	TotalNanos     int64 `json:"total_ns"` // batch start → results posted
+	TotalNanos     int64 `json:"total_ns"` // slot taken → results written
 
-	// Cascade reports whether two-stage classification was active;
-	// Stage1/Escalated split the batch's graphs by where they were
-	// decided.
+	// Cascade reports whether the call ran two-stage classification;
+	// Stage1/Escalated split its graphs by where they were decided, so
+	// Stage1 + Escalated == BatchSize exactly when Cascade is set.
 	Cascade   bool `json:"cascade"`
 	Stage1    int  `json:"stage1"`
 	Escalated int  `json:"escalated"`
 
-	// ModelReloads is the engine's reload counter at worker pickup — the
-	// model version the batch was computed under.
+	// ModelReloads is the engine's reload counter when the record was
+	// written: the model version the call ran under, unless a swap landed
+	// while it encoded.
 	ModelReloads uint64 `json:"model_reloads"`
 	// Kernel is the SIMD kernel tier serving the hot paths.
 	Kernel string `json:"kernel,omitempty"`
@@ -67,7 +66,7 @@ type TraceRecord struct {
 // writers contend only when they race for tickets a full ring apart
 // (depth batches in flight simultaneously — in practice never), and a
 // reader's try-lock skips, rather than stalls, a slot mid-write, so the
-// worker hot path sees an uncontended lock: one atomic ticket, one
+// request hot path sees an uncontended lock: one atomic ticket, one
 // uncontended Lock/Unlock, one struct copy per batch.
 type traceSlot struct {
 	mu  sync.Mutex

@@ -78,7 +78,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				rec := TraceRecord{BatchSize: 1, Tasks: w + 1, TotalNanos: int64(i)}
+				rec := TraceRecord{BatchSize: 1, Stage1: w + 1, TotalNanos: int64(i)}
 				r.record(&rec)
 				// The caller's record must come back stamped with a
 				// unique, nonzero ticket.
@@ -110,7 +110,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					}
 				}
 				for _, rec := range snap {
-					if rec.Tasks < 1 || rec.Tasks > writers || rec.BatchSize != 1 {
+					if rec.Stage1 < 1 || rec.Stage1 > writers || rec.BatchSize != 1 {
 						t.Errorf("torn record: %+v", rec)
 						return
 					}
@@ -163,8 +163,8 @@ func TestEngineTraces(t *testing.T) {
 	}
 	var graphs int
 	for _, tr := range traces {
-		if tr.BatchSize <= 0 || tr.Tasks <= 0 {
-			t.Fatalf("record %d: empty batch: %+v", tr.Seq, tr)
+		if tr.BatchSize <= 0 || tr.BatchSize > 8 {
+			t.Fatalf("record %d: batch size outside [1, MaxBatch]: %+v", tr.Seq, tr)
 		}
 		graphs += tr.BatchSize
 		if tr.PlanNanos < 0 || tr.EncodeNanos <= 0 || tr.ClassifyNanos <= 0 {
@@ -173,7 +173,7 @@ func TestEngineTraces(t *testing.T) {
 		if tr.TotalNanos < tr.PlanNanos+tr.EncodeNanos+tr.ClassifyNanos+tr.EscalateNanos {
 			t.Fatalf("record %d: total %dns less than stage sum: %+v", tr.Seq, tr.TotalNanos, tr)
 		}
-		if tr.QueueWaitNanos < 0 || tr.DispatchNanos < 0 {
+		if tr.QueueWaitNanos < 0 {
 			t.Fatalf("record %d: negative wait: %+v", tr.Seq, tr)
 		}
 		if !tr.Cascade {
