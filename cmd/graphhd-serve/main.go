@@ -37,7 +37,7 @@
 //
 // Tenancy rides on the X-Tenant request header; -tenant-quota bounds each
 // tenant's in-flight graphs, shedding excess with 429 before it can touch
-// an engine queue.
+// an engine.
 //
 // -feedback-model attaches the online learning loop: it loads a trainable
 // full-model artifact (GRAPHHD1, cmd/graphhd -save) beside the packed

@@ -16,8 +16,8 @@
 // The directory layout is <data>/<name>/<name>_*.txt as produced by
 // cmd/datagen or an unzipped TUDataset archive.
 //
-// For online inference over HTTP — micro-batching, hot model reload and
-// metrics — serve a saved artifact with cmd/graphhd-serve instead.
+// For online inference over HTTP — admission control, hot model reload
+// and metrics — serve a saved artifact with cmd/graphhd-serve instead.
 package main
 
 import (

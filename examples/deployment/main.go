@@ -9,7 +9,7 @@
 // faulty hardware.
 //
 // The final act is the online story: the same packed artifact is mounted
-// behind the micro-batching HTTP server (internal/serve, the engine under
+// behind the HTTP server (internal/serve, the engine under
 // cmd/graphhd-serve), a batch of graphs goes over the wire as JSON, and
 // the served classes are asserted identical to the offline packed path.
 package main

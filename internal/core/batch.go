@@ -32,12 +32,13 @@ func (e *Encoder) encodeChunks(graphs []*graph.Graph, fn func(lo int, outs []*hd
 
 // BatchTrace receives the stage clock of one batch predict call: the
 // wall time each phase of the pipeline consumed, in monotonic
-// nanoseconds. The serving worker passes one per dispatched micro-batch
-// and feeds the readout into the per-stage latency histograms and the
-// flight recorder (internal/serve); any future router or sharding tier
-// subscribes to the same seam. Stamping costs one time.Now() per phase
-// boundary per batch — never per graph — so tracing stays inside the
-// serve path's overhead budget.
+// nanoseconds. The serving engine passes one per encode call (a single
+// predict, or one MaxBatch segment of a batch call) and feeds the
+// readout into the per-stage latency histograms and the flight recorder
+// (internal/serve); any future router or sharding tier subscribes to the
+// same seam. Stamping costs one time.Now() per phase boundary per batch —
+// never per graph — so tracing stays inside the serve path's overhead
+// budget.
 type BatchTrace struct {
 	// PlanNanos covers centrality ranking and rank-pair grouping: each
 	// graph's edges become packed rank-pair keys, in edge order.

@@ -17,9 +17,9 @@ import (
 // MUTAG model; the ROADMAP server-side baseline quotes these numbers.
 
 // BenchmarkServePredict measures the steady-state single-request path
-// through the full engine — admission, micro-batching, worker encode +
-// classify, completion signal — from one client goroutine. The interesting
-// number besides ns/op is allocs/op: the engine itself must add zero.
+// through the full engine — admission, slot wait, inline encode +
+// classify — from one client goroutine. The interesting number besides
+// ns/op is allocs/op: the engine itself must add zero.
 func BenchmarkServePredict(b *testing.B) {
 	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
 	cfg := core.DefaultConfig()
@@ -47,9 +47,9 @@ func BenchmarkServePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkServePredictParallel is the throughput shape: many client
-// goroutines keep the queue busy, so workers pull real batches and all
-// stay hot.
+// BenchmarkServePredictParallel is the throughput shape: GOMAXPROCS
+// client goroutines send single graphs at once against the default
+// GOMAXPROCS encode slots, so every slot stays busy.
 func BenchmarkServePredictParallel(b *testing.B) {
 	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
 	cfg := core.DefaultConfig()
@@ -78,6 +78,55 @@ func BenchmarkServePredictParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkServePredictOversubscribed sends single NCI1 graphs from
+// 8·GOMAXPROCS goroutines, more callers than encode slots, once at the
+// default slot count and once at one slot. graphs/encode is the mean
+// number of graphs per encode call, 1 when nothing is coalesced. With one
+// slot below GOMAXPROCS, callers on the spare cores queue for the slot:
+// the traffic an engine that coalesces waiting singles would batch
+// (DESIGN §4).
+func BenchmarkServePredictOversubscribed(b *testing.B) {
+	ds := dataset.MustGenerate("NCI1", dataset.Options{Seed: 7, GraphCount: 256})
+	m, err := core.Train(core.DefaultConfig(), ds.Graphs, ds.Labels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := m.Snapshot()
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"default-slots", 0}, {"one-slot", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			e, err := NewEngine(pred, Options{Workers: c.workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			ctx := context.Background()
+			if _, err := e.Predict(ctx, ds.Graphs[0]); err != nil {
+				b.Fatal(err)
+			}
+			m0 := e.Metrics()
+			b.ReportAllocs()
+			b.SetParallelism(8)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					if _, err := e.Predict(ctx, ds.Graphs[i%len(ds.Graphs)]); err != nil {
+						b.Error(err)
+						return
+					}
+					i++
+				}
+			})
+			b.StopTimer()
+			m1 := e.Metrics()
+			b.ReportMetric(float64(m1.Processed-m0.Processed)/float64(m1.BatchSize.Count-m0.BatchSize.Count), "graphs/encode")
+		})
+	}
 }
 
 // BenchmarkHTTPPredict is one POST /v1/predict through NewHandler, with

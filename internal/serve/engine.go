@@ -5,16 +5,18 @@
 //	       └─ one Engine per model (admission, encode slots)
 //
 // The transport-agnostic Engine turns an immutable core.Predictor into a
-// long-running, hot-swappable service. It starts no goroutine of its own:
-// a request is encoded on the goroutine that made it. The Engine owns the
-// three serving concerns the batch pipeline has no notion of:
+// long-running, hot-swappable service. It runs no background goroutine:
+// a single graph, and a batch of up to MaxBatch graphs, is encoded on the
+// goroutine that made the request. The Engine owns the three serving
+// concerns the batch pipeline has no notion of:
 //
 //   - Encode slots. Workers slots bound how many encode calls run at
 //     once, and each slot owns one core.EncoderScratch. A single graph
 //     takes a slot and is encoded inline, with no hand-off. A batch call
-//     is split into MaxBatch-sized segments: the first runs inline, each
-//     later one on a goroutine of its own, and every segment takes its
-//     own slot for one batch encode.
+//     of up to MaxBatch graphs runs inline too; a larger one is split
+//     into MaxBatch-sized segments spread over at most Workers
+//     goroutines, and every segment takes its own slot for one batch
+//     encode.
 //   - Hot model swap. The predictor sits behind an atomic pointer; Swap
 //     installs a new one with zero downtime and zero failed in-flight
 //     requests. A segment loads the predictor once, after it holds its
@@ -44,6 +46,7 @@ import (
 	"graphhd/internal/core"
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
+	"graphhd/internal/parallel"
 )
 
 // Errors returned by the admission path.
@@ -204,8 +207,8 @@ func (e *Engine) PredictBatch(ctx context.Context, graphs []*graph.Graph) ([]int
 // PredictBatchInto is PredictBatch writing into a caller-provided slice
 // (len(out) must equal len(graphs)), for callers that manage buffers. A
 // batch of up to MaxBatch graphs runs on the calling goroutine; a larger
-// one runs its first segment there and every later segment on a
-// goroutine of its own.
+// one is split into MaxBatch segments spread over at most Workers
+// goroutines, which the caller waits for.
 func (e *Engine) PredictBatchInto(ctx context.Context, graphs []*graph.Graph, out []int) error {
 	if len(out) != len(graphs) {
 		return fmt.Errorf("serve: %d results for %d graphs", len(out), len(graphs))
@@ -225,7 +228,9 @@ func (e *Engine) PredictBatchInto(ctx context.Context, graphs []*graph.Graph, ou
 	if n <= e.opts.MaxBatch {
 		e.run(graphs, out, enq)
 	} else {
-		e.runSegments(graphs, out, enq)
+		parallel.ForEachChunk(e.opts.Workers, n, e.opts.MaxBatch, func(_, lo, hi int) {
+			e.run(graphs[lo:hi], out[lo:hi], enq)
+		})
 	}
 	e.m.observeRequest(e.nanos() - enq)
 	return nil
@@ -259,24 +264,6 @@ func (e *Engine) admit(n int) (int64, error) {
 			return e.nanos(), nil
 		}
 	}
-}
-
-// runSegments runs a batch of more than MaxBatch graphs: each segment
-// after the first on a goroutine of its own, the first on the calling
-// goroutine, and returns once all of them are done.
-func (e *Engine) runSegments(graphs []*graph.Graph, out []int, enq int64) {
-	mb := e.opts.MaxBatch
-	var wg sync.WaitGroup
-	for lo := mb; lo < len(graphs); lo += mb {
-		hi := min(lo+mb, len(graphs))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.run(graphs[lo:hi], out[lo:hi], enq)
-		}()
-	}
-	e.run(graphs[:mb], out[:mb], enq)
-	wg.Wait()
 }
 
 // run encodes one segment of at most MaxBatch graphs on the calling

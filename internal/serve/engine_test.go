@@ -30,34 +30,39 @@ func testModel(t testing.TB, dim int, seed uint64) (*core.Predictor, *graph.Data
 // TestEnginePredictMatchesOffline is the end-to-end equivalence
 // guarantee: classifications served through the engine — one at a time
 // and batched, across several segments — are bit-identical to
-// Predictor.PredictAll.
+// Predictor.PredictAll. One slot runs a batch's segments one after another
+// on the caller's goroutine; four spread them over goroutines.
 func TestEnginePredictMatchesOffline(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	want := pred.PredictAll(ds.Graphs)
 
-	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	for i, g := range ds.Graphs {
-		got, err := e.Predict(context.Background(), g)
+	for _, workers := range []int{1, 4} {
+		e, err := NewEngine(pred, Options{Workers: workers, MaxBatch: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want[i] {
-			t.Fatalf("graph %d: served class %d, offline class %d", i, got, want[i])
+		for i, g := range ds.Graphs {
+			got, err := e.Predict(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Fatalf("workers %d, graph %d: served class %d, offline class %d", workers, i, got, want[i])
+			}
 		}
-	}
-	got, err := e.PredictBatch(context.Background(), ds.Graphs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("batch graph %d: served class %d, offline class %d", i, got[i], want[i])
+		got, err := e.PredictBatch(context.Background(), ds.Graphs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d, batch graph %d: served class %d, offline class %d", workers, i, got[i], want[i])
+			}
+		}
+		if m := e.Metrics(); m.BatchSize.Count != uint64(len(ds.Graphs)+(len(ds.Graphs)+7)/8) {
+			t.Fatalf("workers %d: %d encode calls, want %d singles and %d segments", workers, m.BatchSize.Count, len(ds.Graphs), (len(ds.Graphs)+7)/8)
+		}
+		e.Close()
 	}
 }
 
