@@ -40,9 +40,9 @@ type Result struct {
 	BPerOp      int64   `json:"b_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Kernel      string  `json:"kernel,omitempty"`
-	// Metrics carries any custom b.ReportMetric columns — ns/graph on
-	// the batch benchmarks, stage1-hit-rate on the cascade benchmark —
-	// keyed by their unit string.
+	// Metrics carries any custom b.ReportMetric columns — ns/graph and
+	// the stage medians on the batch benchmarks — keyed by their unit
+	// string.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

@@ -1,6 +1,6 @@
 // Command graphhd-serve is the online inference server: it loads packed
-// GraphHD model artifacts (GRAPHHD1, GRAPHHD2 or GRAPHHD3, see cmd/graphhd
-// -save / -save-packed) into a multi-tenant model registry and serves
+// GraphHD model artifacts (any record version, see cmd/graphhd -save /
+// -save-packed) into a multi-tenant model registry and serves
 // classifications over HTTP through a router that admits requests onto
 // one engine per model (internal/serve). An engine encodes each request on
 // the goroutine that serves it, under one of -workers encode slots.
@@ -14,7 +14,6 @@
 //	graphhd-serve -models models/ -max-resident-bytes 67108864
 //	graphhd-serve -model model.ghdp -workers 4 -max-batch 32
 //	graphhd-serve -model model.ghdp -class-names mutagenic,non-mutagenic
-//	graphhd-serve -model model.ghdp -cascade-prefix 1024 -cascade-margin 12
 //	graphhd-serve -model model.ghdp -debug-addr 127.0.0.1:6060 -log-json
 //	graphhd-serve -model model.ghdp -feedback-model model.ghd   # online learning loop
 //	graphhd-serve -model m.ghdp -feedback-model m.ghd -snapshot-every 64 -holdout-every 4
@@ -158,8 +157,6 @@ func main() {
 		classNames  = flag.String("class-names", "", "comma-separated class names echoed in default-model responses")
 		maxVerts    = flag.Int("max-vertices", 0, "per-request vertex cap (0 = default; bounds server-side basis-vector memory)")
 		maxEdges    = flag.Int("max-edges", 0, "per-request edge cap (0 = default)")
-		cascPrefix  = flag.Int("cascade-prefix", 0, "stage-1 dimension for two-stage cascade classification, applied to every loaded model (0 = off, or as saved in a GRAPHHD3 artifact; must be in [64, model dimension))")
-		cascMargin  = flag.Int("cascade-margin", 0, "cascade escalation margin: stage-1 decisions with top-two Hamming margin at most this re-decide at full dimension (calibrate with cmd/graphhd -calibrate-cascade)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error (debug enables per-request access logs)")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 
@@ -193,24 +190,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *cascPrefix == 0 && *cascMargin != 0 {
-		fmt.Fprintln(os.Stderr, "graphhd-serve: -cascade-margin requires -cascade-prefix")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	// prepare applies operator cascade flags to every model the registry
-	// loads from disk; it runs at startup and again on every SIGHUP /
-	// POST /admin/reload|/admin/models, so flag config survives hot
-	// swaps. Without flags, whatever cascade the artifact itself carries
-	// (GRAPHHD3) stays as loaded.
-	prepare := func(name string, p *core.Predictor) error {
-		if *cascPrefix == 0 {
-			return nil
-		}
-		return p.SetCascade(core.Cascade{DPrefix: *cascPrefix, Margin: *cascMargin})
-	}
-
 	registry := serve.NewRegistry(serve.RegistryOptions{
 		Engine: serve.Options{
 			Workers:    *workers,
@@ -219,7 +198,6 @@ func main() {
 			TraceDepth: *traceDepth,
 		},
 		MaxResidentBytes: *maxResident,
-		PrepareModel:     prepare,
 	})
 	defer registry.Close()
 
@@ -351,15 +329,11 @@ func main() {
 		"tenant_quota", *tenantQuota,
 	)
 	for _, ms := range st.Models {
-		args := []any{
+		log.Info("model loaded",
 			"model", ms.Name, "path", ms.Path,
 			"dimension", ms.Dimension, "classes", ms.Classes,
 			"packed_bytes", ms.PackedBytes,
-		}
-		if ms.CascadePrefix > 0 {
-			args = append(args, "cascade_prefix", ms.CascadePrefix, "cascade_margin", ms.CascadeMargin)
-		}
-		log.Info("model loaded", args...)
+		)
 	}
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatal("listen", err)

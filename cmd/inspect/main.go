@@ -36,7 +36,7 @@ func main() {
 		name      = flag.String("name", "", "dataset name (required unless -model is given)")
 		graphIdx  = flag.Int("graph", -1, "inspect a single graph by index")
 		perClass  = flag.Bool("per-class", false, "break extended statistics down by class")
-		modelPath = flag.String("model", "", "inspect a saved model artifact (GRAPHHD1/GRAPHHD2/GRAPHHD3) instead of a dataset")
+		modelPath = flag.String("model", "", "inspect a saved model artifact (any record version) instead of a dataset")
 		tracesURL = flag.String("traces", "", "dump the flight recorder of a running graphhd-serve (base URL, e.g. http://127.0.0.1:8080)")
 		modelsURL = flag.String("models", "", "dump the model registry of a running graphhd-serve (base URL, e.g. http://127.0.0.1:8080)")
 	)
@@ -99,8 +99,7 @@ func main() {
 }
 
 // inspectModel prints the card of a saved model artifact: dimension,
-// classes, packed query footprint, encoder configuration, and — for
-// GRAPHHD3 records — the cascade configuration.
+// classes, packed query footprint and encoder configuration.
 func inspectModel(path string) {
 	pred, err := core.LoadPredictorFile(path)
 	if err != nil {
@@ -115,18 +114,12 @@ func inspectModel(path string) {
 	fmt.Printf("  centrality: %s   pagerank iters: %d   damping: %.2f\n",
 		cfg.Centrality, cfg.PageRankIterations, cfg.PageRankDamping)
 	fmt.Printf("  seed: %#x   vertex labels: %v\n", cfg.Seed, cfg.UseVertexLabels)
-	if c, ok := pred.Cascade(); ok {
-		fmt.Printf("  cascade: stage-1 d=%d, escalation margin %d\n", c.DPrefix, c.Margin)
-	} else {
-		fmt.Printf("  cascade: none\n")
-	}
 }
 
 // inspectTraces fetches a running server's flight recorder
 // (GET /debug/traces) and prints the retained per-batch records as a
 // table, newest first: where each batch's microseconds went
-// (queue/plan/encode/classify/escalate), its size in graphs and its
-// cascade outcome.
+// (queue/plan/encode/classify) and its size in graphs.
 func inspectTraces(base string) {
 	url := strings.TrimRight(base, "/") + "/debug/traces"
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -151,25 +144,21 @@ func inspectTraces(base string) {
 		return
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("%8s %-15s %6s %9s %8s %8s %9s %9s %9s %-14s %s\n",
+	fmt.Printf("%8s %-15s %6s %9s %8s %8s %9s %9s %s\n",
 		"seq", "time", "graphs", "queue_us", "plan_us",
-		"enc_us", "class_us", "esc_us", "total_us", "cascade", "kern")
+		"enc_us", "class_us", "total_us", "kern")
 	for _, r := range tr.Traces {
-		casc := "off"
-		if r.Cascade {
-			casc = fmt.Sprintf("%d+%d esc", r.Stage1, r.Escalated)
-		}
-		fmt.Printf("%8d %-15s %6d %9.1f %8.1f %8.1f %9.1f %9.1f %9.1f %-14s %s\n",
+		fmt.Printf("%8d %-15s %6d %9.1f %8.1f %8.1f %9.1f %9.1f %s\n",
 			r.Seq, r.Time.Format("15:04:05.000"), r.BatchSize,
 			us(r.QueueWaitNanos), us(r.PlanNanos),
-			us(r.EncodeNanos), us(r.ClassifyNanos), us(r.EscalateNanos),
-			us(r.TotalNanos), casc, r.Kernel)
+			us(r.EncodeNanos), us(r.ClassifyNanos),
+			us(r.TotalNanos), r.Kernel)
 	}
 }
 
 // inspectModels fetches a running server's registry table
 // (GET /v1/models) and prints one row per model — name, version,
-// dimension, classes, packed bytes, cascade config — with its engine's
+// dimension, classes, packed bytes — with its engine's
 // in-flight/accepted/processed counts, plus the tenant admission
 // accounts.
 func inspectModels(base string) {
@@ -198,15 +187,11 @@ func inspectModels(base string) {
 	fmt.Printf("registry at %s: %d models, %d bytes resident (budget %s), %d evicted, default %q\n",
 		base, len(reg.Models), reg.TotalBytes, budget, reg.Evictions, mr.DefaultModel)
 	if len(reg.Models) > 0 {
-		fmt.Printf("%-16s %4s %4s %7s %7s %9s %-14s %s\n",
-			"model", "ver", "rev", "dim", "classes", "bytes", "cascade", "inflight/accepted/processed")
+		fmt.Printf("%-16s %4s %4s %7s %7s %9s %s\n",
+			"model", "ver", "rev", "dim", "classes", "bytes", "inflight/accepted/processed")
 		for _, m := range reg.Models {
-			casc := "off"
-			if m.CascadePrefix > 0 {
-				casc = fmt.Sprintf("d=%d m=%d", m.CascadePrefix, m.CascadeMargin)
-			}
-			fmt.Printf("%-16s %4d %4d %7d %7d %9d %-14s %d/%d/%d\n",
-				m.Name, m.Version, m.Revision, m.Dimension, m.Classes, m.PackedBytes, casc,
+			fmt.Printf("%-16s %4d %4d %7d %7d %9d %d/%d/%d\n",
+				m.Name, m.Version, m.Revision, m.Dimension, m.Classes, m.PackedBytes,
 				m.InFlight, m.Accepted, m.Processed)
 		}
 	}

@@ -2,24 +2,16 @@
 // six benchmark datasets, printed side by side with the published values
 // so the calibration of the synthetic substitutes is auditable.
 //
-// With -pareto it additionally runs the accuracy–latency Pareto sweep —
-// prefix-width, full-dimension, and calibrated-cascade classification on
-// every dataset — and writes the machine-readable JSON artifact next to
-// the table.
-//
 // Usage:
 //
 //	table1                 # full-size datasets
 //	table1 -count 200      # statistics from 200 graphs per dataset
-//	table1 -count 120 -pareto pareto.json -pareto-dim 4096
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"graphhd"
 	"graphhd/internal/experiments"
@@ -27,12 +19,9 @@ import (
 
 func main() {
 	var (
-		count      = flag.Int("count", 0, "graphs per dataset (0 = paper size)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		extended   = flag.Bool("extended", false, "also print diameter/clustering/degeneracy/triangle statistics")
-		pareto     = flag.String("pareto", "", "also run the d-vs-accuracy-vs-latency Pareto sweep and write its JSON artifact to this path")
-		paretoDim  = flag.Int("pareto-dim", 0, "full model dimension for the Pareto sweep (0 = paper's 10000)")
-		paretoDims = flag.String("pareto-dims", "", "comma-separated prefix widths for the sweep (default 1024,2048)")
+		count    = flag.Int("count", 0, "graphs per dataset (0 = paper size)")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		extended = flag.Bool("extended", false, "also print diameter/clustering/degeneracy/triangle statistics")
 	)
 	flag.Parse()
 
@@ -42,47 +31,6 @@ func main() {
 		os.Exit(1)
 	}
 	experiments.WriteTable1(os.Stdout, rows)
-
-	if *pareto != "" {
-		var dims []int
-		if *paretoDims != "" {
-			for _, s := range strings.Split(*paretoDims, ",") {
-				d, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "table1: bad -pareto-dims entry %q: %v\n", s, err)
-					os.Exit(2)
-				}
-				dims = append(dims, d)
-			}
-		}
-		pts, err := experiments.RunPareto(experiments.ParetoOptions{
-			Seed:       *seed,
-			GraphCount: *count,
-			FullDim:    *paretoDim,
-			PrefixDims: dims,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		experiments.WritePareto(os.Stdout, pts)
-		f, err := os.Create(*pareto)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteParetoJSON(f, pts); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Pareto sweep artifact to %s (%d points)\n", *pareto, len(pts))
-	}
 
 	if *extended {
 		fmt.Printf("\n%-10s %7s %8s %10s %10s %9s %8s %7s %8s\n",

@@ -112,36 +112,6 @@ func main() {
 			flip*100, float64(correct)/float64(test.Len()))
 	}
 
-	// --- cascade side -----------------------------------------------------
-	// Two-stage classification for latency-bound devices: decide at a
-	// 512-bit prefix of the same basis (no second model, no re-encode)
-	// and escalate only margin-ambiguous graphs to full width. The
-	// escalation margin comes from a holdout calibration that keeps
-	// accuracy within half a point of the full-dimension path.
-	hold := graphhd.MustGenerateDataset("MUTAG", graphhd.DatasetOptions{Seed: 91, GraphCount: 60})
-	casc, rep, err := graphhd.CalibrateCascade(device, hold.Graphs, hold.Labels, 512, 0.005)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := device.SetCascade(casc); err != nil {
-		log.Fatal(err)
-	}
-	scratch := enc.NewScratch()
-	cascCorrect, escalated := 0, 0
-	for i, g := range test.Graphs {
-		cls, esc := device.PredictCascadeWith(scratch, g)
-		if cls == test.Labels[i] {
-			cascCorrect++
-		}
-		if esc {
-			escalated++
-		}
-	}
-	fmt.Printf("cascade (stage-1 d=%d, margin %d): accuracy %.3f, %d of %d decided at stage 1 (calibration hit rate %.0f%%)\n",
-		casc.DPrefix, casc.Margin, float64(cascCorrect)/float64(test.Len()),
-		test.Len()-escalated, test.Len(), 100*rep.Stage1HitRate)
-	device.ClearCascade() // the serving act below asserts full-dimension parity
-
 	// --- serving side -----------------------------------------------------
 	// Mount the same artifact behind the online inference server and check
 	// that a batch served over HTTP is bit-identical to the offline path.

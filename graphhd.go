@@ -53,11 +53,6 @@ type (
 	MultiPrototypeModel = core.MultiPrototypeModel
 	// RetrainOptions configures perceptron-style retraining.
 	RetrainOptions = core.RetrainOptions
-	// Cascade configures two-stage prefix-sliced classification: decide
-	// at the first DPrefix components of the basis, escalate to full
-	// dimension when the top-two Hamming margin is at most Margin. See
-	// Predictor.SetCascade and CalibrateCascade.
-	Cascade = core.Cascade
 )
 
 // Graph substrate types.
@@ -194,18 +189,6 @@ func LoadPredictorFile(path string) (*Predictor, error) { return core.LoadPredic
 // ReadPredictor deserializes a packed predictor from r (see
 // Predictor.WriteTo).
 func ReadPredictor(r io.Reader) (*Predictor, error) { return core.ReadPredictor(r) }
-
-// CascadeReport summarizes a cascade margin calibration; see
-// CalibrateCascade.
-type CascadeReport = eval.CascadeReport
-
-// CalibrateCascade chooses the smallest escalation margin whose cascade
-// keeps holdout accuracy within tol (a fraction, e.g. 0.005 for half a
-// point) of the full-dimension baseline, returning the calibrated
-// configuration ready for Predictor.SetCascade.
-func CalibrateCascade(p *Predictor, graphs []*Graph, labels []int, dPrefix int, tol float64) (Cascade, *CascadeReport, error) {
-	return eval.CalibrateCascade(p, graphs, labels, dPrefix, tol)
-}
 
 // OnlineLearner is the predict-then-learn interface of the streaming
 // harness.

@@ -200,7 +200,7 @@ func eigenvectorScoresInto(g *graph.Graph, opts Options, cur, next []float64) []
 		}
 		norm := 0.0
 		for _, x := range next {
-			norm += x * x
+			norm += float64(x * x) // rounded product: no fused multiply-add on any architecture
 		}
 		if norm == 0 {
 			// Edgeless graph: all scores zero.

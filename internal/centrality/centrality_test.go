@@ -54,7 +54,7 @@ func TestEigenvectorStarHub(t *testing.T) {
 	// Scores are L2-normalized.
 	norm := 0.0
 	for _, x := range s {
-		norm += x * x
+		norm += float64(x * x)
 	}
 	if math.Abs(norm-1) > 1e-9 {
 		t.Fatalf("norm = %v", norm)

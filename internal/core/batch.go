@@ -43,15 +43,11 @@ type BatchTrace struct {
 	// PlanNanos covers centrality ranking and rank-pair grouping: each
 	// graph's edges become packed rank-pair keys, in edge order.
 	PlanNanos int64
-	// EncodeNanos covers accumulate + majority sign for every graph (at
-	// stage-1 width when a cascade is active).
+	// EncodeNanos covers accumulate + majority sign for every graph.
 	EncodeNanos int64
 	// ClassifyNanos covers Hamming classification of every signed
-	// encoding (the stage-1 margin test when a cascade is active).
+	// encoding.
 	ClassifyNanos int64
-	// EscalateNanos covers the cascade's full-width re-sign + re-classify
-	// of margin-ambiguous graphs. Zero without a cascade.
-	EscalateNanos int64
 }
 
 // stamp records now-prev into *dst and advances the clock; a nil trace

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"graphhd/internal/dataset"
@@ -177,27 +176,25 @@ func BenchmarkEncodeBatchNCI1(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gs)), "ns/graph")
 }
 
-// BenchmarkEncodeScratchPackedDim sweeps the encode hot path across query
-// widths on ONE full-dimension encoder: EncodeGraphPackedPrefix narrows
-// the carry-save counter to the leading ⌈d/64⌉ words at call time, so the
-// sweep shows how per-graph encode cost scales with the runtime dimension
-// parameter (d=10000 is the full-width EncodeGraphPacked workload).
-func BenchmarkEncodeScratchPackedDim(b *testing.B) {
-	ds, err := dataset.Generate("ENZYMES", dataset.Options{Seed: 2, GraphCount: 6})
+// BenchmarkPredictBatchFull times the batch predict primitive on the
+// 32-graph MUTAG batch the serve benchmarks use, without engine
+// dispatch.
+func BenchmarkPredictBatchFull(b *testing.B) {
+	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
+	m, err := Train(DefaultConfig(), ds.Graphs, ds.Labels)
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := MustNewEncoder(DefaultConfig())
-	s := enc.NewScratch()
-	g := ds.Graphs[0]
-	for _, d := range []int{1000, 2000, 10000} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			s.EncodeGraphPackedPrefix(g, d)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.EncodeGraphPackedPrefix(g, d)
-			}
-		})
+	pred := m.Snapshot()
+	s := pred.Encoder().NewScratch()
+	graphs := ds.Graphs[:32]
+	out := make([]int, len(graphs))
+	pred.PredictBatchWith(s, graphs, out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pred.PredictBatchWith(s, graphs, out)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(graphs)), "ns/graph")
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
@@ -20,15 +19,10 @@ import (
 // snapshot freezes).
 //
 // A Predictor does not learn; keep the Model for training/retraining and
-// re-snapshot after updates. Predictors are safe for concurrent use,
-// including concurrent SetCascade/ClearCascade reconfiguration.
+// re-snapshot after updates. Predictors are safe for concurrent use.
 type Predictor struct {
 	enc *Encoder
 	pm  *hdc.PackedMemory
-	// cascade, when non-nil, enables two-stage prefix-sliced
-	// classification (see cascade.go). Atomic so serving traffic can race
-	// with reconfiguration.
-	cascade atomic.Pointer[cascadeState]
 	// revision is the source model's online-update count at snapshot
 	// time (zero for freshly fitted models and pre-revision artifacts).
 	// Immutable once set; see Model.Revision.
@@ -70,9 +64,7 @@ func (p *Predictor) Encoder() *Encoder { return p.enc }
 // models and for artifacts predating revision stamping.
 func (p *Predictor) Revision() uint64 { return p.revision }
 
-// Dimension returns the hypervector dimensionality of the model — the
-// full query width (cascade stage 1, when configured, runs at
-// Cascade().DPrefix of it).
+// Dimension returns the hypervector dimensionality of the model.
 func (p *Predictor) Dimension() int { return p.pm.Dim() }
 
 // NumClasses returns the number of classes.

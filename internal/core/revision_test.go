@@ -73,9 +73,9 @@ func TestRevisionDetectsStaleSnapshot(t *testing.T) {
 }
 
 // TestRevisionSerializeRoundTrip pins the GRAPHHD4 record: a revised
-// snapshot round-trips its revision (and cascade config), while a
-// revision-0 snapshot still writes the byte-identical GRAPHHD2/3 records
-// earlier releases produced.
+// snapshot round-trips its revision, its reserved pair is written as
+// zeroes, and a revision-0 snapshot still writes the byte-identical
+// GRAPHHD2 record earlier releases produced.
 func TestRevisionSerializeRoundTrip(t *testing.T) {
 	gs, ys := twoClassDataset(20, 12)
 	m, err := Train(testConfig(), gs, ys)
@@ -103,6 +103,9 @@ func TestRevisionSerializeRoundTrip(t *testing.T) {
 	if got := string(buf.Bytes()[:8]); got != "GRAPHHD4" {
 		t.Fatalf("revised snapshot magic = %q, want GRAPHHD4", got)
 	}
+	if pair := buf.Bytes()[headerBytes+8 : headerBytes+16]; !bytes.Equal(pair, make([]byte, 8)) {
+		t.Fatalf("reserved pair written as % x, want zeroes", pair)
+	}
 	back, err := ReadPredictor(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -110,33 +113,10 @@ func TestRevisionSerializeRoundTrip(t *testing.T) {
 	if back.Revision() != p.Revision() {
 		t.Fatalf("round-trip revision = %d, want %d", back.Revision(), p.Revision())
 	}
-	if _, has := back.Cascade(); has {
-		t.Fatal("round-trip grew a cascade from zero fields")
-	}
 	for _, g := range gs {
 		if back.Predict(g) != p.Predict(g) {
 			t.Fatal("round-trip predictions diverge")
 		}
-	}
-
-	// With a cascade configured the GRAPHHD4 record carries both.
-	if err := p.SetCascade(Cascade{DPrefix: 1024, Margin: 7}); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err = ReadPredictor(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	casc, has := back.Cascade()
-	if !has || casc.DPrefix != 1024 || casc.Margin != 7 {
-		t.Fatalf("round-trip cascade = %+v (present %v)", casc, has)
-	}
-	if back.Revision() != p.Revision() {
-		t.Fatalf("round-trip revision = %d, want %d", back.Revision(), p.Revision())
 	}
 
 	// Revision-0 snapshots keep the legacy magic so existing artifacts

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"graphhd/internal/centrality"
@@ -30,15 +29,13 @@ import (
 //     straight off its operand table — the shared packed basis, or, for
 //     a labeled graph, the (rank, label) vectors it fills in place —
 //     feeds them to the blocked carry-save kernels and takes the
-//     majority at the counter's current width. An edgeless graph
-//     bundles the table's first n vectors, its vertex vectors, instead.
+//     majority. An edgeless graph bundles the table's first n vectors,
+//     its vertex vectors, instead.
 //
 // Bundling counts are exact integer sums, so operand order cannot
 // matter — the keys are never sorted — and every encoding is bit-for-bit
 // identical to the per-edge int8 bundle of the paper's formulation (the
-// oracle in the package tests). The keys, labels and basis snapshot do
-// not depend on the width, which is what lets the cascade re-sign a
-// graph at full width after a prefix-width pass without ranking it again.
+// oracle in the package tests).
 //
 // Obtain one from Encoder.NewScratch, or rely on the Encoder and
 // Predictor APIs, which vend pooled scratches per call or per batch
@@ -55,7 +52,6 @@ type EncoderScratch struct {
 	// of one Fit chunk while they are encoded.
 	counter *hdc.BitCounter
 	chunk   [encodeBatchChunk]*graph.Graph
-	packed  *hdc.Binary // full-width sign buffer for cascade escalations
 
 	// Grouping state of the last grouped batch: graph i's keys, in edge
 	// order, are keys[keyOff[i]:keyOff[i+1]], and its vertex labels in
@@ -73,14 +69,8 @@ type EncoderScratch struct {
 	labelTab []*hdc.Binary
 	pairs    []hdc.XorPair
 
-	// Per-graph outputs of the batch calls, full-width (outs) and
-	// prefix-width (pouts, rebuilt only when the width changes), and the
-	// cascade's worklist of graphs the classify phase marked for
-	// full-width escalation.
-	outs   []*hdc.Binary
-	pouts  []*hdc.Binary
-	poutsD int
-	escIdx []int32
+	// outs holds the per-graph outputs of the batch calls.
+	outs []*hdc.Binary
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
@@ -88,12 +78,7 @@ type EncoderScratch struct {
 // Everything else can rely on the pooled scratches behind the Encoder
 // and Predictor APIs.
 func (e *Encoder) NewScratch() *EncoderScratch {
-	d := e.cfg.Dimension
-	return &EncoderScratch{
-		enc:     e,
-		counter: hdc.NewBitCounter(d),
-		packed:  hdc.NewBinary(d),
-	}
+	return &EncoderScratch{enc: e, counter: hdc.NewBitCounter(e.cfg.Dimension)}
 }
 
 // Encoder returns the encoder s is bound to.
@@ -171,12 +156,11 @@ func (s *EncoderScratch) labelTable(labels []int) []*hdc.Binary {
 	return tab
 }
 
-// signInto encodes graph gi of the last grouped batch, g, into dst at
-// the counter's current width. Bundles of up to hdc.MaxSmallSign pairs —
-// the common serving case — take the one-shot bit-sliced majority kernel
-// and skip the counter tiers; the rest, and the vertex bundles of
-// edgeless graphs, accumulate through the blocked carry-save front end
-// and sign through the counter.
+// signInto encodes graph gi of the last grouped batch, g, into dst.
+// Bundles of up to hdc.MaxSmallSign pairs — the common serving case —
+// take the one-shot bit-sliced majority kernel and skip the counter
+// tiers; the rest, and the vertex bundles of edgeless graphs, accumulate
+// through the blocked carry-save front end and sign through the counter.
 func (s *EncoderScratch) signInto(gi int, g *graph.Graph, dst *hdc.Binary) {
 	tab := s.basis
 	if lo, hi := s.labelOff[gi], s.labelOff[gi+1]; lo < hi {
@@ -216,17 +200,17 @@ func (s *EncoderScratch) PlanStats() (pairs, groups int) {
 	return len(s.keys), len(s.keys)
 }
 
-// EncodeBatch encodes every graph at full width, returning one packed
-// hypervector per graph, bit-identical to Encoder.EncodeGraphPacked. The
-// returned slice and its vectors live in the scratch's buffers and are
-// valid until the next call on s.
+// EncodeBatch encodes every graph, returning one packed hypervector per
+// graph, bit-identical to Encoder.EncodeGraphPacked. The returned slice
+// and its vectors live in the scratch's buffers and are valid until the
+// next call on s.
 func (s *EncoderScratch) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
 	s.group(graphs)
 	return s.signAll(graphs)
 }
 
-// signAll signs every graph of the last grouped batch at full width into
-// the scratch's per-graph output buffers.
+// signAll signs every graph of the last grouped batch into the
+// scratch's per-graph output buffers.
 func (s *EncoderScratch) signAll(graphs []*graph.Graph) []*hdc.Binary {
 	for len(s.outs) < len(graphs) {
 		s.outs = append(s.outs, hdc.NewBinary(s.enc.cfg.Dimension))
@@ -238,50 +222,10 @@ func (s *EncoderScratch) signAll(graphs []*graph.Graph) []*hdc.Binary {
 	return outs
 }
 
-// prefixOuts returns n reusable d-dimensional sign buffers, one per
-// batch graph. Buffers are rebuilt only when the width changes (a hot
-// swap to a model with a different cascade prefix).
-func (s *EncoderScratch) prefixOuts(d, n int) []*hdc.Binary {
-	if s.poutsD != d {
-		s.pouts = s.pouts[:0]
-		s.poutsD = d
-	}
-	for len(s.pouts) < n {
-		s.pouts = append(s.pouts, hdc.NewBinary(d))
-	}
-	return s.pouts[:n]
-}
-
 // EncodeGraphPacked is Encoder.EncodeGraphPacked writing into a reusable
 // packed hypervector of the scratch; the result is valid until the next
 // call on s.
 func (s *EncoderScratch) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
 	gs := [1]*graph.Graph{g}
 	return s.EncodeBatch(gs[:])[0]
-}
-
-// EncodeGraphPackedPrefix encodes the first d components of Enc_G(g) —
-// bit-identical to EncodeGraphPacked(g).PrefixCopy(d), and therefore to
-// the full encoding of a d-dimensional model sharing the basis prefix
-// (majority bundling is componentwise) — at ~d/Dimension of the cost:
-// the counter is narrowed with SetDim and consumes only the first
-// ⌈d/64⌉ words of the full-width basis vectors, tail-masked, through the
-// same kernel tiers. This is the stage-1 encode of cascade
-// classification. The result lives in the scratch's prefix buffer, valid
-// until the next call on s; d must lie in [1, Dimension].
-func (s *EncoderScratch) EncodeGraphPackedPrefix(g *graph.Graph, d int) *hdc.Binary {
-	e := s.enc
-	if d == e.cfg.Dimension {
-		return s.EncodeGraphPacked(g)
-	}
-	if d < 1 || d > e.cfg.Dimension {
-		panic(fmt.Sprintf("core: prefix dimension %d outside [1,%d]", d, e.cfg.Dimension))
-	}
-	gs := [1]*graph.Graph{g}
-	s.group(gs[:])
-	out := s.prefixOuts(d, 1)[0]
-	s.counter.SetDim(d)
-	s.signInto(0, g, out)
-	s.counter.SetDim(e.cfg.Dimension)
-	return out
 }

@@ -16,11 +16,12 @@ import (
 
 // Model serialization. A trained GraphHD model is remarkably small: the
 // basis hypervectors regenerate deterministically from the seed, so only
-// the configuration and the per-class state need storing. Three record
+// the configuration and the per-class state need storing. Four record
 // versions share one header layout (little endian):
 //
 //	magic   [8]byte  "GRAPHHD1" (full model), "GRAPHHD2" (packed
-//	                 predictor), or "GRAPHHD3" (packed + cascade config)
+//	                 predictor), "GRAPHHD3" (legacy, read only) or
+//	                 "GRAPHHD4" (packed + revision)
 //	dim     uint32
 //	prIters uint32
 //	damping float64
@@ -35,19 +36,20 @@ import (
 // majority-voted class vectors bit-packed — k × ⌈dim/64⌉ uint64 words —
 // the query-only deployment form (~7.5 KB for the same model, 32× less).
 //
-// A GRAPHHD3 record is a GRAPHHD2 packed predictor that additionally
-// carries its cascade configuration — dprefix uint32 + margin uint32
-// between the header and the class words — so a calibrated two-stage
-// deployment (see cascade.go) survives save/load without re-calibration.
-// Predictor.WriteTo emits GRAPHHD3 exactly when a cascade is set.
-//
 // A GRAPHHD4 record carries the model revision (see Model.Revision): a
-// revision uint64 followed by the cascade pair — dprefix uint32 + margin
-// uint32, zeroes meaning no cascade — then the packed class words.
-// Predictor.WriteTo emits GRAPHHD4 exactly when revision > 0, so
-// artifacts from never-updated models stay byte-identical to earlier
-// releases; snapshots taken after online updates round-trip their
-// staleness marker.
+// revision uint64 followed by a reserved pair of uint32s, then the
+// packed class words. Predictor.WriteTo emits GRAPHHD4 exactly when
+// revision > 0, so artifacts from never-updated models stay
+// byte-identical to earlier releases; snapshots taken after online
+// updates round-trip their staleness marker.
+//
+// The reserved pair once held the configuration of a prefix-sliced
+// two-stage classifier (dprefix, margin), which earlier releases also
+// wrote in GRAPHHD3 records: a GRAPHHD2 record with the pair between
+// the header and the class words. That classifier is gone. Readers
+// accept both records and ignore the pair, so such artifacts serve at
+// full width; WriteTo writes the pair as zeroes and never writes
+// GRAPHHD3.
 //
 // The labeled-extension (rank, label) cache regenerates lazily from the
 // seed, so labeled models round-trip too.
@@ -55,7 +57,7 @@ import (
 var (
 	modelMagic    = [8]byte{'G', 'R', 'A', 'P', 'H', 'H', 'D', '1'}
 	packedMagic   = [8]byte{'G', 'R', 'A', 'P', 'H', 'H', 'D', '2'}
-	cascadeMagic  = [8]byte{'G', 'R', 'A', 'P', 'H', 'H', 'D', '3'}
+	legacyMagic   = [8]byte{'G', 'R', 'A', 'P', 'H', 'H', 'D', '3'}
 	revisionMagic = [8]byte{'G', 'R', 'A', 'P', 'H', 'H', 'D', '4'}
 )
 
@@ -270,10 +272,9 @@ func LoadModelFile(path string) (*Model, error) {
 	return ReadModel(f)
 }
 
-// WriteTo serializes the predictor as a GRAPHHD2 packed record — or, when
-// a cascade is configured, a GRAPHHD3 record carrying the cascade config —
-// or, when the snapshot carries a non-zero revision, a GRAPHHD4 record
-// carrying revision plus cascade config. It implements io.WriterTo.
+// WriteTo serializes the predictor as a GRAPHHD2 packed record or, when
+// the snapshot carries a non-zero revision, a GRAPHHD4 record carrying
+// it. It implements io.WriterTo.
 func (p *Predictor) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	n := int64(0)
@@ -284,13 +285,9 @@ func (p *Predictor) WriteTo(w io.Writer) (int64, error) {
 		n += int64(binary.Size(v))
 		return nil
 	}
-	casc, hasCasc := p.Cascade()
 	magic := packedMagic
-	switch {
-	case p.revision != 0:
+	if p.revision != 0 {
 		magic = revisionMagic
-	case hasCasc:
-		magic = cascadeMagic
 	}
 	if err := writeHeader(write, magic, p.enc.Config(), p.NumClasses()); err != nil {
 		return n, err
@@ -299,16 +296,8 @@ func (p *Predictor) WriteTo(w io.Writer) (int64, error) {
 		if err := write(p.revision); err != nil {
 			return n, fmt.Errorf("core: serialize revision: %w", err)
 		}
-		if !hasCasc {
-			casc = Cascade{} // zeroes encode "no cascade"
-		}
-		hasCasc = true
-	}
-	if hasCasc {
-		for _, v := range []uint32{uint32(casc.DPrefix), uint32(casc.Margin)} {
-			if err := write(v); err != nil {
-				return n, fmt.Errorf("core: serialize cascade config: %w", err)
-			}
+		if err := write([2]uint32{}); err != nil { // the reserved pair
+			return n, fmt.Errorf("core: serialize revision: %w", err)
 		}
 	}
 	for c := 0; c < p.NumClasses(); c++ {
@@ -333,8 +322,7 @@ func (p *Predictor) SaveFile(path string) error {
 
 // ReadPredictor deserializes a packed query predictor. It accepts all
 // record versions: a GRAPHHD2/GRAPHHD3/GRAPHHD4 record loads directly
-// (restoring cascade configuration and revision where present), and a
-// GRAPHHD1 full model is
+// (restoring the revision where present), and a GRAPHHD1 full model is
 // loaded and snapshotted, so deployment code reads any format.
 // Note that snapshotting always yields the majority-voted query semantics:
 // for a GRAPHHD1 model saved with BipolarClassVectors false, the resulting
@@ -357,7 +345,7 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 			return nil, err
 		}
 		return m.Snapshot(), nil
-	case packedMagic, cascadeMagic, revisionMagic:
+	case packedMagic, legacyMagic, revisionMagic:
 	default:
 		return nil, fmt.Errorf("core: bad model magic %q", magic)
 	}
@@ -371,22 +359,10 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 			return nil, fmt.Errorf("core: read revision: %w", err)
 		}
 	}
-	var casc Cascade
-	hasCasc := false
-	if magic == cascadeMagic || magic == revisionMagic {
-		var dprefix, margin uint32
-		for _, v := range []any{&dprefix, &margin} {
-			if err := read(v); err != nil {
-				return nil, fmt.Errorf("core: read cascade config: %w", err)
-			}
-		}
-		// In a GRAPHHD4 record all-zero cascade fields mean "none".
-		if dprefix != 0 || margin != 0 || magic == cascadeMagic {
-			casc = Cascade{DPrefix: int(dprefix), Margin: int(margin)}
-			if err := casc.Validate(cfg.Dimension); err != nil {
-				return nil, err
-			}
-			hasCasc = true
+	if magic != packedMagic {
+		var reserved [2]uint32 // ignored; see the record layout above
+		if err := read(&reserved); err != nil {
+			return nil, fmt.Errorf("core: read reserved pair: %w", err)
 		}
 	}
 	nw := (cfg.Dimension + 63) / 64
@@ -414,11 +390,6 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 		return nil, err
 	}
 	p.revision = revision
-	if hasCasc {
-		if err := p.SetCascade(casc); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 

@@ -17,14 +17,29 @@ import (
 // record, and unused flag bits normalize on write.)
 //
 // The seed corpus under testdata/fuzz/FuzzReadPredictor holds one valid
-// record of each version, GRAPHHD1 to GRAPHHD4, at dimension 128. Run
-// with `go test -fuzz FuzzReadPredictor ./internal/core` for continuous
+// record of each version, GRAPHHD1 to GRAPHHD4, at dimension 128. Two
+// more seeds, built here, carry a (dprefix, margin) pair wider than the
+// model: a GRAPHHD3 record and a GRAPHHD4 record. Run with
+// `go test -fuzz FuzzReadPredictor ./internal/core` for continuous
 // fuzzing.
 func FuzzReadPredictor(f *testing.F) {
 	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
+	cfg := DefaultConfig()
+	cfg.Dimension = 128
+	gs, ys := twoClassDataset(4, 3)
+	m, err := Train(cfg, gs, ys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var rec2 bytes.Buffer
+	if _, err := m.Snapshot().WriteTo(&rec2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spliceRecord(rec2.Bytes(), "GRAPHHD3", uint32(1024), uint32(12)))
+	f.Add(spliceRecord(rec2.Bytes(), "GRAPHHD4", uint64(1), uint32(1024), uint32(12)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPredictor(bytes.NewReader(data))
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"graphhd/internal/centrality"
+	"graphhd/internal/dataset"
 )
 
 func TestModelRoundTrip(t *testing.T) {
@@ -359,5 +360,85 @@ func TestSaveFileIsAtomic(t *testing.T) {
 	// A save into a missing directory fails cleanly.
 	if err := m.SaveFile(filepath.Join(dir, "missing", "m.ghd")); err == nil {
 		t.Fatal("save into a missing directory succeeded")
+	}
+}
+
+// headerBytes is the length of the shared record header: 8 magic + 4 dim
+// + 4 prIters + 8 damping + 8 seed + 4 flags + 4 metric + 4 k.
+const headerBytes = 44
+
+// spliceRecord returns the GRAPHHD2 record rec with its magic replaced
+// and fields inserted between the header and the class words, the
+// layout of the GRAPHHD3 and GRAPHHD4 records.
+func spliceRecord(rec []byte, magic string, fields ...any) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.Write(rec[8:headerBytes])
+	for _, f := range fields {
+		if err := binary.Write(&buf, binary.LittleEndian, f); err != nil {
+			panic(err)
+		}
+	}
+	buf.Write(rec[headerBytes:])
+	return buf.Bytes()
+}
+
+// TestLegacyCascadeRecordsServeFullWidth pins how records that carry a
+// two-stage classifier's (dprefix, margin) pair load: a GRAPHHD3 record
+// and a GRAPHHD4 record with a non-zero pair both read with the pair
+// ignored and predict every NCI1 test graph as the GRAPHHD2 predictor
+// does. Saved again, the GRAPHHD3 record gives the GRAPHHD2 bytes and
+// the GRAPHHD4 record the same record with a zero pair.
+func TestLegacyCascadeRecordsServeFullWidth(t *testing.T) {
+	ds := dataset.MustGenerate("NCI1", dataset.Options{Seed: 1, GraphCount: 240})
+	train, test := ds.Graphs[:180], ds.Graphs[180:]
+	m, err := Train(DefaultConfig(), train, ds.Labels[:180])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.Snapshot().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec2 := buf.Bytes()
+	if got := string(rec2[:8]); got != "GRAPHHD2" {
+		t.Fatalf("snapshot magic = %q, want GRAPHHD2", got)
+	}
+	full, err := ReadPredictor(bytes.NewReader(rec2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full.PredictAll(test)
+
+	const revision = 5
+	for _, c := range []struct {
+		name     string
+		rec, out []byte
+		revision uint64
+	}{
+		{"GRAPHHD3", spliceRecord(rec2, "GRAPHHD3", uint32(1024), uint32(12)), rec2, 0},
+		{"GRAPHHD4", spliceRecord(rec2, "GRAPHHD4", uint64(revision), uint32(1024), uint32(12)),
+			spliceRecord(rec2, "GRAPHHD4", uint64(revision), uint32(0), uint32(0)), revision},
+	} {
+		p, err := ReadPredictor(bytes.NewReader(c.rec))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.Revision() != c.revision {
+			t.Fatalf("%s: revision %d, want %d", c.name, p.Revision(), c.revision)
+		}
+		for i, cls := range p.PredictAll(test) {
+			if cls != want[i] {
+				t.Fatalf("%s: test graph %d predicted %d, GRAPHHD2 predictor %d", c.name, i, cls, want[i])
+			}
+		}
+		var out bytes.Buffer
+		if _, err := p.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), c.out) {
+			t.Fatalf("%s: saved again as %q, %d bytes, want %q, %d bytes",
+				c.name, out.Bytes()[:8], out.Len(), c.out[:8], len(c.out))
+		}
 	}
 }

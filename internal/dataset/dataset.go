@@ -181,15 +181,19 @@ func genPTCFM(c int, rng *hdc.RNG) *graph.Graph {
 // density (class 1). Matching the marginal statistics while differing in
 // degree-distribution shape keeps the task non-trivial but learnable.
 func genPROTEINS(c int, rng *hdc.RNG) *graph.Graph {
-	scale := 0.75 + rng.Float64()*0.5 // ±25% size jitter
+	// ±25% size jitter. The float64 conversions here and below round each
+	// product before the add, so no compiler fuses them into one
+	// multiply-add (Go does on arm64) and datasets match on every
+	// architecture.
+	scale := 0.75 + float64(rng.Float64()*0.5)
 	if c == 0 {
-		size := int(10*scale + 0.5)
+		size := int(float64(10*scale) + 0.5)
 		if size < 3 {
 			size = 3
 		}
 		return graph.CommunityGraph([]int{size, size, size, size}, 0.35, 0.02, rng)
 	}
-	n := int(39*scale + 0.5)
+	n := int(float64(39*scale) + 0.5)
 	if n < 6 {
 		n = 6
 	}
@@ -198,8 +202,8 @@ func genPROTEINS(c int, rng *hdc.RNG) *graph.Graph {
 
 // genENZYMES assigns one structural family per EC class.
 func genENZYMES(c int, rng *hdc.RNG) *graph.Graph {
-	scale := 0.75 + rng.Float64()*0.5
-	n := int(33*scale + 0.5)
+	scale := 0.75 + float64(rng.Float64()*0.5)
+	n := int(float64(33*scale) + 0.5)
 	if n < 8 {
 		n = 8
 	}
@@ -253,8 +257,8 @@ func ringOfCliques(m, s int) *graph.Graph {
 // structure is clearly separable from the softer community structure while
 // both hit Table I's |V| ≈ 284, |E| ≈ 716.
 func genDD(c int, rng *hdc.RNG) *graph.Graph {
-	scale := 0.75 + rng.Float64()*0.5
-	n := int(284*scale + 0.5)
+	scale := 0.75 + float64(rng.Float64()*0.5)
+	n := int(float64(284*scale) + 0.5)
 	if c == 0 {
 		comm := 8
 		size := n / comm

@@ -112,25 +112,6 @@ func (b *Binary) Clone() *Binary {
 	return &Binary{d: b.d, words: w}
 }
 
-// PrefixCopy returns a canonical d-dimensional copy of b's first d
-// components: an independent vector whose tail bits beyond d are zero.
-// Because majority bundling and XNOR binding are componentwise, the
-// d-prefix of any encoding built from full-width basis vectors is
-// bit-identical to the encoding built from the d-prefixes of those basis
-// vectors — PrefixCopy is how class vectors and basis slices are
-// materialized for prefix-sliced (reduced-dimension) classification.
-// d must satisfy 1 ≤ d ≤ b.Dim().
-func (b *Binary) PrefixCopy(d int) *Binary {
-	if d < 1 || d > b.d {
-		panic(fmt.Sprintf("hdc: prefix dimension %d outside [1,%d]", d, b.d))
-	}
-	w := make([]uint64, (d+63)/64)
-	copy(w, b.words[:len(w)])
-	out := &Binary{d: d, words: w}
-	out.maskTail()
-	return out
-}
-
 // Equal reports whether b and c are identical.
 func (b *Binary) Equal(c *Binary) bool {
 	if b.d != c.d {

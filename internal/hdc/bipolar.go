@@ -288,8 +288,9 @@ func (a *Accumulator) CosineToSums(v *Bipolar) float64 {
 	var dot, norm float64
 	for i, s := range a.sums {
 		fs := float64(s)
-		dot += fs * float64(v.comps[i])
-		norm += fs * fs
+		// Rounded products: no fused multiply-add on any architecture.
+		dot += float64(fs * float64(v.comps[i]))
+		norm += float64(fs * fs)
 	}
 	if norm == 0 {
 		return 0
@@ -388,7 +389,7 @@ func (a *Accumulator) sumStats() (total int64, denom float64) {
 	for _, s := range a.sums {
 		total += int64(s)
 		fs := float64(s)
-		norm += fs * fs
+		norm += float64(fs * fs)
 	}
 	if norm == 0 {
 		return total, 0

@@ -226,7 +226,7 @@ func TestHammingCosineConsistency(t *testing.T) {
 		r := NewRNG(seed ^ rng.Uint64())
 		v := RandomBipolar(256, r)
 		w := RandomBipolar(256, r)
-		want := 1 - 2*float64(v.Hamming(w))/256
+		want := 1 - float64(2*float64(v.Hamming(w))/256)
 		return math.Abs(v.Cosine(w)-want) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -39,13 +39,6 @@ import (
 type BitCounter struct {
 	d     int
 	words int
-	// dcap is the construction-time dimension: the capacity ceiling for
-	// SetDim. All tier storage is sized for dcap; d ≤ dcap selects the
-	// active prefix. countsAll is the full-capacity int32 slab that counts
-	// re-slices into at the active width; both stay nil until the first
-	// flush.
-	dcap      int
-	countsAll []int32
 	// byteLo[j]/byteHi[j]: byte counters. Byte k of byteLo[j][w] counts
 	// component 64w + 8k + j and byte k of byteHi[j][w] component
 	// 64w + 8k + 4 + j, so the per-component flush runs every ~255 units
@@ -66,9 +59,8 @@ type BitCounter struct {
 	// parked it.
 	csaParked bool
 	// kargs is the pre-resolved argument block handed to the vector
-	// kernels; the plane and lane pointers are filled once at
-	// construction, the tail mask there and by SetDim, the stream
-	// pointers per block.
+	// kernels; the plane and lane pointers and the tail mask are filled
+	// once at construction, the stream pointers per block.
 	kargs csaArgs
 	// sargs is the small-sign kernels' argument block and operand table,
 	// filled per SignXorPairsSmallInto call.
@@ -86,8 +78,9 @@ type BitCounter struct {
 	// they do not and n fits a byte, Sign* can run its SWAR fast path
 	// straight off the byte lanes.
 	countsDirty bool
-	counts      []int32
-	n           int
+	// counts is the int32 tier, nil until the first flush.
+	counts []int32
+	n      int
 }
 
 const (
@@ -108,7 +101,7 @@ func NewBitCounter(d int) *BitCounter {
 		panic("hdc: non-positive dimension")
 	}
 	w := (d + 63) / 64
-	c := &BitCounter{d: d, dcap: d, words: w}
+	c := &BitCounter{d: d, words: w}
 	// The byte lanes and carry-save planes are views into contiguous
 	// slabs: the vector kernels address all of them from the base
 	// pointers below, and one allocation each keeps them cache-adjacent.
@@ -147,35 +140,8 @@ func (c *BitCounter) vecWords(k *kernelTable, masked bool) int {
 	return k.vecLen(full)
 }
 
-// Dim returns the active dimensionality.
+// Dim returns the counter's dimensionality.
 func (c *BitCounter) Dim() int { return c.d }
-
-// SetDim re-targets the counter at dimension d, reusing the storage
-// allocated at construction — the prefix-slicing hook that lets one
-// counter serve encodes of several widths with zero reallocation. d must
-// lie in [1, NewBitCounter's d]. Any accumulated weight is discarded (the
-// counter is Reset at its current width first, where all dirty state
-// lives, so narrowing then widening never resurrects stale counts).
-//
-// Operands handed to the accumulation entry points may be wider than the
-// active dimension: only the first d components are read and the tail
-// word is masked, so full-width basis vectors feed a narrowed counter
-// directly, with no per-call prefix views.
-func (c *BitCounter) SetDim(d int) {
-	if d == c.d {
-		return
-	}
-	if d < 1 || d > c.dcap {
-		panic(fmt.Sprintf("hdc: dimension %d outside counter capacity [1,%d]", d, c.dcap))
-	}
-	c.Reset()
-	c.d = d
-	c.words = (d + 63) / 64
-	if c.countsAll != nil {
-		c.counts = c.countsAll[:d]
-	}
-	c.kargs.tail = c.tailMask()
-}
 
 // Count returns the number of vectors added since the last Reset.
 func (c *BitCounter) Count() int { return c.n }
@@ -196,14 +162,11 @@ func (c *BitCounter) tailMask() uint64 {
 	return ^uint64(0)
 }
 
-// checkOperand panics unless an operand of dimension d can cover the
-// counter's active dimension. Operands wider than c.d are accepted — the
-// prefix-slicing contract: accumulation reads only the first c.d
-// components and masks the tail word, so full-width vectors feed a
-// narrowed counter directly.
-func (c *BitCounter) checkOperand(d int) {
-	if d < c.d {
-		panic(fmt.Sprintf("hdc: operand dimension %d below counter dimension %d", d, c.d))
+// checkDim panics unless a vector handed to the counter has its
+// dimension.
+func (c *BitCounter) checkDim(d int) {
+	if d != c.d {
+		panic(fmt.Sprintf("hdc: vector dimension %d, want %d", d, c.d))
 	}
 }
 
@@ -236,8 +199,8 @@ type XorPair struct {
 // garbage never reaches the counters.
 func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 	for _, p := range pairs {
-		c.checkOperand(p.A.d)
-		c.checkOperand(p.B.d)
+		c.checkDim(p.A.d)
+		c.checkDim(p.B.d)
 	}
 	c.checkAdds(len(pairs))
 	c.n += len(pairs)
@@ -245,7 +208,6 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 		return
 	}
 	kern := loadKernels()
-	nw := c.words
 	var aws, bws [8][]uint64
 	var vs [8]uint64
 	for i := 0; i < len(pairs); i += 8 {
@@ -255,7 +217,7 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 		}
 		for k := 0; k < n; k++ {
 			p := &pairs[i+k]
-			aws[k], bws[k], vs[k] = p.A.words[:nw], p.B.words[:nw], invMask(p.Invert)
+			aws[k], bws[k], vs[k] = p.A.words, p.B.words, invMask(p.Invert)
 		}
 		// A short final block is padded with zero streams: XOR of two
 		// zero streams contributes nothing to any count, so the tail
@@ -275,7 +237,7 @@ func (c *BitCounter) AddXorPairs(pairs []XorPair) {
 // Model.Fit bundles a chunk of one class's encodings.
 func (c *BitCounter) AddAll(vs []*Binary) {
 	for _, v := range vs {
-		c.checkOperand(v.d)
+		c.checkDim(v.d)
 	}
 	c.checkAdds(len(vs))
 	c.n += len(vs)
@@ -283,7 +245,6 @@ func (c *BitCounter) AddAll(vs []*Binary) {
 		return
 	}
 	kern := loadKernels()
-	nw := c.words
 	var aws, zeros [8][]uint64
 	var noInvert [8]uint64
 	for k := range zeros {
@@ -292,7 +253,7 @@ func (c *BitCounter) AddAll(vs []*Binary) {
 	for i := 0; i < len(vs); i += 8 {
 		n := min(len(vs)-i, 8)
 		for k := 0; k < n; k++ {
-			aws[k] = vs[i+k].words[:nw]
+			aws[k] = vs[i+k].words
 		}
 		for k := n; k < 8; k++ {
 			aws[k] = c.zeroWords // zero padding, as in AddXorPairs
@@ -436,9 +397,8 @@ func (c *BitCounter) drainCarrySave() {
 // dense by flush time); only a partial final word pays per-component
 // range checks.
 func (c *BitCounter) flushBytes() {
-	if c.countsAll == nil {
-		c.countsAll = make([]int32, c.dcap)
-		c.counts = c.countsAll[:c.d]
+	if c.counts == nil {
+		c.counts = make([]int32, c.d)
 	}
 	if c.pendingByte == 0 {
 		return
@@ -605,15 +565,8 @@ func (c *BitCounter) SignBipolarInto(tie, dst *Bipolar) *Bipolar {
 // word is assembled before being stored, so dst may alias tie. Returns
 // dst.
 func (c *BitCounter) SignBinaryInto(tie, dst *Binary) *Binary {
-	// tie may be wider than the counter (prefix slicing): tie bits land in
-	// the output only on exact ties, which cannot occur past dimension d
-	// (those components hold zero count, and 0 == n/2 only for n == 0, an
-	// empty bundle, whose tail word the SWAR path masks). dst is canonical
-	// output and must match exactly.
-	c.checkOperand(tie.d)
-	if c.d != dst.d {
-		panic(fmt.Sprintf("hdc: destination dimension %d, want %d", dst.d, c.d))
-	}
+	c.checkDim(tie.d)
+	c.checkDim(dst.d)
 	if c.signBinarySWAR(tie, dst) {
 		return dst
 	}
@@ -689,9 +642,6 @@ func (c *BitCounter) signBinarySWAR(tie, dst *Binary) bool {
 		}
 		dst.words[w] = out
 	}
-	// With n == 0 every count ties, the zero counts past dimension d
-	// too, and those took the bits of a wider tie.
-	dst.maskTail()
 	return true
 }
 

@@ -42,8 +42,8 @@ func testAddXorPairsMatchesScalar(t *testing.T) {
 
 // TestAddAllMatchesAdd pins the bulk carry-save add against n single
 // adds of the naive reference — across block remainders, tail
-// dimensions, calls long enough to flush the byte lanes, operands wider
-// than a narrowed counter, and every supported kernel tier.
+// dimensions, calls long enough to flush the byte lanes, and every
+// supported kernel tier.
 func TestAddAllMatchesAdd(t *testing.T) {
 	forEachKernelTier(t, testAddAllMatchesAdd)
 }
@@ -58,17 +58,6 @@ func testAddAllMatchesAdd(t *testing.T) {
 			ref := newNaiveCounter(d)
 			ref.addAll(vs)
 			ref.check(t, fmt.Sprintf("d=%d n=%d", d, n), c)
-		}
-		if d > 1 {
-			// Full-width operands into a counter narrowed to d-1: only the
-			// leading d-1 components count.
-			vs := randomVectors(d, 20, NewRNG(uint64(d)))
-			c := NewBitCounter(d)
-			c.SetDim(d - 1)
-			c.AddAll(vs)
-			ref := newNaiveCounter(d - 1)
-			ref.addAll(vs)
-			ref.check(t, fmt.Sprintf("d=%d narrowed", d), c)
 		}
 	}
 }
@@ -199,10 +188,10 @@ func testBitCounterOneCallTo127StaysInBytes(t *testing.T) {
 // TestBitCounterInt32CountsOnFirstFlush: the int32 tier is allocated by
 // the first flush, not by NewBitCounter. A counter that signs and folds
 // bundles of at most 127 operands — through AddAll, AddXorPairs and the
-// small sign, across Reset and SetDim — never holds it and matches the
-// naive reference throughout; so does the int8 sign of a counter that
-// never flushed. The first bundle past 255 units of weight allocates it
-// and still matches, at full and at narrowed width.
+// small sign, across Reset — never holds it and matches the naive
+// reference throughout; so does the int8 sign of a counter that never
+// flushed. The first bundle past 255 units of weight allocates it and
+// still matches.
 func TestBitCounterInt32CountsOnFirstFlush(t *testing.T) {
 	forEachKernelTier(t, testBitCounterInt32CountsOnFirstFlush)
 }
@@ -218,33 +207,28 @@ func testBitCounterInt32CountsOnFirstFlush(t *testing.T) {
 		c = NewBitCounter(d)
 		acc := NewAccumulator(d)
 		ref := newNaiveCounter(d)
-		for _, dim := range []int{d, 321, d} {
-			c.SetDim(dim)
-			narrow := newNaiveCounter(dim)
-			for _, n := range []int{1, 8, 63, 64, 127} {
-				label := fmt.Sprintf("d=%d dim=%d n=%d", d, dim, n)
-				vs := randomVectors(d, n, rng)
-				pairs := randomPairs(d, n, rng)
-				c.Reset()
-				c.AddAll(vs)
-				narrow.reset()
-				narrow.addAll(vs)
-				narrow.checkSign(t, label+" AddAll", tie, c.SignBinaryInto(tie, NewBinary(dim)))
-				c.Reset()
-				c.AddXorPairs(pairs)
-				narrow.reset()
-				narrow.addPairs(pairs)
-				narrow.checkSign(t, label+" AddXorPairs", tie, c.SignBinaryInto(tie, NewBinary(dim)))
-				if n <= MaxSmallSign {
-					narrow.checkSign(t, label+" small sign", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(dim)))
-				}
-				if dim == d {
-					acc.AddCounter(c)
-					ref.addPairs(pairs)
-				}
-				if c.countsAll != nil || c.counts != nil {
-					t.Fatalf("%s: a bundle of at most 127 operands allocated the int32 counts", label)
-				}
+		bundle := newNaiveCounter(d)
+		for _, n := range []int{1, 8, 63, 64, 127} {
+			label := fmt.Sprintf("d=%d n=%d", d, n)
+			vs := randomVectors(d, n, rng)
+			pairs := randomPairs(d, n, rng)
+			c.Reset()
+			c.AddAll(vs)
+			bundle.reset()
+			bundle.addAll(vs)
+			bundle.checkSign(t, label+" AddAll", tie, c.SignBinaryInto(tie, NewBinary(d)))
+			c.Reset()
+			c.AddXorPairs(pairs)
+			bundle.reset()
+			bundle.addPairs(pairs)
+			bundle.checkSign(t, label+" AddXorPairs", tie, c.SignBinaryInto(tie, NewBinary(d)))
+			if n <= MaxSmallSign {
+				bundle.checkSign(t, label+" small sign", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)))
+			}
+			acc.AddCounter(c)
+			ref.addPairs(pairs)
+			if c.counts != nil {
+				t.Fatalf("%s: a bundle of at most 127 operands allocated the int32 counts", label)
 			}
 		}
 		for i, cnt := range ref.counts {
@@ -253,21 +237,17 @@ func testBitCounterInt32CountsOnFirstFlush(t *testing.T) {
 			}
 		}
 
-		for _, dim := range []int{d, 321} {
-			label := fmt.Sprintf("d=%d dim=%d n=256", d, dim)
-			c.SetDim(dim)
-			c.Reset()
-			vs := randomVectors(d, 256, rng)
-			c.AddAll(vs)
-			narrow := newNaiveCounter(dim)
-			narrow.addAll(vs)
-			narrow.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(dim)))
-			if len(c.countsAll) != d || len(c.counts) != dim {
-				t.Fatalf("%s: int32 counts %d of capacity %d after the first flush, want %d of %d",
-					label, len(c.counts), len(c.countsAll), dim, d)
-			}
-			narrow.check(t, label, c)
+		label := fmt.Sprintf("d=%d n=256", d)
+		c.Reset()
+		vs := randomVectors(d, 256, rng)
+		c.AddAll(vs)
+		bundle.reset()
+		bundle.addAll(vs)
+		bundle.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(d)))
+		if len(c.counts) != d {
+			t.Fatalf("%s: int32 counts %d after the first flush, want %d", label, len(c.counts), d)
 		}
+		bundle.check(t, label, c)
 	}
 }
 

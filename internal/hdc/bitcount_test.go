@@ -49,10 +49,6 @@ func (c *BitCounter) SignBinary(tie *Binary) *Binary {
 	return c.SignBinaryInto(tie, NewBinary(c.d))
 }
 
-// Capacity returns the construction-time dimension: the largest value
-// SetDim accepts.
-func (c *BitCounter) Capacity() int { return c.dcap }
-
 // naiveCounter is the per-bit reference the BitCounter tests check
 // against: one int64 count per component, fed one bit at a time.
 type naiveCounter struct {
@@ -251,13 +247,13 @@ func TestBitCounterReset(t *testing.T) {
 func TestBitCounterPanics(t *testing.T) {
 	c := NewBitCounter(64)
 	for _, fn := range []func(){
-		// Operands narrower than the counter must panic (wider ones are
-		// the prefix-slicing contract and are accepted).
+		// Operands narrower or wider than the counter must panic.
 		func() { c.AddAll([]*Binary{NewBinary(63)}) },
+		func() { c.AddAll([]*Binary{NewBinary(65)}) },
 		func() { c.AddXorPairs([]XorPair{{A: NewBinary(64), B: NewBinary(63)}}) },
+		func() { c.AddXorPairs([]XorPair{{A: NewBinary(65), B: NewBinary(64)}}) },
+		func() { c.AddXorPairs([]XorPair{{A: NewBinary(128), B: NewBinary(128)}}) },
 		func() { NewBitCounter(0) },
-		func() { c.SetDim(0) },
-		func() { c.SetDim(65) },
 	} {
 		func() {
 			defer func() {
@@ -353,9 +349,8 @@ func TestSignIntoDimensionPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("SignBinaryInto dst", func() { c.SignBinaryInto(NewBinary(64), NewBinary(65)) })
-	// Ties WIDER than the counter are legal (prefix slicing); narrower
-	// ones cannot cover it and must panic.
-	mustPanic("SignBinaryInto tie", func() { c.SignBinaryInto(NewBinary(63), NewBinary(64)) })
+	mustPanic("SignBinaryInto narrow tie", func() { c.SignBinaryInto(NewBinary(63), NewBinary(64)) })
+	mustPanic("SignBinaryInto wide tie", func() { c.SignBinaryInto(NewBinary(65), NewBinary(64)) })
 	mustPanic("SignBipolarInto dst", func() { c.SignBipolarInto(NewBipolar(64), NewBipolar(63)) })
 }
 
@@ -374,15 +369,23 @@ func TestSignBinaryIntoAliasingTie(t *testing.T) {
 }
 
 // TestSignBinaryIntoEmptyWideTie: an empty bundle — an empty graph's —
-// signs to the tie, and a tie wider than the narrowed counter leaves no
-// bit set past the counter's dimension.
+// signs to the tie at every tail width, and a tie wider than the
+// counter panics instead of lending it bits past the counter's
+// dimension.
 func TestSignBinaryIntoEmptyWideTie(t *testing.T) {
-	tie := RandomBinary(256, NewRNG(4))
-	c := NewBitCounter(256)
 	for _, d := range []int{256, 200, 70, 1} {
-		c.SetDim(d)
-		if got := c.SignBinaryInto(tie, NewBinary(d)); !got.Equal(tie.PrefixCopy(d)) {
-			t.Fatalf("d=%d: empty bundle did not sign to the tie's prefix", d)
+		tie := RandomBinary(d, NewRNG(uint64(d)))
+		c := NewBitCounter(d)
+		if got := c.SignBinaryInto(tie, NewBinary(d)); !got.Equal(tie) {
+			t.Fatalf("d=%d: empty bundle did not sign to the tie", d)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("d=%d: a tie of dimension %d did not panic", d, d+1)
+				}
+			}()
+			c.SignBinaryInto(RandomBinary(d+1, NewRNG(1)), NewBinary(d))
+		}()
 	}
 }

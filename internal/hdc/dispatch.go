@@ -82,9 +82,8 @@ func ParseKernelTier(s string) (KernelTier, error) {
 // below — and are pinned by TestCsaArgsABIOffsets.
 //
 // One csaArgs lives in each BitCounter with the plane and lane pointers
-// and the tail mask pre-resolved (at construction, the tail again by
-// SetDim), so filling it per block costs only the per-block stream
-// pointers.
+// and the tail mask pre-resolved at construction, so filling it per
+// block costs only the per-block stream pointers.
 type csaArgs struct {
 	x   [8]*uint64 // +0   A streams
 	y   [8]*uint64 // +64  B streams

@@ -106,53 +106,6 @@ func (pm *PackedMemory) Similarities(v *Binary) []float64 {
 	return sims
 }
 
-// Prefix returns a new PackedMemory over the first d components of every
-// class vector — canonical tail-masked copies, so Hamming queries against
-// canonical d-dimensional encodings are exact. Because majority voting is
-// componentwise, the result is bit-identical to the packed memory of a
-// model trained at dimension d from the same basis prefix; it is the
-// stage-1 query table of prefix-sliced cascade classification. d must
-// satisfy 1 ≤ d ≤ Dim().
-func (pm *PackedMemory) Prefix(d int) (*PackedMemory, error) {
-	if d < 1 || d > pm.dim {
-		return nil, fmt.Errorf("hdc: prefix dimension %d outside [1,%d]", d, pm.dim)
-	}
-	classes := make([]*Binary, len(pm.classes))
-	for c, cv := range pm.classes {
-		classes[c] = cv.PrefixCopy(d)
-	}
-	return &PackedMemory{dim: d, classes: classes}, nil
-}
-
-// ClassifyTop2 returns the nearest and second-nearest classes by Hamming
-// distance along with their distances, with the same smaller-index tie
-// rule as Classify (best is always exactly Classify's answer). With a
-// single class, second is -1 and secondH is dim+1 — an infinite margin,
-// so cascade callers never escalate. The margin secondH-bestH is the
-// ambiguity signal prefix-sliced cascade classification thresholds on.
-// It allocates nothing.
-func (pm *PackedMemory) ClassifyTop2(v *Binary) (best, second, bestH, secondH int) {
-	if v.d != pm.dim {
-		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", v.d, pm.dim))
-	}
-	kern := loadKernels()
-	// The first class always beats the dim+1 sentinel, demoting the
-	// (-1, dim+1) placeholder into the runner-up slot — which is exactly
-	// the single-class answer if no second class ever replaces it.
-	best, second = -1, -1
-	bestH, secondH = pm.dim+1, pm.dim+1
-	for c, cv := range pm.classes {
-		h := hammingWords(kern, cv.words, v.words)
-		if h < bestH {
-			second, secondH = best, bestH
-			best, bestH = c, h
-		} else if h < secondH {
-			second, secondH = c, h
-		}
-	}
-	return best, second, bestH, secondH
-}
-
 // Classify returns the class whose vector is nearest to v in Hamming
 // distance, breaking exact ties toward the smaller class index — the same
 // deterministic tie rule as AssociativeMemory.Classify. It allocates

@@ -30,8 +30,8 @@ func TestSignBinaryDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	// A tie vector NARROWER than the counter cannot cover it and must
-	// panic. (Wider ties are legal under prefix slicing — see SetDim.)
+	// A tie vector narrower than the counter cannot cover it and must
+	// panic.
 	NewBitCounter(65).SignBinaryInto(NewBinary(64), NewBinary(65))
 }
 

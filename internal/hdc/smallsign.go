@@ -77,20 +77,14 @@ func (c *BitCounter) SignXorPairsSmallInto(pairs []XorPair, tie, dst *Binary) *B
 	if len(pairs) == 0 || len(pairs) > MaxSmallSign {
 		panic(fmt.Sprintf("hdc: %d pairs outside small-sign range [1,%d]", len(pairs), MaxSmallSign))
 	}
-	// Pair operands and the tie vector may be wider than the counter
-	// (prefix slicing; see BitCounter.SetDim): only the first d components
-	// are read and the sweep masks the tail word. dst is canonical output
-	// and must match exactly.
-	c.checkOperand(tie.d)
-	if c.d != dst.d {
-		panic(fmt.Sprintf("hdc: destination dimension %d, want %d", dst.d, c.d))
-	}
+	c.checkDim(tie.d)
+	c.checkDim(dst.d)
 	// One walk over the pairs checks them and fills the operand table.
 	a := &c.sargs
 	for k := range pairs {
 		p := &pairs[k]
-		c.checkOperand(p.A.d)
-		c.checkOperand(p.B.d)
+		c.checkDim(p.A.d)
+		c.checkDim(p.B.d)
 		a.x[k], a.y[k], a.inv[k] = &p.A.words[0], &p.B.words[0], invMask(p.Invert)
 	}
 	kern := loadKernels()

@@ -117,15 +117,19 @@ func TestSignSmallPanics(t *testing.T) {
 	expectPanic("too many pairs", func() {
 		c.SignXorPairsSmallInto(make([]XorPair, MaxSmallSign+1), tie, dst)
 	})
-	// Operands narrower than the counter must panic; wider operands are
-	// the prefix-slicing contract (see BitCounter.SetDim) and must not.
+	// Operands narrower or wider than the counter must panic.
 	expectPanic("pair dim below counter", func() {
 		c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(63, rng), B: RandomBinary(63, rng)}}, tie, dst)
+	})
+	expectPanic("pair dim above counter", func() {
+		c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(65, rng), B: RandomBinary(65, rng)}}, tie, dst)
+	})
+	expectPanic("tie dim above counter", func() {
+		c.SignXorPairsSmallInto([]XorPair{{A: a, B: b}}, RandomBinary(65, rng), dst)
 	})
 	expectPanic("dst dim mismatch", func() {
 		c.SignXorPairsSmallInto([]XorPair{{A: a, B: b}}, tie, NewBinary(65))
 	})
-	c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(65, rng), B: RandomBinary(65, rng)}}, tie, dst)
 }
 
 // BenchmarkSignXorPairsSmall times the one-shot small sign at the paper's

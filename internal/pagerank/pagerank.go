@@ -124,7 +124,10 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 		for _, v := range dang {
 			dangling += cur[v]
 		}
-		base := (1-d)*inv + d*dangling*inv
+		// The float64 conversions round each product before the add, so
+		// no compiler fuses them into one multiply-add (Go does on
+		// arm64) and scores match on every architecture.
+		base := float64((1-d)*inv) + float64(d*dangling*inv)
 		// cur becomes each vertex's share of its own score in place;
 		// next starts from the uniform mass. (The re-slices let the
 		// compiler drop the bounds checks.)

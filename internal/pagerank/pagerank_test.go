@@ -273,13 +273,13 @@ func pushScores(g *graph.Graph, opts Options) []float64 {
 				dangling += cur[v]
 			}
 		}
-		base := (1-d)*inv + d*dangling*inv
+		base := float64((1-d)*inv) + float64(d*dangling*inv)
 		for v := range next {
 			next[v] = base
 		}
 		for v := 0; v < n; v++ {
 			if deg := g.Degree(v); deg > 0 {
-				share := cur[v] * (d / float64(deg))
+				share := float64(cur[v] * (d / float64(deg)))
 				for _, w := range g.Neighbors(v) {
 					next[w] += share
 				}

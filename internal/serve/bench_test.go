@@ -192,20 +192,17 @@ func BenchmarkServePredictBatch(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportStageMedians(b, e.Metrics(), false)
+	reportStageMedians(b, e.Metrics())
 }
 
 // reportStageMedians stamps the per-batch stage-clock medians into the
 // benchmark output; CI carries them into the BENCH artifact via
 // cmd/benchjson, so a perf regression names its stage instead of hiding
 // in the aggregate ns/op.
-func reportStageMedians(b *testing.B, m Metrics, cascading bool) {
+func reportStageMedians(b *testing.B, m Metrics) {
 	b.ReportMetric(m.StagePlan.Quantile(0.5)*1e9, "plan-p50-ns")
 	b.ReportMetric(m.StageEncode.Quantile(0.5)*1e9, "encode-p50-ns")
 	b.ReportMetric(m.StageClassify.Quantile(0.5)*1e9, "classify-p50-ns")
-	if cascading {
-		b.ReportMetric(m.StageEscalate.Quantile(0.5)*1e9, "escalate-p50-ns")
-	}
 }
 
 // BenchmarkRouterPredictBatch is BenchmarkServePredictBatch through the
@@ -266,45 +263,4 @@ func BenchmarkTrainerIngest(b *testing.B) {
 		j := i % len(ds.Graphs)
 		tr.ingest(feedbackSample{g: ds.Graphs[j], label: ds.Labels[j]})
 	}
-}
-
-// BenchmarkServePredictCascade is BenchmarkServePredictBatch with
-// two-stage cascade classification enabled: stage 1 decides at a 1024-bit
-// prefix of the same basis and only margin-ambiguous graphs escalate to
-// the full 10,000-bit pass. The acceptance criterion for the cascade is
-// ≥2× the mean per-graph throughput of the full-dimension batch bench at
-// matched accuracy; compare the two per-graph numbers in one run.
-func BenchmarkServePredictCascade(b *testing.B) {
-	ds := dataset.MustGenerate("MUTAG", dataset.Options{Seed: 7, GraphCount: 48})
-	cfg := core.DefaultConfig()
-	m, err := core.Train(cfg, ds.Graphs, ds.Labels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred := m.Snapshot()
-	if err := pred.SetCascade(core.Cascade{DPrefix: 1024, Margin: 12}); err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewEngine(pred, Options{MaxBatch: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	ctx := context.Background()
-	graphs := ds.Graphs[:32]
-	out := make([]int, len(graphs))
-	if err := e.PredictBatchInto(ctx, graphs, out); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.PredictBatchInto(ctx, graphs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	mm := e.Metrics()
-	b.ReportMetric(float64(mm.CascadeStage1)/float64(mm.CascadeStage1+mm.CascadeEscalated), "stage1-hit-rate")
-	reportStageMedians(b, mm, true)
 }

@@ -11,27 +11,30 @@
 // concerns the batch pipeline has no notion of:
 //
 //   - Encode slots. Workers slots bound how many encode calls run at
-//     once, and each slot owns one core.EncoderScratch. A single graph
-//     takes a slot and is encoded inline, with no hand-off. A batch call
-//     of up to MaxBatch graphs runs inline too; a larger one is split
-//     into MaxBatch-sized segments spread over at most Workers
+//     once, and a slot encodes with one core.EncoderScratch. A single
+//     graph takes a slot and is encoded inline, with no hand-off. A
+//     batch call of up to MaxBatch graphs runs inline too; a larger one
+//     is split into MaxBatch-sized segments spread over at most Workers
 //     goroutines, and every segment takes its own slot for one batch
-//     encode.
+//     encode. Idle scratches are handed out last in, first out, so
+//     sequential traffic keeps reusing one scratch and the others are
+//     built only when calls overlap.
 //   - Hot model swap. The predictor sits behind an atomic pointer; Swap
 //     installs a new one with zero downtime and zero failed in-flight
 //     requests. A segment loads the predictor once, after it holds its
-//     slot, and the slot re-binds its scratch when the encoder changed,
-//     so every segment is computed coherently under exactly one model.
+//     slot, and builds a fresh scratch when the idle one it took belongs
+//     to another encoder, so every segment is computed coherently under
+//     exactly one model.
 //   - Admission control. At most QueueSize graphs may wait for a slot;
 //     past that, Predict and PredictBatch fail fast with ErrOverloaded
 //     instead of letting latency collapse (the HTTP front end maps this
 //     to 429).
 //
 // A single predict and a one-segment batch are allocation-free in steady
-// state: each slot's scratch amortizes across the slot's lifetime and
-// results land in the caller's buffers. The only per-request allocations
-// a front end pays are its own (e.g. JSON decode). cmd/graphhd-serve is
-// the HTTP front end.
+// state: scratches are reused across calls and results land in the
+// caller's buffers. The only per-request allocations a front end pays
+// are its own (e.g. JSON decode). cmd/graphhd-serve is the HTTP front
+// end.
 package serve
 
 import (
@@ -79,7 +82,7 @@ type Options struct {
 	ModelName string
 	// TraceDepth is the flight-recorder capacity in per-batch trace
 	// records, rounded up to a power of two. Non-positive selects
-	// DefaultTraceDepth. Memory is fixed at 168 bytes per record.
+	// DefaultTraceDepth. Memory is fixed at 136 bytes per record.
 	TraceDepth int
 }
 
@@ -106,12 +109,17 @@ type Engine struct {
 	opts Options
 	pred atomic.Pointer[core.Predictor]
 
-	// slots holds the idle encode slots, Workers of them: a segment
-	// blocks here for one and sends it back when done. A slot is an
-	// encoder scratch, nil until the slot first serves and re-vended when
-	// a swap installs a model with a different encoder.
-	slots chan *core.EncoderScratch
+	// slots holds the idle encode slots, Workers tokens of them: a
+	// segment blocks here for one and sends it back when done.
+	slots chan struct{}
 	depth atomic.Int64 // graphs admitted but not yet holding a slot
+
+	// idle is the stack of encoder scratches no segment holds, the one
+	// returned last on top; a slot holder pops one, or builds one when
+	// the stack is empty or the top belongs to another encoder, and
+	// pushes it back before it frees its slot. At most Workers deep.
+	idleMu sync.Mutex
+	idle   []*core.EncoderScratch
 
 	// mu orders admission against Close: admission joins calls under the
 	// read lock, Close sets closed under the write lock, so once Close
@@ -141,12 +149,13 @@ func NewEngine(pred *core.Predictor, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	e := &Engine{
 		opts:  opts,
-		slots: make(chan *core.EncoderScratch, opts.Workers),
+		slots: make(chan struct{}, opts.Workers),
+		idle:  make([]*core.EncoderScratch, 0, opts.Workers),
 		epoch: time.Now(),
 		rec:   newFlightRecorder(opts.TraceDepth),
 	}
 	for range opts.Workers {
-		e.slots <- nil
+		e.slots <- struct{}{}
 	}
 	e.pred.Store(pred)
 	e.m.init(opts.MaxBatch)
@@ -160,9 +169,9 @@ func (e *Engine) Predictor() *core.Predictor { return e.pred.Load() }
 func (e *Engine) Options() Options { return e.opts }
 
 // Swap atomically installs a new predictor. In-flight requests finish
-// under whichever model their segment loaded; none fail. A slot re-binds
-// its encoder scratch the next time it serves, so a swap to a model with
-// a different dimension or configuration is safe.
+// under whichever model their segment loaded; none fail. A segment that
+// takes a scratch of the old encoder builds a new one, so a swap to a
+// model with a different dimension or configuration is safe.
 func (e *Engine) Swap(pred *core.Predictor) error {
 	if pred == nil {
 		return errors.New("serve: swap to nil predictor")
@@ -274,21 +283,23 @@ func (e *Engine) admit(n int) (int64, error) {
 // graphs count as processed before the slot goes back, so the graphs in
 // flight never exceed QueueSize + Workers·MaxBatch.
 func (e *Engine) run(graphs []*graph.Graph, out []int, enq int64) {
-	s := <-e.slots
+	<-e.slots
 	start := e.nanos()
 	n := len(graphs)
 	e.depth.Add(-int64(n))
 	p := e.pred.Load()
+	s := e.popIdle()
 	if s == nil || s.Encoder() != p.Encoder() {
 		s = p.Encoder().NewScratch()
 	}
 	var tr core.BatchTrace
-	stage1, escalated, cascaded := p.PredictBatchCascadeTraced(s, graphs, out, &tr)
+	p.PredictBatchTraced(s, graphs, out, &tr)
 	end := e.nanos()
 	e.m.processed.Add(uint64(n))
-	e.slots <- s
+	e.pushIdle(s)
+	e.slots <- struct{}{}
 
-	e.m.observeSegment(n, start-enq, &tr, stage1, escalated, cascaded)
+	e.m.observeSegment(n, start-enq, &tr)
 	rec := TraceRecord{
 		Time:           e.epoch.Add(time.Duration(start)),
 		Model:          e.opts.ModelName,
@@ -297,15 +308,31 @@ func (e *Engine) run(graphs []*graph.Graph, out []int, enq int64) {
 		PlanNanos:      tr.PlanNanos,
 		EncodeNanos:    tr.EncodeNanos,
 		ClassifyNanos:  tr.ClassifyNanos,
-		EscalateNanos:  tr.EscalateNanos,
 		TotalNanos:     end - start,
-		Cascade:        cascaded,
-		Stage1:         stage1,
-		Escalated:      escalated,
 		ModelReloads:   e.m.reloads.Load(),
 		Kernel:         hdc.ActiveKernel().String(),
 	}
 	e.rec.record(&rec)
+}
+
+// popIdle takes the idle scratch returned last, or nil when none is idle.
+func (e *Engine) popIdle() *core.EncoderScratch {
+	e.idleMu.Lock()
+	var s *core.EncoderScratch
+	if n := len(e.idle); n > 0 {
+		s = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	}
+	e.idleMu.Unlock()
+	return s
+}
+
+// pushIdle puts s on top of the idle stack.
+func (e *Engine) pushIdle(s *core.EncoderScratch) {
+	e.idleMu.Lock()
+	e.idle = append(e.idle, s)
+	e.idleMu.Unlock()
 }
 
 // Close refuses every later call with ErrClosed and returns once every

@@ -152,15 +152,14 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 // function gives the slots back; calls after the first do nothing, so a
 // test can defer it and still release early.
 func holdSlots(e *Engine) (release func()) {
-	held := make([]*core.EncoderScratch, e.opts.Workers)
-	for i := range held {
-		held[i] = <-e.slots
+	for range e.opts.Workers {
+		<-e.slots
 	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			for _, s := range held {
-				e.slots <- s
+			for range e.opts.Workers {
+				e.slots <- struct{}{}
 			}
 		})
 	}
@@ -176,6 +175,42 @@ func waitDepth(t *testing.T, e *Engine, want int64) {
 			t.Fatalf("queue depth %d, want %d", e.depth.Load(), want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineSequentialCallsReuseOneScratch: idle scratches are handed
+// out last in, first out, so one caller sending requests one after
+// another keeps reusing the scratch it returned and the engine builds
+// one scratch, not one per slot. A batch split over every slot builds
+// the rest, and the idle stack never holds more than Workers.
+func TestEngineSequentialCallsReuseOneScratch(t *testing.T) {
+	pred, ds := testModel(t, 1024, 1)
+	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	for i := range 4 {
+		if _, err := e.Predict(ctx, ds.Graphs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.idle); n != 1 {
+		t.Fatalf("4 sequential predicts left %d scratches built, want 1", n)
+	}
+	first := e.idle[0]
+	if _, err := e.Predict(ctx, ds.Graphs[4]); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.idle) != 1 || e.idle[0] != first {
+		t.Fatal("a later sequential predict did not reuse the scratch returned last")
+	}
+	if _, err := e.PredictBatch(ctx, ds.Graphs); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.idle); n < 1 || n > 4 {
+		t.Fatalf("%d idle scratches after a batch over 4 slots, want 1 to 4", n)
 	}
 }
 

@@ -132,10 +132,6 @@ type ModelInfo struct {
 	// (see BuildInfo); VCSRevision is empty for unstamped builds.
 	GoVersion   string `json:"go_version"`
 	VCSRevision string `json:"vcs_revision,omitempty"`
-	// Cascade fields are present only when two-stage prefix-sliced
-	// classification is active on the installed predictor.
-	CascadePrefix int `json:"cascade_prefix,omitempty"`
-	CascadeMargin int `json:"cascade_margin,omitempty"`
 	// Revision is the online-update count stamped into the serving
 	// predictor when it was snapshotted; 0 for predictors straight from
 	// Fit/Train. A gap against the trainer's live revision means updates
@@ -498,11 +494,8 @@ func (h *handler) model(w http.ResponseWriter, r *http.Request) {
 		VCSRevision:        bi.VCSRevision,
 		ModelsResident:     reg.Len(),
 		RegistryBytes:      reg.Bytes(),
+		Revision:           p.Revision(),
 	}
-	if c, ok := p.Cascade(); ok {
-		info.CascadePrefix, info.CascadeMargin = c.DPrefix, c.Margin
-	}
-	info.Revision = p.Revision()
 	writeJSON(w, http.StatusOK, info)
 }
 

@@ -710,3 +710,76 @@ func registryWithEngine(t *testing.T, name string, pred *core.Predictor, e *Engi
 	reg.mu.Unlock()
 	return reg
 }
+
+// TestHTTPCascadeSurfaces serves a GRAPHHD3 artifact, the record of the
+// removed prefix-sliced two-stage classifier, through LoadFile and HTTP:
+// it answers exactly as its GRAPHHD2 bytes do, at full width, before and
+// after a reload, and no surface — /v1/model, /v1/models, /metrics —
+// reports a cascade.
+func TestHTTPCascadeSurfaces(t *testing.T) {
+	pred, ds := testModel(t, 2048, 1)
+	var rec bytes.Buffer
+	if _, err := pred.WriteTo(&rec); err != nil {
+		t.Fatal(err)
+	}
+	// A GRAPHHD3 record is the GRAPHHD2 record with its magic changed and
+	// a (dprefix, margin) pair after the 44-byte header.
+	const header = 44
+	legacy := append([]byte("GRAPHHD3"), rec.Bytes()[8:header]...)
+	legacy = append(legacy, 0, 4, 0, 0, 12, 0, 0, 0) // (1024, 12), little endian
+	legacy = append(legacy, rec.Bytes()[header:]...)
+	path := filepath.Join(t.TempDir(), "legacy.ghdp")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	if err := reg.LoadFile("default", path); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(reg, RouterOptions{})
+	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
+	t.Cleanup(func() { srv.Close(); reg.Close() })
+
+	want := pred.PredictAll(ds.Graphs)
+	predictAll := func(when string) {
+		t.Helper()
+		resp, body := postJSON(t, srv.URL+"/v1/predict/batch", PredictBatchRequest{Graphs: toWire(ds.Graphs)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: predict/batch status %d: %s", when, resp.StatusCode, body)
+		}
+		var got PredictBatchResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got.Classes[i] != want[i] {
+				t.Fatalf("%s: graph %d served %d, GRAPHHD2 predictor %d", when, i, got.Classes[i], want[i])
+			}
+		}
+	}
+	predictAll("after load")
+	if resp, body := postJSON(t, srv.URL+"/admin/reload", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload status %d: %s", resp.StatusCode, body)
+	}
+	predictAll("after reload")
+
+	for _, route := range []string{"/v1/model", "/v1/models", "/metrics"} {
+		resp, err := http.Get(srv.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", route, resp.StatusCode)
+		}
+		for _, bad := range []string{"cascade", `stage="escalate"`} {
+			if bytes.Contains(body, []byte(bad)) {
+				t.Fatalf("GET %s reports %q:\n%s", route, bad, body)
+			}
+		}
+	}
+}

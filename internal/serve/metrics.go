@@ -24,12 +24,6 @@ type metrics struct {
 	processed atomic.Uint64 // graphs classified
 	reloads   atomic.Uint64 // successful model swaps
 
-	// Cascade effectiveness: graphs decided at prefix width (stage 1)
-	// versus escalated to full dimension. Both stay zero while the
-	// installed model has no cascade configured.
-	cascadeStage1    atomic.Uint64
-	cascadeEscalated atomic.Uint64
-
 	latency   histogram // per-call latency, seconds
 	batchSize histogram // graphs per encode call (segment)
 
@@ -40,7 +34,6 @@ type metrics struct {
 	stagePlan     histogram
 	stageEncode   histogram
 	stageClassify histogram
-	stageEscalate histogram
 }
 
 // powerBounds returns n power-of-two bucket bounds starting at lo.
@@ -67,9 +60,9 @@ func (m *metrics) init(maxBatch int) {
 
 	// Stage buckets: 16 powers of two from 250ns to ~8ms. The floor
 	// resolves a cache-hot classify pass (a few µs per batch); the
-	// ceiling covers a worst-case escalation-heavy burst.
+	// ceiling covers a MaxBatch segment of large graphs.
 	for _, h := range []*histogram{
-		&m.queueWait, &m.stagePlan, &m.stageEncode, &m.stageClassify, &m.stageEscalate,
+		&m.queueWait, &m.stagePlan, &m.stageEncode, &m.stageClassify,
 	} {
 		h.init(powerBounds(250e-9, 16))
 	}
@@ -83,21 +76,13 @@ func (m *metrics) observeRequest(nanos int64) {
 }
 
 // observeSegment feeds one encode call of n graphs into the histograms:
-// its slot wait, its stage-clock readout and, when the call ran the
-// cascade, its stage-1 and escalation counts. The escalate stage is only
-// meaningful when a cascade ran; recording it unconditionally would drown
-// the signal in zeros.
-func (m *metrics) observeSegment(n int, waitNanos int64, tr *core.BatchTrace, stage1, escalated int, cascaded bool) {
+// its slot wait and its stage-clock readout.
+func (m *metrics) observeSegment(n int, waitNanos int64, tr *core.BatchTrace) {
 	m.batchSize.observe(float64(n))
 	m.queueWait.observe(float64(waitNanos) * 1e-9)
 	m.stagePlan.observe(float64(tr.PlanNanos) * 1e-9)
 	m.stageEncode.observe(float64(tr.EncodeNanos) * 1e-9)
 	m.stageClassify.observe(float64(tr.ClassifyNanos) * 1e-9)
-	if cascaded {
-		m.stageEscalate.observe(float64(tr.EscalateNanos) * 1e-9)
-		m.cascadeStage1.Add(uint64(stage1))
-		m.cascadeEscalated.Add(uint64(escalated))
-	}
 }
 
 // atomicAddFloat64 adds v to a float64 kept as bits in an atomic.Uint64
@@ -232,11 +217,6 @@ type Metrics struct {
 	// InFlight is the number of graphs admitted but not yet classified
 	// (waiting for an encode slot or being encoded).
 	InFlight uint64
-	// CascadeStage1 counts graphs decided at cascade prefix width;
-	// CascadeEscalated counts graphs re-decided at full dimension.
-	// CascadeStage1/(CascadeStage1+CascadeEscalated) is the stage-1 hit
-	// rate. Both stay zero while no cascade is configured.
-	CascadeStage1, CascadeEscalated uint64
 	// QueueDepth is the number of graphs admitted but not yet holding an
 	// encode slot.
 	QueueDepth int
@@ -247,13 +227,12 @@ type Metrics struct {
 	// QueueWait is the per-segment wait for an encode slot (admission to
 	// holding a slot), seconds.
 	QueueWait HistogramSnapshot
-	// StagePlan/StageEncode/StageClassify/StageEscalate are the
-	// per-segment stage-clock distributions in seconds: ranking +
-	// rank-pair grouping, accumulate+sign, Hamming classification, and
-	// the cascade's full-width escalation work (observed only when a
-	// segment ran the cascade). Together with QueueWait they attribute
-	// every microsecond of a request's life inside the engine.
-	StagePlan, StageEncode, StageClassify, StageEscalate HistogramSnapshot
+	// StagePlan/StageEncode/StageClassify are the per-segment
+	// stage-clock distributions in seconds: ranking + rank-pair
+	// grouping, accumulate+sign, and Hamming classification. Together
+	// with QueueWait they attribute every microsecond of a request's
+	// life inside the engine.
+	StagePlan, StageEncode, StageClassify HistogramSnapshot
 }
 
 // Reloads returns the number of successful model swaps without the cost
@@ -267,22 +246,19 @@ func (e *Engine) Metrics() Metrics {
 	processed := e.m.processed.Load()
 	accepted := e.m.accepted.Load()
 	return Metrics{
-		Requests:         e.m.requests.Load(),
-		Rejected:         e.m.rejected.Load(),
-		Processed:        processed,
-		Reloads:          e.m.reloads.Load(),
-		AcceptedGraphs:   accepted,
-		InFlight:         accepted - processed,
-		CascadeStage1:    e.m.cascadeStage1.Load(),
-		CascadeEscalated: e.m.cascadeEscalated.Load(),
-		QueueDepth:       int(e.depth.Load()),
-		Latency:          e.m.latency.snapshot(),
-		BatchSize:        e.m.batchSize.snapshot(),
-		QueueWait:        e.m.queueWait.snapshot(),
-		StagePlan:        e.m.stagePlan.snapshot(),
-		StageEncode:      e.m.stageEncode.snapshot(),
-		StageClassify:    e.m.stageClassify.snapshot(),
-		StageEscalate:    e.m.stageEscalate.snapshot(),
+		Requests:       e.m.requests.Load(),
+		Rejected:       e.m.rejected.Load(),
+		Processed:      processed,
+		Reloads:        e.m.reloads.Load(),
+		AcceptedGraphs: accepted,
+		InFlight:       accepted - processed,
+		QueueDepth:     int(e.depth.Load()),
+		Latency:        e.m.latency.snapshot(),
+		BatchSize:      e.m.batchSize.snapshot(),
+		QueueWait:      e.m.queueWait.snapshot(),
+		StagePlan:      e.m.stagePlan.snapshot(),
+		StageEncode:    e.m.stageEncode.snapshot(),
+		StageClassify:  e.m.stageClassify.snapshot(),
 	}
 }
 
@@ -369,8 +345,6 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	counter("graphhd_graphs_accepted_total", "Graphs admitted past admission control.", func(m *Metrics) uint64 { return m.AcceptedGraphs })
 	counter("graphhd_graphs_processed_total", "Graphs classified.", func(m *Metrics) uint64 { return m.Processed })
 	counter("graphhd_model_reloads_total", "Successful hot model swaps.", func(m *Metrics) uint64 { return m.Reloads })
-	counter("graphhd_cascade_stage1_total", "Graphs decided at cascade prefix width.", func(m *Metrics) uint64 { return m.CascadeStage1 })
-	counter("graphhd_cascade_escalated_total", "Graphs escalated to full dimension by the cascade.", func(m *Metrics) uint64 { return m.CascadeEscalated })
 
 	// Engine gauges, one series per model.
 	p("# HELP graphhd_inflight_graphs Graphs admitted but not yet classified.\n# TYPE graphhd_inflight_graphs gauge\n")
@@ -470,7 +444,6 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 			{"plan", slots[i].m.StagePlan},
 			{"encode", slots[i].m.StageEncode},
 			{"classify", slots[i].m.StageClassify},
-			{"escalate", slots[i].m.StageEscalate},
 		} {
 			writeHistogramSeries(p, "graphhd_stage_seconds", slots[i].labels+`,stage="`+st.label+`"`, st.h)
 		}

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"graphhd/internal/core"
 )
 
 // promSample is one parsed exposition sample: metric name, sorted label
@@ -305,16 +303,14 @@ func checkBuildInfo(t *testing.T, samples []promSample) {
 }
 
 // TestWriteMetricsExposition round-trips the exposition of a
-// single-model deployment (the default graphhd-serve shape) through the strict parser after real traffic on a cascade
-// model, so every stage series has observations. It checks the engine
-// counters and model gauges, the histogram contract on every
-// per-engine family (including the batch-size histogram), the stage
-// counts, and the build-info gauge.
+// single-model deployment (the default graphhd-serve shape) through the
+// strict parser after real traffic, so every stage series has
+// observations. It checks the engine counters and model gauges, the
+// histogram contract on every per-engine family (including the
+// batch-size histogram), the stage counts, the build-info gauge, and
+// that exactly the plan, encode and classify stages are rendered.
 func TestWriteMetricsExposition(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
-		t.Fatal(err)
-	}
 	reg := NewRegistry(RegistryOptions{
 		Engine: Options{Workers: 2, MaxBatch: 8},
 	})
@@ -353,9 +349,18 @@ func TestWriteMetricsExposition(t *testing.T) {
 	checkHistogram(t, samples, "graphhd_request_latency_seconds", slot)
 	checkHistogram(t, samples, "graphhd_batch_size", slot)
 	checkHistogram(t, samples, "graphhd_queue_wait_seconds", slot)
-	for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
+	for _, stage := range []string{"plan", "encode", "classify"} {
 		checkHistogram(t, samples, "graphhd_stage_seconds",
 			map[string]string{"model": "m", "stage": stage})
+	}
+	for _, s := range samples {
+		if st := s.labels["stage"]; strings.HasPrefix(s.name, "graphhd_stage_seconds") &&
+			st != "plan" && st != "encode" && st != "classify" {
+			t.Errorf("unexpected stage series %s%v", s.name, s.labels)
+		}
+		if strings.HasPrefix(s.name, "graphhd_cascade_") {
+			t.Errorf("removed family rendered: %s%v", s.name, s.labels)
+		}
 	}
 
 	// The batch ran through the engine, so the mandatory stage series
@@ -370,8 +375,8 @@ func TestWriteMetricsExposition(t *testing.T) {
 }
 
 // TestWriteRouterMetricsExposition round-trips the multi-model exposition
-// through a strict text-exposition parser: two models (one with a
-// cascade, so every stage series sees traffic) plus a quota rejection,
+// through a strict text-exposition parser: two models, both with
+// traffic, plus a quota rejection,
 // checking the registry/tenant families, the {model} labeling of every
 // engine counter and histogram, the stage-clock counts, the per-model
 // gauges, the build-info labels, and the family-major contiguity the
@@ -379,9 +384,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 func TestWriteRouterMetricsExposition(t *testing.T) {
 	predA, ds := testModel(t, 2048, 1)
 	predB, _ := testModel(t, 1024, 2)
-	if err := predB.SetCascade(core.Cascade{DPrefix: 256, Margin: 8}); err != nil {
-		t.Fatal(err)
-	}
 	reg := NewRegistry(RegistryOptions{
 		Engine: Options{Workers: 2, MaxBatch: 8},
 	})
@@ -448,7 +450,8 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 		}
 		checkHistogram(t, samples, "graphhd_request_latency_seconds", labels)
 		checkHistogram(t, samples, "graphhd_queue_wait_seconds", labels)
-		for _, stage := range []string{"plan", "encode", "classify", "escalate"} {
+		stages := []string{"plan", "encode", "classify"}
+		for _, stage := range stages {
 			sl := map[string]string{"model": model, "stage": stage}
 			checkHistogram(t, samples, "graphhd_stage_seconds", sl)
 		}
@@ -461,11 +464,7 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 		}
 
 		// The batches ran through the engines, so each stage series must
-		// have counted them; escalate only runs under beta's cascade.
-		stages := []string{"plan", "encode", "classify"}
-		if model == "beta" {
-			stages = append(stages, "escalate")
-		}
+		// have counted them.
 		for _, stage := range stages {
 			n, _ := find("graphhd_stage_seconds_count", map[string]string{"model": model, "stage": stage})
 			if n == 0 {

@@ -8,10 +8,8 @@ package serve
 // and owns everything about a model's lifecycle that the Engine
 // deliberately does not:
 //
-//   - Loading artifacts (LoadFile/Reload) and the PrepareModel hook that
-//     re-applies operator cascade config to every predictor read from
-//     disk — an error from the hook aborts the install, leaving the
-//     current model serving.
+//   - Loading artifacts (LoadFile/Reload). A file that fails to load
+//     aborts the install, leaving the current model serving.
 //   - Hot swap. Swap installs the new predictor through the model
 //     engine's atomic-pointer swap — zero failed in-flight requests;
 //     every encode call that takes a slot afterwards runs the new model.
@@ -59,13 +57,6 @@ type RegistryOptions struct {
 	// until the newcomer fits; a model that alone exceeds the bound is
 	// refused with ErrModelTooLarge. Zero means unbounded.
 	MaxResidentBytes int64
-	// PrepareModel, when set, is applied to every predictor the registry
-	// reads from a file (LoadFile, Reload, ReloadAll) before it is
-	// installed — the hook cmd/graphhd-serve uses to re-apply cascade
-	// flags across SIGHUP reloads. A returned error aborts the install,
-	// leaving the current model (if any) serving. It is NOT applied to
-	// predictors handed in directly via Load or Swap.
-	PrepareModel func(name string, p *core.Predictor) error
 }
 
 // regModel is one resident named model. bytes and path are guarded by
@@ -163,9 +154,8 @@ func (r *Registry) Load(name string, pred *core.Predictor) error {
 	return r.install(name, pred, "")
 }
 
-// LoadFile reads a GRAPHHD1/2/3 model artifact, applies the PrepareModel
-// hook if configured, and installs the result under name. The path is
-// remembered so Reload can re-read it.
+// LoadFile reads a model artifact of any record version and installs it
+// under name. The path is remembered so Reload can re-read it.
 func (r *Registry) LoadFile(name, path string) error {
 	pred, err := r.loadArtifact(name, path)
 	if err != nil {
@@ -174,16 +164,11 @@ func (r *Registry) LoadFile(name, path string) error {
 	return r.install(name, pred, path)
 }
 
-// loadArtifact reads and prepares a predictor without touching the table.
+// loadArtifact reads a predictor without touching the table.
 func (r *Registry) loadArtifact(name, path string) (*core.Predictor, error) {
 	pred, err := core.LoadPredictorFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load %q: %w", name, err)
-	}
-	if r.opts.PrepareModel != nil {
-		if err := r.opts.PrepareModel(name, pred); err != nil {
-			return nil, fmt.Errorf("serve: load %q: %w", name, err)
-		}
 	}
 	return pred, nil
 }
@@ -334,9 +319,8 @@ func (r *Registry) Evict(name string) error {
 	return nil
 }
 
-// Reload re-reads name's remembered artifact path, applies PrepareModel,
-// and swaps the result in. Models loaded in-memory (no
-// path) return an error.
+// Reload re-reads name's remembered artifact path and swaps the result
+// in. Models loaded in-memory (no path) return an error.
 func (r *Registry) Reload(name string) error {
 	r.mu.Lock()
 	m, ok := (*r.models.Load())[name]
@@ -349,7 +333,7 @@ func (r *Registry) Reload(name string) error {
 	if path == "" {
 		return fmt.Errorf("serve: model %q has no artifact path to reload", name)
 	}
-	// File IO and the prepare hook run outside mu; only the swap locks.
+	// File IO runs outside mu; only the swap locks.
 	pred, err := r.loadArtifact(name, path)
 	if err != nil {
 		return err
@@ -403,10 +387,8 @@ type ModelStatus struct {
 	// predictor when it was snapshotted — 0 for predictors straight from
 	// Fit/Train. Compare against TrainerStatus.Revision to see unpromoted
 	// drift.
-	Revision      uint64 `json:"revision,omitempty"`
-	Path          string `json:"path,omitempty"`
-	CascadePrefix int    `json:"cascade_prefix,omitempty"`
-	CascadeMargin int    `json:"cascade_margin,omitempty"`
+	Revision uint64 `json:"revision,omitempty"`
+	Path     string `json:"path,omitempty"`
 	// InFlight, Accepted, Processed and Reloads are the model engine's
 	// counters: graphs admitted but not yet classified, graphs admitted,
 	// graphs classified, and swaps.
@@ -442,7 +424,7 @@ func (r *Registry) Status() RegistryStatus {
 		// cannot go negative.
 		processed := m.eng.m.processed.Load()
 		accepted := m.eng.m.accepted.Load()
-		ms := ModelStatus{
+		st.Models = append(st.Models, ModelStatus{
 			Name:        m.name,
 			Version:     m.version.Load(),
 			Dimension:   p.Dimension(),
@@ -454,11 +436,7 @@ func (r *Registry) Status() RegistryStatus {
 			Accepted:    accepted,
 			Processed:   processed,
 			Reloads:     m.eng.Reloads(),
-		}
-		if c, ok := p.Cascade(); ok {
-			ms.CascadePrefix, ms.CascadeMargin = c.DPrefix, c.Margin
-		}
-		st.Models = append(st.Models, ms)
+		})
 	}
 	sort.Slice(st.Models, func(i, j int) bool { return st.Models[i].Name < st.Models[j].Name })
 	return st

@@ -10,12 +10,12 @@ import (
 // a fixed-size ring of the last N per-batch TraceRecords, written once
 // per encode call (a single predict, or one segment of a batch call) and
 // read on demand by GET /debug/traces and cmd/inspect -traces. A slow
-// escalation-heavy burst (the PROTEINS shape) is diagnosed from the ring
-// without a profiler attached: the records show exactly where each
-// batch's microseconds went and what the batch looked like.
+// burst is diagnosed from the ring without a profiler attached: the
+// records show exactly where each batch's microseconds went and what the
+// batch looked like.
 //
-// Memory is strictly bounded: depth ring slots of 168 B (a TraceRecord
-// with its lock and ticket), 42 KiB at the default depth of 256,
+// Memory is strictly bounded: depth ring slots of 136 B (a TraceRecord
+// with its lock and ticket), 34 KiB at the default depth of 256,
 // allocated once at engine construction and never grown. Writers never
 // allocate.
 
@@ -44,15 +44,7 @@ type TraceRecord struct {
 	PlanNanos      int64 `json:"plan_ns"`
 	EncodeNanos    int64 `json:"encode_ns"`
 	ClassifyNanos  int64 `json:"classify_ns"`
-	EscalateNanos  int64 `json:"escalate_ns"`
 	TotalNanos     int64 `json:"total_ns"` // slot taken → results written
-
-	// Cascade reports whether the call ran two-stage classification;
-	// Stage1/Escalated split its graphs by where they were decided, so
-	// Stage1 + Escalated == BatchSize exactly when Cascade is set.
-	Cascade   bool `json:"cascade"`
-	Stage1    int  `json:"stage1"`
-	Escalated int  `json:"escalated"`
 
 	// ModelReloads is the engine's reload counter when the record was
 	// written: the model version the call ran under, unless a swap landed
@@ -99,14 +91,19 @@ func newFlightRecorder(depth int) *flightRecorder {
 func (r *flightRecorder) depth() int { return len(r.slots) }
 
 // record claims the next ticket and publishes rec (with Seq stamped)
-// into its slot, overwriting the record depth tickets older.
+// into its slot, overwriting the record depth tickets older. A writer
+// delayed between its ticket and the slot lock may find a record a full
+// ring newer already there; it then drops its own, so the ring keeps the
+// highest tickets.
 func (r *flightRecorder) record(rec *TraceRecord) {
 	t := r.seq.Add(1)
 	rec.Seq = t
 	s := &r.slots[(t-1)&r.mask]
 	s.mu.Lock()
-	s.seq = t
-	s.rec = *rec
+	if t > s.seq {
+		s.seq = t
+		s.rec = *rec
+	}
 	s.mu.Unlock()
 }
 

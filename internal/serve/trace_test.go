@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"graphhd/internal/core"
 	"graphhd/internal/graph"
 )
 
@@ -64,8 +64,10 @@ func TestFlightRecorderBasics(t *testing.T) {
 // while snapshotting concurrently; run under -race this is the data-race
 // proof for the per-slot locking scheme. Every snapshot must be
 // internally consistent: records readable, newest first, each record's
-// fields from a single write (Seq and BatchSize are written in lockstep,
-// so any mix would be visible).
+// fields from a single write. Each writer stamps its own index into
+// BatchSize and ModelReloads and its iteration into PlanNanos and
+// TotalNanos, fields in different words of the record, so a record mixed
+// from two writes would show two writers or two iterations.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	r := newFlightRecorder(16)
 	const writers = 8
@@ -78,7 +80,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				rec := TraceRecord{BatchSize: 1, Stage1: w + 1, TotalNanos: int64(i)}
+				rec := TraceRecord{BatchSize: w + 1, ModelReloads: uint64(w + 1), PlanNanos: int64(i), TotalNanos: int64(i)}
 				r.record(&rec)
 				// The caller's record must come back stamped with a
 				// unique, nonzero ticket.
@@ -110,7 +112,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					}
 				}
 				for _, rec := range snap {
-					if rec.Stage1 < 1 || rec.Stage1 > writers || rec.BatchSize != 1 {
+					if rec.BatchSize < 1 || rec.BatchSize > writers ||
+						rec.ModelReloads != uint64(rec.BatchSize) || rec.PlanNanos != rec.TotalNanos {
 						t.Errorf("torn record: %+v", rec)
 						return
 					}
@@ -132,16 +135,11 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestEngineTraces drives real traffic through an engine (cascade on, so
-// the escalate stage is live) and checks the flight recorder tells a
-// coherent story: every batch accounted, stage nanos populated, cascade
-// outcomes summing to the batch size, and the stage histograms fed from
-// the same clock.
+// TestEngineTraces drives real traffic through an engine and checks the
+// flight recorder tells a coherent story: every batch accounted, stage
+// nanos populated, and the stage histograms fed from the same clock.
 func TestEngineTraces(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	if err := pred.SetCascade(core.Cascade{DPrefix: 512, Margin: 8}); err != nil {
-		t.Fatal(err)
-	}
 	e, err := NewEngine(pred, Options{
 		Workers: 2, MaxBatch: 8, TraceDepth: 64,
 	})
@@ -170,18 +168,11 @@ func TestEngineTraces(t *testing.T) {
 		if tr.PlanNanos < 0 || tr.EncodeNanos <= 0 || tr.ClassifyNanos <= 0 {
 			t.Fatalf("record %d: missing stage nanos: %+v", tr.Seq, tr)
 		}
-		if tr.TotalNanos < tr.PlanNanos+tr.EncodeNanos+tr.ClassifyNanos+tr.EscalateNanos {
+		if tr.TotalNanos < tr.PlanNanos+tr.EncodeNanos+tr.ClassifyNanos {
 			t.Fatalf("record %d: total %dns less than stage sum: %+v", tr.Seq, tr.TotalNanos, tr)
 		}
 		if tr.QueueWaitNanos < 0 {
 			t.Fatalf("record %d: negative wait: %+v", tr.Seq, tr)
-		}
-		if !tr.Cascade {
-			t.Fatalf("record %d: cascade flag off with cascade model", tr.Seq)
-		}
-		if tr.Stage1+tr.Escalated != tr.BatchSize {
-			t.Fatalf("record %d: stage1 %d + escalated %d != batch %d",
-				tr.Seq, tr.Stage1, tr.Escalated, tr.BatchSize)
 		}
 		if tr.Kernel == "" {
 			t.Fatalf("record %d: kernel tier missing", tr.Seq)
@@ -200,9 +191,6 @@ func TestEngineTraces(t *testing.T) {
 	if got := m.StagePlan.Count; got != uint64(len(traces)) {
 		t.Fatalf("stage plan histogram count %d, want %d batches", got, len(traces))
 	}
-	if m.StageEscalate.Count != uint64(len(traces)) {
-		t.Fatalf("stage escalate count %d, want %d (cascade active)", m.StageEscalate.Count, len(traces))
-	}
 	if m.QueueWait.Count == 0 {
 		t.Fatal("queue wait histogram empty after traffic")
 	}
@@ -211,8 +199,9 @@ func TestEngineTraces(t *testing.T) {
 	}
 }
 
-// TestEngineTracesNoCascade checks the non-cascade path: escalate stays
-// silent, records carry cascade=false.
+// TestEngineTracesNoCascade checks that trace records, as GET
+// /debug/traces serves them, carry no field of the removed two-stage
+// classifier: every graph is decided at full width.
 func TestEngineTracesNoCascade(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
 	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
@@ -223,13 +212,14 @@ func TestEngineTracesNoCascade(t *testing.T) {
 	if _, err := e.PredictBatch(context.Background(), ds.Graphs); err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range e.Traces() {
-		if tr.Cascade || tr.Stage1 != 0 || tr.Escalated != 0 || tr.EscalateNanos != 0 {
-			t.Fatalf("non-cascade record carries cascade data: %+v", tr)
-		}
+	raw, err := json.Marshal(e.Traces())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := e.Metrics().StageEscalate.Count; n != 0 {
-		t.Fatalf("escalate histogram observed %d batches without a cascade", n)
+	for _, key := range []string{`"cascade"`, `"stage1"`, `"escalated"`, `"escalate_ns"`} {
+		if bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("trace records carry %s: %s", key, raw)
+		}
 	}
 }
 

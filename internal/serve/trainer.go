@@ -343,16 +343,8 @@ func (tr *Trainer) validateCandidate() {
 		return
 	}
 
-	// Promote. The candidate passes through the registry's PrepareModel
-	// hook (so operator cascade config is re-applied, same as a file
-	// load) and swaps in at a batch boundary — never mid-flight.
-	if prep := tr.reg.opts.PrepareModel; prep != nil {
-		if err := prep(tr.name, candidate); err != nil {
-			tr.outcome("rolled back: prepare hook: "+err.Error(), candAcc, primAcc, agreement)
-			tr.rolledX.Add(1)
-			return
-		}
-	}
+	// Promote. The candidate swaps in at a batch boundary — never
+	// mid-flight.
 	if err := tr.reg.Swap(tr.name, candidate); err != nil {
 		tr.outcome("rolled back: swap: "+err.Error(), candAcc, primAcc, agreement)
 		tr.rolledX.Add(1)
