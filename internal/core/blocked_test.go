@@ -6,6 +6,7 @@ import (
 
 	"graphhd/internal/dataset"
 	"graphhd/internal/graph"
+	"graphhd/internal/hdc"
 )
 
 // TestBlockedEncodeMatchesScalarAllDatasets pins the blocked encoder to
@@ -101,7 +102,7 @@ func TestEncodeFourCycleMatchesScalar(t *testing.T) {
 // rank-pair key as its own operand. group leaves a graph's keys in edge
 // order (majority counts do not depend on operand order), so the test
 // sorts each segment itself and checks two things: the segment holds
-// exactly the graph's edges mapped to (min rank, max rank), and sorted
+// exactly the keys of the graph's edges' (min rank, max rank) rows, and sorted
 // it is strictly increasing — graph.Builder drops self-loops and
 // duplicate edges and ranks are a bijection, so the keys are distinct.
 // Checked on all six datasets and on a Builder graph fed repeated and
@@ -137,11 +138,11 @@ func TestGroupKeysStrictlyIncreasing(t *testing.T) {
 			var want []uint64
 			for _, ed := range g.Edges() {
 				lo, hi := min(ranks[ed.U], ranks[ed.V]), max(ranks[ed.U], ranks[ed.V])
-				want = append(want, uint64(lo)<<32|uint64(hi))
+				want = append(want, hdc.Key(lo*enc.stride, hi*enc.stride))
 			}
 			slices.Sort(want)
 			if !slices.Equal(seg, want) {
-				t.Fatalf("%s graph %d: keys %#x, want the edges' rank pairs %#x", name, gi, seg, want)
+				t.Fatalf("%s graph %d: keys %#x, want the edges' rank-row pairs %#x", name, gi, seg, want)
 			}
 			for j := 1; j < len(seg); j++ {
 				if seg[j] <= seg[j-1] {

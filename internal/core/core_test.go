@@ -237,7 +237,7 @@ func TestRankLabelVectorsDistinctAndStable(t *testing.T) {
 	labels := []int{0, 1, 0, -3} // negative labels are valid in TU files
 	tab := enc.NewScratch().labelTable(labels)
 	for r, l := range labels {
-		if !tab[r].Equal(enc.rankLabelVector(r, l).PackBinary()) {
+		if !enc.slabRow(tab, r).Equal(enc.rankLabelVector(r, l).PackBinary()) {
 			t.Fatalf("table entry (%d,%d) differs from the int8 reference", r, l)
 		}
 	}
@@ -255,7 +255,7 @@ func TestRankLabelVectorsDistinctAndStable(t *testing.T) {
 	enc2 := MustNewEncoder(cfg)
 	s2 := enc2.NewScratch()
 	s2.labelTable([]int{5, 6, 7})
-	if tab2 := s2.labelTable([]int{1, 0}); !tab2[1].Equal(c.PackBinary()) {
+	if tab2 := s2.labelTable([]int{1, 0}); !enc2.slabRow(tab2, 1).Equal(c.PackBinary()) {
 		t.Fatal("keyed generation not deterministic")
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/graph"
@@ -75,7 +76,7 @@ func (c Config) validate() error {
 }
 
 // Encoder maps graphs to hypervectors, implementing Enc_G of Section IV.
-// It is safe for concurrent use: the packed basis table synchronizes
+// It is safe for concurrent use: the packed basis slab synchronizes
 // internally and encoding is otherwise stateless.
 type Encoder struct {
 	cfg    Config
@@ -92,11 +93,17 @@ type Encoder struct {
 	// relabelings.
 	labelSeed uint64
 
-	// The packed rank basis: packed[r] is ranks.PackedVector(r). The slice
-	// only ever grows, to the largest unlabeled graph encoded, guarded by
-	// packedMu.
-	packedMu sync.RWMutex
-	packed   []*hdc.Binary
+	// basis is the packed rank basis as one slab of stride-word rows
+	// (stride = hdc.SlabStride(d)): rank r's words, ranks.FillPacked(r),
+	// sit at [r·stride, r·stride + d/64), and one all-zero row follows the
+	// last rank, the partner of a vertex bundle's keys. The slab only
+	// grows, to the largest unlabeled graph encoded. Each version is
+	// published whole through the atomic pointer, so a reader keeps the
+	// snapshot it loaded; growth, serialized by growMu, copies into a
+	// larger slab.
+	basis  atomic.Pointer[[]uint64]
+	growMu sync.Mutex
+	stride int
 
 	// scratch pools EncoderScratch values so the one-shot encode/rank
 	// APIs run allocation-free in steady state; the chunked batch APIs
@@ -120,6 +127,8 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 			Iterations: cfg.PageRankIterations,
 		},
 	}
+	e.stride = hdc.SlabStride(cfg.Dimension)
+	e.basis.Store(new([]uint64)) // no rows until the first graph needs them
 	e.scratch.New = func() any { return e.NewScratch() }
 	return e, nil
 }
@@ -199,30 +208,33 @@ func (e *Encoder) EncodeGraphPacked(g *graph.Graph) *hdc.Binary {
 	return s.EncodeGraphPacked(g).Clone()
 }
 
-// packedSlice returns a snapshot of the packed basis table covering ranks
-// [0, n), growing it if needed. Entries are immutable once created, so the
-// snapshot stays valid after later growth; callers pay one lock round per
-// graph instead of per edge.
-func (e *Encoder) packedSlice(n int) []*hdc.Binary {
-	e.packedMu.RLock()
-	if n <= len(e.packed) {
-		p := e.packed
-		e.packedMu.RUnlock()
-		return p
+// basisFor returns a snapshot of the basis slab covering ranks [0, n),
+// growing it if needed. Rows are immutable once written, so the snapshot
+// stays valid after later growth; callers load it once per batch.
+func (e *Encoder) basisFor(n int) []uint64 {
+	if b := *e.basis.Load(); len(b) > n*e.stride {
+		return b
 	}
-	e.packedMu.RUnlock()
-	e.packedMu.Lock()
-	defer e.packedMu.Unlock()
-	for len(e.packed) < n {
-		e.packed = append(e.packed, e.ranks.PackedVector(len(e.packed)))
+	e.growMu.Lock()
+	defer e.growMu.Unlock()
+	old := *e.basis.Load()
+	if len(old) > n*e.stride {
+		return old
 	}
-	return e.packed
+	slab := make([]uint64, (n+1)*e.stride)
+	rows := max(len(old)/e.stride-1, 0)
+	copy(slab, old[:rows*e.stride])
+	for r := rows; r < n; r++ {
+		e.ranks.FillPacked(r, slab[r*e.stride:])
+	}
+	e.basis.Store(&slab)
+	return slab
 }
 
-// reserveFor grows the packed basis table to cover every graph that
-// reads it, so parallel encoding workers take the read-lock fast path
-// throughout. Labeled graphs under UseVertexLabels read their scratch's
-// (rank, label) table instead.
+// reserveFor grows the basis slab to cover every graph that reads it, so
+// parallel encoding workers share one version of it throughout. Labeled
+// graphs under UseVertexLabels read their scratch's (rank, label) slab
+// instead.
 func (e *Encoder) reserveFor(graphs []*graph.Graph) {
 	n := 0
 	for _, g := range graphs {
@@ -230,5 +242,5 @@ func (e *Encoder) reserveFor(graphs []*graph.Graph) {
 			n = max(n, g.NumVertices())
 		}
 	}
-	e.packedSlice(n)
+	e.basisFor(n)
 }

@@ -116,10 +116,9 @@ func (m *Model) Fit(graphs []*graph.Graph, labels []int) error {
 				gs = append(gs, graphs[j])
 			}
 		}
-		outs := s.EncodeBatch(gs)
+		s.EncodeBatch(gs)
+		s.bundleRows(s.outSlab, len(gs))
 		clear(gs) // a pooled scratch must not pin the training set
-		s.counter.Reset()
-		s.counter.AddAll(outs)
 		mu.Lock()
 		m.am.AddCounter(ch.class, s.counter)
 		mu.Unlock()

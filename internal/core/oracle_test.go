@@ -247,6 +247,14 @@ func oracleGraphs(t *testing.T, name string) ([]*graph.Graph, []int, int) {
 	return graphs, labels, k
 }
 
+// slabRow returns row r of a slab of the encoder's shape as a Binary.
+func (e *Encoder) slabRow(slab []uint64, r int) *hdc.Binary {
+	return hdc.BinaryRows(e.cfg.Dimension, slab[r*e.stride:], 1)[0]
+}
+
+// basisRanks returns how many ranks the basis slab covers.
+func (e *Encoder) basisRanks() int { return len(*e.basis.Load())/e.stride - 1 }
+
 // labeledCopy returns g with vertex v labeled (v+shift) mod 3, which
 // encodes through the (rank, label) basis under UseVertexLabels.
 func labeledCopy(t testing.TB, g *graph.Graph, shift int) *graph.Graph {
@@ -470,10 +478,10 @@ func TestPackedBasisMatchesInt8Table(t *testing.T) {
 		cfg := testConfig()
 		cfg.Dimension = d
 		enc := MustNewEncoder(cfg)
-		enc.packedSlice(17)
-		packed := enc.packedSlice(50)
+		enc.basisFor(17)
+		packed := enc.basisFor(50)
 		for r, want := range refRankVectors(cfg, 50) {
-			if !packed[r].Equal(want.PackBinary()) {
+			if !enc.slabRow(packed, r).Equal(want.PackBinary()) {
 				t.Fatalf("d=%d: rank %d packed basis differs from the int8 table", d, r)
 			}
 		}
@@ -608,7 +616,7 @@ func TestFitAllocationBound(t *testing.T) {
 	for _, g := range ds.Graphs {
 		maxN = max(maxN, g.NumVertices())
 	}
-	if n := len(enc.packed); n != maxN {
+	if n := enc.basisRanks(); n != maxN {
 		t.Fatalf("Fit built %d packed basis vectors, want %d", n, maxN)
 	}
 	perGraph := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ds.Graphs))

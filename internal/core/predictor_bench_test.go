@@ -121,7 +121,7 @@ func BenchmarkPredictEndToEndPacked(b *testing.B) {
 // BenchmarkPredictLabeled times Predictor.Predict per graph at d = 10,000
 // on MUTAG-shaped graphs whose vertices carry one of 7 labels, as MUTAG's
 // atoms do: with the labeled extension, where each graph fills its own
-// (rank, label) operand table, and without it, where the same graphs
+// (rank, label) slab, and without it, where the same graphs
 // read the shared rank basis.
 func BenchmarkPredictLabeled(b *testing.B) {
 	ds, err := dataset.Generate("MUTAG", dataset.Options{Seed: 1})

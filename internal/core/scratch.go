@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"graphhd/internal/centrality"
@@ -10,27 +11,28 @@ import (
 
 // EncoderScratch holds every reusable buffer one encoding goroutine needs:
 // the centrality scratch (PageRank power-iteration vectors and the rank
-// sort order), the rank slice, the rank-pair keys and operand pairs, the
-// (rank, label) operand table, the SWAR majority counter, and the packed
-// output hypervectors. Once its buffers have grown to the largest batch
-// seen, encoding performs zero heap allocations.
+// sort keys), the rank slice, the rank-pair keys, the (rank, label) slab,
+// the SWAR majority counter, and the packed output hypervectors. Once its
+// buffers have grown to the largest batch seen, encoding performs zero
+// heap allocations.
 //
 // Every graph, and every encode path, runs the same two steps over a
 // batch of graphs; the per-graph calls are batches of one:
 //
 //  1. group ranks each graph by centrality and turns its edges into
-//     packed (minRank, maxRank) keys, in edge order. An edge's bind
-//     vector depends only on the unordered rank pair of its endpoints
-//     (XNOR is commutative). graph.Builder drops self-loops and duplicate
-//     edges and ranks are a bijection, so a graph's keys are distinct.
-//     Under the labeled extension it also records a labeled graph's
-//     vertex labels in rank order.
-//  2. signInto walks one graph's keys into XNOR operand pairs read
-//     straight off its operand table — the shared packed basis, or, for
-//     a labeled graph, the (rank, label) vectors it fills in place —
-//     feeds them to the blocked carry-save kernels and takes the
-//     majority. An edgeless graph bundles the table's first n vectors,
-//     its vertex vectors, instead.
+//     hdc keys, in edge order: the word offsets of the two endpoint
+//     ranks' rows, rank·stride. An edge's bind vector depends only on the
+//     unordered rank pair of its endpoints (XNOR is commutative).
+//     graph.Builder drops self-loops and duplicate edges and ranks are a
+//     bijection, so a graph's keys are distinct. Under the labeled
+//     extension it also records a labeled graph's vertex labels in rank
+//     order.
+//  2. signInto hands one graph's keys, as they are, to the kernels,
+//     which read the rows straight off its slab — the shared basis slab,
+//     or, for a labeled graph, the (rank, label) slab it fills in place,
+//     whose rows sit at the same offsets — and takes the majority of the
+//     XNORs. An edgeless graph bundles the slab's first n rows, its
+//     vertex vectors, instead.
 //
 // Bundling counts are exact integer sums, so operand order cannot
 // matter — the keys are never sorted — and every encoding is bit-for-bit
@@ -56,21 +58,25 @@ type EncoderScratch struct {
 	// Grouping state of the last grouped batch: graph i's keys, in edge
 	// order, are keys[keyOff[i]:keyOff[i+1]], and its vertex labels in
 	// rank order labels[labelOff[i]:labelOff[i+1]], empty unless the
-	// graph is labeled under the labeled extension. basis is the packed
-	// basis-table snapshot the other graphs' keys index.
+	// graph is labeled under the labeled extension. basis is the basis
+	// slab snapshot the other graphs' keys index.
 	keys     []uint64
 	keyOff   []int
 	labels   []int
 	labelOff []int
-	basis    []*hdc.Binary
-	// labelTab is the (rank, label) operand table of one labeled graph
-	// at a time; it grows to the largest labeled graph encoded. pairs
-	// holds the XNOR operand pairs of one graph at a time.
-	labelTab []*hdc.Binary
-	pairs    []hdc.XorPair
+	basis    []uint64
+	// labelSlab holds the (rank, label) rows of one labeled graph at a
+	// time, in the basis slab's shape, its zero row last; it grows to the
+	// largest labeled graph encoded. bundle holds the keys of one bundle
+	// of whole rows: an edgeless graph's vertices, or a Fit chunk's
+	// encodings.
+	labelSlab []uint64
+	bundle    []uint64
 
-	// outs holds the per-graph outputs of the batch calls.
-	outs []*hdc.Binary
+	// outs holds the per-graph outputs of the batch calls: views of the
+	// rows of outSlab, whose zero row is last.
+	outSlab []uint64
+	outs    []*hdc.Binary
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
@@ -112,19 +118,23 @@ func (s *EncoderScratch) Ranks(g *graph.Graph) []int {
 // extension, its label segment — the "plan" stage of BatchTrace.
 func (s *EncoderScratch) group(graphs []*graph.Graph) {
 	e := s.enc
+	st := e.stride
 	s.keys = s.keys[:0]
 	s.keyOff = append(s.keyOff[:0], 0)
 	s.labels = s.labels[:0]
 	s.labelOff = append(s.labelOff[:0], 0)
 	maxN := 0
 	for _, g := range graphs {
+		if n := g.NumVertices(); uint64(n+1)*uint64(st) > 1<<32 { // keys hold 32-bit offsets
+			panic(fmt.Sprintf("core: %d vertices overflow the row offsets of a %d-word stride", n, st))
+		}
 		ranks := s.Ranks(g)
 		for _, ed := range g.Edges() {
 			ru, rv := ranks[ed.U], ranks[ed.V]
 			if ru > rv {
 				ru, rv = rv, ru
 			}
-			s.keys = append(s.keys, uint64(ru)<<32|uint64(uint32(rv)))
+			s.keys = append(s.keys, hdc.Key(ru*st, rv*st))
 		}
 		s.keyOff = append(s.keyOff, len(s.keys))
 		if e.labeled(g) {
@@ -138,58 +148,64 @@ func (s *EncoderScratch) group(graphs []*graph.Graph) {
 		}
 		s.labelOff = append(s.labelOff, len(s.labels))
 	}
-	s.basis = e.packedSlice(maxN) // one lock round per batch
+	s.basis = e.basisFor(maxN) // one load per batch
 }
 
-// labelTable fills the scratch's (rank, label) table for one labeled
-// graph, given its vertex labels in rank order, and returns it: entry r
-// is the packed basis hypervector of rank r and that vertex's label.
-func (s *EncoderScratch) labelTable(labels []int) []*hdc.Binary {
+// labelTable fills the scratch's (rank, label) slab for one labeled
+// graph, given its vertex labels in rank order, and returns it: row r is
+// the packed basis hypervector of rank r and that vertex's label.
+func (s *EncoderScratch) labelTable(labels []int) []uint64 {
 	e := s.enc
-	for len(s.labelTab) < len(labels) {
-		s.labelTab = append(s.labelTab, hdc.NewBinary(e.cfg.Dimension))
+	st := e.stride
+	if len(s.labelSlab) <= len(labels)*st {
+		s.labelSlab = make([]uint64, (len(labels)+1)*st)
 	}
-	tab := s.labelTab[:len(labels)]
 	for r, l := range labels {
-		tab[r].FillRandom(hdc.NewRNG(e.rankLabelSeed(r, l)))
+		hdc.FillRandomRow(s.labelSlab[r*st:], e.cfg.Dimension, hdc.NewRNG(e.rankLabelSeed(r, l)))
 	}
-	return tab
+	return s.labelSlab
+}
+
+// bundleRows resets the counter and adds the first n rows of slab to it,
+// each keyed against the slab's last row, which is zero.
+func (s *EncoderScratch) bundleRows(slab []uint64, n int) {
+	st := s.enc.stride
+	zero := len(slab) - st
+	s.bundle = slices.Grow(s.bundle[:0], n)[:n]
+	for r := range s.bundle {
+		s.bundle[r] = hdc.Key(r*st, zero)
+	}
+	s.counter.Reset()
+	s.counter.AddXorKeys(slab, s.bundle)
 }
 
 // signInto encodes graph gi of the last grouped batch, g, into dst.
-// Bundles of up to hdc.MaxSmallSign pairs — the common serving case —
+// Bundles of up to hdc.MaxSmallSign edges — the common serving case —
 // take the one-shot bit-sliced majority kernel and skip the counter
-// tiers; the rest, and the vertex bundles of edgeless graphs, accumulate
-// through the blocked carry-save front end and sign through the counter.
+// tiers; the rest accumulate through the blocked carry-save front end
+// and sign through the counter, as do the vertex bundles of edgeless
+// graphs.
 func (s *EncoderScratch) signInto(gi int, g *graph.Graph, dst *hdc.Binary) {
-	tab := s.basis
+	slab := s.basis
 	if lo, hi := s.labelOff[gi], s.labelOff[gi+1]; lo < hi {
-		tab = s.labelTable(s.labels[lo:hi])
+		slab = s.labelTable(s.labels[lo:hi])
 	}
 	tie := s.enc.tie
-	seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]
-	if len(seg) == 0 {
+	// XNOR of the packed endpoints is exactly the bipolar product under
+	// the bit 1 ↔ +1 mapping; the kernels count the XORs and complement.
+	switch seg := s.keys[s.keyOff[gi]:s.keyOff[gi+1]]; {
+	case len(seg) == 0:
 		// Ranks are a bijection onto [0, n), so the vertex vectors are
-		// the table's first n entries. The empty graph signs to the tie.
-		s.counter.Reset()
-		s.counter.AddAll(tab[:g.NumVertices()])
+		// the slab's first n rows. The empty graph signs to the tie.
+		s.bundleRows(slab, g.NumVertices())
 		s.counter.SignBinaryInto(tie, dst)
-		return
+	case len(seg) <= hdc.MaxSmallSign:
+		s.counter.SignXnorKeysSmallInto(slab, seg, tie, dst)
+	default:
+		s.counter.Reset()
+		s.counter.AddXorKeys(slab, seg)
+		s.counter.SignXnorInto(tie, dst)
 	}
-	pairs := s.pairs[:0]
-	for _, k := range seg {
-		// XNOR of the packed endpoints is exactly the bipolar product
-		// under the bit 1 ↔ +1 mapping.
-		pairs = append(pairs, hdc.XorPair{A: tab[k>>32], B: tab[uint32(k)], Invert: true})
-	}
-	s.pairs = pairs
-	if len(pairs) <= hdc.MaxSmallSign {
-		s.counter.SignXorPairsSmallInto(pairs, tie, dst)
-		return
-	}
-	s.counter.Reset()
-	s.counter.AddXorPairs(pairs)
-	s.counter.SignBinaryInto(tie, dst)
 }
 
 // PlanStats reports the last grouped batch's edge rank-pair instances
@@ -212,13 +228,16 @@ func (s *EncoderScratch) EncodeBatch(graphs []*graph.Graph) []*hdc.Binary {
 // signAll signs every graph of the last grouped batch into the
 // scratch's per-graph output buffers.
 func (s *EncoderScratch) signAll(graphs []*graph.Graph) []*hdc.Binary {
-	for len(s.outs) < len(graphs) {
-		s.outs = append(s.outs, hdc.NewBinary(s.enc.cfg.Dimension))
+	if len(s.outs) < len(graphs) {
+		s.outSlab = make([]uint64, (len(graphs)+1)*s.enc.stride)
+		s.outs = hdc.BinaryRows(s.enc.cfg.Dimension, s.outSlab, len(graphs))
 	}
 	outs := s.outs[:len(graphs)]
 	for gi, g := range graphs {
 		s.signInto(gi, g, outs[gi])
 	}
+	// An idle scratch must not pin a basis version that growth replaced.
+	s.basis = nil
 	return outs
 }
 

@@ -261,7 +261,7 @@ func TestEncoderMemoryBounded(t *testing.T) {
 		s.EncodeGraphPacked(g)
 		grew := liveHeap() - before
 		runtime.KeepAlive(s)
-		return grew, len(enc.packed)
+		return grew, enc.basisRanks()
 	}
 	const n = 2000
 	pathGrew, pathBasis := growth(graph.Path(n))

@@ -284,7 +284,8 @@ func RunCentralityAblation(graphCount int, seed uint64) ([]AblationCell, error) 
 // pipelines (A5): the reference int8 bipolar path (materialized binds
 // accumulated in int32 sums, a fresh accumulator per graph as in
 // core's int8 test oracle) and the bit-sliced packed path the production
-// encoder uses (XNOR word binds through the carry-save counter — see
+// encoder uses (keyed rank-row pairs of one basis slab through the
+// carry-save counter, XNOR majority by complemented compare — see
 // hdc.BitCounter). The cell's TrainTime is the wall time to encode the
 // whole dataset. Both must produce bit-identical hypervectors: after the
 // timed loops every graph's packed encoding is checked against the
@@ -295,23 +296,22 @@ func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
 		return nil, err
 	}
 	const dim = 10000
-	rng := hdc.NewRNG(seed)
-	var bipolarBasis []*hdc.Bipolar
-	var packedBasis []*hdc.Binary
-	basisFor := func(rank int) int {
-		for rank >= len(bipolarBasis) {
-			v := hdc.RandomBipolar(dim, rng)
-			bipolarBasis = append(bipolarBasis, v)
-			packedBasis = append(packedBasis, v.PackBinary())
-		}
-		return rank
-	}
-	tie := hdc.RandomBipolar(dim, hdc.NewRNG(seed^0x7e))
 	allRanks := make([][]int, ds.Len())
+	ranks := 1
 	for i, g := range ds.Graphs {
 		allRanks[i] = rankCache(g)
-		basisFor(g.NumVertices())
+		ranks = max(ranks, g.NumVertices())
 	}
+	// Rank r's basis vector, and its packed words at row r of one slab.
+	rng := hdc.NewRNG(seed)
+	st := hdc.SlabStride(dim)
+	bipolarBasis := make([]*hdc.Bipolar, ranks)
+	slab := make([]uint64, ranks*st)
+	for r := range bipolarBasis {
+		bipolarBasis[r] = hdc.RandomBipolar(dim, rng)
+		copy(slab[r*st:], bipolarBasis[r].PackBinary().Words())
+	}
+	tie := hdc.RandomBipolar(dim, hdc.NewRNG(seed^0x7e))
 
 	// Reference int8 path.
 	refs := make([]*hdc.Bipolar, ds.Len())
@@ -326,28 +326,26 @@ func RunBackendComparison(graphCount int, seed uint64) ([]AblationCell, error) {
 	referenceTime := time.Since(t0)
 
 	// Bit-sliced packed path, signed as core.EncoderScratch signs: one
-	// counter and one packed output reused across graphs, bundles of up
-	// to hdc.MaxSmallSign edges through the one-sweep small sign, larger
-	// ones through the blocked carry-save front end and the counter's
-	// sign.
+	// counter and one packed output reused across graphs, each edge a key
+	// of its endpoints' slab rows, bundles of up to hdc.MaxSmallSign edges
+	// through the one-sweep small sign, larger ones through the blocked
+	// carry-save front end and the counter's XNOR sign.
 	packedTie := tie.PackBinary()
 	counter := hdc.NewBitCounter(dim)
 	out := hdc.NewBinary(dim)
-	var pairs []hdc.XorPair
+	var keys []uint64
 	encode := func(i int) {
-		pairs = pairs[:0]
+		keys = keys[:0]
 		for _, e := range ds.Graphs[i].Edges() {
-			pairs = append(pairs, hdc.XorPair{
-				A: packedBasis[allRanks[i][e.U]], B: packedBasis[allRanks[i][e.V]], Invert: true,
-			})
+			keys = append(keys, hdc.Key(allRanks[i][e.U]*st, allRanks[i][e.V]*st))
 		}
-		if n := len(pairs); n > 0 && n <= hdc.MaxSmallSign {
-			counter.SignXorPairsSmallInto(pairs, packedTie, out)
+		if n := len(keys); n > 0 && n <= hdc.MaxSmallSign {
+			counter.SignXnorKeysSmallInto(slab, keys, packedTie, out)
 			return
 		}
 		counter.Reset()
-		counter.AddXorPairs(pairs)
-		counter.SignBinaryInto(packedTie, out)
+		counter.AddXorKeys(slab, keys)
+		counter.SignXnorInto(packedTie, out)
 	}
 	t1 := time.Now()
 	for i := range ds.Graphs {

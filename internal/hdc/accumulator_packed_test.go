@@ -61,7 +61,7 @@ func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
 				ref.Add(v)
 				vs[i] = v.PackBinary()
 			}
-			bc.AddAll(vs)
+			addAll(bc, vs)
 			if bc.inBytes() {
 				t.Fatalf("d=%d round %d: 300 units reported in the byte lanes", d, round)
 			}
@@ -77,9 +77,9 @@ func TestAccumulatorAddCounterMatchesAdd(t *testing.T) {
 // taken while every count is still in the byte lanes, against the int32
 // fold of the same counter forced through a flush, and both against
 // per-vector AddPacked, on top of nonzero sums. The vectors enter
-// through one AddAll call, as in Model.Fit; 255 is the most one call
-// keeps in the byte lanes (a block books its live operands, up to the
-// 255 a byte holds).
+// through one whole-vector AddXorKeys call, as in Model.Fit; 255 is the
+// most one call keeps in the byte lanes (a block books its live
+// operands, up to the 255 a byte holds).
 func TestAccumulatorAddCounterByteLaneFold(t *testing.T) {
 	forEachKernelTier(t, testAccumulatorAddCounterByteLaneFold)
 }
@@ -97,8 +97,8 @@ func testAccumulatorAddCounterByteLaneFold(t *testing.T) {
 				vs[i] = RandomBinary(d, rng)
 			}
 			lanes, flushed := NewBitCounter(d), NewBitCounter(d)
-			lanes.AddAll(vs)
-			flushed.AddAll(vs)
+			addAll(lanes, vs)
+			addAll(flushed, vs)
 			flushed.CountAt(0) // moves every count to the int32 tier
 			if !lanes.inBytes() || flushed.inBytes() {
 				t.Fatalf("d=%d n=%d: counters not in the tiers under test", d, n)

@@ -33,25 +33,36 @@ func NewBinary(d int) *Binary {
 // same state: both take component i from bit i mod 64 of the generator's
 // ⌊i/64⌋-th output.
 func RandomBinary(d int, rng *RNG) *Binary {
-	return NewBinary(d).FillRandom(rng)
-}
-
-// FillRandom overwrites b with the next ⌈d/64⌉ outputs of rng, tail
-// masked: RandomBinary in place, with no allocation. Returns b.
-func (b *Binary) FillRandom(rng *RNG) *Binary {
-	for i := range b.words {
-		b.words[i] = rng.Uint64()
-	}
-	b.maskTail()
+	b := NewBinary(d)
+	FillRandomRow(b.words, d, rng)
 	return b
 }
 
-// maskTail zeroes the unused high bits of the final word so that popcount
-// based operations never see garbage.
-func (b *Binary) maskTail() {
-	if r := b.d & 63; r != 0 {
-		b.words[len(b.words)-1] &= (1 << uint(r)) - 1
+// FillRandomRow is RandomBinary in place, with no allocation: it
+// overwrites the ⌈d/64⌉ words at the start of row — a vector's words or
+// a slab row — with the next outputs of rng, the last one masked to the
+// dimension, and leaves the rest of row alone.
+func FillRandomRow(row []uint64, d int, rng *RNG) {
+	row = row[:(d+63)/64]
+	for i := range row {
+		row[i] = rng.Uint64()
 	}
+	if r := d & 63; r != 0 {
+		row[len(row)-1] &= (1 << uint(r)) - 1
+	}
+}
+
+// BinaryRows returns views of the first n rows of slab, a slab of
+// d-dimensional rows (SlabStride): row r is a Binary whose words alias
+// slab[r·stride, r·stride + ⌈d/64⌉). Writing a view writes the slab.
+func BinaryRows(d int, slab []uint64, n int) []*Binary {
+	w, st := (d+63)/64, SlabStride(d)
+	views, rows := make([]Binary, n), make([]*Binary, n)
+	for r := range rows {
+		views[r] = Binary{d: d, words: slab[r*st : r*st+w : r*st+w]}
+		rows[r] = &views[r]
+	}
+	return rows
 }
 
 // Dim returns the dimensionality of the hypervector.
@@ -69,17 +80,6 @@ func (b *Binary) Flip(i int) {
 		panic(fmt.Sprintf("hdc: component %d out of range [0,%d)", i, b.d))
 	}
 	b.words[i>>6] ^= 1 << uint(i&63)
-}
-
-// CopyFrom overwrites b with src's components. Dimensions must match.
-// Returns b. This is the reuse analogue of Clone for scratch-owned
-// output vectors.
-func (b *Binary) CopyFrom(src *Binary) *Binary {
-	if b.d != src.d {
-		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", b.d, src.d))
-	}
-	copy(b.words, src.words)
-	return b
 }
 
 // Words exposes the underlying word array (64 components per word, little

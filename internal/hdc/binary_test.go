@@ -22,21 +22,27 @@ func TestRandomBinaryTailMasked(t *testing.T) {
 	}
 }
 
-// TestFillRandomMatchesRandomBipolar: filling a used vector in place
+// TestFillRandomMatchesRandomBipolar: filling a used slab row in place
 // gives RandomBipolar's vector for the same generator state, packed,
-// without allocating.
+// without allocating, and leaves the row's padding words alone.
 func TestFillRandomMatchesRandomBipolar(t *testing.T) {
 	for _, d := range []int{1, 64, 70, 150, 256, 1000, 10000} { // 1, 1, 2, 3, 4, 16 and 157 words
-		b := NewBinary(d)
-		for i := range b.words {
-			b.words[i] = ^uint64(0) // stale contents must not survive
+		row := make([]uint64, SlabStride(d))
+		for i := range row {
+			row[i] = ^uint64(0) // stale contents must not survive
 		}
-		b.FillRandom(NewRNG(uint64(d)))
+		FillRandomRow(row, d, NewRNG(uint64(d)))
+		b := BinaryRows(d, row, 1)[0]
 		if !b.Equal(RandomBipolar(d, NewRNG(uint64(d))).PackBinary()) {
-			t.Fatalf("d=%d: FillRandom differs from RandomBipolar", d)
+			t.Fatalf("d=%d: FillRandomRow differs from RandomBipolar", d)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { b.FillRandom(NewRNG(3)) }); allocs != 0 {
-			t.Fatalf("d=%d: FillRandom allocated %v times per run, want 0", d, allocs)
+		for i := len(b.words); i < len(row); i++ {
+			if row[i] != ^uint64(0) {
+				t.Fatalf("d=%d: FillRandomRow wrote padding word %d", d, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { FillRandomRow(row, d, NewRNG(3)) }); allocs != 0 {
+			t.Fatalf("d=%d: FillRandomRow allocated %v times per run, want 0", d, allocs)
 		}
 	}
 }
@@ -144,7 +150,7 @@ func TestBinaryBundlePreservesSimilarity(t *testing.T) {
 		vs[i] = RandomBinary(10000, r)
 	}
 	bc := NewBitCounter(10000)
-	bc.AddAll(vs)
+	addAll(bc, vs)
 	maj := bc.SignBinaryInto(RandomBinary(10000, r), NewBinary(10000))
 	for i, v := range vs {
 		if c := maj.Cosine(v); c < 0.2 {

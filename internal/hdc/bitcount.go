@@ -9,8 +9,8 @@ import (
 // hypervectors had that bit set — the quantity majority bundling needs —
 // without unpacking bits to integers. Weight moves through three tiers:
 //
-//   - Carry-save planes. AddXorPairs and AddAll reduce groups of eight
-//     vectors per 64-bit word through a Harley–Seal cascade of carry-save
+//   - Carry-save planes. AddXorKeys reduces groups of eight vectors per
+//     64-bit word through a Harley–Seal cascade of carry-save
 //     adders into persistent bit-sliced partial sums of weight 1/2/4/8.
 //     Only the weight-16 overflow of the top plane leaves it, so a block
 //     costs one lane update per ~16 vectors instead of one per vector.
@@ -37,8 +37,9 @@ import (
 // BitCounter is not safe for concurrent use; each encoding goroutine owns
 // its own counter.
 type BitCounter struct {
-	d     int
-	words int
+	d      int
+	words  int
+	stride int // SlabStride(d): the padded word count of planes and lanes
 	// byteLo[j]/byteHi[j]: byte counters. Byte k of byteLo[j][w] counts
 	// component 64w + 8k + j and byte k of byteHi[j][w] component
 	// 64w + 8k + 4 + j, so the per-component flush runs every ~255 units
@@ -47,9 +48,10 @@ type BitCounter struct {
 	// csaOnes/csaTwos/csaFours/csaEights: bit-sliced carry-save partial
 	// sums of weight 1, 2, 4 and 8 used by the blocked front end. They are
 	// nonzero only while a batch call is running; the call drains them
-	// into the byte lanes before returning. All four planes are views
-	// into one contiguous slab so the vector kernels stream them with a
-	// single base pointer.
+	// into the byte lanes before returning. All four planes, like the
+	// byte lanes, are views into one contiguous slab, one stride apart:
+	// the vector kernels sweep every word of the stride, and the padding
+	// words past d/64, fed only the zero padding of slab rows, stay zero.
 	csaOnes, csaTwos, csaFours, csaEights []uint64
 	// csaParked is set while the carry-save planes hold weight that has
 	// not yet reached a counter tier (mid batch call). Every observer
@@ -59,17 +61,12 @@ type BitCounter struct {
 	// parked it.
 	csaParked bool
 	// kargs is the pre-resolved argument block handed to the vector
-	// kernels; the plane and lane pointers and the tail mask are filled
-	// once at construction, the stream pointers per block.
+	// kernels; the plane and lane pointers and the word count are filled
+	// once at construction, the slab and keys per block.
 	kargs csaArgs
-	// sargs is the small-sign kernels' argument block and operand table,
-	// filled per SignXorPairsSmallInto call.
+	// sargs is the small-sign kernels' argument block and key table,
+	// filled per SignXnorKeysSmallInto call.
 	sargs smallArgs
-	// zeroWords is an all-zero operand used to pad the final partial block
-	// of the carry-save kernels: feeding zeros through the CSA cascade
-	// contributes nothing to any count, so a short tail costs one extra
-	// block sweep.
-	zeroWords []uint64
 	// pendingByte bounds, per component, the weight in the byte lanes
 	// plus the weight parked in the carry-save planes since the last
 	// flush: it is at most 255, so no byte lane can overflow.
@@ -100,44 +97,60 @@ func NewBitCounter(d int) *BitCounter {
 	if d <= 0 {
 		panic("hdc: non-positive dimension")
 	}
-	w := (d + 63) / 64
-	c := &BitCounter{d: d, words: w}
+	w, st := (d+63)/64, SlabStride(d)
+	c := &BitCounter{d: d, words: w, stride: st}
 	// The byte lanes and carry-save planes are views into contiguous
 	// slabs: the vector kernels address all of them from the base
 	// pointers below, and one allocation each keeps them cache-adjacent.
-	laneSlab := make([]uint64, 8*w)
+	// Each view covers the d/64 words of a stride-long row.
+	row := func(slab []uint64, i int) []uint64 { return slab[i*st : i*st+w : i*st+w] }
+	laneSlab := make([]uint64, 8*st)
 	for j := range c.byteLo {
-		c.byteLo[j] = laneSlab[j*w : (j+1)*w : (j+1)*w]
-		c.byteHi[j] = laneSlab[(4+j)*w : (5+j)*w : (5+j)*w]
+		c.byteLo[j] = row(laneSlab, j)
+		c.byteHi[j] = row(laneSlab, 4+j)
 	}
-	csaSlab := make([]uint64, 4*w)
-	c.csaOnes = csaSlab[0*w : 1*w : 1*w]
-	c.csaTwos = csaSlab[1*w : 2*w : 2*w]
-	c.csaFours = csaSlab[2*w : 3*w : 3*w]
-	c.csaEights = csaSlab[3*w : 4*w : 4*w]
-	c.zeroWords = make([]uint64, w)
+	csaSlab := make([]uint64, 4*st)
+	c.csaOnes = row(csaSlab, 0)
+	c.csaTwos = row(csaSlab, 1)
+	c.csaFours = row(csaSlab, 2)
+	c.csaEights = row(csaSlab, 3)
 	c.kargs.ones = &c.csaOnes[0]
 	c.kargs.twos = &c.csaTwos[0]
 	c.kargs.fours = &c.csaFours[0]
 	c.kargs.eights = &c.csaEights[0]
 	c.kargs.l0, c.kargs.l1, c.kargs.l2, c.kargs.l3 = &c.byteLo[0][0], &c.byteLo[1][0], &c.byteLo[2][0], &c.byteLo[3][0]
 	c.kargs.h0, c.kargs.h1, c.kargs.h2, c.kargs.h3 = &c.byteHi[0][0], &c.byteHi[1][0], &c.byteHi[2][0], &c.byteHi[3][0]
-	c.kargs.tail = c.tailMask()
+	c.kargs.n = int64(st)
 	return c
 }
 
-// vecWords returns how many leading words of this counter's planes a
-// vector kernel of the given tier should process: every word on AVX-512,
-// whose kernels mask the tail word themselves; otherwise the largest
-// lane-aligned prefix, excluding the tail word when masked operand
-// streams require per-word masking there (d not a multiple of 64). The
-// caller finishes words [vecWords, words) on the portable path.
-func (c *BitCounter) vecWords(k *kernelTable, masked bool) int {
-	full := c.words
-	if masked && c.d&63 != 0 && !k.wholeRange {
-		full--
+// SlabStride returns the words per row of a slab of d-dimensional packed
+// rows, the operand store of AddXorKeys and SignXnorKeysSmallInto: the
+// ⌈d/64⌉ words of a row rounded up to a whole number of eight-word
+// groups, so a vector kernel reads every row in full groups. A row's
+// padding words and the bits of its last word past d must be zero.
+func SlabStride(d int) int { return ((d+63)/64 + 7) &^ 7 }
+
+// Key returns the operand key of the slab rows starting at word offsets
+// a and b (multiples of the stride): their XOR. Key(0, 0) is a zero
+// operand. Offsets must fit in 32 bits.
+func Key(a, b int) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
+
+// checkKeys panics unless slab is a whole number of rows of the
+// counter's stride and every key's rows lie inside it, so that no kernel
+// reads past the slab. Rows carry no dimension of their own, so this is
+// the only check of a call's operands.
+func (c *BitCounter) checkKeys(slab, keys []uint64) {
+	if len(slab) == 0 || len(slab)%c.stride != 0 {
+		panic(fmt.Sprintf("hdc: slab of %d words is not whole rows of stride %d", len(slab), c.stride))
 	}
-	return k.vecLen(full)
+	var hi uint64
+	for _, k := range keys {
+		hi = max(hi, k>>32, k&0xFFFFFFFF)
+	}
+	if hi > uint64(len(slab)-c.stride) {
+		panic(fmt.Sprintf("hdc: key row at word %d outside a slab of %d words", hi, len(slab)))
+	}
 }
 
 // Dim returns the counter's dimensionality.
@@ -178,98 +191,40 @@ func csa(a, b, cin uint64) (sum, carry uint64) {
 	return u ^ cin, (a & b) | (u & cin)
 }
 
-// XorPair names one AddXorPairs operand pair: the XOR of A and B, or the
-// XNOR when Invert is set.
-type XorPair struct {
-	A, B   *Binary
-	Invert bool
-}
-
-// AddXorPairs accumulates the XOR (or, with Invert, the XNOR) of each
-// pair without materializing it — the packed GraphHD encoder's edge
-// loop, where an edge hypervector is the XNOR of its endpoint vectors.
-// Groups of eight pairs are reduced per word by a Harley–Seal CSA
-// cascade into the persistent weight-1/2/4/8 planes, and only the
-// weight-16 overflow of the top plane touches the byte lanes. A full
-// block therefore costs one lane update per ~16 edges instead of one per
-// edge, and the inner loop is a single cache-friendly sweep over the
-// d/64 words of the block's operands. A short final block is padded with
-// zero operands, which flow through the CSA cascade without contributing
-// to any count. The tail beyond d bits is masked, so complemented
-// garbage never reaches the counters.
-func (c *BitCounter) AddXorPairs(pairs []XorPair) {
-	for _, p := range pairs {
-		c.checkDim(p.A.d)
-		c.checkDim(p.B.d)
-	}
-	c.checkAdds(len(pairs))
-	c.n += len(pairs)
-	if len(pairs) == 0 {
-		return
-	}
+// AddXorKeys accumulates, for each key, the XOR of its two slab rows
+// without materializing it — the packed GraphHD encoder's edge loop, where
+// an edge hypervector is the XNOR of its endpoint vectors (SignXnorInto
+// takes the majority of the complements), and its bundles of whole
+// vectors, keyed against a zero row. Groups of eight keys are reduced per
+// word by a Harley–Seal CSA cascade into the persistent weight-1/2/4/8
+// planes, and only the weight-16 overflow of the top plane touches the
+// byte lanes. A full block therefore costs one lane update per ~16 keys
+// instead of one per key, and the inner loop is a single cache-friendly
+// sweep over the words of the block's rows. A short final block is
+// padded with zero keys, which flow through the CSA cascade without
+// contributing to any count.
+func (c *BitCounter) AddXorKeys(slab, keys []uint64) {
+	c.checkKeys(slab, keys)
+	c.checkAdds(len(keys))
+	c.n += len(keys)
 	kern := loadKernels()
-	var aws, bws [8][]uint64
-	var vs [8]uint64
-	for i := 0; i < len(pairs); i += 8 {
-		n := len(pairs) - i
-		if n > 8 {
-			n = 8
-		}
-		for k := 0; k < n; k++ {
-			p := &pairs[i+k]
-			aws[k], bws[k], vs[k] = p.A.words, p.B.words, invMask(p.Invert)
-		}
-		// A short final block is padded with zero streams: XOR of two
-		// zero streams contributes nothing to any count, so the tail
-		// costs one block sweep instead of per-vector lane updates.
-		for k := n; k < 8; k++ {
-			aws[k], bws[k], vs[k] = c.zeroWords, c.zeroWords, 0
-		}
-		c.addXorBlock8(kern, n, &aws, &bws, &vs)
+	a := &c.kargs
+	a.slab = &slab[0]
+	for i := 0; i < len(keys); i += 8 {
+		live := copy(a.keys[:], keys[i:])
+		clear(a.keys[live:])
+		c.addXorBlock8(kern, live, slab)
 	}
+	a.slab = nil // pin no slab between calls
 	c.drainCarrySave()
 }
 
-// AddAll accumulates a block of binary hypervectors through the
-// carry-save front end of AddXorPairs: each vector enters the cascade as
-// its XOR with the all-zero stream, so eight vectors cost one block sweep
-// and only the weight-16 overflow reaches the byte lanes. This is how
-// Model.Fit bundles a chunk of one class's encodings.
-func (c *BitCounter) AddAll(vs []*Binary) {
-	for _, v := range vs {
-		c.checkDim(v.d)
-	}
-	c.checkAdds(len(vs))
-	c.n += len(vs)
-	if len(vs) == 0 {
-		return
-	}
-	kern := loadKernels()
-	var aws, zeros [8][]uint64
-	var noInvert [8]uint64
-	for k := range zeros {
-		zeros[k] = c.zeroWords
-	}
-	for i := 0; i < len(vs); i += 8 {
-		n := min(len(vs)-i, 8)
-		for k := 0; k < n; k++ {
-			aws[k] = vs[i+k].words
-		}
-		for k := n; k < 8; k++ {
-			aws[k] = c.zeroWords // zero padding, as in AddXorPairs
-		}
-		c.addXorBlock8(kern, n, &aws, &zeros, &noInvert)
-	}
-	c.drainCarrySave()
-}
-
-// addXorBlock8 feeds one Harley–Seal block of exactly eight XOR/XNOR
-// operand streams, of which the first live are real and the rest zero
-// padding, through the carry-save cascade, overflowing weight 16 into the
-// byte lanes. The vector kernel, when one is installed, sweeps the words
-// vecWords gives it; the portable loop finishes the rest, if any,
-// including the masked tail word. Count accounting is the caller's.
-func (c *BitCounter) addXorBlock8(kern *kernelTable, live int, aws, bws *[8][]uint64, vs *[8]uint64) {
+// addXorBlock8 feeds the block of eight keys in kargs, of which the
+// first live are real and the rest zero padding, through the carry-save
+// cascade, overflowing weight 16 into the byte lanes: the vector kernel
+// when one is installed, else the portable loop. Count accounting is the
+// caller's.
+func (c *BitCounter) addXorBlock8(kern *kernelTable, live int, slab []uint64) {
 	// The block adds at most live units to any component's byte-lane
 	// plus parked weight. Past 255 the lanes flush first; the planes keep
 	// what they hold — at most 15, and at most what was booked — so that
@@ -284,57 +239,42 @@ func (c *BitCounter) addXorBlock8(kern *kernelTable, live int, aws, bws *[8][]ui
 	}
 	c.pendingByte += live
 	c.csaParked = true
-	lo := 0
 	if kern.csaXorBlock != nil {
-		if vn := c.vecWords(kern, true); vn > 0 {
-			a := &c.kargs
-			for k := 0; k < 8; k++ {
-				a.x[k] = &aws[k][0]
-				a.y[k] = &bws[k][0]
-				a.inv[k] = vs[k]
-			}
-			a.n = int64(vn)
-			kern.csaXorBlock(a)
-			lo = vn
-		}
+		kern.csaXorBlock(&c.kargs)
+		return
 	}
-	if lo < c.words {
-		c.csaXorBlock8Range(aws, bws, vs, lo)
-	}
+	c.csaXorBlock8(slab)
 }
 
-// csaXorBlock8Range is the portable CSA cascade for one block of eight
-// XOR/XNOR operand streams over words [lo, words) — the semantic source
-// of truth the vector tiers must match bit for bit (the full-range call
-// with lo = 0 is the portable tier itself).
-func (c *BitCounter) csaXorBlock8Range(aws, bws *[8][]uint64, vs *[8]uint64, lo int) {
+// csaXorBlock8 is the portable CSA cascade for the block of eight keys in
+// kargs — the semantic source of truth the vector tiers must match bit
+// for bit.
+func (c *BitCounter) csaXorBlock8(slab []uint64) {
 	nw := c.words
-	last := nw - 1
-	tail := c.tailMask()
+	var as, bs [8][]uint64
+	for k, key := range c.kargs.keys {
+		as[k], bs[k] = slab[key>>32:][:nw], slab[uint32(key):][:nw]
+	}
 	ones, twos, fours, eights := c.csaOnes, c.csaTwos, c.csaFours, c.csaEights
-	a0, b0, v0 := aws[0], bws[0], vs[0]
-	a1, b1, v1 := aws[1], bws[1], vs[1]
-	a2, b2, v2 := aws[2], bws[2], vs[2]
-	a3, b3, v3 := aws[3], bws[3], vs[3]
-	a4, b4, v4 := aws[4], bws[4], vs[4]
-	a5, b5, v5 := aws[5], bws[5], vs[5]
-	a6, b6, v6 := aws[6], bws[6], vs[6]
-	a7, b7, v7 := aws[7], bws[7], vs[7]
+	a0, b0 := as[0], bs[0]
+	a1, b1 := as[1], bs[1]
+	a2, b2 := as[2], bs[2]
+	a3, b3 := as[3], bs[3]
+	a4, b4 := as[4], bs[4]
+	a5, b5 := as[5], bs[5]
+	a6, b6 := as[6], bs[6]
+	a7, b7 := as[7], bs[7]
 	l0, l1, l2, l3 := c.byteLo[0], c.byteLo[1], c.byteLo[2], c.byteLo[3]
 	h0, h1, h2, h3 := c.byteHi[0], c.byteHi[1], c.byteHi[2], c.byteHi[3]
-	for w := lo; w < nw; w++ {
-		m := ^uint64(0)
-		if w == last {
-			m = tail
-		}
-		x0 := (a0[w] ^ b0[w] ^ v0) & m
-		x1 := (a1[w] ^ b1[w] ^ v1) & m
-		x2 := (a2[w] ^ b2[w] ^ v2) & m
-		x3 := (a3[w] ^ b3[w] ^ v3) & m
-		x4 := (a4[w] ^ b4[w] ^ v4) & m
-		x5 := (a5[w] ^ b5[w] ^ v5) & m
-		x6 := (a6[w] ^ b6[w] ^ v6) & m
-		x7 := (a7[w] ^ b7[w] ^ v7) & m
+	for w := 0; w < nw; w++ {
+		x0 := a0[w] ^ b0[w]
+		x1 := a1[w] ^ b1[w]
+		x2 := a2[w] ^ b2[w]
+		x3 := a3[w] ^ b3[w]
+		x4 := a4[w] ^ b4[w]
+		x5 := a5[w] ^ b5[w]
+		x6 := a6[w] ^ b6[w]
+		x7 := a7[w] ^ b7[w]
 		o, twosA := csa(ones[w], x0, x1)
 		o, twosB := csa(o, x2, x3)
 		t, foursA := csa(twos[w], twosA, twosB)
@@ -356,14 +296,6 @@ func (c *BitCounter) csaXorBlock8Range(aws, bws *[8][]uint64, vs *[8]uint64, lo 
 			h3[w] += ((s16 >> 7) & byteStride) << 4
 		}
 	}
-}
-
-// invMask maps an invert flag to the XOR mask that applies it.
-func invMask(invert bool) uint64 {
-	if invert {
-		return ^uint64(0)
-	}
-	return 0
 }
 
 // drainCarrySave feeds the parked weight-1/2/4/8 carry-save slices into
@@ -521,14 +453,6 @@ func (c *BitCounter) flush() {
 	c.flushBytes()
 }
 
-// SignBipolar collapses the counter to a bipolar hypervector by majority:
-// component i is +1 when more than half of the n added vectors had bit i
-// set, -1 when fewer, and tie[i] on an exact tie. This matches
-// Accumulator.Sign under the bit↔bipolar mapping exactly.
-func (c *BitCounter) SignBipolar(tie *Bipolar) *Bipolar {
-	return c.SignBipolarInto(tie, &Bipolar{comps: make([]int8, c.d)})
-}
-
 // SignBipolarInto is SignBipolar writing the result into dst, which must
 // have the counter's dimension; every component is overwritten. It
 // performs no heap allocations, the property the scratch-reuse encoding
@@ -590,6 +514,26 @@ func (c *BitCounter) SignBinaryInto(tie, dst *Binary) *Binary {
 		}
 		dst.words[w] = out
 	}
+	return dst
+}
+
+// SignXnorInto collapses the counter into dst by the majority of the
+// complements of the added vectors — for AddXorKeys operands, of their
+// XNORs: bit i is set when fewer than half of the n added vectors had it
+// set, cleared when more, and copied from tie on an exact tie. That is
+// the complement of SignBinaryInto under the complemented tie, which is
+// how it is computed. dst may alias tie. Returns dst.
+func (c *BitCounter) SignXnorInto(tie, dst *Binary) *Binary {
+	c.checkDim(tie.d)
+	c.checkDim(dst.d)
+	for w, t := range tie.words {
+		dst.words[w] = ^t
+	}
+	c.SignBinaryInto(dst, dst)
+	for w, v := range dst.words {
+		dst.words[w] = ^v
+	}
+	dst.words[c.words-1] &= c.tailMask()
 	return dst
 }
 

@@ -5,31 +5,31 @@ import (
 	"testing"
 )
 
-// randomPairs draws n operand pairs with a mix of XOR and XNOR binds.
-func randomPairs(d, n int, rng *RNG) []XorPair {
-	pairs := make([]XorPair, n)
+// randomPairs draws n operand pairs of random vectors.
+func randomPairs(d, n int, rng *RNG) []xorPair {
+	pairs := make([]xorPair, n)
 	for i := range pairs {
-		pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: rng.Intn(2) == 0}
+		pairs[i] = xorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng)}
 	}
 	return pairs
 }
 
-// TestAddXorPairsMatchesScalar pins the blocked carry-save path against
+// TestAddXorKeysMatchesScalar pins the blocked carry-save path against
 // the naive per-bit count and majority, across block-remainder
 // boundaries, mixed invert flags, tail dimensions — and, via
 // forEachKernelTier, every vector kernel tier this CPU supports. The
 // sign is read first, off the byte lanes, then the counts.
-func TestAddXorPairsMatchesScalar(t *testing.T) {
-	forEachKernelTier(t, testAddXorPairsMatchesScalar)
+func TestAddXorKeysMatchesScalar(t *testing.T) {
+	forEachKernelTier(t, testAddXorKeysMatchesScalar)
 }
 
-func testAddXorPairsMatchesScalar(t *testing.T) {
+func testAddXorKeysMatchesScalar(t *testing.T) {
 	for _, d := range []int{1, 63, 64, 65, 100, 130, 517, 1024} {
 		for n := 0; n <= 40; n++ {
 			rng := NewRNG(uint64(d)<<16 | uint64(n))
 			pairs := randomPairs(d, n, rng)
 			c := NewBitCounter(d)
-			c.AddXorPairs(pairs)
+			addPairs(c, pairs)
 			ref := newNaiveCounter(d)
 			ref.addPairs(pairs)
 			label := fmt.Sprintf("d=%d n=%d", d, n)
@@ -40,8 +40,9 @@ func testAddXorPairsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAddAllMatchesAdd pins the bulk carry-save add against n single
-// adds of the naive reference — across block remainders, tail
+// TestAddAllMatchesAdd pins the bulk carry-save add of whole vectors,
+// each keyed against a zero row, against n single adds of the naive
+// reference — across block remainders, tail
 // dimensions, calls long enough to flush the byte lanes, and every
 // supported kernel tier.
 func TestAddAllMatchesAdd(t *testing.T) {
@@ -54,7 +55,7 @@ func testAddAllMatchesAdd(t *testing.T) {
 			rng := NewRNG(uint64(d)<<20 | uint64(n)<<4)
 			vs := randomVectors(d, n, rng)
 			c := NewBitCounter(d)
-			c.AddAll(vs)
+			addAll(c, vs)
 			ref := newNaiveCounter(d)
 			ref.addAll(vs)
 			ref.check(t, fmt.Sprintf("d=%d n=%d", d, n), c)
@@ -62,22 +63,22 @@ func testAddAllMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestAddXorPairsInterleaved mixes AddXorPairs and AddAll calls on one
-// counter — the shapes the encoder and Model.Fit produce — with a
+// TestAddXorKeysInterleaved mixes pair and whole-vector AddXorKeys calls
+// on one counter — the shapes the encoder and Model.Fit produce — with a
 // majority read after each round, against the naive reference. The
 // count passes 127 partway, so the reads take both the SWAR path and
 // the int32 fallback.
-func TestAddXorPairsInterleaved(t *testing.T) {
+func TestAddXorKeysInterleaved(t *testing.T) {
 	const d = 200
 	rng := NewRNG(99)
 	c := NewBitCounter(d)
 	ref := newNaiveCounter(d)
 	for round := 0; round < 6; round++ {
 		pairs := randomPairs(d, 3+round*5, rng)
-		c.AddXorPairs(pairs)
+		addPairs(c, pairs)
 		ref.addPairs(pairs)
 		vs := randomVectors(d, 1+rng.Intn(20), rng)
-		c.AddAll(vs)
+		addAll(c, vs)
 		ref.addAll(vs)
 		tie := RandomBinary(d, rng)
 		ref.checkSign(t, fmt.Sprintf("round %d", round), tie, c.SignBinaryInto(tie, NewBinary(d)))
@@ -86,8 +87,8 @@ func TestAddXorPairsInterleaved(t *testing.T) {
 }
 
 // TestBitCounterCountsPast255InOneCall carries components past the byte
-// lanes' 255 inside a single AddAll or AddXorPairs call: every operand
-// equals one vector, so each of its set bits counts n. The byte lanes
+// lanes' 255 inside a single whole-vector or pair AddXorKeys call: every
+// operand equals one vector, so each of its set bits counts n. The byte lanes
 // must flush into the int32 tier in the middle of the call
 // (addXorBlock8's guard) and before the drain. The counts, the majority
 // through SignBinaryInto's int32 fallback (n > 127) and AddCounter's
@@ -103,18 +104,18 @@ func testBitCounterCountsPast255InOneCall(t *testing.T) {
 		a, b, tie := RandomBinary(d, rng), RandomBinary(d, rng), RandomBinary(d, rng)
 		for _, n := range []int{255, 256, 300, 1000} {
 			vs := make([]*Binary, n)
-			pairs := make([]XorPair, n)
+			pairs := make([]xorPair, n)
 			for i := range vs {
 				vs[i] = a
-				pairs[i] = XorPair{A: a, B: b, Invert: true}
+				pairs[i] = xorPair{A: a, B: b}
 			}
 			for _, tc := range []struct {
 				name string
 				add  func(*BitCounter)
 				ref  func(*naiveCounter)
 			}{
-				{"AddAll", func(c *BitCounter) { c.AddAll(vs) }, func(r *naiveCounter) { r.addAll(vs) }},
-				{"AddXorPairs", func(c *BitCounter) { c.AddXorPairs(pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
+				{"vectors", func(c *BitCounter) { addAll(c, vs) }, func(r *naiveCounter) { r.addAll(vs) }},
+				{"pairs", func(c *BitCounter) { addPairs(c, pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
 			} {
 				label := fmt.Sprintf("%s d=%d n=%d", tc.name, d, n)
 				ref := newNaiveCounter(d)
@@ -143,7 +144,7 @@ func testBitCounterCountsPast255InOneCall(t *testing.T) {
 
 // TestBitCounterOneCallTo127StaysInBytes pins the byte lanes' booking:
 // a block books the operands it adds, not its worst-case overflow, and
-// the drain books nothing, so a single AddAll or AddXorPairs call of 120
+// the drain books nothing, so a single whole-vector or pair AddXorKeys call of 120
 // to 127 operands keeps every count in the byte lanes (booking 16 per
 // block and 15 per drain flushed every one of them past 120 into the
 // int32 counts), and SignBinaryInto signs them on its SWAR path. Each
@@ -164,8 +165,8 @@ func testBitCounterOneCallTo127StaysInBytes(t *testing.T) {
 				add  func(*BitCounter)
 				ref  func(*naiveCounter)
 			}{
-				{"AddAll", func(c *BitCounter) { c.AddAll(vs) }, func(r *naiveCounter) { r.addAll(vs) }},
-				{"AddXorPairs", func(c *BitCounter) { c.AddXorPairs(pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
+				{"vectors", func(c *BitCounter) { addAll(c, vs) }, func(r *naiveCounter) { r.addAll(vs) }},
+				{"pairs", func(c *BitCounter) { addPairs(c, pairs) }, func(r *naiveCounter) { r.addPairs(pairs) }},
 			} {
 				label := fmt.Sprintf("%s d=%d n=%d", tc.name, d, n)
 				ref := newNaiveCounter(d)
@@ -187,7 +188,7 @@ func testBitCounterOneCallTo127StaysInBytes(t *testing.T) {
 
 // TestBitCounterInt32CountsOnFirstFlush: the int32 tier is allocated by
 // the first flush, not by NewBitCounter. A counter that signs and folds
-// bundles of at most 127 operands — through AddAll, AddXorPairs and the
+// bundles of at most 127 operands — through whole-vector and pair AddXorKeys and the
 // small sign, across Reset — never holds it and matches the naive
 // reference throughout; so does the int8 sign of a counter that never
 // flushed. The first bundle past 255 units of weight allocates it and
@@ -213,17 +214,17 @@ func testBitCounterInt32CountsOnFirstFlush(t *testing.T) {
 			vs := randomVectors(d, n, rng)
 			pairs := randomPairs(d, n, rng)
 			c.Reset()
-			c.AddAll(vs)
+			addAll(c, vs)
 			bundle.reset()
 			bundle.addAll(vs)
-			bundle.checkSign(t, label+" AddAll", tie, c.SignBinaryInto(tie, NewBinary(d)))
+			bundle.checkSign(t, label+" vectors", tie, c.SignBinaryInto(tie, NewBinary(d)))
 			c.Reset()
-			c.AddXorPairs(pairs)
+			addPairs(c, pairs)
 			bundle.reset()
 			bundle.addPairs(pairs)
-			bundle.checkSign(t, label+" AddXorPairs", tie, c.SignBinaryInto(tie, NewBinary(d)))
+			bundle.checkSign(t, label+" pairs", tie, c.SignBinaryInto(tie, NewBinary(d)))
 			if n <= MaxSmallSign {
-				bundle.checkSign(t, label+" small sign", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)))
+				bundle.checkXnorSign(t, label+" small sign", tie, signSmall(c, pairs, tie, NewBinary(d)))
 			}
 			acc.AddCounter(c)
 			ref.addPairs(pairs)
@@ -240,7 +241,7 @@ func testBitCounterInt32CountsOnFirstFlush(t *testing.T) {
 		label := fmt.Sprintf("d=%d n=256", d)
 		c.Reset()
 		vs := randomVectors(d, 256, rng)
-		c.AddAll(vs)
+		addAll(c, vs)
 		bundle.reset()
 		bundle.addAll(vs)
 		bundle.checkSign(t, label, tie, c.SignBinaryInto(tie, NewBinary(d)))
@@ -270,22 +271,22 @@ func testBitCounterDifferential(t *testing.T) {
 				switch rng.Intn(8) {
 				case 0:
 					vs := randomVectors(d, rng.Intn(20), rng)
-					c.AddAll(vs)
+					addAll(c, vs)
 					ref.addAll(vs)
 				case 1:
 					pairs := randomPairs(d, rng.Intn(20), rng)
-					c.AddXorPairs(pairs)
+					addPairs(c, pairs)
 					ref.addPairs(pairs)
 				case 2:
 					// Several full blocks in one call, so the weight-16
 					// overflow fires inside the call.
 					pairs := randomPairs(d, 16+rng.Intn(24), rng)
-					c.AddXorPairs(pairs)
+					addPairs(c, pairs)
 					ref.addPairs(pairs)
 				case 3:
 					// Long enough that the byte lanes flush inside the call.
 					vs := randomVectors(d, 100+rng.Intn(200), rng)
-					c.AddAll(vs)
+					addAll(c, vs)
 					ref.addAll(vs)
 				case 4:
 					c.Reset()
@@ -371,11 +372,11 @@ func TestBitCounterAddCap(t *testing.T) {
 	}
 	c := NewBitCounter(d)
 	c.n = MaxAdds
-	mustPanic("AddXorPairs past cap", func() { c.AddXorPairs([]XorPair{{A: a, B: b}}) })
-	mustPanic("AddAll past cap", func() { c.AddAll([]*Binary{a}) })
+	mustPanic("pairs past cap", func() { addPairs(c, []xorPair{{A: a, B: b}}) })
+	mustPanic("vectors past cap", func() { addAll(c, []*Binary{a}) })
 	// Empty calls add nothing and stay legal at the cap.
-	c.AddXorPairs(nil)
-	c.AddAll(nil)
+	addPairs(c, nil)
+	addAll(c, nil)
 	if got := c.Count(); got != MaxAdds {
 		t.Fatalf("count %d, want %d", got, MaxAdds)
 	}
@@ -392,8 +393,8 @@ func TestCountsInto(t *testing.T) {
 	rng := NewRNG(12)
 	c := NewBitCounter(d)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-	first, second := []XorPair{{A: a, B: b, Invert: true}}, []XorPair{{A: b, B: a}}
-	c.AddXorPairs(first)
+	first, second := []xorPair{{A: a, B: b}}, []xorPair{{A: b, B: a}}
+	addPairs(c, first)
 	dst := make([]int32, d)
 	if got := c.CountsInto(dst); &got[0] != &dst[0] {
 		t.Fatal("CountsInto did not return dst")
@@ -403,7 +404,7 @@ func TestCountsInto(t *testing.T) {
 	for i := range dst {
 		dst[i] = 999
 	}
-	c.AddXorPairs(second)
+	addPairs(c, second)
 	ref := newNaiveCounter(d)
 	ref.addPairs(first)
 	ref.addPairs(second)
@@ -427,8 +428,8 @@ func TestSignBinarySWARPathMatchesSlow(t *testing.T) {
 			fast := NewBitCounter(d)
 			slow := NewBitCounter(d)
 			pairs := randomPairs(d, n, rng)
-			fast.AddXorPairs(pairs)
-			slow.AddXorPairs(pairs)
+			addPairs(fast, pairs)
+			addPairs(slow, pairs)
 			tie := RandomBinary(d, rng)
 			got := fast.SignBinary(tie) // SWAR-eligible
 			slow.CountAt(0)             // force a flush: countsDirty disables SWAR
@@ -437,21 +438,5 @@ func TestSignBinarySWARPathMatchesSlow(t *testing.T) {
 				t.Fatalf("d=%d n=%d: SWAR sign differs from flushed sign", d, n)
 			}
 		}
-	}
-}
-
-func BenchmarkBitCounterAddXorPairs(b *testing.B) {
-	rng := NewRNG(1)
-	const d, edges = 10000, 64
-	pairs := make([]XorPair, edges)
-	for i := range pairs {
-		pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: true}
-	}
-	c := NewBitCounter(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reset()
-		c.AddXorPairs(pairs)
 	}
 }

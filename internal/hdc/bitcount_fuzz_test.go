@@ -6,14 +6,17 @@ import (
 
 // FuzzBitCounter is the differential fuzzer behind the BitCounter
 // correctness audit: a byte stream drives random interleavings of the
-// counter's entry points — AddXorPairs, AddAll, Reset, a read of the
-// counts, the one-shot SignXorPairsSmallInto and SignBinaryInto — and
-// after each observation the counter must agree with a naive per-bit
-// reference. The whole op stream replays once per supported kernel tier,
-// so on vector-capable machines the fuzzer doubles as the per-tier
-// differential oracle (the naive reference is tier-independent). Run
-// with `go test -fuzz FuzzBitCounter ./internal/hdc`; the seed corpus
-// keeps a representative slice running under plain `go test`.
+// counter's entry points — AddXorKeys of row pairs and of whole rows,
+// Reset, a read of the counts, the one-shot SignXnorKeysSmallInto,
+// SignBinaryInto and SignXnorInto — and after each observation the
+// counter must agree with a naive per-bit reference. The keys index one
+// slab of random rows and its zero row, so they name the slab's last
+// row and, now and then, are the zero key. The whole op stream replays
+// once per supported kernel tier, so on vector-capable machines the
+// fuzzer doubles as the per-tier differential oracle (the naive
+// reference is tier-independent). Run with
+// `go test -fuzz FuzzBitCounter ./internal/hdc`; the seed corpus keeps a
+// representative slice running under plain `go test`.
 func FuzzBitCounter(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(2), []byte{2, 2, 2, 6, 4, 7, 5, 2, 6})
@@ -39,6 +42,9 @@ func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
 	d := 1 + rng.Intn(200)
 	c := NewBitCounter(d)
 	ref := newNaiveCounter(d)
+	slab, rows := randomSlab(d, 12, rng)
+	st := SlabStride(d)
+	row := func(off uint64) *Binary { return BinaryRows(d, slab[off:], 1)[0] }
 	// size draws an operand count: mostly up to three blocks, and one
 	// time in four enough blocks that the byte lanes flush inside the
 	// call.
@@ -48,16 +54,33 @@ func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
 		}
 		return rng.Intn(24)
 	}
+	// keys draws n keys over the slab's rows, its zero row included.
+	keys := func(n int) []uint64 {
+		ks := make([]uint64, n)
+		for i := range ks {
+			ks[i] = Key(rng.Intn(len(rows)+1)*st, rng.Intn(len(rows)+1)*st)
+		}
+		return ks
+	}
+	add := func(r *naiveCounter, ks []uint64) {
+		for _, k := range ks {
+			r.addPairs([]xorPair{{A: row(k >> 32), B: row(k & 0xFFFFFFFF)}})
+		}
+	}
 	for _, op := range ops {
-		switch op % 6 {
+		switch op % 7 {
 		case 0:
-			vs := randomVectors(d, size(), rng)
-			c.AddAll(vs)
-			ref.addAll(vs)
+			// Whole rows, each keyed against the zero row.
+			ks := make([]uint64, size())
+			for i := range ks {
+				ks[i] = Key(rng.Intn(len(rows))*st, len(rows)*st)
+			}
+			c.AddXorKeys(slab, ks)
+			add(ref, ks)
 		case 1:
-			pairs := randomPairs(d, size(), rng)
-			c.AddXorPairs(pairs)
-			ref.addPairs(pairs)
+			ks := keys(size())
+			c.AddXorKeys(slab, ks)
+			add(ref, ks)
 		case 2:
 			c.Reset()
 			ref.reset()
@@ -65,16 +88,19 @@ func fuzzBitCounterOps(t *testing.T, seed uint64, ops []byte) {
 			ref.check(t, "counts", c)
 		case 4:
 			// The one-shot small-sign kernel: its majority must match a
-			// per-bit count of its own pairs, and it must leave the
+			// per-bit count of its own keys, and it must leave the
 			// accumulated state (checked by later ops) untouched.
-			pairs := randomPairs(d, 1+rng.Intn(MaxSmallSign), rng)
+			ks := keys(1 + rng.Intn(MaxSmallSign))
 			tie := RandomBinary(d, rng)
 			own := newNaiveCounter(d)
-			own.addPairs(pairs)
-			own.checkSign(t, "SignXorPairsSmallInto", tie, c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)))
+			add(own, ks)
+			own.checkXnorSign(t, "SignXnorKeysSmallInto", tie, c.SignXnorKeysSmallInto(slab, ks, tie, NewBinary(d)))
 		case 5:
 			tie := RandomBinary(d, rng)
 			ref.checkSign(t, "SignBinaryInto", tie, c.SignBinaryInto(tie, NewBinary(d)))
+		case 6:
+			tie := RandomBinary(d, rng)
+			ref.checkXnorSign(t, "SignXnorInto", tie, c.SignXnorInto(tie, NewBinary(d)))
 		}
 	}
 	ref.check(t, "final", c)

@@ -44,6 +44,23 @@ func (c *BitCounter) Popcount() int {
 // for tests that set counts directly.
 func (c *BitCounter) materializeCounts() { c.flush() }
 
+// SignBipolar is SignBipolarInto into a fresh vector: the counter's
+// majority as a bipolar hypervector, which matches Accumulator.Sign under
+// the bit↔bipolar mapping exactly.
+func (c *BitCounter) SignBipolar(tie *Bipolar) *Bipolar {
+	return c.SignBipolarInto(tie, &Bipolar{comps: make([]int8, c.d)})
+}
+
+// CopyFrom overwrites b with src's components; dimensions must match.
+// Returns b.
+func (b *Binary) CopyFrom(src *Binary) *Binary {
+	if b.d != src.d {
+		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", b.d, src.d))
+	}
+	copy(b.words, src.words)
+	return b
+}
+
 // SignBinary is SignBinaryInto into a fresh vector.
 func (c *BitCounter) SignBinary(tie *Binary) *Binary {
 	return c.SignBinaryInto(tie, NewBinary(c.d))
@@ -74,9 +91,9 @@ func (r *naiveCounter) addAll(vs []*Binary) {
 	}
 }
 
-func (r *naiveCounter) addPairs(pairs []XorPair) {
+func (r *naiveCounter) addPairs(pairs []xorPair) {
 	for _, p := range pairs {
-		r.add(func(i int) int { return pairBit(p, i) })
+		r.add(func(i int) int { return p.A.Bit(i) ^ p.B.Bit(i) })
 	}
 }
 
@@ -85,13 +102,78 @@ func (r *naiveCounter) reset() {
 	r.n = 0
 }
 
-// pairBit returns bit i of p's XOR (or, with Invert, XNOR) vector.
-func pairBit(p XorPair, i int) int {
-	v := p.A.Bit(i) ^ p.B.Bit(i)
-	if p.Invert {
-		v = 1 - v
+// xorPair names two vectors whose XOR a test adds to a counter. The keyed
+// entry points see a test's pairs as the rows of a slab (pairKeys).
+type xorPair struct{ A, B *Binary }
+
+// pairKeys copies the vectors of pairs into the rows of a fresh slab,
+// one row per operand and an all-zero row last, and returns it with one
+// key per pair.
+func pairKeys(pairs []xorPair) (slab, keys []uint64) {
+	if len(pairs) == 0 {
+		return nil, nil
 	}
-	return v
+	d := pairs[0].A.d
+	st := SlabStride(d)
+	slab = make([]uint64, (2*len(pairs)+1)*st)
+	for i, p := range pairs {
+		if p.A.d != d || p.B.d != d {
+			panic(fmt.Sprintf("hdc: test pair of dimensions %d and %d, want %d", p.A.d, p.B.d, d))
+		}
+		copy(slab[2*i*st:], p.A.words)
+		copy(slab[(2*i+1)*st:], p.B.words)
+		keys = append(keys, Key(2*i*st, (2*i+1)*st))
+	}
+	return slab, keys
+}
+
+// addPairs adds the XOR of every pair to c through AddXorKeys.
+func addPairs(c *BitCounter, pairs []xorPair) {
+	slab, keys := pairKeys(pairs)
+	if len(keys) == 0 {
+		slab = make([]uint64, c.stride)
+	} else {
+		c.checkDim(pairs[0].A.d)
+	}
+	c.AddXorKeys(slab, keys)
+}
+
+// addAll adds every vector of vs to c through AddXorKeys, each keyed
+// against a zero row: the bundle of whole vectors.
+func addAll(c *BitCounter, vs []*Binary) {
+	pairs := make([]xorPair, len(vs))
+	for i, v := range vs {
+		pairs[i] = xorPair{A: v, B: NewBinary(v.d)}
+	}
+	addPairs(c, pairs)
+}
+
+// signSmall is SignXnorKeysSmallInto on pairs.
+func signSmall(c *BitCounter, pairs []xorPair, tie, dst *Binary) *Binary {
+	slab, keys := pairKeys(pairs)
+	return c.SignXnorKeysSmallInto(slab, keys, tie, dst)
+}
+
+// xnorSign is the majority of the complements of r's vectors — the rule
+// of SignXnorInto and the small sign: bit i is set when 2·countᵢ < n,
+// cleared when it is above, and tie's bit on equality.
+func (r *naiveCounter) xnorSign(tie *Binary) *Binary {
+	out := NewBinary(len(r.counts))
+	n := int64(r.n)
+	for i, cnt := range r.counts {
+		if 2*cnt < n || 2*cnt == n && tie.Bit(i) == 1 {
+			out.words[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return out
+}
+
+// checkXnorSign fails t unless got is r's complement majority under tie.
+func (r *naiveCounter) checkXnorSign(t testing.TB, label string, tie, got *Binary) {
+	t.Helper()
+	if want := r.xnorSign(tie); !got.Equal(want) {
+		t.Fatalf("%s: XNOR sign differs from the per-bit majority", label)
+	}
 }
 
 // sign is the majority rule every sign path implements: bit i is set
@@ -135,6 +217,16 @@ func (r *naiveCounter) checkSign(t testing.TB, label string, tie, got *Binary) {
 	}
 }
 
+// randomSlab draws a slab of n random d-dimensional rows and an all-zero
+// row last, and returns it with views of the random rows.
+func randomSlab(d, n int, rng *RNG) ([]uint64, []*Binary) {
+	slab := make([]uint64, (n+1)*SlabStride(d))
+	for r := range n {
+		FillRandomRow(slab[r*SlabStride(d):], d, rng)
+	}
+	return slab, BinaryRows(d, slab, n)
+}
+
 // randomVectors draws n random binary vectors of dimension d.
 func randomVectors(d, n int, rng *RNG) []*Binary {
 	vs := make([]*Binary, n)
@@ -150,10 +242,10 @@ func TestBitCounterMatchesNaive(t *testing.T) {
 		const d = 130
 		c := NewBitCounter(d)
 		ref := newNaiveCounter(d)
-		// Several AddAll calls of random sizes, including single vectors.
+		// Several whole-vector AddXorKeys calls of random sizes, including single vectors.
 		for k := 0; k < 1+rng.Intn(6); k++ {
 			vs := randomVectors(d, rng.Intn(12), rng)
-			c.AddAll(vs)
+			addAll(c, vs)
 			ref.addAll(vs)
 		}
 		if c.Count() != ref.n {
@@ -179,18 +271,18 @@ func TestBitCounterAddXorMatchesExplicit(t *testing.T) {
 		b := RandomBinary(d, rng)
 		// XOR path.
 		cx := NewBitCounter(d)
-		cx.AddXorPairs([]XorPair{{A: a, B: b}})
+		addPairs(cx, []xorPair{{A: a, B: b}})
 		x := a.Bind(b)
 		for i := 0; i < d; i++ {
 			if cx.CountAt(i) != x.Bit(i) {
 				return false
 			}
 		}
-		// XNOR path: complement within dimension.
-		cn := NewBitCounter(d)
-		cn.AddXorPairs([]XorPair{{A: a, B: b, Invert: true}})
+		// XNOR: the complement majority of one operand is its
+		// complement within the dimension.
+		xn := cx.SignXnorInto(RandomBinary(d, rng), NewBinary(d))
 		for i := 0; i < d; i++ {
-			if cn.CountAt(i) != 1-x.Bit(i) {
+			if xn.Bit(i) != 1-x.Bit(i) {
 				return false
 			}
 		}
@@ -202,16 +294,25 @@ func TestBitCounterAddXorMatchesExplicit(t *testing.T) {
 }
 
 func TestBitCounterXnorTailMasked(t *testing.T) {
-	// d not a multiple of 64: the complemented tail must not pollute
-	// Popcount.
-	const d = 70
-	a := NewBinary(d)
-	b := NewBinary(d)
-	c := NewBitCounter(d)
-	c.AddXorPairs([]XorPair{{A: a, B: b, Invert: true}}) // XNOR of zeros = all ones within d
-	if got := c.Popcount(); got != d {
-		t.Fatalf("popcount = %d, want %d", got, d)
-	}
+	// d not a multiple of 64: the complemented compare must not set bits
+	// past the dimension, on the counter path or the small sign.
+	forEachKernelTier(t, func(t *testing.T) {
+		for _, d := range []int{70, 130, 1000} {
+			a := NewBinary(d)
+			want := NewBinary(d) // XNOR of zeros = all ones within d
+			for i := 0; i < d; i++ {
+				want.Flip(i)
+			}
+			c := NewBitCounter(d)
+			addPairs(c, []xorPair{{A: a, B: a}})
+			if got := c.SignXnorInto(NewBinary(d), NewBinary(d)); !got.Equal(want) {
+				t.Fatalf("d=%d: SignXnorInto of a zero XOR is not all ones within d", d)
+			}
+			if got := signSmall(c, []xorPair{{A: a, B: a}}, NewBinary(d), NewBinary(d)); !got.Equal(want) {
+				t.Fatalf("d=%d: small sign of a zero XOR is not all ones within d", d)
+			}
+		}
+	})
 }
 
 func TestBitCounterSignBipolarMatchesAccumulator(t *testing.T) {
@@ -227,7 +328,7 @@ func TestBitCounterSignBipolarMatchesAccumulator(t *testing.T) {
 			acc.Add(v.UnpackBipolar())
 		}
 		bc := NewBitCounter(d)
-		bc.AddAll(vs)
+		addAll(bc, vs)
 		return bc.SignBipolar(tie).Equal(acc.Sign(tie))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -237,7 +338,7 @@ func TestBitCounterSignBipolarMatchesAccumulator(t *testing.T) {
 
 func TestBitCounterReset(t *testing.T) {
 	c := NewBitCounter(64)
-	c.AddAll([]*Binary{RandomBinary(64, NewRNG(1))})
+	addAll(c, []*Binary{RandomBinary(64, NewRNG(1))})
 	c.Reset()
 	if c.Count() != 0 || c.Popcount() != 0 {
 		t.Fatal("reset incomplete")
@@ -248,11 +349,11 @@ func TestBitCounterPanics(t *testing.T) {
 	c := NewBitCounter(64)
 	for _, fn := range []func(){
 		// Operands narrower or wider than the counter must panic.
-		func() { c.AddAll([]*Binary{NewBinary(63)}) },
-		func() { c.AddAll([]*Binary{NewBinary(65)}) },
-		func() { c.AddXorPairs([]XorPair{{A: NewBinary(64), B: NewBinary(63)}}) },
-		func() { c.AddXorPairs([]XorPair{{A: NewBinary(65), B: NewBinary(64)}}) },
-		func() { c.AddXorPairs([]XorPair{{A: NewBinary(128), B: NewBinary(128)}}) },
+		func() { addAll(c, []*Binary{NewBinary(63)}) },
+		func() { addAll(c, []*Binary{NewBinary(65)}) },
+		func() { addPairs(c, []xorPair{{A: NewBinary(64), B: NewBinary(63)}}) },
+		func() { addPairs(c, []xorPair{{A: NewBinary(65), B: NewBinary(64)}}) },
+		func() { addPairs(c, []xorPair{{A: NewBinary(128), B: NewBinary(128)}}) },
 		func() { NewBitCounter(0) },
 	} {
 		func() {
@@ -278,7 +379,7 @@ func TestSignIntoVariantsMatchAllocatingOnes(t *testing.T) {
 		c.Reset()
 		// Even pair counts produce exact ties that exercise the tie path.
 		pairs := randomPairs(d, 4+2*round, rng)
-		c.AddXorPairs(pairs)
+		addPairs(c, pairs)
 		ref := newNaiveCounter(d)
 		ref.addPairs(pairs)
 		gotBin := c.SignBinaryInto(tie, dstBin)
@@ -308,7 +409,7 @@ func TestSignBinaryIntoOverwritesStaleBits(t *testing.T) {
 	// Fill dst with garbage; a correct Into must clear every word first.
 	dst := RandomBinary(d, rng)
 	pairs := randomPairs(d, 3, rng)
-	c.AddXorPairs(pairs)
+	addPairs(c, pairs)
 	ref := newNaiveCounter(d)
 	ref.addPairs(pairs)
 	ref.checkSign(t, "stale dst", tie, c.SignBinaryInto(tie, dst))
@@ -320,18 +421,21 @@ func TestSignIntoAllocationFree(t *testing.T) {
 	tieB := RandomBipolar(d, rng)
 	tie := tieB.PackBinary()
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
-	pairs := make([]XorPair, 17)
+	pairs := make([]xorPair, 17)
 	for i := range pairs {
-		pairs[i] = XorPair{A: a, B: b, Invert: true}
+		pairs[i] = xorPair{A: a, B: b}
 	}
+	slab, keys := pairKeys(pairs)
 	c := NewBitCounter(d)
 	dstBin := NewBinary(d)
 	dstBip := NewBipolar(d)
 	allocs := testing.AllocsPerRun(20, func() {
 		c.Reset()
-		c.AddXorPairs(pairs)
+		c.AddXorKeys(slab, keys)
 		c.SignBinaryInto(tie, dstBin)
+		c.SignXnorInto(tie, dstBin)
 		c.SignBipolarInto(tieB, dstBip)
+		c.SignXnorKeysSmallInto(slab, keys, tie, dstBin)
 	})
 	if allocs != 0 {
 		t.Fatalf("reset+accumulate+sign allocated %v times per run, want 0", allocs)
@@ -360,7 +464,7 @@ func TestSignBinaryIntoAliasingTie(t *testing.T) {
 	c := NewBitCounter(d)
 	// Even pair count forces exact ties, the only components that read tie.
 	pairs := randomPairs(d, 2, rng)
-	c.AddXorPairs(pairs)
+	addPairs(c, pairs)
 	ref := newNaiveCounter(d)
 	ref.addPairs(pairs)
 	tie := RandomBinary(d, rng)

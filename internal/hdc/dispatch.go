@@ -11,27 +11,28 @@ import (
 // Kernel dispatch. The straight-line word loops at the heart of the
 // packed encoder — the Harley–Seal carry-save accumulation cascade, the
 // one-sweep small-sign majority, and the XOR+popcount Hamming query —
-// exist in up to three implementations: the portable Go word
-// loops (the semantic source of truth), AVX2 assembly, and AVX-512
-// assembly (VPTERNLOGQ collapses each 3:2 carry-save step to one
-// instruction; VPOPCNTDQ vectorizes the distance loop). CPU features are
-// detected once at init and the best supported tier is installed in a
-// process-wide function table; the GRAPHHD_KERNEL environment variable
+// and the rank count of small graphs exist in up to three
+// implementations: the portable Go loops (the semantic source of truth),
+// AVX2 assembly, and AVX-512 assembly (VPTERNLOGQ collapses each 3:2
+// carry-save step to one instruction; VPOPCNTDQ vectorizes the distance
+// loop; opmask compares count ranks). CPU features are detected once at
+// init and the best supported tier is installed in a process-wide
+// function table; the GRAPHHD_KERNEL environment variable
 // (portable|avx2|avx512) caps the choice for A/B benchmarking and
 // forced-fallback testing.
 //
-// The AVX2 kernels process a lane-aligned prefix of the word range and
-// the caller finishes the remaining words — including the masked tail
-// word — with the portable loop; a word column's results never depend on
-// any other column, so that split is exact. The AVX-512 kernels cover
-// every word themselves: an opmask final iteration takes the last
-// n mod 8 words (or the last full group when it holds the masked tail
-// word) and folds the tail-word AND into the operand load, so on
-// AVX-512 no portable word loop runs. Bit-identity with the portable
-// loops is therefore tested rather than structural: the differential
-// matrix compares every tier against portable at every remainder from 1
-// to 7 words, with and without a masked tail word, and FuzzBitCounter
-// runs per tier.
+// The accumulation kernels read their operands by key from a slab whose
+// rows are padded to whole eight-word groups (SlabStride), and write
+// planes padded the same way, so both vector tiers sweep every word and
+// no portable loop runs after them. The small sign writes a d/64-word
+// dst: AVX2 takes its lane-aligned prefix and the caller finishes the
+// rest with the portable loop (a word column's result never depends on
+// any other column, so that split is exact); AVX-512 takes every word,
+// storing the final group under an opmask. Bit-identity with the
+// portable loops is therefore tested rather than structural: the
+// differential matrix compares every tier against portable at every
+// remainder from 1 to 7 words, with and without a partial tail word, and
+// FuzzBitCounter runs per tier.
 
 // KernelTier identifies one implementation tier of the hot-loop kernels.
 type KernelTier uint8
@@ -82,27 +83,22 @@ func ParseKernelTier(s string) (KernelTier, error) {
 // below — and are pinned by TestCsaArgsABIOffsets.
 //
 // One csaArgs lives in each BitCounter with the plane and lane pointers
-// and the tail mask pre-resolved at construction, so filling it per
-// block costs only the per-block stream pointers.
+// and the word count pre-resolved at construction, so filling it per
+// block costs only the block's eight keys.
 type csaArgs struct {
-	x   [8]*uint64 // +0   A streams
-	y   [8]*uint64 // +64  B streams
-	inv [8]uint64  // +128 XNOR masks per stream
+	keys [8]uint64 // +0  one block of operand keys (see Key); zero keys pad
+	slab *uint64   // +64 the slab the keys index
 
-	ones, twos, fours, eights *uint64 // +192,200,208,216 carry-save planes
-	l0, l1, l2, l3            *uint64 // +224,232,240,248 byteLo lanes
-	h0, h1, h2, h3            *uint64 // +256,264,272,280 byteHi lanes
+	ones, twos, fours, eights *uint64 // +72,80,88,96 carry-save planes
+	l0, l1, l2, l3            *uint64 // +104,112,120,128 byteLo lanes
+	h0, h1, h2, h3            *uint64 // +136,144,152,160 byteHi lanes
 
-	n    int64  // +288 words to process; a multiple of 4 on AVX2, any count on AVX-512
-	tail uint64 // +296 valid bits of the final word (the AVX-512 kernel ANDs word n-1 with it)
+	n int64 // +168 words to process: the counter's slab stride
 }
 
 // kernelTable is the capability-dispatched function table. On the
 // portable tier every entry is nil and the callers run their word loops
-// over the full range. On a vector tier each entry covers words
-// [0, args.n): AVX2 takes the lane-aligned prefix and the caller
-// finishes the rest with the portable loop; AVX-512 (wholeRange) takes
-// every word, masked tail included, and no portable loop runs.
+// over the full range.
 type kernelTable struct {
 	tier  KernelTier
 	lanes int // vector width in 64-bit words; 1 on the portable tier
@@ -110,24 +106,29 @@ type kernelTable struct {
 	// with an opmask final iteration.
 	wholeRange bool
 
-	// csaXorBlock accumulates one block of eight XOR/XNOR operand
-	// streams, each computed as A^B^inv on the fly, through the
-	// carry-save cascade into the four planes, overflowing weight 16 into
-	// the byte lanes (AddXorPairs hot loop). The AVX-512 kernel ANDs word
-	// n-1 of each stream with args.tail; the AVX2 kernel masks nothing,
-	// so its caller keeps the masked tail word on the portable path.
+	// csaXorBlock accumulates one block of eight keys — each the XOR of
+	// two slab rows — through the carry-save cascade into the four
+	// planes, overflowing weight 16 into the byte lanes (AddXorKeys hot
+	// loop). Rows, planes and lanes are all padded to the slab stride, a
+	// whole number of eight-word groups, so both vector tiers sweep every
+	// word of it and no portable loop runs after them.
 	csaXorBlock func(*csaArgs)
-	// signSmall is the one-sweep small sign (SignXorPairsSmallInto): per
-	// word group it runs every block of the operand table through the
-	// same cascade into six register planes, overflowing weight 16 into
-	// the sixteens and thirty-twos, takes the majority by bit-sliced
-	// ripple compare and stores dst once. The AVX-512 kernel ANDs word
-	// n-1 of dst with args.tail; the AVX2 kernel masks nothing, so its
-	// caller keeps the masked tail word on the portable path.
+	// signSmall is the one-sweep small sign (SignXnorKeysSmallInto): per
+	// word group it runs every block of the key table through the same
+	// cascade into six register planes, overflowing weight 16 into the
+	// sixteens and thirty-twos, takes the complemented majority by
+	// bit-sliced ripple compare and stores dst once. AVX-512 covers every
+	// word of dst; AVX2 the lane-aligned prefix, and the caller finishes
+	// the rest with the portable loop.
 	signSmall func(*smallArgs)
 	// hamming returns the XOR+popcount Hamming distance over words
 	// [0, n) of two streams (PackedMemory query hot loop).
 	hamming func(a, b *uint64, n int64) int64
+	// rankCount writes the rank of every key of a graph of at most
+	// MaxRankCount vertices by counting the keys that sort before it
+	// (RankCountInto). It reports false, leaving the ranks to the
+	// caller's sort, when a score is NaN. Only AVX-512 has one.
+	rankCount func(keys *RankKey, n int64, dst *int) bool
 }
 
 // portableKernels is the universal fallback tier: no vector entry

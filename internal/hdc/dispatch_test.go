@@ -33,9 +33,8 @@ func forEachKernelTier(t *testing.T, fn func(t *testing.T)) {
 func TestCsaArgsABIOffsets(t *testing.T) {
 	var a csaArgs
 	offsets := map[string]uintptr{
-		"x":      unsafe.Offsetof(a.x),
-		"y":      unsafe.Offsetof(a.y),
-		"inv":    unsafe.Offsetof(a.inv),
+		"keys":   unsafe.Offsetof(a.keys),
+		"slab":   unsafe.Offsetof(a.slab),
 		"ones":   unsafe.Offsetof(a.ones),
 		"twos":   unsafe.Offsetof(a.twos),
 		"fours":  unsafe.Offsetof(a.fours),
@@ -49,52 +48,59 @@ func TestCsaArgsABIOffsets(t *testing.T) {
 		"h2":     unsafe.Offsetof(a.h2),
 		"h3":     unsafe.Offsetof(a.h3),
 		"n":      unsafe.Offsetof(a.n),
-		"tail":   unsafe.Offsetof(a.tail),
 	}
 	want := map[string]uintptr{
-		"x": 0, "y": 64, "inv": 128,
-		"ones": 192, "twos": 200, "fours": 208, "eights": 216,
-		"l0": 224, "l1": 232, "l2": 240, "l3": 248,
-		"h0": 256, "h1": 264, "h2": 272, "h3": 280,
-		"n": 288, "tail": 296,
+		"keys": 0, "slab": 64,
+		"ones": 72, "twos": 80, "fours": 88, "eights": 96,
+		"l0": 104, "l1": 112, "l2": 120, "l3": 128,
+		"h0": 136, "h1": 144, "h2": 152, "h3": 160,
+		"n": 168,
 	}
 	for name, w := range want {
 		if offsets[name] != w {
 			t.Errorf("csaArgs.%s at offset %d, assembly expects %d", name, offsets[name], w)
 		}
 	}
+	if len(a.keys) != 8 || unsafe.Sizeof(a) != 176 {
+		t.Errorf("csaArgs holds %d keys in %d bytes, assembly expects 8 in 176", len(a.keys), unsafe.Sizeof(a))
+	}
 }
 
 // TestSmallArgsABIOffsets pins the byte offsets the signSmall kernels in
-// kernels_amd64.s hard-code, operand table included: the kernels step
-// 64 bytes per eight-pair block and reach an operand's B pointer and
-// XNOR mask 512 and 1024 bytes past its A pointer.
+// kernels_amd64.s hard-code, key table included: the kernels step 64
+// bytes per eight-key block from the start of the block.
 func TestSmallArgsABIOffsets(t *testing.T) {
 	var a smallArgs
 	offsets := map[string]uintptr{
-		"x":      unsafe.Offsetof(a.x),
-		"y":      unsafe.Offsetof(a.y),
-		"inv":    unsafe.Offsetof(a.inv),
+		"keys":   unsafe.Offsetof(a.keys),
+		"slab":   unsafe.Offsetof(a.slab),
 		"tie":    unsafe.Offsetof(a.tie),
 		"dst":    unsafe.Offsetof(a.dst),
 		"cm":     unsafe.Offsetof(a.cm),
 		"even":   unsafe.Offsetof(a.even),
 		"blocks": unsafe.Offsetof(a.blocks),
 		"n":      unsafe.Offsetof(a.n),
-		"tail":   unsafe.Offsetof(a.tail),
 	}
 	want := map[string]uintptr{
-		"x": 0, "y": 512, "inv": 1024,
-		"tie": 1536, "dst": 1544, "cm": 1552, "even": 1600,
-		"blocks": 1608, "n": 1616, "tail": 1624,
+		"keys": 0, "slab": 512, "tie": 520, "dst": 528,
+		"cm": 536, "even": 584, "blocks": 592, "n": 600,
 	}
 	for name, w := range want {
 		if offsets[name] != w {
 			t.Errorf("smallArgs.%s at offset %d, assembly expects %d", name, offsets[name], w)
 		}
 	}
-	if len(a.x) != 64 || len(a.y) != 64 || len(a.inv) != 64 || len(a.cm) != 6 {
-		t.Errorf("smallArgs table is %d/%d/%d entries with %d constants, assembly expects 64/64/64 and 6", len(a.x), len(a.y), len(a.inv), len(a.cm))
+	if len(a.keys) != 64 || len(a.cm) != 6 {
+		t.Errorf("smallArgs table is %d keys with %d constants, assembly expects 64 and 6", len(a.keys), len(a.cm))
+	}
+}
+
+// TestRankKeyABI pins the RankKey layout the rank-count kernel reads:
+// 16-byte keys, the score first.
+func TestRankKeyABI(t *testing.T) {
+	var k RankKey
+	if unsafe.Sizeof(k) != 16 || unsafe.Offsetof(k.Score) != 0 || unsafe.Offsetof(k.Tie) != 8 {
+		t.Errorf("RankKey is %d bytes, score at %d, tie at %d; the kernel expects 16, 0, 8", unsafe.Sizeof(k), unsafe.Offsetof(k.Score), unsafe.Offsetof(k.Tie))
 	}
 }
 
@@ -215,11 +221,13 @@ func TestSetKernelUnsupported(t *testing.T) {
 // is compared at every remainder; 10,000 and 10,007 are the paper's
 // width and a prime near it.
 //
-// The small sign runs at every bundle size from 1 to MaxSmallSign, so
+// The small sign runs at every key count from 1 to MaxSmallSign, so
 // every padded final block, both tie parities and counts across the
-// weight-16 and weight-32 overflows, with mixed XOR/XNOR binds, on a
-// counter of width d with dst aliasing tie. The portable results must
-// equal the naive per-bit majority.
+// weight-16 and weight-32 overflows, on a counter of width d with dst
+// aliasing tie. Its keys index one slab of 40 random rows and a zero
+// row: they name the slab's last row, and some are the zero key, the
+// padding key. The portable results must equal the naive per-bit
+// complement majority.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	prev := ActiveKernel()
 	defer SetKernel(prev)
@@ -239,23 +247,37 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 		// 24 + 29 pairs: full and zero-padded blocks through the CSA
 		// front end, crossing the weight-16 overflow (s16) boundary in
 		// many components.
-		c.AddXorPairs(randomPairs(d, 24, rng))
-		c.AddXorPairs(randomPairs(d, 29, rng))
+		addPairs(c, randomPairs(d, 24, rng))
+		addPairs(c, randomPairs(d, 29, rng))
 		counts := c.CountsInto(make([]int32, d))
 		tie := RandomBinary(d, rng)
 		sign := c.SignBinary(tie)
 
-		pairs := randomPairs(d, MaxSmallSign, rng)
+		slab, rows := randomSlab(d, 40, rng)
+		keys := make([]uint64, MaxSmallSign)
+		st := SlabStride(d)
+		for k := range keys {
+			switch k % 9 {
+			case 0:
+				keys[k] = Key(rng.Intn(len(rows))*st, len(rows)*st) // a row against the zero row
+			case 4:
+				keys[k] = 0 // the padding key
+			default:
+				keys[k] = Key(rng.Intn(len(rows))*st, rng.Intn(len(rows))*st)
+			}
+		}
+		row := func(off uint64) *Binary { return BinaryRows(d, slab[off:], 1)[0] }
 		sc := NewBitCounter(d)
 		naive := newNaiveCounter(d)
 		var small []*Binary
 		for m := 1; m <= MaxSmallSign; m++ {
 			tie := RandomBinary(d, rng)
 			out := tie.Clone()
-			small = append(small, sc.SignXorPairsSmallInto(pairs[:m], out, out))
+			small = append(small, sc.SignXnorKeysSmallInto(slab, keys[:m], out, out))
 			if ref {
-				naive.addPairs(pairs[m-1 : m])
-				naive.checkSign(t, fmt.Sprintf("d=%d m=%d portable small sign", d, m), tie, small[m-1])
+				k := keys[m-1]
+				naive.addPairs([]xorPair{{row(k >> 32), row(k & 0xFFFFFFFF)}})
+				naive.checkXnorSign(t, fmt.Sprintf("d=%d m=%d portable small sign", d, m), tie, small[m-1])
 			}
 		}
 
@@ -294,7 +316,7 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 			}
 			for i := range want.small {
 				if !got.small[i].Equal(want.small[i]) {
-					t.Fatalf("d=%d tier=%s m=%d: SignXorPairsSmallInto differs from portable", d, tier, i+1)
+					t.Fatalf("d=%d tier=%s m=%d: SignXnorKeysSmallInto differs from portable", d, tier, i+1)
 				}
 			}
 			for i := range want.hams {
@@ -320,16 +342,13 @@ func TestParkedCSAObservers(t *testing.T) {
 		const d = 300
 		rng := NewRNG(77)
 		pairs := randomPairs(d, 8, rng)
+		slab, keys := pairKeys(pairs)
 		mk := func() *BitCounter {
 			c := NewBitCounter(d)
-			kern := loadKernels()
-			var aws, bws [8][]uint64
-			var vs [8]uint64
-			for k := 0; k < 8; k++ {
-				aws[k], bws[k], vs[k] = pairs[k].A.words, pairs[k].B.words, invMask(pairs[k].Invert)
-			}
+			copy(c.kargs.keys[:], keys)
+			c.kargs.slab = &slab[0]
 			c.n += 8
-			c.addXorBlock8(kern, 8, &aws, &bws, &vs)
+			c.addXorBlock8(loadKernels(), 8, slab)
 			if !c.csaParked {
 				t.Fatal("addXorBlock8 did not park the carry-save planes")
 			}
@@ -362,22 +381,19 @@ func TestParkedCSAObservers(t *testing.T) {
 		c = mk()
 		c.Reset()
 		probe := randomPairs(d, 9, rng)
-		c.AddXorPairs(probe)
+		addPairs(c, probe)
 		ref.reset()
 		ref.addPairs(probe)
 		ref.check(t, "post-reset", c)
 	})
 }
 
-// BenchmarkAddXorPairs measures the CSA front end per kernel tier on the
+// BenchmarkAddXorKeys measures the CSA front end per kernel tier on the
 // serving shape (d=10000, 64 edges).
-func BenchmarkAddXorPairs(b *testing.B) {
+func BenchmarkAddXorKeys(b *testing.B) {
 	rng := NewRNG(1)
 	const d, edges = 10000, 64
-	pairs := make([]XorPair, edges)
-	for i := range pairs {
-		pairs[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: true}
-	}
+	slab, keys := pairKeys(randomPairs(d, edges, rng))
 	prev := ActiveKernel()
 	defer SetKernel(prev)
 	for _, tier := range SupportedKernels() {
@@ -390,7 +406,7 @@ func BenchmarkAddXorPairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Reset()
-				c.AddXorPairs(pairs)
+				c.AddXorKeys(slab, keys)
 			}
 		})
 	}

@@ -30,18 +30,18 @@ func NewItemMemory(dim int, seed uint64) *ItemMemory {
 // Dim returns the dimensionality of the stored hypervectors.
 func (m *ItemMemory) Dim() int { return m.dim }
 
-// PackedVector returns the basis hypervector of symbol id in bit-packed
-// form. Vector id is drawn from outputs id·W+1 … id·W+W of the stream
-// seeded with the memory's seed (W = ⌈dim/64⌉ words, tail masked), so it
-// equals the id-th of RandomBipolar calls made in order on NewRNG(seed),
-// packed, and needs none of the vectors before it. The result is freshly
-// allocated and not cached.
-func (m *ItemMemory) PackedVector(id int) *Binary {
+// FillPacked writes the basis hypervector of symbol id, bit-packed, into
+// the first ⌈dim/64⌉ words of row, a slab row. Vector id is drawn from
+// outputs id·W+1 … id·W+W of the stream seeded with the memory's seed
+// (W = ⌈dim/64⌉ words, tail masked), so it equals the id-th of
+// RandomBipolar calls made in order on NewRNG(seed), packed, and needs
+// none of the vectors before it.
+func (m *ItemMemory) FillPacked(id int, row []uint64) {
 	if id < 0 {
 		panic(fmt.Sprintf("hdc: negative symbol id %d", id))
 	}
 	words := uint64((m.dim + 63) / 64)
-	return RandomBinary(m.dim, NewRNG(m.seed+uint64(id)*words*gamma))
+	FillRandomRow(row, m.dim, NewRNG(m.seed+uint64(id)*words*gamma))
 }
 
 // AssociativeMemory stores one integer-accumulator class vector per class

@@ -9,6 +9,13 @@ import (
 // streamVectors is the reference basis of an item memory: its first n
 // vectors drawn in order from one generator seeded with seed, as the
 // memory's int8 table once drew them.
+// PackedVector returns FillPacked's vector as a fresh Binary.
+func (m *ItemMemory) PackedVector(id int) *Binary {
+	b := NewBinary(m.dim)
+	m.FillPacked(id, b.words)
+	return b
+}
+
 func streamVectors(dim int, seed uint64, n int) []*Bipolar {
 	rng := NewRNG(seed)
 	out := make([]*Bipolar, n)
@@ -166,7 +173,7 @@ func TestAssociativeMemoryReinforce(t *testing.T) {
 	v := RandomBipolar(128, NewRNG(10))
 	bc := NewBitCounter(128)
 	p := v.PackBinary()
-	bc.AddAll([]*Binary{p, p, p})
+	addAll(bc, []*Binary{p, p, p})
 	am.AddCounter(0, bc)
 	acc := am.ClassAccumulator(0)
 	for i := 0; i < 128; i++ {

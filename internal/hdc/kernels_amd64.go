@@ -3,11 +3,11 @@
 package hdc
 
 // Assembly kernel entry points (kernels_amd64.s). Each processes words
-// [0, args.n) of its streams. The AVX2 kernels take args.n a multiple of
-// 4 and leave every remaining word, including the masked tail, to the
-// portable loops; the AVX-512 kernels take any args.n and finish the
-// final group, masked tail word included, in an opmask iteration. See
-// DESIGN.md §2b for the kernel contracts.
+// [0, args.n) of its streams. The accumulation kernels take args.n, the
+// slab stride, a multiple of 8. The small-sign kernels take args.n a
+// multiple of 4 on AVX2, which leaves the remaining words to the
+// portable loop, and any count on AVX-512, which stores its final group
+// under an opmask. See DESIGN.md §2b for the kernel contracts.
 
 //go:noescape
 func csaXorBlockAVX2(a *csaArgs)
@@ -27,6 +27,9 @@ func signSmallAVX512(a *smallArgs)
 //go:noescape
 func hammingAVX512(a, b *uint64, n int64) int64
 
+//go:noescape
+func rankCountAVX512(keys *RankKey, n int64, dst *int) bool
+
 var avx2Kernels = &kernelTable{
 	tier:        KernelAVX2,
 	lanes:       4,
@@ -42,6 +45,7 @@ var avx512Kernels = &kernelTable{
 	csaXorBlock: csaXorBlockAVX512,
 	signSmall:   signSmallAVX512,
 	hamming:     hammingAVX512,
+	rankCount:   rankCountAVX512,
 }
 
 // supportedKernelTables returns the tiers this process can run,

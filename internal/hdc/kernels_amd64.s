@@ -1,50 +1,50 @@
 // AVX2 and AVX-512 kernels for the carry-save accumulation cascade, the
-// one-sweep small sign, and the packed Hamming inner loop.
+// one-sweep small sign, the packed Hamming inner loop and the rank count
+// of small graphs.
 //
 // Contracts (see DESIGN.md §2b and dispatch.go):
 //
-//   - Every kernel processes exactly words [0, args.n) of its streams.
-//     AVX2: args.n is a multiple of 4, and the remaining words —
-//     including the masked final word of an unaligned dimension — are
-//     the caller's portable loop's job. AVX-512: args.n is any word
-//     count. Full groups of eight words run under an all-lanes opmask;
-//     the group holding word n-1 runs once more round the same loop body
-//     under the mask of its live words, and the XOR kernels AND word n-1
-//     of every operand stream with args.tail (the valid bits of the
-//     final word), so no portable word loop runs after them.
-//   - AVX-512 loads are zero-masked and stores masked, so the final
-//     group never reads or writes a word at or past n: faults on the
-//     masked-off words are suppressed, and the neighbouring planes of a
-//     slab are left alone.
-//   - All loads and stores are unaligned (VMOVDQU/VMOVDQU64): operand
-//     streams come from caller-owned slices with no alignment guarantee;
-//     plane and lane slabs are word-aligned only.
-//   - The cascades are bit-identical to csaXorBlock8Range in bitcount.go
-//     and signSmallRange in smallsign.go: same CSA tree shape, same
-//     weight-16 overflow rule, same ripple compare. Any change there must
-//     land here too; the per-tier differential tests and FuzzBitCounter
-//     enforce it.
+//   - Operands come by key from a slab: a key's high and low 32 bits are
+//     the word offsets of two rows, and the operand is their XOR. Rows
+//     are padded with zero words to the slab stride, a whole number of
+//     eight-word groups, and the Go callers check every key's rows lie
+//     inside the slab, so a kernel loads whole groups of any row without
+//     masking.
+//   - csaXorBlock processes words [0, args.n), args.n the stride: the
+//     counter's planes and lanes are padded to it too, and their padding
+//     words, fed only zero padding, stay zero. No portable loop follows.
+//   - signSmall writes words [0, args.n) of a d/64-word dst. AVX2: args.n
+//     is a multiple of 4 and the remaining words are the caller's
+//     portable loop's job. AVX-512: args.n is any word count; the group
+//     holding word n-1 runs once more round the same loop body with its
+//     tie load and dst store under the opmask of its live words, so no
+//     word at or past n is touched. The caller clears the bits past d.
+//   - All loads and stores are unaligned (VMOVDQU/VMOVDQU64): slabs and
+//     vectors are word-aligned only.
+//   - The cascades are bit-identical to csaXorBlock8 in bitcount.go and
+//     signSmallRange in smallsign.go: same CSA tree shape, same weight-16
+//     overflow rule, same complemented ripple compare. Any change there
+//     must land here too; the per-tier differential tests and
+//     FuzzBitCounter enforce it.
 //   - Register budget, csaXorBlock (AVX2): Y0-Y3 plane state, Y4-Y5
 //     operand loads, Y6-Y11 cascade temporaries, Y12 s16, Y13 lane temp,
-//     Y14 byteStride, Y15 xor/overflow temp. GP: DI args block, CX byte
-//     offset, SI byte limit, R8-R15 the eight stream pointers, AX/BX
-//     scratch pointers reloaded from the args block (there are not enough
-//     GP registers to pin the twelve plane/lane pointers, and the reloads
+//     Y14 byteStride. GP: DI args block (its key table at +0, so R11 =
+//     DI), CX byte offset, SI byte limit, R13 the slab, R12 the slab at
+//     the current word group, AX/BX the two row offsets of a key and then
+//     the plane/lane pointers reloaded from the args block (the reloads
 //     hit the same hot cache line every iteration). The AVX-512 variant
 //     mirrors this allocation onto Z registers and collapses each 3:2
-//     compressor into a VPTERNLOGQ XOR3/majority pair; Z11, free there,
-//     holds the operand mask (all ones, or the final group's live words
-//     with args.tail in word n-1), and K2 the load/store opmask.
+//     compressor into a VPTERNLOGQ XOR3/majority pair.
 //   - Register budget, signSmall: the six planes never leave registers
-//     while a word group runs through every block of the operand table.
-//     AVX2 uses all sixteen: Y0-Y3 and Y13-Y14 the planes of weight 1 to
-//     32, Y4-Y5 operand loads, Y6-Y11 cascade temporaries, Y12 s16, Y15
-//     the broadcast XNOR mask; the compare reuses Y4-Y10 once the blocks
-//     are done and broadcasts its constants per group. AVX-512 keeps the
-//     same planes in Z0-Z3 and Z13-Z14 and pins the compare constants in
-//     Z16-Z22 for the whole call. GP: DI args block, CX word byte offset,
-//     R11 the current block's table entry, R10 the table's end, R8/R9
-//     tie and dst, AX/BX stream pointers loaded from the table.
+//     while a word group runs through every block of the key table. AVX2
+//     uses all sixteen: Y0-Y3 and Y13-Y14 the planes of weight 1 to 32,
+//     Y4-Y5 operand loads, Y6-Y11 cascade temporaries, Y12 s16, Y15 a
+//     temporary; the compare reuses Y4-Y10 once the blocks are done and
+//     broadcasts its constants per group. AVX-512 keeps the same planes
+//     in Z0-Z3 and Z13-Z14 and pins the compare constants in Z16-Z22 for
+//     the whole call. GP: DI args block, CX word byte offset, R11 the
+//     current block's keys, R10 the table's end, R13/R12 the slab as in
+//     csaXorBlock, R8/R9 tie and dst, AX/BX a key's row offsets.
 //   - All functions end with VZEROUPPER to avoid SSE/AVX transition
 //     stalls in the surrounding Go code.
 
@@ -65,22 +65,21 @@
 	VPTERNLOGQ	$0x96, B, C, S;        \
 	VPTERNLOGQ	$0xE8, B, C, CARRY;
 
-// Load stream word group R, XOR the paired stream (args+BOFF) and the
-// broadcast XNOR mask (args+VOFF) into DST.
-#define XORLOAD256(R, BOFF, VOFF, DST) \
-	VMOVDQU	(R)(CX*1), DST;        \
-	MOVQ	BOFF(DI), BX;          \
-	VPXOR	(BX)(CX*1), DST, DST;  \
-	VPBROADCASTQ	VOFF(DI), Y15; \
-	VPXOR	Y15, DST, DST;
+// Load the word group at R12 of the two rows keyed at OFF(R11) and XOR
+// them into DST.
+#define KEYLOAD256(OFF, DST) \
+	MOVQ	OFF(R11), AX;          \
+	MOVL	AX, BX;                \
+	SHRQ	$32, AX;               \
+	VMOVDQU	(R12)(AX*8), DST;      \
+	VPXOR	(R12)(BX*8), DST, DST;
 
-// The AVX-512 form loads under K2 and folds the XNOR mask and the
-// operand mask Z11 into one VPTERNLOGQ: 0x48 = (DST ^ v) & Z11.
-#define XORLOAD512(R, BOFF, VOFF, DST) \
-	VMOVDQU64.Z	(R)(CX*1), K2, DST;            \
-	MOVQ	BOFF(DI), BX;                          \
-	VPXORQ.Z	(BX)(CX*1), DST, K2, DST;      \
-	VPTERNLOGQ.BCST	$0x48, VOFF(DI), Z11, DST;
+#define KEYLOAD512(OFF, DST) \
+	MOVQ	OFF(R11), AX;              \
+	MOVL	AX, BX;                    \
+	SHRQ	$32, AX;                   \
+	VMOVDQU64	(R12)(AX*8), DST;      \
+	VPXORQ	(R12)(BX*8), DST, DST;
 
 // lane[OFF] += ((s16 >> SHIFT) & byteStride) << 4, with s16 in Y12/Z12
 // and byteStride broadcast in Y14/Z14.
@@ -93,59 +92,50 @@
 	VMOVDQU	Y13, (AX)(CX*1);
 
 #define LANEADD512(SHIFT, OFF) \
-	MOVQ	OFF(DI), AX;                   \
-	VPSRLQ	SHIFT, Z12, Z13;               \
-	VPANDQ	Z14, Z13, Z13;                 \
-	VPSLLQ	$4, Z13, Z13;                  \
-	VPADDQ.Z	(AX)(CX*1), Z13, K2, Z13;  \
-	VMOVDQU64	Z13, K2, (AX)(CX*1);
+	MOVQ	OFF(DI), AX;           \
+	VPSRLQ	SHIFT, Z12, Z13;       \
+	VPANDQ	Z14, Z13, Z13;         \
+	VPSLLQ	$4, Z13, Z13;          \
+	VPADDQ	(AX)(CX*1), Z13, Z13;  \
+	VMOVDQU64	Z13, (AX)(CX*1);
 
-// Weight-16 spill into the eight byte lanes (l0..l3 at +224.., h0..h3 at
-// +256..), used between a VPTEST-guarded branch in the function bodies.
+// Weight-16 spill into the eight byte lanes (l0..l3 at +104.., h0..h3 at
+// +136..), used behind a test-guarded branch in the function bodies.
 #define LANEADDS256 \
-	LANEADD256($0, 224)            \
-	LANEADD256($1, 232)            \
-	LANEADD256($2, 240)            \
-	LANEADD256($3, 248)            \
-	LANEADD256($4, 256)            \
-	LANEADD256($5, 264)            \
-	LANEADD256($6, 272)            \
-	LANEADD256($7, 280)
+	LANEADD256($0, 104)            \
+	LANEADD256($1, 112)            \
+	LANEADD256($2, 120)            \
+	LANEADD256($3, 128)            \
+	LANEADD256($4, 136)            \
+	LANEADD256($5, 144)            \
+	LANEADD256($6, 152)            \
+	LANEADD256($7, 160)
 
 #define LANEADDS512 \
-	LANEADD512($0, 224)            \
-	LANEADD512($1, 232)            \
-	LANEADD512($2, 240)            \
-	LANEADD512($3, 248)            \
-	LANEADD512($4, 256)            \
-	LANEADD512($5, 264)            \
-	LANEADD512($6, 272)            \
-	LANEADD512($7, 280)
+	LANEADD512($0, 104)            \
+	LANEADD512($1, 112)            \
+	LANEADD512($2, 120)            \
+	LANEADD512($3, 128)            \
+	LANEADD512($4, 136)            \
+	LANEADD512($5, 144)            \
+	LANEADD512($6, 152)            \
+	LANEADD512($7, 160)
 
-// Shared prologue for the CSA kernels: DI = args, R8-R15 = the eight
-// stream pointers, SI = args.n (words).
+// Shared prologue for the CSA kernels: DI = args and R11 = its key
+// table, R13 = the slab, SI = the byte limit, CX = 0.
 #define CSAPROLOGUE \
 	MOVQ	a+0(FP), DI;   \
-	MOVQ	0(DI), R8;     \
-	MOVQ	8(DI), R9;     \
-	MOVQ	16(DI), R10;   \
-	MOVQ	24(DI), R11;   \
-	MOVQ	32(DI), R12;   \
-	MOVQ	40(DI), R13;   \
-	MOVQ	48(DI), R14;   \
-	MOVQ	56(DI), R15;   \
-	MOVQ	288(DI), SI;
-
-// AVX2 loop bounds: SI = byte limit, CX = byte offset.
-#define BYTELIMIT256 \
+	MOVQ	DI, R11;       \
+	MOVQ	64(DI), R13;   \
+	MOVQ	168(DI), SI;   \
 	SHLQ	$3, SI;        \
 	XORQ	CX, CX;
 
 // AVX-512 loop bounds from SI = n ≥ 1 words. The final group is the
 // eight-word group holding word n-1; it has c = ((n-1) & 7) + 1 live
 // words. Leaves SI = the final group's byte offset, CX = 0, K2 = all
-// lanes (the full groups before it), K4 = its live lanes (1<<c)-1 and
-// K3 = the lane of word n-1, 1<<(c-1). Clobbers AX.
+// lanes (the full groups before it) and K4 = its live lanes (1<<c)-1.
+// Clobbers AX.
 #define FINALGROUP512 \
 	LEAQ	-1(SI), CX;    \
 	ANDQ	$7, CX;        \
@@ -153,9 +143,6 @@
 	SHLL	CX, AX;        \
 	DECL	AX;            \
 	KMOVW	AX, K4;        \
-	MOVL	$1, AX;        \
-	SHLL	CX, AX;        \
-	KMOVW	AX, K3;        \
 	DECQ	SI;            \
 	ANDQ	$-8, SI;       \
 	SHLQ	$3, SI;        \
@@ -164,52 +151,44 @@
 
 // Load/store the four persistent planes for this word group.
 #define LOADPLANES256 \
-	MOVQ	192(DI), AX;           \
+	MOVQ	72(DI), AX;            \
 	VMOVDQU	(AX)(CX*1), Y0;        \
-	MOVQ	200(DI), AX;           \
+	MOVQ	80(DI), AX;            \
 	VMOVDQU	(AX)(CX*1), Y1;        \
-	MOVQ	208(DI), AX;           \
+	MOVQ	88(DI), AX;            \
 	VMOVDQU	(AX)(CX*1), Y2;        \
-	MOVQ	216(DI), AX;           \
+	MOVQ	96(DI), AX;            \
 	VMOVDQU	(AX)(CX*1), Y3;
 
 #define STOREPLANES256 \
-	MOVQ	192(DI), AX;           \
+	MOVQ	72(DI), AX;            \
 	VMOVDQU	Y0, (AX)(CX*1);        \
-	MOVQ	200(DI), AX;           \
+	MOVQ	80(DI), AX;            \
 	VMOVDQU	Y1, (AX)(CX*1);        \
-	MOVQ	208(DI), AX;           \
+	MOVQ	88(DI), AX;            \
 	VMOVDQU	Y2, (AX)(CX*1);        \
-	MOVQ	216(DI), AX;           \
+	MOVQ	96(DI), AX;            \
 	VMOVDQU	Y3, (AX)(CX*1);
 
 #define LOADPLANES512 \
-	MOVQ	192(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z0;    \
-	MOVQ	200(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z1;    \
-	MOVQ	208(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z2;    \
-	MOVQ	216(DI), AX;                   \
-	VMOVDQU64.Z	(AX)(CX*1), K2, Z3;
+	MOVQ	72(DI), AX;                \
+	VMOVDQU64	(AX)(CX*1), Z0;    \
+	MOVQ	80(DI), AX;                \
+	VMOVDQU64	(AX)(CX*1), Z1;    \
+	MOVQ	88(DI), AX;                \
+	VMOVDQU64	(AX)(CX*1), Z2;    \
+	MOVQ	96(DI), AX;                \
+	VMOVDQU64	(AX)(CX*1), Z3;
 
 #define STOREPLANES512 \
-	MOVQ	192(DI), AX;                   \
-	VMOVDQU64	Z0, K2, (AX)(CX*1);    \
-	MOVQ	200(DI), AX;                   \
-	VMOVDQU64	Z1, K2, (AX)(CX*1);    \
-	MOVQ	208(DI), AX;                   \
-	VMOVDQU64	Z2, K2, (AX)(CX*1);    \
-	MOVQ	216(DI), AX;                   \
-	VMOVDQU64	Z3, K2, (AX)(CX*1);
-
-// Entering the final group: K2 takes its live lanes, Z11 keeps all ones
-// on them but word n-1, which gets the args block's tail mask (at
-// TAILOFF), and zero beyond n.
-#define FINALMASKS512(TAILOFF) \
-	KMOVW	K4, K2;                        \
-	VPTERNLOGQ.Z	$0xFF, Z11, Z11, K2, Z11; \
-	VPBROADCASTQ	TAILOFF(DI), K3, Z11;
+	MOVQ	72(DI), AX;                \
+	VMOVDQU64	Z0, (AX)(CX*1);    \
+	MOVQ	80(DI), AX;                \
+	VMOVDQU64	Z1, (AX)(CX*1);    \
+	MOVQ	88(DI), AX;                \
+	VMOVDQU64	Z2, (AX)(CX*1);    \
+	MOVQ	96(DI), AX;                \
+	VMOVDQU64	Z3, (AX)(CX*1);
 
 // The Harley-Seal cascade over the loaded planes: consumes the eight
 // operand groups via the LOAD macros, leaves new ones/twos/fours in
@@ -244,46 +223,17 @@
 	VPANDQ	Z10, Z3, Z12;          \
 	VPXORQ	Z10, Z3, Z3;
 
-#define XORLOADS256 \
-	CASCADE256(XORLOAD256(R8, 64, 128, Y4) XORLOAD256(R9, 72, 136, Y5), XORLOAD256(R10, 80, 144, Y4) XORLOAD256(R11, 88, 152, Y5), XORLOAD256(R12, 96, 160, Y4) XORLOAD256(R13, 104, 168, Y5), XORLOAD256(R14, 112, 176, Y4) XORLOAD256(R15, 120, 184, Y5))
+// The eight keys of the block at R11, at the word group at R12.
+#define KEYLOADS256 \
+	CASCADE256(KEYLOAD256(0, Y4) KEYLOAD256(8, Y5), KEYLOAD256(16, Y4) KEYLOAD256(24, Y5), KEYLOAD256(32, Y4) KEYLOAD256(40, Y5), KEYLOAD256(48, Y4) KEYLOAD256(56, Y5))
 
-#define XORLOADS512 \
-	CASCADE512(XORLOAD512(R8, 64, 128, Z4) XORLOAD512(R9, 72, 136, Z5), XORLOAD512(R10, 80, 144, Z4) XORLOAD512(R11, 88, 152, Z5), XORLOAD512(R12, 96, 160, Z4) XORLOAD512(R13, 104, 168, Z5), XORLOAD512(R14, 112, 176, Z4) XORLOAD512(R15, 120, 184, Z5))
-
-// The one-sweep small sign (signSmall) reads its operands from the
-// smallArgs table: R11 points at the current block's first x entry, so
-// operand K's A pointer is at 8K(R11), its B pointer 512 bytes further
-// and its XNOR mask 1024 bytes further. Offsets in the args block: tie
-// +1536, dst +1544, cm[0..5] +1552.., even +1600, blocks +1608, n +1616,
-// tail +1624.
-#define SMALLLOAD256(XOFF, YOFF, VOFF, DST) \
-	MOVQ	XOFF(R11), AX;         \
-	VMOVDQU	(AX)(CX*1), DST;       \
-	MOVQ	YOFF(R11), BX;         \
-	VPXOR	(BX)(CX*1), DST, DST;  \
-	VPBROADCASTQ	VOFF(R11), Y15; \
-	VPXOR	Y15, DST, DST;
-
-// The AVX-512 form loads both streams and XORs them with the broadcast
-// XNOR mask in one VPTERNLOGQ (0x96 = XOR3). It does not mask the tail
-// word: garbage in the bit columns past the dimension stays in those
-// columns, and the kernel clears them from dst instead.
-#define SMALLLOAD512(XOFF, YOFF, VOFF, DST) \
-	MOVQ	XOFF(R11), AX;                 \
-	VMOVDQU64.Z	(AX)(CX*1), K2, DST;   \
-	MOVQ	YOFF(R11), BX;                 \
-	VMOVDQU64.Z	(BX)(CX*1), K2, Z15;   \
-	VPTERNLOGQ.BCST	$0x96, VOFF(R11), Z15, DST;
-
-#define SMALLLOADS256 \
-	CASCADE256(SMALLLOAD256(0, 512, 1024, Y4) SMALLLOAD256(8, 520, 1032, Y5), SMALLLOAD256(16, 528, 1040, Y4) SMALLLOAD256(24, 536, 1048, Y5), SMALLLOAD256(32, 544, 1056, Y4) SMALLLOAD256(40, 552, 1064, Y5), SMALLLOAD256(48, 560, 1072, Y4) SMALLLOAD256(56, 568, 1080, Y5))
-
-#define SMALLLOADS512 \
-	CASCADE512(SMALLLOAD512(0, 512, 1024, Z4) SMALLLOAD512(8, 520, 1032, Z5), SMALLLOAD512(16, 528, 1040, Z4) SMALLLOAD512(24, 536, 1048, Z5), SMALLLOAD512(32, 544, 1056, Z4) SMALLLOAD512(40, 552, 1064, Z5), SMALLLOAD512(48, 560, 1072, Z4) SMALLLOAD512(56, 568, 1080, Z5))
+#define KEYLOADS512 \
+	CASCADE512(KEYLOAD512(0, Z4) KEYLOAD512(8, Z5), KEYLOAD512(16, Z4) KEYLOAD512(24, Z5), KEYLOAD512(32, Z4) KEYLOAD512(40, Z5), KEYLOAD512(48, Z4) KEYLOAD512(56, Z5))
 
 // One step of the majority's bit-sliced ripple compare: plane P plus the
 // constant mask (broadcast from args+CMOFF into Y4), carry in Y6, eq —
-// the AND of the sum bits — in Y7.
+// the AND of the sum bits — in Y7. smallArgs offsets: slab +512, tie
+// +520, dst +528, cm[0..5] +536.., even +584, blocks +592, n +600.
 #define RIPPLE256(P, CMOFF) \
 	VPBROADCASTQ	CMOFF(DI), Y4; \
 	VPXOR	Y4, P, Y5;             \
@@ -304,15 +254,13 @@
 // func csaXorBlockAVX2(a *csaArgs)
 TEXT ·csaXorBlockAVX2(SB), NOSPLIT, $0-8
 	CSAPROLOGUE
-	BYTELIMIT256
 	MOVQ	$0x0101010101010101, AX
 	MOVQ	AX, X14
 	VPBROADCASTQ	X14, Y14
-	TESTQ	SI, SI
-	JZ	done
 loop:
+	LEAQ	(R13)(CX*1), R12
 	LOADPLANES256
-	XORLOADS256
+	KEYLOADS256
 	STOREPLANES256
 	VPTEST	Y12, Y12
 	JZ	next
@@ -321,19 +269,19 @@ next:
 	ADDQ	$32, CX
 	CMPQ	CX, SI
 	JB	loop
-done:
 	VZEROUPPER
 	RET
 
 // func signSmallAVX2(a *smallArgs)
 TEXT ·signSmallAVX2(SB), NOSPLIT, $0-8
 	MOVQ	a+0(FP), DI
-	MOVQ	1616(DI), SI
+	MOVQ	600(DI), SI
 	SHLQ	$3, SI                 // byte limit
 	XORQ	CX, CX
-	MOVQ	1536(DI), R8           // tie
-	MOVQ	1544(DI), R9           // dst
-	MOVQ	1608(DI), R10
+	MOVQ	512(DI), R13           // slab
+	MOVQ	520(DI), R8            // tie
+	MOVQ	528(DI), R9            // dst
+	MOVQ	592(DI), R10
 	SHLQ	$6, R10
 	ADDQ	DI, R10                // end of the table's blocks
 	TESTQ	SI, SI
@@ -345,27 +293,31 @@ group:
 	VPXOR	Y3, Y3, Y3
 	VPXOR	Y13, Y13, Y13
 	VPXOR	Y14, Y14, Y14
+	LEAQ	(R13)(CX*1), R12
 	MOVQ	DI, R11
 block:
-	SMALLLOADS256
+	KEYLOADS256
 	VPAND	Y13, Y12, Y15          // thirtytwos |= sixteens & s16
 	VPOR	Y15, Y14, Y14
 	VPXOR	Y12, Y13, Y13          // sixteens ^= s16
 	ADDQ	$64, R11
 	CMPQ	R11, R10
 	JB	block
-	VPBROADCASTQ	1552(DI), Y4   // cm[0]; the first step has no carry in
+	VPBROADCASTQ	536(DI), Y4    // cm[0]; the first step has no carry in
 	VPXOR	Y4, Y0, Y7
 	VPAND	Y4, Y0, Y6
-	RIPPLE256(Y1, 1560)
-	RIPPLE256(Y2, 1568)
-	RIPPLE256(Y3, 1576)
-	RIPPLE256(Y13, 1584)
-	RIPPLE256(Y14, 1592)
-	VPBROADCASTQ	1600(DI), Y4   // even
-	VPAND	(R8)(CX*1), Y7, Y7     // eq &= tie ...
-	VPAND	Y4, Y7, Y7             // ... only for even n
-	VPOR	Y7, Y6, Y6
+	RIPPLE256(Y1, 544)
+	RIPPLE256(Y2, 552)
+	RIPPLE256(Y3, 560)
+	RIPPLE256(Y13, 568)
+	RIPPLE256(Y14, 576)
+	VPBROADCASTQ	584(DI), Y4    // even
+	VPAND	Y4, Y7, Y7             // ties = eq & even
+	VPOR	Y7, Y6, Y6             // carry | ties
+	VPAND	(R8)(CX*1), Y7, Y7     // ties & tie
+	VPANDN	Y6, Y7, Y6             // (carry | ties) &^ (ties & tie)
+	VPCMPEQQ	Y4, Y4, Y4
+	VPXOR	Y4, Y6, Y6             // dst = ^(carry | ties) | (ties & tie)
 	VMOVDQU	Y6, (R9)(CX*1)
 	ADDQ	$32, CX
 	CMPQ	CX, SI
@@ -424,10 +376,10 @@ done:
 	MOVQ	AX, ret+24(FP)
 	RET
 
-// The AVX-512 kernels share one loop shape: the full groups run under
-// K2 = all lanes; when CX reaches SI (the final group's offset),
-// FINALMASKS512 narrows the masks and the loop body runs once more, after
-// which CX > SI ends it.
+// The AVX-512 kernels over a dst or a stream of n words share one loop
+// shape: the full groups run under K2 = all lanes; when CX reaches SI
+// (the final group's offset), K2 takes the final group's live lanes and
+// the loop body runs once more, after which CX > SI ends it.
 
 // func csaXorBlockAVX512(a *csaArgs)
 TEXT ·csaXorBlockAVX512(SB), NOSPLIT, $0-8
@@ -435,15 +387,10 @@ TEXT ·csaXorBlockAVX512(SB), NOSPLIT, $0-8
 	MOVQ	$0x0101010101010101, AX
 	MOVQ	AX, X14
 	VPBROADCASTQ	X14, Z14
-	TESTQ	SI, SI
-	JZ	done
-	FINALGROUP512
-	VPTERNLOGQ	$0xFF, Z11, Z11, Z11
-	CMPQ	CX, SI
-	JEQ	final
 loop:
+	LEAQ	(R13)(CX*1), R12
 	LOADPLANES512
-	XORLOADS512
+	KEYLOADS512
 	STOREPLANES512
 	VPTESTMQ	Z12, Z12, K1
 	KORTESTB	K1, K1
@@ -453,34 +400,29 @@ next:
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	loop
-	JA	done
-final:
-	FINALMASKS512(296)
-	JMP	loop
-done:
 	VZEROUPPER
 	RET
 
 // func signSmallAVX512(a *smallArgs)
 TEXT ·signSmallAVX512(SB), NOSPLIT, $0-8
 	MOVQ	a+0(FP), DI
-	MOVQ	1616(DI), SI
-	VPBROADCASTQ	1552(DI), Z16  // cm[0]
-	VPBROADCASTQ	1560(DI), Z17  // cm[1]
-	VPBROADCASTQ	1568(DI), Z18  // cm[2]
-	VPBROADCASTQ	1576(DI), Z19  // cm[3]
-	VPBROADCASTQ	1584(DI), Z20  // cm[4]
-	VPBROADCASTQ	1592(DI), Z21  // cm[5]
-	VPBROADCASTQ	1600(DI), Z22  // even
-	MOVQ	1536(DI), R8           // tie
-	MOVQ	1544(DI), R9           // dst
-	MOVQ	1608(DI), R10
+	MOVQ	600(DI), SI
+	VPBROADCASTQ	536(DI), Z16   // cm[0]
+	VPBROADCASTQ	544(DI), Z17   // cm[1]
+	VPBROADCASTQ	552(DI), Z18   // cm[2]
+	VPBROADCASTQ	560(DI), Z19   // cm[3]
+	VPBROADCASTQ	568(DI), Z20   // cm[4]
+	VPBROADCASTQ	576(DI), Z21   // cm[5]
+	VPBROADCASTQ	584(DI), Z22   // even
+	MOVQ	512(DI), R13           // slab
+	MOVQ	520(DI), R8            // tie
+	MOVQ	528(DI), R9            // dst
+	MOVQ	592(DI), R10
 	SHLQ	$6, R10
 	ADDQ	DI, R10                // end of the table's blocks
 	TESTQ	SI, SI
 	JZ	done
 	FINALGROUP512
-	VPTERNLOGQ	$0xFF, Z11, Z11, Z11
 	CMPQ	CX, SI
 	JEQ	final
 group:
@@ -490,9 +432,10 @@ group:
 	VPXORQ	Z3, Z3, Z3
 	VPXORQ	Z13, Z13, Z13
 	VPXORQ	Z14, Z14, Z14
+	LEAQ	(R13)(CX*1), R12
 	MOVQ	DI, R11
 block:
-	SMALLLOADS512
+	KEYLOADS512
 	VPTERNLOGQ	$0xF8, Z12, Z13, Z14   // thirtytwos |= sixteens & s16
 	VPXORQ	Z12, Z13, Z13                  // sixteens ^= s16
 	ADDQ	$64, R11
@@ -505,16 +448,16 @@ block:
 	RIPPLE512(Z3, Z19)
 	RIPPLE512(Z13, Z20)
 	RIPPLE512(Z14, Z21)
+	VPANDQ	Z22, Z25, Z25                  // ties = eq & even
 	VMOVDQU64.Z	(R8)(CX*1), K2, Z26
-	VPTERNLOGQ	$0x80, Z22, Z26, Z25   // eq &= tie & even
-	VPTERNLOGQ	$0xA8, Z11, Z25, Z24   // dst = (carry | eq) & Z11
+	VPTERNLOGQ	$0x8B, Z26, Z25, Z24   // dst = ties ? tie : ^carry
 	VMOVDQU64	Z24, K2, (R9)(CX*1)
 	ADDQ	$64, CX
 	CMPQ	CX, SI
 	JB	group
 	JA	done
 final:
-	FINALMASKS512(1624)
+	KMOVW	K4, K2
 	JMP	group
 done:
 	VZEROUPPER
@@ -556,4 +499,88 @@ done:
 	VZEROUPPER
 	MOVQ	X0, AX
 	MOVQ	AX, ret+24(FP)
+	RET
+
+// Even and odd qword indices: VPERMI2Q of two registers of four
+// interleaved (score, tie) keys gathers their eight scores or ties.
+DATA rankPerm<>+0(SB)/8, $0
+DATA rankPerm<>+8(SB)/8, $2
+DATA rankPerm<>+16(SB)/8, $4
+DATA rankPerm<>+24(SB)/8, $6
+DATA rankPerm<>+32(SB)/8, $8
+DATA rankPerm<>+40(SB)/8, $10
+DATA rankPerm<>+48(SB)/8, $12
+DATA rankPerm<>+56(SB)/8, $14
+DATA rankPerm<>+64(SB)/8, $1
+DATA rankPerm<>+72(SB)/8, $3
+DATA rankPerm<>+80(SB)/8, $5
+DATA rankPerm<>+88(SB)/8, $7
+DATA rankPerm<>+96(SB)/8, $9
+DATA rankPerm<>+104(SB)/8, $11
+DATA rankPerm<>+112(SB)/8, $13
+DATA rankPerm<>+120(SB)/8, $15
+GLOBL rankPerm<>(SB), RODATA|NOPTR, $128
+
+// func rankCountAVX512(keys *RankKey, n int64, dst *int) bool
+//
+// For each block of eight keys (the lanes), every key u of the graph is
+// compared against all eight at once with its score and tie broadcast
+// from memory, and each lane whose key u sorts before adds one to its
+// count: lane score < u's score, or equal scores and lane tie > u's tie
+// (RankKey.Less with the operands swapped). The keys are read in whole
+// blocks of eight — the caller guarantees the capacity — and the counts
+// stored under the mask of the live lanes. A NaN score in a live lane
+// returns false before anything of its block is stored.
+TEXT ·rankCountAVX512(SB), NOSPLIT, $0-25
+	MOVQ	keys+0(FP), SI
+	MOVQ	n+8(FP), DX
+	MOVQ	dst+16(FP), DI
+	VMOVDQU64	rankPerm<>+0(SB), Z30
+	VMOVDQU64	rankPerm<>+64(SB), Z31
+	MOVQ	$1, AX
+	VPBROADCASTQ	AX, Z29
+	MOVQ	DX, R11
+	SHLQ	$4, R11
+	ADDQ	SI, R11                // end of the keys
+	MOVQ	SI, R8                 // the lane block's first key
+	MOVQ	DX, R10                // keys from the lane block on
+lanes:
+	MOVQ	$8, CX
+	CMPQ	R10, CX
+	CMOVQLT	R10, CX
+	MOVL	$1, AX
+	SHLL	CX, AX
+	DECL	AX
+	KMOVW	AX, K7                 // the block's live lanes
+	VMOVDQU64	(R8), Z0
+	VMOVDQU64	64(R8), Z1
+	VMOVDQA64	Z30, Z2
+	VPERMI2Q	Z1, Z0, Z2             // scores
+	VMOVDQA64	Z31, Z3
+	VPERMI2Q	Z1, Z0, Z3             // ties
+	VCMPPD	$3, Z2, Z2, K7, K1     // UNORD_Q: a NaN score
+	KORTESTW	K1, K1
+	JNZ	unordered
+	VPXORQ	Z4, Z4, Z4
+	MOVQ	SI, AX
+count:
+	VCMPPD.BCST	$0x11, (AX), Z2, K1    // LT_OQ
+	VCMPPD.BCST	$0x00, (AX), Z2, K2    // EQ_OQ
+	VPCMPUQ.BCST	$6, 8(AX), Z3, K2, K2  // NLE: greater, where the scores are equal
+	KORW	K1, K2, K1
+	VPADDQ	Z29, Z4, K1, Z4
+	ADDQ	$16, AX
+	CMPQ	AX, R11
+	JB	count
+	VMOVDQU64	Z4, K7, (DI)
+	ADDQ	$128, R8
+	ADDQ	$64, DI
+	SUBQ	$8, R10
+	JG	lanes
+	MOVB	$1, ret+24(FP)
+	VZEROUPPER
+	RET
+unordered:
+	MOVB	$0, ret+24(FP)
+	VZEROUPPER
 	RET

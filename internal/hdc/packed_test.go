@@ -15,8 +15,8 @@ func TestSignBinaryMatchesSignBipolar(t *testing.T) {
 		a := NewBitCounter(d)
 		b := NewBitCounter(d)
 		vs := randomVectors(d, 2+rng.Intn(20), rng)
-		a.AddAll(vs)
-		b.AddAll(vs)
+		addAll(a, vs)
+		addAll(b, vs)
 		return a.SignBinaryInto(tie.PackBinary(), NewBinary(d)).Equal(b.SignBipolar(tie).PackBinary())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -122,7 +122,7 @@ func TestClassifyPackedTracksLearning(t *testing.T) {
 	}
 	am.ClassifyPacked(v)
 	bc := NewBitCounter(256)
-	bc.AddAll([]*Binary{v, v})
+	addAll(bc, []*Binary{v, v})
 	am.AddCounter(1, bc)
 	if am.packed.Load() != nil {
 		t.Fatal("AddCounter did not invalidate the packed snapshot")

@@ -8,7 +8,7 @@ import (
 // TestSignSmallMatchesCounter pins the small-n kernel's contract: for
 // every count in [1, MaxSmallSign] (covering odd/even tie handling and
 // every block-padding shape), the one-shot bit-sliced majority equals the
-// full Reset + AddXorPairs + SignBinaryInto pipeline bit for bit.
+// full Reset + AddXorKeys + SignXnorInto pipeline bit for bit.
 func TestSignSmallMatchesCounter(t *testing.T) {
 	forEachKernelTier(t, testSignSmallMatchesCounter)
 }
@@ -28,17 +28,17 @@ func testSignSmallMatchesCounter(t *testing.T) {
 			prs[i] = pr{rng.Intn(len(vecs)), rng.Intn(len(vecs))}
 		}
 		for n := 1; n <= MaxSmallSign; n++ {
-			pairs := make([]XorPair, n)
+			pairs := make([]xorPair, n)
 			for i := range pairs {
 				p := rng.Intn(len(prs))
-				pairs[i] = XorPair{A: vecs[prs[p].a], B: vecs[prs[p].b], Invert: true}
+				pairs[i] = xorPair{A: vecs[prs[p].a], B: vecs[prs[p].b]}
 			}
 			tie := RandomBinary(d, rng)
 			ref.Reset()
-			ref.AddXorPairs(pairs)
-			want := ref.SignBinary(tie)
-			if got := c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)); !got.Equal(want) {
-				t.Fatalf("d=%d n=%d: SignXorPairsSmallInto differs from counter pipeline", d, n)
+			addPairs(ref, pairs)
+			want := ref.SignXnorInto(tie, NewBinary(d))
+			if got := signSmall(c, pairs, tie, NewBinary(d)); !got.Equal(want) {
+				t.Fatalf("d=%d n=%d: SignXnorKeysSmallInto differs from counter pipeline", d, n)
 			}
 		}
 	}
@@ -57,16 +57,16 @@ func testSignSmallIgnoresCounterState(t *testing.T) {
 	c := NewBitCounter(d)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 	// Pre-load the counter with unrelated weight.
-	c.AddAll(randomVectors(d, 40, rng))
+	addAll(c, randomVectors(d, 40, rng))
 	beforeCounts := c.CountsInto(make([]int32, d))
 	beforeN := c.Count()
 
-	pairs := []XorPair{{A: a, B: b, Invert: true}, {A: b, B: a, Invert: false}, {A: a, B: a, Invert: true}}
+	pairs := []xorPair{{A: a, B: b}, {A: b, B: a}, {A: a, B: a}}
 	tie := RandomBinary(d, rng)
 	ref := NewBitCounter(d)
-	ref.AddXorPairs(pairs)
-	want := ref.SignBinary(tie)
-	if got := c.SignXorPairsSmallInto(pairs, tie, NewBinary(d)); !got.Equal(want) {
+	addPairs(ref, pairs)
+	want := ref.SignXnorInto(tie, NewBinary(d))
+	if got := signSmall(c, pairs, tie, NewBinary(d)); !got.Equal(want) {
 		t.Fatal("sign differs with pre-loaded counter state")
 	}
 	if c.Count() != beforeN {
@@ -81,13 +81,13 @@ func testSignSmallIgnoresCounterState(t *testing.T) {
 	// The planes must be back to zero: a follow-up blocked add behaves as
 	// on a fresh counter.
 	c.Reset()
-	probe := make([]XorPair, 9)
+	probe := make([]xorPair, 9)
 	for i := range probe {
-		probe[i] = XorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng), Invert: i%2 == 0}
+		probe[i] = xorPair{A: RandomBinary(d, rng), B: RandomBinary(d, rng)}
 	}
-	c.AddXorPairs(probe)
+	addPairs(c, probe)
 	ref2 := NewBitCounter(d)
-	ref2.AddXorPairs(probe)
+	addPairs(ref2, probe)
 	g := c.CountsInto(make([]int32, d))
 	r := ref2.CountsInto(make([]int32, d))
 	for i := range g {
@@ -97,13 +97,16 @@ func testSignSmallIgnoresCounterState(t *testing.T) {
 	}
 }
 
-// TestSignSmallPanics pins the range and dimension contracts.
+// TestSignSmallPanics pins the range, slab and dimension contracts.
 func TestSignSmallPanics(t *testing.T) {
 	d := 64
 	c := NewBitCounter(d)
 	rng := NewRNG(4)
 	a, b := RandomBinary(d, rng), RandomBinary(d, rng)
 	tie, dst := RandomBinary(d, rng), NewBinary(d)
+	slab, keys := pairKeys([]xorPair{{A: a, B: b}})
+	st := SlabStride(d)
+	last := len(slab) - st
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -113,37 +116,47 @@ func TestSignSmallPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("zero pairs", func() { c.SignXorPairsSmallInto(nil, tie, dst) })
+	expectPanic("zero pairs", func() { signSmall(c, nil, tie, dst) })
 	expectPanic("too many pairs", func() {
-		c.SignXorPairsSmallInto(make([]XorPair, MaxSmallSign+1), tie, dst)
+		signSmall(c, make([]xorPair, MaxSmallSign+1), tie, dst)
 	})
-	// Operands narrower or wider than the counter must panic.
-	expectPanic("pair dim below counter", func() {
-		c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(63, rng), B: RandomBinary(63, rng)}}, tie, dst)
+	// A key must name rows inside the slab, and the slab must be whole
+	// rows of the counter's stride.
+	c.SignXnorKeysSmallInto(slab, []uint64{Key(last, last)}, tie, dst) // the last row is fine
+	expectPanic("key row past the slab", func() {
+		c.SignXnorKeysSmallInto(slab, []uint64{Key(0, last+1)}, tie, dst)
 	})
-	expectPanic("pair dim above counter", func() {
-		c.SignXorPairsSmallInto([]XorPair{{A: RandomBinary(65, rng), B: RandomBinary(65, rng)}}, tie, dst)
+	expectPanic("key row past the slab, high half", func() {
+		c.SignXnorKeysSmallInto(slab, []uint64{Key(len(slab), 0)}, tie, dst)
+	})
+	expectPanic("slab not whole rows", func() {
+		c.SignXnorKeysSmallInto(slab[:len(slab)-1], keys, tie, dst)
+	})
+	expectPanic("slab of a wider stride", func() {
+		NewBitCounter(10*d).SignXnorKeysSmallInto(slab, []uint64{0}, RandomBinary(10*d, rng), NewBinary(10*d))
 	})
 	expectPanic("tie dim above counter", func() {
-		c.SignXorPairsSmallInto([]XorPair{{A: a, B: b}}, RandomBinary(65, rng), dst)
+		c.SignXnorKeysSmallInto(slab, keys, RandomBinary(65, rng), dst)
 	})
 	expectPanic("dst dim mismatch", func() {
-		c.SignXorPairsSmallInto([]XorPair{{A: a, B: b}}, tie, NewBinary(65))
+		c.SignXnorKeysSmallInto(slab, keys, tie, NewBinary(65))
 	})
 }
 
-// BenchmarkSignXorPairsSmall times the one-shot small sign at the paper's
-// d = 10,000 on the active kernel tier (GRAPHHD_KERNEL picks it) for a
-// bundle of one block, about the mean NCI1 edge count, and the maximum.
-func BenchmarkSignXorPairsSmall(b *testing.B) {
+// BenchmarkSignXnorKeysSmall times the one-shot small sign at the
+// paper's d = 10,000 on the active kernel tier (GRAPHHD_KERNEL picks it)
+// for a bundle of one block, about the mean NCI1 edge count, and the
+// maximum, with keys over a 40-row slab as the encoder's basis is.
+func BenchmarkSignXnorKeysSmall(b *testing.B) {
 	const d = 10000
 	rng := NewRNG(5)
-	basis := randomVectors(d, 40, rng)
+	slab, rows := randomSlab(d, 40, rng)
+	st := SlabStride(d)
 	tie := RandomBinary(d, rng)
 	for _, m := range []int{8, 29, 63} {
-		pairs := make([]XorPair, m)
-		for i := range pairs {
-			pairs[i] = XorPair{A: basis[rng.Intn(len(basis))], B: basis[rng.Intn(len(basis))], Invert: true}
+		keys := make([]uint64, m)
+		for i := range keys {
+			keys[i] = Key(rng.Intn(len(rows))*st, rng.Intn(len(rows))*st)
 		}
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			c := NewBitCounter(d)
@@ -151,7 +164,7 @@ func BenchmarkSignXorPairsSmall(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.SignXorPairsSmallInto(pairs, tie, dst)
+				c.SignXnorKeysSmallInto(slab, keys, tie, dst)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"graphhd/internal/graph"
+	"graphhd/internal/hdc"
 )
 
 // DefaultDamping is the standard PageRank damping factor from Brin & Page.
@@ -49,14 +50,16 @@ type Scratch struct {
 	scores, next []float64
 	dangling     []int32
 	dinv         []float64
-	keys         []rankKey
+	keys         []hdc.RankKey
 }
 
-// smallGraph is the vertex count up to which RanksFromScoresInto sorts by
-// insertion. It is also the least a scratch buffer grows to, so the small
-// graphs that make up most datasets settle a fresh scratch on its first
-// graph instead of regrowing it at every new largest graph.
-const smallGraph = 64
+// smallGraph is the vertex count up to which RanksFromScoresInto counts
+// ranks (hdc.RankCountInto) or sorts by insertion. It is also the least a
+// scratch buffer grows to, so the small graphs that make up most datasets
+// settle a fresh scratch on its first graph instead of regrowing it at
+// every new largest graph, and the key buffer always holds the whole
+// eight-key groups the rank-count kernel reads.
+const smallGraph = hdc.MaxRankCount
 
 // ensure grows the power-iteration buffers to cover n vertices.
 func (s *Scratch) ensure(n int) {
@@ -153,26 +156,21 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 	return cur
 }
 
-// rankKey is one vertex's centrality sort key under the shared
+// rankKey returns vertex v's centrality sort key under the shared
 // deterministic ordering — score descending, then degree descending, then
-// vertex id ascending — with the degree and id packed into one word:
+// vertex id ascending — with the degree and id packed into the tie word:
 // (MaxUint32 - degree) << 32 | id, which sorts ascending. The id clause
 // makes the order total, so every correct sort produces the same
 // permutation, and the id comes back out of the low half.
-type rankKey struct {
-	score float64
-	tie   uint64
+func rankKey(score float64, degree, v int) hdc.RankKey {
+	return hdc.RankKey{Score: score, Tie: uint64(math.MaxUint32-uint32(degree))<<32 | uint64(v)}
 }
 
-func (a rankKey) less(b rankKey) bool {
-	return a.score > b.score || a.score == b.score && a.tie < b.tie
-}
-
-func compareRankKeys(a, b rankKey) int {
+func compareRankKeys(a, b hdc.RankKey) int {
 	switch {
-	case a.less(b):
+	case a.Less(b):
 		return -1
-	case b.less(a):
+	case b.Less(a):
 		return 1
 	}
 	return 0
@@ -204,9 +202,13 @@ func RanksInto(g *graph.Graph, opts Options, dst []int, s *Scratch) []int {
 // per vertex of g, of any centrality metric — into dst with the shared
 // tie-break rule (score descending, degree descending, id ascending), and
 // returns dst, grown when its capacity is insufficient. It builds one key
-// per vertex, reading each degree once, and sorts the keys in s's buffer:
-// by insertion up to 64 vertices (benchmark graphs are mostly far
-// smaller), else by slices.SortFunc. Steady state allocates nothing.
+// per vertex, reading each degree once, in s's buffer. Up to 64 vertices
+// (benchmark graphs are mostly far smaller) the kernel tier's rank count
+// sets each rank to the number of keys before it, with no sort; on a tier
+// without one, or when a score is NaN (the keys are then not totally
+// ordered and a count is not a permutation), the keys are sorted by
+// insertion. Larger graphs sort by slices.SortFunc. Every path gives the
+// same permutation on ordered scores. Steady state allocates nothing.
 func (s *Scratch) RanksFromScoresInto(g *graph.Graph, scores []float64, dst []int) []int {
 	n := g.NumVertices()
 	if cap(dst) < n {
@@ -214,17 +216,20 @@ func (s *Scratch) RanksFromScoresInto(g *graph.Graph, scores []float64, dst []in
 	}
 	dst = dst[:n]
 	if cap(s.keys) < n {
-		s.keys = make([]rankKey, max(n, smallGraph))
+		s.keys = make([]hdc.RankKey, max(n, smallGraph))
 	}
 	keys := s.keys[:n]
 	for v := range keys {
-		keys[v] = rankKey{scores[v], uint64(math.MaxUint32-uint32(g.Degree(v)))<<32 | uint64(v)}
+		keys[v] = rankKey(scores[v], g.Degree(v), v)
 	}
 	if n <= smallGraph {
+		if hdc.RankCountInto(keys, dst) {
+			return dst
+		}
 		for i := 1; i < n; i++ {
 			k := keys[i]
 			j := i
-			for ; j > 0 && k.less(keys[j-1]); j-- {
+			for ; j > 0 && k.Less(keys[j-1]); j-- {
 				keys[j] = keys[j-1]
 			}
 			keys[j] = k
@@ -233,7 +238,7 @@ func (s *Scratch) RanksFromScoresInto(g *graph.Graph, scores []float64, dst []in
 		slices.SortFunc(keys, compareRankKeys)
 	}
 	for r, k := range keys {
-		dst[uint32(k.tie)] = r
+		dst[uint32(k.Tie)] = r
 	}
 	return dst
 }
