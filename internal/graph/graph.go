@@ -21,6 +21,8 @@ type Graph struct {
 	adj []int32
 	// edges lists each undirected edge exactly once with U < V, sorted.
 	edges []Edge
+	// maxDegree is the largest vertex degree, counted by Build.
+	maxDegree int
 	// vertexLabels is nil for unlabeled graphs (the GraphHD baseline
 	// setting) or holds one categorical label per vertex.
 	vertexLabels []int
@@ -78,15 +80,7 @@ func (g *Graph) VertexLabel(v int) int {
 }
 
 // MaxDegree returns the largest vertex degree, or 0 for an empty graph.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (g *Graph) MaxDegree() int { return g.maxDegree }
 
 // Density returns 2|E| / (|V|(|V|-1)), the fraction of connected vertex
 // pairs; 0 for graphs with fewer than two vertices.
@@ -263,8 +257,11 @@ func (b *Builder) Build() *Graph {
 		off[e.U+1]++
 		off[e.V+1]++
 	}
-	var start int32
+	var start, maxDeg int32
 	for v := 1; v <= n; v++ {
+		if off[v] > maxDeg {
+			maxDeg = off[v]
+		}
 		start, off[v] = start+off[v], start
 	}
 	for _, e := range edges {
@@ -273,7 +270,7 @@ func (b *Builder) Build() *Graph {
 		adj[off[e.V+1]] = e.U
 		off[e.V+1]++
 	}
-	return &Graph{n: n, off: off, adj: adj, edges: edges, vertexLabels: b.labels}
+	return &Graph{n: n, off: off, adj: adj, edges: edges, maxDegree: int(maxDeg), vertexLabels: b.labels}
 }
 
 // FromEdges is a convenience constructor building a graph directly from an

@@ -312,6 +312,17 @@ func TestMaxDegree(t *testing.T) {
 	if d := NewBuilder(0).Build().MaxDegree(); d != 0 {
 		t.Fatalf("empty max degree = %d", d)
 	}
+	// Build counts it once; it must equal a scan of every degree.
+	rng := hdc.NewRNG(31)
+	for _, g := range []*Graph{ErdosRenyi(40, 0.1, rng), BarabasiAlbert(60, 3, rng), NewBuilder(7).Build(), Disjoint(Path(3), Star(6))} {
+		want := 0
+		for v := 0; v < g.NumVertices(); v++ {
+			want = max(want, g.Degree(v))
+		}
+		if d := g.MaxDegree(); d != want {
+			t.Fatalf("%v: max degree %d, scan %d", g, d, want)
+		}
+	}
 }
 
 func TestVertexLabels(t *testing.T) {

@@ -82,10 +82,11 @@ func detectCPUFeatures() cpuFeatureSet {
 func hasAVX2Kernels() bool { return cpuFeatures.avx && cpuFeatures.avx2 }
 
 // hasAVX512Kernels reports whether the AVX-512 assembly tier can run.
-// The tier uses VPTERNLOGQ/VPXORQ (F) on full-width registers and
-// VPOPCNTQ (VPOPCNTDQ); BW/DQ/VL are required as a conservative
+// The tier uses VPTERNLOGQ/VPXORQ/VPERMI2PD (F) on full-width registers,
+// VPOPCNTQ (VPOPCNTDQ), KMOVB, VPMOVQ2M and VCVTUQQ2PD (DQ) and VPMAXUQ
+// on xmm and ymm registers (VL); BW is required as a conservative
 // baseline so the tier only runs on full server-class AVX-512
-// implementations.
+// implementations. Its scalar code is base x86-64 (BSFQ, not TZCNT).
 func hasAVX512Kernels() bool {
 	f := cpuFeatures
 	return f.avx512F && f.avx512BW && f.avx512DQ && f.avx512VL && f.avx512VPOPCNTDQ

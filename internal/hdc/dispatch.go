@@ -11,15 +11,17 @@ import (
 // Kernel dispatch. The straight-line word loops at the heart of the
 // packed encoder — the Harley–Seal carry-save accumulation cascade, the
 // one-sweep small-sign majority, and the XOR+popcount Hamming query —
-// and the rank count of small graphs exist in up to three
-// implementations: the portable Go loops (the semantic source of truth),
-// AVX2 assembly, and AVX-512 assembly (VPTERNLOGQ collapses each 3:2
-// carry-save step to one instruction; VPOPCNTDQ vectorizes the distance
-// loop; opmask compares count ranks). CPU features are detected once at
-// init and the best supported tier is installed in a process-wide
-// function table; the GRAPHHD_KERNEL environment variable
-// (portable|avx2|avx512) caps the choice for A/B benchmarking and
-// forced-fallback testing.
+// and the rank count and PageRank power loop of small graphs exist in up
+// to three implementations: the portable Go loops (the semantic source
+// of truth), AVX2 assembly, and AVX-512 assembly (VPTERNLOGQ collapses
+// each 3:2 carry-save step to one instruction; VPOPCNTDQ vectorizes the
+// distance loop; opmask compares count ranks; VPERMI2PD pulls PageRank
+// shares from registers). The two small-graph kernels are AVX-512 only;
+// their Go paths live with their callers in package pagerank. CPU
+// features are detected once at init and the best supported tier is
+// installed in a process-wide function table; the GRAPHHD_KERNEL
+// environment variable (portable|avx2|avx512) caps the choice for A/B
+// benchmarking and forced-fallback testing.
 //
 // The accumulation kernels read their operands by key from a slab whose
 // rows are padded to whole eight-word groups (SlabStride), and write
@@ -129,6 +131,11 @@ type kernelTable struct {
 	// (RankCountInto). It reports false, leaving the ranks to the
 	// caller's sort, when a score is NaN. Only AVX-512 has one.
 	rankCount func(keys *RankKey, n int64, dst *int) bool
+	// pageRank runs the whole PageRank power loop of a graph of at most
+	// MaxRankCount vertices and PageRankMaxDegree neighbours per vertex
+	// in registers (PageRankInto). It reports false, before writing dst,
+	// on a graph outside those bounds. Only AVX-512 has one.
+	pageRank func(pageRankArgs) bool
 }
 
 // portableKernels is the universal fallback tier: no vector entry

@@ -104,6 +104,35 @@ func TestRankKeyABI(t *testing.T) {
 	}
 }
 
+// TestPageRankArgsABIOffsets pins the argument block the pageRank kernel
+// reads from its argument frame (a_edges+0(FP) … a_dst+40(FP)), and the
+// result after it at ret+48(FP).
+func TestPageRankArgsABIOffsets(t *testing.T) {
+	var a pageRankArgs
+	offsets := map[string]uintptr{
+		"edges":      unsafe.Offsetof(a.edges),
+		"m":          unsafe.Offsetof(a.m),
+		"n":          unsafe.Offsetof(a.n),
+		"iterations": unsafe.Offsetof(a.iterations),
+		"damping":    unsafe.Offsetof(a.damping),
+		"dst":        unsafe.Offsetof(a.dst),
+	}
+	want := map[string]uintptr{
+		"edges": 0, "m": 8, "n": 16, "iterations": 24, "damping": 32, "dst": 40,
+	}
+	for name, w := range want {
+		if offsets[name] != w {
+			t.Errorf("pageRankArgs.%s at offset %d, assembly expects %d", name, offsets[name], w)
+		}
+	}
+	if unsafe.Sizeof(a) != 48 {
+		t.Errorf("pageRankArgs is %d bytes, assembly expects the result at 48", unsafe.Sizeof(a))
+	}
+	if unsafe.Sizeof(*a.edges) != 8 {
+		t.Errorf("an edge is %d bytes, the kernel steps 8", unsafe.Sizeof(*a.edges))
+	}
+}
+
 func TestKernelTierString(t *testing.T) {
 	cases := map[KernelTier]string{
 		KernelPortable: "portable",

@@ -30,6 +30,9 @@ func hammingAVX512(a, b *uint64, n int64) int64
 //go:noescape
 func rankCountAVX512(keys *RankKey, n int64, dst *int) bool
 
+//go:noescape
+func pageRankAVX512(a pageRankArgs) bool
+
 var avx2Kernels = &kernelTable{
 	tier:        KernelAVX2,
 	lanes:       4,
@@ -46,6 +49,7 @@ var avx512Kernels = &kernelTable{
 	signSmall:   signSmallAVX512,
 	hamming:     hammingAVX512,
 	rankCount:   rankCountAVX512,
+	pageRank:    pageRankAVX512,
 }
 
 // supportedKernelTables returns the tiers this process can run,

@@ -1,6 +1,6 @@
 // AVX2 and AVX-512 kernels for the carry-save accumulation cascade, the
-// one-sweep small sign, the packed Hamming inner loop and the rank count
-// of small graphs.
+// one-sweep small sign, the packed Hamming inner loop, and the rank count
+// and PageRank power loop of small graphs.
 //
 // Contracts (see DESIGN.md §2b and dispatch.go):
 //
@@ -582,5 +582,431 @@ count:
 	RET
 unordered:
 	MOVB	$0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// The pageRank kernel (func pageRankAVX512 below) keeps its work area in
+// its own stack frame, at R8, the frame's first 64-byte boundary:
+//
+//   [0, 512)     the 64 neighbour masks during the set-up; then the
+//                current scores, stored for the dangling sum and the
+//                final copy to dst
+//   [512, 5120)  PageRankMaxDegree rounds of 576 bytes. Round k holds the
+//                index of every lane's k-th neighbour, blocks 0–7 at +0
+//                (64 bytes a block), stored minus 64 so that bit 63
+//                marks the lanes that have one; then one mask byte a
+//                block of index bit 4 (+512) and of index bit 5 (+520)
+//   5120         inv = 1/n
+//   5128         c1 = (1−d)·inv
+//   5136         the iteration's base
+//
+// Registers while iterating: Z0-Z3 lookup temporaries, Z8-Z15 the
+// shares cur·d/deg of blocks 0–7, Z16-Z23 the next scores (the current
+// ones between iterations), Z24-Z31 d/deg. During the set-up Z8-Z15 hold
+// the neighbour masks M, Z0 is a temporary, Z1 64, Z2 the table d/1 …
+// d/8, Z3 all ones, Z4 zero, Z5 the running largest degree, Z6 16 and
+// Z7 32.
+// GP: DX n, R8 the work area, R9 the dangling mask, R10 the rounds (the
+// largest degree), SI the share-register pairs P = ⌈n/16⌉, DI the blocks
+// ⌈n/8⌉, R11 a round's data, R12 rounds left, R13 iterations left.
+
+// PRDEG(off, shift, M, D) loads the masks of one block of eight
+// vertices into M and sets D = d/deg, zero where the degree is 0, by
+// indexing the d/k table with deg − 1. The degree joins the running
+// largest, and the lanes of nonzero degree join R9 at bit shift.
+#define PRDEG(off, shift, M, D) \
+	VMOVDQA64	off(R8), M;    \
+	VPOPCNTQ	M, Z0;         \
+	VPMAXUQ	Z0, Z5, Z5;        \
+	VPTESTMQ	Z0, Z0, K1;    \
+	VPADDQ	Z3, Z0, Z0;        \
+	VPERMPD.Z	Z2, Z0, K1, D; \
+	KMOVB	K1, AX;            \
+	SHLQ	$shift, AX;        \
+	ORQ	AX, R9;
+
+// PRROUND(off, b4, b5, M) takes each lane's lowest remaining neighbour
+// out of M — its index is popcount((M & −M) − 1) — and stores the index
+// minus 64 at off(R11), with the mask bytes of index bit 4 (b4) and of
+// index bit 5 (b5). The subtraction keeps the index's low six bits and
+// sets bit 63, which VPMOVQ2M reads back as the lane's add mask, exactly
+// where the lane had a neighbour: a lane with none left counts 64, and
+// its word is 0. Stripping the lowest bit each round hands every vertex
+// its neighbours in ascending order.
+#define PRROUND(off, b4, b5, M) \
+	VPSUBQ	M, Z4, Z0;         \
+	VPANDQ	M, Z0, Z0;         \
+	VPXORQ	Z0, M, M;          \
+	VPADDQ	Z3, Z0, Z0;        \
+	VPOPCNTQ	Z0, Z0;        \
+	VPTESTMQ	Z6, Z0, K2;    \
+	VPTESTMQ	Z7, Z0, K3;    \
+	VPSUBQ	Z1, Z0, Z0;        \
+	VMOVDQA64	Z0, off(R11);  \
+	KMOVB	K2, b4(R11);       \
+	KMOVB	K3, b5(R11);
+
+// PULLp(off, b4, b5, N) looks up one round's neighbour shares of a
+// block in the first p pairs of share registers — one VPERMI2PD a pair
+// of 16 vertices, blended on index bits 4 and 5 — and adds them to the
+// block's next scores N in the lanes that have a neighbour this round
+// (bit 63 of the stored index).
+#define PULL1(off, b4, b5, N) \
+	VMOVDQA64	off(R11), Z0;    \
+	VPMOVQ2M	Z0, K1;          \
+	VPERMI2PD	Z9, Z8, Z0;      \
+	VADDPD	Z0, N, K1, N;
+
+#define PULL2(off, b4, b5, N) \
+	VMOVDQA64	off(R11), Z0;    \
+	VMOVDQA64	off(R11), Z1;    \
+	KMOVB	b4(R11), K2;         \
+	VPMOVQ2M	Z0, K1;          \
+	VPERMI2PD	Z9, Z8, Z0;      \
+	VPERMI2PD	Z11, Z10, Z1;    \
+	VBLENDMPD	Z1, Z0, K2, Z0;  \
+	VADDPD	Z0, N, K1, N;
+
+#define PULL3(off, b4, b5, N) \
+	VMOVDQA64	off(R11), Z0;    \
+	VMOVDQA64	off(R11), Z1;    \
+	VMOVDQA64	off(R11), Z2;    \
+	KMOVB	b4(R11), K2;         \
+	KMOVB	b5(R11), K3;         \
+	VPMOVQ2M	Z0, K1;          \
+	VPERMI2PD	Z9, Z8, Z0;      \
+	VPERMI2PD	Z11, Z10, Z1;    \
+	VPERMI2PD	Z13, Z12, Z2;    \
+	VBLENDMPD	Z1, Z0, K2, Z0;  \
+	VBLENDMPD	Z2, Z0, K3, Z0;  \
+	VADDPD	Z0, N, K1, N;
+
+#define PULL4(off, b4, b5, N) \
+	VMOVDQA64	off(R11), Z0;    \
+	VMOVDQA64	off(R11), Z1;    \
+	VMOVDQA64	off(R11), Z2;    \
+	VMOVDQA64	off(R11), Z3;    \
+	KMOVB	b4(R11), K2;         \
+	KMOVB	b5(R11), K3;         \
+	VPMOVQ2M	Z0, K1;          \
+	VPERMI2PD	Z9, Z8, Z0;      \
+	VPERMI2PD	Z11, Z10, Z1;    \
+	VPERMI2PD	Z13, Z12, Z2;    \
+	VPERMI2PD	Z15, Z14, Z3;    \
+	VBLENDMPD	Z1, Z0, K2, Z0;  \
+	VBLENDMPD	Z3, Z2, K2, Z2;  \
+	VBLENDMPD	Z2, Z0, K3, Z0;  \
+	VADDPD	Z0, N, K1, N;
+
+// SHARE(D, N, S) turns a block's current scores N into its shares S =
+// N·d/deg and resets N to the iteration's base.
+#define SHARE(D, N, S) \
+	VMULPD	D, N, S;              \
+	VBROADCASTSD	5136(R8), N;
+
+// func pageRankAVX512(a pageRankArgs) bool
+//
+// The set-up builds each vertex's 64-bit neighbour mask from the edge
+// list (an edge sets two bits), then per block of eight vertices its
+// degree (VPOPCNTQ), d/deg and the dangling lanes, and per round k the
+// index of every vertex's k-th neighbour. It declines, before dst is
+// written, on an endpoint outside [0, n) or a degree over
+// PageRankMaxDegree. Each iteration then sums the dangling scores in
+// ascending order (BSFQ over the dangling mask), turns the scores into
+// shares in registers, and pulls each vertex's neighbour shares one
+// round at a time: a lookup in the share registers and a VADDPD masked
+// to the lanes with a k-th neighbour. Every vertex so adds its
+// neighbours' shares to the base in ascending order, one rounded add at
+// a time, as the edge pass does. The variants p1–p4 differ in the pairs
+// of share registers a lookup reads and in the blocks they run; a block
+// past ⌈n/8⌉ is skipped.
+TEXT ·pageRankAVX512(SB), 0, $5248-49
+	MOVQ	a_n+16(FP), DX
+	LEAQ	63(SP), R8
+	ANDQ	$-64, R8
+	VPXORQ	Z4, Z4, Z4
+	VMOVDQA64	Z4, (R8)
+	VMOVDQA64	Z4, 64(R8)
+	VMOVDQA64	Z4, 128(R8)
+	VMOVDQA64	Z4, 192(R8)
+	VMOVDQA64	Z4, 256(R8)
+	VMOVDQA64	Z4, 320(R8)
+	VMOVDQA64	Z4, 384(R8)
+	VMOVDQA64	Z4, 448(R8)
+	MOVQ	a_edges+0(FP), SI
+	MOVQ	a_m+8(FP), CX
+	TESTQ	CX, CX
+	JZ	degrees
+edge:
+	MOVL	(SI), AX
+	MOVL	4(SI), BX
+	CMPQ	AX, DX
+	JAE	decline
+	CMPQ	BX, DX
+	JAE	decline
+	MOVQ	(R8)(AX*8), R9
+	BTSQ	BX, R9
+	MOVQ	R9, (R8)(AX*8)
+	MOVQ	(R8)(BX*8), R9
+	BTSQ	AX, R9
+	MOVQ	R9, (R8)(BX*8)
+	ADDQ	$8, SI
+	DECQ	CX
+	JNZ	edge
+degrees:
+	LEAQ	7(DX), DI
+	SHRQ	$3, DI                 // blocks
+	LEAQ	1(DI), SI
+	SHRQ	$1, SI                 // share-register pairs
+	MOVQ	$0x0807060504030201, AX
+	VMOVQ	AX, X0
+	VPMOVZXBQ	X0, Z0
+	VCVTUQQ2PD	Z0, Z0             // 1.0 … 8.0
+	VBROADCASTSD	a_damping+32(FP), Z2
+	VDIVPD	Z0, Z2, Z2             // d/1 … d/8
+	VPTERNLOGQ	$0xFF, Z3, Z3, Z3  // all ones
+	VPXORQ	Z5, Z5, Z5
+	XORQ	R9, R9
+	PRDEG(0, 0, Z8, Z24)
+	PRDEG(64, 8, Z9, Z25)
+	CMPQ	SI, $1
+	JEQ	dangling
+	PRDEG(128, 16, Z10, Z26)
+	PRDEG(192, 24, Z11, Z27)
+	CMPQ	SI, $2
+	JEQ	dangling
+	PRDEG(256, 32, Z12, Z28)
+	PRDEG(320, 40, Z13, Z29)
+	CMPQ	SI, $3
+	JEQ	dangling
+	PRDEG(384, 48, Z14, Z30)
+	PRDEG(448, 56, Z15, Z31)
+dangling:
+	// R9 = the vertices below n of degree 0
+	MOVQ	$64, CX
+	SUBQ	DX, CX
+	MOVQ	$-1, AX
+	SHRQ	CX, AX
+	NOTQ	R9
+	ANDQ	AX, R9
+	// R10 = the largest degree
+	VEXTRACTI64X4	$1, Z5, Y0
+	VPMAXUQ	Y0, Y5, Y5
+	VEXTRACTI128	$1, Y5, X0
+	VPMAXUQ	X0, X5, X5
+	VPSHUFD	$0x4E, X5, X0
+	VPMAXUQ	X0, X5, X5
+	VMOVQ	X5, R10
+	CMPQ	R10, $8
+	JA	decline
+	MOVQ	$16, AX
+	VPBROADCASTQ	AX, Z6
+	MOVQ	$32, AX
+	VPBROADCASTQ	AX, Z7
+	MOVQ	$64, AX
+	VPBROADCASTQ	AX, Z1
+	LEAQ	512(R8), R11
+	MOVQ	R10, R12
+	TESTQ	R12, R12
+	JZ	scalars
+round:
+	PRROUND(0, 512, 520, Z8)
+	PRROUND(64, 513, 521, Z9)
+	CMPQ	SI, $1
+	JEQ	roundEnd
+	PRROUND(128, 514, 522, Z10)
+	PRROUND(192, 515, 523, Z11)
+	CMPQ	SI, $2
+	JEQ	roundEnd
+	PRROUND(256, 516, 524, Z12)
+	PRROUND(320, 517, 525, Z13)
+	CMPQ	SI, $3
+	JEQ	roundEnd
+	PRROUND(384, 518, 526, Z14)
+	PRROUND(448, 519, 527, Z15)
+roundEnd:
+	ADDQ	$576, R11
+	DECQ	R12
+	JNZ	round
+scalars:
+	// inv = 1/n, c1 = (1−d)·inv, and the base of an iteration without
+	// dangling vertices, c1 + (d·0)·inv
+	VCVTSI2SDQ	DX, X0, X0
+	MOVQ	$0x3FF0000000000000, AX
+	VMOVQ	AX, X1
+	VDIVSD	X0, X1, X2
+	VMOVSD	X2, 5120(R8)
+	VMOVSD	a_damping+32(FP), X3
+	VSUBSD	X3, X1, X1
+	VMULSD	X2, X1, X1
+	VMOVSD	X1, 5128(R8)
+	VXORPD	X0, X0, X0
+	VMULSD	X3, X0, X0
+	VMULSD	X2, X0, X0
+	VADDSD	X1, X0, X0
+	VMOVSD	X0, 5136(R8)
+	VBROADCASTSD	X2, Z16
+	VMOVAPD	Z16, Z17
+	VMOVAPD	Z16, Z18
+	VMOVAPD	Z16, Z19
+	VMOVAPD	Z16, Z20
+	VMOVAPD	Z16, Z21
+	VMOVAPD	Z16, Z22
+	VMOVAPD	Z16, Z23
+	MOVQ	a_iterations+24(FP), R13
+iter:
+	TESTQ	R9, R9
+	JZ	dispatch
+	VMOVAPD	Z16, (R8)
+	VMOVAPD	Z17, 64(R8)
+	VMOVAPD	Z18, 128(R8)
+	VMOVAPD	Z19, 192(R8)
+	VMOVAPD	Z20, 256(R8)
+	VMOVAPD	Z21, 320(R8)
+	VMOVAPD	Z22, 384(R8)
+	VMOVAPD	Z23, 448(R8)
+	VXORPD	X0, X0, X0
+	MOVQ	R9, AX
+dsum:
+	BSFQ	AX, BX
+	VADDSD	(R8)(BX*8), X0, X0
+	LEAQ	-1(AX), CX
+	ANDQ	CX, AX
+	JNZ	dsum
+	VMULSD	a_damping+32(FP), X0, X0
+	VMULSD	5120(R8), X0, X0
+	VADDSD	5128(R8), X0, X0
+	VMOVSD	X0, 5136(R8)
+dispatch:
+	LEAQ	512(R8), R11
+	MOVQ	R10, R12
+	CMPQ	SI, $2
+	JB	p1
+	JEQ	p2
+	CMPQ	SI, $3
+	JEQ	p3
+	JMP	p4
+p1:
+	SHARE(Z24, Z16, Z8)
+	SHARE(Z25, Z17, Z9)
+	TESTQ	R12, R12
+	JZ	next
+p1round:
+	PULL1(0, 512, 520, Z16)
+	CMPQ	DI, $2
+	JNE	p1skip
+	PULL1(64, 513, 521, Z17)
+p1skip:
+	ADDQ	$576, R11
+	DECQ	R12
+	JNZ	p1round
+	JMP	next
+p2:
+	SHARE(Z24, Z16, Z8)
+	SHARE(Z25, Z17, Z9)
+	SHARE(Z26, Z18, Z10)
+	SHARE(Z27, Z19, Z11)
+	TESTQ	R12, R12
+	JZ	next
+p2round:
+	PULL2(0, 512, 520, Z16)
+	PULL2(64, 513, 521, Z17)
+	PULL2(128, 514, 522, Z18)
+	CMPQ	DI, $4
+	JNE	p2skip
+	PULL2(192, 515, 523, Z19)
+p2skip:
+	ADDQ	$576, R11
+	DECQ	R12
+	JNZ	p2round
+	JMP	next
+p3:
+	SHARE(Z24, Z16, Z8)
+	SHARE(Z25, Z17, Z9)
+	SHARE(Z26, Z18, Z10)
+	SHARE(Z27, Z19, Z11)
+	SHARE(Z28, Z20, Z12)
+	SHARE(Z29, Z21, Z13)
+	TESTQ	R12, R12
+	JZ	next
+p3round:
+	PULL3(0, 512, 520, Z16)
+	PULL3(64, 513, 521, Z17)
+	PULL3(128, 514, 522, Z18)
+	PULL3(192, 515, 523, Z19)
+	PULL3(256, 516, 524, Z20)
+	CMPQ	DI, $6
+	JNE	p3skip
+	PULL3(320, 517, 525, Z21)
+p3skip:
+	ADDQ	$576, R11
+	DECQ	R12
+	JNZ	p3round
+	JMP	next
+p4:
+	SHARE(Z24, Z16, Z8)
+	SHARE(Z25, Z17, Z9)
+	SHARE(Z26, Z18, Z10)
+	SHARE(Z27, Z19, Z11)
+	SHARE(Z28, Z20, Z12)
+	SHARE(Z29, Z21, Z13)
+	SHARE(Z30, Z22, Z14)
+	SHARE(Z31, Z23, Z15)
+	TESTQ	R12, R12
+	JZ	next
+p4round:
+	PULL4(0, 512, 520, Z16)
+	PULL4(64, 513, 521, Z17)
+	PULL4(128, 514, 522, Z18)
+	PULL4(192, 515, 523, Z19)
+	PULL4(256, 516, 524, Z20)
+	PULL4(320, 517, 525, Z21)
+	PULL4(384, 518, 526, Z22)
+	CMPQ	DI, $8
+	JNE	p4skip
+	PULL4(448, 519, 527, Z23)
+p4skip:
+	ADDQ	$576, R11
+	DECQ	R12
+	JNZ	p4round
+next:
+	DECQ	R13
+	JNZ	iter
+	// copy the n scores to dst, the last partial block under a mask
+	VMOVAPD	Z16, (R8)
+	VMOVAPD	Z17, 64(R8)
+	VMOVAPD	Z18, 128(R8)
+	VMOVAPD	Z19, 192(R8)
+	VMOVAPD	Z20, 256(R8)
+	VMOVAPD	Z21, 320(R8)
+	VMOVAPD	Z22, 384(R8)
+	VMOVAPD	Z23, 448(R8)
+	MOVQ	a_dst+40(FP), DI
+	MOVQ	R8, SI
+	MOVQ	DX, CX
+copy:
+	CMPQ	CX, $8
+	JB	tail
+	VMOVAPD	(SI), Z0
+	VMOVUPD	Z0, (DI)
+	ADDQ	$64, SI
+	ADDQ	$64, DI
+	SUBQ	$8, CX
+	JMP	copy
+tail:
+	TESTQ	CX, CX
+	JZ	done
+	MOVL	$1, AX
+	SHLL	CX, AX
+	DECL	AX
+	KMOVB	AX, K7
+	VMOVAPD	(SI), Z0
+	VMOVUPD	Z0, K7, (DI)
+done:
+	MOVB	$1, ret+48(FP)
+	VZEROUPPER
+	RET
+decline:
+	MOVB	$0, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -8,6 +8,7 @@ package pagerank
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"graphhd/internal/graph"
 	"graphhd/internal/hdc"
@@ -86,6 +87,12 @@ func Scores(g *graph.Graph, opts Options) []float64 {
 // ScoresInto is Scores writing into s's reusable buffers. The returned
 // slice is owned by s and valid until the next ScoresInto or RanksInto
 // call on it; steady state performs no heap allocations.
+//
+// A graph of at most 64 vertices and hdc.PageRankMaxDegree neighbours per
+// vertex runs its whole power loop in the kernel tier's pull kernel
+// (hdc.PageRankInto, AVX-512 only), which sums in the edge pass's order;
+// every other graph, and every graph on the other tiers, takes the edge
+// pass. Both give the same float64 scores.
 func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -93,6 +100,25 @@ func ScoresInto(g *graph.Graph, opts Options, s *Scratch) []float64 {
 		return nil
 	}
 	s.ensure(n)
+	// The kernel reads the degrees off the neighbour masks it builds;
+	// the graph already knows its largest, so a graph the kernel would
+	// decline for degree skips building them.
+	if g.MaxDegree() <= hdc.PageRankMaxDegree && hdc.PageRankInto(edgePairs(g.Edges()), n, opts.Damping, opts.Iterations, s.scores[:n]) {
+		return s.scores[:n]
+	}
+	return s.edgePass(g, opts)
+}
+
+// edgePairs views an edge list as the (U, V) int32 pairs hdc.PageRankInto
+// reads; TestEdgeLayout pins graph.Edge to that layout.
+func edgePairs(edges []graph.Edge) [][2]int32 {
+	return unsafe.Slice((*[2]int32)(unsafe.Pointer(unsafe.SliceData(edges))), len(edges))
+}
+
+// edgePass is the power loop of ScoresInto over g's edge list, for a
+// graph of at least one vertex with s grown to it.
+func (s *Scratch) edgePass(g *graph.Graph, opts Options) []float64 {
+	n := g.NumVertices()
 	// Arrange the ping-pong buffers so the final swap leaves the result in
 	// s.scores, letting callers hold one stable slice across graphs.
 	cur, next := s.scores[:n], s.next[:n]

@@ -225,16 +225,27 @@ func TestRanksIntoMatchesRanks(t *testing.T) {
 	}
 }
 
+// TestRanksIntoAllocationFree checks steady-state ranking allocates
+// nothing on every tier: a 200-vertex graph (the edge pass and the key
+// sort) and an NCI1-sized one (on AVX-512 the pull kernel, whose work
+// area is its stack frame, and the rank count).
 func TestRanksIntoAllocationFree(t *testing.T) {
-	g := graph.ErdosRenyi(200, 0.05, hdc.NewRNG(13))
-	var s Scratch
-	dst := RanksInto(g, Options{}, nil, &s) // warm the buffers
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = RanksInto(g, Options{}, dst, &s)
-	})
-	if allocs != 0 {
-		t.Fatalf("RanksInto allocated %v times per run, want 0", allocs)
+	graphs := map[string]*graph.Graph{
+		"n=200": graph.ErdosRenyi(200, 0.05, hdc.NewRNG(13)),
+		"n=30":  graph.ErdosRenyi(30, 0.1, hdc.NewRNG(13)),
 	}
+	forEachKernelTier(t, func(t *testing.T, tier hdc.KernelTier) {
+		for name, g := range graphs {
+			var s Scratch
+			dst := RanksInto(g, Options{}, nil, &s) // warm the buffers
+			allocs := testing.AllocsPerRun(50, func() {
+				dst = RanksInto(g, Options{}, dst, &s)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: RanksInto allocated %v times per run, want 0", name, allocs)
+			}
+		}
+	})
 }
 
 func TestScoresIntoResultStableAcrossGraphs(t *testing.T) {
@@ -312,12 +323,13 @@ func referenceOrder(g *graph.Graph, scores []float64) []int {
 	return order
 }
 
-// TestScoresMatchPushOracle requires the edge-order power loop to give
-// exactly the push loop's float64 scores, and RanksInto the ranks those
-// scores sort to, on all six datasets and on shapes with many ties or
-// dangling vertices, at iteration counts of both parities. It holds
-// because Edges() is sorted by (U, V) with U < V, so every vertex adds
-// its neighbours' shares in ascending order, as the push loop does.
+// TestScoresMatchPushOracle requires ScoresInto to give exactly the push
+// loop's float64 scores, and RanksInto the ranks those scores sort to,
+// on all six datasets and on shapes with many ties or dangling vertices,
+// at iteration counts of both parities, on every tier. It holds because
+// Edges() is sorted by (U, V) with U < V, so the edge pass adds every
+// vertex's neighbours' shares in ascending order, as the push loop does,
+// and the AVX-512 pull kernel pulls them in the same order.
 func TestScoresMatchPushOracle(t *testing.T) {
 	sets := map[string][]*graph.Graph{
 		"shapes": {
@@ -341,32 +353,34 @@ func TestScoresMatchPushOracle(t *testing.T) {
 		}
 		sets[name] = ds.Graphs
 	}
-	var s Scratch
-	var dst []int
-	for name, gs := range sets {
-		for _, iters := range []int{1, 2, 3, 10} {
-			for _, damping := range []float64{DefaultDamping, 0.5} {
-				opts := Options{Damping: damping, Iterations: iters}
-				for gi, g := range gs {
-					want := pushScores(g, opts)
-					got := ScoresInto(g, opts, &s)
-					if len(got) != len(want) {
-						t.Fatalf("%s graph %d, %+v: %d scores, want %d", name, gi, opts, len(got), len(want))
-					}
-					for v := range want {
-						if got[v] != want[v] {
-							t.Fatalf("%s graph %d, %+v: score[%d] = %v, push oracle %v", name, gi, opts, v, got[v], want[v])
+	forEachKernelTier(t, func(t *testing.T, tier hdc.KernelTier) {
+		var s Scratch
+		var dst []int
+		for name, gs := range sets {
+			for _, iters := range []int{1, 2, 3, 10} {
+				for _, damping := range []float64{DefaultDamping, 0.5} {
+					opts := Options{Damping: damping, Iterations: iters}
+					for gi, g := range gs {
+						want := pushScores(g, opts)
+						got := ScoresInto(g, opts, &s)
+						if len(got) != len(want) {
+							t.Fatalf("%s graph %d, %+v: %d scores, want %d", name, gi, opts, len(got), len(want))
 						}
-					}
-					order := referenceOrder(g, want)
-					dst = RanksInto(g, opts, dst, &s)
-					for r, v := range order {
-						if dst[v] != r {
-							t.Fatalf("%s graph %d, %+v: rank[%d] = %d, push oracle %d", name, gi, opts, v, dst[v], r)
+						for v := range want {
+							if got[v] != want[v] {
+								t.Fatalf("%s graph %d, %+v: score[%d] = %v, push oracle %v", name, gi, opts, v, got[v], want[v])
+							}
+						}
+						order := referenceOrder(g, want)
+						dst = RanksInto(g, opts, dst, &s)
+						for r, v := range order {
+							if dst[v] != r {
+								t.Fatalf("%s graph %d, %+v: rank[%d] = %d, push oracle %d", name, gi, opts, v, dst[v], r)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
