@@ -114,7 +114,9 @@ func Train(cfg Config, graphs []*Graph, labels []int) (*Model, error) {
 	return core.Train(cfg, graphs, labels)
 }
 
-// NewEncoder builds a graph-to-hypervector encoder from cfg.
+// NewEncoder returns a graph-to-hypervector encoder for cfg. Equal
+// configs share one encoder, and with it one basis slab and scratch pool,
+// for as long as anything references it.
 func NewEncoder(cfg Config) (*Encoder, error) { return core.NewEncoder(cfg) }
 
 // NewModel returns an untrained model for k classes over enc.

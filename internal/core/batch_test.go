@@ -211,7 +211,8 @@ func TestPredictBatchWithPanics(t *testing.T) {
 	expectPanic("length mismatch", func() {
 		pred.PredictBatchWith(pred.Encoder().NewScratch(), gs, make([]int, 1))
 	})
-	other := MustNewEncoder(testConfig())
+	// Equal configs share one encoder, so the foreign one has its own seed.
+	other := MustNewEncoder(freshConfig(testConfig()))
 	expectPanic("foreign scratch", func() {
 		pred.PredictBatchWith(other.NewScratch(), gs, make([]int, len(gs)))
 	})

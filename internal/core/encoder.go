@@ -7,8 +7,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"graphhd/internal/centrality"
 	"graphhd/internal/graph"
@@ -78,6 +80,11 @@ func (c Config) validate() error {
 // Encoder maps graphs to hypervectors, implementing Enc_G of Section IV.
 // It is safe for concurrent use: the packed basis slab synchronizes
 // internally and encoding is otherwise stateless.
+//
+// An encoder is a pure function of its Config, so a process holds at
+// most one per Config (see NewEncoder): every model, predictor and caller
+// with that configuration shares its basis slab, tie vector, item memory
+// and scratch pool.
 type Encoder struct {
 	cfg    Config
 	ranks  *hdc.ItemMemory // basis hypervectors indexed by centrality rank
@@ -111,10 +118,35 @@ type Encoder struct {
 	scratch sync.Pool
 }
 
-// NewEncoder builds an encoder from cfg.
+// encoders maps each Config to the process's live encoder for it, held
+// weakly, so a configuration nothing uses costs nothing: once its encoder
+// is collected, a cleanup drops the entry.
+var (
+	encodersMu sync.Mutex
+	encoders   = map[Config]weak.Pointer[Encoder]{}
+)
+
+// encoderEntry identifies one entry of encoders for its cleanup.
+type encoderEntry struct {
+	cfg Config
+	wp  weak.Pointer[Encoder]
+}
+
+// NewEncoder returns the encoder for cfg: the process's live encoder for
+// an equal Config if there is one, else a new one. Every field of the
+// Config is part of the key, BipolarClassVectors too, because NewModel
+// reads it from the encoder. Train, ReadModel and ReadPredictor all build
+// through here, so models of one configuration share one basis slab and
+// scratch pool, and the slab grows once per new largest graph per
+// process, not per model.
 func NewEncoder(cfg Config) (*Encoder, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	encodersMu.Lock()
+	defer encodersMu.Unlock()
+	if e := encoders[cfg].Value(); e != nil {
+		return e, nil
 	}
 	seeds := hdc.NewRNG(cfg.Seed)
 	e := &Encoder{
@@ -130,7 +162,20 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	e.stride = hdc.SlabStride(cfg.Dimension)
 	e.basis.Store(new([]uint64)) // no rows until the first graph needs them
 	e.scratch.New = func() any { return e.NewScratch() }
+	wp := weak.Make(e)
+	encoders[cfg] = wp
+	runtime.AddCleanup(e, dropEncoder, encoderEntry{cfg, wp})
 	return e, nil
+}
+
+// dropEncoder removes a collected encoder's entry, unless a new encoder
+// for the same Config has replaced it since.
+func dropEncoder(k encoderEntry) {
+	encodersMu.Lock()
+	defer encodersMu.Unlock()
+	if encoders[k.cfg] == k.wp {
+		delete(encoders, k.cfg)
+	}
 }
 
 // MustNewEncoder is NewEncoder that panics on an invalid configuration;

@@ -601,7 +601,7 @@ func TestFitAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := MustNewEncoder(DefaultConfig())
+	enc := MustNewEncoder(freshConfig(DefaultConfig())) // a basis of its own
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m, err := NewModel(enc, ds.NumClasses())

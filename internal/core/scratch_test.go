@@ -255,7 +255,7 @@ func TestEncoderMemoryBounded(t *testing.T) {
 	runtime.KeepAlive(s)
 
 	growth := func(g *graph.Graph) (int64, int) {
-		enc := MustNewEncoder(DefaultConfig())
+		enc := MustNewEncoder(freshConfig(DefaultConfig())) // a basis of its own
 		s := enc.NewScratch()
 		before := liveHeap()
 		s.EncodeGraphPacked(g)

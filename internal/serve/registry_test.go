@@ -3,8 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
+
+	"graphhd/internal/core"
+	"graphhd/internal/dataset"
+	"graphhd/internal/graph"
 )
 
 // regOptions is the small-engine registry shape the unit tests use.
@@ -283,4 +291,92 @@ func TestRegistryLoadFileAndReload(t *testing.T) {
 	if err := reg.Reload("nope"); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("Reload of unknown model: %v, want ErrModelNotFound", err)
 	}
+}
+
+// heapArtifact trains a packed model on the named dataset at d = 10,000
+// under seed and writes it to path. It returns the dataset's largest
+// graph and only a weak pointer to the model's encoder.
+//
+//go:noinline
+func heapArtifact(t *testing.T, name string, count int, seed uint64, path string) (*graph.Graph, weak.Pointer[core.Encoder]) {
+	t.Helper()
+	ds := dataset.MustGenerate(name, dataset.Options{Seed: 1, GraphCount: count})
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	m, err := core.Train(cfg, ds.Graphs, ds.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Snapshot().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	largest := ds.Graphs[0]
+	for _, g := range ds.Graphs {
+		if g.NumVertices() > largest.NumVertices() {
+			largest = g
+		}
+	}
+	return largest, weak.Make(m.Encoder())
+}
+
+// TestRegistryHeapPerModel measures what a resident model costs in live
+// heap: 40 models of one Config loaded from one artifact with LoadFile,
+// each served one routed predict on the dataset's largest graph. The
+// models share one encoder, so its basis slab, grown to that graph, is
+// paid once, not per model. Each model still holds its engine (flight
+// recorder included) and the scratch its one predict built.
+func TestRegistryHeapPerModel(t *testing.T) {
+	const models = 40
+	for _, tc := range []struct {
+		name   string
+		count  int
+		seed   uint64 // a Config no other test uses, so its encoder starts unbuilt
+		maxKiB float64
+	}{
+		{"MUTAG", 188, 0x4d55_5441, 80},
+		{"DD", 40, 0x4444, 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "m.ghdp")
+			g, wp := heapArtifact(t, tc.name, tc.count, tc.seed, path)
+			// The training's encoder must be gone, or its basis would
+			// not be charged to the loaded models.
+			for i := 0; wp.Value() != nil; i++ {
+				if i == 500 {
+					t.Fatal("the training's encoder was not collected after 500 collections")
+				}
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			before := liveHeapBytes()
+			reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2}})
+			defer reg.Close()
+			rt := NewRouter(reg, RouterOptions{})
+			ctx := context.Background()
+			for i := range models {
+				name := fmt.Sprintf("m%02d", i)
+				if err := reg.LoadFile(name, path); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rt.Predict(ctx, "", name, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perModel := float64(liveHeapBytes()-before) / models / 1024
+			runtime.KeepAlive(rt)
+			t.Logf("%s: %.1f KiB of live heap per model over %d models (largest graph %d vertices)",
+				tc.name, perModel, models, g.NumVertices())
+			if perModel > tc.maxKiB {
+				t.Fatalf("%s: %.1f KiB of live heap per model, want at most %.0f", tc.name, perModel, tc.maxKiB)
+			}
+		})
+	}
+}
+
+// liveHeapBytes returns the bytes of live heap objects after a collection.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -398,6 +398,25 @@ func TestTrainerStatusesSorted(t *testing.T) {
 	}
 }
 
+// samplesToFirstVerdict returns how many feedback samples a trainer with
+// opts ingests up to and including the one that triggers its first
+// validated candidate: every HoldoutEvery-th sample goes to the holdout,
+// the rest train, and every SnapshotEvery-th trained sample triggers a
+// validation, deferred while the holdout holds fewer than MinHoldout.
+func samplesToFirstVerdict(opts TrainerOptions) int {
+	o := opts.withDefaults()
+	trained, holdout := 0, 0
+	for seen := 1; ; seen++ {
+		if seen%o.HoldoutEvery == 0 {
+			holdout++
+			continue
+		}
+		if trained++; trained%o.SnapshotEvery == 0 && holdout >= o.MinHoldout {
+			return seen
+		}
+	}
+}
+
 // TestRouterSoakOnlineLoop extends TestRouterSoakRollingSwap (run under -race
 // in CI) with the full online learning loop live: two models take mixed
 // predict traffic and concurrent labeled feedback while their
@@ -432,8 +451,13 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 	}
 	// promoTrainer learns from a fresh copy of the correct model; the
 	// soak's feedback agrees with it, so promotion is guaranteed once the
-	// holdout fills. rollbTrainer holds the flipped model, so its
-	// candidates always regress.
+	// holdout fills. rollbTrainer holds the flipped model and learns from
+	// the same correct feedback, so a candidate built late enough could
+	// tie the serving model on the holdout and be promoted. Its feed
+	// therefore stops at the sample that completes its first validated
+	// candidate: that candidate comes from a fixed prefix of the feedback,
+	// the same in every run, and regresses; no candidate follows it.
+	rollbFeed := samplesToFirstVerdict(topts)
 	promoBase, _ := trainableModel(t, 1024, false)
 	rollbBase, _ := trainableModel(t, 1024, true)
 	promoTr, err := reg.AttachTrainer("promo", promoBase, topts)
@@ -479,9 +503,11 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 			graphsOK.Add(uint64(batch))
 		}
 	}
-	feedbackClient := func(tr *Trainer) {
+	// feedbackClient feeds tr the dataset in order, limit samples, or
+	// without end when limit is 0.
+	feedbackClient := func(tr *Trainer, limit int) {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i := 0; limit == 0 || i < limit; i++ {
 			select {
 			case <-stop:
 				return
@@ -506,8 +532,8 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 		}
 	}
 	wg.Add(2)
-	go feedbackClient(promoTr)
-	go feedbackClient(rollbTr)
+	go feedbackClient(promoTr, 0)
+	go feedbackClient(rollbTr, rollbFeed)
 
 	// Watcher: end the soak once both verdicts have happened.
 	wg.Add(1)
@@ -543,6 +569,9 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 	}
 	if rollbSt.Promotions != 0 {
 		t.Fatalf("rollb trainer promoted a regressing candidate %d times", rollbSt.Promotions)
+	}
+	if rollbSt.Snapshots != 1 {
+		t.Fatalf("rollb trainer validated %d candidates from %d samples, want 1", rollbSt.Snapshots, rollbFeed)
 	}
 
 	for _, m := range []*regModel{promoM, rollbM} {
