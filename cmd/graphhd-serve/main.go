@@ -30,7 +30,7 @@
 //	GET  /v1/models         registry table: models, engine counters, tenants
 //	GET  /healthz           liveness probe (+ resident-model summary)
 //	GET  /metrics           Prometheus text metrics, {model} labeled
-//	GET  /debug/traces      flight recorder, merged across models
+//	GET  /debug/traces      flight recorder: one ring for every model
 //	POST /admin/reload      hot-reload every file-backed model
 //	POST /admin/models      load/evict/reload one model by name
 //
@@ -153,7 +153,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "encode slots per model: how many encode calls run at once (0 = all cores)")
 		maxBatch    = flag.Int("max-batch", 0, "most graphs one encode call takes: batch requests split into segments of this size (0 = default 64)")
 		queueSize   = flag.Int("queue", 0, "graphs per model admitted to wait for an encode slot; past it requests get 429 (0 = default 4096)")
-		traceDepth  = flag.Int("trace-depth", 0, "flight-recorder capacity per model in per-batch trace records, rounded up to a power of two (0 = default 256)")
+		traceDepth  = flag.Int("trace-depth", 0, "flight-recorder capacity in per-batch trace records, one ring shared by every model, rounded up to a power of two (0 = default 256)")
 		classNames  = flag.String("class-names", "", "comma-separated class names echoed in default-model responses")
 		maxVerts    = flag.Int("max-vertices", 0, "per-request vertex cap (0 = default; bounds server-side basis-vector memory)")
 		maxEdges    = flag.Int("max-edges", 0, "per-request edge cap (0 = default)")

@@ -60,22 +60,30 @@ func (tr *BatchTrace) stamp(dst *int64, prev time.Time) time.Time {
 
 // PredictBatchWith classifies graphs through a caller-owned scratch,
 // writing one class per graph into out (len(out) must equal
-// len(graphs)) — the serving batch primitive, with zero per-request heap
-// allocations in steady state. s must have been vended by
-// p.Encoder().NewScratch(). Classes are identical to calling Predict on
-// each graph.
+// len(graphs)), with zero per-request heap allocations in steady state.
+// s must have been vended by p.Encoder().NewScratch(). Classes are
+// identical to calling Predict on each graph.
 func (p *Predictor) PredictBatchWith(s *EncoderScratch, graphs []*graph.Graph, out []int) {
-	p.PredictBatchTraced(s, graphs, out, nil)
+	p.predictBatch(s, graphs, out, nil)
 }
 
-// PredictBatchTraced is PredictBatchWith with an optional stage clock:
-// when tr is non-nil, the plan/encode/classify phase wall times land in
-// it. The pipeline runs in three phases — rank and group every graph,
-// sign every graph into the scratch's per-graph output buffers, classify
-// every output — so each phase boundary is a real instant and stamping
-// costs one clock read per phase, not per graph. Results are identical
-// to PredictBatchWith.
-func (p *Predictor) PredictBatchTraced(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) {
+// PredictBatchTraced is PredictBatchWith through a scratch checked out
+// of the encoder's pool — the serving batch primitive — with an optional
+// stage clock: when tr is non-nil, the plan/encode/classify phase wall
+// times land in it. The pipeline runs in three phases — rank and group
+// every graph, sign every graph into the scratch's per-graph output
+// buffers, classify every output — so each phase boundary is a real
+// instant and stamping costs one clock read per phase, not per graph.
+// Results are identical to PredictBatchWith.
+func (p *Predictor) PredictBatchTraced(graphs []*graph.Graph, out []int, tr *BatchTrace) {
+	s := p.enc.getScratch()
+	p.predictBatch(s, graphs, out, tr)
+	p.enc.putScratch(s)
+}
+
+// predictBatch runs the three phases through s, stamping them into a
+// non-nil tr.
+func (p *Predictor) predictBatch(s *EncoderScratch, graphs []*graph.Graph, out []int, tr *BatchTrace) {
 	if s.enc != p.enc {
 		panic("core: scratch bound to a different encoder")
 	}

@@ -114,7 +114,8 @@ type Encoder struct {
 
 	// scratch pools EncoderScratch values so the one-shot encode/rank
 	// APIs run allocation-free in steady state; the chunked batch APIs
-	// check one out per chunk.
+	// check one out per chunk, and PredictBatchTraced, the serving
+	// engine's primitive, one per call.
 	scratch sync.Pool
 }
 

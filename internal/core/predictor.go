@@ -101,7 +101,7 @@ func (p *Predictor) PredictEncoded(hv *hdc.Binary) int {
 func (p *Predictor) PredictWith(s *EncoderScratch, g *graph.Graph) int {
 	gs := [1]*graph.Graph{g}
 	var out [1]int
-	p.PredictBatchTraced(s, gs[:], out[:], nil)
+	p.PredictBatchWith(s, gs[:], out[:])
 	return out[0]
 }
 
@@ -124,9 +124,7 @@ func (p *Predictor) PredictAllWorkers(graphs []*graph.Graph, workers int) []int 
 	chunks := (len(graphs) + encodeBatchChunk - 1) / encodeBatchChunk
 	w := parallel.Workers(workers, chunks)
 	parallel.ForEachChunk(w, len(graphs), encodeBatchChunk, func(_, lo, hi int) {
-		s := p.enc.getScratch()
-		p.PredictBatchWith(s, graphs[lo:hi], out[lo:hi])
-		p.enc.putScratch(s)
+		p.PredictBatchTraced(graphs[lo:hi], out[lo:hi], nil)
 	})
 	return out
 }

@@ -80,15 +80,12 @@ type EncoderScratch struct {
 }
 
 // NewScratch returns a fresh scratch bound to e, for callers that manage
-// reuse themselves (the serving engine's slots, the benchmark harness).
-// Everything else can rely on the pooled scratches behind the Encoder
+// reuse themselves (the benchmark harness). Everything else, the serving
+// engine included, can rely on the pooled scratches behind the Encoder
 // and Predictor APIs.
 func (e *Encoder) NewScratch() *EncoderScratch {
 	return &EncoderScratch{enc: e, counter: hdc.NewBitCounter(e.cfg.Dimension)}
 }
-
-// Encoder returns the encoder s is bound to.
-func (s *EncoderScratch) Encoder() *Encoder { return s.enc }
 
 // NewBatchScratch is NewScratch. It remains because the perfbench
 // harness calls it by this name.

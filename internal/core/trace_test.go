@@ -4,7 +4,8 @@ import "testing"
 
 // TestPredictBatchTraced checks the stage clock on the plain batch
 // path: a non-nil BatchTrace comes back with every mandatory phase
-// timed, results identical to the untraced primitive.
+// timed, results through the pooled scratch identical to the untraced
+// primitive on a caller-owned one.
 func TestPredictBatchTraced(t *testing.T) {
 	gs, ys := twoClassDataset(16, 41)
 	m, err := Train(testConfig(), gs, ys)
@@ -19,7 +20,7 @@ func TestPredictBatchTraced(t *testing.T) {
 
 	var tr BatchTrace
 	got := make([]int, len(gs))
-	pred.PredictBatchTraced(bs, gs, got, &tr)
+	pred.PredictBatchTraced(gs, got, &tr)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("graph %d: traced class %d, untraced %d", i, got[i], want[i])

@@ -11,28 +11,26 @@
 // concerns the batch pipeline has no notion of:
 //
 //   - Encode slots. Workers slots bound how many encode calls run at
-//     once, and a slot encodes with one core.EncoderScratch. A single
-//     graph takes a slot and is encoded inline, with no hand-off. A
-//     batch call of up to MaxBatch graphs runs inline too; a larger one
-//     is split into MaxBatch-sized segments spread over at most Workers
-//     goroutines, and every segment takes its own slot for one batch
-//     encode. Idle scratches are handed out last in, first out, so
-//     sequential traffic keeps reusing one scratch and the others are
-//     built only when calls overlap.
+//     once. A single graph takes a slot and is encoded inline, with no
+//     hand-off. A batch call of up to MaxBatch graphs runs inline too; a
+//     larger one is split into MaxBatch-sized segments spread over at
+//     most Workers goroutines, and every segment takes its own slot for
+//     one batch encode. The engine keeps no scratch: each encode call
+//     checks one out of its model's encoder pool, which every model of
+//     that configuration shares.
 //   - Hot model swap. The predictor sits behind an atomic pointer; Swap
 //     installs a new one with zero downtime and zero failed in-flight
 //     requests. A segment loads the predictor once, after it holds its
-//     slot, and builds a fresh scratch when the idle one it took belongs
-//     to another encoder, so every segment is computed coherently under
-//     exactly one model.
+//     slot, and encodes through that predictor's encoder, so every
+//     segment is computed coherently under exactly one model.
 //   - Admission control. At most QueueSize graphs may wait for a slot;
 //     past that, Predict and PredictBatch fail fast with ErrOverloaded
 //     instead of letting latency collapse (the HTTP front end maps this
 //     to 429).
 //
 // A single predict and a one-segment batch are allocation-free in steady
-// state: scratches are reused across calls and results land in the
-// caller's buffers. The only per-request allocations a front end pays
+// state: pooled scratches are reused across calls and results land in
+// the caller's buffers. The only per-request allocations a front end pays
 // are its own (e.g. JSON decode). cmd/graphhd-serve is the HTTP front
 // end.
 package serve
@@ -82,7 +80,8 @@ type Options struct {
 	ModelName string
 	// TraceDepth is the flight-recorder capacity in per-batch trace
 	// records, rounded up to a power of two. Non-positive selects
-	// DefaultTraceDepth. Memory is fixed at 136 bytes per record.
+	// DefaultTraceDepth. Memory is fixed at 136 bytes per record. A
+	// Registry builds one ring of this depth for all of its engines.
 	TraceDepth int
 }
 
@@ -114,13 +113,6 @@ type Engine struct {
 	slots chan struct{}
 	depth atomic.Int64 // graphs admitted but not yet holding a slot
 
-	// idle is the stack of encoder scratches no segment holds, the one
-	// returned last on top; a slot holder pops one, or builds one when
-	// the stack is empty or the top belongs to another encoder, and
-	// pushes it back before it frees its slot. At most Workers deep.
-	idleMu sync.Mutex
-	idle   []*core.EncoderScratch
-
 	// mu orders admission against Close: admission joins calls under the
 	// read lock, Close sets closed under the write lock, so once Close
 	// waits on calls no call can join it.
@@ -132,7 +124,8 @@ type Engine struct {
 
 	// Stage clock + flight recorder: epoch is the engine's monotonic time
 	// base (all admission and segment stamps are nanos since it), rec
-	// retains the last TraceDepth per-batch trace records.
+	// retains the last TraceDepth per-batch trace records; a Registry's
+	// engines share its one ring.
 	epoch time.Time
 	rec   *flightRecorder
 }
@@ -141,8 +134,14 @@ type Engine struct {
 // engine was built (time.Since reads the monotonic clock).
 func (e *Engine) nanos() int64 { return int64(time.Since(e.epoch)) }
 
-// NewEngine builds an engine serving pred.
+// NewEngine builds an engine serving pred, with a flight recorder of its
+// own.
 func NewEngine(pred *core.Predictor, opts Options) (*Engine, error) {
+	return newEngine(pred, opts, newFlightRecorder(opts.TraceDepth))
+}
+
+// newEngine builds an engine that records its encode calls into rec.
+func newEngine(pred *core.Predictor, opts Options, rec *flightRecorder) (*Engine, error) {
 	if pred == nil {
 		return nil, errors.New("serve: nil predictor")
 	}
@@ -150,9 +149,8 @@ func NewEngine(pred *core.Predictor, opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:  opts,
 		slots: make(chan struct{}, opts.Workers),
-		idle:  make([]*core.EncoderScratch, 0, opts.Workers),
 		epoch: time.Now(),
-		rec:   newFlightRecorder(opts.TraceDepth),
+		rec:   rec,
 	}
 	for range opts.Workers {
 		e.slots <- struct{}{}
@@ -169,8 +167,8 @@ func (e *Engine) Predictor() *core.Predictor { return e.pred.Load() }
 func (e *Engine) Options() Options { return e.opts }
 
 // Swap atomically installs a new predictor. In-flight requests finish
-// under whichever model their segment loaded; none fail. A segment that
-// takes a scratch of the old encoder builds a new one, so a swap to a
+// under whichever model their segment loaded; none fail. Each segment
+// encodes through the encoder of the predictor it loaded, so a swap to a
 // model with a different dimension or configuration is safe.
 func (e *Engine) Swap(pred *core.Predictor) error {
 	if pred == nil {
@@ -278,25 +276,20 @@ func (e *Engine) admit(n int) (int64, error) {
 // run encodes one segment of at most MaxBatch graphs on the calling
 // goroutine. It waits for a slot — the stage clock's queue wait, counted
 // from enq, the instant the call was admitted — then encodes and
-// classifies the whole segment in one batch call under the model current
-// at that instant, and records the segment in the flight recorder. The
-// graphs count as processed before the slot goes back, so the graphs in
-// flight never exceed QueueSize + Workers·MaxBatch.
+// classifies the whole segment in one batch call, through a scratch from
+// the encoder pool of the model current at that instant, and records the
+// segment in the flight recorder. The graphs count as processed before
+// the slot goes back, so the graphs in flight never exceed
+// QueueSize + Workers·MaxBatch.
 func (e *Engine) run(graphs []*graph.Graph, out []int, enq int64) {
 	<-e.slots
 	start := e.nanos()
 	n := len(graphs)
 	e.depth.Add(-int64(n))
-	p := e.pred.Load()
-	s := e.popIdle()
-	if s == nil || s.Encoder() != p.Encoder() {
-		s = p.Encoder().NewScratch()
-	}
 	var tr core.BatchTrace
-	p.PredictBatchTraced(s, graphs, out, &tr)
+	e.pred.Load().PredictBatchTraced(graphs, out, &tr)
 	end := e.nanos()
 	e.m.processed.Add(uint64(n))
-	e.pushIdle(s)
 	e.slots <- struct{}{}
 
 	e.m.observeSegment(n, start-enq, &tr)
@@ -313,26 +306,6 @@ func (e *Engine) run(graphs []*graph.Graph, out []int, enq int64) {
 		Kernel:         hdc.ActiveKernel().String(),
 	}
 	e.rec.record(&rec)
-}
-
-// popIdle takes the idle scratch returned last, or nil when none is idle.
-func (e *Engine) popIdle() *core.EncoderScratch {
-	e.idleMu.Lock()
-	var s *core.EncoderScratch
-	if n := len(e.idle); n > 0 {
-		s = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-	}
-	e.idleMu.Unlock()
-	return s
-}
-
-// pushIdle puts s on top of the idle stack.
-func (e *Engine) pushIdle(s *core.EncoderScratch) {
-	e.idleMu.Lock()
-	e.idle = append(e.idle, s)
-	e.idleMu.Unlock()
 }
 
 // Close refuses every later call with ErrClosed and returns once every

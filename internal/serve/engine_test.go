@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,40 +179,62 @@ func waitDepth(t *testing.T, e *Engine, want int64) {
 	}
 }
 
-// TestEngineSequentialCallsReuseOneScratch: idle scratches are handed
-// out last in, first out, so one caller sending requests one after
-// another keeps reusing the scratch it returned and the engine builds
-// one scratch, not one per slot. A batch split over every slot builds
-// the rest, and the idle stack never holds more than Workers.
-func TestEngineSequentialCallsReuseOneScratch(t *testing.T) {
+// TestEngineFirstPredictTakesPooledScratch: an engine keeps no scratch
+// of its own. Once one engine of a Config has served, a second engine of
+// that Config serves its first predict through the scratch the first one
+// returned to their shared encoder's pool, with no heap allocation — at
+// GOMAXPROCS 1, so both run on the P whose pool holds it. Then both
+// engines serve at once from several goroutines, as the predictor does.
+func TestEngineFirstPredictTakesPooledScratch(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 4, MaxBatch: 4})
+	want := pred.PredictAll(ds.Graphs)
+	ctx := context.Background()
+	var engines [2]*Engine
+	for i := range engines {
+		e, err := NewEngine(pred, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		engines[i] = e
+	}
+
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs) // on a failure before the restore below
+	if _, err := engines[0].Predict(ctx, ds.Graphs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := engines[1].Predict(ctx, ds.Graphs[0])
+	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	ctx := context.Background()
-	for i := range 4 {
-		if _, err := e.Predict(ctx, ds.Graphs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if got != want[0] {
+		t.Fatalf("second engine's first predict: class %d, want %d", got, want[0])
 	}
-	if n := len(e.idle); n != 1 {
-		t.Fatalf("4 sequential predicts left %d scratches built, want 1", n)
+	// The race detector drops pool puts at random.
+	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled {
+		t.Fatalf("second engine's first predict made %d heap allocations, want 0", n)
 	}
-	first := e.idle[0]
-	if _, err := e.Predict(ctx, ds.Graphs[4]); err != nil {
-		t.Fatal(err)
+
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := engines[c%2]
+			for i := c; i < len(ds.Graphs); i += 4 {
+				if got, err := e.Predict(ctx, ds.Graphs[i]); err != nil || got != want[i] {
+					t.Errorf("engine %d, graph %d: class %d (%v), want %d", c%2, i, got, err, want[i])
+					return
+				}
+			}
+		}()
 	}
-	if len(e.idle) != 1 || e.idle[0] != first {
-		t.Fatal("a later sequential predict did not reuse the scratch returned last")
-	}
-	if _, err := e.PredictBatch(ctx, ds.Graphs); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(e.idle); n < 1 || n > 4 {
-		t.Fatalf("%d idle scratches after a batch over 4 slots, want 1 to 4", n)
-	}
+	wg.Wait()
 }
 
 // TestEngineBackpressure holds every encode slot, fills the admission

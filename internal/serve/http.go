@@ -31,7 +31,7 @@ import (
 //	GET  /v1/models         registry table: every resident model
 //	GET  /healthz           liveness probe (+ resident-model summary)
 //	GET  /metrics           Prometheus text exposition, {model} labeled
-//	GET  /debug/traces      flight recorder, merged across models
+//	GET  /debug/traces      flight recorder: one ring for every model
 //	POST /admin/reload      hot-reload every file-backed model
 //	POST /admin/models      {"action": "load"|"evict"|"reload", "name": ..., "path": ...}
 //
@@ -429,7 +429,7 @@ func (h *handler) feedback(w http.ResponseWriter, r *http.Request, model string)
 		writeError(w, http.StatusBadRequest, errors.New("serve: feedback needs a graph and label (or samples)"))
 		return
 	}
-	pred := m.pred.Load()
+	pred := m.eng.Predictor()
 	graphs := make([]*graph.Graph, len(samples))
 	labels := make([]int, len(samples))
 	for i, s := range samples {
@@ -473,13 +473,14 @@ func (h *handler) model(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reg := h.rt.Registry()
-	p := m.pred.Load()
+	p := m.eng.Predictor()
+	reloads := m.eng.Reloads()
 	cfg := p.Encoder().Config()
 	ks := hdc.Kernels()
 	bi := Build()
 	info := ModelInfo{
 		Model:              m.name,
-		Version:            m.version.Load(),
+		Version:            reloads + 1,
 		Dimension:          cfg.Dimension,
 		Classes:            p.NumClasses(),
 		MemoryBytes:        p.MemoryBytes(),
@@ -487,7 +488,7 @@ func (h *handler) model(w http.ResponseWriter, r *http.Request) {
 		PageRankIterations: cfg.PageRankIterations,
 		Seed:               cfg.Seed,
 		UseVertexLabels:    cfg.UseVertexLabels,
-		Reloads:            m.version.Load() - 1,
+		Reloads:            reloads,
 		KernelTier:         ks.Active.String(),
 		CPUFeatures:        ks.CPUFeatures,
 		GoVersion:          bi.GoVersion,
@@ -531,9 +532,10 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // TracesResponse is the body of GET /debug/traces: the per-batch trace
-// records retained across every model's flight recorder, newest first.
+// records of every model retained in the registry's flight recorder,
+// newest first.
 type TracesResponse struct {
-	Depth  int           `json:"depth"` // summed ring capacity in records
+	Depth  int           `json:"depth"` // ring capacity in records
 	Traces []TraceRecord `json:"traces"`
 }
 
@@ -631,7 +633,7 @@ type RuntimeStats struct {
 //
 //	/debug/pprof/*   net/http/pprof profiles (CPU, heap, goroutine, ...)
 //	/debug/vars      expvar (cmdline, memstats)
-//	/debug/traces    the merged flight recorders (same payload as the API)
+//	/debug/traces    the registry's flight recorder (same payload as the API)
 //	/debug/runtime   RuntimeStats JSON
 //	/metrics         Prometheus exposition (so the debug port is scrapable)
 //

@@ -702,8 +702,6 @@ func registryWithEngine(t *testing.T, name string, pred *core.Predictor, e *Engi
 	t.Helper()
 	reg := NewRegistry(RegistryOptions{})
 	m := &regModel{name: name, bytes: int64(pred.MemoryBytes()), eng: e}
-	m.pred.Store(pred)
-	m.version.Store(1)
 	reg.mu.Lock()
 	reg.publish(func(tbl map[string]*regModel) { tbl[name] = m })
 	reg.bytes.Add(m.bytes)

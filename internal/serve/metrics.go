@@ -364,15 +364,15 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 		}
 	}
 	modelGauge("graphhd_model_classes", "Classes in the installed model.",
-		func(m *regModel) int64 { return int64(m.pred.Load().NumClasses()) })
+		func(m *regModel) int64 { return int64(m.eng.Predictor().NumClasses()) })
 	modelGauge("graphhd_model_memory_bytes", "Packed class-vector bytes of the installed model.",
-		func(m *regModel) int64 { return int64(m.pred.Load().MemoryBytes()) })
+		func(m *regModel) int64 { return int64(m.eng.Predictor().MemoryBytes()) })
 	modelGauge("graphhd_model_dimension", "Hypervector dimensionality of the installed model.",
-		func(m *regModel) int64 { return int64(m.pred.Load().Dimension()) })
+		func(m *regModel) int64 { return int64(m.eng.Predictor().Dimension()) })
 	modelGauge("graphhd_model_version", "Registry version of the installed model (bumps on every swap).",
-		func(m *regModel) int64 { return int64(m.version.Load()) })
+		func(m *regModel) int64 { return int64(m.eng.Reloads() + 1) })
 	modelGauge("graphhd_model_revision", "Online-update revision stamped into the serving predictor.",
-		func(m *regModel) int64 { return int64(m.pred.Load().Revision()) })
+		func(m *regModel) int64 { return int64(m.eng.Predictor().Revision()) })
 
 	// Online-learning families, one series per model with a trainer
 	// attached. Snapshot first (name order follows names) so each family

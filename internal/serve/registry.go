@@ -21,6 +21,10 @@ package serve
 //
 // Mutations (load, evict, swap, reload) serialize on one mutex; evicted
 // models drain outside it so a slow shutdown never blocks the table.
+//
+// The registry keeps one flight recorder, RegistryOptions.Engine.TraceDepth
+// records deep, and every engine it builds records into it, so
+// GET /debug/traces reads one ring however many models are resident.
 
 import (
 	"errors"
@@ -50,7 +54,8 @@ var (
 // selects its default.
 type RegistryOptions struct {
 	// Engine is the per-model engine configuration template; ModelName
-	// is overwritten per model.
+	// is overwritten per model. TraceDepth sizes the registry's one
+	// flight recorder, which every model's engine shares.
 	Engine Options
 	// MaxResidentBytes bounds the summed packed footprint of resident
 	// models. A Load past the bound evicts least-recently-used models
@@ -60,13 +65,12 @@ type RegistryOptions struct {
 }
 
 // regModel is one resident named model. bytes and path are guarded by
-// Registry.mu; pred, version, and lastUsed are atomics read lock-free on
-// the request path.
+// Registry.mu; lastUsed is an atomic read lock-free on the request path.
+// The serving predictor is eng.Predictor(), and the model's version is
+// eng.Reloads()+1: 1 on load, +1 per swap.
 type regModel struct {
 	name     string
-	pred     atomic.Pointer[core.Predictor]
-	version  atomic.Uint64 // 1 on load, +1 per swap
-	lastUsed atomic.Int64  // registry-epoch nanos of the last lookup
+	lastUsed atomic.Int64 // registry-epoch nanos of the last lookup
 	bytes    int64
 	path     string // artifact path for Reload; "" if loaded in-memory
 	eng      *Engine
@@ -90,6 +94,7 @@ func (m *regModel) closeEngines() {
 type Registry struct {
 	opts  RegistryOptions
 	epoch time.Time
+	rec   *flightRecorder // every engine's trace records
 
 	// models is the copy-on-write lookup table: readers load the pointer,
 	// writers build a fresh map under mu and publish it atomically.
@@ -104,7 +109,7 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(opts RegistryOptions) *Registry {
-	r := &Registry{opts: opts, epoch: time.Now()}
+	r := &Registry{opts: opts, epoch: time.Now(), rec: newFlightRecorder(opts.Engine.TraceDepth)}
 	m := map[string]*regModel{}
 	r.models.Store(&m)
 	return r
@@ -208,13 +213,11 @@ func (r *Registry) install(name string, pred *core.Predictor, path string) error
 	victims = r.evictForLocked(bytes, name)
 	eo := r.opts.Engine
 	eo.ModelName = name
-	eng, err := NewEngine(pred, eo)
+	eng, err := newEngine(pred, eo, r.rec)
 	if err != nil {
 		return err
 	}
 	m := &regModel{name: name, bytes: bytes, path: path, eng: eng}
-	m.pred.Store(pred)
-	m.version.Store(1)
 	m.lastUsed.Store(r.nanos())
 	r.publish(func(t map[string]*regModel) { t[name] = m })
 	r.bytes.Add(bytes)
@@ -224,6 +227,14 @@ func (r *Registry) install(name string, pred *core.Predictor, path string) error
 // Swap installs a new predictor for name through its engine's
 // atomic-pointer swap, so in-flight requests never fail.
 func (r *Registry) Swap(name string, pred *core.Predictor) error {
+	return r.swap(name, nil, pred, "")
+}
+
+// swap is Swap, recording a non-empty path as the model's artifact. A
+// non-nil was is the model Reload read the path of: when name no longer
+// names it, because it was evicted while the file was read, nothing is
+// swapped and the model stays evicted.
+func (r *Registry) swap(name string, was *regModel, pred *core.Predictor, path string) error {
 	if pred == nil {
 		return errors.New("serve: swap to nil predictor")
 	}
@@ -244,10 +255,10 @@ func (r *Registry) Swap(name string, pred *core.Predictor) error {
 		return ErrRegistryClosed
 	}
 	m, ok := (*r.models.Load())[name]
-	if !ok {
+	if !ok || was != nil && m != was {
 		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	victims = r.swapLocked(m, pred, "")
+	victims = r.swapLocked(m, pred, path)
 	return nil
 }
 
@@ -260,8 +271,6 @@ func (r *Registry) swapLocked(m *regModel, pred *core.Predictor, path string) []
 		victims = r.evictForLocked(grow, m.name)
 	}
 	m.eng.Swap(pred)
-	m.pred.Store(pred)
-	m.version.Add(1)
 	r.bytes.Add(bytes - m.bytes)
 	m.bytes = bytes
 	if path != "" {
@@ -320,7 +329,8 @@ func (r *Registry) Evict(name string) error {
 }
 
 // Reload re-reads name's remembered artifact path and swaps the result
-// in. Models loaded in-memory (no path) return an error.
+// in. Models loaded in-memory (no path) return an error, and a model
+// evicted while its artifact was read returns ErrModelNotFound.
 func (r *Registry) Reload(name string) error {
 	r.mu.Lock()
 	m, ok := (*r.models.Load())[name]
@@ -338,7 +348,7 @@ func (r *Registry) Reload(name string) error {
 	if err != nil {
 		return err
 	}
-	return r.install(name, pred, path)
+	return r.swap(name, m, pred, path)
 }
 
 // ReloadAll reloads every model that has an artifact path — the SIGHUP
@@ -419,14 +429,15 @@ func (r *Registry) Status() RegistryStatus {
 		Evictions:  r.evictions.Load(),
 	}
 	for _, m := range table {
-		p := m.pred.Load()
+		p := m.eng.Predictor()
+		reloads := m.eng.Reloads()
 		// processed before accepted, as in Engine.Metrics, so InFlight
 		// cannot go negative.
 		processed := m.eng.m.processed.Load()
 		accepted := m.eng.m.accepted.Load()
 		st.Models = append(st.Models, ModelStatus{
 			Name:        m.name,
-			Version:     m.version.Load(),
+			Version:     reloads + 1,
 			Dimension:   p.Dimension(),
 			Classes:     p.NumClasses(),
 			PackedBytes: m.bytes,
@@ -435,32 +446,19 @@ func (r *Registry) Status() RegistryStatus {
 			InFlight:    accepted - processed,
 			Accepted:    accepted,
 			Processed:   processed,
-			Reloads:     m.eng.Reloads(),
+			Reloads:     reloads,
 		})
 	}
 	sort.Slice(st.Models, func(i, j int) bool { return st.Models[i].Name < st.Models[j].Name })
 	return st
 }
 
-// Traces merges the flight-recorder snapshots of every resident model's
-// engine, newest first.
-func (r *Registry) Traces() []TraceRecord {
-	var out []TraceRecord
-	for _, m := range *r.models.Load() {
-		out = append(out, m.eng.Traces()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
-	return out
-}
+// Traces snapshots the registry's flight recorder, which every model's
+// engine writes: the retained trace records, newest ticket first.
+func (r *Registry) Traces() []TraceRecord { return r.rec.snapshot() }
 
-// TraceDepth sums the flight-recorder capacities across models.
-func (r *Registry) TraceDepth() int {
-	n := 0
-	for _, m := range *r.models.Load() {
-		n += m.eng.TraceDepth()
-	}
-	return n
-}
+// TraceDepth returns the flight recorder's capacity in records.
+func (r *Registry) TraceDepth() int { return r.rec.depth() }
 
 // Close evicts every model and drains its engine. The registry rejects
 // all mutations afterwards. Close is idempotent.

@@ -126,7 +126,7 @@ func TestRegistryErrorSurface(t *testing.T) {
 	if err := reg.Swap("m", big); !errors.Is(err, ErrModelTooLarge) {
 		t.Fatalf("oversized swap: %v, want ErrModelTooLarge", err)
 	}
-	if v, _ := reg.model("m"); v.version.Load() != 1 {
+	if v := reg.Status().Models[0].Version; v != 1 {
 		t.Fatal("refused swap bumped the version")
 	}
 
@@ -191,7 +191,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 // TestRegistryRollingSwap walks a model through swaps and checks the
 // version, the engine's reload counter and status row, and that the
 // engine serves the new predictor afterwards — including a dimension
-// change, which forces worker scratch re-binding.
+// change, whose segments encode through another encoder.
 func TestRegistryRollingSwap(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 2)
@@ -205,7 +205,7 @@ func TestRegistryRollingSwap(t *testing.T) {
 	if err := reg.Swap("m", predB); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.version.Load(); got != 2 {
+	if got := reg.Status().Models[0].Version; got != 2 {
 		t.Fatalf("version = %d after swap, want 2", got)
 	}
 	if m.eng.Predictor() != predB {
@@ -236,7 +236,7 @@ func TestRegistryRollingSwap(t *testing.T) {
 	if err := reg.Load("m", predA); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.version.Load(); got != 3 {
+	if got := reg.Status().Models[0].Version; got != 3 {
 		t.Fatalf("version = %d after replacing load, want 3", got)
 	}
 	if m2, _ := reg.model("m"); m2 != m {
@@ -322,9 +322,9 @@ func heapArtifact(t *testing.T, name string, count int, seed uint64, path string
 // TestRegistryHeapPerModel measures what a resident model costs in live
 // heap: 40 models of one Config loaded from one artifact with LoadFile,
 // each served one routed predict on the dataset's largest graph. The
-// models share one encoder, so its basis slab, grown to that graph, is
-// paid once, not per model. Each model still holds its engine (flight
-// recorder included) and the scratch its one predict built.
+// models share one encoder, so its basis slab, grown to that graph, and
+// its pool of scratches are paid once, not per model, as is the
+// registry's one flight recorder. Each model holds its engine alone.
 func TestRegistryHeapPerModel(t *testing.T) {
 	const models = 40
 	for _, tc := range []struct {
@@ -333,8 +333,8 @@ func TestRegistryHeapPerModel(t *testing.T) {
 		seed   uint64 // a Config no other test uses, so its encoder starts unbuilt
 		maxKiB float64
 	}{
-		{"MUTAG", 188, 0x4d55_5441, 80},
-		{"DD", 40, 0x4444, 200},
+		{"MUTAG", 188, 0x4d55_5441, 12},
+		{"DD", 40, 0x4444, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "m.ghdp")

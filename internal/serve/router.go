@@ -101,7 +101,7 @@ func (rt *Router) Predictor(model string) (*core.Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.pred.Load(), nil
+	return m.eng.Predictor(), nil
 }
 
 // tenant interns the tenant's admission state ("" → DefaultTenant).

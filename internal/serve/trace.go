@@ -16,7 +16,8 @@ import (
 //
 // Memory is strictly bounded: depth ring slots of 136 B (a TraceRecord
 // with its lock and ticket), 34 KiB at the default depth of 256,
-// allocated once at engine construction and never grown. Writers never
+// allocated once and never grown. A Registry keeps one ring for all of
+// its engines, a standalone engine one of its own. Writers never
 // allocate.
 
 // DefaultTraceDepth is the flight-recorder capacity when
@@ -133,7 +134,8 @@ func (r *flightRecorder) snapshot() []TraceRecord {
 }
 
 // Traces returns the flight recorder's retained per-batch trace
-// records, newest first — the payload of GET /debug/traces.
+// records, newest first. An engine a Registry built records into the
+// registry's ring, so its Traces hold every resident model's records.
 func (e *Engine) Traces() []TraceRecord {
 	return e.rec.snapshot()
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphhd/internal/core"
 	"graphhd/internal/graph"
 )
 
@@ -196,6 +197,49 @@ func TestEngineTraces(t *testing.T) {
 	}
 	if m.QueueWait.Sum < 0 {
 		t.Fatalf("queue wait sum negative: %v", m.QueueWait.Sum)
+	}
+}
+
+// TestRegistryTraceRing: a registry keeps one flight recorder for all
+// of its engines. Two models at TraceDepth 64, served at once, share one
+// 64-record ring, whose snapshot holds both models' records under one
+// ticket sequence, newest first.
+func TestRegistryTraceRing(t *testing.T) {
+	predA, ds := testModel(t, 1024, 1)
+	predB, _ := testModel(t, 512, 2)
+	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, TraceDepth: 64}})
+	defer reg.Close()
+	rt := NewRouter(reg, RouterOptions{})
+	var wg sync.WaitGroup
+	for name, pred := range map[string]*core.Predictor{"a": predA, "b": predB} {
+		if err := reg.Load(name, pred); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, g := range ds.Graphs[:4] {
+				if _, err := rt.Predict(context.Background(), DefaultTenant, name, g); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.TraceDepth(); got != 64 {
+		t.Fatalf("TraceDepth = %d, want 64", got)
+	}
+	traces := reg.Traces()
+	perModel := map[string]int{}
+	for i, tr := range traces {
+		perModel[tr.Model]++
+		if i > 0 && tr.Seq >= traces[i-1].Seq {
+			t.Fatalf("record %d has seq %d after seq %d, want strictly decreasing", i, tr.Seq, traces[i-1].Seq)
+		}
+	}
+	if perModel["a"] != 4 || perModel["b"] != 4 || len(traces) != 8 {
+		t.Fatalf("records per model %v in %d records, want 4 of a and 4 of b", perModel, len(traces))
 	}
 }
 

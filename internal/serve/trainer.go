@@ -181,7 +181,7 @@ func (r *Registry) AttachTrainer(name string, model *core.Model, opts TrainerOpt
 	if m.trainer.Load() != nil {
 		return nil, fmt.Errorf("%w: %q", ErrTrainerExists, name)
 	}
-	if k := m.pred.Load().NumClasses(); model.NumClasses() != k {
+	if k := m.eng.Predictor().NumClasses(); model.NumClasses() != k {
 		return nil, fmt.Errorf("serve: trainer model has %d classes, serving model %q has %d",
 			model.NumClasses(), name, k)
 	}
@@ -321,7 +321,7 @@ func (tr *Trainer) validateCandidate() {
 	if !ok {
 		return // evicted under us; Close follows
 	}
-	primary := m.pred.Load()
+	primary := m.eng.Predictor()
 	candidate := tr.model.Snapshot()
 	tr.snapshots.Add(1)
 
@@ -417,7 +417,7 @@ func (tr *Trainer) Status() TrainerStatus {
 		Rollbacks:  tr.rolledX.Load(),
 	}
 	if m, ok := tr.reg.model(tr.name); ok {
-		st.ServingRevision = m.pred.Load().Revision()
+		st.ServingRevision = m.eng.Predictor().Revision()
 	}
 	tr.mu.Lock()
 	st.LastOutcome = tr.lastOutcome
