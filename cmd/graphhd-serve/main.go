@@ -2,8 +2,10 @@
 // GraphHD model artifacts (any record version, see cmd/graphhd -save /
 // -save-packed) into a multi-tenant model registry and serves
 // classifications over HTTP through a router that admits requests onto
-// one engine per model (internal/serve). An engine encodes each request on
-// the goroutine that serves it, under one of -workers encode slots.
+// the resident models (internal/serve). A resident model is one engine,
+// which the registry builds when it loads the artifact; it encodes each
+// request on the goroutine that serves it, under one of its -workers
+// encode slots.
 //
 // Usage:
 //
@@ -191,12 +193,10 @@ func main() {
 		os.Exit(2)
 	}
 	registry := serve.NewRegistry(serve.RegistryOptions{
-		Engine: serve.Options{
-			Workers:    *workers,
-			MaxBatch:   *maxBatch,
-			QueueSize:  *queueSize,
-			TraceDepth: *traceDepth,
-		},
+		Workers:          *workers,
+		MaxBatch:         *maxBatch,
+		QueueSize:        *queueSize,
+		TraceDepth:       *traceDepth,
 		MaxResidentBytes: *maxResident,
 	})
 	defer registry.Close()

@@ -118,8 +118,8 @@ func inspectModel(path string) {
 
 // inspectTraces fetches a running server's flight recorder
 // (GET /debug/traces) and prints the retained per-batch records as a
-// table, newest first: where each batch's microseconds went
-// (queue/plan/encode/classify) and its size in graphs.
+// table, newest first: the model that served each batch, where its
+// microseconds went (queue/plan/encode/classify) and its size in graphs.
 func inspectTraces(base string) {
 	url := strings.TrimRight(base, "/") + "/debug/traces"
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -144,12 +144,12 @@ func inspectTraces(base string) {
 		return
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	fmt.Printf("%8s %-15s %6s %9s %8s %8s %9s %9s %s\n",
-		"seq", "time", "graphs", "queue_us", "plan_us",
+	fmt.Printf("%8s %-15s %-16s %6s %9s %8s %8s %9s %9s %s\n",
+		"seq", "time", "model", "graphs", "queue_us", "plan_us",
 		"enc_us", "class_us", "total_us", "kern")
 	for _, r := range tr.Traces {
-		fmt.Printf("%8d %-15s %6d %9.1f %8.1f %8.1f %9.1f %9.1f %s\n",
-			r.Seq, r.Time.Format("15:04:05.000"), r.BatchSize,
+		fmt.Printf("%8d %-15s %-16s %6d %9.1f %8.1f %8.1f %9.1f %9.1f %s\n",
+			r.Seq, r.Time.Format("15:04:05.000"), r.Model, r.BatchSize,
 			us(r.QueueWaitNanos), us(r.PlanNanos),
 			us(r.EncodeNanos), us(r.ClassifyNanos),
 			us(r.TotalNanos), r.Kernel)

@@ -27,12 +27,7 @@ func BenchmarkServePredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	_, e := testEngine(b, m.Snapshot(), RegistryOptions{Workers: 2, MaxBatch: 16})
 	g := ds.Graphs[0]
 	ctx := context.Background()
 	if _, err := e.Predict(ctx, g); err != nil { // warm scratches and pools
@@ -57,12 +52,7 @@ func BenchmarkServePredictParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{MaxBatch: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	_, e := testEngine(b, m.Snapshot(), RegistryOptions{MaxBatch: 64})
 	ctx := context.Background()
 	if _, err := e.Predict(ctx, ds.Graphs[0]); err != nil {
 		b.Fatal(err)
@@ -99,11 +89,7 @@ func BenchmarkServePredictOversubscribed(b *testing.B) {
 		workers int
 	}{{"default-slots", 0}, {"one-slot", 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			e, err := NewEngine(pred, Options{Workers: c.workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
+			_, e := testEngine(b, pred, RegistryOptions{Workers: c.workers})
 			ctx := context.Background()
 			if _, err := e.Predict(ctx, ds.Graphs[0]); err != nil {
 				b.Fatal(err)
@@ -139,7 +125,7 @@ func BenchmarkHTTPPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 16}})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 16})
 	if err := reg.Load("default", m.Snapshot()); err != nil {
 		b.Fatal(err)
 	}
@@ -172,12 +158,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := m.Snapshot()
-	e, err := NewEngine(pred, Options{MaxBatch: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	_, e := testEngine(b, m.Snapshot(), RegistryOptions{MaxBatch: 64})
 	ctx := context.Background()
 	graphs := ds.Graphs[:32]
 	out := make([]int, len(graphs))
@@ -219,7 +200,7 @@ func BenchmarkRouterPredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := m.Snapshot()
-	reg := NewRegistry(RegistryOptions{Engine: Options{MaxBatch: 64}})
+	reg := NewRegistry(RegistryOptions{MaxBatch: 64})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		b.Fatal(err)

@@ -28,6 +28,30 @@ func testModel(t testing.TB, dim int, seed uint64) (*core.Predictor, *graph.Data
 	return m.Snapshot(), ds
 }
 
+// testEngine loads pred as the model "default" of a new registry built
+// with opts, closed when the test ends, and returns the registry and the
+// model's engine.
+func testEngine(t testing.TB, pred *core.Predictor, opts RegistryOptions) (*Registry, *Engine) {
+	t.Helper()
+	reg := NewRegistry(opts)
+	t.Cleanup(reg.Close)
+	if err := reg.Load("default", pred); err != nil {
+		t.Fatal(err)
+	}
+	return reg, modelEngine(t, reg, "default")
+}
+
+// modelEngine returns the engine of the resident model name: the one way
+// a test reaches an engine, which only Registry.Load and LoadFile build.
+func modelEngine(t testing.TB, reg *Registry, name string) *Engine {
+	t.Helper()
+	e, ok := reg.model(name)
+	if !ok {
+		t.Fatalf("model %q not resident", name)
+	}
+	return e
+}
+
 // TestEnginePredictMatchesOffline is the end-to-end equivalence
 // guarantee: classifications served through the engine — one at a time
 // and batched, across several segments — are bit-identical to
@@ -38,10 +62,7 @@ func TestEnginePredictMatchesOffline(t *testing.T) {
 	want := pred.PredictAll(ds.Graphs)
 
 	for _, workers := range []int{1, 4} {
-		e, err := NewEngine(pred, Options{Workers: workers, MaxBatch: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		reg, e := testEngine(t, pred, RegistryOptions{Workers: workers, MaxBatch: 8})
 		for i, g := range ds.Graphs {
 			got, err := e.Predict(context.Background(), g)
 			if err != nil {
@@ -51,8 +72,8 @@ func TestEnginePredictMatchesOffline(t *testing.T) {
 				t.Fatalf("workers %d, graph %d: served class %d, offline class %d", workers, i, got, want[i])
 			}
 		}
-		got, err := e.PredictBatch(context.Background(), ds.Graphs)
-		if err != nil {
+		got := make([]int, len(ds.Graphs))
+		if err := e.PredictBatchInto(context.Background(), ds.Graphs, got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -63,7 +84,7 @@ func TestEnginePredictMatchesOffline(t *testing.T) {
 		if m := e.Metrics(); m.BatchSize.Count != uint64(len(ds.Graphs)+(len(ds.Graphs)+7)/8) {
 			t.Fatalf("workers %d: %d encode calls, want %d singles and %d segments", workers, m.BatchSize.Count, len(ds.Graphs), (len(ds.Graphs)+7)/8)
 		}
-		e.Close()
+		reg.Close()
 	}
 }
 
@@ -78,11 +99,7 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 	wantA := predA.PredictAll(ds.Graphs)
 	wantB := predB.PredictAll(ds.Graphs)
 
-	e, err := NewEngine(predA, Options{Workers: 4, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	reg, e := testEngine(t, predA, RegistryOptions{Workers: 4, MaxBatch: 4})
 
 	const clients = 8
 	const perClient = 60
@@ -99,10 +116,13 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 				return
 			default:
 			}
+			next := predB
 			if cur {
-				e.Swap(predA)
-			} else {
-				e.Swap(predB)
+				next = predA
+			}
+			if err := reg.Swap("default", next); err != nil {
+				t.Errorf("swap: %v", err)
+				return
 			}
 			cur = !cur
 			time.Sleep(100 * time.Microsecond)
@@ -153,13 +173,13 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 // function gives the slots back; calls after the first do nothing, so a
 // test can defer it and still release early.
 func holdSlots(e *Engine) (release func()) {
-	for range e.opts.Workers {
+	for range e.reg.opts.Workers {
 		<-e.slots
 	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			for range e.opts.Workers {
+			for range e.reg.opts.Workers {
 				e.slots <- struct{}{}
 			}
 		})
@@ -180,7 +200,7 @@ func waitDepth(t *testing.T, e *Engine, want int64) {
 }
 
 // TestEngineFirstPredictTakesPooledScratch: an engine keeps no scratch
-// of its own. Once one engine of a Config has served, a second engine of
+// of its own. Once one model of a Config has served, a second model of
 // that Config serves its first predict through the scratch the first one
 // returned to their shared encoder's pool, with no heap allocation — at
 // GOMAXPROCS 1, so both run on the P whose pool holds it. Then both
@@ -189,15 +209,11 @@ func TestEngineFirstPredictTakesPooledScratch(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
 	want := pred.PredictAll(ds.Graphs)
 	ctx := context.Background()
-	var engines [2]*Engine
-	for i := range engines {
-		e, err := NewEngine(pred, Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		engines[i] = e
+	reg, first := testEngine(t, pred, RegistryOptions{Workers: 2})
+	if err := reg.Load("second", pred); err != nil {
+		t.Fatal(err)
 	}
+	engines := [2]*Engine{first, modelEngine(t, reg, "second")}
 
 	procs := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(procs) // on a failure before the restore below
@@ -243,13 +259,9 @@ func TestEngineFirstPredictTakesPooledScratch(t *testing.T) {
 // admitted request completes.
 func TestEngineBackpressure(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 4, QueueSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	_, e := testEngine(t, pred, RegistryOptions{Workers: 2, MaxBatch: 4, QueueSize: 2})
 	release := holdSlots(e)
-	defer release() // runs before Close if the test fails early
+	defer release() // runs before the registry closes if the test fails early
 
 	type res struct {
 		i, class int
@@ -298,20 +310,16 @@ func TestEngineBackpressure(t *testing.T) {
 // behind.
 func TestEngineBatchAdmissionIsAtomic(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 1, QueueSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:5]); !errors.Is(err, ErrOverloaded) {
+	_, e := testEngine(t, pred, RegistryOptions{Workers: 1, QueueSize: 4})
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:5], make([]int, 5)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("oversized batch: got %v, want ErrOverloaded", err)
 	}
 	if d := e.Metrics().QueueDepth; d != 0 {
 		t.Fatalf("rejected batch left queue depth %d", d)
 	}
 	// A batch exactly at the bound is fine.
-	got, err := e.PredictBatch(context.Background(), ds.Graphs[:4])
-	if err != nil {
+	got := make([]int, 4)
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:4], got); err != nil {
 		t.Fatal(err)
 	}
 	want := pred.PredictAll(ds.Graphs[:4])
@@ -322,41 +330,40 @@ func TestEngineBatchAdmissionIsAtomic(t *testing.T) {
 	}
 }
 
+// TestEngineCloseRejectsNewRequests: the engine of an evicted model
+// refuses every call a request that looked the model up before the
+// eviction still makes.
 func TestEngineCloseRejectsNewRequests(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 1, QueueSize: 4})
-	if err != nil {
+	reg, e := testEngine(t, pred, RegistryOptions{Workers: 1, QueueSize: 4})
+	if err := reg.Evict("default"); err != nil {
 		t.Fatal(err)
 	}
-	e.Close()
 	if _, err := e.Predict(context.Background(), ds.Graphs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close: got %v, want ErrClosed", err)
 	}
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:2]); !errors.Is(err, ErrClosed) {
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:2], make([]int, 2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close (batch): got %v, want ErrClosed", err)
 	}
 	// Closed is checked before size: a batch past QueueSize is refused as
 	// closed (503), not as overload (429), and counts no rejection.
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:5]); !errors.Is(err, ErrClosed) {
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:5], make([]int, 5)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close (oversized batch): got %v, want ErrClosed", err)
 	}
 	if m := e.Metrics(); m.Rejected != 0 {
 		t.Fatalf("closed engine counted %d rejections, want 0", m.Rejected)
 	}
-	e.Close() // idempotent
+	e.close() // idempotent
 }
 
-// TestEngineCloseWaitsForInFlight: Close returns only after an admitted
+// TestEngineCloseWaitsForInFlight: Evict returns only after an admitted
 // call — waiting for, then holding, the engine's only slot — completes;
-// that call succeeds; and calls after Close fail at once with ErrClosed,
-// even with every slot held.
+// that call succeeds; and calls after the eviction fail at once with
+// ErrClosed, even with every slot held.
 func TestEngineCloseWaitsForInFlight(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
 	want := pred.PredictAll(ds.Graphs[:1])[0]
-	e, err := NewEngine(pred, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg, e := testEngine(t, pred, RegistryOptions{Workers: 1})
 	release := holdSlots(e)
 	defer release()
 
@@ -373,19 +380,21 @@ func TestEngineCloseWaitsForInFlight(t *testing.T) {
 
 	closed := make(chan struct{})
 	go func() {
-		e.Close()
+		if err := reg.Evict("default"); err != nil {
+			t.Error(err)
+		}
 		close(closed)
 	}()
 	select {
 	case <-closed:
-		t.Fatal("Close returned while an admitted call was still waiting for its slot")
+		t.Fatal("Evict returned while an admitted call was still waiting for its slot")
 	case <-time.After(50 * time.Millisecond):
 	}
 
 	release()
 	r := <-inflight
 	if r.err != nil {
-		t.Fatalf("in-flight call failed across Close: %v", r.err)
+		t.Fatalf("in-flight call failed across Evict: %v", r.err)
 	}
 	if r.class != want {
 		t.Fatalf("in-flight call: class %d, want %d", r.class, want)
@@ -393,7 +402,7 @@ func TestEngineCloseWaitsForInFlight(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the in-flight call completed")
+		t.Fatal("Evict did not return after the in-flight call completed")
 	}
 	if m := e.Metrics(); m.AcceptedGraphs != 1 || m.Processed != 1 || m.Requests != 1 {
 		t.Fatalf("accepted %d, processed %d, requests %d, want 1 each", m.AcceptedGraphs, m.Processed, m.Requests)
@@ -412,27 +421,20 @@ func TestEngineCloseWaitsForInFlight(t *testing.T) {
 		select {
 		case err := <-refused:
 			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("call %d after Close: got %v, want ErrClosed", i, err)
+				t.Fatalf("call %d after Evict: got %v, want ErrClosed", i, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("call %d after Close blocked instead of failing", i)
+			t.Fatalf("call %d after Evict blocked instead of failing", i)
 		}
 	}
 }
 
+// TestEngineArgumentErrors covers the call arguments an engine checks;
+// a nil predictor never reaches one (TestRegistryLoadEvictList and
+// TestRegistryErrorSurface cover Load and Swap refusing it).
 func TestEngineArgumentErrors(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	if _, err := NewEngine(nil, Options{}); err == nil {
-		t.Fatal("nil predictor accepted")
-	}
-	e, err := NewEngine(pred, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Swap(nil); err == nil {
-		t.Fatal("nil swap accepted")
-	}
+	_, e := testEngine(t, pred, RegistryOptions{Workers: 1})
 	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:2], make([]int, 1)); err == nil {
 		t.Fatal("mismatched out length accepted")
 	}
@@ -450,16 +452,12 @@ func TestEngineArgumentErrors(t *testing.T) {
 // the snapshot arithmetic and the Prometheus rendering.
 func TestEngineMetrics(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	_, e := testEngine(t, pred, RegistryOptions{Workers: 2, MaxBatch: 8})
 
 	if _, err := e.Predict(context.Background(), ds.Graphs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs[:10]); err != nil {
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs[:10], make([]int, 10)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -501,20 +499,10 @@ func TestServePredictAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
-	pred, ds := testModel(t, 2048, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 	// The router must add nothing to the engine's zero, also in front of
 	// a model with an (idle) online trainer attached.
-	m, _ := trainableModel(t, 2048, false)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
-	defer reg.Close()
-	if err := reg.Load("default", m.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	m, ds := trainableModel(t, 2048, false)
+	reg, e := testEngine(t, m.Snapshot(), RegistryOptions{Workers: 2, MaxBatch: 8})
 	if _, err := reg.AttachTrainer("default", m, TrainerOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestHTTPFeedbackHardening(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mixed batch: status %d, want 400", resp.StatusCode)
 	}
-	tr, _ := rt.reg.Trainer("default")
+	tr := modelEngine(t, rt.reg, "default").trainer.Load()
 	if got := tr.ingested.Load(); got != 0 {
 		t.Fatalf("rejected batch must not half-apply: %d samples ingested", got)
 	}
@@ -160,11 +160,7 @@ func TestHTTPFeedbackBufferFull(t *testing.T) {
 		buf:   make(chan feedbackSample, 1),
 		stop:  make(chan struct{}),
 	}
-	regm, ok := rt.reg.model("default")
-	if !ok {
-		t.Fatal("default model not resident")
-	}
-	regm.trainer.Store(tr)
+	modelEngine(t, rt.reg, "default").trainer.Store(tr)
 
 	l0, l1 := ds.Labels[0], ds.Labels[1]
 	resp, body := postJSON(t, srv.URL+"/v1/models/default/feedback", FeedbackRequest{Samples: []FeedbackSample{

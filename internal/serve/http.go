@@ -285,10 +285,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// writeEngineError maps router/engine admission errors onto HTTP status
-// codes. Both shed-load conditions — a full engine queue and an
-// exhausted tenant quota — map to 429; the distinction is visible in the
-// body and in which counter moved.
+// writeEngineError maps router, engine, trainer and registry errors onto
+// HTTP status codes. Both shed-load conditions — a full engine queue and
+// an exhausted tenant quota — map to 429; the distinction is visible in
+// the body and in which counter moved.
 func writeEngineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuotaExceeded),
@@ -298,12 +298,24 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusNotFound, err)
 	case errors.Is(err, ErrBadFeedbackLabel):
 		writeError(w, http.StatusBadRequest, err)
+	case errors.Is(err, ErrModelTooLarge):
+		writeError(w, http.StatusInsufficientStorage, err)
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrRegistryClosed),
 		errors.Is(err, ErrTrainerClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
 		writeError(w, http.StatusInternalServerError, err)
 	}
+}
+
+// decode reads a JSON request body of at most MaxBodyBytes into v. It
+// answers 400 and returns false when the body does not decode.
+func (h *handler) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+		return false
+	}
+	return true
 }
 
 // tenantOf extracts the request's tenant from the X-Tenant header.
@@ -338,8 +350,7 @@ func (h *handler) className(model string, c int) string {
 
 func (h *handler) predict(w http.ResponseWriter, r *http.Request, model string) {
 	var req PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !h.decode(w, r, &req) {
 		return
 	}
 	pred, err := h.rt.Predictor(model)
@@ -362,8 +373,7 @@ func (h *handler) predict(w http.ResponseWriter, r *http.Request, model string) 
 
 func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request, model string) {
 	var req PredictBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !h.decode(w, r, &req) {
 		return
 	}
 	pred, err := h.rt.Predictor(model)
@@ -403,8 +413,7 @@ func (h *handler) predictBatch(w http.ResponseWriter, r *http.Request, model str
 // touches the predict path.
 func (h *handler) feedback(w http.ResponseWriter, r *http.Request, model string) {
 	var req FeedbackRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !h.decode(w, r, &req) {
 		return
 	}
 	m, err := h.rt.target(model)
@@ -429,7 +438,7 @@ func (h *handler) feedback(w http.ResponseWriter, r *http.Request, model string)
 		writeError(w, http.StatusBadRequest, errors.New("serve: feedback needs a graph and label (or samples)"))
 		return
 	}
-	pred := m.eng.Predictor()
+	pred := m.Predictor()
 	graphs := make([]*graph.Graph, len(samples))
 	labels := make([]int, len(samples))
 	for i, s := range samples {
@@ -467,14 +476,14 @@ func (h *handler) feedback(w http.ResponseWriter, r *http.Request, model string)
 }
 
 func (h *handler) model(w http.ResponseWriter, r *http.Request) {
-	m, err := h.rt.target("")
+	m, err := h.rt.lookup("")
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
 	reg := h.rt.Registry()
-	p := m.eng.Predictor()
-	reloads := m.eng.Reloads()
+	p := m.Predictor()
+	reloads := m.Reloads()
 	cfg := p.Encoder().Config()
 	ks := hdc.Kernels()
 	bi := Build()
@@ -542,7 +551,7 @@ type TracesResponse struct {
 func (h *handler) traces(w http.ResponseWriter, r *http.Request) {
 	reg := h.rt.Registry()
 	writeJSON(w, http.StatusOK, TracesResponse{
-		Depth:  reg.TraceDepth(),
+		Depth:  reg.Options().TraceDepth,
 		Traces: reg.Traces(),
 	})
 }
@@ -567,8 +576,7 @@ func (h *handler) reload(w http.ResponseWriter, r *http.Request) {
 // a name, evict a resident model, or reload one from its remembered path.
 func (h *handler) adminModels(w http.ResponseWriter, r *http.Request) {
 	var req AdminModelRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -592,19 +600,8 @@ func (h *handler) adminModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: unknown action %q", req.Action))
 		return
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrModelNotFound):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, ErrModelTooLarge):
-		writeError(w, http.StatusInsufficientStorage, err)
-		return
-	case errors.Is(err, ErrRegistryClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		writeEngineError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -642,6 +639,7 @@ type RuntimeStats struct {
 // detail, which is why they live on their own listener: bind it to
 // loopback or an operator-only network, never the serving address.
 func NewDebugHandler(rt *Router) http.Handler {
+	h := &handler{rt: rt}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -649,10 +647,7 @@ func NewDebugHandler(rt *Router) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		reg := rt.Registry()
-		writeJSON(w, http.StatusOK, TracesResponse{Depth: reg.TraceDepth(), Traces: reg.Traces()})
-	})
+	mux.HandleFunc("GET /debug/traces", h.traces)
 	mux.HandleFunc("GET /debug/runtime", func(w http.ResponseWriter, r *http.Request) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -670,9 +665,6 @@ func NewDebugHandler(rt *Router) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteRouterMetrics(w, rt)
-	})
+	mux.HandleFunc("GET /metrics", h.metrics)
 	return mux
 }

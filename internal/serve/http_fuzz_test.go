@@ -65,7 +65,7 @@ func serveFuzz(t *testing.T, h http.Handler, path string, body []byte, ok ...int
 
 func FuzzHTTPPredict(f *testing.F) {
 	pred, _ := testModel(f, 128, 1)
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.Load("default", pred); err != nil {
 		f.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func FuzzHTTPPredict(f *testing.F) {
 
 func FuzzHTTPFeedback(f *testing.F) {
 	m, _ := trainableModel(f, 128, false)
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.Load("default", m.Snapshot()); err != nil {
 		f.Fatal(err)
 	}

@@ -20,16 +20,16 @@ import (
 	"graphhd/internal/graph"
 )
 
-// testEngineOptions is the per-model engine shape every HTTP test runs.
-func testEngineOptions() Options {
-	return Options{Workers: 2, MaxBatch: 8}
+// testRegistryOptions is the per-model engine shape every HTTP test runs.
+func testRegistryOptions() RegistryOptions {
+	return RegistryOptions{Workers: 2, MaxBatch: 8}
 }
 
 // startTestStack stands up registry → router → HTTP over pred installed
 // as the default model.
 func startTestStack(t *testing.T, pred *core.Predictor, ropts RouterOptions, opts HandlerOptions) (*httptest.Server, *Router) {
 	t.Helper()
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if pred != nil {
 		if err := reg.Load("default", pred); err != nil {
 			t.Fatal(err)
@@ -41,22 +41,11 @@ func startTestStack(t *testing.T, pred *core.Predictor, ropts RouterOptions, opt
 	return srv, rt
 }
 
-// startTestServer is the single-model shorthand, returning the default
-// model's engine for white-box assertions.
-func startTestServer(t *testing.T, pred *core.Predictor, opts HandlerOptions) (*httptest.Server, *Engine) {
+// startTestServer is the single-model shorthand.
+func startTestServer(t *testing.T, pred *core.Predictor, opts HandlerOptions) *httptest.Server {
 	t.Helper()
-	srv, rt := startTestStack(t, pred, RouterOptions{}, opts)
-	return srv, modelEngine(t, rt, "default")
-}
-
-// modelEngine digs a model's engine out of the registry.
-func modelEngine(t *testing.T, rt *Router, model string) *Engine {
-	t.Helper()
-	m, ok := rt.reg.model(model)
-	if !ok {
-		t.Fatalf("model %q not resident", model)
-	}
-	return m.eng
+	srv, _ := startTestStack(t, pred, RouterOptions{}, opts)
+	return srv
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -92,7 +81,7 @@ func TestHTTPPredictMatchesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := pred.PredictAll(ds.Graphs)
-	srv, _ := startTestServer(t, pred, HandlerOptions{ClassNames: ds.ClassNames})
+	srv := startTestServer(t, pred, HandlerOptions{ClassNames: ds.ClassNames})
 
 	for i, g := range ds.Graphs[:12] {
 		resp, body := postJSON(t, srv.URL+"/v1/predict", PredictRequest{Graph: graph.ToJSON(g)})
@@ -272,7 +261,9 @@ func TestHTTPAdminLoadTooLarge(t *testing.T) {
 	if err := big.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions(), MaxResidentBytes: 600})
+	opts := testRegistryOptions()
+	opts.MaxResidentBytes = 600
+	reg := NewRegistry(opts)
 	if err := reg.Load("default", small); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +283,7 @@ func TestHTTPAdminLoadTooLarge(t *testing.T) {
 func TestHTTPQuota429(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
 	srv, rt := startTestStack(t, pred, RouterOptions{TenantQuota: 4}, HandlerOptions{})
-	e := modelEngine(t, rt, "default")
+	e := modelEngine(t, rt.reg, "default")
 
 	wire := make([]*graph.GraphJSON, 5)
 	for i := range wire {
@@ -334,7 +325,7 @@ func TestHTTPQuota429(t *testing.T) {
 
 func TestHTTPModelAndHealth(t *testing.T) {
 	pred, _ := testModel(t, 2048, 1)
-	srv, _ := startTestServer(t, pred, HandlerOptions{})
+	srv := startTestServer(t, pred, HandlerOptions{})
 
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -376,7 +367,7 @@ func TestHTTPModelAndHealth(t *testing.T) {
 
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	srv, _ := startTestServer(t, pred, HandlerOptions{})
+	srv := startTestServer(t, pred, HandlerOptions{})
 	postJSON(t, srv.URL+"/v1/predict", PredictRequest{Graph: graph.ToJSON(ds.Graphs[0])})
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -406,7 +397,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 
 func TestHTTPBadRequests(t *testing.T) {
 	pred, _ := testModel(t, 1024, 1)
-	srv, _ := startTestServer(t, pred, HandlerOptions{Limits: graph.CodecLimits{MaxVertices: 50}})
+	srv := startTestServer(t, pred, HandlerOptions{Limits: graph.CodecLimits{MaxVertices: 50}})
 
 	// text is the exact error a 400 carries; rows expecting 200 are bodies
 	// the wire has always accepted, kept here so a faster decoder cannot
@@ -487,7 +478,7 @@ func TestHTTPBadRequests(t *testing.T) {
 // sized exactly, with no reflection growth or per-element garbage.
 func TestHTTPOversizedEdgeListAllocation(t *testing.T) {
 	pred, _ := testModel(t, 1024, 1)
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.Load("default", pred); err != nil {
 		t.Fatal(err)
 	}
@@ -532,14 +523,14 @@ func TestHTTPHotReload(t *testing.T) {
 	if err := predA.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.LoadFile("default", path); err != nil {
 		t.Fatal(err)
 	}
 	rt := NewRouter(reg, RouterOptions{})
 	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
 	t.Cleanup(func() { srv.Close(); reg.Close() })
-	e := modelEngine(t, rt, "default")
+	e := modelEngine(t, reg, "default")
 
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -627,7 +618,7 @@ func TestHTTPHotReload(t *testing.T) {
 func TestHTTPReloadErrors(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
 	// Model loaded in-memory: nothing has an artifact path to reload.
-	srv, _ := startTestServer(t, pred, HandlerOptions{})
+	srv := startTestServer(t, pred, HandlerOptions{})
 	resp, body := postJSON(t, srv.URL+"/admin/reload", struct{}{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("reload without model path: status %d: %s", resp.StatusCode, body)
@@ -639,7 +630,7 @@ func TestHTTPReloadErrors(t *testing.T) {
 	if err := pred.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.LoadFile("default", path); err != nil {
 		t.Fatal(err)
 	}
@@ -664,11 +655,7 @@ func TestHTTPReloadErrors(t *testing.T) {
 // overloaded, 503 once the engine is closed.
 func TestHTTPOverloadMaps429(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	e, err := NewEngine(pred, Options{Workers: 1, QueueSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := registryWithEngine(t, "default", pred, e)
+	reg, e := testEngine(t, pred, RegistryOptions{Workers: 1, QueueSize: 1})
 	rt := NewRouter(reg, RouterOptions{})
 	srv := httptest.NewServer(NewHandler(rt, HandlerOptions{}))
 	defer srv.Close()
@@ -687,26 +674,16 @@ func TestHTTPOverloadMaps429(t *testing.T) {
 	}
 	release()
 	<-done
-	e.Close()
+	// Close the engine as an eviction does while the table still names
+	// the model: the window a request that looked the model up just
+	// before its eviction lands in.
+	e.close()
 
 	// A closed engine maps to 503 Service Unavailable.
 	resp, body = postJSON(t, srv.URL+"/v1/predict", PredictRequest{Graph: graph.ToJSON(ds.Graphs[1])})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("closed engine: status %d, want 503 (%s)", resp.StatusCode, body)
 	}
-}
-
-// registryWithEngine hand-installs a pre-built engine as one model — the
-// white-box seam for admission tests, which hold the engine's slots.
-func registryWithEngine(t *testing.T, name string, pred *core.Predictor, e *Engine) *Registry {
-	t.Helper()
-	reg := NewRegistry(RegistryOptions{})
-	m := &regModel{name: name, bytes: int64(pred.MemoryBytes()), eng: e}
-	reg.mu.Lock()
-	reg.publish(func(tbl map[string]*regModel) { tbl[name] = m })
-	reg.bytes.Add(m.bytes)
-	reg.mu.Unlock()
-	return reg
 }
 
 // TestHTTPCascadeSurfaces serves a GRAPHHD3 artifact, the record of the
@@ -730,7 +707,7 @@ func TestHTTPCascadeSurfaces(t *testing.T) {
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: testEngineOptions()})
+	reg := NewRegistry(testRegistryOptions())
 	if err := reg.LoadFile("default", path); err != nil {
 		t.Fatal(err)
 	}

@@ -314,7 +314,7 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	sort.Strings(names)
 	slots := make([]slot, len(names))
 	for i, name := range names {
-		slots[i] = slot{labels: fmt.Sprintf("model=%q", name), m: table[name].eng.Metrics()}
+		slots[i] = slot{labels: fmt.Sprintf("model=%q", name), m: table[name].Metrics()}
 	}
 	tenants := rt.Tenants()
 
@@ -357,22 +357,22 @@ func WriteRouterMetrics(w io.Writer, rt *Router) error {
 	}
 
 	// Model cards, one series per model.
-	modelGauge := func(name, help string, get func(*regModel) int64) {
+	modelGauge := func(name, help string, get func(*Engine) int64) {
 		p("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 		for _, n := range names {
 			p("%s{model=%q} %d\n", name, n, get(table[n]))
 		}
 	}
 	modelGauge("graphhd_model_classes", "Classes in the installed model.",
-		func(m *regModel) int64 { return int64(m.eng.Predictor().NumClasses()) })
+		func(m *Engine) int64 { return int64(m.Predictor().NumClasses()) })
 	modelGauge("graphhd_model_memory_bytes", "Packed class-vector bytes of the installed model.",
-		func(m *regModel) int64 { return int64(m.eng.Predictor().MemoryBytes()) })
+		func(m *Engine) int64 { return int64(m.Predictor().MemoryBytes()) })
 	modelGauge("graphhd_model_dimension", "Hypervector dimensionality of the installed model.",
-		func(m *regModel) int64 { return int64(m.eng.Predictor().Dimension()) })
+		func(m *Engine) int64 { return int64(m.Predictor().Dimension()) })
 	modelGauge("graphhd_model_version", "Registry version of the installed model (bumps on every swap).",
-		func(m *regModel) int64 { return int64(m.eng.Reloads() + 1) })
+		func(m *Engine) int64 { return int64(m.Reloads() + 1) })
 	modelGauge("graphhd_model_revision", "Online-update revision stamped into the serving predictor.",
-		func(m *regModel) int64 { return int64(m.eng.Predictor().Revision()) })
+		func(m *Engine) int64 { return int64(m.Predictor().Revision()) })
 
 	// Online-learning families, one series per model with a trainer
 	// attached. Snapshot first (name order follows names) so each family

@@ -311,9 +311,7 @@ func checkBuildInfo(t *testing.T, samples []promSample) {
 // that exactly the plan, encode and classify stages are rendered.
 func TestWriteMetricsExposition(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	reg := NewRegistry(RegistryOptions{
-		Engine: Options{Workers: 2, MaxBatch: 8},
-	})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("m", pred); err != nil {
 		t.Fatal(err)
@@ -384,9 +382,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 func TestWriteRouterMetricsExposition(t *testing.T) {
 	predA, ds := testModel(t, 2048, 1)
 	predB, _ := testModel(t, 1024, 2)
-	reg := NewRegistry(RegistryOptions{
-		Engine: Options{Workers: 2, MaxBatch: 8},
-	})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("alpha", predA); err != nil {
 		t.Fatal(err)
@@ -503,7 +499,7 @@ func TestWriteRouterMetricsExposition(t *testing.T) {
 // holdout pass alone, so no graphhd_shadow_ family renders.
 func TestWriteRouterMetricsTrainerFamilies(t *testing.T) {
 	m, ds := trainableModel(t, 1024, false)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	if err := reg.Load("alpha", m.Snapshot()); err != nil {
 		t.Fatal(err)

@@ -1,34 +1,36 @@
 package serve
 
-// The Registry is the multi-tenant model store above the Engine: a set of
-// named packed predictors, each served by one engine. Packed GraphHD
-// predictors are tiny (k·d/8 bytes — a few KB at d=10k), so the natural
-// deployment keeps *many* models resident in one process; the registry
-// makes that explicit with a total-packed-bytes budget and LRU eviction,
-// and owns everything about a model's lifecycle that the Engine
-// deliberately does not:
+// The Registry is the multi-tenant model store: a set of named packed
+// predictors, each resident as one Engine the registry builds. Packed
+// GraphHD predictors are tiny (k·d/8 bytes — a few KB at d=10k), so the
+// natural deployment keeps *many* models resident in one process; the
+// registry makes that explicit with a total-packed-bytes budget and LRU
+// eviction, and owns everything about a model's lifecycle:
 //
 //   - Loading artifacts (LoadFile/Reload). A file that fails to load
 //     aborts the install, leaving the current model serving.
-//   - Hot swap. Swap installs the new predictor through the model
-//     engine's atomic-pointer swap — zero failed in-flight requests;
-//     every encode call that takes a slot afterwards runs the new model.
+//   - Hot swap. Swap stores the new predictor in the model's atomic
+//     pointer — zero failed in-flight requests; every encode call that
+//     takes a slot afterwards runs the new model.
 //   - Residency. The request path reads the model table through a
 //     copy-on-write map behind an atomic pointer (no lock, no contention
-//     with loads/evictions); each lookup stamps an atomic last-used
-//     timestamp, and a Load that would exceed MaxResidentBytes evicts
-//     least-recently-used models until the newcomer fits.
+//     with loads/evictions); each routed request stamps the model's
+//     atomic last-used timestamp, and a Load that would exceed
+//     MaxResidentBytes evicts least-recently-used models until the
+//     newcomer fits. Status reads leave the stamp alone.
 //
 // Mutations (load, evict, swap, reload) serialize on one mutex; evicted
 // models drain outside it so a slow shutdown never blocks the table.
 //
-// The registry keeps one flight recorder, RegistryOptions.Engine.TraceDepth
-// records deep, and every engine it builds records into it, so
-// GET /debug/traces reads one ring however many models are resident.
+// The registry's clock stamps both the LRU and every model's stage clock,
+// and its one flight recorder, TraceDepth records deep, takes every
+// model's trace records, so GET /debug/traces reads one ring however many
+// models are resident.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -53,10 +55,22 @@ var (
 // RegistryOptions configures a Registry. The zero value of any field
 // selects its default.
 type RegistryOptions struct {
-	// Engine is the per-model engine configuration template; ModelName
-	// is overwritten per model. TraceDepth sizes the registry's one
-	// flight recorder, which every model's engine shares.
-	Engine Options
+	// Workers is each model's number of encode slots: how many encode
+	// calls on that model run at once, each on its caller's goroutine.
+	// Non-positive means GOMAXPROCS.
+	Workers int
+	// MaxBatch bounds the graphs one encode call takes: a batch call is
+	// split into segments of at most MaxBatch graphs. Default 64.
+	MaxBatch int
+	// QueueSize bounds each model's graphs admitted but still waiting for
+	// a slot, across single and batch requests. Requests beyond it fail
+	// with ErrOverloaded. Default 4096.
+	QueueSize int
+	// TraceDepth is the capacity, in per-batch trace records, of the
+	// registry's one flight recorder, which every model writes; it rounds
+	// up to a power of two. Non-positive selects DefaultTraceDepth.
+	// Memory is fixed at 136 bytes per record.
+	TraceDepth int
 	// MaxResidentBytes bounds the summed packed footprint of resident
 	// models. A Load past the bound evicts least-recently-used models
 	// until the newcomer fits; a model that alone exceeds the bound is
@@ -64,41 +78,16 @@ type RegistryOptions struct {
 	MaxResidentBytes int64
 }
 
-// regModel is one resident named model. bytes and path are guarded by
-// Registry.mu; lastUsed is an atomic read lock-free on the request path.
-// The serving predictor is eng.Predictor(), and the model's version is
-// eng.Reloads()+1: 1 on load, +1 per swap.
-type regModel struct {
-	name     string
-	lastUsed atomic.Int64 // registry-epoch nanos of the last lookup
-	bytes    int64
-	path     string // artifact path for Reload; "" if loaded in-memory
-	eng      *Engine
-
-	// trainer is the online learning loop attached to this model, if any.
-	trainer atomic.Pointer[Trainer]
-}
-
-func (m *regModel) closeEngines() {
-	// The trainer stops first: its goroutine swaps into this engine.
-	// Callers never hold Registry.mu here, so a trainer mid-promotion can
-	// finish its Swap call.
-	if tr := m.trainer.Load(); tr != nil {
-		tr.Close()
-	}
-	m.eng.Close()
-}
-
 // Registry is the named-model store. Create one with NewRegistry; it is
 // safe for concurrent use.
 type Registry struct {
-	opts  RegistryOptions
-	epoch time.Time
-	rec   *flightRecorder // every engine's trace records
+	opts  RegistryOptions // defaults resolved
+	epoch time.Time       // LRU and stage clocks: nanos since epoch
+	rec   *flightRecorder // every model's trace records
 
 	// models is the copy-on-write lookup table: readers load the pointer,
 	// writers build a fresh map under mu and publish it atomically.
-	models atomic.Pointer[map[string]*regModel]
+	models atomic.Pointer[map[string]*Engine]
 
 	bytes     atomic.Int64  // summed packed footprint of resident models
 	evictions atomic.Uint64 // models evicted by the resident-bytes bound
@@ -109,32 +98,41 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(opts RegistryOptions) *Registry {
-	r := &Registry{opts: opts, epoch: time.Now(), rec: newFlightRecorder(opts.Engine.TraceDepth)}
-	m := map[string]*regModel{}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.MaxBatch <= 0 {
+		opts.MaxBatch = 64
+	}
+	if opts.QueueSize <= 0 {
+		opts.QueueSize = 4096
+	}
+	rec := newFlightRecorder(opts.TraceDepth)
+	opts.TraceDepth = rec.depth()
+	r := &Registry{opts: opts, epoch: time.Now(), rec: rec}
+	m := map[string]*Engine{}
 	r.models.Store(&m)
 	return r
 }
 
-// nanos is the registry's monotonic clock for LRU stamps.
+// nanos is the registry's monotonic clock (time.Since reads the
+// monotonic clock): LRU stamps and every model's stage clock.
 func (r *Registry) nanos() int64 { return int64(time.Since(r.epoch)) }
 
-// Options returns the registry's resolved configuration.
+// Options returns the registry's configuration with defaults resolved.
 func (r *Registry) Options() RegistryOptions { return r.opts }
 
-// model is the request-path lookup: lock-free through the COW table,
-// stamping the LRU clock on hit.
-func (r *Registry) model(name string) (*regModel, bool) {
+// model looks name up through the COW table, lock-free. It leaves the LRU
+// clock alone: only a routed request stamps it (Router.target).
+func (r *Registry) model(name string) (*Engine, bool) {
 	m, ok := (*r.models.Load())[name]
-	if ok {
-		m.lastUsed.Store(r.nanos())
-	}
 	return m, ok
 }
 
 // publish installs a mutated copy of the model table. Callers hold mu.
-func (r *Registry) publish(mut func(map[string]*regModel)) {
+func (r *Registry) publish(mut func(map[string]*Engine)) {
 	old := *r.models.Load()
-	nm := make(map[string]*regModel, len(old)+1)
+	nm := make(map[string]*Engine, len(old)+1)
 	for k, v := range old {
 		nm[k] = v
 	}
@@ -153,7 +151,7 @@ func validModelName(name string) error {
 }
 
 // Load installs pred under name, replacing an existing model of the same
-// name via Swap. A new model gets a fresh engine; loading past
+// name via Swap. A new name gets a fresh engine; loading past
 // MaxResidentBytes evicts least-recently-used models first.
 func (r *Registry) Load(name string, pred *core.Predictor) error {
 	return r.install(name, pred, "")
@@ -191,12 +189,12 @@ func (r *Registry) install(name string, pred *core.Predictor, path string) error
 			ErrModelTooLarge, name, bytes, r.opts.MaxResidentBytes)
 	}
 
-	var victims []*regModel
+	var victims []*Engine
 	// Deferred LIFO: mu unlocks first, then evicted engines drain outside
 	// the lock.
 	defer func() {
 		for _, v := range victims {
-			v.closeEngines()
+			v.close()
 		}
 	}()
 	r.mu.Lock()
@@ -205,27 +203,26 @@ func (r *Registry) install(name string, pred *core.Predictor, path string) error
 		return ErrRegistryClosed
 	}
 
-	if m, ok := (*r.models.Load())[name]; ok {
-		victims = r.swapLocked(m, pred, path)
+	if m, ok := r.model(name); ok {
+		victims = r.swapLocked(m, pred, bytes, path)
 		return nil
 	}
 
 	victims = r.evictForLocked(bytes, name)
-	eo := r.opts.Engine
-	eo.ModelName = name
-	eng, err := newEngine(pred, eo, r.rec)
-	if err != nil {
-		return err
+	m := &Engine{reg: r, name: name, bytes: bytes, path: path, slots: make(chan struct{}, r.opts.Workers)}
+	for range r.opts.Workers {
+		m.slots <- struct{}{}
 	}
-	m := &regModel{name: name, bytes: bytes, path: path, eng: eng}
+	m.pred.Store(pred)
+	m.m.init(r.opts.MaxBatch)
 	m.lastUsed.Store(r.nanos())
-	r.publish(func(t map[string]*regModel) { t[name] = m })
+	r.publish(func(t map[string]*Engine) { t[name] = m })
 	r.bytes.Add(bytes)
 	return nil
 }
 
-// Swap installs a new predictor for name through its engine's
-// atomic-pointer swap, so in-flight requests never fail.
+// Swap installs a new predictor for name through the model's atomic
+// pointer, so in-flight requests never fail.
 func (r *Registry) Swap(name string, pred *core.Predictor) error {
 	return r.swap(name, nil, pred, "")
 }
@@ -234,7 +231,7 @@ func (r *Registry) Swap(name string, pred *core.Predictor) error {
 // non-nil was is the model Reload read the path of: when name no longer
 // names it, because it was evicted while the file was read, nothing is
 // swapped and the model stays evicted.
-func (r *Registry) swap(name string, was *regModel, pred *core.Predictor, path string) error {
+func (r *Registry) swap(name string, was *Engine, pred *core.Predictor, path string) error {
 	if pred == nil {
 		return errors.New("serve: swap to nil predictor")
 	}
@@ -243,10 +240,10 @@ func (r *Registry) swap(name string, was *regModel, pred *core.Predictor, path s
 		return fmt.Errorf("%w: %q needs %d bytes of %d",
 			ErrModelTooLarge, name, bytes, r.opts.MaxResidentBytes)
 	}
-	var victims []*regModel
+	var victims []*Engine
 	defer func() {
 		for _, v := range victims {
-			v.closeEngines()
+			v.close()
 		}
 	}()
 	r.mu.Lock()
@@ -254,23 +251,23 @@ func (r *Registry) swap(name string, was *regModel, pred *core.Predictor, path s
 	if r.closed {
 		return ErrRegistryClosed
 	}
-	m, ok := (*r.models.Load())[name]
+	m, ok := r.model(name)
 	if !ok || was != nil && m != was {
 		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	victims = r.swapLocked(m, pred, path)
+	victims = r.swapLocked(m, pred, bytes, path)
 	return nil
 }
 
-// swapLocked is the engine swap plus byte accounting. Callers hold mu
+// swapLocked is the predictor swap plus byte accounting. Callers hold mu
 // and close the returned victims after unlocking.
-func (r *Registry) swapLocked(m *regModel, pred *core.Predictor, path string) []*regModel {
-	bytes := int64(pred.MemoryBytes())
-	var victims []*regModel
+func (r *Registry) swapLocked(m *Engine, pred *core.Predictor, bytes int64, path string) []*Engine {
+	var victims []*Engine
 	if grow := bytes - m.bytes; grow > 0 {
 		victims = r.evictForLocked(grow, m.name)
 	}
-	m.eng.Swap(pred)
+	m.pred.Store(pred)
+	m.m.reloads.Add(1)
 	r.bytes.Add(bytes - m.bytes)
 	m.bytes = bytes
 	if path != "" {
@@ -282,13 +279,13 @@ func (r *Registry) swapLocked(m *regModel, pred *core.Predictor, path string) []
 // evictForLocked removes least-recently-used models (never keep) until
 // need more bytes fit under the budget, returning the victims for the
 // caller to drain outside mu.
-func (r *Registry) evictForLocked(need int64, keep string) []*regModel {
+func (r *Registry) evictForLocked(need int64, keep string) []*Engine {
 	if r.opts.MaxResidentBytes <= 0 {
 		return nil
 	}
-	var victims []*regModel
+	var victims []*Engine
 	for r.bytes.Load()+need > r.opts.MaxResidentBytes {
-		var lru *regModel
+		var lru *Engine
 		for _, m := range *r.models.Load() {
 			if m.name == keep {
 				continue
@@ -300,7 +297,7 @@ func (r *Registry) evictForLocked(need int64, keep string) []*regModel {
 		if lru == nil {
 			break
 		}
-		r.publish(func(t map[string]*regModel) { delete(t, lru.name) })
+		r.publish(func(t map[string]*Engine) { delete(t, lru.name) })
 		r.bytes.Add(-lru.bytes)
 		r.evictions.Add(1)
 		victims = append(victims, lru)
@@ -316,15 +313,15 @@ func (r *Registry) Evict(name string) error {
 		r.mu.Unlock()
 		return ErrRegistryClosed
 	}
-	m, ok := (*r.models.Load())[name]
+	m, ok := r.model(name)
 	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
-	r.publish(func(t map[string]*regModel) { delete(t, name) })
+	r.publish(func(t map[string]*Engine) { delete(t, name) })
 	r.bytes.Add(-m.bytes)
 	r.mu.Unlock()
-	m.closeEngines()
+	m.close()
 	return nil
 }
 
@@ -333,7 +330,7 @@ func (r *Registry) Evict(name string) error {
 // evicted while its artifact was read returns ErrModelNotFound.
 func (r *Registry) Reload(name string) error {
 	r.mu.Lock()
-	m, ok := (*r.models.Load())[name]
+	m, ok := r.model(name)
 	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
@@ -399,7 +396,7 @@ type ModelStatus struct {
 	// drift.
 	Revision uint64 `json:"revision,omitempty"`
 	Path     string `json:"path,omitempty"`
-	// InFlight, Accepted, Processed and Reloads are the model engine's
+	// InFlight, Accepted, Processed and Reloads are the model's engine
 	// counters: graphs admitted but not yet classified, graphs admitted,
 	// graphs classified, and swaps.
 	InFlight  uint64 `json:"in_flight"`
@@ -429,12 +426,12 @@ func (r *Registry) Status() RegistryStatus {
 		Evictions:  r.evictions.Load(),
 	}
 	for _, m := range table {
-		p := m.eng.Predictor()
-		reloads := m.eng.Reloads()
+		p := m.Predictor()
+		reloads := m.Reloads()
 		// processed before accepted, as in Engine.Metrics, so InFlight
 		// cannot go negative.
-		processed := m.eng.m.processed.Load()
-		accepted := m.eng.m.accepted.Load()
+		processed := m.m.processed.Load()
+		accepted := m.m.accepted.Load()
 		st.Models = append(st.Models, ModelStatus{
 			Name:        m.name,
 			Version:     reloads + 1,
@@ -453,15 +450,12 @@ func (r *Registry) Status() RegistryStatus {
 	return st
 }
 
-// Traces snapshots the registry's flight recorder, which every model's
-// engine writes: the retained trace records, newest ticket first.
+// Traces snapshots the registry's flight recorder, which every model
+// writes: the retained trace records, newest ticket first.
 func (r *Registry) Traces() []TraceRecord { return r.rec.snapshot() }
 
-// TraceDepth returns the flight recorder's capacity in records.
-func (r *Registry) TraceDepth() int { return r.rec.depth() }
-
-// Close evicts every model and drains its engine. The registry rejects
-// all mutations afterwards. Close is idempotent.
+// Close evicts every model, stopping its trainer and draining its engine.
+// The registry rejects all mutations afterwards. Close is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -470,11 +464,11 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	table := *r.models.Load()
-	empty := map[string]*regModel{}
+	empty := map[string]*Engine{}
 	r.models.Store(&empty)
 	r.bytes.Store(0)
 	r.mu.Unlock()
 	for _, m := range table {
-		m.closeEngines()
+		m.close()
 	}
 }

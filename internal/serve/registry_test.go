@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -17,7 +19,7 @@ import (
 
 // regOptions is the small-engine registry shape the unit tests use.
 func regOptions() RegistryOptions {
-	return RegistryOptions{Engine: Options{Workers: 1}}
+	return RegistryOptions{Workers: 1}
 }
 
 // TestRegistryLoadEvictList covers the table basics: load, lookup,
@@ -114,8 +116,9 @@ func TestRegistryErrorSurface(t *testing.T) {
 	reg := NewRegistry(opts)
 	defer reg.Close()
 
-	if got := reg.Options(); got.MaxResidentBytes != 300 || got.Engine.Workers != 1 {
-		t.Fatalf("Options round-trip: %+v", got)
+	if got := reg.Options(); got.MaxResidentBytes != 300 || got.Workers != 1 ||
+		got.MaxBatch != 64 || got.QueueSize != 4096 || got.TraceDepth != DefaultTraceDepth {
+		t.Fatalf("Options round-trip with defaults resolved: %+v", got)
 	}
 	if err := reg.Load("m", small); err != nil {
 		t.Fatal(err)
@@ -137,11 +140,11 @@ func TestRegistryErrorSurface(t *testing.T) {
 }
 
 // TestRegistryLRUEviction proves the memory bound: loading past
-// MaxResidentBytes evicts the least-recently-used model (a lookup
-// refreshes recency), the byte and eviction counters account for it, and
-// a model that alone exceeds the bound is refused outright.
+// MaxResidentBytes evicts the least-recently-used model (a routed
+// request refreshes recency), the byte and eviction counters account for
+// it, and a model that alone exceeds the bound is refused outright.
 func TestRegistryLRUEviction(t *testing.T) {
-	predA, _ := testModel(t, 1024, 1) // 256 bytes each
+	predA, ds := testModel(t, 1024, 1) // 256 bytes each
 	predB, _ := testModel(t, 1024, 2)
 	predC, _ := testModel(t, 1024, 3)
 	opts := regOptions()
@@ -155,9 +158,9 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if err := reg.Load("b", predB); err != nil {
 		t.Fatal(err)
 	}
-	// Touch "a" so "b" is the LRU when "c" needs room.
-	if _, ok := reg.model("a"); !ok {
-		t.Fatal("a not resident")
+	// Serve "a" so "b" is the LRU when "c" needs room.
+	if _, err := NewRouter(reg, RouterOptions{}).Predict(context.Background(), "", "a", ds.Graphs[0]); err != nil {
+		t.Fatal(err)
 	}
 	if err := reg.Load("c", predC); err != nil {
 		t.Fatal(err)
@@ -188,6 +191,60 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRegistryStatusReadsKeepLRU: only a routed request refreshes a
+// model's recency. Two 256-byte models sit under a 600-byte budget, the
+// one with a trainer loaded first and the other served last; then every
+// status read — the registry table, the trainer statuses, GET /v1/model
+// and GET /v1/models with the trained model as the default — runs before
+// a third Load, which must still evict the trained model, not the one
+// that served.
+func TestRegistryStatusReadsKeepLRU(t *testing.T) {
+	m, ds := trainableModel(t, 1024, false)
+	served, _ := testModel(t, 1024, 2)
+	third, _ := testModel(t, 1024, 3)
+	opts := regOptions()
+	opts.MaxResidentBytes = 600
+	reg := NewRegistry(opts)
+	defer reg.Close()
+	if err := reg.Load("trained", m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.AttachTrainer("trained", m, TrainerOptions{SnapshotEvery: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Load("served", served); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(reg, RouterOptions{DefaultModel: "trained"})
+	if _, err := rt.Predict(context.Background(), "", "served", ds.Graphs[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	reg.Status()
+	reg.TrainerStatuses()
+	if _, err := rt.Predictor(""); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(rt, HandlerOptions{})
+	for _, path := range []string{"/v1/model", "/v1/models"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+
+	if err := reg.Load("third", third); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.model("served"); !ok {
+		t.Fatal("a status read refreshed the idle trained model: the model that served last was evicted")
+	}
+	if _, ok := reg.model("trained"); ok {
+		t.Fatal("the least recently served model survived an over-budget load")
+	}
+}
+
 // TestRegistryRollingSwap walks a model through swaps and checks the
 // version, the engine's reload counter and status row, and that the
 // engine serves the new predictor afterwards — including a dimension
@@ -208,15 +265,15 @@ func TestRegistryRollingSwap(t *testing.T) {
 	if got := reg.Status().Models[0].Version; got != 2 {
 		t.Fatalf("version = %d after swap, want 2", got)
 	}
-	if m.eng.Predictor() != predB {
+	if m.Predictor() != predB {
 		t.Fatal("engine still serves the old predictor")
 	}
-	if got := m.eng.Reloads(); got != 1 {
+	if got := m.Reloads(); got != 1 {
 		t.Fatalf("engine reloads = %d, want 1", got)
 	}
 	want := predB.PredictAll(ds.Graphs[:8])
-	got, err := m.eng.PredictBatch(context.Background(), ds.Graphs[:8])
-	if err != nil {
+	got := make([]int, 8)
+	if err := m.PredictBatchInto(context.Background(), ds.Graphs[:8], got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -349,7 +406,7 @@ func TestRegistryHeapPerModel(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			before := liveHeapBytes()
-			reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2}})
+			reg := NewRegistry(RegistryOptions{Workers: 2})
 			defer reg.Close()
 			rt := NewRouter(reg, RouterOptions{})
 			ctx := context.Background()

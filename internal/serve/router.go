@@ -1,13 +1,16 @@
 package serve
 
 // The Router is the admission tier between transports and the registry's
-// per-model engines. Per request it does two cheap things, in an order
+// resident models. Per request it does two cheap things, in an order
 // chosen so that rejected work never touches an engine queue:
 //
 //  1. Model lookup — lock-free through the registry's COW table
 //     (ErrModelNotFound → 404); the empty model name selects the
 //     configured default model, which is what keeps the original
-//     single-model routes working unchanged.
+//     single-model routes working unchanged. A request that serves or
+//     feeds the model stamps its LRU clock; a lookup that only reads it
+//     (Predictor, GET /v1/model) does not, so polling never keeps an
+//     idle model resident.
 //  2. Tenant admission — a CAS on the tenant's in-flight graph counter
 //     against the quota. A rejection (ErrQuotaExceeded → 429) happens
 //     before the model's engine is touched, so a noisy tenant cannot
@@ -56,8 +59,8 @@ type tenantState struct {
 	rejected atomic.Uint64
 }
 
-// Router admits requests onto the registry's per-model engines. Create
-// one with NewRouter; it is safe for concurrent use.
+// Router admits requests onto the registry's resident models. Create one
+// with NewRouter; it is safe for concurrent use.
 type Router struct {
 	reg     *Registry
 	opts    RouterOptions
@@ -82,8 +85,9 @@ func (rt *Router) Registry() *Registry { return rt.reg }
 // DefaultModel returns the model name the unnamed routes serve.
 func (rt *Router) DefaultModel() string { return rt.opts.DefaultModel }
 
-// target resolves a request's model name ("" → default model).
-func (rt *Router) target(model string) (*regModel, error) {
+// lookup resolves a model name ("" → default model) without stamping the
+// model's LRU clock.
+func (rt *Router) lookup(model string) (*Engine, error) {
 	if model == "" {
 		model = rt.opts.DefaultModel
 	}
@@ -94,14 +98,24 @@ func (rt *Router) target(model string) (*regModel, error) {
 	return m, nil
 }
 
+// target is lookup for a request that serves or feeds the model: it
+// stamps the model's LRU clock.
+func (rt *Router) target(model string) (*Engine, error) {
+	m, err := rt.lookup(model)
+	if err == nil {
+		m.lastUsed.Store(rt.reg.nanos())
+	}
+	return m, err
+}
+
 // Predictor returns the named model's current snapshot ("" → default),
 // for transports that validate payloads against the encoder config.
 func (rt *Router) Predictor(model string) (*core.Predictor, error) {
-	m, err := rt.target(model)
+	m, err := rt.lookup(model)
 	if err != nil {
 		return nil, err
 	}
-	return m.eng.Predictor(), nil
+	return m.Predictor(), nil
 }
 
 // tenant interns the tenant's admission state ("" → DefaultTenant).
@@ -150,7 +164,7 @@ func (rt *Router) Predict(ctx context.Context, tenant, model string, g *graph.Gr
 		return 0, err
 	}
 	defer ts.inflight.Add(-1)
-	return m.eng.Predict(ctx, g)
+	return m.Predict(ctx, g)
 }
 
 // PredictBatch routes a whole batch to model, returning one class per
@@ -177,7 +191,7 @@ func (rt *Router) PredictBatchInto(ctx context.Context, tenant, model string, gr
 		return err
 	}
 	defer ts.inflight.Add(-n)
-	return m.eng.PredictBatchInto(ctx, graphs, out)
+	return m.PredictBatchInto(ctx, graphs, out)
 }
 
 // TenantStatus is one tenant's admission account snapshot.

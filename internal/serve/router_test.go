@@ -18,7 +18,7 @@ func TestRouterRoutesByName(t *testing.T) {
 	wantA := predA.PredictAll(ds.Graphs)
 	wantB := predB.PredictAll(ds.Graphs)
 
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("alpha", predA); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestRouterRoutesByName(t *testing.T) {
 // tenant, and other tenants are untouched.
 func TestRouterQuota(t *testing.T) {
 	pred, ds := testModel(t, 1024, 1)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRouterQuota(t *testing.T) {
 		t.Fatalf("over-quota batch: %v, want ErrQuotaExceeded", err)
 	}
 	m, _ := reg.model("default")
-	if got := m.eng.Metrics().AcceptedGraphs; got != 0 {
+	if got := m.Metrics().AcceptedGraphs; got != 0 {
 		t.Fatalf("quota rejection reached the engine: %d graphs accepted", got)
 	}
 
@@ -132,11 +132,9 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 99) // dimension change: swaps re-bind scratch
 	reg := NewRegistry(RegistryOptions{
-		Engine: Options{
-			Workers:   2,
-			MaxBatch:  8,
-			QueueSize: 64, // small enough for the 65-graph client to overrun
-		},
+		Workers:   2,
+		MaxBatch:  8,
+		QueueSize: 64, // small enough for the 65-graph client to overrun
 	})
 	if err := reg.Load("default", predA); err != nil {
 		t.Fatal(err)
@@ -261,7 +259,7 @@ func TestRouterSoakRollingSwap(t *testing.T) {
 		t.Fatal("the over-quota tenant was never rejected")
 	}
 
-	em := m.eng.Metrics()
+	em := m.Metrics()
 	if em.Reloads != swaps.Load() {
 		t.Errorf("engine saw %d reloads, want %d (a registry swap skipped it)", em.Reloads, swaps.Load())
 	}

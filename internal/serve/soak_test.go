@@ -26,15 +26,12 @@ import (
 func TestEngineSoakMixedLoad(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 99) // different dimension: swaps re-bind scratches
-	e, err := NewEngine(predA, Options{
+	reg, e := testEngine(t, predA, RegistryOptions{
 		Workers:  4,
 		MaxBatch: 8,
 		// Small enough that the client fleet overruns it regularly.
 		QueueSize: 64,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	duration := 800 * time.Millisecond
 	if testing.Short() {
@@ -63,7 +60,7 @@ func TestEngineSoakMixedLoad(t *testing.T) {
 			if i%2 == 1 {
 				next = predB
 			}
-			if err := e.Swap(next); err != nil {
+			if err := reg.Swap("default", next); err != nil {
 				t.Errorf("swap: %v", err)
 				return
 			}
@@ -145,7 +142,7 @@ func TestEngineSoakMixedLoad(t *testing.T) {
 			if i%64 == 0 {
 				accepted := int64(e.m.accepted.Load())
 				processed := int64(e.m.processed.Load())
-				opts := e.Options()
+				opts := reg.Options()
 				limit := int64(opts.QueueSize + opts.Workers*opts.MaxBatch)
 				if accepted-processed > limit {
 					t.Errorf("in-flight graphs %d exceed engine capacity %d (accepted %d, processed %d)",
@@ -164,7 +161,7 @@ func TestEngineSoakMixedLoad(t *testing.T) {
 		go client(batch)
 	}
 	wg.Wait()
-	e.Close() // drains every admitted request
+	reg.Close() // drains every admitted request
 
 	m := e.Metrics()
 	if failures.Load() != 0 {

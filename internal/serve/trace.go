@@ -6,22 +6,21 @@ import (
 	"time"
 )
 
-// The flight recorder is the engine's after-the-fact diagnosis surface:
-// a fixed-size ring of the last N per-batch TraceRecords, written once
-// per encode call (a single predict, or one segment of a batch call) and
-// read on demand by GET /debug/traces and cmd/inspect -traces. A slow
-// burst is diagnosed from the ring without a profiler attached: the
-// records show exactly where each batch's microseconds went and what the
-// batch looked like.
+// The flight recorder is the serving tier's after-the-fact diagnosis
+// surface: a fixed-size ring of the last N per-batch TraceRecords,
+// written once per encode call (a single predict, or one segment of a
+// batch call) and read on demand by GET /debug/traces and cmd/inspect
+// -traces. A slow burst is diagnosed from the ring without a profiler
+// attached: the records show exactly where each batch's microseconds
+// went, what the batch looked like and which model served it.
 //
 // Memory is strictly bounded: depth ring slots of 136 B (a TraceRecord
 // with its lock and ticket), 34 KiB at the default depth of 256,
-// allocated once and never grown. A Registry keeps one ring for all of
-// its engines, a standalone engine one of its own. Writers never
-// allocate.
+// allocated once and never grown. A Registry keeps one ring, which every
+// resident model writes. Writers never allocate.
 
 // DefaultTraceDepth is the flight-recorder capacity when
-// Options.TraceDepth is zero.
+// RegistryOptions.TraceDepth is zero.
 const DefaultTraceDepth = 256
 
 // TraceRecord is one flight-recorder entry: the stage-clock readout and
@@ -35,8 +34,7 @@ type TraceRecord struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"` // wall clock when the call took its slot
 
-	// Model names the engine that served the batch in a registry/router
-	// deployment ("default" standalone).
+	// Model names the model that served the call.
 	Model string `json:"model,omitempty"`
 
 	BatchSize int `json:"batch_size"` // graphs in the encode call
@@ -47,7 +45,7 @@ type TraceRecord struct {
 	ClassifyNanos  int64 `json:"classify_ns"`
 	TotalNanos     int64 `json:"total_ns"` // slot taken → results written
 
-	// ModelReloads is the engine's reload counter when the record was
+	// ModelReloads is the model's reload counter when the record was
 	// written: the model version the call ran under, unless a swap landed
 	// while it encoded.
 	ModelReloads uint64 `json:"model_reloads"`
@@ -132,13 +130,3 @@ func (r *flightRecorder) snapshot() []TraceRecord {
 	}
 	return out
 }
-
-// Traces returns the flight recorder's retained per-batch trace
-// records, newest first. An engine a Registry built records into the
-// registry's ring, so its Traces hold every resident model's records.
-func (e *Engine) Traces() []TraceRecord {
-	return e.rec.snapshot()
-}
-
-// TraceDepth returns the flight recorder's capacity in records.
-func (e *Engine) TraceDepth() int { return e.rec.depth() }

@@ -137,26 +137,23 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 }
 
 // TestEngineTraces drives real traffic through an engine and checks the
-// flight recorder tells a coherent story: every batch accounted, stage
-// nanos populated, and the stage histograms fed from the same clock.
+// flight recorder tells a coherent story: every batch accounted and
+// named after its model, stage nanos populated, and the stage histograms
+// fed from the same clock.
 func TestEngineTraces(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	e, err := NewEngine(pred, Options{
+	reg, e := testEngine(t, pred, RegistryOptions{
 		Workers: 2, MaxBatch: 8, TraceDepth: 64,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if got := e.TraceDepth(); got != 64 {
+	if got := reg.Options().TraceDepth; got != 64 {
 		t.Fatalf("TraceDepth = %d, want 64", got)
 	}
 
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs); err != nil {
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs, make([]int, len(ds.Graphs))); err != nil {
 		t.Fatal(err)
 	}
 
-	traces := e.Traces()
+	traces := reg.Traces()
 	if len(traces) == 0 {
 		t.Fatal("no trace records after a batch predict")
 	}
@@ -180,6 +177,9 @@ func TestEngineTraces(t *testing.T) {
 		}
 		if tr.Time.IsZero() {
 			t.Fatalf("record %d: zero timestamp", tr.Seq)
+		}
+		if tr.Model != "default" {
+			t.Fatalf("record %d: model %q, want \"default\"", tr.Seq, tr.Model)
 		}
 	}
 	if graphs != len(ds.Graphs) {
@@ -207,7 +207,7 @@ func TestEngineTraces(t *testing.T) {
 func TestRegistryTraceRing(t *testing.T) {
 	predA, ds := testModel(t, 1024, 1)
 	predB, _ := testModel(t, 512, 2)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, TraceDepth: 64}})
+	reg := NewRegistry(RegistryOptions{Workers: 2, TraceDepth: 64})
 	defer reg.Close()
 	rt := NewRouter(reg, RouterOptions{})
 	var wg sync.WaitGroup
@@ -227,7 +227,7 @@ func TestRegistryTraceRing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := reg.TraceDepth(); got != 64 {
+	if got := reg.Options().TraceDepth; got != 64 {
 		t.Fatalf("TraceDepth = %d, want 64", got)
 	}
 	traces := reg.Traces()
@@ -248,15 +248,11 @@ func TestRegistryTraceRing(t *testing.T) {
 // classifier: every graph is decided at full width.
 func TestEngineTracesNoCascade(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	e, err := NewEngine(pred, Options{Workers: 2, MaxBatch: 8})
-	if err != nil {
+	reg, e := testEngine(t, pred, RegistryOptions{Workers: 2, MaxBatch: 8})
+	if err := e.PredictBatchInto(context.Background(), ds.Graphs, make([]int, len(ds.Graphs))); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if _, err := e.PredictBatch(context.Background(), ds.Graphs); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(e.Traces())
+	raw, err := json.Marshal(reg.Traces())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +266,7 @@ func TestEngineTracesNoCascade(t *testing.T) {
 // TestHTTPTraces exercises GET /debug/traces on the public handler.
 func TestHTTPTraces(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	srv, _ := startTestServer(t, pred, HandlerOptions{})
+	srv := startTestServer(t, pred, HandlerOptions{})
 
 	resp, body := postJSON(t, srv.URL+"/v1/predict/batch", map[string]any{
 		"graphs": toWire(ds.Graphs[:8]),
@@ -309,7 +305,7 @@ func TestHTTPTraces(t *testing.T) {
 // runtime stats, traces and metrics are all mounted and respond.
 func TestDebugHandler(t *testing.T) {
 	pred, ds := testModel(t, 2048, 1)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 2, MaxBatch: 8}})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("default", pred); err != nil {
 		t.Fatal(err)
@@ -378,7 +374,7 @@ func TestRequestIDAndLogging(t *testing.T) {
 
 	var buf syncBuffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv, _ := startTestServer(t, pred, HandlerOptions{Logger: logger})
+	srv := startTestServer(t, pred, HandlerOptions{Logger: logger})
 
 	ids := map[string]bool{}
 	for i := 0; i < 3; i++ {

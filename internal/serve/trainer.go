@@ -21,7 +21,7 @@ package serve
 //	     by more than ValidationTolerance rolls back, and the share of
 //	     graphs on which the two answer alike is reported beside the
 //	     verdict as the candidate's agreement
-//	   → promote via Registry.Swap — the engine's atomic swap, so in-flight
+//	   → promote via Registry.Swap — the model's atomic swap, so in-flight
 //	     requests never observe a mid-request model change — with the
 //	     verdict kept in TrainerStatus and surfaced at GET /v1/models and
 //	     cmd/inspect -models.
@@ -33,6 +33,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,14 +175,14 @@ func (r *Registry) AttachTrainer(name string, model *core.Model, opts TrainerOpt
 	if r.closed {
 		return nil, ErrRegistryClosed
 	}
-	m, ok := (*r.models.Load())[name]
+	m, ok := r.model(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
 	if m.trainer.Load() != nil {
 		return nil, fmt.Errorf("%w: %q", ErrTrainerExists, name)
 	}
-	if k := m.eng.Predictor().NumClasses(); model.NumClasses() != k {
+	if k := m.Predictor().NumClasses(); model.NumClasses() != k {
 		return nil, fmt.Errorf("serve: trainer model has %d classes, serving model %q has %d",
 			model.NumClasses(), name, k)
 	}
@@ -200,22 +201,8 @@ func (r *Registry) AttachTrainer(name string, model *core.Model, opts TrainerOpt
 	return tr, nil
 }
 
-// Trainer returns the online trainer attached to the named model, if any
-// ("" is not resolved; callers go through Router.trainer for that).
-func (r *Registry) Trainer(name string) (*Trainer, bool) {
-	m, ok := r.model(name)
-	if !ok {
-		return nil, false
-	}
-	tr := m.trainer.Load()
-	return tr, tr != nil
-}
-
 // NumClasses returns the label range the trainer accepts: [0, k).
 func (tr *Trainer) NumClasses() int { return tr.model.NumClasses() }
-
-// Model returns the trainable model feedback drains into.
-func (tr *Trainer) Model() *core.Model { return tr.model }
 
 // Options returns the trainer's resolved configuration — the options it
 // was attached with, defaults applied.
@@ -321,7 +308,7 @@ func (tr *Trainer) validateCandidate() {
 	if !ok {
 		return // evicted under us; Close follows
 	}
-	primary := m.eng.Predictor()
+	primary := m.Predictor()
 	candidate := tr.model.Snapshot()
 	tr.snapshots.Add(1)
 
@@ -417,7 +404,7 @@ func (tr *Trainer) Status() TrainerStatus {
 		Rollbacks:  tr.rolledX.Load(),
 	}
 	if m, ok := tr.reg.model(tr.name); ok {
-		st.ServingRevision = m.eng.Predictor().Revision()
+		st.ServingRevision = m.Predictor().Revision()
 	}
 	tr.mu.Lock()
 	st.LastOutcome = tr.lastOutcome
@@ -437,14 +424,6 @@ func (r *Registry) TrainerStatuses() []TrainerStatus {
 			out = append(out, tr.Status())
 		}
 	}
-	sortTrainerStatuses(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out
-}
-
-func sortTrainerStatuses(s []TrainerStatus) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Model < s[j-1].Model; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -63,9 +63,7 @@ func TestTrainerPromotionFlipsServedPredictions(t *testing.T) {
 		t.Fatal("flipped and correct models agree everywhere; test cannot observe a promotion")
 	}
 
-	reg := NewRegistry(RegistryOptions{
-		Engine: Options{Workers: 2, MaxBatch: 8},
-	})
+	reg := NewRegistry(RegistryOptions{Workers: 2, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("default", flipped.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -143,9 +141,7 @@ func TestTrainerRollbackOnHoldoutRegression(t *testing.T) {
 	flipped, _ := trainableModel(t, 1024, true)
 	want := correct.Snapshot().PredictAll(ds.Graphs)
 
-	reg := NewRegistry(RegistryOptions{
-		Engine: Options{Workers: 1, MaxBatch: 8},
-	})
+	reg := NewRegistry(RegistryOptions{Workers: 1, MaxBatch: 8})
 	defer reg.Close()
 	if err := reg.Load("default", correct.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -220,7 +216,7 @@ func TestTrainerValidateReportsAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	if err := reg.Load("default", flipped.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -285,7 +281,7 @@ func TestTrainerStatusJSONKeepsZeros(t *testing.T) {
 // surface as typed errors, never panics.
 func TestTrainerFeedValidation(t *testing.T) {
 	correct, ds := trainableModel(t, 512, false)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	if err := reg.Load("default", correct.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -301,8 +297,8 @@ func TestTrainerFeedValidation(t *testing.T) {
 	if _, err := reg.AttachTrainer("default", correct, TrainerOptions{}); !errors.Is(err, ErrTrainerExists) {
 		t.Fatalf("double attach: %v, want ErrTrainerExists", err)
 	}
-	if got, ok := reg.Trainer("default"); !ok || got != tr {
-		t.Fatal("Trainer lookup did not return the attached trainer")
+	if got := modelEngine(t, reg, "default").trainer.Load(); got != tr {
+		t.Fatal("the model does not hold the attached trainer")
 	}
 
 	if err := tr.Feed(ds.Graphs[0], -1); !errors.Is(err, ErrBadFeedbackLabel) {
@@ -325,7 +321,7 @@ func TestTrainerFeedValidation(t *testing.T) {
 // deferred outcome instead of promoting or rolling back blind.
 func TestTrainerSnapshotIntervalDefers(t *testing.T) {
 	m, ds := trainableModel(t, 512, false)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	if err := reg.Load("default", m.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -366,7 +362,7 @@ func TestTrainerSnapshotIntervalDefers(t *testing.T) {
 func TestTrainerStatusesSorted(t *testing.T) {
 	mb, _ := trainableModel(t, 512, false)
 	ma, _ := trainableModel(t, 512, true)
-	reg := NewRegistry(RegistryOptions{Engine: Options{Workers: 1}})
+	reg := NewRegistry(RegistryOptions{Workers: 1})
 	defer reg.Close()
 	// Load in reverse name order so a sorted result is not insertion order.
 	if err := reg.Load("beta", mb.Snapshot()); err != nil {
@@ -383,8 +379,8 @@ func TestTrainerStatusesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tra.Model() != ma || trb.Model() != mb {
-		t.Fatal("Trainer.Model did not return the attached model")
+	if tra.model != ma || trb.model != mb {
+		t.Fatal("a trainer does not hold the model it was attached with")
 	}
 	if got := tra.Options().BufferSize; got != 7 {
 		t.Fatalf("Options().BufferSize = %d, want the attached 7", got)
@@ -430,10 +426,8 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 	flipped, _ := trainableModel(t, 1024, true)
 
 	reg := NewRegistry(RegistryOptions{
-		Engine: Options{
-			Workers:  2,
-			MaxBatch: 8,
-		},
+		Workers:  2,
+		MaxBatch: 8,
 	})
 	if err := reg.Load("promo", flipped.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -574,8 +568,8 @@ func TestRouterSoakOnlineLoop(t *testing.T) {
 		t.Fatalf("rollb trainer validated %d candidates from %d samples, want 1", rollbSt.Snapshots, rollbFeed)
 	}
 
-	for _, m := range []*regModel{promoM, rollbM} {
-		em := m.eng.Metrics()
+	for _, m := range []*Engine{promoM, rollbM} {
+		em := m.Metrics()
 		if em.AcceptedGraphs != em.Processed || em.InFlight != 0 {
 			t.Fatalf("model %q did not quiesce clean: accepted %d, processed %d, inflight %d",
 				m.name, em.AcceptedGraphs, em.Processed, em.InFlight)
